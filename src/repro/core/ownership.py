@@ -32,12 +32,25 @@ ancestors gain the leaf, new sharing pairs are derived from the parents'
 ancestor sets, and only dominators whose share set actually changed are
 invalidated.  Any other mutation (edges between existing contexts,
 removals) conservatively clears all caches.
+
+Compact leaves
+--------------
+Almost every context in the evaluated applications (players, items,
+terminals) is a childless context with at most one owner.  Such a leaf
+is stored as one ``cid -> parent`` entry in a single map — no parent,
+child, descendant or share set of its own — plus its membership in the
+parent's child set and in the cached descendant sets of its ancestors.
+It shares with nobody and is its own dominator by construction (see
+:meth:`OwnershipNetwork.dominator`).  The first time it gains a child or
+a second owner it is *promoted* to a full node; full nodes are never
+demoted.  Hence every context that has a child, and every proper
+ancestor of any context, is a full node.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import FencedError, OwnershipCycleError, UnknownContextError
 
@@ -184,8 +197,11 @@ class OwnershipNetwork:
     """A mutable DAG of context ids with dominator computation."""
 
     def __init__(self) -> None:
+        # Full nodes: direct owners / directly owned, one set each.
         self._parents: Dict[str, Set[str]] = {}
         self._children: Dict[str, Set[str]] = {}
+        # Compact leaves (module docstring): cid -> only owner, or None.
+        self._leaf: Dict[str, Optional[str]] = {}
         self._desc_cache: Dict[str, Set[str]] = {}
         self._share_cache: Dict[str, Set[str]] = {}
         self._dom_cache: Dict[str, str] = {}
@@ -206,31 +222,27 @@ class OwnershipNetwork:
 
         This is the fast path: a new leaf cannot lower any least upper
         bound, so caches are patched incrementally rather than cleared.
+        With at most one parent the context is a compact leaf
+        (:meth:`add_leaves`); with several it is a full node.
         """
-        if cid in self._parents:
-            raise ValueError(f"context {cid!r} already exists")
         parent_list = sorted(set(parents))
+        if len(parent_list) <= 1:
+            self.add_leaves([cid], parent_list or [None])
+            return
+        if cid in self:
+            raise ValueError(f"context {cid!r} already exists")
         for parent in parent_list:
             self._require(parent)
+        for parent in parent_list:
+            self._promote(parent)
+            self._children[parent].add(cid)
         self._parents[cid] = set(parent_list)
         self._children[cid] = set()
-        for parent in parent_list:
-            self._children[parent].add(cid)
         self.epoch += 1
         self._desc_cache[cid] = {cid}
         self._share_cache[cid] = set()
-        self._patch_caches_for_leaf(cid, parent_list)
-
-    def _patch_caches_for_leaf(self, leaf: str, parent_list: List[str]) -> None:
-        """Incrementally account for a fresh leaf under ``parent_list``."""
         ancestor_sets = [self._ancestors_of(parent) for parent in parent_list]
-        all_ancestors: Set[str] = set().union(*ancestor_sets) if ancestor_sets else set()
-        for ancestor in all_ancestors:
-            cached = self._desc_cache.get(ancestor)
-            if cached is not None:
-                cached.add(leaf)
-        if len(parent_list) <= 1:
-            return
+        self._add_descendants(set().union(*ancestor_sets), (cid,))
         # New sharing pairs arise only between ancestors of different
         # parents of the leaf (the leaf is their new common descendant).
         for i, left_parent in enumerate(parent_list):
@@ -242,6 +254,59 @@ class OwnershipNetwork:
                         if left == right:
                             continue
                         self._record_new_sharing(left, right, left_parent, right_parent)
+
+    def add_leaves(
+        self, cids: Sequence[str], parents: Sequence[Optional[str]]
+    ) -> None:
+        """Add fresh childless contexts, ``cids[i]`` under ``parents[i]``.
+
+        ``parents[i]`` is an existing context or ``None``.  The whole
+        batch is validated before the first mutation, and each distinct
+        parent's ancestor chain is resolved once per call, not per leaf.
+        """
+        if len(parents) != len(cids):
+            raise ValueError(f"{len(cids)} context ids but {len(parents)} parents")
+        seen: Set[str] = set()
+        for cid in cids:
+            if cid in seen or cid in self:
+                raise ValueError(f"context {cid!r} already exists")
+            seen.add(cid)
+        groups: Dict[Optional[str], List[str]] = {}
+        for cid, parent in zip(cids, parents):
+            groups.setdefault(parent, []).append(cid)
+        for parent in groups:
+            if parent is not None:
+                self._require(parent)
+        self._leaf.update(zip(cids, parents))
+        self.epoch += len(cids)
+        for parent, group in groups.items():
+            if parent is None:
+                continue
+            self._promote(parent)
+            self._children[parent].update(group)
+            self._add_descendants(self._ancestors_of(parent), group)
+
+    def _promote(self, cid: str) -> None:
+        """Turn a compact leaf into a full node (no-op on a full node).
+
+        Its caches are seeded with what the compact form answers by
+        construction, so the caller's incremental patching applies to it
+        like to any other full node.
+        """
+        if cid not in self._leaf:
+            return
+        parent = self._leaf.pop(cid)
+        self._parents[cid] = set() if parent is None else {parent}
+        self._children[cid] = set()
+        self._desc_cache[cid] = {cid}
+        self._share_cache[cid] = set()
+
+    def _add_descendants(self, ancestors: Iterable[str], leaves: Iterable[str]) -> None:
+        """Add fresh ``leaves`` to the cached descendant sets of ``ancestors``."""
+        for ancestor in ancestors:
+            cached = self._desc_cache.get(ancestor)
+            if cached is not None:
+                cached.update(leaves)
 
     def _record_new_sharing(
         self, left: str, right: str, left_parent: str, right_parent: str
@@ -271,13 +336,15 @@ class OwnershipNetwork:
 
     def remove_context(self, cid: str) -> None:
         """Remove a context and all its ownership edges."""
-        self._require(cid)
-        for parent in list(self._parents[cid]):
-            self._children[parent].discard(cid)
-        for child in list(self._children[cid]):
-            self._parents[child].discard(cid)
-        del self._parents[cid]
-        del self._children[cid]
+        for parent in self.parents(cid):
+            self._unlink(parent, cid)
+        for child in self.children(cid):
+            self._unlink(cid, child)
+        if cid in self._leaf:
+            del self._leaf[cid]
+        else:
+            del self._parents[cid]
+            del self._children[cid]
         self._invalidate()
 
     def add_edge(self, parent: str, child: str) -> None:
@@ -289,9 +356,11 @@ class OwnershipNetwork:
         """
         self._require(parent)
         self._require(child)
-        if child in self._children[parent]:
+        if child in self._children.get(parent, ()):
             return
         self._check_no_cycle(parent, child)
+        self._promote(parent)
+        self._promote(child)
         self._children[parent].add(child)
         self._parents[child].add(parent)
         self._invalidate()
@@ -300,11 +369,18 @@ class OwnershipNetwork:
         """Remove a direct-ownership edge (no-op if absent)."""
         self._require(parent)
         self._require(child)
-        if child not in self._children[parent]:
+        if child not in self._children.get(parent, ()):
             return
-        self._children[parent].discard(child)
-        self._parents[child].discard(parent)
+        self._unlink(parent, child)
         self._invalidate()
+
+    def _unlink(self, parent: str, child: str) -> None:
+        """Drop the ``parent -> child`` edge; the child keeps its form."""
+        self._children[parent].discard(child)
+        if child in self._leaf:
+            self._leaf[child] = None
+        else:
+            self._parents[child].discard(parent)
 
     def _check_no_cycle(self, parent: str, child: str) -> None:
         if parent == child or parent in self._reachable_from(child):
@@ -323,24 +399,32 @@ class OwnershipNetwork:
     # Queries
     # ------------------------------------------------------------------
     def __contains__(self, cid: str) -> bool:
-        return cid in self._parents
+        return cid in self._parents or cid in self._leaf
 
     def __len__(self) -> int:
-        return len(self._parents)
+        return len(self._parents) + len(self._leaf)
 
     def contexts(self) -> List[str]:
         """All context ids, including virtual join contexts."""
-        return list(self._parents)
+        return [*self._parents, *self._leaf]
 
     def parents(self, cid: str) -> Set[str]:
         """Direct owners of ``cid``."""
         self._require(cid)
-        return set(self._parents[cid])
+        return set(self._owners(cid))
+
+    def _owners(self, cid: str) -> Iterable[str]:
+        """The direct owners of an existing context, in either form."""
+        full = self._parents.get(cid)
+        if full is not None:
+            return full
+        owner = self._leaf[cid]
+        return () if owner is None else (owner,)
 
     def children(self, cid: str) -> Set[str]:
         """Contexts directly owned by ``cid``."""
         self._require(cid)
-        return set(self._children[cid])
+        return set(self._children.get(cid, ()))
 
     def is_virtual(self, cid: str) -> bool:
         """Whether ``cid`` is an automatically added join context."""
@@ -352,9 +436,11 @@ class OwnershipNetwork:
         The returned set is the live cache entry; callers must not
         mutate it.
         """
-        self._require(cid)
         cached = self._desc_cache.get(cid)
         if cached is None:
+            self._require(cid)
+            if cid in self._leaf:
+                return {cid}
             cached = self._reachable_from(cid)
             self._desc_cache[cid] = cached
         return cached
@@ -366,7 +452,9 @@ class OwnershipNetwork:
 
     def roots(self) -> List[str]:
         """Contexts with no owners (maximal elements)."""
-        return [cid for cid, parents in self._parents.items() if not parents]
+        roots = [cid for cid, parents in self._parents.items() if not parents]
+        roots.extend(cid for cid, parent in self._leaf.items() if parent is None)
+        return roots
 
     def owns(self, owner: str, owned: str) -> bool:
         """Whether ``owner`` transitively owns ``owned`` (or equals it)."""
@@ -385,6 +473,11 @@ class OwnershipNetwork:
 
     def _ancestors_of(self, cid: str) -> Set[str]:
         seen = {cid}
+        owner = self._leaf.get(cid)
+        if owner is not None:
+            # A compact leaf: continue from its only owner, a full node.
+            seen.add(owner)
+            cid = owner
         frontier = deque([cid])
         while frontier:
             node = frontier.popleft()
@@ -404,6 +497,8 @@ class OwnershipNetwork:
         for leaf additions and recomputed from scratch otherwise.
         """
         self._require(cid)
+        if cid in self._leaf:
+            return set()
         cached = self._share_cache.get(cid)
         if cached is None:
             cached = self._compute_share(cid)
@@ -415,6 +510,9 @@ class OwnershipNetwork:
         mine_proper = mine - {cid}
         my_ancestors = self._ancestors_of(cid)
         sharing: Set[str] = set()
+        # Full nodes only: a compact leaf is childless (clause 1) and
+        # its only descendant, itself, lies under nobody incomparable
+        # with it (clause 2), so it is in no share set.
         for other in self._parents:
             # Descendants of C never affect lub(share ∪ {C}) (every
             # ancestor of C is an ancestor of its descendants), so they
@@ -440,11 +538,18 @@ class OwnershipNetwork:
         bound does not exist or is not unique, a virtual join context is
         created over the relevant maxima (the semi-lattice completion)
         and becomes the dominator.  Cached until invalidated.
+
+        A compact leaf is its own dominator: it has no proper
+        descendants to share (clause 1), and whoever has it as a
+        descendant is its ancestor, hence comparable (clause 2), so
+        ``share`` is empty and ``lub({C}) = C``.
         """
-        self._require(cid)
         cached = self._dom_cache.get(cid)
         if cached is not None and cached in self._parents:
             return cached
+        if cid in self._leaf:
+            return cid
+        self._require(cid)
         group = self.share(cid) | {cid}
         dominator = self._lub(group)
         self._dom_cache[cid] = dominator
@@ -508,13 +613,13 @@ class OwnershipNetwork:
         :class:`UnknownContextError` if either endpoint is missing and
         ``ValueError`` if ``dst`` is not a descendant of ``src``.
         """
+        cached = self._path_cache.get((src, dst))
+        if cached is not None:
+            return list(cached)
         self._require(src)
         self._require(dst)
         if src == dst:
             return [src]
-        cached = self._path_cache.get((src, dst))
-        if cached is not None:
-            return list(cached)
         # Walk upward from dst: ancestor sets are shallow even when the
         # graph holds many sibling leaves (TPC-C Orders), so this is far
         # cheaper than a downward BFS over the whole descendant set.
@@ -522,7 +627,7 @@ class OwnershipNetwork:
         frontier = deque([dst])
         while frontier:
             node = frontier.popleft()
-            for parent in sorted(self._parents[node]):
+            for parent in sorted(self._owners(node)):
                 if parent in back or parent == dst:
                     continue
                 back[parent] = node
@@ -536,7 +641,7 @@ class OwnershipNetwork:
         raise ValueError(f"{dst!r} is not a descendant of {src!r}")
 
     def _require(self, cid: str) -> None:
-        if cid not in self._parents:
+        if cid not in self._parents and cid not in self._leaf:
             raise UnknownContextError(f"unknown context {cid!r}")
 
     # ------------------------------------------------------------------
@@ -544,6 +649,8 @@ class OwnershipNetwork:
     # ------------------------------------------------------------------
     def is_acyclic(self) -> bool:
         """Verify the whole network is a DAG (used by tests and checks)."""
+        # Over the full nodes: a compact leaf is childless, so it is on
+        # no cycle.
         in_degree = {cid: len(parents) for cid, parents in self._parents.items()}
         frontier = deque([cid for cid, deg in in_degree.items() if deg == 0])
         visited = 0
@@ -551,9 +658,10 @@ class OwnershipNetwork:
             node = frontier.popleft()
             visited += 1
             for child in self._children[node]:
-                in_degree[child] -= 1
-                if in_degree[child] == 0:
-                    frontier.append(child)
+                if child in in_degree:
+                    in_degree[child] -= 1
+                    if in_degree[child] == 0:
+                        frontier.append(child)
         return visited == len(self._parents)
 
     def edges(self) -> List[Tuple[str, str]]:
@@ -566,4 +674,6 @@ class OwnershipNetwork:
 
     def snapshot(self) -> Dict[str, List[str]]:
         """A serializable copy of the adjacency (parent -> children)."""
-        return {cid: sorted(kids) for cid, kids in self._children.items()}
+        adjacency = {cid: sorted(kids) for cid, kids in self._children.items()}
+        adjacency.update((cid, []) for cid in self._leaf)
+        return adjacency

@@ -18,6 +18,8 @@ calls are spawned (:meth:`RuntimeBase._spawn_async`).
 
 from __future__ import annotations
 
+from array import array
+from itertools import repeat
 from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple, Type
 
 from ..sim.cluster import Cluster, Server
@@ -175,9 +177,9 @@ class RuntimeBase:
         self.instances = ContextColumnView(self.table, self.table.instance)
         self.placement = ContextColumnView(self.table, self.table.owner)
         self.locks = ContextColumnView(self.table, self.table.lock)
-        #: Bulk-created context ranges (start slot, end slot, class):
-        #: their instances materialize lazily on first touch.
-        self._bulk_ranges: List[Tuple[int, int, Type[ContextClass]]] = []
+        #: Bulk-created context ranges: their instances materialize
+        #: lazily on first touch.
+        self._bulk_ranges: List[_BulkRange] = []
         #: Finished Event records available for reuse (see recycle_event).
         self._event_pool: List[Event] = []
         self.latency = LatencyRecorder()
@@ -393,6 +395,10 @@ class RuntimeBase:
         callable with no arguments, and ``parents`` (if given) is
         aligned with ``cids``.  Lock/instance creation order — hence the
         trace — is driven entirely by deterministic event order.
+
+        All or nothing: a cid that is already registered or repeated in
+        the batch, an unknown parent or a ``parents`` of the wrong
+        length raises before anything is registered.
         """
         if not (isinstance(cls, type) and issubclass(cls, ContextClass)):
             raise TypeError(f"create_contexts_bulk requires a ContextClass, got {cls!r}")
@@ -404,37 +410,37 @@ class RuntimeBase:
         for cid in cids:
             if cid in index:
                 raise ValueError(f"duplicate context id {cid!r}")
-        start = table.grow(len(cids))
-        cid_col, owner_col, parent_col = table.cids, table.owner, table.parent
-        placement_order = self.placement._order
-        ownership_add = self.ownership.add_context
-        n_servers = len(servers)
-        for i, cid in enumerate(cids):
-            slot = start + i
-            cid_col[slot] = cid
-            index[cid] = slot
-            owner_col[slot] = servers[i % n_servers].name
-            placement_order[cid] = None
-            parent = parents[i] if parents is not None else None
-            if parent is not None:
-                ownership_add(cid, parents=[parent.cid])
-                parent_slot = index.get(parent.cid)
-                if parent_slot is not None:
-                    parent_col[slot] = parent_slot
-            else:
-                ownership_add(cid, parents=[])
+        if parents is None:
+            parent_cids: List[Optional[str]] = [None] * len(cids)
+        else:
+            parent_cids = [None if p is None else p.cid for p in parents]
+        # The ownership layer validates the rest of the batch before it
+        # changes anything, and nothing after this call can fail.
+        self.ownership.add_leaves(cids, parent_cids)
         count = len(cids)
+        start = table.grow(count)
+        table.cids[start:] = cids
+        index.update(zip(cids, range(start, start + count)))
+        n_servers = len(servers)
+        names = [server.name for server in servers]
+        table.owner[start:] = [names[i % n_servers] for i in range(count)]
+        self.placement._order.update(zip(cids, repeat(None)))
+        if parents is not None:
+            table.parent[start:] = array(
+                "q", [-1 if p is None else index.get(p, -1) for p in parent_cids]
+            )
         for i, server in enumerate(servers):
             server.context_count += count // n_servers + (1 if i < count % n_servers else 0)
-        self._bulk_ranges.append((start, start + count, cls))
+        self._bulk_ranges.append(_BulkRange(start, start + count, cls))
 
     def _materialize(self, cid: str, slot: int) -> Optional[ContextClass]:
         """Build the lazy instance behind a bulk-created context row."""
-        for range_start, range_end, cls in self._bulk_ranges:
-            if range_start <= slot < range_end:
-                instance = cls._aeon_new(self, cid)
+        for bulk in self._bulk_ranges:
+            if bulk.start <= slot < bulk.end:
+                instance = bulk.cls._aeon_new(self, cid)
                 object.__setattr__(instance, "_aeon_slot", slot)
                 self.table.instance[slot] = instance
+                bulk.materialized += 1
                 self.instances._order[cid] = None
                 instance.__init__()
                 return instance
@@ -975,12 +981,9 @@ class RuntimeBase:
     def context_count(self) -> int:
         """Number of live (non-virtual) contexts, including bulk rows
         whose instances have not materialized yet."""
-        instance_col = self.table.instance
-        lazy = 0
-        for start, end, _cls in self._bulk_ranges:
-            for slot in range(start, end):
-                if instance_col[slot] is None:
-                    lazy += 1
+        lazy = sum(
+            bulk.end - bulk.start - bulk.materialized for bulk in self._bulk_ranges
+        )
         return len(self.instances) + lazy
 
     def check_history(self) -> None:
@@ -988,6 +991,19 @@ class RuntimeBase:
         if self.history is None:
             raise AeonError("runtime was created without record_history=True")
         self.history.check()
+
+
+class _BulkRange:
+    """One ``create_contexts_bulk`` call: table rows ``[start, end)`` of
+    ``cls``, ``materialized`` of which have an instance so far."""
+
+    __slots__ = ("start", "end", "cls", "materialized")
+
+    def __init__(self, start: int, end: int, cls: Type[ContextClass]) -> None:
+        self.start = start
+        self.end = end
+        self.cls = cls
+        self.materialized = 0
 
 
 class _EventProcess(Process):

@@ -22,17 +22,23 @@ Covers the PR 8 surface end to end:
 import argparse
 import json
 import pickle
+import tracemalloc
 import zlib
 from random import Random
 
 import pytest
 
 from repro.apps.massive import MassiveConfig, build_massive, run_checksum
+from repro.core.context import ContextRef
+from repro.core.errors import UnknownContextError
 from repro.core.events import AccessMode, CallSpec, Event
+from repro.core.ownership import OwnershipNetwork
 from repro.core.table import ContextColumnView, ContextTable
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.runner import Cell, make_testbed, run_game
-from repro.harness.scenarios import SCALES, get_scenario, list_scenarios
+from repro.harness.scenarios import (
+    SCALES, _massive_run, get_scenario, list_scenarios,
+)
 from repro.results import MISS, ResultStore
 from repro.results.__main__ import parse_size
 from repro.sim.kernel import AdaptiveTimers
@@ -461,6 +467,92 @@ def test_bulk_rejects_duplicate_cids():
         testbed.runtime.create_contexts_bulk(
             type(testbed.runtime.instance_of("p-0")), ["p-0"], testbed.servers
         )
+
+
+def test_bulk_rejects_a_bad_batch_untouched():
+    """All or nothing: a batch that fails validation registers nothing."""
+    testbed = make_testbed("aeon", 2, seed=0)
+    app = build_massive(testbed.runtime, MassiveConfig(contexts=10), testbed.servers)
+    runtime, leaf_cls = testbed.runtime, type(testbed.runtime.instance_of("p-0"))
+    shard, table = app.shards[0], runtime.table
+
+    def state():
+        return (
+            table.capacity, dict(table.index), list(runtime.instances),
+            list(runtime.placement), list(runtime.locks),
+            runtime.ownership.snapshot(), runtime.context_count(),
+            len(runtime._bulk_ranges),
+            [server.context_count for server in testbed.servers],
+        )
+
+    before = state()
+    ghost = ContextRef("nobody", "Shard")
+    for cids, parents, error in (
+        (["a", "b", "a", "c"], [shard] * 4, ValueError),   # repeated in batch
+        (["a", "p-3", "b"], [shard] * 3, ValueError),       # already registered
+        (["a", "b"], [shard, ghost], UnknownContextError),  # unknown parent
+        (["a", "b", "c"], [shard], ValueError),             # misaligned parents
+    ):
+        with pytest.raises(error):
+            runtime.create_contexts_bulk(leaf_cls, cids, testbed.servers, parents=parents)
+        assert state() == before
+    runtime.create_contexts_bulk(leaf_cls, ["a", "b"], testbed.servers, parents=[shard, None])
+    assert runtime.context_count() == before[6] + 2
+    assert runtime.instance_of("b").score == 0
+    assert runtime.ownership.parents("a") == {shard.cid}
+
+
+def test_context_count_on_a_partly_materialized_population():
+    testbed = make_testbed("aeon", 4, seed=0)
+    build_massive(testbed.runtime, MassiveConfig(contexts=300), testbed.servers)
+    runtime = testbed.runtime
+    leaf_cls = type(runtime.instance_of("p-0"))
+    runtime.create_contexts_bulk(leaf_cls, [f"q-{i}" for i in range(50)], testbed.servers)
+    for cid in ("p-1", "p-1", "p-299", "q-0", "q-49", "q-7"):
+        runtime.instance_of(cid)
+    # The definition the per-range counter replaced: every instance
+    # plus every bulk row that has none yet.
+    lazy = sum(
+        1
+        for bulk in runtime._bulk_ranges
+        for slot in range(bulk.start, bulk.end)
+        if runtime.table.instance[slot] is None
+    )
+    assert lazy == 350 - 6
+    assert runtime.context_count() == len(runtime.instances) + lazy == 355
+
+
+def test_ownership_bytes_per_bulk_leaf():
+    """A bulk-registered single-owner leaf is one map entry plus set
+    memberships (measured 165–230 B); four sets of its own were ≈1.1 KB."""
+    network = OwnershipNetwork()
+    network.add_context("region")
+    shards = [f"s-{i}" for i in range(8)]
+    for shard in shards:
+        network.add_context(shard, parents=["region"])
+    cids = [f"p-{i}" for i in range(20_000)]
+    owners = [shards[i % 8] for i in range(20_000)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        network.add_leaves(cids, owners)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(network) == 20_009 and network.dominator("p-19999") == "p-19999"
+    assert retained / 20_000 < 400
+
+
+@pytest.mark.parametrize("flavor, completed, checksum", [
+    ("game", 55985, "41ab5859789d8657842937919f54236500f6ff76898100d8c59d8c19fffe9950"),
+    ("tpcc", 54377, "4b5c75616ba858aa0b941388e3f18afe569958d1163d619fb808cbccd96e6c3d"),
+])
+def test_massive_quick_checksums_pinned(flavor, completed, checksum):
+    """Seed-0 quick runs, recorded before leaves went compact (PR 12):
+    how ownership is stored must not move a single completion."""
+    cell = _massive_run(flavor, "quick", 0)
+    assert cell["contexts"] == 100_033 and cell["errors"] == 0
+    assert (cell["completed"], cell["checksum"]) == (completed, checksum)
 
 
 def test_sample_op_mix_and_determinism():

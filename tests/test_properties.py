@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.errors import OwnershipCycleError
+from repro.core.errors import OwnershipCycleError, UnknownContextError
 from repro.core.events import AccessMode, CallSpec, Event
 from repro.core.history import HistoryRecorder
 from repro.core.locking import ContextLock
@@ -167,8 +167,12 @@ def test_incremental_caches_match_full_recompute(data, extra):
         names.append(leaf)
     # Cached (incrementally patched) vs full-scan recomputation.
     # Dominators first: computing them may create virtual joins (a graph
-    # mutation), and share sets must be captured on the final graph.
-    cached_dom = {name: network.dominator(name) for name in names}
+    # mutation that moves other dominators), so repeat until a whole
+    # pass adds none; share sets must be captured on the final graph.
+    size = -1
+    while size != len(network):
+        size = len(network)
+        cached_dom = {name: network.dominator(name) for name in names}
     cached_share = {name: set(network.share(name)) for name in names}
     network._invalidate()
     for name in names:
@@ -178,6 +182,196 @@ def test_incremental_caches_match_full_recompute(data, extra):
         if network.is_virtual(fresh_dom) and network.is_virtual(cached_dom[name]):
             continue  # virtual joins may differ in identity, not role
         assert cached_dom[name] == fresh_dom, name
+
+
+# ----------------------------------------------------------------------
+# Compact and full nodes vs a brute-force model
+# ----------------------------------------------------------------------
+class _ModelDag:
+    """``cid -> set of direct owners``; every query derived from scratch."""
+
+    def __init__(self):
+        self.owners = {}
+
+    def graph(self) -> nx.DiGraph:
+        graph = nx.DiGraph()
+        graph.add_nodes_from(self.owners)
+        graph.add_edges_from((p, c) for c, ps in self.owners.items() for p in ps)
+        return graph
+
+    def remove(self, cid):
+        del self.owners[cid]
+        for ps in self.owners.values():
+            ps.discard(cid)
+
+    def share(self, graph, cid):
+        """The two-clause definition of §3, over *every* context."""
+        mine = nx.descendants(graph, cid) | {cid}
+        above = nx.ancestors(graph, cid)
+        sharing = set()
+        for other in self.owners:
+            if other in mine:
+                continue
+            theirs = nx.descendants(graph, other) | {other}
+            if set(graph.successors(other)) & (mine - {cid}):
+                sharing.add(other)
+            elif other not in above and mine & theirs:
+                sharing.add(other)
+        return sharing
+
+
+def _assert_matches_model(network: OwnershipNetwork, model: _ModelDag) -> None:
+    # Dominators first: computing one may add a virtual join, which the
+    # model adopts (it is part of the graph from then on) and which may
+    # move other dominators, so repeat until a whole pass adds none.
+    while True:
+        doms = {cid: network.dominator(cid) for cid in sorted(model.owners)}
+        joins = [cid for cid in network.contexts() if cid not in model.owners]
+        if not joins:
+            break
+        assert all(network.is_virtual(cid) for cid in joins)
+        model.owners.update((cid, set()) for cid in joins)
+        for cid in joins:
+            for child in network.children(cid):
+                model.owners[child].add(cid)
+    graph = model.graph()
+    names = sorted(model.owners)
+
+    assert sorted(network.contexts()) == names
+    assert len(network) == len(names)
+    assert "never-added" not in network
+    assert sorted(network.roots()) == [c for c in names if not model.owners[c]]
+    edges = network.edges()
+    assert len(edges) == len(set(edges))
+    assert set(edges) == set(graph.edges)
+    assert network.snapshot() == {c: sorted(graph.successors(c)) for c in names}
+    assert network.is_acyclic()
+    for cid in names:
+        assert cid in network
+        desc = set(nx.descendants(graph, cid)) | {cid}
+        anc = set(nx.ancestors(graph, cid)) | {cid}
+        assert network.parents(cid) == model.owners[cid]
+        assert network.children(cid) == set(graph.successors(cid))
+        assert set(network.descendants(cid)) == desc
+        assert network.ancestors(cid) == anc
+        share = model.share(graph, cid)
+        assert network.share(cid) == share, cid
+        for other in names:
+            assert network.owns(cid, other) == (other in desc)
+            if other in desc:
+                path = network.find_path(cid, other)
+                assert len(path) == nx.shortest_path_length(graph, cid, other) + 1
+                assert path[0] == cid and path[-1] == other
+                assert all(graph.has_edge(a, b) for a, b in zip(path, path[1:]))
+            else:
+                with pytest.raises(ValueError):
+                    network.find_path(cid, other)
+        # dom(C) = lub(share(C) ∪ {C}); a virtual join stands in when
+        # the common owners have no single least element.
+        group = share | {cid}
+        common = set.intersection(
+            *({m} | set(nx.ancestors(graph, m)) for m in group)
+        )
+        least = [
+            c for c in common if not (set(nx.descendants(graph, c)) & common)
+        ]
+        if len(least) == 1:
+            assert doms[cid] == least[0], cid
+        else:
+            assert network.is_virtual(doms[cid]) and doms[cid] in common, cid
+        if not graph.out_degree(cid) and len(model.owners[cid]) <= 1:
+            assert doms[cid] == cid and not share
+    # Patched caches vs a cold recompute (the oracle of
+    # test_incremental_caches_match_full_recompute).
+    network._invalidate()
+    for cid in names:
+        assert network.share(cid) == model.share(graph, cid), cid
+        fresh = network.dominator(cid)
+        if not (network.is_virtual(fresh) and network.is_virtual(doms[cid])):
+            assert fresh == doms[cid], cid
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutation_sequences_match_brute_force_model(data):
+    """Random add/link/unlink/remove sequences, compact leaves included.
+
+    Single-owner adds stay compact, gain children or second owners
+    (promotion), lose their owner, and are removed; after a random
+    subset of the steps — so both warm and cold caches are hit — every
+    public query must equal the model's from-scratch answer.
+    """
+    network, model = OwnershipNetwork(), _ModelDag()
+    counter = 0
+
+    def fresh():
+        nonlocal counter
+        counter += 1
+        return f"c{counter}"
+
+    def pick(**kwargs):
+        return data.draw(st.sampled_from(sorted(model.owners)), **kwargs)
+
+    for _ in range(data.draw(st.integers(min_value=1, max_value=14))):
+        op = data.draw(st.sampled_from(
+            ["add_context", "add_leaves", "add_edge", "remove_edge", "remove_context"]
+        ))
+        real = [c for c in sorted(model.owners) if not network.is_virtual(c)]
+        if op == "add_context" or not real:
+            k = data.draw(st.integers(min_value=0, max_value=min(3, len(real))))
+            owners = data.draw(
+                st.lists(st.sampled_from(real), min_size=k, max_size=k, unique=True)
+            ) if k else []
+            cid = fresh()
+            network.add_context(cid, parents=owners)
+            model.owners[cid] = set(owners)
+        elif op == "add_leaves":
+            owners = data.draw(st.lists(
+                st.one_of(st.none(), st.sampled_from(real)), min_size=1, max_size=4
+            ))
+            cids = [fresh() for _ in owners]
+            network.add_leaves(cids, owners)
+            for cid, owner in zip(cids, owners):
+                model.owners[cid] = set() if owner is None else {owner}
+        elif op == "add_edge":
+            owner, child = pick(), pick()
+            graph = model.graph()
+            if owner == child or owner in nx.descendants(graph, child):
+                with pytest.raises(OwnershipCycleError):
+                    network.add_edge(owner, child)
+            else:
+                network.add_edge(owner, child)
+                model.owners[child].add(owner)
+        elif op == "remove_edge":
+            edges = sorted(model.graph().edges)
+            owner, child = (
+                data.draw(st.sampled_from(edges)) if edges else (pick(), pick())
+            )
+            network.remove_edge(owner, child)
+            model.owners[child].discard(owner)
+        else:
+            cid = pick()
+            network.remove_context(cid)
+            model.remove(cid)
+        if data.draw(st.booleans()):
+            _assert_matches_model(network, model)
+    _assert_matches_model(network, model)
+
+
+def test_add_leaves_rejects_a_bad_batch_untouched():
+    network = OwnershipNetwork()
+    network.add_context("root")
+    network.add_leaves(["a", "b"], ["root", None])
+    before = (network.snapshot(), network.epoch)
+    for cids, owners, error in (
+        (["c", "d", "c"], ["root"] * 3, ValueError),       # repeated in batch
+        (["c", "a"], ["root", "root"], ValueError),          # already exists
+        (["c", "d"], ["root", "nope"], UnknownContextError),  # unknown owner
+        (["c", "d"], ["root"], ValueError),                  # misaligned
+    ):
+        with pytest.raises(error):
+            network.add_leaves(cids, owners)
+        assert (network.snapshot(), network.epoch) == before
 
 
 @given(ownership_dags())
