@@ -26,27 +26,38 @@ __all__ = ["ContextLock"]
 
 
 class ContextLock:
-    """Read/write lock with FIFO admission for one context."""
+    """Read/write lock with FIFO admission for one context.
+
+    One lock exists per materialised context and is almost always held
+    by nobody, so the idle state is kept small: slots instead of an
+    instance dict, and the queue and its eid index are allocated when
+    the first event has to wait.
+    """
+
+    __slots__ = (
+        "sim",
+        "cid",
+        "activated",
+        "total_acquisitions",
+        "_queue",
+        "_pending",
+        "_exclusive_active",
+    )
 
     def __init__(self, sim: Simulator, cid: str) -> None:
         self.sim = sim
         self.cid = cid
         # eid -> mode of events currently holding the context.
         self.activated: Dict[int, AccessMode] = {}
-        self._queue: Deque[Tuple[Event, Signal]] = deque()
-        self._pending: Dict[int, Signal] = {}
+        # The toActivateQueue and its eid -> grant index, both ``None``
+        # until first contention; they hold the same events thereafter.
+        self._queue: Optional[Deque[Tuple[Event, Signal]]] = None
+        self._pending: Optional[Dict[int, Signal]] = None
         # Counters exposed to tests and the elasticity manager.
         self.total_acquisitions = 0
-        # Precomputed so the hot request() path never formats a name.
-        self._grant_name = f"lock:{cid}"
         # Number of exclusive holders in ``activated`` (0 or 1),
         # maintained incrementally so _pump never scans the set.
         self._exclusive_active = 0
-        # One immortal triggered signal serves every synchronous grant
-        # (direct admission, re-entrant request): waiters only ever read
-        # ``triggered``/``value``/``exc`` from it, so sharing is safe
-        # and saves an allocation per uncontended lock request.
-        self._ready = Signal(sim, self._grant_name).succeed(None)
 
     # ------------------------------------------------------------------
     # Acquisition
@@ -60,15 +71,21 @@ class ContextLock:
         therefore releases) each lock.  Re-requesting while held or
         queued returns the existing grant with ``owned=False``, so
         re-entrant calls within one event never self-deadlock.
+
+        Synchronous grants (direct admission, re-entrant request) are
+        the simulator's shared ``ready`` signal: waiters only ever read
+        ``triggered``/``value``/``exc`` from it.
         """
         eid = event.eid
         if eid in self.activated:
-            return self._ready, False
-        pending = self._pending.get(eid)
-        if pending is not None:
-            return pending, False
+            return self.sim.ready, False
+        queue = self._queue
+        if queue:
+            pending = self._pending.get(eid)
+            if pending is not None:
+                return pending, False
         mode = event.mode
-        if not self._queue and (
+        if not queue and (
             not self._exclusive_active
             if mode is AccessMode.RO
             else not self.activated
@@ -79,11 +96,15 @@ class ContextLock:
             if mode is not AccessMode.RO:
                 self._exclusive_active += 1
             self.total_acquisitions += 1
-            return self._ready, True
-        grant = Signal(self.sim, self._grant_name)
+            return self.sim.ready, True
+        if queue is None:
+            queue = self._queue = deque()
+            self._pending = {}
+        # Nothing to pump: the head (this event, or an older one) is
+        # blocked by the holders, which only a release changes.
+        grant = Signal(self.sim, "lock")
         self._pending[eid] = grant
-        self._queue.append((event, grant))
-        self._pump()
+        queue.append((event, grant))
         return grant, True
 
     def release(self, event: Event) -> None:
@@ -92,21 +113,22 @@ class ContextLock:
         Admits successors.  Double release is tolerated: branch cleanup
         paths may overlap on error.
         """
-        if event.eid in self.activated:
-            mode = self.activated.pop(event.eid)
+        eid = event.eid
+        if eid in self.activated:
+            mode = self.activated.pop(eid)
             if mode is AccessMode.EX:
                 self._exclusive_active -= 1
             if self._queue:
                 self._pump()
             return
-        if event.eid in self._pending:
+        if self._queue and eid in self._pending:
             # The event reserved a position but never claimed it
             # (error/abort path): cancel the reservation.
-            del self._pending[event.eid]
+            del self._pending[eid]
             self._queue = deque(
                 (queued, grant)
                 for queued, grant in self._queue
-                if queued.eid != event.eid
+                if queued.eid != eid
             )
             self._pump()
 
@@ -145,7 +167,7 @@ class ContextLock:
     @property
     def queue_length(self) -> int:
         """Number of events waiting in the toActivateQueue."""
-        return len(self._queue)
+        return len(self._queue or ())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

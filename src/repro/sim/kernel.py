@@ -755,6 +755,20 @@ def _make_timers(mode: Optional[str]):
     )
 
 
+def _clear_frames(tb: Any, stop: Any) -> None:
+    """``traceback.clear_frames`` from ``tb`` down to, not including, ``stop``.
+
+    Clearing the frame of a *suspended* generator closes that generator
+    (before Python 3.13), so callers bound the walk to frames they know
+    are finished.
+    """
+    while tb is not None and tb is not stop:
+        try:
+            tb.tb_frame.clear()
+        except RuntimeError:  # still executing
+            pass
+        tb = tb.tb_next
+
 
 class Process(Signal):
     """A generator-driven simulated activity.
@@ -819,16 +833,34 @@ class Process(Signal):
         send = generator.send
         immediate = sim._immediate
         timers = sim._timers
+        thrown_tb = None
         while True:
             try:
                 if exc is not None:
+                    thrown_tb = exc.__traceback__
                     target = generator.throw(exc)
+                    # Caught.  Other waiters may yet fail with this
+                    # exception, and its traceback must not lead them to
+                    # the frames of a generator that lives on.
+                    exc.__traceback__ = thrown_tb
                 else:
                     target = send(value)
             except StopIteration as stop:
+                self._retire()
                 self.succeed(stop.value)
                 return
             except BaseException as step_exc:  # noqa: BLE001 - must reach waiters
+                self._retire()
+                # The stored traceback starts at this very frame (whose
+                # locals hold the process, which holds the exception)
+                # and continues through the frames this resume unwound
+                # (whose locals hold whatever the process worked on):
+                # drop the first, clear the rest — file and line stay.
+                # What the traceback held before it was thrown in is not
+                # this process's to clear.
+                tb = step_exc.__traceback__.tb_next
+                step_exc.__traceback__ = tb
+                _clear_frames(tb, thrown_tb)
                 self.fail(step_exc)
                 return
             if type(target) is float:
@@ -974,6 +1006,13 @@ class Process(Signal):
             sim.call_soon(self._step, None, error)
             return
 
+    def _retire(self) -> None:
+        # A finished process must die by reference count (run() pauses
+        # the cyclic collector): drop the generator and the callbacks
+        # bound to this very object.
+        self._generator = self._timer_cb = self._wait_cb = None
+        self._charge_start_cb = self._charge_timer_cb = self._charge_resume_cb = None
+
     def _charge_start(self, _signal: Optional[Signal] = None) -> None:
         # Holding the unit (taken synchronously, or handed over by a
         # releaser); start the service timer.  Mirrors the raw-delay
@@ -1072,6 +1111,9 @@ class Simulator:
         self._step_count = 0
         self._max_steps: Optional[int] = None
         self._until: Optional[float] = None
+        #: One immortal succeeded signal (value ``None``) for grants that
+        #: need no waiting — waiters only read it, so everyone shares it.
+        self.ready = Signal(self, "ready").succeed(None)
 
     # ------------------------------------------------------------------
     # Scheduling primitives

@@ -98,12 +98,17 @@ class Resource:
         self._grant_name = f"grant:{name}"
 
     def request(self) -> Signal:
-        """Return a signal that fires once a unit is granted."""
+        """Return a signal that fires once a unit is granted.
+
+        The grant's value is ``None``: the signal itself is the token
+        :meth:`release` takes (a grant carrying itself would be a cycle
+        only the paused collector could free).
+        """
         grant = Signal(self.sim, self._grant_name)
         if self.in_use < self.capacity:
             self._account()
             self.in_use += 1
-            grant.succeed(grant)
+            grant.succeed(None)
         else:
             self._waiters.append(grant)
         return grant
@@ -144,7 +149,7 @@ class Resource:
             if callable(waiter):
                 self.sim.call_soon(waiter)
             else:
-                waiter.succeed(waiter)
+                waiter.succeed(None)
         else:
             self.in_use -= 1
             if self.in_use < 0:
