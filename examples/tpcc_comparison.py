@@ -21,32 +21,34 @@ WARMUP_MS = 2500.0
 
 
 def run_system(system, duration_ms=DURATION_MS, warmup_ms=WARMUP_MS, n_clients=48):
-    testbed = make_testbed(system, n_servers=4, seed=1)
-    config = TpccConfig(districts=4, customers_per_district=10)
-    deployment = build_tpcc(
-        testbed.runtime,
-        config,
-        multi_ownership=(system == "aeon"),
-        servers=testbed.servers,
-        colocate=system in ("aeon", "aeon_so", "eventwave"),
-    )
-    workload = TpccWorkload(deployment, system)
-    clients = ClosedLoopClients(
-        testbed.runtime, workload.sample_op, n_clients=n_clients,
-        think_ms=5.0, rng=testbed.rng, stop_at_ms=duration_ms,
-    )
-    clients.start()
-    testbed.sim.run(until=duration_ms + 15000.0)
+    # Plain data out, so the testbed lives in a ``with`` block: five
+    # deployments run in this process, and each is freed as it finishes.
+    with make_testbed(system, n_servers=4, seed=1) as testbed:
+        config = TpccConfig(districts=4, customers_per_district=10)
+        deployment = build_tpcc(
+            testbed.runtime,
+            config,
+            multi_ownership=(system == "aeon"),
+            servers=testbed.servers,
+            colocate=system in ("aeon", "aeon_so", "eventwave"),
+        )
+        workload = TpccWorkload(deployment, system)
+        clients = ClosedLoopClients(
+            testbed.runtime, workload.sample_op, n_clients=n_clients,
+            think_ms=5.0, rng=testbed.rng, stop_at_ms=duration_ms,
+        )
+        clients.start()
+        testbed.sim.run(until=duration_ms + 15000.0)
 
-    runtime = testbed.runtime
-    window_s = (duration_ms - warmup_ms) / 1000.0
-    throughput = runtime.throughput.count_between(warmup_ms, duration_ms) / window_s
-    latency = runtime.latency.mean_latency(warmup_ms)
-    probe = deployment.consistency_probe()
-    consistent = (
-        probe["warehouse_ytd"] == probe["district_ytd"] == probe["customer_ytd"]
-    )
-    return throughput, latency, consistent, probe
+        runtime = testbed.runtime
+        window_s = (duration_ms - warmup_ms) / 1000.0
+        throughput = runtime.throughput.count_between(warmup_ms, duration_ms) / window_s
+        latency = runtime.latency.mean_latency(warmup_ms)
+        probe = deployment.consistency_probe()
+        consistent = (
+            probe["warehouse_ytd"] == probe["district_ytd"] == probe["customer_ytd"]
+        )
+        return throughput, latency, consistent, probe
 
 
 def main(systems=SYSTEMS, duration_ms=DURATION_MS, warmup_ms=WARMUP_MS,

@@ -145,13 +145,14 @@ class OrleansRuntime(RuntimeBase):
         grant = self._reserve(event, call_branch, spec.target)
         yield self._charge(callee_server, self.costs.route_cpu_ms)
         yield grant
+        # Not a ``finally``: ending the turn takes a scheduler hop, and a
+        # generator that dies with its run must not yield on the way out.
         try:
             result = yield from self._drive_body(event, spec, call_branch)
-        finally:
-            # Turn over: the callee grain frees as soon as the call
-            # returns (no two-phase locking — hence no atomicity).
-            yield None
-            self._release_branch_locks(event, call_branch, self.server_of(spec.target))
+        except Exception:
+            yield from self._end_turn(event, call_branch, spec.target)
+            raise
+        yield from self._end_turn(event, call_branch, spec.target)
         landed = self.server_of(spec.target)
         if landed.name != caller_server.name:
             yield self._charge(landed, self.costs.net_cpu_ms)
@@ -160,6 +161,12 @@ class OrleansRuntime(RuntimeBase):
                 landed.name, caller_server.name, self.costs.proto_msg_bytes
             )
         return result
+
+    def _end_turn(self, event: Event, call_branch: Branch, cid: str) -> Generator:
+        """Turn over: the callee grain frees as soon as the call returns
+        (no two-phase locking — hence no atomicity)."""
+        yield None
+        self._release_branch_locks(event, call_branch, self.server_of(cid))
 
     def _spawn_async(
         self, event: Event, spec: CallSpec, caller_server: Server, caller_cid: str

@@ -20,6 +20,9 @@ from .errors import StaticAnalysisError
 
 __all__ = ["StaticAnalysis"]
 
+# Depth-first search colours of :meth:`StaticAnalysis._find_cycle`.
+_WHITE, _GRAY, _BLACK = 0, 1, 2
+
 
 class StaticAnalysis:
     """Collects and checks the contextclass constraint graph."""
@@ -68,31 +71,33 @@ class StaticAnalysis:
 
     def _find_cycle(self) -> "List[str] | None":
         """Return a non-reflexive cycle in the type graph, if any."""
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {t: WHITE for t in self._refs}
+        color = {t: _WHITE for t in self._refs}
         stack: List[str] = []
-
-        def visit(node: str) -> "List[str] | None":
-            color[node] = GRAY
-            stack.append(node)
-            for nxt in sorted(self._refs.get(node, ())):
-                if nxt == node:
-                    continue  # reflexive edges are allowed
-                if nxt not in color:
-                    color[nxt] = WHITE
-                if color[nxt] == GRAY:
-                    return stack[stack.index(nxt):] + [nxt]
-                if color[nxt] == WHITE:
-                    found = visit(nxt)
-                    if found is not None:
-                        return found
-            stack.pop()
-            color[node] = BLACK
-            return None
-
         for start in sorted(self._refs):
-            if color.get(start, 0) == WHITE:
-                found = visit(start)
+            if color.get(start, _WHITE) == _WHITE:
+                found = self._visit(start, color, stack)
                 if found is not None:
                     return found
+        return None
+
+    def _visit(
+        self, node: str, color: Dict[str, int], stack: List[str]
+    ) -> "List[str] | None":
+        # A method, not a closure of _find_cycle: a nested function that
+        # calls itself is a reference cycle left behind by every check.
+        color[node] = _GRAY
+        stack.append(node)
+        for nxt in sorted(self._refs.get(node, ())):
+            if nxt == node:
+                continue  # reflexive edges are allowed
+            if nxt not in color:
+                color[nxt] = _WHITE
+            if color[nxt] == _GRAY:
+                return stack[stack.index(nxt):] + [nxt]
+            if color[nxt] == _WHITE:
+                found = self._visit(nxt, color, stack)
+                if found is not None:
+                    return found
+        stack.pop()
+        color[node] = _BLACK
         return None

@@ -160,11 +160,14 @@ class RefSet:
     def __get__(self, obj: "ContextClass", objtype: type = None) -> "RefSetView":
         if obj is None:
             return self  # type: ignore[return-value]
-        view = obj._aeon_refsets.get(self.name)
-        if view is None:
-            view = RefSetView(obj, self.name)
-            obj._aeon_refsets[self.name] = view
-        return view
+        # The instance keeps the refs, not the view: a cached view would
+        # point back at its owner, and a context must die by reference
+        # count when its runtime lets go of it.
+        refsets = obj._aeon_refsets
+        refs = refsets.get(self.name)
+        if refs is None:
+            refs = refsets[self.name] = {}
+        return RefSetView(obj, self.name, refs)
 
     def __set__(self, obj: "ContextClass", value: Any) -> None:
         raise AeonError(
@@ -173,14 +176,20 @@ class RefSet:
 
 
 class RefSetView:
-    """The per-instance, ownership-maintaining view behind a RefSet field."""
+    """The ownership-maintaining view a RefSet field access returns.
+
+    Made per access over the ``cid -> ref`` dict the owner holds, so
+    every view of one field sees the same set.
+    """
 
     __slots__ = ("_owner", "_name", "_refs")
 
-    def __init__(self, owner: "ContextClass", name: str) -> None:
+    def __init__(
+        self, owner: "ContextClass", name: str, refs: Dict[str, ContextRef]
+    ) -> None:
         self._owner = owner
         self._name = name
-        self._refs: Dict[str, ContextRef] = {}
+        self._refs = refs
 
     def add(self, ref: ContextRef) -> None:
         """Add a child reference (creates an ownership edge)."""
@@ -371,7 +380,7 @@ class ContextClass:
             name: (ref.cid if ref else None) for name, ref in refs.items()
         }
         state["__refsets__"] = {
-            name: [ref.cid for ref in view] for name, view in refsets.items()
+            name: sorted(members) for name, members in refsets.items()
         }
         state["__version__"] = self._aeon_version
         return state

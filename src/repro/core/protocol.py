@@ -114,11 +114,15 @@ class AeonRuntime(RuntimeBase):
         event.started_ms = self.sim.now
 
         # Execute the body; the branch is closed even on error so the
-        # dominator is never wedged.
+        # dominator is never wedged.  Not a ``finally``: closing takes a
+        # scheduler hop, and a generator that dies with its run (see
+        # Simulator.close) must not yield on the way out.
         try:
             event.result = yield from self._drive_body(event, spec, branch)
-        finally:
+        except Exception:
             yield from self._close_branch(event, branch, self.server_of(spec.target))
+            raise
+        yield from self._close_branch(event, branch, self.server_of(spec.target))
         if event.open_branches > 0:
             yield from self._await_quiescence(event)
         event.committed_ms = self.sim.now
@@ -199,8 +203,7 @@ class AeonRuntime(RuntimeBase):
             except Exception as exc:  # noqa: BLE001 - surfaced on the event
                 if event.error is None:
                     event.error = exc
-            finally:
-                yield from self._close_branch(event, child, landed or caller_server)
+            yield from self._close_branch(event, child, landed or caller_server)
 
         self.sim.process(runner(), name="event-async")
 

@@ -166,20 +166,10 @@ class RuntimeBase:
         self.network = network
         self.cluster = cluster
         self.costs = costs
+        self._closed = False
         self.ownership = OwnershipNetwork()
         self.analysis = StaticAnalysis()
-        # Columnar per-context state (repro.core.table): one dense
-        # struct-of-arrays table plus three dict-shaped views keeping
-        # the legacy mapping API — including its observable
-        # insertion-order iteration — over the instance/owner/lock
-        # columns.  Hot paths index the columns by slot directly.
-        self.table = ContextTable()
-        self.instances = ContextColumnView(self.table, self.table.instance)
-        self.placement = ContextColumnView(self.table, self.table.owner)
-        self.locks = ContextColumnView(self.table, self.table.lock)
-        #: Bulk-created context ranges: their instances materialize
-        #: lazily on first touch.
-        self._bulk_ranges: List[_BulkRange] = []
+        self._new_table()
         #: Finished Event records available for reuse (see recycle_event).
         self._event_pool: List[Event] = []
         self.latency = LatencyRecorder()
@@ -210,6 +200,39 @@ class RuntimeBase:
         # object itself — see repro.core.events.Event.
         for server in cluster.servers.values():
             self.attach_server(server)
+
+    def _new_table(self) -> None:
+        """Start from empty columnar per-context state (repro.core.table).
+
+        One dense struct-of-arrays table plus three dict-shaped views
+        keeping the legacy mapping API — including its observable
+        insertion-order iteration — over the instance/owner/lock
+        columns.  Hot paths index the columns by slot directly.
+        """
+        self.table = ContextTable()
+        self.instances = ContextColumnView(self.table, self.table.instance)
+        self.placement = ContextColumnView(self.table, self.table.owner)
+        self.locks = ContextColumnView(self.table, self.table.lock)
+        #: Bulk-created context ranges: their instances materialize
+        #: lazily on first touch.
+        self._bulk_ranges: List[_BulkRange] = []
+
+    def close(self) -> None:
+        """End this runtime's life; idempotent.
+
+        Lets go of every context and client: each instance and each
+        client handle refers back to the runtime, so these two are what
+        kept a finished run alive until a collector pass.  What remains
+        is an empty world that refuses new contexts and events — the
+        metrics recorded so far stay readable.  Close the simulator
+        first (:meth:`repro.sim.kernel.Simulator.close`).
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self._new_table()
+        self.ownership = OwnershipNetwork()
+        self._clients = {}
 
     # ------------------------------------------------------------------
     # Topology
@@ -310,6 +333,8 @@ class RuntimeBase:
         and then runs ``__init__`` (whose ref-field assignments create
         further ownership edges).
         """
+        if self._closed:
+            raise AeonError(f"{self.system_name} runtime is closed")
         if not (isinstance(cls, type) and issubclass(cls, ContextClass)):
             raise TypeError(f"create_context requires a ContextClass, got {cls!r}")
         self._register_class(cls)
@@ -400,6 +425,8 @@ class RuntimeBase:
         the batch, an unknown parent or a ``parents`` of the wrong
         length raises before anything is registered.
         """
+        if self._closed:
+            raise AeonError(f"{self.system_name} runtime is closed")
         if not (isinstance(cls, type) and issubclass(cls, ContextClass)):
             raise TypeError(f"create_contexts_bulk requires a ContextClass, got {cls!r}")
         if not servers:
@@ -531,6 +558,8 @@ class RuntimeBase:
         errors are surfaced via ``event.error`` so that lock cleanup and
         metrics stay uniform.
         """
+        if self._closed:
+            raise AeonError(f"{self.system_name} runtime is closed")
         instance = self.instance_of(spec.target)
         _func, ro_method, _cost = self._method_meta_for(instance, spec.method)
         ro_allowed = self.supports_readonly and ro_method
@@ -563,6 +592,10 @@ class RuntimeBase:
             and event.release_horizon < self.sim.now
             and len(self._event_pool) < 2048
         ):
+            # Nobody reads a pooled record: it must not keep its last
+            # call, result and error (exception plus traceback) alive
+            # until it happens to be reused.
+            event.spec = event.result = event.error = None
             self._event_pool.append(event)
 
     def _finish_event(self, event: Event, completion: Signal) -> None:
@@ -1046,6 +1079,10 @@ class _EventProcess(Process):
             return super().succeed(self._event)
         self._runtime._finish_event(self._event, self._completion)
         return super().fail(exc)
+
+    def _abandon(self) -> None:
+        super()._abandon()
+        self._runtime = self._event = self._completion = None
 
 
 def _is_generator(value: Any) -> bool:

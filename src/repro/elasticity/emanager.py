@@ -124,7 +124,10 @@ class EManager:
         self._fencing_enabled = False
         self._honest_recovery = False
         self._crash_drops_state = False
-        self._detector: Any = None
+        # The detector's live set of suspects (not the detector: it
+        # holds this manager's callbacks, and the pair must not be a
+        # reference cycle).
+        self._suspected: Any = ()
         self._hooked_servers: Set[str] = set()
         # Half-done restores a crashed predecessor journaled; re-driven
         # once this (successor) manager is wired for fault tolerance.
@@ -318,7 +321,7 @@ class EManager:
                 )
                 for root in self._checkpoint_roots
             }
-        self._detector = detector
+        self._suspected = getattr(detector, "suspected", ())
         self._honest_recovery = fencing if honest_recovery is None else honest_recovery
         self._crash_drops_state = crash_drops_state
         self.fence_grace_ms = fence_grace_ms
@@ -763,7 +766,7 @@ class EManager:
         # suspect (the manager's honest belief), minus draining ones and
         # the victim itself.  A target that is in fact dead surfaces as
         # a MigrationError from the restore protocol, not as a peek.
-        suspected = set(getattr(self._detector, "suspected", ()) or ())
+        suspected = set(self._suspected)
         suspected.add(name)
         targets = sorted(
             (

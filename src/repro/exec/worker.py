@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import resource
 import threading
 import time
 import traceback
@@ -151,7 +152,8 @@ def run_worker(
     """The worker loop (importable for in-process tests).
 
     Exits 0 on ``STOP``/``--max-idle``/``--once``/parent death; the
-    number of cells executed is logged.  See the module docstring.
+    number of cells executed and the worker's peak memory are logged.
+    See the module docstring.
     """
     root = Path(queue_dir)
     ensure_layout(root)
@@ -192,7 +194,8 @@ def run_worker(
         # A clean exit retires the heartbeat; a killed worker leaves a
         # stale one behind — exactly the signal lease expiry needs.
         (root / "heartbeats" / f"{me}.json").unlink(missing_ok=True)
-    _log.info("worker %s: executed %d cell(s)", me, executed)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
+    _log.info("worker %s: executed %d cell(s), peak RSS %.1f MB", me, executed, peak_mb)
     return 0
 
 

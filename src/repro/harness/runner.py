@@ -100,6 +100,28 @@ class Testbed:
     servers: List[Server]
     rng: RngRegistry
 
+    def close(self) -> None:
+        """End the run: the deployment is freed by reference count.
+
+        Severs the references by which the parts of a finished run hold
+        each other (docs/ARCHITECTURE.md § Object lifetimes and memory),
+        so nothing of it waits for a collector pass once the caller lets
+        go.  The simulator goes first: what is still suspended dies
+        there, while everything its ``finally`` blocks may touch is
+        whole.  Idempotent; a closed testbed refuses to run, schedule,
+        create contexts or accept events.  A driver that returns plain
+        data holds its testbed in a ``with`` block.
+        """
+        self.sim.close()
+        self.runtime.close()
+        self.cluster.close()
+
+    def __enter__(self) -> "Testbed":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
 
 def make_testbed(
     system: str,

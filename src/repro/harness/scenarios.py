@@ -797,7 +797,7 @@ def _game_point(
     n_clients = wl.clients or (
         (wl.clients_per_server or sizing.game_clients_per_server) * n_servers
     )
-    result, _tb, _app = run_game(
+    result, testbed, _app = run_game(
         system,
         n_servers,
         n_clients=n_clients,
@@ -807,7 +807,8 @@ def _game_point(
         config=_game_config(spec.game, n_servers),
         seed=seed,
     )
-    return _metric_values(spec.metrics, result)
+    with testbed:
+        return _metric_values(spec.metrics, result)
 
 
 def _tpcc_run(
@@ -854,7 +855,7 @@ def _tpcc_point(
     n_clients = wl.clients or (
         (wl.clients_per_server or sizing.tpcc_clients_per_server) * n_servers
     )
-    result, _tb, _dep = _tpcc_run(
+    result, testbed, _dep = _tpcc_run(
         system,
         n_servers,
         n_clients=n_clients,
@@ -864,7 +865,8 @@ def _tpcc_point(
         think_ms=wl.think_ms,
         config=_tpcc_config(spec.tpcc, n_servers),
     )
-    return _metric_values(spec.metrics, result)
+    with testbed:
+        return _metric_values(spec.metrics, result)
 
 
 def _fault_run(
@@ -892,218 +894,222 @@ def _fault_run(
     duration = spec.duration_ms or (
         sizing.churn_duration_ms if churn else sizing.fault_duration_ms
     )
-    testbed = make_testbed(system, n_servers, seed=seed)
-    runtime = testbed.runtime
-    config = _game_config(spec.game, n_servers)
-    app = build_game(runtime, config, system, servers=testbed.servers)
-    if spec.game.room_weights == "geometric":
-        app.set_room_weights(_geometric_weights(len(app.rooms)))
+    with make_testbed(system, n_servers, seed=seed) as testbed:
+        runtime = testbed.runtime
+        config = _game_config(spec.game, n_servers)
+        app = build_game(runtime, config, system, servers=testbed.servers)
+        if spec.game.room_weights == "geometric":
+            app.set_room_weights(_geometric_weights(len(app.rooms)))
 
-    storage = CloudStorage(testbed.sim)
-    manager = EManager(runtime, storage, None, M3_LARGE, max_concurrent_migrations=8)
-    detector = FailureDetector(
-        testbed.sim,
-        testbed.network,
-        testbed.cluster,
-        heartbeat_interval_ms=f.heartbeat_ms,
-        lease_ms=f.lease_ms,
-        check_interval_ms=f.check_ms,
-    )
-    checkpoint_ms = f.checkpoint_ms or (
-        sizing.churn_checkpoint_ms if churn else sizing.fault_checkpoint_ms
-    )
-    manager.enable_fault_tolerance(
-        detector,
-        checkpoint_interval_ms=checkpoint_ms,
-        roots=[room.cid for room in app.rooms],
-        # Orleans has no global lock order: a subtree-locking snapshot
-        # deadlocks against its per-call turn locks, so it gets the
-        # per-grain (fuzzy) persistence real Orleans offers.
-        consistent_checkpoints=(system != "orleans"),
-        checkpoint_mode=f.checkpoint_mode,
-        fencing=f.fencing,
-        # False means "unset" here: the eManager then defaults honest
-        # recovery to the fencing flag, so fencing alone is coherent.
-        honest_recovery=(f.honest_recovery or None),
-        crash_drops_state=f.crash_drops_state,
-        fence_grace_ms=f.fence_grace_ms,
-    )
-    detector.start()
-
-    if churn:
-        churn_start = f.churn_start_ms or sizing.churn_start_ms
-        restart_ms = f.restart_ms if f.restart_ms != (0.0, 0.0) else sizing.churn_restart_ms
-        schedule = random_churn(
-            [server.name for server in testbed.servers],
-            duration,
-            testbed.rng,
-            mean_time_between_crashes_ms=f.mtbf_ms or sizing.churn_mtbf_ms,
-            restart_delay_ms=restart_ms,
-            start_ms=churn_start,
+        storage = CloudStorage(testbed.sim)
+        manager = EManager(
+            runtime, storage, None, M3_LARGE, max_concurrent_migrations=8
         )
-    elif partition:
-        # Asymmetric cut: the detector and eManager lose the victim, but
-        # clients (in neither group) still reach it — the old owner keeps
-        # receiving traffic while recovery re-places its subtrees.
-        victim = testbed.servers[f.victim].name
-        partition_at = duration * f.partition_frac
-        if f.partition_ms:
-            partition_len = f.partition_ms
-        elif f.kind == "split_brain":
-            # Never heals within the run (including the drain tail).
-            partition_len = duration + 3000.0 - partition_at
+        detector = FailureDetector(
+            testbed.sim,
+            testbed.network,
+            testbed.cluster,
+            heartbeat_interval_ms=f.heartbeat_ms,
+            lease_ms=f.lease_ms,
+            check_interval_ms=f.check_ms,
+        )
+        checkpoint_ms = f.checkpoint_ms or (
+            sizing.churn_checkpoint_ms if churn else sizing.fault_checkpoint_ms
+        )
+        manager.enable_fault_tolerance(
+            detector,
+            checkpoint_interval_ms=checkpoint_ms,
+            roots=[room.cid for room in app.rooms],
+            # Orleans has no global lock order: a subtree-locking snapshot
+            # deadlocks against its per-call turn locks, so it gets the
+            # per-grain (fuzzy) persistence real Orleans offers.
+            consistent_checkpoints=(system != "orleans"),
+            checkpoint_mode=f.checkpoint_mode,
+            fencing=f.fencing,
+            # False means "unset" here: the eManager then defaults honest
+            # recovery to the fencing flag, so fencing alone is coherent.
+            honest_recovery=(f.honest_recovery or None),
+            crash_drops_state=f.crash_drops_state,
+            fence_grace_ms=f.fence_grace_ms,
+        )
+        detector.start()
+
+        if churn:
+            churn_start = f.churn_start_ms or sizing.churn_start_ms
+            restart_ms = (
+                f.restart_ms if f.restart_ms != (0.0, 0.0) else sizing.churn_restart_ms
+            )
+            schedule = random_churn(
+                [server.name for server in testbed.servers],
+                duration,
+                testbed.rng,
+                mean_time_between_crashes_ms=f.mtbf_ms or sizing.churn_mtbf_ms,
+                restart_delay_ms=restart_ms,
+                start_ms=churn_start,
+            )
+        elif partition:
+            # Asymmetric cut: the detector and eManager lose the victim, but
+            # clients (in neither group) still reach it — the old owner keeps
+            # receiving traffic while recovery re-places its subtrees.
+            victim = testbed.servers[f.victim].name
+            partition_at = duration * f.partition_frac
+            if f.partition_ms:
+                partition_len = f.partition_ms
+            elif f.kind == "split_brain":
+                # Never heals within the run (including the drain tail).
+                partition_len = duration + 3000.0 - partition_at
+            else:
+                # partition_recovery: heal lands inside the step-down grace
+                # window — mid-recovery, after declaration, before restore.
+                partition_len = f.lease_ms + f.check_ms + 0.5 * f.fence_grace_ms
+            schedule = FaultSchedule(
+                [
+                    NetworkPartition(
+                        partition_at,
+                        partition_len,
+                        group_a=("~fdetector", "~emanager"),
+                        group_b=(victim,),
+                    )
+                ]
+            )
         else:
-            # partition_recovery: heal lands inside the step-down grace
-            # window — mid-recovery, after declaration, before restore.
-            partition_len = f.lease_ms + f.check_ms + 0.5 * f.fence_grace_ms
-        schedule = FaultSchedule(
-            [
-                NetworkPartition(
-                    partition_at,
-                    partition_len,
-                    group_a=("~fdetector", "~emanager"),
-                    group_b=(victim,),
-                )
-            ]
+            victim = testbed.servers[f.victim].name
+            crash_at = duration * f.crash_frac
+            restart_after = duration * f.restart_frac
+            schedule = FaultSchedule(
+                [ServerCrash(crash_at, victim, restart_after_ms=restart_after)]
+            )
+        injector = FaultInjector(
+            testbed.sim, testbed.network, testbed.cluster, schedule, rng=testbed.rng
         )
-    else:
-        victim = testbed.servers[f.victim].name
-        crash_at = duration * f.crash_frac
-        restart_after = duration * f.restart_frac
-        schedule = FaultSchedule(
-            [ServerCrash(crash_at, victim, restart_after_ms=restart_after)]
+        injector.start()
+
+        wl = spec.workload
+        clients = ClosedLoopClients(
+            runtime,
+            app.sample_op,
+            n_clients=wl.clients
+            or (sizing.churn_clients if churn else sizing.fault_clients),
+            think_ms=wl.think_ms,
+            rng=testbed.rng,
+            stop_at_ms=duration,
+            max_retries=wl.max_retries,
         )
-    injector = FaultInjector(
-        testbed.sim, testbed.network, testbed.cluster, schedule, rng=testbed.rng
-    )
-    injector.start()
+        clients.start()
+        testbed.sim.run(until=duration + 3000.0)
+        detector.stop()
+        manager.stop()
 
-    wl = spec.workload
-    clients = ClosedLoopClients(
-        runtime,
-        app.sample_op,
-        n_clients=wl.clients
-        or (sizing.churn_clients if churn else sizing.fault_clients),
-        think_ms=wl.think_ms,
-        rng=testbed.rng,
-        stop_at_ms=duration,
-        max_retries=wl.max_retries,
-    )
-    clients.start()
-    testbed.sim.run(until=duration + 3000.0)
-    detector.stop()
-    manager.stop()
-
-    goodput = runtime.latency.windowed_count(
-        f.window_ms, duration, exclude_tag=FAILED_TAG
-    )
-    p99 = runtime.latency.windowed_percentile(
-        99.0, f.window_ms, duration, exclude_tag=FAILED_TAG
-    )
-    detections = [
-        {
-            "server": d.server,
-            "detected_at_ms": d.detected_at_ms,
-            "latency_ms": d.latency_ms,
-        }
-        for d in detector.detections
-    ]
-    if partition:
+        goodput = runtime.latency.windowed_count(
+            f.window_ms, duration, exclude_tag=FAILED_TAG
+        )
+        p99 = runtime.latency.windowed_percentile(
+            99.0, f.window_ms, duration, exclude_tag=FAILED_TAG
+        )
+        detections = [
+            {
+                "server": d.server,
+                "detected_at_ms": d.detected_at_ms,
+                "latency_ms": d.latency_ms,
+            }
+            for d in detector.detections
+        ]
+        if partition:
+            return {
+                "system": system,
+                "duration_ms": duration,
+                "partition_at_ms": partition_at,
+                "partition_heal_ms": partition_at + partition_len,
+                "victim": victim,
+                "fencing": f.fencing,
+                "goodput": goodput.points,
+                "p99": p99.points,
+                "events_failed": runtime.events_failed,
+                "client_errors": len(clients.errors),
+                "client_retries": clients.retries,
+                "detections": detections,
+                "false_detections": manager.false_detections,
+                "lost_updates": runtime.writes_rolled_back,
+                "fenced_writes": (
+                    manager.fencing.rejected if manager.fencing is not None else 0
+                ),
+                "flush_restores": manager.flush_restores,
+                "contexts_recovered": manager.contexts_recovered,
+                "recoveries": manager.recovery_log,
+                "checkpoints_taken": manager.checkpoints_taken,
+                "fault_log": injector.log,
+            }
+        if not churn:
+            result = {
+                "system": system,
+                "duration_ms": duration,
+                "crash_at_ms": crash_at,
+                "restart_at_ms": crash_at + restart_after,
+                "victim": victim,
+                "goodput": goodput.points,
+                "p99": p99.points,
+                "events_failed": runtime.events_failed,
+                "client_errors": len(clients.errors),
+                "client_retries": clients.retries,
+                "detections": detections,
+                "recoveries": manager.recovery_log,
+                "contexts_recovered": manager.contexts_recovered,
+                "checkpoints_taken": manager.checkpoints_taken,
+                "fault_log": injector.log,
+            }
+            if honest:
+                # Conditional: legacy fig10 payloads stay byte-identical.
+                result["lost_work"] = runtime.writes_rolled_back
+            return result
+        slo = availability_slo(
+            goodput.points,
+            p99.points,
+            baseline_from_ms=churn_start * 0.3,
+            baseline_to_ms=churn_start,
+            eval_from_ms=churn_start,
+            eval_to_ms=duration,
+            # A window is available at >=85% of fault-free goodput with p99
+            # within 3x of baseline (20 ms floor): strict enough that the
+            # detection+recovery gap after each crash shows up, loose enough
+            # that steady-state noise does not.
+            goodput_fraction=f.goodput_fraction,
+            p99_multiplier=f.p99_multiplier,
+            p99_floor_ms=f.p99_floor_ms,
+            # Lost *work* (acked writes rolled back at crash/recovery) rides
+            # along only under honest semantics; None keeps the legacy fig11
+            # payload byte-identical.
+            lost_work=(runtime.writes_rolled_back if honest else None),
+        )
+        detect_latencies = [
+            d.latency_ms for d in detector.detections if d.latency_ms is not None
+        ]
         return {
             "system": system,
+            "checkpoint_mode": f.checkpoint_mode,
             "duration_ms": duration,
-            "partition_at_ms": partition_at,
-            "partition_heal_ms": partition_at + partition_len,
-            "victim": victim,
-            "fencing": f.fencing,
+            "churn_start_ms": churn_start,
+            "crashes": len(schedule),
             "goodput": goodput.points,
             "p99": p99.points,
-            "events_failed": runtime.events_failed,
-            "client_errors": len(clients.errors),
-            "client_retries": clients.retries,
-            "detections": detections,
-            "false_detections": manager.false_detections,
-            "lost_updates": runtime.writes_rolled_back,
-            "fenced_writes": (
-                manager.fencing.rejected if manager.fencing is not None else 0
+            "slo": slo.as_dict(),
+            "detections": len(detector.detections),
+            "mean_detection_latency_ms": mean(detect_latencies),
+            "redeclarations": detector.redeclarations,
+            "recoveries": manager.recoveries,
+            "contexts_recovered": manager.contexts_recovered,
+            "contexts_restored_without_checkpoint": (
+                manager.contexts_restored_without_checkpoint
             ),
-            "flush_restores": manager.flush_restores,
-            "contexts_recovered": manager.contexts_recovered,
-            "recoveries": manager.recovery_log,
-            "checkpoints_taken": manager.checkpoints_taken,
-            "fault_log": injector.log,
-        }
-    if not churn:
-        result = {
-            "system": system,
-            "duration_ms": duration,
-            "crash_at_ms": crash_at,
-            "restart_at_ms": crash_at + restart_after,
-            "victim": victim,
-            "goodput": goodput.points,
-            "p99": p99.points,
+            "cache_invalidations": manager.cache_invalidations,
             "events_failed": runtime.events_failed,
             "client_errors": len(clients.errors),
             "client_retries": clients.retries,
-            "detections": detections,
-            "recoveries": manager.recovery_log,
-            "contexts_recovered": manager.contexts_recovered,
             "checkpoints_taken": manager.checkpoints_taken,
+            "checkpoints_skipped": manager.checkpoints_skipped,
+            "checkpoint_bytes_written": manager.checkpoint_bytes_written,
+            "recovery_log": manager.recovery_log,
             "fault_log": injector.log,
         }
-        if honest:
-            # Conditional: legacy fig10 payloads stay byte-identical.
-            result["lost_work"] = runtime.writes_rolled_back
-        return result
-    slo = availability_slo(
-        goodput.points,
-        p99.points,
-        baseline_from_ms=churn_start * 0.3,
-        baseline_to_ms=churn_start,
-        eval_from_ms=churn_start,
-        eval_to_ms=duration,
-        # A window is available at >=85% of fault-free goodput with p99
-        # within 3x of baseline (20 ms floor): strict enough that the
-        # detection+recovery gap after each crash shows up, loose enough
-        # that steady-state noise does not.
-        goodput_fraction=f.goodput_fraction,
-        p99_multiplier=f.p99_multiplier,
-        p99_floor_ms=f.p99_floor_ms,
-        # Lost *work* (acked writes rolled back at crash/recovery) rides
-        # along only under honest semantics; None keeps the legacy fig11
-        # payload byte-identical.
-        lost_work=(runtime.writes_rolled_back if honest else None),
-    )
-    detect_latencies = [
-        d.latency_ms for d in detector.detections if d.latency_ms is not None
-    ]
-    return {
-        "system": system,
-        "checkpoint_mode": f.checkpoint_mode,
-        "duration_ms": duration,
-        "churn_start_ms": churn_start,
-        "crashes": len(schedule),
-        "goodput": goodput.points,
-        "p99": p99.points,
-        "slo": slo.as_dict(),
-        "detections": len(detector.detections),
-        "mean_detection_latency_ms": mean(detect_latencies),
-        "redeclarations": detector.redeclarations,
-        "recoveries": manager.recoveries,
-        "contexts_recovered": manager.contexts_recovered,
-        "contexts_restored_without_checkpoint": (
-            manager.contexts_restored_without_checkpoint
-        ),
-        "cache_invalidations": manager.cache_invalidations,
-        "events_failed": runtime.events_failed,
-        "client_errors": len(clients.errors),
-        "client_retries": clients.retries,
-        "checkpoints_taken": manager.checkpoints_taken,
-        "checkpoints_skipped": manager.checkpoints_skipped,
-        "checkpoint_bytes_written": manager.checkpoint_bytes_written,
-        "recovery_log": manager.recovery_log,
-        "fault_log": injector.log,
-    }
 
 
 def _ramp_profile(wl: WorkloadSpec, duration_ms: float) -> RampProfile:
@@ -1140,58 +1146,58 @@ def _elastic_run(
     wl = spec.workload
     duration = spec.duration_ms or sizing.elastic_duration_ms
     itype = INSTANCE_TYPES[spec.instance] if spec.instance else M3_LARGE
-    testbed = make_testbed(system, n_servers, instance_type=itype, seed=seed)
-    testbed.cluster.boot_delay_ms = e.boot_delay_ms
-    config = _game_config(spec.game, n_servers)
-    app = build_game(testbed.runtime, config, system, servers=testbed.servers)
-    if spec.game.room_weights == "geometric":
-        app.set_room_weights(_geometric_weights(len(app.rooms)))
-    storage = CloudStorage(testbed.sim)
-    policy = SLAPolicy(
-        sla_ms=e.sla_ms,
-        scale_out_step=e.scale_out_step,
-        min_servers=e.min_servers,
-        max_servers=e.max_servers,
-        scale_in_fraction=e.scale_in_fraction,
-        headroom=e.headroom,
-    )
-    manager = EManager(
-        testbed.runtime,
-        storage,
-        policy,
-        itype,
-        report_interval_ms=e.report_interval_ms,
-        max_concurrent_migrations=e.max_concurrent_migrations,
-    )
-    manager.start()
-    profile = _ramp_profile(wl, duration)
-    clients = DynamicClients(
-        testbed.runtime,
-        app.sample_op,
-        profile,
-        think_ms=wl.think_ms,
-        rng=testbed.rng,
-        stop_at_ms=duration,
-    )
-    clients.start()
-    testbed.sim.run(until=duration + (spec.drain_ms or 5000.0))
-    manager.stop()
-    latency_series = testbed.runtime.latency.windowed_mean(1000.0, duration)
-    server_series = manager.server_count_series
-    avg_servers = server_series.mean_value()
-    report = sla_report(
-        spec.name, testbed.runtime.latency, e.sla_ms, avg_servers, since_ms=0.0
-    )
-    return {
-        "system": system,
-        "latency_series": latency_series.points,
-        "server_series": server_series.points,
-        "client_series": clients.active_series,
-        "sla": report,
-        "avg_servers": avg_servers,
-        "peak_servers": server_series.max_value(),
-        "peak_clients": profile.peak(),
-    }
+    with make_testbed(system, n_servers, instance_type=itype, seed=seed) as testbed:
+        testbed.cluster.boot_delay_ms = e.boot_delay_ms
+        config = _game_config(spec.game, n_servers)
+        app = build_game(testbed.runtime, config, system, servers=testbed.servers)
+        if spec.game.room_weights == "geometric":
+            app.set_room_weights(_geometric_weights(len(app.rooms)))
+        storage = CloudStorage(testbed.sim)
+        policy = SLAPolicy(
+            sla_ms=e.sla_ms,
+            scale_out_step=e.scale_out_step,
+            min_servers=e.min_servers,
+            max_servers=e.max_servers,
+            scale_in_fraction=e.scale_in_fraction,
+            headroom=e.headroom,
+        )
+        manager = EManager(
+            testbed.runtime,
+            storage,
+            policy,
+            itype,
+            report_interval_ms=e.report_interval_ms,
+            max_concurrent_migrations=e.max_concurrent_migrations,
+        )
+        manager.start()
+        profile = _ramp_profile(wl, duration)
+        clients = DynamicClients(
+            testbed.runtime,
+            app.sample_op,
+            profile,
+            think_ms=wl.think_ms,
+            rng=testbed.rng,
+            stop_at_ms=duration,
+        )
+        clients.start()
+        testbed.sim.run(until=duration + (spec.drain_ms or 5000.0))
+        manager.stop()
+        latency_series = testbed.runtime.latency.windowed_mean(1000.0, duration)
+        server_series = manager.server_count_series
+        avg_servers = server_series.mean_value()
+        report = sla_report(
+            spec.name, testbed.runtime.latency, e.sla_ms, avg_servers, since_ms=0.0
+        )
+        return {
+            "system": system,
+            "latency_series": latency_series.points,
+            "server_series": server_series.points,
+            "client_series": clients.active_series,
+            "sla": report,
+            "avg_servers": avg_servers,
+            "peak_servers": server_series.max_value(),
+            "peak_clients": profile.peak(),
+        }
 
 
 #: Tag sets splitting the mixed co-tenancy latency stream per app.
@@ -1225,76 +1231,78 @@ def _mixed_run(
     wl_game, wl_tpcc = spec.workload, spec.tpcc_workload
     duration = spec.duration_ms or sizing.tpcc_duration_ms
     warmup = spec.warmup_ms or sizing.tpcc_warmup_ms
-    testbed = make_testbed(system, n_servers, seed=seed)
-    game = build_game(
-        testbed.runtime, _game_config(spec.game, n_servers), system,
-        servers=testbed.servers,
-    )
-    deployment = build_tpcc(
-        testbed.runtime,
-        _tpcc_config(spec.tpcc, n_servers),
-        multi_ownership=(system == "aeon"),
-        servers=testbed.servers,
-        colocate=system in ("aeon", "aeon_so", "eventwave"),
-    )
-    workload = TpccWorkload(deployment, system)
-    n_game = wl_game.clients or (
-        (wl_game.clients_per_server or sizing.game_clients_per_server) * n_servers
-    )
-    n_tpcc = wl_tpcc.clients or (
-        (wl_tpcc.clients_per_server or sizing.tpcc_clients_per_server) * n_servers
-    )
-    game_clients = ClosedLoopClients(
-        testbed.runtime,
-        game.sample_op,
-        n_clients=n_game,
-        think_ms=wl_game.think_ms,
-        rng=testbed.rng,
-        stop_at_ms=duration,
-        name_prefix=wl_game.name_prefix,
-    )
-    tpcc_clients = ClosedLoopClients(
-        testbed.runtime,
-        workload.sample_op,
-        n_clients=n_tpcc,
-        think_ms=wl_tpcc.think_ms,
-        rng=testbed.rng,
-        stop_at_ms=duration,
-        name_prefix=wl_tpcc.name_prefix,
-    )
-    game_clients.start()
-    tpcc_clients.start()
-    testbed.sim.run(until=duration + (spec.drain_ms or 15000.0))
-    combined = measure(system, testbed, n_game + n_tpcc, warmup, duration)
+    with make_testbed(system, n_servers, seed=seed) as testbed:
+        game = build_game(
+            testbed.runtime, _game_config(spec.game, n_servers), system,
+            servers=testbed.servers,
+        )
+        deployment = build_tpcc(
+            testbed.runtime,
+            _tpcc_config(spec.tpcc, n_servers),
+            multi_ownership=(system == "aeon"),
+            servers=testbed.servers,
+            colocate=system in ("aeon", "aeon_so", "eventwave"),
+        )
+        workload = TpccWorkload(deployment, system)
+        n_game = wl_game.clients or (
+            (wl_game.clients_per_server or sizing.game_clients_per_server) * n_servers
+        )
+        n_tpcc = wl_tpcc.clients or (
+            (wl_tpcc.clients_per_server or sizing.tpcc_clients_per_server) * n_servers
+        )
+        game_clients = ClosedLoopClients(
+            testbed.runtime,
+            game.sample_op,
+            n_clients=n_game,
+            think_ms=wl_game.think_ms,
+            rng=testbed.rng,
+            stop_at_ms=duration,
+            name_prefix=wl_game.name_prefix,
+        )
+        tpcc_clients = ClosedLoopClients(
+            testbed.runtime,
+            workload.sample_op,
+            n_clients=n_tpcc,
+            think_ms=wl_tpcc.think_ms,
+            rng=testbed.rng,
+            stop_at_ms=duration,
+            name_prefix=wl_tpcc.name_prefix,
+        )
+        game_clients.start()
+        tpcc_clients.start()
+        testbed.sim.run(until=duration + (spec.drain_ms or 15000.0))
+        combined = measure(system, testbed, n_game + n_tpcc, warmup, duration)
 
-    window_s = (duration - warmup) / 1000.0
+        window_s = (duration - warmup) / 1000.0
 
-    def split(tags: Tuple[str, ...]) -> Dict[str, float]:
-        lats = testbed.runtime.latency.latencies_between(warmup, duration, tags=tags)
-        lats.sort()
+        def split(tags: Tuple[str, ...]) -> Dict[str, float]:
+            lats = testbed.runtime.latency.latencies_between(
+                warmup, duration, tags=tags
+            )
+            lats.sort()
+            return {
+                "completed": len(lats),
+                "throughput_per_s": len(lats) / window_s if window_s > 0 else 0.0,
+                "mean_latency_ms": mean(lats),
+                "p99_latency_ms": percentile(lats, 99.0, presorted=True),
+            }
+
         return {
-            "completed": len(lats),
-            "throughput_per_s": len(lats) / window_s if window_s > 0 else 0.0,
-            "mean_latency_ms": mean(lats),
-            "p99_latency_ms": percentile(lats, 99.0, presorted=True),
+            "system": system,
+            "n_servers": n_servers,
+            "game_clients": n_game,
+            "tpcc_clients": n_tpcc,
+            "game": split(GAME_TAGS),
+            "tpcc": split(TPCC_TAGS),
+            "combined": {
+                "completed": combined.completed,
+                "throughput_per_s": combined.throughput_per_s,
+                "mean_latency_ms": combined.mean_latency_ms,
+                "p99_latency_ms": combined.p99_latency_ms,
+            },
+            "game_errors": len(game_clients.errors),
+            "tpcc_errors": len(tpcc_clients.errors),
         }
-
-    return {
-        "system": system,
-        "n_servers": n_servers,
-        "game_clients": n_game,
-        "tpcc_clients": n_tpcc,
-        "game": split(GAME_TAGS),
-        "tpcc": split(TPCC_TAGS),
-        "combined": {
-            "completed": combined.completed,
-            "throughput_per_s": combined.throughput_per_s,
-            "mean_latency_ms": combined.mean_latency_ms,
-            "p99_latency_ms": combined.p99_latency_ms,
-        },
-        "game_errors": len(game_clients.errors),
-        "tpcc_errors": len(tpcc_clients.errors),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -1312,56 +1320,58 @@ def _elastic_game_run(
     duration = sizing.elastic_duration_ms
     elastic = setup == "elastic"
     start_servers = 8 if elastic else int(setup)
-    testbed = make_testbed("aeon", start_servers, instance_type=M1_SMALL, seed=seed)
-    testbed.cluster.boot_delay_ms = 1500.0
-    # 32 rooms so the fleet can usefully grow beyond 16 servers.
-    config = GameConfig(rooms=32, players_per_room=4, shared_items_per_room=2)
-    app = build_game(testbed.runtime, config, "aeon", servers=testbed.servers)
-    manager = None
-    if elastic:
-        storage = CloudStorage(testbed.sim)
-        policy = SLAPolicy(sla_ms=sla_ms, scale_out_step=4, min_servers=4,
-                           max_servers=40, scale_in_fraction=0.25,
-                           headroom=0.45)
-        manager = EManager(
-            testbed.runtime, storage, policy, M1_SMALL,
-            report_interval_ms=1000.0, max_concurrent_migrations=8,
+    with make_testbed(
+        "aeon", start_servers, instance_type=M1_SMALL, seed=seed
+    ) as testbed:
+        testbed.cluster.boot_delay_ms = 1500.0
+        # 32 rooms so the fleet can usefully grow beyond 16 servers.
+        config = GameConfig(rooms=32, players_per_room=4, shared_items_per_room=2)
+        app = build_game(testbed.runtime, config, "aeon", servers=testbed.servers)
+        manager = None
+        if elastic:
+            storage = CloudStorage(testbed.sim)
+            policy = SLAPolicy(sla_ms=sla_ms, scale_out_step=4, min_servers=4,
+                               max_servers=40, scale_in_fraction=0.25,
+                               headroom=0.45)
+            manager = EManager(
+                testbed.runtime, storage, policy, M1_SMALL,
+                report_interval_ms=1000.0, max_concurrent_migrations=8,
+            )
+            manager.start()
+        profile = RampProfile.normal_peak(
+            duration, machines=8, min_per_machine=1, max_per_machine=16
         )
-        manager.start()
-    profile = RampProfile.normal_peak(
-        duration, machines=8, min_per_machine=1, max_per_machine=16
-    )
-    clients = DynamicClients(
-        testbed.runtime,
-        app.sample_op,
-        profile,
-        think_ms=12.0,
-        rng=testbed.rng,
-        stop_at_ms=duration,
-    )
-    clients.start()
-    testbed.sim.run(until=duration + 5000.0)
-    if manager is not None:
-        manager.stop()
-    # Latency time series (1 s buckets) and server-count series.
-    latency_series = testbed.runtime.latency.windowed_mean(1000.0, duration)
-    if manager is not None:
-        server_series = manager.server_count_series
-        avg_servers = server_series.mean_value()
-    else:
-        count = len(testbed.cluster.alive_servers())
-        server_series = None
-        avg_servers = float(count)
-    report = sla_report(
-        setup, testbed.runtime.latency, sla_ms, avg_servers, since_ms=0.0
-    )
-    return {
-        "setup": setup,
-        "latency_series": latency_series.points,
-        "server_series": server_series.points if server_series else None,
-        "client_series": clients.active_series,
-        "sla": report,
-    }
+        clients = DynamicClients(
+            testbed.runtime,
+            app.sample_op,
+            profile,
+            think_ms=12.0,
+            rng=testbed.rng,
+            stop_at_ms=duration,
+        )
+        clients.start()
+        testbed.sim.run(until=duration + 5000.0)
+        if manager is not None:
+            manager.stop()
+        # Latency time series (1 s buckets) and server-count series.
+        latency_series = testbed.runtime.latency.windowed_mean(1000.0, duration)
+        if manager is not None:
+            server_series = manager.server_count_series
+            avg_servers = server_series.mean_value()
+        else:
+            count = len(testbed.cluster.alive_servers())
+            server_series = None
+            avg_servers = float(count)
+        report = sla_report(
+            setup, testbed.runtime.latency, sla_ms, avg_servers, since_ms=0.0
+        )
+        return {
+            "setup": setup,
+            "latency_series": latency_series.points,
+            "server_series": server_series.points if server_series else None,
+            "client_series": clients.active_series,
+            "sla": report,
+        }
 
 
 def _elastic_cell(setup: str, rep: int, scale: str, seed: int) -> Dict[str, object]:
@@ -1382,39 +1392,39 @@ def _fig8_cell(
     """One fig8 run: throughput series while migrating ``n_migrations`` Rooms."""
     sizing = SCALES[scale]
     duration = sizing.migration_duration_ms
-    testbed = make_testbed("aeon", 20, instance_type=M1_SMALL, seed=seed)
-    config = GameConfig(rooms=20, players_per_room=4, shared_items_per_room=2)
-    app = build_game(testbed.runtime, config, "aeon", servers=testbed.servers)
-    storage = CloudStorage(testbed.sim)
-    host = Server(testbed.sim, "~emanager", M3_LARGE)
-    testbed.network.register(host.name, host.mailbox, M3_LARGE)
-    coordinator = MigrationCoordinator(testbed.runtime, storage, host)
-    clients = ClosedLoopClients(
-        testbed.runtime,
-        app.sample_op,
-        n_clients=120,
-        think_ms=10.0,
-        rng=testbed.rng,
-        stop_at_ms=duration,
-    )
-    clients.start()
+    with make_testbed("aeon", 20, instance_type=M1_SMALL, seed=seed) as testbed:
+        config = GameConfig(rooms=20, players_per_room=4, shared_items_per_room=2)
+        app = build_game(testbed.runtime, config, "aeon", servers=testbed.servers)
+        storage = CloudStorage(testbed.sim)
+        host = Server(testbed.sim, "~emanager", M3_LARGE)
+        testbed.network.register(host.name, host.mailbox, M3_LARGE)
+        coordinator = MigrationCoordinator(testbed.runtime, storage, host)
+        clients = ClosedLoopClients(
+            testbed.runtime,
+            app.sample_op,
+            n_clients=120,
+            think_ms=10.0,
+            rng=testbed.rng,
+            stop_at_ms=duration,
+        )
+        clients.start()
 
-    def migrate_rooms(n=n_migrations, tb=testbed, coord=coordinator):
-        yield tb.sim.timeout(duration * 0.4)
-        handles = []
-        for i in range(n):
-            src_room = f"room-{i}"
-            dst = tb.servers[(i + 1) % len(tb.servers)]
-            if tb.runtime.placement[src_room] == dst.name:
-                dst = tb.servers[(i + 2) % len(tb.servers)]
-            handles.append(coord.migrate(src_room, dst))
-        for handle in handles:
-            yield handle
+        def migrate_rooms(n=n_migrations, tb=testbed, coord=coordinator):
+            yield tb.sim.timeout(duration * 0.4)
+            handles = []
+            for i in range(n):
+                src_room = f"room-{i}"
+                dst = tb.servers[(i + 1) % len(tb.servers)]
+                if tb.runtime.placement[src_room] == dst.name:
+                    dst = tb.servers[(i + 2) % len(tb.servers)]
+                handles.append(coord.migrate(src_room, dst))
+            for handle in handles:
+                yield handle
 
-    testbed.sim.process(migrate_rooms())
-    testbed.sim.run(until=duration + 5000.0)
-    window = testbed.runtime.throughput.windowed_rate(250.0, duration)
-    return window.points
+        testbed.sim.process(migrate_rooms())
+        testbed.sim.run(until=duration + 5000.0)
+        window = testbed.runtime.throughput.windowed_rate(250.0, duration)
+        return window.points
 
 
 def _fig9_cell(itype_name: str, size_bytes: int, scale: str, seed: int) -> float:
@@ -1422,39 +1432,38 @@ def _fig9_cell(itype_name: str, size_bytes: int, scale: str, seed: int) -> float
     sizing = SCALES[scale]
     batch = sizing.emanager_batch
     itype = INSTANCE_TYPES[itype_name]
-    testbed = make_testbed("aeon", 2, instance_type=itype, seed=seed)
+    with make_testbed("aeon", 2, instance_type=itype, seed=seed) as testbed:
+        class Payload(Room):
+            pass
 
-    class Payload(Room):
-        pass
-
-    Payload.size_bytes = size_bytes
-    refs = []
-    for i in range(batch):
-        refs.append(
-            testbed.runtime.create_context(
-                Payload, server=testbed.servers[0],
-                name=f"payload-{i}", args=(i,),
+        Payload.size_bytes = size_bytes
+        refs = []
+        for i in range(batch):
+            refs.append(
+                testbed.runtime.create_context(
+                    Payload, server=testbed.servers[0],
+                    name=f"payload-{i}", args=(i,),
+                )
             )
-        )
-    storage = CloudStorage(testbed.sim)
-    host = Server(testbed.sim, "~emanager", itype)
-    testbed.network.register(host.name, host.mailbox, itype)
-    coordinator = MigrationCoordinator(testbed.runtime, storage, host)
+        storage = CloudStorage(testbed.sim)
+        host = Server(testbed.sim, "~emanager", itype)
+        testbed.network.register(host.name, host.mailbox, itype)
+        coordinator = MigrationCoordinator(testbed.runtime, storage, host)
 
-    def pump():
-        window = 4  # concurrent migrations in flight
-        pending = []
-        for ref in refs:
-            pending.append(coordinator.migrate(ref.cid, testbed.servers[1]))
-            if len(pending) >= window:
-                yield pending.pop(0)
-        for handle in pending:
-            yield handle
+        def pump():
+            window = 4  # concurrent migrations in flight
+            pending = []
+            for ref in refs:
+                pending.append(coordinator.migrate(ref.cid, testbed.servers[1]))
+                if len(pending) >= window:
+                    yield pending.pop(0)
+            for handle in pending:
+                yield handle
 
-    start = testbed.sim.now
-    testbed.sim.run_process(pump())
-    elapsed_s = (testbed.sim.now - start) / 1000.0
-    return batch / elapsed_s if elapsed_s > 0 else 0.0
+        start = testbed.sim.now
+        testbed.sim.run_process(pump())
+        elapsed_s = (testbed.sim.now - start) / 1000.0
+        return batch / elapsed_s if elapsed_s > 0 else 0.0
 
 
 def _massive_run(flavor: str, scale: str, seed: int) -> Dict[str, object]:
@@ -1472,42 +1481,42 @@ def _massive_run(flavor: str, scale: str, seed: int) -> Dict[str, object]:
     """
     sizing = SCALES[scale]
     duration = sizing.massive_duration_ms
-    testbed = make_testbed("aeon", sizing.massive_servers, seed=seed)
-    # Swap the recorder before any event completes: massive runs engage
-    # reservoir sampling almost immediately instead of at the default
-    # exact-mode threshold, bounding metric memory at any event count.
-    testbed.runtime.latency = LatencyRecorder(sample_threshold=65536)
-    config = MassiveConfig(contexts=sizing.massive_contexts, flavor=flavor)
-    app = build_massive(testbed.runtime, config, testbed.servers)
-    clients = ClosedLoopClients(
-        testbed.runtime,
-        app.sample_op,
-        n_clients=sizing.massive_clients,
-        think_ms=sizing.massive_think_ms,
-        rng=testbed.rng,
-        stop_at_ms=duration,
-    )
-    clients.start()
-    testbed.sim.run(until=duration + 2000.0)
-    result = measure(
-        "aeon", testbed, clients.n_clients, sizing.massive_warmup_ms, duration
-    )
-    runtime = testbed.runtime
-    return {
-        "flavor": flavor,
-        "contexts": runtime.context_count(),
-        "materialized": len(runtime.instances),
-        "servers": sizing.massive_servers,
-        "clients": clients.n_clients,
-        "completed": result.completed,
-        "throughput_per_s": result.throughput_per_s,
-        "mean_latency_ms": result.mean_latency_ms,
-        "p50_latency_ms": result.p50_latency_ms,
-        "p99_latency_ms": result.p99_latency_ms,
-        "sampling": runtime.latency.sampling,
-        "errors": len(clients.errors),
-        "checksum": run_checksum(runtime, app),
-    }
+    with make_testbed("aeon", sizing.massive_servers, seed=seed) as testbed:
+        # Swap the recorder before any event completes: massive runs engage
+        # reservoir sampling almost immediately instead of at the default
+        # exact-mode threshold, bounding metric memory at any event count.
+        testbed.runtime.latency = LatencyRecorder(sample_threshold=65536)
+        config = MassiveConfig(contexts=sizing.massive_contexts, flavor=flavor)
+        app = build_massive(testbed.runtime, config, testbed.servers)
+        clients = ClosedLoopClients(
+            testbed.runtime,
+            app.sample_op,
+            n_clients=sizing.massive_clients,
+            think_ms=sizing.massive_think_ms,
+            rng=testbed.rng,
+            stop_at_ms=duration,
+        )
+        clients.start()
+        testbed.sim.run(until=duration + 2000.0)
+        result = measure(
+            "aeon", testbed, clients.n_clients, sizing.massive_warmup_ms, duration
+        )
+        runtime = testbed.runtime
+        return {
+            "flavor": flavor,
+            "contexts": runtime.context_count(),
+            "materialized": len(runtime.instances),
+            "servers": sizing.massive_servers,
+            "clients": clients.n_clients,
+            "completed": result.completed,
+            "throughput_per_s": result.throughput_per_s,
+            "mean_latency_ms": result.mean_latency_ms,
+            "p50_latency_ms": result.p50_latency_ms,
+            "p99_latency_ms": result.p99_latency_ms,
+            "sampling": runtime.latency.sampling,
+            "errors": len(clients.errors),
+            "checksum": run_checksum(runtime, app),
+        }
 
 
 def _massive_game_cell(rep: int, scale: str, seed: int) -> Dict[str, object]:
@@ -1524,23 +1533,23 @@ def _ablation_cell(early_release: bool, scale: str, seed: int) -> float:
     """One ablation run: TPC-C throughput with the given release mode."""
     sizing = SCALES[scale]
     costs = DEFAULT_COSTS.with_(early_release=early_release)
-    testbed = make_testbed("aeon_so", 4, seed=seed, costs=costs)
-    config = TpccConfig(districts=4, customers_per_district=10)
-    deployment = build_tpcc(
-        testbed.runtime, config, False, servers=testbed.servers
-    )
-    workload = TpccWorkload(deployment, "aeon_so")
-    clients = ClosedLoopClients(
-        testbed.runtime, workload.sample_op,
-        n_clients=sizing.tpcc_clients_per_server * 4,
-        think_ms=5.0, rng=testbed.rng,
-        stop_at_ms=sizing.tpcc_duration_ms,
-    )
-    clients.start()
-    testbed.sim.run(until=sizing.tpcc_duration_ms + 15000.0)
-    result = measure("aeon_so", testbed, clients.n_clients,
-                     sizing.tpcc_warmup_ms, sizing.tpcc_duration_ms)
-    return result.throughput_per_s
+    with make_testbed("aeon_so", 4, seed=seed, costs=costs) as testbed:
+        config = TpccConfig(districts=4, customers_per_district=10)
+        deployment = build_tpcc(
+            testbed.runtime, config, False, servers=testbed.servers
+        )
+        workload = TpccWorkload(deployment, "aeon_so")
+        clients = ClosedLoopClients(
+            testbed.runtime, workload.sample_op,
+            n_clients=sizing.tpcc_clients_per_server * 4,
+            think_ms=5.0, rng=testbed.rng,
+            stop_at_ms=sizing.tpcc_duration_ms,
+        )
+        clients.start()
+        testbed.sim.run(until=sizing.tpcc_duration_ms + 15000.0)
+        result = measure("aeon_so", testbed, clients.n_clients,
+                         sizing.tpcc_warmup_ms, sizing.tpcc_duration_ms)
+        return result.throughput_per_s
 
 
 # ----------------------------------------------------------------------

@@ -224,6 +224,16 @@ class Cluster:
         """Servers currently booted and usable."""
         return {n: s for n, s in self.servers.items() if s.alive}
 
+    def close(self) -> None:
+        """End of the run: drop the servers' crash/restart hooks.
+
+        A hook leads to the recovery manager that installed it, and from
+        there to the runtime and back to this cluster.  Idempotent.
+        """
+        for server in self.servers.values():
+            server.on_crash.clear()
+            server.on_restart.clear()
+
     def __len__(self) -> int:
         return len(self.servers)
 

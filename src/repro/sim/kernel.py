@@ -755,6 +755,32 @@ def _make_timers(mode: Optional[str]):
     )
 
 
+class _ClosedQueue:
+    """Both queues of a closed :class:`Simulator`: never anything due,
+    and a push is dropped.
+
+    The one thing that still schedules on a closed simulator is the
+    ``finally`` block of a generator dying with the run (a held CPU unit
+    handed to the next waiter); that must neither fail nor keep the
+    waiter alive.
+    """
+
+    __slots__ = ()
+
+    head = None
+
+    def __len__(self) -> int:
+        return 0
+
+    def append(self, entry: Tuple[float, int, Callable, tuple]) -> None:
+        """Drop ``entry`` (the immediate queue's verb)."""
+
+    push = append  # the timer queue's verb
+
+
+_CLOSED_QUEUE = _ClosedQueue()
+
+
 def _clear_frames(tb: Any, stop: Any) -> None:
     """``traceback.clear_frames`` from ``tb`` down to, not including, ``stop``.
 
@@ -815,6 +841,9 @@ class Process(Signal):
         self._charge_start_cb = self._charge_start
         self._charge_timer_cb = self._charge_timer
         self._charge_resume_cb = self._charge_resume
+        # Those callbacks make an unfinished process a cycle of its own,
+        # so the simulator keeps the unfinished ones to retire on close.
+        sim._processes[self] = None
         # The first step is always queued (never run inline): callers may
         # continue setting up state between process() and run().
         sim.call_soon(self._step, None, None)
@@ -1010,8 +1039,20 @@ class Process(Signal):
         # A finished process must die by reference count (run() pauses
         # the cyclic collector): drop the generator and the callbacks
         # bound to this very object.
+        del self.sim._processes[self]
         self._generator = self._timer_cb = self._wait_cb = None
         self._charge_start_cb = self._charge_timer_cb = self._charge_resume_cb = None
+
+    def _abandon(self) -> None:
+        """Give up on this unfinished process: its simulator is closing.
+
+        The generator dies here (its ``finally`` blocks run).  A
+        subclass also drops whatever else it holds, so that whoever
+        still refers to the process — a waiter queue, a signal's
+        callbacks — holds a husk that leads nowhere.
+        """
+        self._retire()
+        self._charge_res = None  # whose waiter queue may hold this process
 
     def _charge_start(self, _signal: Optional[Signal] = None) -> None:
         # Holding the unit (taken synchronously, or handed over by a
@@ -1101,6 +1142,10 @@ class Simulator:
     (``timers="calendar"``/``"heap"`` or ``REPRO_SIM_TIMERS``).  All
     three order entries exactly by ``(fire_at, sequence)``, so the
     choice never affects a trace.
+
+    A run ends with :meth:`close`, which frees whatever is still queued
+    or suspended by reference count; ``run``/``process``/``schedule``/
+    ``cancel`` then raise :class:`SimulationError`.
     """
 
     def __init__(self, timers: Optional[str] = None) -> None:
@@ -1111,9 +1156,35 @@ class Simulator:
         self._step_count = 0
         self._max_steps: Optional[int] = None
         self._until: Optional[float] = None
-        #: One immortal succeeded signal (value ``None``) for grants that
-        #: need no waiting — waiters only read it, so everyone shares it.
+        self._closed = False
+        #: Unfinished processes, in creation order (see :meth:`close`).
+        self._processes: dict = {}
+        #: One succeeded signal (value ``None``) for grants that need no
+        #: waiting — waiters only read it, so everyone shares it for as
+        #: long as the simulator is open.
         self.ready = Signal(self, "ready").succeed(None)
+
+    def close(self) -> None:
+        """End this simulator's life; idempotent.
+
+        Drops everything still queued, gives up on every unfinished
+        process and drops the :attr:`ready` signal — the places where
+        the simulator refers back to the world built on it (a queue
+        entry or a process leads to a generator and whatever that works
+        on; ``ready`` leads straight back here) — so a finished run is
+        freed by reference count, not by a later collector pass.  The
+        suspended generators die inside this call, with every other
+        object of the run still whole: close the simulator *first* and
+        the layers above it afterwards, so that a ``finally`` never sees
+        them half cleared.  Call it between runs, not from inside one.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self._timers = self._immediate = _CLOSED_QUEUE
+        for process in list(self._processes):
+            process._abandon()
+        self.ready = None
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -1128,6 +1199,8 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
+        if self._closed:
+            raise SimulationError("simulator is closed")
         self._sequence += 1
         if delay == 0.0:
             entry = (self.now, self._sequence, callback, args)
@@ -1143,6 +1216,8 @@ class Simulator:
         Raises :class:`SimulationError` if the entry already fired (or
         was cancelled before).
         """
+        if self._closed:
+            raise SimulationError("simulator is closed")
         try:
             try:
                 self._immediate.remove(entry)
@@ -1193,6 +1268,8 @@ class Simulator:
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Spawn a new process driving ``generator``."""
+        if self._closed:
+            raise SimulationError("simulator is closed")
         return Process(self, generator, name)
 
     def all_of(self, children: Iterable[Signal]) -> AllOf:
@@ -1214,6 +1291,8 @@ class Simulator:
         (a safety valve against accidental infinite loops).  Returns the
         final clock value.
         """
+        if self._closed:
+            raise SimulationError("simulator is closed")
         timers = self._timers
         immediate = self._immediate
         self._max_steps = max_steps

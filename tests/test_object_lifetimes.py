@@ -10,9 +10,12 @@ lifetimes and memory):
 * no per-event cycle — an explicit ``gc.collect()`` after a stretch of
   simulated time finds (next to) nothing, for completed and for failed
   events, on every runtime;
-* a materialised bulk leaf (instance + lock) costs a few hundred bytes.
+* a materialised bulk leaf (instance + lock) costs a few hundred bytes;
+* no per-run cycle — a driver closes its testbed, and a closed testbed
+  (finished or stopped mid-flight) is freed by reference count, quietly.
 """
 
+import dataclasses
 import gc
 import subprocess
 import sys
@@ -22,14 +25,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps.game import GameConfig, build_game
+from repro.apps.game import GameConfig, Room, build_game
 from repro.apps.massive import MassiveConfig, build_massive
 from repro.apps.tpcc import TpccConfig, TpccWorkload, build_tpcc
+from repro.core.errors import AeonError
 from repro.core.events import AccessMode, CallSpec, Event
 from repro.core.locking import ContextLock
+from repro.exec import Cell, execute_cell
 from repro.faults import FaultInjector, FaultSchedule, ServerCrash
+from repro.harness import scenarios
 from repro.harness.runner import make_testbed
-from repro.sim import Resource, Simulator
+from repro.harness.scenarios import SCALES, expand, prepare_scenario
+from repro.sim import Resource, SimulationError, Simulator
 from repro.workloads.generators import ClosedLoopClients
 
 REPO = Path(__file__).resolve().parent.parent
@@ -335,6 +342,188 @@ def test_context_lock_cancels_a_reservation_on_a_late_queue():
     assert not lock.is_held() and lock.total_acquisitions == 2
     # The drained queue keeps working on the uncontended path.
     assert lock.request(cancelled) == (sim.ready, True)
+
+
+# ----------------------------------------------------------------------
+# (d) no per-run cycle: a finished simulation frees itself
+# ----------------------------------------------------------------------
+#: Objects a collection may still find after a cell (0 measured; a cell
+#: left 2 000–17 000 before drivers closed their testbeds).
+GARBAGE_PER_CELL = 50
+
+
+def _quick_cell(name, key, overrides=()):
+    spec = prepare_scenario(name, scale="quick", seed=0, overrides=list(overrides))
+    (cell,) = [cell for cell in expand(spec) if cell.key == key]
+    return cell
+
+
+def _garbage_after(cell):
+    """What a collection finds after ``execute_cell(cell)`` ran with the
+    collector off: anything of the run that did not die by refcount."""
+    gc.collect()
+    gc.disable()
+    try:
+        execute_cell(cell)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("cell", [
+    pytest.param(lambda: _quick_cell("fig5a", ("aeon", 2)), id="fig5a"),
+    pytest.param(lambda: _quick_cell("fig6a", ("aeon", 2)), id="fig6a"),
+    pytest.param(
+        lambda: _quick_cell("fig10", ("aeon",), ["duration_ms=4000"]), id="fig10"
+    ),
+    pytest.param(lambda: _quick_cell("fig7", ("elastic", 0)), id="fig7"),
+    pytest.param(
+        lambda: _quick_cell("split_brain", ("aeon", True), ["duration_ms=4000"]),
+        id="split_brain",
+    ),
+])
+def test_executed_cell_leaves_no_simulation_behind(cell):
+    assert _garbage_after(cell()) <= GARBAGE_PER_CELL
+
+
+def test_executed_massive_cell_leaves_no_simulation_behind(monkeypatch):
+    tiny = dataclasses.replace(
+        SCALES["quick"],
+        massive_contexts=5_000,
+        massive_servers=8,
+        massive_clients=32,
+        massive_duration_ms=200.0,
+        massive_warmup_ms=50.0,
+    )
+    monkeypatch.setitem(SCALES, "tiny", tiny)
+    cell = Cell(
+        key=(0,),
+        fn="repro.harness.scenarios:_massive_game_cell",
+        kwargs={"rep": 0, "scale": "tiny", "seed": 0},
+    )
+    assert _garbage_after(cell) <= GARBAGE_PER_CELL
+
+
+def test_memory_does_not_grow_with_cells_executed():
+    cell = _quick_cell("fig6a", ("aeon", 2), ["duration_ms=400", "warmup_ms=100"])
+    execute_cell(cell)  # imports, method caches, interned strings
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        execute_cell(cell)
+        after_one = tracemalloc.get_traced_memory()[0]
+        for _ in range(4):
+            execute_cell(cell)
+        after_five = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert after_five <= 1.05 * after_one
+
+
+def test_cell_that_raises_still_closes_its_testbed(monkeypatch):
+    made = []
+    make = scenarios.make_testbed
+
+    def recording_make_testbed(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    def failing_measure(*_args, **_kwargs):
+        raise RuntimeError("measurement failed")
+
+    monkeypatch.setattr(scenarios, "make_testbed", recording_make_testbed)
+    monkeypatch.setattr(scenarios, "measure", failing_measure)
+    with pytest.raises(RuntimeError, match="measurement failed"):
+        execute_cell(_quick_cell("ablation", (True,)))
+    (testbed,) = made
+    with pytest.raises(SimulationError, match="closed"):
+        testbed.sim.run()
+
+
+def test_use_after_close_names_the_closed_object():
+    testbed, _clients = _game_bed("aeon", n_servers=2, n_clients=4)
+    testbed.sim.run(until=T1)
+    entry = testbed.sim.schedule(1.0, print)
+    client = testbed.runtime.register_client("late")
+    spec = CallSpec("room-0", "nr_players")
+    with testbed as entered:
+        assert entered is testbed
+    testbed.close()  # idempotent
+    sim, runtime = testbed.sim, testbed.runtime
+    with pytest.raises(SimulationError, match="simulator is closed"):
+        sim.run()
+    with pytest.raises(SimulationError, match="simulator is closed"):
+        sim.schedule(1.0, print)
+    with pytest.raises(SimulationError, match="simulator is closed"):
+        sim.cancel(entry)
+    body = (delay for delay in (1.0,))
+    with pytest.raises(SimulationError, match="simulator is closed"):
+        sim.process(body)
+    with pytest.raises(AeonError, match="aeon runtime is closed"):
+        runtime.submit(client, spec)
+    with pytest.raises(AeonError, match="aeon runtime is closed"):
+        runtime.create_context(Room, args=(9,))
+    assert sim.pending_events == 0 and runtime.context_count() == 0
+    assert runtime.events_completed > 0  # the metrics stay readable
+
+
+@pytest.mark.parametrize("system", ["aeon", "eventwave", "orleans"])
+def test_closing_mid_flight_is_quiet_and_complete(system, monkeypatch):
+    """Stopped by ``until`` with events inside their bodies, clients
+    waiting on them and processes queued for a CPU: close() finalises
+    every suspended generator without an ``Exception ignored in:`` line
+    (a ``finally`` that yields would earn one) and leaves no cycle."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    gc.collect()
+    gc.disable()
+    try:
+        testbed, _clients = _game_bed(system, n_servers=2, n_clients=40)
+        testbed.sim.run(until=50.3)
+        assert testbed.runtime.events_inflight > 10
+        assert testbed.sim.pending_events > 0
+        testbed.close()
+        del testbed, _clients
+        assert gc.collect() <= GARBAGE_PER_CELL
+    finally:
+        gc.enable()
+    assert not unraisable
+
+
+def test_pooled_event_record_is_scrubbed():
+    testbed, _clients = _game_bed("aeon", n_servers=2, n_clients=8)
+    testbed.sim.run()
+    pool = testbed.runtime._event_pool
+    assert pool
+    assert all(
+        event.spec is None and event.result is None and event.error is None
+        for event in pool
+    )
+
+
+def test_cell_in_a_subprocess_is_quiet_and_leaves_nothing():
+    script = (
+        "import gc\n"
+        "from repro.exec import execute_cell\n"
+        "from repro.harness.scenarios import expand, prepare_scenario\n"
+        "spec = prepare_scenario('fig10', scale='quick', seed=0,"
+        " overrides=['duration_ms=4000'])\n"
+        "gc.disable()\n"
+        "execute_cell(expand(spec)[0])\n"
+        "print(gc.collect())\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": ""},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert int(result.stdout) <= GARBAGE_PER_CELL
 
 
 # ----------------------------------------------------------------------
