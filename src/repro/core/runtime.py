@@ -921,8 +921,7 @@ class RuntimeBase:
         if delay == 0.0:  # zero-latency model: immediate queue, not timers
             sim.call_soon(lock.release, event)
         else:
-            sim._sequence += 1
-            sim._timers.push((at, sim._sequence, lock.release, (event,)))
+            sim._schedule_at(at, lock.release, (event,))
 
     def _schedule_release(self, event: Event, cid: str, from_server: Server) -> None:
         """Release ``cid`` after the release message's one-way latency."""
@@ -979,10 +978,7 @@ class RuntimeBase:
             if delay == 0.0:
                 sim.call_soon(_release_lock_batch, sim, locks, event)
             else:
-                sim._sequence += 1
-                sim._timers.push(
-                    (at, sim._sequence, _release_lock_batch, (sim, locks, event))
-                )
+                sim._schedule_at(at, _release_lock_batch, (sim, locks, event))
 
     # ------------------------------------------------------------------
     # Protocol-specific hooks

@@ -6,7 +6,9 @@ reproduction would measure GIL contention rather than protocol behaviour,
 so instead every runtime (AEON, EventWave, Orleans) executes on this
 deterministic simulator.  The kernel is deliberately small and SimPy-like:
 
-* :class:`Simulator` owns the virtual clock and the event heap.
+* :class:`Simulator` owns the virtual clock and the two event queues: a
+  FIFO deque for zero-delay callbacks and one binary heap (``heapq`` on a
+  plain list) for timers, merged by ``(fire_at, seq)``.
 * :class:`Signal` is a one-shot occurrence that processes can wait on.
 * :class:`Timeout` is a signal that fires after a virtual delay.
 * :class:`Process` drives a generator; each ``yield`` suspends the process
@@ -19,8 +21,6 @@ the paper's numbers (latencies of a few ms, SLA of 10 ms) read naturally.
 from __future__ import annotations
 
 import gc
-import os
-from bisect import bisect_left, insort
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
@@ -34,9 +34,6 @@ __all__ = [
     "AnyOf",
     "CpuCharge",
     "SimulationError",
-    "HeapTimers",
-    "CalendarTimers",
-    "AdaptiveTimers",
 ]
 
 
@@ -160,7 +157,9 @@ class Timeout(Signal):
         if delay == 0.0:
             sim._immediate.append((sim.now, sim._sequence, self._fire, (value,)))
         else:
-            sim._timers.push((sim.now + delay, sim._sequence, self._fire, (value,)))
+            heappush(
+                sim._timers, (sim.now + delay, sim._sequence, self._fire, (value,))
+            )
 
     def _fire(self, value: Any) -> None:
         # Open-coded succeed() — timer completion is the second most
@@ -184,9 +183,10 @@ class Timeout(Signal):
             if (
                 len(callbacks) == 1
                 and not immediate
-                and ((head := sim._timers.head) is None or head[0] > sim.now)
+                and (not (timers := sim._timers) or timers[0][0] > sim.now)
             ):
-                sim._count_inline_step()
+                if sim._max_steps is not None:
+                    sim._count_inline_step()
                 callbacks[0](self)
                 return
             now = sim.now
@@ -278,504 +278,24 @@ class CpuCharge:
         self.delay = delay
 
 
-class _HeapOps:
-    """Binary-heap timer-queue method bundle (shared by :class:`HeapTimers`
-    and the heap mode of :class:`AdaptiveTimers`; no instance layout)."""
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def entries(self) -> List[Tuple[float, int, Callable, tuple]]:
-        """All live entries, in arbitrary order (for queue handoff)."""
-        return list(self._heap)
-
-    def push(self, entry: Tuple[float, int, Callable, tuple]) -> None:
-        """Insert ``entry``; updates :attr:`head`."""
-        heap = self._heap
-        heappush(heap, entry)
-        self.head = heap[0]
-
-    def pop(self) -> Tuple[float, int, Callable, tuple]:
-        """Remove and return the minimum entry (:attr:`head`)."""
-        heap = self._heap
-        entry = heappop(heap)
-        self.head = heap[0] if heap else None
-        return entry
-
-    def cancel(self, entry: Tuple[float, int, Callable, tuple]) -> None:
-        """Remove a not-yet-fired ``entry``; raises ValueError if absent."""
-        heap = self._heap
-        heap.remove(entry)
-        heapify(heap)
-        self.head = heap[0] if heap else None
-
-
-class HeapTimers(_HeapOps):
-    """Binary-heap timer queue.
-
-    The small-population half of the default :class:`AdaptiveTimers`
-    hybrid, and the plain fallback (``Simulator(timers="heap")`` /
-    ``REPRO_SIM_TIMERS=heap``).
-
-    Entries are ``(fire_at, seq, callback, args)`` tuples, totally
-    ordered by ``(fire_at, seq)``.  ``head`` always holds the minimum
-    entry (or ``None`` when empty) so hot-path peeks are a single
-    attribute load.  See docs/ARCHITECTURE.md § Timer queues.
-    """
-
-    __slots__ = ("_heap", "head")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Callable, tuple]] = []
-        self.head: Optional[Tuple[float, int, Callable, tuple]] = None
-
-
-class _CalendarOps:
-    """Calendar-queue method bundle (shared by :class:`CalendarTimers`
-    and the wheel mode of :class:`AdaptiveTimers`; no instance layout)."""
-
-    #: Empty buckets walked per promote before jumping to min(buckets).
-    SCAN_LIMIT = 32
-    #: Promoted-bucket size that triggers a width re-tune.
-    OVERSIZE = 512
-    #: Cumulative empty-bucket walks that trigger a width re-tune.
-    SCAN_DEBT = 4096
-
-    __slots__ = ()
-
-    def _init_calendar(self, width: float = 1.0) -> None:
-        self._buckets: dict = {}
-        self._width = width
-        self._inv_width = 1.0 / width
-        # The current run: a sorted list consumed from index _cur_i.
-        self._cur: List[tuple] = []
-        self._cur_i = 0
-        self._cur_key = 0
-        self._size = 0
-        self._scan_debt = 0
-        self._pops_since_tune = 0
-        self.head: Optional[Tuple[float, int, Callable, tuple]] = None
-
-    def __len__(self) -> int:
-        return self._size
-
-    def entries(self) -> List[tuple]:
-        """All live entries, in arbitrary order (for queue handoff)."""
-        live = [entry for bucket in self._buckets.values() for entry in bucket]
-        live.extend(self._cur[self._cur_i :])
-        return live
-
-    def push(self, entry: Tuple[float, int, Callable, tuple]) -> None:
-        """Insert ``entry``; updates :attr:`head`.  O(1) amortized."""
-        k = int(entry[0] * self._inv_width)
-        self._size += 1
-        head = self.head
-        if head is None:
-            # Empty queue: the entry becomes the current run.
-            self._cur = [entry]
-            self._cur_i = 0
-            self._cur_key = k
-            self.head = entry
-            return
-        if k > self._cur_key:
-            bucket = self._buckets.get(k)
-            if bucket is None:
-                self._buckets[k] = [entry]
-            else:
-                bucket.append(entry)
-            return
-        # Lands inside the current run (or before it): keep the
-        # unconsumed tail sorted by bisect-inserting the entry.
-        cur = self._cur
-        i = self._cur_i
-        insort(cur, entry, i)
-        if entry < head:
-            self.head = entry
-
-    def pop(self) -> Tuple[float, int, Callable, tuple]:
-        """Remove and return the minimum entry (:attr:`head`)."""
-        entry = self.head
-        if entry is None:
-            raise IndexError("pop from empty CalendarTimers")
-        self._size -= 1
-        i = self._cur_i + 1
-        cur = self._cur
-        if i < len(cur):
-            self._cur_i = i
-            self.head = cur[i]
-        else:
-            self._promote()
-        return entry
-
-    def cancel(self, entry: Tuple[float, int, Callable, tuple]) -> None:
-        """Remove a not-yet-fired ``entry``; raises ValueError if absent."""
-        if entry is self.head:
-            self.pop()
-            return
-        k = int(entry[0] * self._inv_width)
-        if k <= self._cur_key:
-            cur = self._cur
-            i = bisect_left(cur, entry, self._cur_i)
-            if i < len(cur) and cur[i] is entry:
-                del cur[i]
-                self._size -= 1
-                return
-            raise ValueError(f"entry not queued: {entry!r}")
-        bucket = self._buckets.get(k)
-        if bucket is None:
-            raise ValueError(f"entry not queued: {entry!r}")
-        bucket.remove(entry)
-        self._size -= 1
-        if not bucket:
-            del self._buckets[k]
-
-    def _promote(self) -> None:
-        # The current run is exhausted: sort the next nonempty bucket
-        # into a fresh run.  Walks at most SCAN_LIMIT empty buckets
-        # before jumping straight to the earliest bucket number.
-        if self._size == 0:
-            self._cur = []
-            self._cur_i = 0
-            self.head = None
-            return
-        buckets = self._buckets
-        k = self._cur_key
-        bucket = None
-        for _ in range(self.SCAN_LIMIT):
-            k += 1
-            bucket = buckets.pop(k, None)
-            if bucket is not None:
-                break
-        if bucket is None:
-            self._scan_debt += self.SCAN_LIMIT
-            k = min(buckets)
-            bucket = buckets.pop(k)
-        bucket.sort()
-        self._cur = bucket
-        self._cur_i = 0
-        self._cur_key = k
-        self.head = bucket[0]
-        self._pops_since_tune += len(bucket)
-        if len(bucket) > self.OVERSIZE or self._scan_debt > self.SCAN_DEBT:
-            self._retune()
-
-    def _retune(self) -> None:
-        # Re-tune the bucket width to ~4 mean gaps between *distinct*
-        # fire times and re-bucket every future entry.  Rate-limited to
-        # once per `size` promotions so a pathological mix cannot spend
-        # its time re-bucketing.
-        if self._pops_since_tune < self._size:
-            return
-        self._pops_since_tune = 0
-        self._scan_debt = 0
-        entries = [entry for bucket in self._buckets.values() for entry in bucket]
-        entries.extend(self._cur[self._cur_i :])
-        if len(entries) < 2:
-            return
-        times = {entry[0] for entry in entries}
-        lo = min(times)
-        hi = max(times)
-        if len(times) < 2 or hi <= lo:
-            return
-        self._width = max((hi - lo) / (len(times) - 1), 1e-9) * 4.0
-        self._inv_width = 1.0 / self._width
-        inv_width = self._inv_width
-        head = self.head
-        buckets: dict = {}
-        for entry in entries:
-            if entry is head:
-                continue
-            k = int(entry[0] * inv_width)
-            bucket = buckets.get(k)
-            if bucket is None:
-                buckets[k] = [entry]
-            else:
-                bucket.append(entry)
-        # The head's own bucket must stay in the current run — _promote
-        # only ever scans *forward* from _cur_key.
-        k_head = int(head[0] * inv_width)
-        run = buckets.pop(k_head, [])
-        run.append(head)
-        run.sort()
-        self._buckets = buckets
-        self._cur = run
-        self._cur_i = 0
-        self._cur_key = k_head
-
-
-class CalendarTimers(_CalendarOps):
-    """Calendar-queue (bucketed timer wheel) timer queue.
-
-    The large-population half of the default :class:`AdaptiveTimers`
-    hybrid; also selectable outright with ``Simulator(timers="calendar")``
-    / ``REPRO_SIM_TIMERS=calendar``.
-
-    Timers hash into buckets of ``width`` virtual milliseconds by
-    absolute bucket number ``int(fire_at / width)`` (a dict keyed by
-    bucket number, so there are no wrap-around laps and far-future
-    timers cost nothing until their bucket comes up).  Buckets are
-    *lazily sorted*: a future bucket is a plain append-list; when the
-    wheel reaches it, :meth:`_promote` sorts it once (C timsort) into
-    the *current run* ``_cur``, and pops walk that run by index — O(1)
-    per pop, O(1) per push, sort cost amortized to O(log bucket) C
-    comparisons per timer.  The executed order is exactly
-    ``(fire_at, seq)`` — bit-identical to :class:`HeapTimers`, which the
-    trace checksums in ``tests/test_determinism.py`` gate.
-
-    A push landing inside the current run (delay shorter than the rest
-    of the bucket) bisect-inserts into the unconsumed tail, so ordering
-    stays exact without heap discipline.  The bucket width re-tunes
-    (``_retune``) to ~4 mean gaps between *distinct* fire times —
-    simulated timers cluster on grids (fixed think times, constant
-    latencies), and counting duplicates would undersize buckets —
-    whenever a promoted bucket is grossly oversized or the wheel walks
-    long empty stretches.  See docs/ARCHITECTURE.md § Timer queues.
-    """
-
-    __slots__ = (
-        "_buckets",
-        "_width",
-        "_inv_width",
-        "_cur",
-        "_cur_i",
-        "_cur_key",
-        "_size",
-        "_scan_debt",
-        "_pops_since_tune",
-        "head",
-    )
-
-    def __init__(self, width: float = 1.0) -> None:
-        self._init_calendar(width)
-
-
-class AdaptiveTimers:
-    """Adaptive timer queue: binary heap when small, calendar wheel when
-    large — the default.
-
-    PR 4's measurements (see ROADMAP.md § Performance) showed
-    :class:`CalendarTimers` beating C ``heapq`` on big timer populations
-    but *losing* ~10 % on small ones (``resource_contention``: ~14 live
-    timers), where heap operations are a couple of C calls and the
-    wheel's Python-level bucket bookkeeping cannot compete.  This queue
-    takes both regimes: it runs the heap code while the live size stays
-    below the upshift threshold, hands every live entry to fresh
-    calendar state when a push crosses it, and hands back when a pop
-    drains below the downshift threshold.
-
-    The thresholds are **auto-tuned online**: :data:`UP`/:data:`DOWN`
-    (64/24, PR 4's measured crossover) only seed the band.  Every
-    migration observes the live size at the handoff and folds it into
-    an integer EWMA (``_ewma16``, a 16x fixed-point mean of the sizes
-    at which the population actually crosses modes); the band is then
-    recentered around that profile — upshift at ~2x the mean, downshift
-    at ~mean/2 (clamped to ``[DOWN_MIN, up/4]``, keeping hysteresis) —
-    so a population oscillating around one fixed threshold widens its
-    own band instead of thrashing migrations, while a fresh queue
-    behaves exactly like the fixed-constant version until the first
-    handoff.  Threshold choice affects only *when* handoffs happen,
-    never pop order, so traces stay bit-identical by construction.
-
-    Implementation note: instead of delegating to an inner queue object
-    (a wrapper layer costs ~10 % on the push/pop hot path, defeating
-    the point), the instance **switches its own class** between two
-    mode classes (:class:`_AdaptiveHeap` / :class:`_AdaptiveCalendar`)
-    that share this class's slot layout and inherit the real
-    :class:`_HeapOps` / :class:`_CalendarOps` method bundles — so each
-    push/pop runs the same code as the pure queues, plus one length
-    check.  ``AdaptiveTimers()`` constructs an instance in heap mode;
-    ``isinstance(q, AdaptiveTimers)`` holds in both modes.
-
-    The handoff is *exact*: both method bundles pop in ``(fire_at,
-    seq)`` order, and a migration moves the live-entry set verbatim, so
-    the merged pop sequence is bit-identical to either pure queue — the
-    determinism trace checksums (``tests/test_determinism.py``) run on
-    this queue.  Selected with ``Simulator(timers="adaptive")`` or
-    ``REPRO_SIM_TIMERS=adaptive`` (the default); see
-    docs/ARCHITECTURE.md § Timer queues.
-    """
-
-    #: Initial (and minimum) heap -> calendar upshift threshold.
-    UP = 64
-    #: Initial calendar -> heap downshift threshold.
-    DOWN = 24
-    #: Hard ceiling for the auto-tuned upshift threshold.
-    UP_MAX = 4096
-    #: Hard floor for the auto-tuned downshift threshold.
-    DOWN_MIN = 8
-
-    # Union of both modes' state so __class__ switching keeps one layout.
-    __slots__ = (
-        "_heap",
-        "_buckets",
-        "_width",
-        "_inv_width",
-        "_cur",
-        "_cur_i",
-        "_cur_key",
-        "_size",
-        "_scan_debt",
-        "_pops_since_tune",
-        "_up",
-        "_down",
-        "_ewma16",
-        "head",
-    )
-
-    def __new__(cls) -> "AdaptiveTimers":
-        if cls is AdaptiveTimers:
-            return object.__new__(_AdaptiveHeap)
-        return object.__new__(cls)
-
-    def __init__(self) -> None:
-        self._heap = []
-        self.head = None
-        self._up = self.UP
-        self._down = self.DOWN
-        self._ewma16 = 0
-
-    @property
-    def mode(self) -> str:
-        """The active implementation: ``"heap"`` or ``"calendar"``."""
-        return "heap" if isinstance(self, _AdaptiveHeap) else "calendar"
-
-    @property
-    def band(self) -> Tuple[int, int]:
-        """The current auto-tuned ``(upshift, downshift)`` thresholds."""
-        return (self._up, self._down)
-
-    def _observe(self, n: int) -> None:
-        """Fold a migration-time live size into the threshold band.
-
-        Integer-only: ``_ewma16`` holds 16x the running mean of the
-        sizes at which the population crossed modes (gain 1/4 per
-        observation).  The band recenters on that profile — upshift at
-        ~2x the mean (clamped to [UP, UP_MAX]), downshift at ~mean/2
-        (clamped to [DOWN_MIN, upshift/4]) — so hysteresis always spans
-        at least 4x and an oscillating population settles into one mode
-        instead of thrashing handoffs.
-        """
-        e = self._ewma16
-        e = (n << 4) if e == 0 else e + (((n << 4) - e) >> 2)
-        self._ewma16 = e
-        m = e >> 4
-        up = m << 1
-        if up < self.UP:
-            up = self.UP
-        elif up > self.UP_MAX:
-            up = self.UP_MAX
-        down = m >> 1
-        cap = up >> 2
-        if down > cap:
-            down = cap
-        if down < self.DOWN_MIN:
-            down = self.DOWN_MIN
-        self._up = up
-        self._down = down
-
-
-class _AdaptiveHeap(_HeapOps, AdaptiveTimers):
-    """Heap mode of :class:`AdaptiveTimers` (push checks the UP threshold)."""
-
-    __slots__ = ()
-
-    def push(self, entry: Tuple[float, int, Callable, tuple]) -> None:
-        """Heap push, migrating to the calendar wheel past ``UP`` entries."""
-        heap = self._heap
-        heappush(heap, entry)
-        self.head = heap[0]
-        if len(heap) > self._up:
-            self._to_calendar()
-
-    def _to_calendar(self) -> None:
-        # Move the live set verbatim into fresh calendar state.  Order
-        # within the set is irrelevant: each mode orders pops by
-        # (fire_at, seq) on its own, so the handoff is exact.
-        entries = self._heap
-        self._observe(len(entries))
-        self._heap = []
-        self.__class__ = _AdaptiveCalendar
-        self._init_calendar()
-        push = _CalendarOps.push
-        for entry in entries:
-            push(self, entry)
-
-
-class _AdaptiveCalendar(_CalendarOps, AdaptiveTimers):
-    """Wheel mode of :class:`AdaptiveTimers` (pop checks the DOWN threshold)."""
-
-    __slots__ = ()
-
-    def pop(self) -> Tuple[float, int, Callable, tuple]:
-        """Calendar pop, migrating back to the heap below ``DOWN`` entries."""
-        # Inlined _CalendarOps.pop plus the downshift check: an extra
-        # call layer here is measurable at storm rates.
-        entry = self.head
-        if entry is None:
-            raise IndexError("pop from empty CalendarTimers")
-        size = self._size - 1
-        self._size = size
-        i = self._cur_i + 1
-        cur = self._cur
-        if i < len(cur):
-            self._cur_i = i
-            self.head = cur[i]
-        else:
-            self._promote()
-        if size < self._down:
-            self._to_heap()
-        return entry
-
-    def _to_heap(self) -> None:
-        # Move the live set verbatim onto a fresh heap (see _to_calendar).
-        entries = [entry for bucket in self._buckets.values() for entry in bucket]
-        entries.extend(self._cur[self._cur_i :])
-        self._observe(len(entries))
-        self._buckets = {}
-        self._cur = []
-        self.__class__ = _AdaptiveHeap
-        heapify(entries)
-        self._heap = entries
-        self.head = entries[0] if entries else None
-
-
-def _make_timers(mode: Optional[str]):
-    """Build the timer queue selected by ``mode`` / ``REPRO_SIM_TIMERS``."""
-    mode = mode or os.environ.get("REPRO_SIM_TIMERS", "adaptive")
-    if mode == "adaptive":
-        return AdaptiveTimers()
-    if mode == "calendar":
-        return CalendarTimers()
-    if mode == "heap":
-        return HeapTimers()
-    raise ValueError(
-        f"unknown timer queue {mode!r}; pick 'adaptive', 'calendar' or 'heap'"
-    )
-
-
 class _ClosedQueue:
-    """Both queues of a closed :class:`Simulator`: never anything due,
-    and a push is dropped.
+    """The immediate queue of a closed :class:`Simulator`: always empty,
+    and an append is dropped.
 
     The one thing that still schedules on a closed simulator is the
     ``finally`` block of a generator dying with the run (a held CPU unit
     handed to the next waiter); that must neither fail nor keep the
-    waiter alive.
+    waiter alive.  (The timer heap stays a plain list: see
+    :meth:`Simulator.close`.)
     """
 
     __slots__ = ()
-
-    head = None
 
     def __len__(self) -> int:
         return 0
 
     def append(self, entry: Tuple[float, int, Callable, tuple]) -> None:
-        """Drop ``entry`` (the immediate queue's verb)."""
-
-    push = append  # the timer queue's verb
+        """Drop ``entry``."""
 
 
 _CLOSED_QUEUE = _ClosedQueue()
@@ -911,8 +431,7 @@ class Process(Signal):
                 if not immediate:
                     fire_at = sim.now + target
                     until = sim._until
-                    head = timers.head
-                    if (head is None or head[0] > fire_at) and (
+                    if (not timers or timers[0][0] > fire_at) and (
                         until is None or fire_at <= until
                     ):
                         sim.now = fire_at
@@ -928,8 +447,8 @@ class Process(Signal):
                 if target == 0.0:
                     immediate.append((sim.now, sim._sequence, self._timer_cb, ()))
                 else:
-                    timers.push(
-                        (sim.now + target, sim._sequence, self._timer_cb, ())
+                    heappush(
+                        timers, (sim.now + target, sim._sequence, self._timer_cb, ())
                     )
                 return
             if type(target) is CpuCharge:
@@ -949,8 +468,7 @@ class Process(Signal):
                     return
                 if resource.acquire_now():
                     self._charge_res = resource
-                    head = timers.head
-                    if immediate or (head is not None and head[0] <= sim.now):
+                    if immediate or (timers and timers[0][0] <= sim.now):
                         # Not idle: the historical triggered grant would
                         # queue one resume behind the pending callbacks;
                         # replicate it, then start the service timer.
@@ -967,7 +485,7 @@ class Process(Signal):
                     # (fast-forward included); release on fire.
                     fire_at = sim.now + delay
                     until = sim._until
-                    if (head is None or head[0] > fire_at) and (
+                    if (not timers or timers[0][0] > fire_at) and (
                         until is None or fire_at <= until
                     ):
                         sim.now = fire_at
@@ -987,8 +505,9 @@ class Process(Signal):
                             (sim.now, sim._sequence, self._charge_timer_cb, ())
                         )
                     else:
-                        timers.push(
-                            (sim.now + delay, sim._sequence, self._charge_timer_cb, ())
+                        heappush(
+                            timers,
+                            (sim.now + delay, sim._sequence, self._charge_timer_cb, ()),
                         )
                     return
                 # Contended: wait for a unit, then run the timer.  The
@@ -1001,9 +520,7 @@ class Process(Signal):
             if isinstance(target, Signal):
                 # Inline idle_at_now(): this is the hottest branch.
                 if target._triggered:
-                    if not immediate and (
-                        (head := timers.head) is None or head[0] > sim.now
-                    ):
+                    if not immediate and (not timers or timers[0][0] > sim.now):
                         value, exc = target.value, target.exc
                         if sim._max_steps is not None:
                             sim._step_count += 1
@@ -1023,9 +540,10 @@ class Process(Signal):
                     callbacks.append(self._wait_cb)
                 return
             if target is None:
-                if sim.idle_at_now():
+                if not immediate and (not timers or timers[0][0] > sim.now):
                     value = exc = None
-                    sim._count_inline_step()
+                    if sim._max_steps is not None:
+                        sim._count_inline_step()
                     continue
                 sim.call_soon(self._step, None, None)
                 return
@@ -1064,8 +582,7 @@ class Process(Signal):
         if not sim._immediate:
             fire_at = sim.now + delay
             until = sim._until
-            head = timers.head
-            if (head is None or head[0] > fire_at) and (
+            if (not timers or timers[0][0] > fire_at) and (
                 until is None or fire_at <= until
             ):
                 sim.now = fire_at
@@ -1081,16 +598,19 @@ class Process(Signal):
         if delay == 0.0:
             sim._immediate.append((sim.now, sim._sequence, self._charge_timer_cb, ()))
         else:
-            timers.push((sim.now + delay, sim._sequence, self._charge_timer_cb, ()))
+            heappush(
+                timers, (sim.now + delay, sim._sequence, self._charge_timer_cb, ())
+            )
 
     def _charge_timer(self) -> None:
         # The service timer fired; the release runs at the (possibly
         # queued) resume — exactly where the use() generator's finally
         # block ran.
         sim = self.sim
-        head = sim._timers.head
-        if not sim._immediate and (head is None or head[0] > sim.now):
-            sim._count_inline_step()
+        timers = sim._timers
+        if not sim._immediate and (not timers or timers[0][0] > sim.now):
+            if sim._max_steps is not None:
+                sim._count_inline_step()
             resource, self._charge_res = self._charge_res, None
             resource.release_unit()
             self._step(None, None)
@@ -1109,9 +629,10 @@ class Process(Signal):
         # pending at the fire time; replicate that unless idle (where
         # the queued resume would run immediately anyway).
         sim = self.sim
-        head = sim._timers.head
-        if not sim._immediate and (head is None or head[0] > sim.now):
-            sim._count_inline_step()
+        timers = sim._timers
+        if not sim._immediate and (not timers or timers[0][0] > sim.now):
+            if sim._max_steps is not None:
+                sim._count_inline_step()
             self._step(None, None)
         else:
             sim._sequence += 1
@@ -1131,26 +652,25 @@ class Simulator:
 
     Zero-delay callbacks — the bulk of a protocol simulation (signal
     completions, process resumes, same-time hops) — bypass the timer
-    queue via an *immediate queue*, a FIFO deque whose entries carry the
+    heap via an *immediate queue*, a FIFO deque whose entries carry the
     same ``(time, sequence)`` keys as timer entries.  The run loop
-    merges the two by key, so the executed order is identical to the
+    merges the two by key, so the executed order is identical to a
     heap-only kernel while zero-delay scheduling costs O(1).
 
-    Positive delays go to the *timer queue*: the :class:`AdaptiveTimers`
-    heap/wheel hybrid by default, or a pure :class:`CalendarTimers`
-    bucketed wheel / :class:`HeapTimers` binary heap
-    (``timers="calendar"``/``"heap"`` or ``REPRO_SIM_TIMERS``).  All
-    three order entries exactly by ``(fire_at, sequence)``, so the
-    choice never affects a trace.
+    Positive delays go to the *timer heap*: a plain list of
+    ``(fire_at, sequence, callback, args)`` tuples that this module's
+    hot sites drive with ``heappush``/``heappop``/``heap[0]`` directly —
+    nothing outside ``sim/kernel.py`` knows it is a heap (why a heap:
+    docs/ARCHITECTURE.md § Timer queue).
 
     A run ends with :meth:`close`, which frees whatever is still queued
     or suspended by reference count; ``run``/``process``/``schedule``/
     ``cancel`` then raise :class:`SimulationError`.
     """
 
-    def __init__(self, timers: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self._timers = _make_timers(timers)
+        self._timers: List[Tuple[float, int, Callable, tuple]] = []
         self._immediate: Deque[Tuple[float, int, Callable, tuple]] = deque()
         self._sequence = 0
         self._step_count = 0
@@ -1181,9 +701,13 @@ class Simulator:
         if self._closed:
             return
         self._closed = True
-        self._timers = self._immediate = _CLOSED_QUEUE
+        self._immediate = _CLOSED_QUEUE
+        self._timers = []
         for process in list(self._processes):
             process._abandon()
+        # A dying generator's ``finally`` may still have armed a timer
+        # (a lock-release message): it goes with the run.
+        self._timers.clear()
         self.ready = None
 
     # ------------------------------------------------------------------
@@ -1207,8 +731,20 @@ class Simulator:
             self._immediate.append(entry)
         else:
             entry = (self.now + delay, self._sequence, callback, args)
-            self._timers.push(entry)
+            heappush(self._timers, entry)
         return entry
+
+    def _schedule_at(self, fire_at: float, callback: Callable, args: tuple) -> None:
+        """Arm a timer at absolute time ``fire_at`` (later than ``now``).
+
+        :meth:`schedule` for this package's own per-event callers: no
+        checks, no entry returned, and — unlike ``schedule`` — legal
+        while the simulator closes, where the ``finally`` of a dying
+        generator may still send a lock release (dropped by
+        :meth:`close`).
+        """
+        self._sequence += 1
+        heappush(self._timers, (fire_at, self._sequence, callback, args))
 
     def cancel(self, entry: Tuple[float, int, Callable, tuple]) -> None:
         """Cancel a not-yet-fired entry returned by :meth:`schedule`.
@@ -1222,7 +758,9 @@ class Simulator:
             try:
                 self._immediate.remove(entry)
             except ValueError:
-                self._timers.cancel(entry)
+                timers = self._timers
+                timers.remove(entry)
+                heapify(timers)
         except ValueError:
             raise SimulationError(
                 f"cancelling an entry that already fired: {entry!r}"
@@ -1245,8 +783,8 @@ class Simulator:
         """
         if self._immediate:
             return False
-        head = self._timers.head
-        return head is None or head[0] > self.now
+        timers = self._timers
+        return not timers or timers[0][0] > self.now
 
     def _count_inline_step(self) -> None:
         """Account an inline trampoline resume as one scheduler step.
@@ -1305,7 +843,7 @@ class Simulator:
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
-        # The loop merges the immediate queue and the heap on
+        # The loop merges the immediate queue and the timer heap on
         # (time, seq): both are ordered, so comparing the two fronts
         # yields the globally next callback.  Three specializations keep
         # per-dispatch branch count minimal; step accounting only runs
@@ -1313,44 +851,41 @@ class Simulator:
         try:
             if max_steps is None and until is None:
                 while True:
-                    head = timers.head
                     if immediate:
-                        if head is None or head >= immediate[0]:
+                        if not timers or timers[0] >= immediate[0]:
                             entry = immediate.popleft()
                         else:
-                            entry = timers.pop()
-                    elif head is not None:
-                        entry = timers.pop()
+                            entry = heappop(timers)
+                    elif timers:
+                        entry = heappop(timers)
                     else:
                         break
                     self.now = entry[0]
                     entry[2](*entry[3])
             elif max_steps is None:
                 while True:
-                    head = timers.head
-                    if immediate and (head is None or head >= immediate[0]):
+                    if immediate and (not timers or timers[0] >= immediate[0]):
                         entry = immediate[0]
                         if entry[0] > until:
                             self.now = until
                             return self.now
                         immediate.popleft()
-                    elif head is not None:
-                        if head[0] > until:
+                    elif timers:
+                        if timers[0][0] > until:
                             self.now = until
                             return self.now
-                        entry = timers.pop()
+                        entry = heappop(timers)
                     else:
                         break
                     self.now = entry[0]
                     entry[2](*entry[3])
             else:
                 while True:
-                    head = timers.head
-                    if immediate and (head is None or head >= immediate[0]):
+                    if immediate and (not timers or timers[0] >= immediate[0]):
                         entry = immediate[0]
                         from_immediate = True
-                    elif head is not None:
-                        entry = head
+                    elif timers:
+                        entry = timers[0]
                         from_immediate = False
                     else:
                         break
@@ -1361,7 +896,7 @@ class Simulator:
                     if from_immediate:
                         immediate.popleft()
                     else:
-                        timers.pop()
+                        heappop(timers)
                     self.now = fire_at
                     self._step_count += 1
                     if self._step_count > max_steps:
@@ -1392,5 +927,5 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of callbacks still queued (timer queue + immediate queue)."""
+        """Number of callbacks still queued (timer heap + immediate queue)."""
         return len(self._timers) + len(self._immediate)

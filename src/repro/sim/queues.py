@@ -169,8 +169,7 @@ class Resource:
         dispatch-loop boundary instead.
         """
         sim = self.sim
-        head = sim._timers.head
-        if sim._immediate or (head is not None and head[0] <= sim.now):
+        if not sim.idle_at_now():
             return True
         if sim._max_steps is not None:
             sim._step_count += 1

@@ -14,7 +14,6 @@ Covers the PR 8 surface end to end:
   aggregates, bounded percentile error vs an exact recorder on seeded
   streams, deterministic resampling, and cross-mode byte-identity below
   the threshold (the golden quick figures never leave exact mode);
-* auto-tuned :class:`~repro.sim.kernel.AdaptiveTimers` thresholds;
 * the massive-tier application and its registered scenarios; and
 * result-store compression plus the ``gc --max-bytes`` byte budget.
 """
@@ -41,7 +40,6 @@ from repro.harness.scenarios import (
 )
 from repro.results import MISS, ResultStore
 from repro.results.__main__ import parse_size
-from repro.sim.kernel import AdaptiveTimers
 from repro.sim.metrics import DEFAULT_SAMPLE_THRESHOLD, LatencyRecorder
 from repro.workloads.generators import ClosedLoopClients
 
@@ -353,63 +351,6 @@ def test_quick_figure_runs_never_leave_exact_mode():
     assert recorder.sampling is False
     assert 0 < len(recorder) < DEFAULT_SAMPLE_THRESHOLD
     assert result.completed > 0
-
-
-# ----------------------------------------------------------------------
-# AdaptiveTimers: auto-tuned thresholds
-# ----------------------------------------------------------------------
-def _entry(t, seq):
-    return (t, seq, None, ())
-
-
-def test_band_seeds_at_measured_crossover():
-    assert AdaptiveTimers().band == (AdaptiveTimers.UP, AdaptiveTimers.DOWN) == (64, 24)
-
-
-def test_band_recenters_at_upshift():
-    ada = AdaptiveTimers()
-    for i in range(65):
-        ada.push(_entry(1.0 + 0.01 * i, i))
-    assert ada.mode == "calendar"  # crossed UP -> migrated
-    up, down = ada.band
-    assert (up, down) == (130, 32)  # first observation: mean = 65
-    assert up >= 4 * down  # hysteresis spans at least 4x
-
-
-def test_band_recenters_at_downshift():
-    ada = AdaptiveTimers()
-    for i in range(65):
-        ada.push(_entry(1.0 + 0.01 * i, i))
-    band_after_up = ada.band
-    while ada.mode == "calendar":
-        ada.pop()
-    up, down = ada.band
-    assert ada.band != band_after_up  # downshift folded in a new sample
-    assert AdaptiveTimers.UP <= up <= AdaptiveTimers.UP_MAX
-    assert AdaptiveTimers.DOWN_MIN <= down <= up >> 2
-
-
-def test_band_clamps_to_hard_limits():
-    huge = AdaptiveTimers()
-    huge._observe(10**6)
-    assert huge.band == (AdaptiveTimers.UP_MAX, AdaptiveTimers.UP_MAX >> 2)
-    tiny = AdaptiveTimers()
-    tiny._observe(1)
-    assert tiny.band == (AdaptiveTimers.UP, AdaptiveTimers.DOWN_MIN)
-
-
-def test_adaptation_preserves_handoff_exactness():
-    # Pops must drain in (fire_at, seq) order across auto-tuned
-    # migrations exactly as a plain heap would.
-    ada = AdaptiveTimers()
-    rng = Random(11)
-    entries = [_entry(rng.random() * 50.0, i) for i in range(300)]
-    for entry in entries:
-        ada.push(entry)
-    drained = []
-    while len(ada):
-        drained.append(ada.pop())
-    assert drained == sorted(entries)
 
 
 # ----------------------------------------------------------------------

@@ -483,9 +483,44 @@ def test_closing_mid_flight_is_quiet_and_complete(system, monkeypatch):
         testbed, _clients = _game_bed(system, n_servers=2, n_clients=40)
         testbed.sim.run(until=50.3)
         assert testbed.runtime.events_inflight > 10
-        assert testbed.sim.pending_events > 0
+        sim = testbed.sim
+        assert sim.pending_events > 0  # service and think timers, messages in flight
         testbed.close()
-        del testbed, _clients
+        assert sim.pending_events == 0
+        del testbed, _clients, sim
+        assert gc.collect() <= GARBAGE_PER_CELL
+    finally:
+        gc.enable()
+    assert not unraisable
+
+
+def test_timer_armed_while_closing_is_dropped(monkeypatch):
+    """A dying generator's ``finally`` may still arm a timer (Orleans
+    sends its lock releases from one): on a closing simulator that
+    neither raises nor keeps the entry — or what it refers to — alive."""
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulator()
+        cpu = Resource(sim, capacity=1)
+
+        def holder(name):
+            try:
+                yield from cpu.use(100.0)
+            finally:
+                sim.timeout(5.0)
+                sim._schedule_at(sim.now + 1.0, holder, (name,))
+
+        for name in "abc":
+            sim.process(holder(name))
+        sim.schedule(30.0, print)
+        sim.run(until=10.0)
+        assert sim.pending_events == 2  # the service timer and the print
+        sim.close()
+        assert sim.pending_events == 0
+        del sim, cpu
         assert gc.collect() <= GARBAGE_PER_CELL
     finally:
         gc.enable()
