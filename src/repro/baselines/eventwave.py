@@ -177,40 +177,6 @@ class EventWaveRuntime(RuntimeBase):
             self._sequencer = Resource(self.sim, capacity=1, name="eventwave-root-seq")
         return self._sequencer
 
-    # ------------------------------------------------------------------
-    # Nested calls: reserve-then-claim down the tree, no early release
-    # ------------------------------------------------------------------
-    def _sync_call(
-        self,
-        event: Event,
-        spec: CallSpec,
-        branch: Branch,
-        caller_server: Server,
-        caller_cid: str,
-    ) -> Generator:
-        reserved = self._reserve_path(event, branch, caller_cid, spec.target)
-        if reserved:
-            current = yield from self._claim_reserved(event, reserved, caller_server)
-        else:
-            current = caller_server
-        callee_server = self.server_of(spec.target)
-        if current.name != callee_server.name:
-            yield self._charge(current, self.costs.net_cpu_ms)
-            event.hops += 1
-            yield self.network.delay_ms(
-                current.name, callee_server.name, self.costs.proto_msg_bytes
-            )
-        yield self._charge(callee_server, self.costs.route_cpu_ms)
-        result = yield from self._drive_body(event, spec, branch)
-        landed = self.server_of(spec.target)
-        if landed.name != caller_server.name:
-            yield self._charge(landed, self.costs.net_cpu_ms)
-            event.hops += 1
-            yield self.network.delay_ms(
-                landed.name, caller_server.name, self.costs.proto_msg_bytes
-            )
-        return result
-
     def _spawn_async(
         self, event: Event, spec: CallSpec, caller_server: Server, caller_cid: str
     ) -> None:  # pragma: no cover - supports_async is False

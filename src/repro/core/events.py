@@ -160,7 +160,6 @@ class Event:
         "open_branches",
         "quiescent",
         "deferred_locks",
-        "release_horizon",
     )
 
     def __init__(
@@ -197,48 +196,6 @@ class Event:
         self.open_branches = 1  # the root branch
         self.quiescent: Any = None
         self.deferred_locks: List[str] = []
-        # Latest simulated time at which a lock release scheduled by this
-        # event fires.  The runtime's event pool refuses to recycle an
-        # event until this horizon is strictly in the past, so a pooled
-        # record is never aliased by a still-pending release callback.
-        self.release_horizon = -1.0
-
-    def reinit(
-        self,
-        eid: int,
-        spec: CallSpec,
-        mode: AccessMode,
-        client: str,
-        submitted_ms: float,
-        tag: str = "",
-    ) -> None:
-        """Reset a recycled event record as if freshly constructed.
-
-        Mirrors ``__init__`` field by field; the read/write/sub-event
-        containers are cleared in place (cleared dicts restart their
-        insertion order, so history commits are byte-identical to a
-        fresh event's).
-        """
-        self.eid = eid
-        self.spec = spec
-        self.mode = mode
-        self.client = client
-        self.tag = tag
-        self.dom = None
-        self.submitted_ms = submitted_ms
-        self.started_ms = None
-        self.committed_ms = None
-        self.result = None
-        self.error = None
-        self.reads.clear()
-        self.writes.clear()
-        self.sub_events.clear()
-        self.hops = 0
-        self.held = set()
-        self.open_branches = 1
-        self.quiescent = None
-        self.deferred_locks = []
-        self.release_horizon = -1.0
 
     @property
     def target(self) -> str:

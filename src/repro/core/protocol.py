@@ -134,41 +134,6 @@ class AeonRuntime(RuntimeBase):
         yield self.network.delay_ms(reply_from.name, client.name, costs.client_msg_bytes)
 
     # ------------------------------------------------------------------
-    # Synchronous nested calls (scheduleNext + activatePath)
-    # ------------------------------------------------------------------
-    def _sync_call(
-        self,
-        event: Event,
-        spec: CallSpec,
-        branch: Branch,
-        caller_server: Server,
-        caller_cid: str,
-    ) -> Generator:
-        reserved = self._reserve_path(event, branch, caller_cid, spec.target)
-        if reserved:
-            current = yield from self._claim_reserved(event, reserved, caller_server)
-        else:
-            current = caller_server
-        callee_server = self.server_of(spec.target)
-        if current.name != callee_server.name:
-            yield self._charge(current, self.costs.net_cpu_ms)
-            event.hops += 1
-            yield self.network.delay_ms(
-                current.name, callee_server.name, self.costs.proto_msg_bytes
-            )
-        yield self._charge(callee_server, self.costs.route_cpu_ms)
-        result = yield from self._drive_body(event, spec, branch)
-        # Synchronous call: control (and the result) returns to the caller.
-        landed = self.server_of(spec.target)
-        if landed.name != caller_server.name:
-            yield self._charge(landed, self.costs.net_cpu_ms)
-            event.hops += 1
-            yield self.network.delay_ms(
-                landed.name, caller_server.name, self.costs.proto_msg_bytes
-            )
-        return result
-
-    # ------------------------------------------------------------------
     # Asynchronous calls (new branches)
     # ------------------------------------------------------------------
     def _spawn_async(

@@ -11,9 +11,10 @@ Orleans) have in common:
   ``async_``/``dispatch`` markers, ``compute`` and ``sleep``.
 
 Subclasses implement the protocol-specific pieces: how an event reaches
-its target (:meth:`RuntimeBase._event_process`), how a synchronous nested
-call is arbitrated (:meth:`RuntimeBase._sync_call`) and how asynchronous
-calls are spawned (:meth:`RuntimeBase._spawn_async`).
+its target (:meth:`RuntimeBase._event_process`) and how asynchronous
+calls are spawned (:meth:`RuntimeBase._spawn_async`); Orleans also
+replaces the reserve-then-claim arbitration of a synchronous nested call
+(:meth:`RuntimeBase._sync_call`).
 """
 
 from __future__ import annotations
@@ -170,8 +171,6 @@ class RuntimeBase:
         self.ownership = OwnershipNetwork()
         self.analysis = StaticAnalysis()
         self._new_table()
-        #: Finished Event records available for reuse (see recycle_event).
-        self._event_pool: List[Event] = []
         self.latency = LatencyRecorder()
         self.throughput = ThroughputRecorder()
         self.history: Optional[HistoryRecorder] = HistoryRecorder() if record_history else None
@@ -265,22 +264,13 @@ class RuntimeBase:
                 return
         raise UnknownContextError(f"virtual context {cid!r} has no placed member")
 
-    def _exec(self, server: Server, work_ms: float) -> Generator:
-        """Occupy ``server``'s CPU for scaled ``work_ms`` of unit work.
-
-        Generator form (``yield from self._exec(...)``); hot paths use
-        :meth:`_charge` instead, which the kernel interprets without a
-        generator.  The instance-speed scaling is open-coded
-        (= ``itype.cpu_ms``).
-        """
-        return server.cpu.use(work_ms * self.cpu_factor / server.itype.speed)
-
     def _charge(self, server: Server, work_ms: float) -> CpuCharge:
         """A kernel-interpreted CPU charge: ``yield self._charge(...)``.
 
-        Semantically identical to ``yield from self._exec(...)`` — the
-        process trampoline runs the acquire/hold/release sequence
-        directly, so no generator is allocated or walked per charge.
+        Occupies ``server``'s CPU for ``work_ms`` of unit work scaled by
+        the instance speed (open-coded ``itype.cpu_ms``).  The process
+        trampoline runs the acquire/hold/release sequence directly, so
+        no generator is allocated or walked per charge.
         One mutable CpuCharge is reused for every call: the kernel
         consumes it synchronously within the same send (a yielded
         charge reaches the trampoline before any other code runs), so
@@ -290,21 +280,6 @@ class RuntimeBase:
         charge.resource = server.cpu
         charge.delay = work_ms * self.cpu_factor / server.itype.speed
         return charge
-
-    def _hop(
-        self, event: Event, src_server: Server, dst_name: str, size_bytes: int
-    ) -> Generator:
-        """Send a message from ``src_server`` to endpoint ``dst_name``.
-
-        Cross-server messages charge sender-side CPU (serialization,
-        syscalls) before traversing the network; same-server delivery is
-        (nearly) free.  This asymmetry is what rewards AEON's placement
-        co-location and penalizes Orleans' hash placement.
-        """
-        if src_server.name != dst_name:
-            yield self._charge(src_server, self.costs.net_cpu_ms)
-            event.hops += 1
-        yield self.network.delay_ms(src_server.name, dst_name, size_bytes)
 
     def lock_of(self, cid: str) -> ContextLock:
         """The lock object for ``cid`` (created lazily for virtual joins)."""
@@ -565,38 +540,11 @@ class RuntimeBase:
         ro_allowed = self.supports_readonly and ro_method
         mode = AccessMode.RO if ro_allowed else AccessMode.EX
         self._eid_counter += 1
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            event.reinit(self._eid_counter, spec, mode, client.name, self.sim.now, tag)
-        else:
-            event = Event(self._eid_counter, spec, mode, client.name, self.sim.now, tag)
+        event = Event(self._eid_counter, spec, mode, client.name, self.sim.now, tag)
         completion = Signal(self.sim, "event")
         self.events_inflight += 1
         _EventProcess(self, event, completion, self._event_process(event, client))
         return completion
-
-    def recycle_event(self, event: Optional[Event]) -> None:
-        """Return a finished event record to the allocation pool.
-
-        Safe only once the runtime can no longer reference the record:
-        it finished (``held`` is ``None``) and every lock release it
-        scheduled has fired (``release_horizon`` strictly in the past —
-        simulated time is monotonic, so the check holds forever after).
-        Ineligible events are left to the garbage collector, so callers
-        may hand back every event they observe.
-        """
-        if (
-            event is not None
-            and event.held is None
-            and event.release_horizon < self.sim.now
-            and len(self._event_pool) < 2048
-        ):
-            # Nobody reads a pooled record: it must not keep its last
-            # call, result and error (exception plus traceback) alive
-            # until it happens to be reused.
-            event.spec = event.result = event.error = None
-            self._event_pool.append(event)
 
     def _finish_event(self, event: Event, completion: Signal) -> None:
         if event.committed_ms is None:
@@ -864,6 +812,43 @@ class RuntimeBase:
             yield grant
         return current
 
+    def _sync_call(
+        self,
+        event: Event,
+        spec: CallSpec,
+        branch: Branch,
+        caller_server: Server,
+        caller_cid: str,
+    ) -> Generator:
+        """Arbitrate and execute a synchronous nested call.
+
+        Reserve-then-claim down ``findPath(caller, callee)``, run the
+        callee's body, return control (and the result) to the caller's
+        server.  AEON and EventWave share it; Orleans overrides it.
+        """
+        reserved = self._reserve_path(event, branch, caller_cid, spec.target)
+        if reserved:
+            current = yield from self._claim_reserved(event, reserved, caller_server)
+        else:
+            current = caller_server
+        callee_server = self.server_of(spec.target)
+        if current.name != callee_server.name:
+            yield self._charge(current, self.costs.net_cpu_ms)
+            event.hops += 1
+            yield self.network.delay_ms(
+                current.name, callee_server.name, self.costs.proto_msg_bytes
+            )
+        yield self._charge(callee_server, self.costs.route_cpu_ms)
+        result = yield from self._drive_body(event, spec, branch)
+        landed = self.server_of(spec.target)
+        if landed.name != caller_server.name:
+            yield self._charge(landed, self.costs.net_cpu_ms)
+            event.hops += 1
+            yield self.network.delay_ms(
+                landed.name, caller_server.name, self.costs.proto_msg_bytes
+            )
+        return result
+
     def _release_branch_locks(self, event: Event, branch: Branch, at_server: Server) -> None:
         """Release a branch's locks in reverse acquisition order."""
         held = event.held
@@ -915,13 +900,10 @@ class RuntimeBase:
     def _dispatch_release(self, lock: ContextLock, delay: float, event: Event) -> None:
         """Schedule one lock release ``delay`` ms out (0 = immediate queue)."""
         sim = self.sim
-        at = sim.now + delay
-        if at > event.release_horizon:
-            event.release_horizon = at
         if delay == 0.0:  # zero-latency model: immediate queue, not timers
             sim.call_soon(lock.release, event)
         else:
-            sim._schedule_at(at, lock.release, (event,))
+            sim._schedule_at(sim.now + delay, lock.release, (event,))
 
     def _schedule_release(self, event: Event, cid: str, from_server: Server) -> None:
         """Release ``cid`` after the release message's one-way latency."""
@@ -972,30 +954,18 @@ class RuntimeBase:
             if len(locks) == 1:
                 self._dispatch_release(locks[0], delay, event)
                 continue
-            at = sim.now + delay
-            if at > event.release_horizon:
-                event.release_horizon = at
             if delay == 0.0:
                 sim.call_soon(_release_lock_batch, sim, locks, event)
             else:
-                sim._schedule_at(at, _release_lock_batch, (sim, locks, event))
+                sim._schedule_at(
+                    sim.now + delay, _release_lock_batch, (sim, locks, event)
+                )
 
     # ------------------------------------------------------------------
     # Protocol-specific hooks
     # ------------------------------------------------------------------
     def _event_process(self, event: Event, client: ClientHandle) -> Generator:
         """Drive one event end to end (subclass responsibility)."""
-        raise NotImplementedError
-
-    def _sync_call(
-        self,
-        event: Event,
-        spec: CallSpec,
-        branch: Branch,
-        caller_server: Server,
-        caller_cid: str,
-    ) -> Generator:
-        """Arbitrate and execute a synchronous nested call."""
         raise NotImplementedError
 
     def _spawn_async(

@@ -10,8 +10,6 @@ from .scenarios import (
 )
 
 __all__ = [
-    "ALL_EXPERIMENTS",
-    "render",
     "CellPool",
     "RunResult",
     "SYSTEMS",
@@ -25,13 +23,3 @@ __all__ = [
     "scenario",
 ]
 
-
-def __getattr__(name: str):
-    # Resolved on first use: an eager import would put .experiments in
-    # sys.modules before ``python -m repro.harness.experiments`` runs it
-    # as ``__main__`` — a RuntimeWarning on every CLI run.
-    if name in ("ALL_EXPERIMENTS", "render"):
-        from . import experiments
-
-        return getattr(experiments, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

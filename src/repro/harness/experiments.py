@@ -1,39 +1,33 @@
-"""CLI + legacy figure aliases over the declarative scenario engine.
+"""CLI over the declarative scenario engine.
 
 Every table and figure of the paper's §6 — and every scenario beyond
 them — is a registered :class:`~repro.harness.scenarios.ScenarioSpec`
-(see :mod:`repro.harness.scenarios` and docs/SCENARIOS.md).  This
-module keeps the historical surface:
+(see :mod:`repro.harness.scenarios` and docs/SCENARIOS.md); library
+callers run one with :func:`~repro.harness.scenarios.run_scenario`.
+This module is the command line (:func:`main`)::
 
-* ``figNx()``/``table1()``/``ablation_chain_release()`` are thin
-  aliases calling :func:`~repro.harness.scenarios.run_scenario` on the
-  registered spec of the same name — their figure data is
-  byte-identical to the pre-spec implementations;
-* :data:`ALL_EXPERIMENTS` maps the legacy names to those aliases;
-* :func:`main` is the command line::
+    python -m repro.harness.experiments --figure fig5a --scale quick
+    python -m repro.harness.experiments --all --scale quick --jobs 4
+    python -m repro.harness.experiments --list-scenarios
+    python -m repro.harness.experiments --scenario churn_sweep \\
+        --set mtbf_ms=1000,4000 --jobs 2
 
-      python -m repro.harness.experiments --figure fig5a --scale quick
-      python -m repro.harness.experiments --all --scale quick --jobs 4
-      python -m repro.harness.experiments --list-scenarios
-      python -m repro.harness.experiments --scenario churn_sweep \\
-          --set mtbf_ms=1000,4000 --jobs 2
+``--scenario`` runs any registered scenario — *repeat it* to run a
+matrix of scenarios through one shared executor, each with its own
+trailing ``--set`` overrides::
 
-  ``--scenario`` runs any registered scenario — *repeat it* to run a
-  matrix of scenarios through one shared executor, each with its own
-  trailing ``--set`` overrides::
+    python -m repro.harness.experiments \\
+        --scenario churn_sweep --set mtbf_ms=1000 \\
+        --scenario churn_sweep --set mtbf_ms=4000 --jobs 2
 
-      python -m repro.harness.experiments \\
-          --scenario churn_sweep --set mtbf_ms=1000 \\
-          --scenario churn_sweep --set mtbf_ms=4000 --jobs 2
-
-  ``--set key=value`` overrides a sweep axis or (sub-)spec field (it
-  binds to the nearest preceding ``--scenario``; before any, it applies
-  globally); ``--all`` runs the eleven paper figures on one shared
-  worker pool (cells stream across figure boundaries — no idle cores
-  while a straggler finishes).  ``--executor serial|pool|queue`` picks
-  where cells run (docs/ARCHITECTURE.md § Executors); the queue backend
-  publishes cells to a ``--queue-dir`` spool that any number of
-  ``python -m repro.exec.worker`` processes drain.
+``--set key=value`` overrides a sweep axis or (sub-)spec field (it
+binds to the nearest preceding ``--scenario``; before any, it applies
+globally); ``--all`` runs the eleven paper figures on one shared
+worker pool (cells stream across figure boundaries — no idle cores
+while a straggler finishes).  ``--executor serial|pool|queue`` picks
+where cells run (docs/ARCHITECTURE.md § Executors); the queue backend
+publishes cells to a ``--queue-dir`` spool that any number of
+``python -m repro.exec.worker`` processes drain.
 
 Per-figure reference (knobs, expected wall-clock, how to read each
 table): docs/EXPERIMENTS.md.  Scenario authoring: docs/SCENARIOS.md.
@@ -44,110 +38,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..exec import EXECUTORS, ExecutorError, QueueExecutor, WorkerLostError
 from ..results.store import open_store, resolve_mode
 from .runner import CellPool
 from .scenarios import (
+    PAPER_FIGURES,
     SCALES,
-    Scale,
     ScenarioError,
-    ScenarioSpec,
-    _elastic_game_run,  # noqa: F401  (re-export: benchmarks drive it directly)
     _jsonable,
     assemble_scenario,
     expand,
-    fig10_phases,  # noqa: F401  (re-export: fig10 benchmark reads phases)
     get_scenario,
     list_scenarios,
     prepare_scenario,
     render_scenario,
-    run_scenario,
 )
 
-__all__ = [
-    "fig5a",
-    "fig5b",
-    "fig6a",
-    "fig6b",
-    "fig7",
-    "table1",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "ablation_chain_release",
-    "ALL_EXPERIMENTS",
-    "SCALES",
-    "Scale",
-    "render",
-    "main",
-]
-
-
-def _alias(name: str) -> Callable:
-    """Build a legacy ``figN(scale, seed, jobs)`` wrapper for a scenario."""
-
-    def run(
-        scale: str = "quick",
-        seed: int = 0,
-        jobs: int = 1,
-        cache: str = "off",
-        cache_dir: Optional[str] = None,
-    ):
-        return run_scenario(
-            name, scale=scale, seed=seed, jobs=jobs,
-            cache=cache, cache_dir=cache_dir,
-        )
-
-    run.__name__ = name
-    run.__qualname__ = name
-    run.__doc__ = (
-        f"{get_scenario(name).description or get_scenario(name).title}\n\n"
-        f"Thin alias for ``run_scenario({name!r})``: ``scale`` picks the\n"
-        f"sizing preset, ``seed`` the RNG seed, ``jobs`` the worker\n"
-        f"processes (1 = serial, 0 = one per core; figure data is\n"
-        f"byte-identical at any level), ``cache``/``cache_dir`` the\n"
-        f"persistent result store (docs/ARCHITECTURE.md § Result store).\n"
-        f"Reference: docs/EXPERIMENTS.md § {name}."
-    )
-    return run
-
-
-fig5a = _alias("fig5a")
-fig5b = _alias("fig5b")
-fig6a = _alias("fig6a")
-fig6b = _alias("fig6b")
-fig7 = _alias("fig7")
-table1 = _alias("table1")
-fig8 = _alias("fig8")
-fig9 = _alias("fig9")
-fig10 = _alias("fig10")
-fig11 = _alias("fig11")
-ablation_chain_release = _alias("ablation")
-
-#: The paper's figures by CLI name (the ``--all`` set).  Every entry is
-#: also a registered scenario; ``--scenario`` additionally reaches the
-#: beyond-the-paper scenarios (``--list-scenarios`` shows everything).
-ALL_EXPERIMENTS: Dict[str, Callable] = {
-    "fig5a": fig5a,
-    "fig5b": fig5b,
-    "fig6a": fig6a,
-    "fig6b": fig6b,
-    "fig7": fig7,
-    "table1": table1,
-    "fig8": fig8,
-    "fig9": fig9,
-    "fig10": fig10,
-    "fig11": fig11,
-    "ablation": ablation_chain_release,
-}
-
-
-def render(name: str, data) -> str:
-    """Human-readable rendering for any registered scenario's result."""
-    return render_scenario(get_scenario(name), data)
+__all__ = ["main"]
 
 
 class _MatrixScenario(argparse.Action):
@@ -202,7 +111,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     docs/EXPERIMENTS.md and docs/SCENARIOS.md.
     """
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--figure", choices=sorted(ALL_EXPERIMENTS), default=None)
+    parser.add_argument("--figure", choices=sorted(PAPER_FIGURES), default=None)
     parser.add_argument(
         "--scenario",
         choices=list_scenarios(),
@@ -311,7 +220,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         width = max(len(name) for name in list_scenarios())
         for name in list_scenarios():
             spec = get_scenario(name)
-            marker = "*" if name in ALL_EXPERIMENTS else " "
+            marker = "*" if name in PAPER_FIGURES else " "
             print(f"{marker} {name:<{width}}  {spec.description or spec.title}")
         print("\n(* = part of --all; others run via --scenario NAME)")
         return 0
@@ -333,7 +242,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(
                 "--set requires a single scenario (--scenario or --figure)"
             )
-        chosen = [(name, name, []) for name in sorted(ALL_EXPERIMENTS)]
+        chosen = [(name, name, []) for name in sorted(PAPER_FIGURES)]
     else:
         name = args.figure or "fig5a"
         chosen = [(name, name, list(args.overrides))]

@@ -1,18 +1,19 @@
 """Experiment runner: build a cluster + runtime + app, drive, measure.
 
 Every figure in docs/EXPERIMENTS.md is produced through
-:func:`run_game` / the drivers in :mod:`repro.harness.experiments`, so
+:func:`run_game` / the drivers in :mod:`repro.harness.scenarios`, so
 all experiments share one measurement discipline: fixed warmup cut,
 fixed measurement window, deterministic seeds.
 
-This module also hosts the **parallel experiment engine**: every figure
-decomposes into independent :class:`Cell`\\ s (one self-contained
-simulation each — typically one ``(system, server_count, seed)`` run),
-executed serially or across worker processes by :func:`run_cells`, and
-reassembled in cell order so the figure data is byte-identical at any
-``--jobs`` level.  See docs/ARCHITECTURE.md § Parallel experiment
-engine for why cells parallelise safely (each builds its own simulator
-and named RNG streams; nothing reads wall-clock state).
+This module also wires the **parallel experiment engine**: every figure
+decomposes into independent :class:`~repro.exec.Cell`\\ s (one
+self-contained simulation each — typically one ``(system,
+server_count, seed)`` run), executed serially or across worker
+processes by :func:`run_cells`, and reassembled in cell order so the
+figure data is byte-identical at any ``--jobs`` level.  See
+docs/ARCHITECTURE.md § Parallel experiment engine for why cells
+parallelise safely (each builds its own simulator and named RNG
+streams; nothing reads wall-clock state).
 """
 
 from __future__ import annotations
@@ -26,23 +27,7 @@ from ..baselines import EventWaveRuntime, OrleansRuntime
 from ..core.costs import CostModel, DEFAULT_COSTS
 from ..core.protocol import AeonRuntime
 from ..core.runtime import RuntimeBase
-
-# The cell primitives and executor backends live in ``repro.exec``
-# (docs/ARCHITECTURE.md § Executors); re-exported here because the
-# harness is their historical home and every figure module imports
-# them from this path.
-from ..exec.base import (  # noqa: F401  (re-exports)
-    Cell,
-    CellResult,
-    Executor,
-    ExecutorError,
-    WorkerLostError,
-    execute_cell,
-    execute_cell_timed,
-    make_executor,
-    resolve_executor,
-    resolve_jobs,
-)
+from ..exec import Cell, CellResult, make_executor, resolve_jobs
 from ..results.store import MISS, ResultStore
 from ..sim.cluster import Cluster, InstanceType, M3_LARGE, Server
 from ..sim.kernel import Simulator
@@ -57,12 +42,6 @@ __all__ = [
     "make_testbed",
     "RunResult",
     "run_game",
-    "Cell",
-    "CellResult",
-    "execute_cell",
-    "execute_cell_timed",
-    "resolve_jobs",
-    "resolve_executor",
     "run_cells",
     "CellPool",
 ]
@@ -226,8 +205,8 @@ def run_cells(
 ) -> List[CellResult]:
     """Execute ``cells`` and return their results *in cell order*.
 
-    ``jobs=1`` runs serially in-process (no pool, no pickling — the
-    historical path); ``jobs>1``/``0`` fans the cells out to a local
+    ``jobs=1`` runs serially in-process (no worker processes, no
+    pickling); ``jobs>1``/``0`` fans the cells out to a local
     worker-process pool.  ``executor`` picks the backend explicitly —
     ``"serial"``, ``"pool"`` (retry-on-worker-death, see
     :class:`~repro.exec.ProcessExecutor`), ``"queue"`` (the spool-dir
@@ -252,13 +231,6 @@ def run_cells(
     """
     if pool is not None:
         return pool.gather(pool.submit(cells))
-    if (
-        store is None
-        and executor is None
-        and queue_dir is None
-        and resolve_jobs(jobs) == 1
-    ):
-        return [execute_cell(cell) for cell in cells]
     with CellPool(jobs, store=store, executor=executor, queue_dir=queue_dir) as pool_:
         return pool_.gather(pool_.submit(cells))
 

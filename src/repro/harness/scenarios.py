@@ -9,7 +9,7 @@ spec into results in three steps:
 
 * :func:`expand` enumerates the spec's sweep axes (systems × server
   counts × seeds × user-declared axes) into independent
-  :class:`~repro.harness.runner.Cell`\\ s;
+  :class:`~repro.exec.Cell`\\ s;
 * :func:`build_scenario` (via the :func:`run_point` cell body) wires a
   testbed, application, clients and fault machinery from the spec and
   runs one sweep point;
@@ -20,11 +20,11 @@ spec into results in three steps:
 
 Scenarios register under a name with the :func:`scenario` decorator;
 ``--scenario NAME`` / ``--list-scenarios`` / ``--set key=value`` on the
-CLI (``python -m repro.harness.experiments``) drive any of them.  All
-eleven legacy figures are registered specs — their ``figN()`` wrappers
-in :mod:`repro.harness.experiments` are thin aliases and their figure
-JSON is byte-identical to the pre-spec implementations (pinned by
-``tests/test_scenarios.py`` against ``tests/data/``).
+CLI (``python -m repro.harness.experiments``) drive any of them.  The
+paper's eleven figures are the specs registered with ``paper=True``
+(:data:`PAPER_FIGURES`: what ``--figure`` accepts and ``--all`` runs);
+their quick-scale JSON is pinned by ``tests/test_scenarios.py`` against
+``tests/data/figures_quick_seed0.json``.
 
 Authoring guide (a new scenario in under 20 lines): docs/SCENARIOS.md.
 """
@@ -41,6 +41,7 @@ from ..apps.tpcc import TpccConfig, TpccWorkload, build_tpcc
 from ..core.costs import DEFAULT_COSTS
 from ..core.runtime import FAILED_TAG
 from ..elasticity import CloudStorage, EManager, MigrationCoordinator, SLAPolicy
+from ..exec import Cell
 from ..faults import (
     FailureDetector,
     FaultInjector,
@@ -55,7 +56,7 @@ from ..sim.metrics import LatencyRecorder, mean, percentile
 from ..workloads.generators import ClosedLoopClients, DynamicClients, RampProfile
 from ..workloads.sla import availability_slo, sla_report
 from .report import format_table
-from .runner import Cell, SYSTEMS, make_testbed, measure, run_cells, run_game
+from .runner import SYSTEMS, make_testbed, measure, run_cells, run_game
 
 #: Dotted-path prefix for this module's cell bodies (see Cell.fn).
 _SCN = "repro.harness.scenarios"
@@ -75,6 +76,7 @@ __all__ = [
     "get_scenario",
     "list_scenarios",
     "REGISTRY",
+    "PAPER_FIGURES",
     "sweep_axes",
     "zip_points",
     "expand",
@@ -317,7 +319,7 @@ class ScenarioSpec:
     """One declarative experiment: what to deploy, sweep and measure.
 
     The spec is frozen and picklable — :func:`expand` embeds it in each
-    generated :class:`~repro.harness.runner.Cell`, so worker processes
+    generated :class:`~repro.exec.Cell`, so worker processes
     rebuild the exact deployment from data alone.  Field groups:
 
     * **deployment** — ``app`` ("game" | "tpcc" | "mixed"), ``systems``,
@@ -389,16 +391,30 @@ class ScenarioSpec:
 # ----------------------------------------------------------------------
 REGISTRY: Dict[str, ScenarioSpec] = {}
 
+#: Names of the paper's own figures and tables (§6), in registration
+#: order: what ``--figure`` accepts and ``--all`` runs.  A tag on the
+#: registration, not a spec field — spec fields are hashed into every
+#: cell key.
+PAPER_FIGURES: Tuple[str, ...] = ()
 
-def register(spec: ScenarioSpec) -> ScenarioSpec:
-    """Register ``spec`` under its name; returns it.  Names are unique."""
+
+def register(spec: ScenarioSpec, paper: bool = False) -> ScenarioSpec:
+    """Register ``spec`` under its name; returns it.  Names are unique.
+
+    ``paper=True`` also lists the name in :data:`PAPER_FIGURES`.
+    """
+    global PAPER_FIGURES
     if spec.name in REGISTRY:
         raise ScenarioError(f"scenario {spec.name!r} already registered")
     REGISTRY[spec.name] = spec
+    if paper:
+        PAPER_FIGURES += (spec.name,)
     return spec
 
 
-def scenario(builder: Callable[[], ScenarioSpec]) -> Callable[[], ScenarioSpec]:
+def scenario(
+    builder: Optional[Callable[[], ScenarioSpec]] = None, *, paper: bool = False
+):
     """Decorator: register the :class:`ScenarioSpec` the builder returns.
 
     The builder runs once at import time; keep it a pure spec literal::
@@ -406,8 +422,13 @@ def scenario(builder: Callable[[], ScenarioSpec]) -> Callable[[], ScenarioSpec]:
         @scenario
         def my_sweep() -> ScenarioSpec:
             return ScenarioSpec(name="my_sweep", ...)
+
+    ``@scenario(paper=True)`` marks one of the paper's own figures (see
+    :func:`register`).
     """
-    register(builder())
+    if builder is None:
+        return lambda fn: scenario(fn, paper=paper)
+    register(builder(), paper=paper)
     return builder
 
 
@@ -2216,7 +2237,7 @@ def run_scenario(
 # ----------------------------------------------------------------------
 # Registered scenarios — the paper's figures
 # ----------------------------------------------------------------------
-@scenario
+@scenario(paper=True)
 def _fig5a() -> ScenarioSpec:
     """Game throughput vs number of servers, all five systems."""
     return ScenarioSpec(
@@ -2231,7 +2252,7 @@ def _fig5a() -> ScenarioSpec:
     )
 
 
-@scenario
+@scenario(paper=True)
 def _fig5b() -> ScenarioSpec:
     """Game (throughput, mean latency) pairs over a client sweep."""
     return ScenarioSpec(
@@ -2247,7 +2268,7 @@ def _fig5b() -> ScenarioSpec:
     )
 
 
-@scenario
+@scenario(paper=True)
 def _fig6a() -> ScenarioSpec:
     """TPC-C throughput vs number of servers (one district each)."""
     return ScenarioSpec(
@@ -2262,7 +2283,7 @@ def _fig6a() -> ScenarioSpec:
     )
 
 
-@scenario
+@scenario(paper=True)
 def _fig6b() -> ScenarioSpec:
     """TPC-C (throughput, mean latency) pairs over a client sweep."""
     return ScenarioSpec(
@@ -2278,7 +2299,7 @@ def _fig6b() -> ScenarioSpec:
     )
 
 
-@scenario
+@scenario(paper=True)
 def _fig7() -> ScenarioSpec:
     """Latency/server-count time series: elastic vs static setups."""
     return ScenarioSpec(
@@ -2293,7 +2314,7 @@ def _fig7() -> ScenarioSpec:
     )
 
 
-@scenario
+@scenario(paper=True)
 def _table1() -> ScenarioSpec:
     """SLA violation percentage and average servers per setup."""
     return ScenarioSpec(
@@ -2308,7 +2329,7 @@ def _table1() -> ScenarioSpec:
     )
 
 
-@scenario
+@scenario(paper=True)
 def _fig8() -> ScenarioSpec:
     """Throughput time series while migrating 1/8/12 of 20 Rooms."""
     return ScenarioSpec(
@@ -2323,7 +2344,7 @@ def _fig8() -> ScenarioSpec:
     )
 
 
-@scenario
+@scenario(paper=True)
 def _fig9() -> ScenarioSpec:
     """Max contexts/s the eManager migrates, per instance type and size."""
     return ScenarioSpec(
@@ -2341,7 +2362,7 @@ def _fig9() -> ScenarioSpec:
     )
 
 
-@scenario
+@scenario(paper=True)
 def _fig10() -> ScenarioSpec:
     """Goodput/p99 through a crash/recovery timeline, AEON vs baselines."""
     return ScenarioSpec(
@@ -2359,7 +2380,7 @@ def _fig10() -> ScenarioSpec:
     )
 
 
-@scenario
+@scenario(paper=True)
 def _fig11() -> ScenarioSpec:
     """Availability SLO table under sustained churn, AEON vs baselines."""
     return ScenarioSpec(
@@ -2386,7 +2407,7 @@ def _fig11() -> ScenarioSpec:
     )
 
 
-@scenario
+@scenario(paper=True)
 def _ablation() -> ScenarioSpec:
     """TPC-C throughput with and without chain (early) release."""
     return ScenarioSpec(

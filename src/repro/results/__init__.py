@@ -1,7 +1,7 @@
 """Persistent result store: content-addressed cell caching and resumable sweeps.
 
 Every experiment cell in this repository is a pure function of its
-payload — the expanded :class:`~repro.harness.runner.Cell` carries a
+payload — the expanded :class:`~repro.exec.Cell` carries a
 dotted body path plus picklable kwargs (spec fields, scale, seed,
 resolved overrides), and the determinism contract guarantees the same
 payload computes the same value in any process at any time.  That makes

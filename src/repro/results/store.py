@@ -122,7 +122,7 @@ def canonical(value: Any) -> Any:
 def cell_key(cell: Any) -> str:
     """The content hash addressing ``cell``'s persisted result.
 
-    ``cell`` is anything with the :class:`~repro.harness.runner.Cell`
+    ``cell`` is anything with the :class:`~repro.exec.Cell`
     shape (``fn`` dotted path + ``kwargs``).  The cell's assembly ``key``
     is deliberately **excluded** — it is presentation, not content: the
     identical elastic setups fig7 and table1 share hash to one entry.

@@ -107,10 +107,6 @@ class ClosedLoopClients:
                         self.errors.append(event.error)
             if think_rate is not None:
                 yield expovariate(think_rate)
-            # The think pause put the event's scheduled lock releases in
-            # the past, so its record can usually be pooled for reuse
-            # (recycle_event re-checks and no-ops when it cannot).
-            runtime.recycle_event(event)
 
 
 @dataclass
@@ -249,8 +245,6 @@ class DynamicClients:
                 self._retired.remove(client_id)
                 return
             spec, tag = self.sampler(stream)
-            done = handle.submit(spec, tag=tag)
-            event = yield done
+            yield handle.submit(spec, tag=tag)
             if self.think_ms > 0:
                 yield stream.expovariate(1.0 / self.think_ms)
-            self.runtime.recycle_event(event)

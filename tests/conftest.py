@@ -1,9 +1,24 @@
 """Shared fixtures and helpers for the test suite."""
 
+import json
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
 from repro.baselines import EventWaveRuntime, OrleansRuntime
+from repro.harness.scenarios import _jsonable, run_scenario
 from repro.results import MODE_ENV
+
+#: The pinned figure data by figure name: ``--all --scale quick --seed 0``.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "figures_quick_seed0.json").read_text()
+)["experiments"]
+
+
+def dump(data) -> str:
+    """Figure data as canonical JSON text, for byte comparisons."""
+    return json.dumps(_jsonable(data), sort_keys=True)
 
 
 @pytest.fixture(autouse=True)
@@ -183,3 +198,23 @@ def eventwave_bed():
 @pytest.fixture
 def orleans_bed():
     return Testbed(OrleansRuntime)
+
+
+@pytest.fixture(scope="session")
+def figure_store(tmp_path_factory):
+    """A throwaway result store (``.dir``) holding every cell of
+    ``fig5a`` (filled serially) and ``fig11`` (filled at ``jobs=4``) at
+    quick scale, seed 0, and the figure data of those two cold runs by
+    name (``.cold``).  Each figure is simulated once per session; the
+    tests that are about a dispatch path, not about the simulation, run
+    that path over this store.  Read it in place; copy it before
+    changing it.
+    """
+    store_dir = tmp_path_factory.mktemp("figure_store")
+    cold = {
+        name: run_scenario(
+            name, scale="quick", seed=0, jobs=jobs, cache="auto", cache_dir=store_dir
+        )
+        for name, jobs in (("fig5a", 1), ("fig11", 4))
+    }
+    return SimpleNamespace(dir=store_dir, cold=cold)

@@ -1,4 +1,4 @@
-"""The million-context columnar core: table, pooling, sampling, massive tier.
+"""The million-context columnar core: table, sampling, massive tier.
 
 Covers the PR 8 surface end to end:
 
@@ -8,8 +8,6 @@ Covers the PR 8 surface end to end:
   (insertion order is observable in traces);
 * ``grow``/``compact`` under churn: contiguous bulk rows, old->new slot
   maps, ``_aeon_slot`` re-stamping, parent-link remapping;
-* pooled event records — ``reinit`` reuses containers without aliasing,
-  and ``recycle_event`` refuses records the runtime may still touch;
 * the :class:`~repro.sim.metrics.LatencyRecorder` reservoir: exact
   aggregates, bounded percentile error vs an exact recorder on seeded
   streams, deterministic resampling, and cross-mode byte-identity below
@@ -30,13 +28,12 @@ import pytest
 from repro.apps.massive import MassiveConfig, build_massive, run_checksum
 from repro.core.context import ContextRef
 from repro.core.errors import UnknownContextError
-from repro.core.events import AccessMode, CallSpec, Event
 from repro.core.ownership import OwnershipNetwork
 from repro.core.table import ContextColumnView, ContextTable
-from repro.harness.experiments import ALL_EXPERIMENTS
-from repro.harness.runner import Cell, make_testbed, run_game
+from repro.exec import Cell
+from repro.harness.runner import make_testbed, run_game
 from repro.harness.scenarios import (
-    SCALES, _massive_run, get_scenario, list_scenarios,
+    PAPER_FIGURES, SCALES, _massive_run, get_scenario, list_scenarios,
 )
 from repro.results import MISS, ResultStore
 from repro.results.__main__ import parse_size
@@ -196,66 +193,6 @@ def test_compact_drops_parent_links_to_freed_rows():
         del view["parent"]
     table.compact()
     assert table.parent[table.slot("child")] == -1
-
-
-# ----------------------------------------------------------------------
-# Pooled event records
-# ----------------------------------------------------------------------
-def test_reinit_reuses_containers_without_aliasing():
-    event = Event(7, CallSpec("x", "m", (1,)), AccessMode.EX, "cli-1", 5.0, tag="t")
-    event.reads["x"] = 3
-    event.writes["x"] = 4
-    event.sub_events.append(CallSpec("y", "n"))
-    event.hops = 9
-    event.result = "r"
-    event.error = ValueError("boom")
-    event.dom = "x"
-    event.held = None  # finished
-    event.release_horizon = 12.5
-    reads, writes, subs = event.reads, event.writes, event.sub_events
-
-    spec2 = CallSpec("y", "n", (2,))
-    event.reinit(8, spec2, AccessMode.RO, "cli-2", 6.0)
-
-    # Containers are the same objects, cleared in place — their insertion
-    # order restarts, so a recycled record commits byte-identically.
-    assert event.reads is reads and not reads
-    assert event.writes is writes and not writes
-    assert event.sub_events is subs and not subs
-    assert event.eid == 8 and event.spec is spec2
-    assert event.mode is AccessMode.RO and event.client == "cli-2"
-    assert event.submitted_ms == 6.0 and event.tag == ""
-    assert event.result is None and event.error is None and event.dom is None
-    assert event.started_ms is None and event.committed_ms is None
-    assert event.held == set() and event.hops == 0
-    assert event.open_branches == 1 and event.deferred_locks == []
-    assert event.release_horizon == -1.0
-
-
-def test_recycle_event_gates():
-    runtime = make_testbed("aeon", 1, seed=0).runtime
-    assert runtime.sim.now == 0.0
-
-    def _finished(eid, horizon):
-        event = Event(eid, CallSpec("x", "m"), AccessMode.EX, "c", 0.0)
-        event.held = None
-        event.release_horizon = horizon
-        return event
-
-    runtime.recycle_event(None)  # tolerated no-op
-    assert runtime._event_pool == []
-
-    in_flight = Event(1, CallSpec("x", "m"), AccessMode.EX, "c", 0.0)
-    runtime.recycle_event(in_flight)  # held is a live set -> refused
-    assert runtime._event_pool == []
-
-    pending_release = _finished(2, 0.0)  # horizon not strictly past
-    runtime.recycle_event(pending_release)
-    assert runtime._event_pool == []
-
-    done = _finished(3, -1.0)
-    runtime.recycle_event(done)
-    assert runtime._event_pool == [done]
 
 
 # ----------------------------------------------------------------------
@@ -526,8 +463,6 @@ def test_mini_massive_run_is_deterministic():
     assert runtime.events_completed > 0 and runtime.events_failed == 0
     assert 5 < len(runtime.instances) <= 505
     assert runtime.context_count() == 505
-    # Clients recycled finished records into the bounded event pool.
-    assert 0 < len(runtime._event_pool) <= 2048
     # A different seed produces different observable state.
     testbed_c, app_c = _mini_massive(seed=8)
     assert run_checksum(testbed_c.runtime, app_c) != checksum_a
@@ -545,7 +480,7 @@ def test_mini_massive_tpcc_flavor():
 def test_massive_scenarios_registered():
     for name in ("massive_game", "massive_tpcc"):
         assert name in list_scenarios()
-        assert name not in ALL_EXPERIMENTS  # they are --scenario only
+        assert name not in PAPER_FIGURES  # they are --scenario only
         assert get_scenario(name).output == "massive"
     assert SCALES["massive"].massive_contexts >= 1_000_000
     # The quick smoke tier stays CI-sized.

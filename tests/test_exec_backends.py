@@ -11,13 +11,14 @@ with every completed cell already persisted.
 import pytest
 
 from repro.exec import (
+    Cell,
     ProcessExecutor,
     SerialExecutor,
     WorkerLostError,
     make_executor,
     resolve_executor,
 )
-from repro.harness.runner import Cell, CellPool, run_cells
+from repro.harness.runner import CellPool, run_cells
 from repro.results.store import MISS, ResultStore
 
 

@@ -8,13 +8,14 @@ Three layers (docs/ARCHITECTURE.md § Executors):
   a stale heartbeat expires the lease and re-queues the claimed cell, a
   cell running past the p90 deadline is speculatively re-published, the
   first result wins;
-* real worker subprocesses — two workers drain real figure sweeps to
-  byte-identical golden data, and a SIGKILLed worker's leased cell is
-  re-dispatched so the run still completes.
+* real worker subprocesses — two workers drain the cold cells of real
+  figure sweeps (the rest resume from the result bus) to byte-identical
+  golden data, and a SIGKILLed worker's leased cell is re-dispatched so
+  the run still completes.
 """
 
-import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -25,21 +26,14 @@ import pytest
 
 from repro.exec import CellFailedError, QueueExecutor
 from repro.exec import queue as q
+from conftest import GOLDEN, dump
 from repro.exec.base import Cell
 from repro.exec.worker import run_worker
-from repro.harness.experiments import _jsonable
 from repro.harness.runner import run_cells
 from repro.harness.scenarios import assemble_scenario, expand, prepare_scenario
 from repro.results.store import ResultStore, cell_key
 
 _HERE = Path(__file__).parent
-GOLDEN = json.loads(
-    (_HERE / "data" / "figures_quick_seed0.json").read_text()
-)["experiments"]
-
-
-def _dump(data) -> str:
-    return json.dumps(_jsonable(data), sort_keys=True)
 
 
 def _cell(x):
@@ -256,11 +250,23 @@ def test_killed_workers_cell_is_redispatched(tmp_path):
                 proc.wait(timeout=10)
 
 
-def _queue_figure_data(name, tmp_path):
+def _queue_figure_data(name, cold, figure_store, tmp_path):
+    """``name`` through a queue coordinator and two real workers.
+
+    The result bus is a copy of the session's figure store
+    (tests/conftest.py) without the cells keyed ``cold``: those cross
+    the spool and are simulated by the workers, the others resume from
+    the bus — the figure is assembled from both.
+    """
     spec = prepare_scenario(name, scale="quick", seed=0)
     cells = expand(spec)
-    ex = QueueExecutor(queue_dir=tmp_path, poll_interval_s=0.05)
-    workers = [_spawn_worker(tmp_path, f"w{i}") for i in (1, 2)]
+    bus = ResultStore(shutil.copytree(figure_store.dir, tmp_path / "store"))
+    cold_keys = {cell_key(c) for c in cells if c.key in cold}
+    assert len(cold_keys) == len(cold)
+    for key in cold_keys:
+        assert bus.discard(key)
+    ex = QueueExecutor(queue_dir=tmp_path / "spool", store=bus, poll_interval_s=0.05)
+    workers = [_spawn_worker(tmp_path / "spool", f"w{i}") for i in (1, 2)]
     try:
         results = run_cells(cells, executor=ex)
         stats = ex.stats()
@@ -268,16 +274,18 @@ def _queue_figure_data(name, tmp_path):
         ex.shutdown()
         for proc in workers:
             proc.wait(timeout=10)
-    assert stats["completed"] == len({cell_key(c) for c in cells})
+    assert stats["completed"] == len(cold_keys)
     assert stats["workers"] >= 2
     return assemble_scenario(spec, cells, results)
 
 
-def test_fig5a_two_queue_workers_byte_identical_to_golden(tmp_path):
-    data = _queue_figure_data("fig5a", tmp_path)
-    assert _dump(data) == json.dumps(GOLDEN["fig5a"], sort_keys=True)
+def test_fig5a_two_queue_workers_byte_identical_to_golden(figure_store, tmp_path):
+    cold = [("eventwave", 2), ("orleans", 4), ("aeon_so", 2), ("aeon", 4)]
+    data = _queue_figure_data("fig5a", cold, figure_store, tmp_path)
+    assert dump(data) == dump(GOLDEN["fig5a"])
 
 
-def test_fig11_two_queue_workers_byte_identical_to_golden(tmp_path):
-    data = _queue_figure_data("fig11", tmp_path)
-    assert _dump(data) == json.dumps(GOLDEN["fig11"], sort_keys=True)
+def test_fig11_two_queue_workers_byte_identical_to_golden(figure_store, tmp_path):
+    cold = [("eventwave", "delta"), ("aeon", "full")]
+    data = _queue_figure_data("fig11", cold, figure_store, tmp_path)
+    assert dump(data) == dump(GOLDEN["fig11"])

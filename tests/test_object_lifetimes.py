@@ -527,17 +527,6 @@ def test_timer_armed_while_closing_is_dropped(monkeypatch):
     assert not unraisable
 
 
-def test_pooled_event_record_is_scrubbed():
-    testbed, _clients = _game_bed("aeon", n_servers=2, n_clients=8)
-    testbed.sim.run()
-    pool = testbed.runtime._event_pool
-    assert pool
-    assert all(
-        event.spec is None and event.result is None and event.error is None
-        for event in pool
-    )
-
-
 def test_cell_in_a_subprocess_is_quiet_and_leaves_nothing():
     script = (
         "import gc\n"

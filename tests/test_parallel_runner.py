@@ -1,23 +1,22 @@
 """Parallel experiment engine: ``--jobs N`` must be byte-identical to serial.
 
-Figure data is assembled from :class:`~repro.harness.runner.Cell`
-results in cell order, and each cell is a self-contained deterministic
-simulation — so fanning cells out to worker processes must reproduce
-the serial figure data *byte for byte*.  These tests JSON-serialize
-both paths and compare the strings, per the determinism contract in
-docs/ARCHITECTURE.md.
+Figure data is assembled from :class:`~repro.exec.Cell` results in cell
+order, and each cell is a self-contained deterministic simulation — so
+fanning cells out to worker processes must reproduce the serial figure
+data *byte for byte*.  The serial bytes are the pinned golden
+(``tests/test_scenarios.py`` holds the serial path to it), so these
+tests JSON-serialize the ``jobs=4`` path and compare it with the golden
+strings, per the determinism contract in docs/ARCHITECTURE.md.
 """
 
-import json
+import os
 
 import pytest
 
-from repro.harness.experiments import _jsonable, fig5a, fig6a, fig9, fig11
-from repro.harness.runner import Cell, CellResult, execute_cell, resolve_jobs, run_cells
-
-
-def _dump(data) -> str:
-    return json.dumps(_jsonable(data), sort_keys=True)
+from conftest import GOLDEN, dump
+from repro.exec import Cell, CellResult, execute_cell, resolve_jobs
+from repro.harness.runner import run_cells
+from repro.harness.scenarios import run_scenario
 
 
 # ----------------------------------------------------------------------
@@ -55,20 +54,31 @@ def test_resolve_jobs():
         resolve_jobs(-1)
 
 
+def test_run_cells_honours_the_executor_env(monkeypatch):
+    # Precedence explicit > REPRO_EXECUTOR > jobs-based holds for
+    # run_cells too: jobs=1 is in-process only when nothing says "pool".
+    cell = Cell((0,), "os:getpid", {})
+    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+    assert run_cells([cell])[0].value == os.getpid()
+    monkeypatch.setenv("REPRO_EXECUTOR", "pool")
+    assert run_cells([cell])[0].value != os.getpid()
+
+
 def test_fig9_parallel_byte_identical():
-    assert _dump(fig9(scale="quick", jobs=1)) == _dump(fig9(scale="quick", jobs=4))
+    assert dump(run_scenario("fig9", scale="quick", jobs=4)) == dump(GOLDEN["fig9"])
 
 
 # ----------------------------------------------------------------------
 # Figure-level byte-identity (the acceptance gate; slower)
 # ----------------------------------------------------------------------
 def test_fig5a_quick_parallel_byte_identical():
-    assert _dump(fig5a(scale="quick", jobs=1)) == _dump(fig5a(scale="quick", jobs=4))
+    assert dump(run_scenario("fig5a", scale="quick", jobs=4)) == dump(GOLDEN["fig5a"])
 
 
 def test_fig6a_quick_parallel_byte_identical():
-    assert _dump(fig6a(scale="quick", jobs=1)) == _dump(fig6a(scale="quick", jobs=4))
+    assert dump(run_scenario("fig6a", scale="quick", jobs=4)) == dump(GOLDEN["fig6a"])
 
 
-def test_fig11_quick_parallel_byte_identical():
-    assert _dump(fig11(scale="quick", jobs=1)) == _dump(fig11(scale="quick", jobs=4))
+def test_fig11_quick_parallel_byte_identical(figure_store):
+    # The session's one fig11 run is a jobs=4 run (tests/conftest.py).
+    assert dump(figure_store.cold["fig11"]) == dump(GOLDEN["fig11"])

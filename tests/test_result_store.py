@@ -23,23 +23,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.experiments import fig5a, fig11, main
-from repro.harness.runner import Cell, CellPool, run_cells
-from repro.harness.scenarios import _jsonable, expand, get_scenario, prepare_scenario
+from conftest import GOLDEN, dump
+from repro.exec import Cell
+from repro.harness.experiments import main
+from repro.harness.runner import CellPool, run_cells
+from repro.harness.scenarios import (
+    assemble_scenario,
+    expand,
+    get_scenario,
+    prepare_scenario,
+    run_scenario,
+)
 from repro.results import MISS, ResultStore, cell_key
 from repro.results.__main__ import main as results_main, parse_age
-
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "figures_quick_seed0.json").read_text()
-)["experiments"]
-
-
-def _dump(data) -> str:
-    return json.dumps(_jsonable(data), sort_keys=True)
-
-
-def _golden(name) -> str:
-    return json.dumps(GOLDEN[name], sort_keys=True)
 
 
 def _keys(name, overrides=()):
@@ -256,31 +252,31 @@ def test_failing_cell_keeps_earlier_cells_persisted(tmp_path):
 # ----------------------------------------------------------------------
 # Byte-identity: cached == fresh at any --jobs level, against golden
 # ----------------------------------------------------------------------
-def test_fig5a_cached_byte_identical_across_jobs(tmp_path):
-    cache_dir = str(tmp_path / "store")
-    cold = fig5a(scale="quick", seed=0, jobs=1, cache="auto", cache_dir=cache_dir)
-    assert _dump(cold) == _golden("fig5a")
+def test_fig5a_cached_byte_identical_across_jobs(figure_store):
+    # The cold serial run is the session's (tests/conftest.py).
+    cold = figure_store.cold["fig5a"]
+    assert dump(cold) == dump(GOLDEN["fig5a"])
     # Warm parallel read of a serially-written store: every cell is a
     # hit, nothing is dispatched, bytes match the golden exactly.
     spec = get_scenario("fig5a")
     cells = expand(spec)
-    store = ResultStore(cache_dir)
+    store = ResultStore(figure_store.dir)
     with CellPool(jobs=4, store=store) as pool:
         results = pool.gather(pool.submit(cells))
-    from repro.harness.scenarios import assemble_scenario
-
     warm = assemble_scenario(spec, cells, results)
     assert (store.hits, store.misses) == (len(cells), 0)
-    assert _dump(warm) == _golden("fig5a")
-    assert _dump(warm) == _dump(cold)
+    assert dump(warm) == dump(GOLDEN["fig5a"])
+    assert dump(warm) == dump(cold)
 
 
-def test_fig11_cached_byte_identical_across_jobs(tmp_path):
-    cache_dir = str(tmp_path / "store")
-    cold = fig11(scale="quick", seed=0, jobs=4, cache="auto", cache_dir=cache_dir)
-    assert _dump(cold) == _golden("fig11")
-    warm = fig11(scale="quick", seed=0, jobs=1, cache="auto", cache_dir=cache_dir)
-    assert _dump(warm) == _golden("fig11")
+def test_fig11_cached_byte_identical_across_jobs(figure_store):
+    # Cold at jobs=4 (the session's run), warm serial read of that store.
+    assert dump(figure_store.cold["fig11"]) == dump(GOLDEN["fig11"])
+    warm = run_scenario(
+        "fig11", scale="quick", seed=0, jobs=1, cache="auto",
+        cache_dir=figure_store.dir,
+    )
+    assert dump(warm) == dump(GOLDEN["fig11"])
 
 
 # ----------------------------------------------------------------------

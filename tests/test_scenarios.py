@@ -1,10 +1,8 @@
 """The declarative scenario API: registry, sweeps, overrides, byte-identity.
 
-The acceptance gate of the spec redesign is that every legacy figure
-produces **byte-identical JSON** through the new
-:mod:`repro.harness.scenarios` path.  ``tests/data/figures_quick_seed0.json``
-was generated by the pre-spec ``figN()`` implementations (``--all
---scale quick --seed 0``); here we pin
+Every paper figure must produce **byte-identical JSON** to
+``tests/data/figures_quick_seed0.json`` (generated by the pre-spec
+implementations with ``--all --scale quick --seed 0``); here we pin
 
 * full-figure byte-identity for the cheap figures (fig5a, fig6a, fig9,
   ablation — both generic and custom cell paths);
@@ -21,23 +19,17 @@ JSON against the same golden file (tools/compare_figures.py).
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.harness.experiments import (
-    ALL_EXPERIMENTS,
-    ablation_chain_release,
-    fig5a,
-    fig6a,
-    fig9,
-    main,
-)
+from conftest import GOLDEN, dump
+from repro.exec import Cell
+from repro.harness.experiments import main
 from repro.harness.runner import SYSTEMS, CellPool, run_cells
 from repro.harness.scenarios import (
+    PAPER_FIGURES,
     REGISTRY,
     ScenarioError,
-    _jsonable,
     apply_overrides,
     expand,
     get_scenario,
@@ -47,36 +39,26 @@ from repro.harness.scenarios import (
     sweep_axes,
 )
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "figures_quick_seed0.json").read_text()
-)["experiments"]
-
 _SCN = "repro.harness.scenarios"
-
-
-def _dump(data) -> str:
-    return json.dumps(_jsonable(data), sort_keys=True)
-
-
-def _golden(name) -> str:
-    return json.dumps(GOLDEN[name], sort_keys=True)
 
 
 # ----------------------------------------------------------------------
 # Registry round-trip
 # ----------------------------------------------------------------------
 def test_registry_covers_all_legacy_experiments():
-    # Every legacy CLI name is a registered scenario, and the registry
-    # only adds (never shadows) beyond-the-paper scenarios.
-    assert set(ALL_EXPERIMENTS) <= set(list_scenarios())
-    for name in ALL_EXPERIMENTS:
+    # Every legacy CLI name is a registered scenario tagged as a paper
+    # figure (one golden entry each), and the registry only adds (never
+    # shadows) beyond-the-paper scenarios.
+    assert sorted(PAPER_FIGURES) == sorted(GOLDEN)
+    assert set(PAPER_FIGURES) <= set(list_scenarios())
+    for name in PAPER_FIGURES:
         assert get_scenario(name).name == name
 
 
 def test_registry_has_the_new_scenarios():
     for name in ("mixed_cotenancy", "churn_sweep", "diurnal"):
         assert name in list_scenarios()
-        assert name not in ALL_EXPERIMENTS  # they are --scenario only
+        assert name not in PAPER_FIGURES  # they are --scenario only
 
 
 def test_list_scenarios_cli_matches_registry(capsys):
@@ -241,38 +223,39 @@ def test_cli_rejects_conflicting_selectors(capsys):
 # Byte-identity against the pre-spec golden data (quick scale, seed 0)
 # ----------------------------------------------------------------------
 def test_fig9_byte_identical_to_legacy():
-    assert _dump(fig9(scale="quick", seed=0)) == _golden("fig9")
+    assert dump(run_scenario("fig9", scale="quick", seed=0)) == dump(GOLDEN["fig9"])
 
 
 def test_ablation_byte_identical_to_legacy():
-    assert _dump(ablation_chain_release(scale="quick", seed=0)) == _golden("ablation")
+    assert dump(run_scenario("ablation", scale="quick", seed=0)) == dump(GOLDEN["ablation"])
 
 
-def test_fig5a_byte_identical_to_legacy():
-    assert _dump(fig5a(scale="quick", seed=0)) == _golden("fig5a")
+def test_fig5a_byte_identical_to_legacy(figure_store):
+    # The session's one serial fig5a run (tests/conftest.py).
+    assert dump(figure_store.cold["fig5a"]) == dump(GOLDEN["fig5a"])
 
 
 def test_fig6a_byte_identical_to_legacy():
-    assert _dump(fig6a(scale="quick", seed=0)) == _golden("fig6a")
+    assert dump(run_scenario("fig6a", scale="quick", seed=0)) == dump(GOLDEN["fig6a"])
 
 
 def test_fig5b_cell_byte_identical_to_legacy():
     # One representative sweep point (aeon, 96 clients) of the generic
     # game xy path; the full figure is pinned by CI's --all diff.
     value = run_point(spec=get_scenario("fig5b"), system="aeon", clients=96)
-    assert _dump(value) == json.dumps(GOLDEN["fig5b"]["aeon"][2], sort_keys=True)
+    assert dump(value) == dump(GOLDEN["fig5b"]["aeon"][2])
 
 
 def test_fig6b_cell_byte_identical_to_legacy():
     value = run_point(spec=get_scenario("fig6b"), system="aeon", clients=96)
-    assert _dump(value) == json.dumps(GOLDEN["fig6b"]["aeon"][2], sort_keys=True)
+    assert dump(value) == dump(GOLDEN["fig6b"]["aeon"][2])
 
 
 def test_fig10_cell_byte_identical_to_legacy():
     # The generic crash-fault wiring must reproduce the historical
     # fig10_run driver byte for byte.
     value = run_point(spec=get_scenario("fig10"), system="aeon")
-    assert _dump(value) == json.dumps(GOLDEN["fig10"]["aeon"], sort_keys=True)
+    assert dump(value) == dump(GOLDEN["fig10"]["aeon"])
 
 
 def test_fig11_cell_byte_identical_to_legacy():
@@ -281,9 +264,7 @@ def test_fig11_cell_byte_identical_to_legacy():
     value = run_point(
         spec=get_scenario("fig11"), system="aeon", checkpoint_mode="delta"
     )
-    assert _dump(value) == json.dumps(
-        GOLDEN["fig11"]["systems"]["aeon"], sort_keys=True
-    )
+    assert dump(value) == dump(GOLDEN["fig11"]["systems"]["aeon"])
 
 
 # ----------------------------------------------------------------------
@@ -383,8 +364,6 @@ def test_cli_matrix_global_set_applies_to_every_group(tmp_path):
 # Shared pool: dedup + streaming order
 # ----------------------------------------------------------------------
 def test_cell_pool_deduplicates_identical_cells():
-    from repro.harness.runner import Cell
-
     cells_a = [Cell((x,), "json:dumps", {"obj": x}) for x in (1, 2)]
     cells_b = [Cell(("b", x), "json:dumps", {"obj": x}) for x in (2, 3)]
     with CellPool(jobs=1) as pool:
@@ -401,8 +380,6 @@ def test_cell_pool_deduplicates_identical_cells():
 
 
 def test_run_cells_on_a_shared_pool_preserves_order():
-    from repro.harness.runner import Cell
-
     cells = [Cell((x,), "json:dumps", {"obj": x}) for x in (7, 3, 5)]
     for jobs in (1, 3):
         with CellPool(jobs=jobs) as pool:
@@ -429,7 +406,9 @@ def test_churn_sweep_scenario_smoke():
     row = data["rows"][0]
     assert row["system"] == "aeon"
     assert row["crashes"] >= 1, "shrunk churn window still must crash something"
-    assert 0.0 <= row["availability_pct"] <= 100.0
+    # The fleet stays up through the churn (the ordering across MTBF
+    # points needs the unshrunk sweep: CI asserts it at quick scale).
+    assert 50.0 < row["availability_pct"] <= 100.0
     assert row["checkpoint_bytes_written"] > 0
     run = data["runs"]["aeon@2000"]
     assert run["checkpoint_mode"] == "delta"
@@ -441,7 +420,7 @@ def test_mixed_cotenancy_scenario_smoke():
         "mixed_cotenancy",
         scale="quick",
         overrides=[
-            "systems=aeon",
+            "systems=aeon,orleans",
             "duration_ms=2500",
             "warmup_ms=800",
             "drain_ms=5000",
@@ -449,12 +428,20 @@ def test_mixed_cotenancy_scenario_smoke():
             "tpcc_workload.clients=8",
         ],
     )
+    # Both co-tenants make progress on every system under test.  The
+    # combined counter sees every completion (including TPC-C
+    # sub-transactions like new_order/sub), so the top-level per-app
+    # split is a strict subset of it.
+    for system, run in data.items():
+        assert run["game"]["completed"] > 0, f"{system}: game starved"
+        assert run["tpcc"]["completed"] > 0, f"{system}: tpcc starved"
+    # AEON's multiple ownership keeps the co-tenant game faster than the
+    # turn-locked Orleans variant under the same mixed load.
+    assert (
+        data["aeon"]["game"]["throughput_per_s"]
+        > data["orleans"]["game"]["throughput_per_s"]
+    )
     run = data["aeon"]
-    # Both co-tenants made progress.  The combined counter sees every
-    # completion (including TPC-C sub-transactions like new_order/sub),
-    # so the top-level per-app split is a strict subset of it.
-    assert run["game"]["completed"] > 0
-    assert run["tpcc"]["completed"] > 0
     assert (
         0
         < run["game"]["completed"] + run["tpcc"]["completed"]
@@ -489,7 +476,23 @@ def test_diurnal_scenario_smoke():
     targets = [n for _t, n in run["client_series"]]
     assert run["peak_clients"] > 4  # machines * min_per_machine
     assert max(targets, default=0) > min(targets, default=0)
-    assert run["avg_servers"] > 0
+    # Two diurnal cycles -> the client curve has two distinct peaks.
+    floor = min(targets)
+    threshold = floor + 0.6 * (max(targets) - floor)
+    peaks = 0
+    above = False
+    for n in targets:
+        if not above and n >= threshold:
+            peaks += 1
+            above = True
+        elif above and n < threshold:
+            above = False
+    assert peaks >= 2, f"expected a two-peak wave, saw {peaks}"
+    # The fleet tracked the wave: it grew beyond its floor and came back
+    # down (peak above average implies both directions moved).
+    servers = [n for _t, n in run["server_series"]]
+    assert run["peak_servers"] > min(servers)
+    assert 0 < run["avg_servers"] < run["peak_servers"]
 
 
 def test_cli_scenario_end_to_end(tmp_path, capsys):

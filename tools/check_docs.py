@@ -8,7 +8,7 @@ Checks, over ``README.md`` and every ``docs/*.md``:
    heading anchor (GitHub slug rules, simplified);
 3. every figure-shaped token (``figN``/``figNx``/``tableN``/``ablation``)
    mentioned anywhere in the docs names a real experiment in the CLI
-   (``repro.harness.experiments.ALL_EXPERIMENTS``);
+   (``repro.harness.scenarios.PAPER_FIGURES``);
 4. every experiment the CLI exposes is documented in
    ``docs/EXPERIMENTS.md``.
 
@@ -72,10 +72,10 @@ def check_links(files: list[Path]) -> list[str]:
 
 def check_figures(files: list[Path]) -> list[str]:
     sys.path.insert(0, str(REPO / "src"))
-    from repro.harness.experiments import ALL_EXPERIMENTS
+    from repro.harness.scenarios import PAPER_FIGURES
 
     errors = []
-    known = set(ALL_EXPERIMENTS)
+    known = set(PAPER_FIGURES)
     mentioned_anywhere = set()
     for f in files:
         mentioned = set(FIGURE_RE.findall(f.read_text()))
@@ -101,20 +101,13 @@ def check_scenarios(files: list[Path]) -> list[str]:
 
     1. every registered scenario is documented in docs/SCENARIOS.md;
     2. every ``--scenario NAME`` example anywhere in the docs names a
-       registered scenario;
-    3. every legacy figure name stays a registered scenario (the
-       ``figN()`` aliases and the registry never drift apart).
+       registered scenario.
     """
     sys.path.insert(0, str(REPO / "src"))
-    from repro.harness.experiments import ALL_EXPERIMENTS
     from repro.harness.scenarios import list_scenarios
 
     errors = []
     registered = set(list_scenarios())
-    for name in sorted(set(ALL_EXPERIMENTS) - registered):
-        errors.append(
-            f"registry: legacy experiment {name!r} has no registered scenario"
-        )
     scenarios_md = REPO / "docs" / "SCENARIOS.md"
     if not scenarios_md.exists():
         errors.append("docs/SCENARIOS.md: missing (scenario reference)")

@@ -26,11 +26,13 @@ import json
 import sys
 
 #: Calls per op of ``perf/run.py --all --with-trace --smoke`` (seed 0).
+#: ``game_scaleout`` counts EventWave's nested calls under ``core``:
+#: ``RuntimeBase._sync_call`` is the one body AEON and EventWave share.
 PINNED = {
     "kernel_micro": {"sim.calls": 7.0744, "core.calls": 0.0},
-    "game_scaleout": {"sim.calls": 109.9112, "core.calls": 134.6452},
-    "tpcc_contention": {"sim.calls": 88.5369, "core.calls": 179.3003},
-    "massive_bulk": {"sim.calls": 48.0566, "core.calls": 76.9329},
+    "game_scaleout": {"sim.calls": 109.9112, "core.calls": 144.3833},
+    "tpcc_contention": {"sim.calls": 88.5369, "core.calls": 177.7987},
+    "massive_bulk": {"sim.calls": 48.0566, "core.calls": 75.5887},
 }
 
 #: Relative excess over a pin that fails the gate.
