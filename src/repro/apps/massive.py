@@ -1,15 +1,15 @@
-"""The massive-tier application: a million leaf contexts, columnar.
+"""The massive-tier application: a million leaf contexts, bulk-registered.
 
 A three-level tree — one ``Region`` root, a shard layer (one ``Shard``
 per server by default) and a huge population of single-parent leaf
 contexts — sized so the interesting cost is per-context *bookkeeping*,
 not per-context behaviour.  Leaves are registered through
 :meth:`~repro.core.runtime.RuntimeBase.create_contexts_bulk`: every leaf
-gets a columnar table row (cid, placement, parent link, ownership
-registration) up front, but its Python instance and lock materialize
-lazily on first touch.  A run that samples a few hundred thousand ops
-over a million registered players therefore builds a few hundred
-thousand object graphs, never a million.
+is placed and registered in the ownership network up front, but its
+Python instance and lock materialize lazily on first touch.  A run
+that samples a few hundred thousand ops over a million registered
+players therefore builds a few hundred thousand object graphs, never a
+million.
 
 Two flavors share the builder so the game- and TPC-C-shaped scenarios
 (``massive_game`` / ``massive_tpcc``, docs/SCENARIOS.md) stay honest

@@ -223,36 +223,6 @@ class RefSetView:
         return list(self)
 
 
-class _VersionField:
-    """Data descriptor routing ``_aeon_version`` into the columnar table.
-
-    Once a context occupies a table slot (``_aeon_slot >= 0``) its write
-    version lives in the runtime's dense ``table.version`` column — the
-    hot path (the body driver) indexes the column directly, and every
-    other reader/writer (snapshots, restores, recovery accounting) goes
-    through this descriptor.  Detached instances (unit tests, direct
-    construction, rolled-back creations) fall back to a per-instance
-    ``_aeon_local_version`` dict entry, preserving the legacy behavior.
-    """
-
-    __slots__ = ()
-
-    def __get__(self, obj: "ContextClass", objtype: type = None):
-        if obj is None:
-            return self
-        slot = obj._aeon_slot
-        if slot >= 0:
-            return obj._aeon_runtime.table.version[slot]
-        return obj.__dict__.get("_aeon_local_version", 0)
-
-    def __set__(self, obj: "ContextClass", value: int) -> None:
-        slot = obj._aeon_slot
-        if slot >= 0:
-            obj._aeon_runtime.table.version[slot] = value
-        else:
-            obj.__dict__["_aeon_local_version"] = value
-
-
 class _LazyDictField:
     """Non-data descriptor: install ``{}`` in the instance dict on first use.
 
@@ -291,18 +261,14 @@ class ContextClass:
     # These are assigned by the runtime in ``bind`` before __init__.
     _aeon_runtime: Any = None
     _aeon_cid: str = ""
-    #: Row index in the runtime's columnar ContextTable; -1 = detached
-    #: (unit tests, direct construction), where per-instance fallbacks
-    #: apply.
-    _aeon_slot: int = -1
     #: True after the hosting server crashed with crash realism enabled:
     #: the volatile state is gone and method execution must fail until a
     #: restore/rehydration repopulates it (class default keeps the flag
     #: off the per-instance dict, so the common case costs nothing).
     _aeon_state_dropped: bool = False
-    #: Write-version counter, routed into the table's version column for
-    #: bound instances (see _VersionField).
-    _aeon_version = _VersionField()
+    #: Write-version counter; the class default keeps it off the
+    #: instance dict until the first write.
+    _aeon_version: int = 0
     # Ref/RefSet bookkeeping, allocated lazily on first use.
     _aeon_refs = _LazyDictField("_aeon_refs")
     _aeon_refsets = _LazyDictField("_aeon_refsets")

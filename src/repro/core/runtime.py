@@ -19,8 +19,6 @@ replaces the reserve-then-claim arbitration of a synchronous nested call
 
 from __future__ import annotations
 
-from array import array
-from itertools import repeat
 from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple, Type
 
 from ..sim.cluster import Cluster, Server
@@ -50,7 +48,6 @@ from .events import (
 from .history import HistoryRecorder
 from .locking import ContextLock
 from .ownership import FencingTable, OwnershipNetwork
-from .table import ContextColumnView, ContextTable
 
 __all__ = ["RuntimeBase", "ClientHandle", "Branch", "FAILED_TAG"]
 
@@ -170,7 +167,7 @@ class RuntimeBase:
         self._closed = False
         self.ownership = OwnershipNetwork()
         self.analysis = StaticAnalysis()
-        self._new_table()
+        self._new_context_state()
         self.latency = LatencyRecorder()
         self.throughput = ThroughputRecorder()
         self.history: Optional[HistoryRecorder] = HistoryRecorder() if record_history else None
@@ -200,21 +197,22 @@ class RuntimeBase:
         for server in cluster.servers.values():
             self.attach_server(server)
 
-    def _new_table(self) -> None:
-        """Start from empty columnar per-context state (repro.core.table).
+    def _new_context_state(self) -> None:
+        """Start from empty per-context state.
 
-        One dense struct-of-arrays table plus three dict-shaped views
-        keeping the legacy mapping API — including its observable
-        insertion-order iteration — over the instance/owner/lock
-        columns.  Hot paths index the columns by slot directly.
+        Product code iterates these maps (the eManager's scale-in scan
+        walks ``placement.items()``), so their insertion order is part
+        of the determinism contract.
         """
-        self.table = ContextTable()
-        self.instances = ContextColumnView(self.table, self.table.instance)
-        self.placement = ContextColumnView(self.table, self.table.owner)
-        self.locks = ContextColumnView(self.table, self.table.lock)
-        #: Bulk-created context ranges: their instances materialize
-        #: lazily on first touch.
-        self._bulk_ranges: List[_BulkRange] = []
+        #: cid -> live instance.
+        self.instances: Dict[str, ContextClass] = {}
+        #: cid -> hosting server name (the paper's context mapping, §5).
+        self.placement: Dict[str, str] = {}
+        #: cid -> per-context lock (§4).
+        self.locks: Dict[str, ContextLock] = {}
+        #: cid -> contextclass of every bulk-registered context that has
+        #: no instance yet; ``instance_of`` pops it on first touch.
+        self._lazy_classes: Dict[str, Type[ContextClass]] = {}
 
     def close(self) -> None:
         """End this runtime's life; idempotent.
@@ -229,7 +227,7 @@ class RuntimeBase:
         if self._closed:
             return
         self._closed = True
-        self._new_table()
+        self._new_context_state()
         self.ownership = OwnershipNetwork()
         self._clients = {}
 
@@ -243,9 +241,7 @@ class RuntimeBase:
 
     def server_of(self, cid: str) -> Server:
         """The server currently hosting context ``cid``."""
-        table = self.table
-        slot = table.index.get(cid)
-        owner = table.owner[slot] if slot is not None else None
+        owner = self.placement.get(cid)
         if owner is None:
             self._ensure_placed(cid)
             owner = self.placement[cid]
@@ -316,23 +312,17 @@ class RuntimeBase:
         count = self._cid_counters.get(cls.__name__, 0) + 1
         self._cid_counters[cls.__name__] = count
         cid = name or f"{cls.__name__.lower()}-{count}"
-        if cid in self.instances:
-            raise ValueError(f"duplicate context id {cid!r}")
-        owner_cids = [owner.cid for owner in owners]
         host = server or self._default_server()
+        # The ownership layer knows every registered cid (bulk leaves
+        # without an instance and virtual joins too) and validates
+        # before it changes anything; nothing else up to ``__init__``
+        # can fail.
+        self.ownership.add_context(cid, parents=[owner.cid for owner in owners])
         instance = cls._aeon_new(self, cid)
         self.instances[cid] = instance
-        self.ownership.add_context(cid, parents=owner_cids)
         self.placement[cid] = host.name
         host.context_count += 1
         self.locks[cid] = ContextLock(self.sim, cid)
-        table = self.table
-        slot = table.index[cid]
-        object.__setattr__(instance, "_aeon_slot", slot)
-        if len(owner_cids) == 1:
-            parent_slot = table.index.get(owner_cids[0])
-            if parent_slot is not None:
-                table.parent[slot] = parent_slot
         try:
             instance.__init__(*args, **(kwargs or {}))
         except Exception:
@@ -342,7 +332,6 @@ class RuntimeBase:
             del self.placement[cid]
             host.context_count -= 1
             del self.locks[cid]
-            object.__setattr__(instance, "_aeon_slot", -1)
             raise
         return instance.ref
 
@@ -365,17 +354,16 @@ class RuntimeBase:
     def instance_of(self, ref_or_cid: Any) -> ContextClass:
         """The live instance behind a ref or context id."""
         cid = ref_or_cid.cid if isinstance(ref_or_cid, ContextRef) else ref_or_cid
-        table = self.table
-        slot = table.index.get(cid)
-        if slot is not None:
-            instance = table.instance[slot]
-            if instance is not None:
-                return instance
-            if self._bulk_ranges:
-                instance = self._materialize(cid, slot)
-                if instance is not None:
-                    return instance
-        raise UnknownContextError(f"unknown context {cid!r}")
+        instance = self.instances.get(cid)
+        if instance is not None:
+            return instance
+        cls = self._lazy_classes.pop(cid, None)
+        if cls is None:
+            raise UnknownContextError(f"unknown context {cid!r}")
+        # First touch of a bulk-registered context.
+        instance = self.instances[cid] = cls._aeon_new(self, cid)
+        instance.__init__()
+        return instance
 
     def create_contexts_bulk(
         self,
@@ -386,15 +374,15 @@ class RuntimeBase:
     ) -> None:
         """Register a large population of contexts without instantiating them.
 
-        The massive-tier fast path: every context gets a table row
-        (interned cid, round-robin placement over ``servers``, parent
-        link and ownership registration), but the Python instance — and
-        its lock — materialize lazily on first touch, so a million
-        registered players cost columns and ownership bookkeeping, not a
-        million object graphs.  Requirements: ``cls.__init__`` must be
-        callable with no arguments, and ``parents`` (if given) is
-        aligned with ``cids``.  Lock/instance creation order — hence the
-        trace — is driven entirely by deterministic event order.
+        The massive-tier fast path: every context is placed (round-robin
+        over ``servers``) and registered in the ownership network, but
+        the Python instance — and its lock — materialize lazily on first
+        touch, so a million registered players cost two dict entries
+        and ownership bookkeeping each, not a million object graphs.
+        Requirements: ``cls.__init__`` must be callable with no
+        arguments, and ``parents`` (if given) is aligned with ``cids``.
+        Lock/instance creation order — hence the trace — is driven
+        entirely by deterministic event order.
 
         All or nothing: a cid that is already registered or repeated in
         the batch, an unknown parent or a ``parents`` of the wrong
@@ -407,46 +395,20 @@ class RuntimeBase:
         if not servers:
             raise AeonError("create_contexts_bulk needs at least one server")
         self._register_class(cls)
-        table = self.table
-        index = table.index
-        for cid in cids:
-            if cid in index:
-                raise ValueError(f"duplicate context id {cid!r}")
         if parents is None:
             parent_cids: List[Optional[str]] = [None] * len(cids)
         else:
             parent_cids = [None if p is None else p.cid for p in parents]
-        # The ownership layer validates the rest of the batch before it
+        # The ownership layer validates the whole batch before it
         # changes anything, and nothing after this call can fail.
         self.ownership.add_leaves(cids, parent_cids)
         count = len(cids)
-        start = table.grow(count)
-        table.cids[start:] = cids
-        index.update(zip(cids, range(start, start + count)))
         n_servers = len(servers)
         names = [server.name for server in servers]
-        table.owner[start:] = [names[i % n_servers] for i in range(count)]
-        self.placement._order.update(zip(cids, repeat(None)))
-        if parents is not None:
-            table.parent[start:] = array(
-                "q", [-1 if p is None else index.get(p, -1) for p in parent_cids]
-            )
+        self.placement.update(zip(cids, [names[i % n_servers] for i in range(count)]))
+        self._lazy_classes.update(dict.fromkeys(cids, cls))
         for i, server in enumerate(servers):
             server.context_count += count // n_servers + (1 if i < count % n_servers else 0)
-        self._bulk_ranges.append(_BulkRange(start, start + count, cls))
-
-    def _materialize(self, cid: str, slot: int) -> Optional[ContextClass]:
-        """Build the lazy instance behind a bulk-created context row."""
-        for bulk in self._bulk_ranges:
-            if bulk.start <= slot < bulk.end:
-                instance = bulk.cls._aeon_new(self, cid)
-                object.__setattr__(instance, "_aeon_slot", slot)
-                self.table.instance[slot] = instance
-                bulk.materialized += 1
-                self.instances._order[cid] = None
-                instance.__init__()
-                return instance
-        return None
 
     # Ownership hooks used by the Ref/RefSet descriptors.
     def ownership_link(self, owner_cid: str, child_cid: str) -> None:
@@ -648,13 +610,10 @@ class RuntimeBase:
         the method's return value.
         """
         target = spec.target
-        table = self.table
-        slot = table.index.get(target)
-        instance = table.instance[slot] if slot is not None else None
+        instance = self.instances.get(target)
         if instance is None:
-            instance = self.instance_of(target)  # materializes bulk rows
-            slot = instance._aeon_slot
-        owner = table.owner[slot]
+            instance = self.instance_of(target)  # first touch of a bulk leaf
+        owner = self.placement.get(target)
         if owner is not None:
             server = self.cluster.servers[owner]
         else:
@@ -680,18 +639,16 @@ class RuntimeBase:
                 )
             if not ro_method and self.fencing is not None:
                 self.fencing.check_write(instance.cid)
-        # Version tracking (_record_access, inlined: once per call); the
-        # counter lives in the table's version column, indexed by slot.
+        # Version tracking (_record_access, inlined: once per call).
         cid = instance._aeon_cid
         writes = event.writes
-        version = table.version
         if ro_method:
             if cid not in writes:
-                event.reads[cid] = version[slot]
+                event.reads[cid] = instance._aeon_version
         else:
             if cid not in writes:
-                version[slot] += 1
-            writes[cid] = version[slot]
+                instance._aeon_version += 1
+            writes[cid] = instance._aeon_version
         yield self._charge(server, cost_ms)
         if func is not None:
             outcome = func(instance, *spec.args, **spec.kwargs)
@@ -764,9 +721,7 @@ class RuntimeBase:
         makes the per-context execution order inherit the sequencer
         (dominator / root) order, and what keeps chain release safe.
         """
-        table = self.table
-        slot = table.index.get(cid)
-        lock = table.lock[slot] if slot is not None else None
+        lock = self.locks.get(cid)
         if lock is None:
             lock = self.lock_of(cid)
         grant, owned = lock.request(event)
@@ -907,9 +862,7 @@ class RuntimeBase:
 
     def _schedule_release(self, event: Event, cid: str, from_server: Server) -> None:
         """Release ``cid`` after the release message's one-way latency."""
-        table = self.table
-        slot = table.index.get(cid)
-        lock = table.lock[slot] if slot is not None else None
+        lock = self.locks.get(cid)
         if lock is None:
             lock = self.lock_of(cid)
         delay = self._release_delay(from_server, cid)
@@ -932,13 +885,10 @@ class RuntimeBase:
         timer push (and one dispatch) per group instead of per lock.
         """
         sim = self.sim
-        table = self.table
-        lock_col = table.lock
-        index = table.index
+        locks_by_cid = self.locks
         groups: Dict[float, List[ContextLock]] = {}
         for cid in cids:
-            slot = index.get(cid)
-            lock = lock_col[slot] if slot is not None else None
+            lock = locks_by_cid.get(cid)
             if lock is None:
                 lock = self.lock_of(cid)
             delay = self._release_delay(from_server, cid)
@@ -978,31 +928,15 @@ class RuntimeBase:
     # Introspection
     # ------------------------------------------------------------------
     def context_count(self) -> int:
-        """Number of live (non-virtual) contexts, including bulk rows
-        whose instances have not materialized yet."""
-        lazy = sum(
-            bulk.end - bulk.start - bulk.materialized for bulk in self._bulk_ranges
-        )
-        return len(self.instances) + lazy
+        """Number of live (non-virtual) contexts, including bulk-registered
+        ones whose instances have not materialized yet."""
+        return len(self.instances) + len(self._lazy_classes)
 
     def check_history(self) -> None:
         """Run the strict-serializability checker (requires history)."""
         if self.history is None:
             raise AeonError("runtime was created without record_history=True")
         self.history.check()
-
-
-class _BulkRange:
-    """One ``create_contexts_bulk`` call: table rows ``[start, end)`` of
-    ``cls``, ``materialized`` of which have an instance so far."""
-
-    __slots__ = ("start", "end", "cls", "materialized")
-
-    def __init__(self, start: int, end: int, cls: Type[ContextClass]) -> None:
-        self.start = start
-        self.end = end
-        self.cls = cls
-        self.materialized = 0
 
 
 class _EventProcess(Process):

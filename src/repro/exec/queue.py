@@ -157,12 +157,6 @@ def _task_name(key: str, attempt: int) -> str:
     return f"{key}.{attempt:03d}{_TASK_SUFFIX}"
 
 
-def _parse_task_name(name: str) -> Tuple[str, int]:
-    stem = name[: -len(_TASK_SUFFIX)]
-    key, _, attempt = stem.partition(".")
-    return key, int(attempt.split(".")[0])
-
-
 def _parse_active_name(name: str) -> Tuple[str, int, str]:
     """``<key>.<att>.<worker>.task`` -> (key, attempt, worker)."""
     stem = name[: -len(_TASK_SUFFIX)]

@@ -118,7 +118,7 @@ class Scale:
     churn_start_ms: float = 5000.0
     churn_checkpoint_ms: float = 1500.0
     churn_restart_ms: Tuple[float, float] = (1500.0, 4000.0)
-    # massive tier (columnar bulk registration) sizing.
+    # massive tier (bulk registration) sizing.
     massive_contexts: int = 100_000
     massive_servers: int = 32
     massive_clients: int = 256
@@ -181,7 +181,7 @@ SCALES: Dict[str, Scale] = {
     # The million-context tier: figure sizing mirrors "full" (so any
     # scenario *can* run here), but what the preset is for is the
     # massive_* scenarios — a 1M-leaf population on a several-hundred
-    # server fleet, bulk-registered through the columnar table.
+    # server fleet, bulk-registered.
     "massive": Scale(
         game_duration_ms=2500.0,
         game_warmup_ms=700.0,
@@ -1492,7 +1492,7 @@ def _massive_run(flavor: str, scale: str, seed: int) -> Dict[str, object]:
 
     The scale preset's ``massive_*`` sizing drives everything: a
     ``massive_contexts``-leaf tree (see :mod:`repro.apps.massive`) is
-    registered through the columnar bulk path — no instances, no locks —
+    registered in bulk — no instances, no locks —
     and ``massive_clients`` closed-loop clients sample uniformly over
     the population, materializing only the leaves they actually touch.
     The latency recorder runs with a low sampling threshold so
@@ -2527,12 +2527,12 @@ def _partition_recovery() -> ScenarioSpec:
 
 @scenario
 def _massive_game() -> ScenarioSpec:
-    """A million bulk-registered game players on the columnar core."""
+    """A million bulk-registered game players."""
     return ScenarioSpec(
         name="massive_game",
-        title="Massive game — a million players on the columnar core",
+        title="Massive game — a million bulk-registered players",
         description="A huge single-parent player population registered "
-        "through the columnar bulk path: leaves materialize lazily on "
+        "in bulk: leaves materialize lazily on "
         "first touch, percentiles come from the reservoir-sampling "
         "recorder, and a state digest pins determinism.  ~100k contexts "
         "at --scale quick (the CI smoke tier), 1M+ at --scale massive.",
@@ -2546,10 +2546,10 @@ def _massive_game() -> ScenarioSpec:
 
 @scenario
 def _massive_tpcc() -> ScenarioSpec:
-    """A million bulk-registered TPC-C terminals on the columnar core."""
+    """A million bulk-registered TPC-C terminals."""
     return ScenarioSpec(
         name="massive_tpcc",
-        title="Massive TPC-C — a million terminals on the columnar core",
+        title="Massive TPC-C — a million bulk-registered terminals",
         description="The TPC-C-shaped massive tier: order-submitting "
         "terminal leaves under district shards, bulk-registered and "
         "lazily materialized.  ~100k contexts at --scale quick (the CI "

@@ -1,13 +1,8 @@
-"""The million-context columnar core: table, sampling, massive tier.
+"""The million-context core: bulk registration, sampling, massive tier.
 
-Covers the PR 8 surface end to end:
-
-* cid interning round-trips and slot recycling in the struct-of-arrays
-  :class:`~repro.core.table.ContextTable`;
-* dict-faithful :class:`~repro.core.table.ContextColumnView` semantics
-  (insertion order is observable in traces);
-* ``grow``/``compact`` under churn: contiguous bulk rows, old->new slot
-  maps, ``_aeon_slot`` re-stamping, parent-link remapping;
+* bulk registration through ``create_contexts_bulk``: all-or-nothing
+  validation, lazy materialisation on first touch, ``context_count``
+  and the bytes a registered leaf retains;
 * the :class:`~repro.sim.metrics.LatencyRecorder` reservoir: exact
   aggregates, bounded percentile error vs an exact recorder on seeded
   streams, deterministic resampling, and cross-mode byte-identity below
@@ -26,10 +21,9 @@ from random import Random
 import pytest
 
 from repro.apps.massive import MassiveConfig, build_massive, run_checksum
-from repro.core.context import ContextRef
+from repro.core.context import ContextClass, ContextRef
 from repro.core.errors import UnknownContextError
 from repro.core.ownership import OwnershipNetwork
-from repro.core.table import ContextColumnView, ContextTable
 from repro.exec import Cell
 from repro.harness.runner import make_testbed, run_game
 from repro.harness.scenarios import (
@@ -39,160 +33,6 @@ from repro.results import MISS, ResultStore
 from repro.results.__main__ import parse_size
 from repro.sim.metrics import DEFAULT_SAMPLE_THRESHOLD, LatencyRecorder
 from repro.workloads.generators import ClosedLoopClients
-
-
-# ----------------------------------------------------------------------
-# ContextTable: interning, recycling, grow
-# ----------------------------------------------------------------------
-class _Obj:
-    """Instance stand-in; compact() re-stamps ``_aeon_slot`` on these."""
-
-
-def _views(table):
-    return (
-        ContextColumnView(table, table.instance),
-        ContextColumnView(table, table.owner),
-        ContextColumnView(table, table.lock),
-    )
-
-
-def test_intern_round_trips():
-    table = ContextTable()
-    slots = [table.intern(f"c{i}") for i in range(5)]
-    assert slots == [0, 1, 2, 3, 4]  # dense, allocation order
-    assert [table.intern(f"c{i}") for i in range(5)] == slots  # idempotent
-    assert [table.slot(f"c{i}") for i in range(5)] == slots
-    assert [table.cids[s] for s in slots] == [f"c{i}" for i in range(5)]
-    assert len(table) == 5 and table.capacity == 5
-    with pytest.raises(KeyError):
-        table.slot("unknown")
-
-
-def test_slot_freed_only_when_all_columns_release_it():
-    table = ContextTable()
-    inst, owner, lock = _views(table)
-    for cid in ("a", "b"):
-        inst[cid] = _Obj()
-        owner[cid] = "s1"
-        lock[cid] = object()
-    slot_a = table.slot("a")
-    table.version[slot_a] = 7
-    del inst["a"]
-    del owner["a"]
-    assert "a" in table.index  # lock column still holds state
-    del lock["a"]
-    assert "a" not in table.index and table._free == [slot_a]
-    assert table.capacity == 2  # row kept, marked free
-    # The next intern recycles the freed row with reset scalar columns.
-    assert table.intern("c") == slot_a
-    assert table.version[slot_a] == 0 and table.parent[slot_a] == -1
-    assert table.capacity == 2
-
-
-def test_grow_is_contiguous_and_never_recycles():
-    table = ContextTable()
-    inst, owner, lock = _views(table)
-    inst["a"] = _Obj()
-    owner["b"] = "s1"
-    del inst["a"]  # slot 0 is free now
-    assert table._free
-    start = table.grow(3)
-    assert start == 2  # appended past the free slot, not into it
-    assert table.capacity == 5
-    assert table.cids[start:] == [None, None, None]
-
-
-# ----------------------------------------------------------------------
-# ContextColumnView: dict-faithful semantics
-# ----------------------------------------------------------------------
-def test_view_preserves_dict_insertion_order_semantics():
-    table = ContextTable()
-    owner, = (ContextColumnView(table, table.owner),)
-    mirror = {}
-    for cid, value in [("x", "s1"), ("y", "s2"), ("z", "s3")]:
-        owner[cid] = value
-        mirror[cid] = value
-    owner["x"] = "s9"  # overwrite keeps position
-    mirror["x"] = "s9"
-    del owner["y"]  # delete + re-insert moves to the end
-    del mirror["y"]
-    owner["y"] = "s4"
-    mirror["y"] = "s4"
-    assert list(owner) == list(mirror)
-    assert list(owner.items()) == list(mirror.items())
-    assert len(owner) == len(mirror)
-
-
-def test_view_absent_sentinel_and_errors():
-    table = ContextTable()
-    inst, owner, _lock = _views(table)
-    inst["a"] = _Obj()
-    # "a" is interned, but the *owner* column holds nothing for it.
-    assert "a" not in owner
-    assert owner.get("a", "dflt") == "dflt"
-    with pytest.raises(KeyError):
-        owner["a"]
-    with pytest.raises(KeyError):
-        del owner["a"]
-    with pytest.raises(ValueError):
-        owner["a"] = None  # None is the absent sentinel
-
-
-# ----------------------------------------------------------------------
-# compact() under churn
-# ----------------------------------------------------------------------
-def test_compact_squeezes_remaps_and_restamps():
-    table = ContextTable()
-    inst, owner, lock = _views(table)
-    objs = {}
-    for i in range(8):
-        cid = f"c{i}"
-        objs[cid] = _Obj()
-        inst[cid] = objs[cid]
-        owner[cid] = f"s{i % 3}"
-        lock[cid] = object()
-        table.version[table.slot(cid)] = 10 + i
-    # Parent links: c1..c7 are children of c0.
-    root = table.slot("c0")
-    for i in range(1, 8):
-        table.parent[table.slot(f"c{i}")] = root
-    # Churn: fully release c1 and c4 (slots become free).
-    for cid in ("c1", "c4"):
-        del inst[cid]
-        del owner[cid]
-        del lock[cid]
-    survivors = [f"c{i}" for i in (0, 2, 3, 5, 6, 7)]
-    old_slots = {cid: table.slot(cid) for cid in survivors}
-    order_before = list(inst)
-
-    remap = table.compact()
-
-    assert table.capacity == len(survivors) and not table._free
-    assert table.cids == sorted(survivors)  # sorted-cid total order
-    for cid in survivors:
-        new = table.slot(cid)
-        assert remap[old_slots[cid]] == new
-        assert inst[cid] is objs[cid]
-        assert objs[cid]._aeon_slot == new  # re-stamped
-        assert table.version[new] == 10 + int(cid[1:])  # moved with the row
-        if cid != "c0":
-            assert table.parent[new] == table.slot("c0")  # remapped link
-    # Views keep their own insertion order across compaction.
-    assert list(inst) == order_before
-
-
-def test_compact_drops_parent_links_to_freed_rows():
-    table = ContextTable()
-    inst, owner, lock = _views(table)
-    for cid in ("parent", "child"):
-        inst[cid] = _Obj()
-        owner[cid] = "s1"
-        lock[cid] = object()
-    table.parent[table.slot("child")] = table.slot("parent")
-    for view in (inst, owner, lock):
-        del view["parent"]
-    table.compact()
-    assert table.parent[table.slot("child")] == -1
 
 
 # ----------------------------------------------------------------------
@@ -334,7 +174,6 @@ def test_bulk_registration_is_lazy():
     assert runtime.instance_of("p-7") is player
     assert len(runtime.instances) == 6
     assert runtime.context_count() == 205  # materialization adds nothing
-    # Bulk rows share the interned placement columns.
     assert runtime.placement["p-7"] in {s.name for s in testbed.servers}
 
 
@@ -347,23 +186,23 @@ def test_bulk_rejects_duplicate_cids():
         )
 
 
+def _registry_state(runtime, servers):
+    """Everything a context registration writes."""
+    return (
+        list(runtime.instances), list(runtime.placement), list(runtime.locks),
+        runtime.ownership.snapshot(), runtime.context_count(),
+        [server.context_count for server in servers],
+    )
+
+
 def test_bulk_rejects_a_bad_batch_untouched():
     """All or nothing: a batch that fails validation registers nothing."""
     testbed = make_testbed("aeon", 2, seed=0)
     app = build_massive(testbed.runtime, MassiveConfig(contexts=10), testbed.servers)
     runtime, leaf_cls = testbed.runtime, type(testbed.runtime.instance_of("p-0"))
-    shard, table = app.shards[0], runtime.table
-
-    def state():
-        return (
-            table.capacity, dict(table.index), list(runtime.instances),
-            list(runtime.placement), list(runtime.locks),
-            runtime.ownership.snapshot(), runtime.context_count(),
-            len(runtime._bulk_ranges),
-            [server.context_count for server in testbed.servers],
-        )
-
-    before = state()
+    shard = app.shards[0]
+    before = _registry_state(runtime, testbed.servers)
+    count_before = runtime.context_count()
     ghost = ContextRef("nobody", "Shard")
     for cids, parents, error in (
         (["a", "b", "a", "c"], [shard] * 4, ValueError),   # repeated in batch
@@ -373,11 +212,36 @@ def test_bulk_rejects_a_bad_batch_untouched():
     ):
         with pytest.raises(error):
             runtime.create_contexts_bulk(leaf_cls, cids, testbed.servers, parents=parents)
-        assert state() == before
+        assert _registry_state(runtime, testbed.servers) == before
     runtime.create_contexts_bulk(leaf_cls, ["a", "b"], testbed.servers, parents=[shard, None])
-    assert runtime.context_count() == before[6] + 2
+    assert runtime.context_count() == count_before + 2
     assert runtime.instance_of("b").score == 0
     assert runtime.ownership.parents("a") == {shard.cid}
+
+
+class _Other(ContextClass):
+    pass
+
+
+def test_create_context_rejects_a_bulk_registered_cid_untouched():
+    """A bulk leaf without an instance is registered: its cid is taken."""
+    testbed = make_testbed("aeon", 2, seed=0)
+    build_massive(testbed.runtime, MassiveConfig(contexts=10), testbed.servers)
+    runtime = testbed.runtime
+    before = _registry_state(runtime, testbed.servers)
+    with pytest.raises(ValueError):
+        runtime.create_context(_Other, name="p-3")
+    assert _registry_state(runtime, testbed.servers) == before
+    assert type(runtime.instance_of("p-3")).__name__ == "MassivePlayer"
+
+
+def test_create_context_with_an_unknown_owner_leaves_nothing_behind():
+    testbed = make_testbed("aeon", 2, seed=0)
+    runtime = testbed.runtime
+    before = _registry_state(runtime, testbed.servers)
+    with pytest.raises(UnknownContextError):
+        runtime.create_context(_Other, owners=[ContextRef("ghost", "Other")], name="a")
+    assert _registry_state(runtime, testbed.servers) == before
 
 
 def test_context_count_on_a_partly_materialized_population():
@@ -388,13 +252,12 @@ def test_context_count_on_a_partly_materialized_population():
     runtime.create_contexts_bulk(leaf_cls, [f"q-{i}" for i in range(50)], testbed.servers)
     for cid in ("p-1", "p-1", "p-299", "q-0", "q-49", "q-7"):
         runtime.instance_of(cid)
-    # The definition the per-range counter replaced: every instance
-    # plus every bulk row that has none yet.
+    # The definition: every instance plus every placed non-virtual cid
+    # that has none yet.
     lazy = sum(
         1
-        for bulk in runtime._bulk_ranges
-        for slot in range(bulk.start, bulk.end)
-        if runtime.table.instance[slot] is None
+        for cid in runtime.placement
+        if cid not in runtime.instances and not runtime.ownership.is_virtual(cid)
     )
     assert lazy == 350 - 6
     assert runtime.context_count() == len(runtime.instances) + lazy == 355
@@ -419,6 +282,24 @@ def test_ownership_bytes_per_bulk_leaf():
         tracemalloc.stop()
     assert len(network) == 20_009 and network.dominator("p-19999") == "p-19999"
     assert retained / 20_000 < 400
+
+
+def test_bytes_per_registered_untouched_leaf():
+    """What ``build_massive`` retains per leaf nobody has touched: the cid
+    string, a placement entry, a lazy-class entry and the compact
+    ownership leaf — 433 B measured at 20 k leaves.  The bound is
+    measured x 1.15: one more per-leaf dict entry (~80 B) fails here."""
+    count = 20_000
+    testbed = make_testbed("aeon", 4, seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build_massive(testbed.runtime, MassiveConfig(contexts=count), testbed.servers)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(testbed.runtime.instances) == 5
+    assert retained / count <= 498
 
 
 @pytest.mark.parametrize("flavor, completed, checksum", [

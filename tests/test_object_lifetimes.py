@@ -275,7 +275,7 @@ def test_finished_process_drops_its_generator_and_callbacks():
 def test_bytes_per_materialised_bulk_leaf():
     """Instance + lock of a bulk leaf after one acquire/release: 1494 B
     when the lock carried a deque, two dicts, a name and a private ready
-    signal; measured ≈470 B now.  Extends PR 12's per-registered-leaf
+    signal; measured 457 B now.  Extends PR 12's per-registered-leaf
     guard (``test_ownership_bytes_per_bulk_leaf``)."""
     count = 10_000
     testbed = make_testbed("aeon", 4, seed=0)
