@@ -591,16 +591,7 @@ class EManager:
                 self._false_suspects[name] = True
                 self.false_detections += 1
             return
-        ownership = runtime.ownership
-        # Containers first so arriving events find the parents settled.
-        lost = sorted(
-            (
-                cid
-                for cid, host in runtime.placement.items()
-                if host == name and not ownership.is_virtual(cid)
-            ),
-            key=lambda cid: (len(ownership.ancestors(cid)), cid),
-        )
+        lost = self._lost_contexts(name)
         if not lost:
             return
         # Draining servers are about to be decommissioned: restoring a
@@ -623,12 +614,7 @@ class EManager:
         # Map each lost context to the checkpoint bundle covering it and
         # download each needed bundle from cloud storage once; the
         # per-context state is then pushed to its new host by restore().
-        cover: Dict[str, str] = {}
-        for root in self._checkpoint_roots:
-            members = ownership.descendants(root)
-            for cid in lost:
-                if cid in members and cid not in cover:
-                    cover[cid] = root
+        cover = self._covering_roots(lost)
         bundles: Dict[str, dict] = {}
         for root in sorted(set(cover.values())):
             # Reassemble whatever layout the checkpointer stored: a
@@ -641,10 +627,60 @@ class EManager:
             )
             if value:
                 bundles[root] = value
-        # One new host per lost subtree: co-location survives recovery.
+        restored, _granted = yield from self._restore_lost(
+            lost, cover, bundles, targets
+        )
+        self.contexts_recovered += restored
+        self.recovery_log.append(
+            {
+                "server": name,
+                "contexts": len(lost),
+                "restored": restored,
+                "started_ms": started,
+                "finished_ms": sim.now,
+            }
+        )
+
+    def _lost_contexts(self, name: str) -> List[str]:
+        """The real contexts placed on ``name``, containers first so
+        arriving events find the parents settled."""
+        ownership = self.runtime.ownership
+        return sorted(
+            (
+                cid
+                for cid, host in self.runtime.placement.items()
+                if host == name and not ownership.is_virtual(cid)
+            ),
+            key=lambda cid: (len(ownership.ancestors(cid)), cid),
+        )
+
+    def _covering_roots(self, lost: List[str]) -> Dict[str, str]:
+        """Each lost context → the checkpoint root whose bundle covers it."""
+        cover: Dict[str, str] = {}
+        for root in self._checkpoint_roots:
+            members = self.runtime.ownership.descendants(root)
+            for cid in lost:
+                if cid in members and cid not in cover:
+                    cover[cid] = root
+        return cover
+
+    def _restore_lost(
+        self,
+        lost: List[str],
+        cover: Dict[str, str],
+        bundles: Dict[str, dict],
+        targets: List[Server],
+    ) -> Generator:
+        """Restore ``lost`` onto ``targets`` from ``bundles`` and await it.
+
+        One new host per lost subtree: co-location survives recovery.
+        Returns ``(restored, granted)``: how many contexts came back,
+        and each covered root's new holder.
+        """
         assignment: Dict[str, Server] = {}
         rotation = 0
         pending: List[Signal] = []
+        granted: Dict[str, str] = {}
         for cid in lost:
             root = cover.get(cid)
             group = root if root is not None else cid
@@ -664,6 +700,8 @@ class EManager:
                 # than killing the whole recovery process — the rest of
                 # the lost set still restores.
                 continue
+            if root is not None:
+                granted[root] = dst.name
         restored = 0
         for signal in pending:
             try:
@@ -671,16 +709,7 @@ class EManager:
             except Exception:  # noqa: BLE001 - count what did come back
                 continue
             restored += 1
-        self.contexts_recovered += restored
-        self.recovery_log.append(
-            {
-                "server": name,
-                "contexts": len(lost),
-                "restored": restored,
-                "started_ms": started,
-                "finished_ms": sim.now,
-            }
-        )
+        return restored, granted
 
     def _recover_server_honest(self, name: str) -> Generator:
         """Fencing-epoch recovery: declaration-driven, no ground truth.
@@ -705,23 +734,10 @@ class EManager:
         """
         runtime = self.runtime
         sim = runtime.sim
-        ownership = runtime.ownership
-        lost = sorted(
-            (
-                cid
-                for cid, host in runtime.placement.items()
-                if host == name and not ownership.is_virtual(cid)
-            ),
-            key=lambda cid: (len(ownership.ancestors(cid)), cid),
-        )
+        lost = self._lost_contexts(name)
         if not lost:
             return
-        cover: Dict[str, str] = {}
-        for root in self._checkpoint_roots:
-            members = ownership.descendants(root)
-            for cid in lost:
-                if cid in members and cid not in cover:
-                    cover[cid] = root
+        cover = self._covering_roots(lost)
         roots = sorted(set(cover.values()))
         fencing = self.fencing
         if fencing is not None:
@@ -781,35 +797,9 @@ class EManager:
                 {"server": name, "contexts": len(lost), "status": "no-targets"}
             )
             return
-        # One new host per lost subtree: co-location survives recovery.
-        assignment: Dict[str, Server] = {}
-        rotation = 0
-        pending: List[Signal] = []
-        granted: Dict[str, str] = {}
-        for cid in lost:
-            root = cover.get(cid)
-            group = root if root is not None else cid
-            dst = assignment.get(group)
-            if dst is None:
-                dst = targets[rotation % len(targets)]
-                rotation += 1
-                assignment[group] = dst
-            state = bundles.get(root, {}).get(cid) if root is not None else None
-            if state is None:
-                self.contexts_restored_without_checkpoint += 1
-            try:
-                pending.append(self.coordinator.restore(cid, dst, state))
-            except MigrationError:
-                continue
-            if root is not None:
-                granted[root] = dst.name
-        restored = 0
-        for signal in pending:
-            try:
-                yield signal
-            except Exception:  # noqa: BLE001 - count what did come back
-                continue
-            restored += 1
+        restored, granted = yield from self._restore_lost(
+            lost, cover, bundles, targets
+        )
         if fencing is not None:
             persists = []
             for root in sorted(granted):

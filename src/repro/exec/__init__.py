@@ -2,7 +2,7 @@
 
 Cell execution is a *strategy*: every backend implements the
 :class:`~repro.exec.base.Executor` interface (``submit(cell) -> handle``,
-``as_completed()``, ``shutdown()``) and the harness picks one per run
+``shutdown()``) and the harness picks one per run
 (``--executor serial|pool|queue`` or ``REPRO_EXECUTOR``):
 
 * :class:`~repro.exec.base.SerialExecutor` — lazy in-process execution,

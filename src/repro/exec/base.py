@@ -33,7 +33,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Cell",
@@ -49,7 +49,6 @@ __all__ = [
     "ProcessExecutor",
     "EXECUTORS",
     "EXECUTOR_ENV",
-    "RESPAWNS_ENV",
     "resolve_executor",
     "make_executor",
 ]
@@ -58,9 +57,6 @@ _log = logging.getLogger("repro.exec")
 
 #: Environment default for the backend name (CLI ``--executor`` wins).
 EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: Environment default for :class:`ProcessExecutor` ``max_respawns``.
-RESPAWNS_ENV = "REPRO_EXEC_RESPAWNS"
 
 #: The registered backend names (``"pool"`` and ``"queue"`` need jobs /
 #: workers; ``"serial"`` is the in-process path).
@@ -193,28 +189,14 @@ class Executor:
     ``submit(cell)`` returns a *handle* — an object whose ``result()``
     blocks until the cell's :class:`CellResult` is available (raising
     :class:`ExecutorError` when the backend lost it for good) and whose
-    ``done()`` reports readiness without blocking.  ``as_completed()``
-    yields the submitted handles in *completion* order;
-    ``shutdown()`` releases workers/spool state.  Callers that need
-    figure data iterate handles in submission order instead — cell
-    order is what makes assembled data byte-identical across backends.
+    ``done()`` reports readiness without blocking.  ``shutdown()``
+    releases workers/spool state.  Callers collect handles in
+    submission order — cell order is what makes assembled data
+    byte-identical across backends.
     """
 
     def submit(self, cell: Cell) -> Any:
         raise NotImplementedError
-
-    def as_completed(self, poll_s: float = 0.02) -> Iterator[Any]:
-        """Yield submitted handles as they complete (default: poll)."""
-        pending = list(self._handles)
-        while pending:
-            progressed = False
-            for handle in list(pending):
-                if handle.done():
-                    pending.remove(handle)
-                    progressed = True
-                    yield handle
-            if pending and not progressed:
-                time.sleep(poll_s)
 
     def shutdown(self, wait: bool = True) -> None:
         raise NotImplementedError
@@ -267,38 +249,17 @@ class SerialExecutor(Executor):
 
     def __init__(self, store: Any = None) -> None:
         self.store = store
-        self._handles: List[_LazyHandle] = []
 
     def submit(self, cell: Cell) -> _LazyHandle:
-        handle = _LazyHandle(cell, self.store)
-        self._handles.append(handle)
-        return handle
-
-    def as_completed(self, poll_s: float = 0.02) -> Iterator[_LazyHandle]:
-        for handle in list(self._handles):
-            handle.result()
-            yield handle
+        return _LazyHandle(cell, self.store)
 
     def shutdown(self, wait: bool = True) -> None:
-        self._handles.clear()
+        pass
 
 
 # ----------------------------------------------------------------------
 # ProcessExecutor — the local pool, hardened
 # ----------------------------------------------------------------------
-def _default_respawns() -> int:
-    raw = os.environ.get(RESPAWNS_ENV)
-    if raw is None:
-        return 2
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"invalid {RESPAWNS_ENV}={raw!r}; want an integer >= 0")
-    if value < 0:
-        raise ValueError(f"invalid {RESPAWNS_ENV}={raw!r}; want an integer >= 0")
-    return value
-
-
 class _PoolHandle:
     """Handle over a pool future that survives pool respawns."""
 
@@ -335,21 +296,18 @@ class ProcessExecutor(Executor):
 
     Args: ``jobs`` worker processes (``0`` = one per core); ``store`` an
     optional :class:`~repro.results.ResultStore` each completed cell is
-    persisted to; ``max_respawns`` the pool-respawn budget (default 2,
-    or ``REPRO_EXEC_RESPAWNS``).
+    persisted to; ``max_respawns`` the pool-respawn budget.
     """
 
     def __init__(
         self,
         jobs: int = 0,
         store: Any = None,
-        max_respawns: Optional[int] = None,
+        max_respawns: int = 2,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.store = store
-        self.max_respawns = (
-            _default_respawns() if max_respawns is None else int(max_respawns)
-        )
+        self.max_respawns = max_respawns
         self.respawns = 0
         self._pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
             max_workers=self.jobs

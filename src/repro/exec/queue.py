@@ -67,7 +67,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..results.store import MISS, ResultStore, STORE_TAG, cell_key
 from .base import (
@@ -385,7 +385,6 @@ class QueueExecutor(Executor):
         self.reclaims = 0
         self.speculations = 0
         self.completed_cells = 0
-        self._handles: List[_QueueHandle] = []
         self._outstanding: Dict[str, _QueueHandle] = {}
         self._attempts: Dict[str, int] = {}
         self._submitted_at: Dict[str, float] = {}
@@ -434,13 +433,11 @@ class QueueExecutor(Executor):
                 # A previous run (or another coordinator) already
                 # computed this cell — resume without dispatching.
                 handle._result = CellResult(key=cell.key, value=value)
-                self._handles.append(handle)
                 return handle
         publish(self.root, cell, key, attempt=0)
         self._attempts[key] = 0
         self._submitted_at[key] = time.monotonic()
         self._outstanding[key] = handle
-        self._handles.append(handle)
         return handle
 
     # -- collection -----------------------------------------------------
@@ -449,17 +446,6 @@ class QueueExecutor(Executor):
             if not self._service():
                 time.sleep(self.poll_interval_s)
         return handle._finish()
-
-    def as_completed(self, poll_s: float = 0.02) -> Iterator[_QueueHandle]:
-        pending = list(self._handles)
-        while pending:
-            ready = [h for h in pending if h.done()]
-            if not ready and not self._service():
-                time.sleep(self.poll_interval_s)
-                continue
-            for handle in ready:
-                pending.remove(handle)
-                yield handle
 
     def _service(self) -> bool:
         """One coordinator pass: collect, police leases, speculate.

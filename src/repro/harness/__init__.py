@@ -1,6 +1,6 @@
 """Experiment harness: declarative scenarios driving every figure."""
 
-from .runner import CellPool, RunResult, SYSTEMS, Testbed, make_testbed, run_game
+from .runner import CellPool, RunResult, SYSTEMS, Testbed, make_testbed, run_closed_loop
 from .scenarios import (
     ScenarioSpec,
     get_scenario,
@@ -15,7 +15,7 @@ __all__ = [
     "SYSTEMS",
     "Testbed",
     "make_testbed",
-    "run_game",
+    "run_closed_loop",
     "ScenarioSpec",
     "get_scenario",
     "list_scenarios",

@@ -180,14 +180,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "heartbeat is re-queued (default 30)",
     )
     parser.add_argument(
-        "--queue-straggler-factor",
-        type=float,
-        default=None,
-        metavar="X",
-        help="speculatively re-dispatch a cell running longer than X times "
-        "the p90 of completed cells (default 3.0)",
-    )
-    parser.add_argument(
         "--json",
         metavar="PATH",
         default=None,
@@ -252,8 +244,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         executor_options["spawn_workers"] = args.queue_workers
     if args.queue_lease is not None:
         executor_options["lease_timeout_s"] = args.queue_lease
-    if args.queue_straggler_factor is not None:
-        executor_options["straggler_factor"] = args.queue_straggler_factor
 
     results: Dict[str, Any] = {}
     try:

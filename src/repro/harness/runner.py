@@ -1,7 +1,7 @@
 """Experiment runner: build a cluster + runtime + app, drive, measure.
 
 Every figure in docs/EXPERIMENTS.md is produced through
-:func:`run_game` / the drivers in :mod:`repro.harness.scenarios`, so
+:func:`run_closed_loop` / the drivers in :mod:`repro.harness.scenarios`, so
 all experiments share one measurement discipline: fixed warmup cut,
 fixed measurement window, deterministic seeds.
 
@@ -22,7 +22,6 @@ import logging
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from ..apps.game import GameApp, GameConfig, build_game
 from ..baselines import EventWaveRuntime, OrleansRuntime
 from ..core.costs import CostModel, DEFAULT_COSTS
 from ..core.protocol import AeonRuntime
@@ -33,7 +32,7 @@ from ..sim.cluster import Cluster, InstanceType, M3_LARGE, Server
 from ..sim.kernel import Simulator
 from ..sim.network import Network
 from ..sim.rng import RngRegistry
-from ..workloads.generators import ClosedLoopClients
+from ..workloads.generators import ClosedLoopClients, OpSampler
 
 __all__ = [
     "SYSTEMS",
@@ -41,7 +40,7 @@ __all__ = [
     "Testbed",
     "make_testbed",
     "RunResult",
-    "run_game",
+    "run_closed_loop",
     "run_cells",
     "CellPool",
 ]
@@ -152,44 +151,40 @@ class RunResult:
     extras: Dict[str, float] = field(default_factory=dict)
 
 
-def run_game(
+def run_closed_loop(
+    testbed: Testbed,
     system: str,
-    n_servers: int,
+    sample_op: OpSampler,
     n_clients: int,
-    duration_ms: float = 4000.0,
-    warmup_ms: float = 1000.0,
-    think_ms: float = 1.0,
-    config: Optional[GameConfig] = None,
-    costs: CostModel = DEFAULT_COSTS,
-    seed: int = 0,
-    record_history: bool = False,
-) -> Tuple[RunResult, Testbed, GameApp]:
-    """Run the game under closed-loop load and measure steady state.
+    *,
+    think_ms: float,
+    duration_ms: float,
+    warmup_ms: float,
+    drain_ms: float,
+) -> RunResult:
+    """Drive a deployed app under closed-loop load and measure steady state.
 
-    Args: deployment shape (``system``/``n_servers``/``n_clients``),
-    measurement window (``duration_ms``/``warmup_ms``), per-client
-    ``think_ms``, optional ``config``/``costs`` overrides and ``seed``.
-    Returns ``(RunResult, Testbed, GameApp)``.  Used by fig5a/fig5b
-    cells — see docs/EXPERIMENTS.md.
+    Starts ``n_clients`` clients drawing operations from ``sample_op``
+    (think time ``think_ms``) that stop submitting at ``duration_ms``,
+    runs the simulation ``drain_ms`` past that so in-flight events
+    finish, and measures ``[warmup_ms, duration_ms)``.  The caller
+    deploys the app and owns the testbed (``with make_testbed(...) as
+    testbed``).  Used by the fig5/fig6, ablation and massive cells —
+    see docs/EXPERIMENTS.md.
     """
-    testbed = make_testbed(
-        system, n_servers, costs=costs, seed=seed, record_history=record_history
-    )
-    game_config = config or GameConfig(rooms=n_servers)
-    app = build_game(testbed.runtime, game_config, system, servers=testbed.servers)
     clients = ClosedLoopClients(
         testbed.runtime,
-        app.sample_op,
+        sample_op,
         n_clients=n_clients,
         think_ms=think_ms,
         rng=testbed.rng,
         stop_at_ms=duration_ms,
     )
     clients.start()
-    testbed.sim.run(until=duration_ms + 2000.0)
+    testbed.sim.run(until=duration_ms + drain_ms)
     result = measure(system, testbed, n_clients, warmup_ms, duration_ms)
     result.errors = len(clients.errors)
-    return result, testbed, app
+    return result
 
 
 # ----------------------------------------------------------------------

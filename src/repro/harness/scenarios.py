@@ -10,9 +10,9 @@ spec into results in three steps:
 * :func:`expand` enumerates the spec's sweep axes (systems × server
   counts × seeds × user-declared axes) into independent
   :class:`~repro.exec.Cell`\\ s;
-* :func:`build_scenario` (via the :func:`run_point` cell body) wires a
-  testbed, application, clients and fault machinery from the spec and
-  runs one sweep point;
+* :func:`run_point` (the generic cell body) wires a testbed,
+  application, clients and fault machinery from the spec and runs one
+  sweep point;
 * :func:`run_scenario` executes the cells (serially, across worker
   processes, or on a shared :class:`~repro.harness.runner.CellPool`)
   and assembles/renders the figure data keyed off the spec's declared
@@ -51,12 +51,12 @@ from ..faults import (
     random_churn,
 )
 from ..results.store import open_store
-from ..sim.cluster import INSTANCE_TYPES, M1_SMALL, M3_LARGE, Server
+from ..sim.cluster import INSTANCE_TYPES, M1_SMALL, M3_LARGE, InstanceType, Server
 from ..sim.metrics import LatencyRecorder, mean, percentile
 from ..workloads.generators import ClosedLoopClients, DynamicClients, RampProfile
 from ..workloads.sla import availability_slo, sla_report
 from .report import format_table
-from .runner import SYSTEMS, make_testbed, measure, run_cells, run_game
+from .runner import SYSTEMS, make_testbed, measure, run_cells, run_closed_loop
 
 #: Dotted-path prefix for this module's cell bodies (see Cell.fn).
 _SCN = "repro.harness.scenarios"
@@ -81,7 +81,6 @@ __all__ = [
     "zip_points",
     "expand",
     "apply_overrides",
-    "build_scenario",
     "run_point",
     "run_scenario",
     "assemble_scenario",
@@ -730,13 +729,6 @@ def apply_overrides(
     return spec
 
 
-def _fold_point(spec: ScenarioSpec, point: Dict[str, Any]) -> ScenarioSpec:
-    """Fold extra axis values (beyond system/n_servers/seed) into the spec."""
-    for key, value in point.items():
-        spec = _set_key(spec, key, value)
-    return spec
-
-
 # ----------------------------------------------------------------------
 # Generic cell body: build + run + measure one sweep point
 # ----------------------------------------------------------------------
@@ -755,96 +747,28 @@ def _tpcc_config(tpcc: TpccSpec, n_servers: int) -> TpccConfig:
     )
 
 
-def _geometric_weights(n_rooms: int) -> List[float]:
-    """Geometric hot/cold room skew (room 0 hottest).
-
-    Skewed write traffic is what incremental checkpoints exploit: cold
-    rooms' subtrees go unchanged between intervals and are skipped.
-    """
-    return [0.5**i for i in range(n_rooms)]
-
-
 def _metric_values(metrics: Tuple[str, ...], result: Any) -> Any:
     values = tuple(getattr(result, name) for name in metrics)
     return values[0] if len(values) == 1 else values
 
 
-def run_point(spec: ScenarioSpec, **point: Any) -> Any:
-    """Run one sweep point of a generic scenario (the shared cell body).
-
-    Reserved point keys: ``system``, ``n_servers``, ``seed``.  Any other
-    key is folded into the matching spec/sub-spec field (that is how
-    axes like ``clients`` or ``mtbf_ms`` parameterize the run).  Returns
-    the point's plain-data result (metrics value(s) or a run dict),
-    exactly as the historical per-figure cell functions did.
-    """
-    system = str(point.pop("system", spec.systems[0] if spec.systems else "aeon"))
-    n_servers = int(point.pop("n_servers", 0) or spec.servers or 1)
-    seed = int(point.pop("seed", spec.seeds[0]))
-    if point:
-        spec = _fold_point(spec, point)
-    sizing = SCALES[spec.scale]
-    built = build_scenario(spec, sizing, system, n_servers, seed)
-    return built()
+def _n_clients(wl: WorkloadSpec, per_server: int, n_servers: int) -> int:
+    return wl.clients or (wl.clients_per_server or per_server) * n_servers
 
 
-def build_scenario(
-    spec: ScenarioSpec, sizing: Scale, system: str, n_servers: int, seed: int
-) -> Callable[[], Any]:
-    """Wire one sweep point from the spec; returns its runner thunk.
-
-    Dispatches on the spec's fault/elastic/app declarations to the
-    matching builder — each builds testbed + app + clients (+ fault or
-    elasticity machinery), runs the simulation and returns plain data.
-    """
-    if spec.faults.kind != "none":
-        return lambda: _fault_run(spec, sizing, system, n_servers, seed)
-    if spec.elastic is not None:
-        return lambda: _elastic_run(spec, sizing, system, n_servers, seed)
-    if spec.app == "game":
-        return lambda: _game_point(spec, sizing, system, n_servers, seed)
-    if spec.app == "tpcc":
-        return lambda: _tpcc_point(spec, sizing, system, n_servers, seed)
-    if spec.app == "mixed":
-        return lambda: _mixed_run(spec, sizing, system, n_servers, seed)
-    raise ScenarioError(f"unknown app {spec.app!r}; pick game, tpcc or mixed")
+def _game_app(testbed, system: str, config: GameConfig, weights: str = "uniform"):
+    """Deploy the game on the testbed's servers; returns the GameApp."""
+    app = build_game(testbed.runtime, config, system, servers=testbed.servers)
+    if weights == "geometric":
+        # Hot/cold room skew (room 0 hottest): skewed write traffic is
+        # what incremental checkpoints exploit — cold rooms' subtrees go
+        # unchanged between intervals and are skipped.
+        app.set_room_weights([0.5**i for i in range(len(app.rooms))])
+    return app
 
 
-def _game_point(
-    spec: ScenarioSpec, sizing: Scale, system: str, n_servers: int, seed: int
-) -> Any:
-    """Closed-loop game run → metric value(s) (the fig5a/fig5b wiring)."""
-    wl = spec.workload
-    n_clients = wl.clients or (
-        (wl.clients_per_server or sizing.game_clients_per_server) * n_servers
-    )
-    result, testbed, _app = run_game(
-        system,
-        n_servers,
-        n_clients=n_clients,
-        duration_ms=spec.duration_ms or sizing.game_duration_ms,
-        warmup_ms=spec.warmup_ms or sizing.game_warmup_ms,
-        think_ms=wl.think_ms,
-        config=_game_config(spec.game, n_servers),
-        seed=seed,
-    )
-    with testbed:
-        return _metric_values(spec.metrics, result)
-
-
-def _tpcc_run(
-    system: str,
-    n_servers: int,
-    n_clients: int,
-    duration_ms: float,
-    warmup_ms: float,
-    seed: int = 0,
-    think_ms: float = 5.0,
-    config: Optional[TpccConfig] = None,
-):
-    """Build + drive + measure one TPC-C deployment (shared cell core)."""
-    testbed = make_testbed(system, n_servers, seed=seed)
-    config = config or TpccConfig(districts=n_servers, customers_per_district=10)
+def _tpcc_sampler(testbed, system: str, config: TpccConfig):
+    """Deploy TPC-C on the testbed's servers; returns its op sampler."""
     deployment = build_tpcc(
         testbed.runtime,
         config,
@@ -852,42 +776,145 @@ def _tpcc_run(
         servers=testbed.servers,
         colocate=system in ("aeon", "aeon_so", "eventwave"),
     )
-    workload = TpccWorkload(deployment, system)
+    return TpccWorkload(deployment, system).sample_op
+
+
+def _start_clients(
+    testbed, sample_op, n_clients: int, think_ms: float, stop_at_ms: float, **kwargs
+) -> ClosedLoopClients:
+    """Start a closed-loop population the driver keeps a handle on
+    (retry counters, per-population errors); :func:`run_closed_loop` is
+    the whole start/run/measure sequence."""
     clients = ClosedLoopClients(
         testbed.runtime,
-        workload.sample_op,
+        sample_op,
         n_clients=n_clients,
         think_ms=think_ms,
         rng=testbed.rng,
-        stop_at_ms=duration_ms,
+        stop_at_ms=stop_at_ms,
+        **kwargs,
     )
     clients.start()
-    testbed.sim.run(until=duration_ms + 15000.0)
-    result = measure(system, testbed, n_clients, warmup_ms, duration_ms)
-    result.errors = len(clients.errors)
-    return result, testbed, deployment
+    return clients
 
 
-def _tpcc_point(
+def run_point(spec: ScenarioSpec, **point: Any) -> Any:
+    """Run one sweep point of a generic scenario (the shared cell body).
+
+    Reserved point keys: ``system``, ``n_servers``, ``seed``.  Any other
+    key is folded into the matching spec/sub-spec field (that is how
+    axes like ``clients`` or ``mtbf_ms`` parameterize the run).  The
+    spec's fault/elastic/app declarations pick the driver — each builds
+    testbed + app + clients (+ fault or elasticity machinery), runs the
+    simulation and returns the point's plain-data result (metrics
+    value(s) or a run dict).
+    """
+    system = str(point.pop("system", spec.systems[0] if spec.systems else "aeon"))
+    n_servers = int(point.pop("n_servers", 0) or spec.servers or 1)
+    seed = int(point.pop("seed", spec.seeds[0]))
+    for key, value in point.items():
+        spec = _set_key(spec, key, value)
+    sizing = SCALES[spec.scale]
+    if spec.faults.kind != "none":
+        return _fault_run(spec, sizing, system, n_servers, seed)
+    if spec.elastic is not None:
+        return _elastic_run(spec, sizing, system, n_servers, seed)
+    if spec.app in ("game", "tpcc"):
+        return _throughput_point(spec, sizing, system, n_servers, seed)
+    if spec.app == "mixed":
+        return _mixed_run(spec, sizing, system, n_servers, seed)
+    raise ScenarioError(f"unknown app {spec.app!r}; pick game, tpcc or mixed")
+
+
+def _throughput_point(
     spec: ScenarioSpec, sizing: Scale, system: str, n_servers: int, seed: int
 ) -> Any:
-    """Closed-loop TPC-C run → metric value(s) (the fig6a/fig6b wiring)."""
-    wl = spec.workload
-    n_clients = wl.clients or (
-        (wl.clients_per_server or sizing.tpcc_clients_per_server) * n_servers
-    )
-    result, testbed, _dep = _tpcc_run(
-        system,
-        n_servers,
-        n_clients=n_clients,
-        duration_ms=spec.duration_ms or sizing.tpcc_duration_ms,
-        warmup_ms=spec.warmup_ms or sizing.tpcc_warmup_ms,
-        seed=seed,
-        think_ms=wl.think_ms,
-        config=_tpcc_config(spec.tpcc, n_servers),
-    )
-    with testbed:
+    """Closed-loop game or TPC-C run → metric value(s) (fig5a/b, fig6a/b)."""
+    # Per app: duration, warmup, clients per server, and the drain tail
+    # that lets in-flight events finish after the clients stop.
+    duration_ms, warmup_ms, per_server, drain_ms = {
+        "game": (sizing.game_duration_ms, sizing.game_warmup_ms,
+                 sizing.game_clients_per_server, 2000.0),
+        "tpcc": (sizing.tpcc_duration_ms, sizing.tpcc_warmup_ms,
+                 sizing.tpcc_clients_per_server, 15000.0),
+    }[spec.app]
+    with make_testbed(system, n_servers, seed=seed) as testbed:
+        if spec.app == "game":
+            config = _game_config(spec.game, n_servers)
+            sample_op = _game_app(testbed, system, config).sample_op
+        else:
+            config = _tpcc_config(spec.tpcc, n_servers)
+            sample_op = _tpcc_sampler(testbed, system, config)
+        result = run_closed_loop(
+            testbed,
+            system,
+            sample_op,
+            _n_clients(spec.workload, per_server, n_servers),
+            think_ms=spec.workload.think_ms,
+            duration_ms=spec.duration_ms or duration_ms,
+            warmup_ms=spec.warmup_ms or warmup_ms,
+            drain_ms=drain_ms,
+        )
         return _metric_values(spec.metrics, result)
+
+
+def _fault_schedule(
+    f: FaultSpec, sizing: Scale, testbed, duration: float
+) -> Tuple[FaultSchedule, Dict[str, object]]:
+    """The spec's fault schedule and the timeline fields its run dict carries."""
+    if f.kind == "churn":
+        churn_start = f.churn_start_ms or sizing.churn_start_ms
+        schedule = random_churn(
+            [server.name for server in testbed.servers],
+            duration,
+            testbed.rng,
+            mean_time_between_crashes_ms=f.mtbf_ms or sizing.churn_mtbf_ms,
+            restart_delay_ms=(
+                f.restart_ms if f.restart_ms != (0.0, 0.0) else sizing.churn_restart_ms
+            ),
+            start_ms=churn_start,
+        )
+        return schedule, {"churn_start_ms": churn_start}
+    victim = testbed.servers[f.victim].name
+    if f.kind == "crash":
+        crash_at = duration * f.crash_frac
+        restart_after = duration * f.restart_frac
+        schedule = FaultSchedule(
+            [ServerCrash(crash_at, victim, restart_after_ms=restart_after)]
+        )
+        return schedule, {
+            "crash_at_ms": crash_at,
+            "restart_at_ms": crash_at + restart_after,
+            "victim": victim,
+        }
+    # Asymmetric cut: the detector and eManager lose the victim, but
+    # clients (in neither group) still reach it — the old owner keeps
+    # receiving traffic while recovery re-places its subtrees.
+    partition_at = duration * f.partition_frac
+    if f.partition_ms:
+        partition_len = f.partition_ms
+    elif f.kind == "split_brain":
+        # Never heals within the run (including the drain tail).
+        partition_len = duration + 3000.0 - partition_at
+    else:
+        # partition_recovery: heal lands inside the step-down grace
+        # window — mid-recovery, after declaration, before restore.
+        partition_len = f.lease_ms + f.check_ms + 0.5 * f.fence_grace_ms
+    schedule = FaultSchedule(
+        [
+            NetworkPartition(
+                partition_at,
+                partition_len,
+                group_a=("~fdetector", "~emanager"),
+                group_b=(victim,),
+            )
+        ]
+    )
+    return schedule, {
+        "partition_at_ms": partition_at,
+        "partition_heal_ms": partition_at + partition_len,
+        "victim": victim,
+    }
 
 
 def _fault_run(
@@ -898,8 +925,6 @@ def _fault_run(
     ``faults.kind == "crash"`` reproduces the fig10 single mid-run
     fail-stop timeline; ``"churn"`` reproduces the fig11 sustained
     crash/restart churn scored against the windowed availability SLO.
-    The wiring (and the returned dicts) are byte-identical to the
-    historical ``fig10_run``/``fig11_run`` drivers.
 
     ``"split_brain"`` / ``"partition_recovery"`` cut the detector and
     eManager off from one server (clients still reach it — an
@@ -910,17 +935,15 @@ def _fault_run(
     if f.kind not in ("crash", "churn", "split_brain", "partition_recovery"):
         raise ScenarioError(f"unknown fault kind {f.kind!r}")
     churn = f.kind == "churn"
-    partition = f.kind in ("split_brain", "partition_recovery")
     honest = f.fencing or f.honest_recovery or f.crash_drops_state
     duration = spec.duration_ms or (
         sizing.churn_duration_ms if churn else sizing.fault_duration_ms
     )
     with make_testbed(system, n_servers, seed=seed) as testbed:
         runtime = testbed.runtime
-        config = _game_config(spec.game, n_servers)
-        app = build_game(runtime, config, system, servers=testbed.servers)
-        if spec.game.room_weights == "geometric":
-            app.set_room_weights(_geometric_weights(len(app.rooms)))
+        app = _game_app(
+            testbed, system, _game_config(spec.game, n_servers), spec.game.room_weights
+        )
 
         storage = CloudStorage(testbed.sim)
         manager = EManager(
@@ -955,68 +978,21 @@ def _fault_run(
         )
         detector.start()
 
-        if churn:
-            churn_start = f.churn_start_ms or sizing.churn_start_ms
-            restart_ms = (
-                f.restart_ms if f.restart_ms != (0.0, 0.0) else sizing.churn_restart_ms
-            )
-            schedule = random_churn(
-                [server.name for server in testbed.servers],
-                duration,
-                testbed.rng,
-                mean_time_between_crashes_ms=f.mtbf_ms or sizing.churn_mtbf_ms,
-                restart_delay_ms=restart_ms,
-                start_ms=churn_start,
-            )
-        elif partition:
-            # Asymmetric cut: the detector and eManager lose the victim, but
-            # clients (in neither group) still reach it — the old owner keeps
-            # receiving traffic while recovery re-places its subtrees.
-            victim = testbed.servers[f.victim].name
-            partition_at = duration * f.partition_frac
-            if f.partition_ms:
-                partition_len = f.partition_ms
-            elif f.kind == "split_brain":
-                # Never heals within the run (including the drain tail).
-                partition_len = duration + 3000.0 - partition_at
-            else:
-                # partition_recovery: heal lands inside the step-down grace
-                # window — mid-recovery, after declaration, before restore.
-                partition_len = f.lease_ms + f.check_ms + 0.5 * f.fence_grace_ms
-            schedule = FaultSchedule(
-                [
-                    NetworkPartition(
-                        partition_at,
-                        partition_len,
-                        group_a=("~fdetector", "~emanager"),
-                        group_b=(victim,),
-                    )
-                ]
-            )
-        else:
-            victim = testbed.servers[f.victim].name
-            crash_at = duration * f.crash_frac
-            restart_after = duration * f.restart_frac
-            schedule = FaultSchedule(
-                [ServerCrash(crash_at, victim, restart_after_ms=restart_after)]
-            )
+        schedule, timeline = _fault_schedule(f, sizing, testbed, duration)
         injector = FaultInjector(
             testbed.sim, testbed.network, testbed.cluster, schedule, rng=testbed.rng
         )
         injector.start()
 
         wl = spec.workload
-        clients = ClosedLoopClients(
-            runtime,
+        clients = _start_clients(
+            testbed,
             app.sample_op,
-            n_clients=wl.clients
-            or (sizing.churn_clients if churn else sizing.fault_clients),
-            think_ms=wl.think_ms,
-            rng=testbed.rng,
-            stop_at_ms=duration,
+            wl.clients or (sizing.churn_clients if churn else sizing.fault_clients),
+            wl.think_ms,
+            duration,
             max_retries=wl.max_retries,
         )
-        clients.start()
         testbed.sim.run(until=duration + 3000.0)
         detector.stop()
         manager.stop()
@@ -1027,28 +1003,80 @@ def _fault_run(
         p99 = runtime.latency.windowed_percentile(
             99.0, f.window_ms, duration, exclude_tag=FAILED_TAG
         )
-        detections = [
-            {
-                "server": d.server,
-                "detected_at_ms": d.detected_at_ms,
-                "latency_ms": d.latency_ms,
-            }
-            for d in detector.detections
-        ]
-        if partition:
+        if churn:
+            churn_start = timeline["churn_start_ms"]
+            slo = availability_slo(
+                goodput.points,
+                p99.points,
+                baseline_from_ms=churn_start * 0.3,
+                baseline_to_ms=churn_start,
+                eval_from_ms=churn_start,
+                eval_to_ms=duration,
+                # A window is available at >=85% of fault-free goodput with p99
+                # within 3x of baseline (20 ms floor): strict enough that the
+                # detection+recovery gap after each crash shows up, loose enough
+                # that steady-state noise does not.
+                goodput_fraction=f.goodput_fraction,
+                p99_multiplier=f.p99_multiplier,
+                p99_floor_ms=f.p99_floor_ms,
+                # Lost *work* (acked writes rolled back at crash/recovery) rides
+                # along only under honest semantics; None keeps the legacy fig11
+                # payload byte-identical.
+                lost_work=(runtime.writes_rolled_back if honest else None),
+            )
+            detect_latencies = [
+                d.latency_ms for d in detector.detections if d.latency_ms is not None
+            ]
             return {
                 "system": system,
+                "checkpoint_mode": f.checkpoint_mode,
                 "duration_ms": duration,
-                "partition_at_ms": partition_at,
-                "partition_heal_ms": partition_at + partition_len,
-                "victim": victim,
-                "fencing": f.fencing,
+                **timeline,
+                "crashes": len(schedule),
                 "goodput": goodput.points,
                 "p99": p99.points,
+                "slo": slo.as_dict(),
+                "detections": len(detector.detections),
+                "mean_detection_latency_ms": mean(detect_latencies),
+                "redeclarations": detector.redeclarations,
+                "recoveries": manager.recoveries,
+                "contexts_recovered": manager.contexts_recovered,
+                "contexts_restored_without_checkpoint": (
+                    manager.contexts_restored_without_checkpoint
+                ),
+                "cache_invalidations": manager.cache_invalidations,
                 "events_failed": runtime.events_failed,
                 "client_errors": len(clients.errors),
                 "client_retries": clients.retries,
-                "detections": detections,
+                "checkpoints_taken": manager.checkpoints_taken,
+                "checkpoints_skipped": manager.checkpoints_skipped,
+                "checkpoint_bytes_written": manager.checkpoint_bytes_written,
+                "recovery_log": manager.recovery_log,
+                "fault_log": injector.log,
+            }
+        # What the crash and the partition timelines both observed.
+        observed = {
+            "goodput": goodput.points,
+            "p99": p99.points,
+            "events_failed": runtime.events_failed,
+            "client_errors": len(clients.errors),
+            "client_retries": clients.retries,
+            "detections": [
+                {
+                    "server": d.server,
+                    "detected_at_ms": d.detected_at_ms,
+                    "latency_ms": d.latency_ms,
+                }
+                for d in detector.detections
+            ],
+        }
+        if f.kind in ("split_brain", "partition_recovery"):
+            return {
+                "system": system,
+                "duration_ms": duration,
+                **timeline,
+                "fencing": f.fencing,
+                **observed,
                 "false_detections": manager.false_detections,
                 "lost_updates": runtime.writes_rolled_back,
                 "fenced_writes": (
@@ -1060,77 +1088,20 @@ def _fault_run(
                 "checkpoints_taken": manager.checkpoints_taken,
                 "fault_log": injector.log,
             }
-        if not churn:
-            result = {
-                "system": system,
-                "duration_ms": duration,
-                "crash_at_ms": crash_at,
-                "restart_at_ms": crash_at + restart_after,
-                "victim": victim,
-                "goodput": goodput.points,
-                "p99": p99.points,
-                "events_failed": runtime.events_failed,
-                "client_errors": len(clients.errors),
-                "client_retries": clients.retries,
-                "detections": detections,
-                "recoveries": manager.recovery_log,
-                "contexts_recovered": manager.contexts_recovered,
-                "checkpoints_taken": manager.checkpoints_taken,
-                "fault_log": injector.log,
-            }
-            if honest:
-                # Conditional: legacy fig10 payloads stay byte-identical.
-                result["lost_work"] = runtime.writes_rolled_back
-            return result
-        slo = availability_slo(
-            goodput.points,
-            p99.points,
-            baseline_from_ms=churn_start * 0.3,
-            baseline_to_ms=churn_start,
-            eval_from_ms=churn_start,
-            eval_to_ms=duration,
-            # A window is available at >=85% of fault-free goodput with p99
-            # within 3x of baseline (20 ms floor): strict enough that the
-            # detection+recovery gap after each crash shows up, loose enough
-            # that steady-state noise does not.
-            goodput_fraction=f.goodput_fraction,
-            p99_multiplier=f.p99_multiplier,
-            p99_floor_ms=f.p99_floor_ms,
-            # Lost *work* (acked writes rolled back at crash/recovery) rides
-            # along only under honest semantics; None keeps the legacy fig11
-            # payload byte-identical.
-            lost_work=(runtime.writes_rolled_back if honest else None),
-        )
-        detect_latencies = [
-            d.latency_ms for d in detector.detections if d.latency_ms is not None
-        ]
-        return {
+        result = {
             "system": system,
-            "checkpoint_mode": f.checkpoint_mode,
             "duration_ms": duration,
-            "churn_start_ms": churn_start,
-            "crashes": len(schedule),
-            "goodput": goodput.points,
-            "p99": p99.points,
-            "slo": slo.as_dict(),
-            "detections": len(detector.detections),
-            "mean_detection_latency_ms": mean(detect_latencies),
-            "redeclarations": detector.redeclarations,
-            "recoveries": manager.recoveries,
+            **timeline,
+            **observed,
+            "recoveries": manager.recovery_log,
             "contexts_recovered": manager.contexts_recovered,
-            "contexts_restored_without_checkpoint": (
-                manager.contexts_restored_without_checkpoint
-            ),
-            "cache_invalidations": manager.cache_invalidations,
-            "events_failed": runtime.events_failed,
-            "client_errors": len(clients.errors),
-            "client_retries": clients.retries,
             "checkpoints_taken": manager.checkpoints_taken,
-            "checkpoints_skipped": manager.checkpoints_skipped,
-            "checkpoint_bytes_written": manager.checkpoint_bytes_written,
-            "recovery_log": manager.recovery_log,
             "fault_log": injector.log,
         }
+        if honest:
+            # Conditional: legacy fig10 payloads stay byte-identical.
+            result["lost_work"] = runtime.writes_rolled_back
+        return result
 
 
 def _ramp_profile(wl: WorkloadSpec, duration_ms: float) -> RampProfile:
@@ -1155,42 +1126,44 @@ def _ramp_profile(wl: WorkloadSpec, duration_ms: float) -> RampProfile:
 def _elastic_run(
     spec: ScenarioSpec, sizing: Scale, system: str, n_servers: int, seed: int
 ) -> Dict[str, object]:
-    """Elastic game run: eManager + SLA policy + profile-following load.
+    """Game under profile-following load on an elastic or a static fleet (§6.2).
 
-    The generic counterpart of the fig7 ``_elastic_game_run`` cell for
-    spec-declared elastic scenarios (e.g. the diurnal wave): the fleet
-    starts at ``n_servers`` and the eManager grows/shrinks it against
-    ``spec.elastic``'s SLA policy while clients follow the workload's
-    ramp profile.
+    With ``spec.elastic`` the fleet starts at ``n_servers`` and the
+    eManager grows/shrinks it against that SLA policy while clients
+    follow the workload's ramp profile (e.g. the diurnal wave); with
+    ``None`` — fig7/table1's fixed setups, see :func:`_elastic_cell` —
+    the fleet stays at ``n_servers`` and is scored against the default
+    SLA.
     """
     e = spec.elastic
     wl = spec.workload
     duration = spec.duration_ms or sizing.elastic_duration_ms
     itype = INSTANCE_TYPES[spec.instance] if spec.instance else M3_LARGE
     with make_testbed(system, n_servers, instance_type=itype, seed=seed) as testbed:
-        testbed.cluster.boot_delay_ms = e.boot_delay_ms
-        config = _game_config(spec.game, n_servers)
-        app = build_game(testbed.runtime, config, system, servers=testbed.servers)
-        if spec.game.room_weights == "geometric":
-            app.set_room_weights(_geometric_weights(len(app.rooms)))
-        storage = CloudStorage(testbed.sim)
-        policy = SLAPolicy(
-            sla_ms=e.sla_ms,
-            scale_out_step=e.scale_out_step,
-            min_servers=e.min_servers,
-            max_servers=e.max_servers,
-            scale_in_fraction=e.scale_in_fraction,
-            headroom=e.headroom,
+        app = _game_app(
+            testbed, system, _game_config(spec.game, n_servers), spec.game.room_weights
         )
-        manager = EManager(
-            testbed.runtime,
-            storage,
-            policy,
-            itype,
-            report_interval_ms=e.report_interval_ms,
-            max_concurrent_migrations=e.max_concurrent_migrations,
-        )
-        manager.start()
+        manager = None
+        if e is not None:
+            testbed.cluster.boot_delay_ms = e.boot_delay_ms
+            storage = CloudStorage(testbed.sim)
+            policy = SLAPolicy(
+                sla_ms=e.sla_ms,
+                scale_out_step=e.scale_out_step,
+                min_servers=e.min_servers,
+                max_servers=e.max_servers,
+                scale_in_fraction=e.scale_in_fraction,
+                headroom=e.headroom,
+            )
+            manager = EManager(
+                testbed.runtime,
+                storage,
+                policy,
+                itype,
+                report_interval_ms=e.report_interval_ms,
+                max_concurrent_migrations=e.max_concurrent_migrations,
+            )
+            manager.start()
         profile = _ramp_profile(wl, duration)
         clients = DynamicClients(
             testbed.runtime,
@@ -1202,21 +1175,27 @@ def _elastic_run(
         )
         clients.start()
         testbed.sim.run(until=duration + (spec.drain_ms or 5000.0))
-        manager.stop()
-        latency_series = testbed.runtime.latency.windowed_mean(1000.0, duration)
-        server_series = manager.server_count_series
-        avg_servers = server_series.mean_value()
+        if manager is not None:
+            manager.stop()
+            fleet = manager.server_count_series
+            server_series, avg_servers = fleet.points, fleet.mean_value()
+            peak_servers = fleet.max_value()
+        else:
+            server_series = None
+            avg_servers = peak_servers = float(len(testbed.cluster.alive_servers()))
+        latency = testbed.runtime.latency
         report = sla_report(
-            spec.name, testbed.runtime.latency, e.sla_ms, avg_servers, since_ms=0.0
+            spec.name, latency, (e or ElasticSpec()).sla_ms, avg_servers, since_ms=0.0
         )
         return {
             "system": system,
-            "latency_series": latency_series.points,
-            "server_series": server_series.points,
+            # Mean latency per 1 s bucket.
+            "latency_series": latency.windowed_mean(1000.0, duration).points,
+            "server_series": server_series,
             "client_series": clients.active_series,
             "sla": report,
             "avg_servers": avg_servers,
-            "peak_servers": server_series.max_value(),
+            "peak_servers": peak_servers,
             "peak_clients": profile.peak(),
         }
 
@@ -1253,44 +1232,18 @@ def _mixed_run(
     duration = spec.duration_ms or sizing.tpcc_duration_ms
     warmup = spec.warmup_ms or sizing.tpcc_warmup_ms
     with make_testbed(system, n_servers, seed=seed) as testbed:
-        game = build_game(
-            testbed.runtime, _game_config(spec.game, n_servers), system,
-            servers=testbed.servers,
-        )
-        deployment = build_tpcc(
-            testbed.runtime,
-            _tpcc_config(spec.tpcc, n_servers),
-            multi_ownership=(system == "aeon"),
-            servers=testbed.servers,
-            colocate=system in ("aeon", "aeon_so", "eventwave"),
-        )
-        workload = TpccWorkload(deployment, system)
-        n_game = wl_game.clients or (
-            (wl_game.clients_per_server or sizing.game_clients_per_server) * n_servers
-        )
-        n_tpcc = wl_tpcc.clients or (
-            (wl_tpcc.clients_per_server or sizing.tpcc_clients_per_server) * n_servers
-        )
-        game_clients = ClosedLoopClients(
-            testbed.runtime,
-            game.sample_op,
-            n_clients=n_game,
-            think_ms=wl_game.think_ms,
-            rng=testbed.rng,
-            stop_at_ms=duration,
+        game = _game_app(testbed, system, _game_config(spec.game, n_servers))
+        tpcc_op = _tpcc_sampler(testbed, system, _tpcc_config(spec.tpcc, n_servers))
+        n_game = _n_clients(wl_game, sizing.game_clients_per_server, n_servers)
+        n_tpcc = _n_clients(wl_tpcc, sizing.tpcc_clients_per_server, n_servers)
+        game_clients = _start_clients(
+            testbed, game.sample_op, n_game, wl_game.think_ms, duration,
             name_prefix=wl_game.name_prefix,
         )
-        tpcc_clients = ClosedLoopClients(
-            testbed.runtime,
-            workload.sample_op,
-            n_clients=n_tpcc,
-            think_ms=wl_tpcc.think_ms,
-            rng=testbed.rng,
-            stop_at_ms=duration,
+        tpcc_clients = _start_clients(
+            testbed, tpcc_op, n_tpcc, wl_tpcc.think_ms, duration,
             name_prefix=wl_tpcc.name_prefix,
         )
-        game_clients.start()
-        tpcc_clients.start()
         testbed.sim.run(until=duration + (spec.drain_ms or 15000.0))
         combined = measure(system, testbed, n_game + n_tpcc, warmup, duration)
 
@@ -1330,81 +1283,39 @@ def _mixed_run(
 # Custom cell bodies (the figures whose wiring predates — and outlives —
 # the generic builder: elasticity setups, migration pumps, ablations)
 # ----------------------------------------------------------------------
-def _elastic_game_run(
-    setup: str,
-    scale: str,
-    seed: int = 0,
-    sla_ms: float = 10.0,
-) -> Dict[str, object]:
-    """One §6.2 run: ``setup`` is 'elastic' or a fixed server count."""
-    sizing = SCALES[scale]
-    duration = sizing.elastic_duration_ms
-    elastic = setup == "elastic"
-    start_servers = 8 if elastic else int(setup)
-    with make_testbed(
-        "aeon", start_servers, instance_type=M1_SMALL, seed=seed
-    ) as testbed:
-        testbed.cluster.boot_delay_ms = 1500.0
-        # 32 rooms so the fleet can usefully grow beyond 16 servers.
-        config = GameConfig(rooms=32, players_per_room=4, shared_items_per_room=2)
-        app = build_game(testbed.runtime, config, "aeon", servers=testbed.servers)
-        manager = None
-        if elastic:
-            storage = CloudStorage(testbed.sim)
-            policy = SLAPolicy(sla_ms=sla_ms, scale_out_step=4, min_servers=4,
-                               max_servers=40, scale_in_fraction=0.25,
-                               headroom=0.45)
-            manager = EManager(
-                testbed.runtime, storage, policy, M1_SMALL,
-                report_interval_ms=1000.0, max_concurrent_migrations=8,
-            )
-            manager.start()
-        profile = RampProfile.normal_peak(
-            duration, machines=8, min_per_machine=1, max_per_machine=16
-        )
-        clients = DynamicClients(
-            testbed.runtime,
-            app.sample_op,
-            profile,
-            think_ms=12.0,
-            rng=testbed.rng,
-            stop_at_ms=duration,
-        )
-        clients.start()
-        testbed.sim.run(until=duration + 5000.0)
-        if manager is not None:
-            manager.stop()
-        # Latency time series (1 s buckets) and server-count series.
-        latency_series = testbed.runtime.latency.windowed_mean(1000.0, duration)
-        if manager is not None:
-            server_series = manager.server_count_series
-            avg_servers = server_series.mean_value()
-        else:
-            count = len(testbed.cluster.alive_servers())
-            server_series = None
-            avg_servers = float(count)
-        report = sla_report(
-            setup, testbed.runtime.latency, sla_ms, avg_servers, since_ms=0.0
-        )
-        return {
-            "setup": setup,
-            "latency_series": latency_series.points,
-            "server_series": server_series.points if server_series else None,
-            "client_series": clients.active_series,
-            "sla": report,
-        }
-
-
 def _elastic_cell(setup: str, rep: int, scale: str, seed: int) -> Dict[str, object]:
     """One (setup, repetition) sub-cell of fig7/table1.
 
-    ``rep`` shards a setup into independent seed replicas (``seed +
-    rep``) so ``--set rep=0,1,2`` splits the two longest-running
-    experiments into cells ``--jobs`` can actually parallelise.  The
-    default single ``rep=0`` reproduces the historical monolithic cell
-    byte for byte.
+    ``setup`` is 'elastic' or a fixed server count.  ``rep`` shards a
+    setup into independent seed replicas (``seed + rep``) so ``--set
+    rep=0,1,2`` splits the two longest-running experiments into cells
+    ``--jobs`` can actually parallelise.  The default single ``rep=0``
+    reproduces the historical monolithic cell byte for byte.
     """
-    return _elastic_game_run(setup, scale, seed + rep)
+    elastic = setup == "elastic"
+    spec = ScenarioSpec(
+        name=setup,
+        title="",
+        instance="m1.small",
+        # 32 rooms so the fleet can usefully grow beyond 16 servers.
+        game=GameSpec(rooms=32, players_per_room=4, shared_items_per_room=2),
+        # The default ramp: a normal peak of 1→16 clients on 8 machines.
+        workload=WorkloadSpec(kind="ramp", think_ms=12.0),
+        elastic=ElasticSpec() if elastic else None,
+    )
+    run = _elastic_run(
+        spec, SCALES[scale], "aeon", 8 if elastic else int(setup), seed + rep
+    )
+    kept = ("latency_series", "server_series", "client_series", "sla")
+    return {"setup": setup, **{key: run[key] for key in kept}}
+
+
+def _migration_host(testbed, itype: InstanceType) -> MigrationCoordinator:
+    """A migration coordinator on its own ``~emanager`` host of ``itype``."""
+    storage = CloudStorage(testbed.sim)
+    host = Server(testbed.sim, "~emanager", itype)
+    testbed.network.register(host.name, host.mailbox, itype)
+    return MigrationCoordinator(testbed.runtime, storage, host)
 
 
 def _fig8_cell(
@@ -1415,30 +1326,20 @@ def _fig8_cell(
     duration = sizing.migration_duration_ms
     with make_testbed("aeon", 20, instance_type=M1_SMALL, seed=seed) as testbed:
         config = GameConfig(rooms=20, players_per_room=4, shared_items_per_room=2)
-        app = build_game(testbed.runtime, config, "aeon", servers=testbed.servers)
-        storage = CloudStorage(testbed.sim)
-        host = Server(testbed.sim, "~emanager", M3_LARGE)
-        testbed.network.register(host.name, host.mailbox, M3_LARGE)
-        coordinator = MigrationCoordinator(testbed.runtime, storage, host)
-        clients = ClosedLoopClients(
-            testbed.runtime,
-            app.sample_op,
-            n_clients=120,
-            think_ms=10.0,
-            rng=testbed.rng,
-            stop_at_ms=duration,
-        )
-        clients.start()
+        app = _game_app(testbed, "aeon", config)
+        coordinator = _migration_host(testbed, M3_LARGE)
+        _start_clients(testbed, app.sample_op, 120, 10.0, duration)
 
-        def migrate_rooms(n=n_migrations, tb=testbed, coord=coordinator):
-            yield tb.sim.timeout(duration * 0.4)
+        def migrate_rooms():
+            yield testbed.sim.timeout(duration * 0.4)
+            servers = testbed.servers
             handles = []
-            for i in range(n):
+            for i in range(n_migrations):
                 src_room = f"room-{i}"
-                dst = tb.servers[(i + 1) % len(tb.servers)]
-                if tb.runtime.placement[src_room] == dst.name:
-                    dst = tb.servers[(i + 2) % len(tb.servers)]
-                handles.append(coord.migrate(src_room, dst))
+                dst = servers[(i + 1) % len(servers)]
+                if testbed.runtime.placement[src_room] == dst.name:
+                    dst = servers[(i + 2) % len(servers)]
+                handles.append(coordinator.migrate(src_room, dst))
             for handle in handles:
                 yield handle
 
@@ -1466,10 +1367,7 @@ def _fig9_cell(itype_name: str, size_bytes: int, scale: str, seed: int) -> float
                     name=f"payload-{i}", args=(i,),
                 )
             )
-        storage = CloudStorage(testbed.sim)
-        host = Server(testbed.sim, "~emanager", itype)
-        testbed.network.register(host.name, host.mailbox, itype)
-        coordinator = MigrationCoordinator(testbed.runtime, storage, host)
+        coordinator = _migration_host(testbed, itype)
 
         def pump():
             window = 4  # concurrent migrations in flight
@@ -1501,7 +1399,6 @@ def _massive_run(flavor: str, scale: str, seed: int) -> Dict[str, object]:
     plus the completion count) pins the run's determinism.
     """
     sizing = SCALES[scale]
-    duration = sizing.massive_duration_ms
     with make_testbed("aeon", sizing.massive_servers, seed=seed) as testbed:
         # Swap the recorder before any event completes: massive runs engage
         # reservoir sampling almost immediately instead of at the default
@@ -1509,18 +1406,15 @@ def _massive_run(flavor: str, scale: str, seed: int) -> Dict[str, object]:
         testbed.runtime.latency = LatencyRecorder(sample_threshold=65536)
         config = MassiveConfig(contexts=sizing.massive_contexts, flavor=flavor)
         app = build_massive(testbed.runtime, config, testbed.servers)
-        clients = ClosedLoopClients(
-            testbed.runtime,
+        result = run_closed_loop(
+            testbed,
+            "aeon",
             app.sample_op,
-            n_clients=sizing.massive_clients,
+            sizing.massive_clients,
             think_ms=sizing.massive_think_ms,
-            rng=testbed.rng,
-            stop_at_ms=duration,
-        )
-        clients.start()
-        testbed.sim.run(until=duration + 2000.0)
-        result = measure(
-            "aeon", testbed, clients.n_clients, sizing.massive_warmup_ms, duration
+            duration_ms=sizing.massive_duration_ms,
+            warmup_ms=sizing.massive_warmup_ms,
+            drain_ms=2000.0,
         )
         runtime = testbed.runtime
         return {
@@ -1528,14 +1422,14 @@ def _massive_run(flavor: str, scale: str, seed: int) -> Dict[str, object]:
             "contexts": runtime.context_count(),
             "materialized": len(runtime.instances),
             "servers": sizing.massive_servers,
-            "clients": clients.n_clients,
+            "clients": result.n_clients,
             "completed": result.completed,
             "throughput_per_s": result.throughput_per_s,
             "mean_latency_ms": result.mean_latency_ms,
             "p50_latency_ms": result.p50_latency_ms,
             "p99_latency_ms": result.p99_latency_ms,
             "sampling": runtime.latency.sampling,
-            "errors": len(clients.errors),
+            "errors": result.errors,
             "checksum": run_checksum(runtime, app),
         }
 
@@ -1556,26 +1450,31 @@ def _ablation_cell(early_release: bool, scale: str, seed: int) -> float:
     costs = DEFAULT_COSTS.with_(early_release=early_release)
     with make_testbed("aeon_so", 4, seed=seed, costs=costs) as testbed:
         config = TpccConfig(districts=4, customers_per_district=10)
-        deployment = build_tpcc(
-            testbed.runtime, config, False, servers=testbed.servers
+        result = run_closed_loop(
+            testbed,
+            "aeon_so",
+            _tpcc_sampler(testbed, "aeon_so", config),
+            sizing.tpcc_clients_per_server * 4,
+            think_ms=5.0,
+            duration_ms=sizing.tpcc_duration_ms,
+            warmup_ms=sizing.tpcc_warmup_ms,
+            drain_ms=15000.0,
         )
-        workload = TpccWorkload(deployment, "aeon_so")
-        clients = ClosedLoopClients(
-            testbed.runtime, workload.sample_op,
-            n_clients=sizing.tpcc_clients_per_server * 4,
-            think_ms=5.0, rng=testbed.rng,
-            stop_at_ms=sizing.tpcc_duration_ms,
-        )
-        clients.start()
-        testbed.sim.run(until=sizing.tpcc_duration_ms + 15000.0)
-        result = measure("aeon_so", testbed, clients.n_clients,
-                         sizing.tpcc_warmup_ms, sizing.tpcc_duration_ms)
         return result.throughput_per_s
 
 
 # ----------------------------------------------------------------------
 # Assembly: cell results (in cell order) -> figure data
 # ----------------------------------------------------------------------
+def _grouped(cells, results, width: int) -> Dict[Tuple, List[Any]]:
+    """Cell values grouped by the first ``width`` key parts, groups in
+    first-seen order and values in cell order."""
+    groups: Dict[Tuple, List[Any]] = {}
+    for cell, result in zip(cells, results):
+        groups.setdefault(cell.key[:width], []).append(result.value)
+    return groups
+
+
 def _assemble_curve(spec, cells, results):
     """``{system: [(x, value), ...]}`` — systems × one x axis (+ seeds).
 
@@ -1583,16 +1482,7 @@ def _assemble_curve(spec, cells, results):
     (system, x) point; a single seed passes values through untouched.
     """
     curves: Dict[str, List[Tuple[Any, Any]]] = {s: [] for s in spec.systems}
-    grouped: Dict[Tuple, List[Any]] = {}
-    order: List[Tuple] = []
-    for cell, result in zip(cells, results):
-        group = cell.key[:2]
-        if group not in grouped:
-            grouped[group] = []
-            order.append(group)
-        grouped[group].append(result.value)
-    for system, x in order:
-        values = grouped[(system, x)]
+    for (system, x), values in _grouped(cells, results, 2).items():
         value = values[0] if len(values) == 1 else mean(values)
         curves[system].append((x, value))
     return curves
@@ -1620,19 +1510,6 @@ _GENERIC_ASSEMBLERS = {
     "elastic": _assemble_by_first_key,
     "mixed": _assemble_by_first_key,
 }
-
-
-def _rep_groups(spec, cells, results):
-    """Group (setup, rep) elastic sub-cell results by setup, in axis order."""
-    by_setup: Dict[str, List[Any]] = {}
-    order: List[str] = []
-    for cell, result in zip(cells, results):
-        setup = cell.key[0]
-        if setup not in order:
-            order.append(setup)
-            by_setup[setup] = []
-        by_setup[setup].append(result.value)
-    return order, by_setup
 
 
 def _aggregate_elastic_runs(runs: List[Dict[str, object]]) -> Dict[str, object]:
@@ -1669,32 +1546,23 @@ def _aggregate_elastic_runs(runs: List[Dict[str, object]]) -> Dict[str, object]:
 
 def _assemble_fig7(spec, cells, results):
     """``{setup: run}`` — multi-rep setups aggregate via the rep shards."""
-    order, by_setup = _rep_groups(spec, cells, results)
-    return {setup: _aggregate_elastic_runs(by_setup[setup]) for setup in order}
+    return {
+        setup: _aggregate_elastic_runs(runs)
+        for (setup,), runs in _grouped(cells, results, 1).items()
+    }
 
 
 def _assemble_table1(spec, cells, results):
     """Table 1 rows: one per setup, averaged across rep shards."""
-    order, by_setup = _rep_groups(spec, cells, results)
     rows = []
-    for setup in order:
-        runs = by_setup[setup]
-        if len(runs) == 1:
-            report = runs[0]["sla"]
-            violation_pct = report.violation_pct
-            avg_servers = report.avg_servers
-            requests = report.total_requests
-        else:
-            reports = [run["sla"] for run in runs]
-            violation_pct = mean([r.violation_pct for r in reports])
-            avg_servers = mean([r.avg_servers for r in reports])
-            requests = sum(r.total_requests for r in reports)
+    for (setup,), runs in _grouped(cells, results, 1).items():
+        reports = [run["sla"] for run in runs]
         rows.append(
             {
                 "setup": f"{setup}-server" if setup != "elastic" else "Elastic",
-                "violation_pct": violation_pct,
-                "avg_servers": avg_servers,
-                "requests": requests,
+                "violation_pct": mean([r.violation_pct for r in reports]),
+                "avg_servers": mean([r.avg_servers for r in reports]),
+                "requests": sum(r.total_requests for r in reports),
             }
         )
     return rows
@@ -1751,27 +1619,18 @@ def _assemble_split_brain(spec, cells, results):
     a **nonzero** count with fencing off (restore rolls back to the
     last periodic checkpoint while the old owner was still serving).
     """
-    runs: Dict[str, Dict[str, object]] = {}
-    for cell, result in zip(cells, results):
-        label = "fenced" if cell.key[1] else "unfenced"
-        runs[label] = result.value
-    fenced = runs.get("fenced")
-    unfenced = runs.get("unfenced")
+    runs = {
+        "fenced" if cell.key[1] else "unfenced": result.value
+        for cell, result in zip(cells, results)
+    }
+    lost = {label: run["lost_updates"] for label, run in runs.items()}
     return {
         "runs": runs,
         "invariant": {
-            "fenced_lost_updates": (
-                fenced["lost_updates"] if fenced is not None else None
-            ),
-            "unfenced_lost_updates": (
-                unfenced["lost_updates"] if unfenced is not None else None
-            ),
-            "zero_loss_with_fencing": (
-                fenced is not None and fenced["lost_updates"] == 0
-            ),
-            "loss_without_fencing": (
-                unfenced is not None and unfenced["lost_updates"] > 0
-            ),
+            "fenced_lost_updates": lost.get("fenced"),
+            "unfenced_lost_updates": lost.get("unfenced"),
+            "zero_loss_with_fencing": lost.get("fenced") == 0,
+            "loss_without_fencing": lost.get("unfenced", 0) > 0,
         },
     }
 

@@ -1,5 +1,6 @@
 """Shared fixtures and helpers for the test suite."""
 
+import hashlib
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,6 +20,12 @@ GOLDEN = json.loads(
 def dump(data) -> str:
     """Figure data as canonical JSON text, for byte comparisons."""
     return json.dumps(_jsonable(data), sort_keys=True)
+
+
+def digest(data) -> str:
+    """SHA-256 of a run's JSON text, key order included: the byte pin of
+    the run dicts no golden file holds (recorded at shrunk sizes)."""
+    return hashlib.sha256(json.dumps(_jsonable(data)).encode()).hexdigest()
 
 
 @pytest.fixture(autouse=True)

@@ -20,12 +20,13 @@ from random import Random
 
 import pytest
 
+from repro.apps.game import GameConfig, build_game
 from repro.apps.massive import MassiveConfig, build_massive, run_checksum
 from repro.core.context import ContextClass, ContextRef
 from repro.core.errors import UnknownContextError
 from repro.core.ownership import OwnershipNetwork
 from repro.exec import Cell
-from repro.harness.runner import make_testbed, run_game
+from repro.harness.runner import make_testbed, run_closed_loop
 from repro.harness.scenarios import (
     PAPER_FIGURES, SCALES, _massive_run, get_scenario, list_scenarios,
 )
@@ -121,12 +122,17 @@ def test_reservoir_is_deterministic():
 def test_quick_figure_runs_never_leave_exact_mode():
     # A representative quick-tier cell: completion counts sit orders of
     # magnitude under the switchover, so golden figures stay exact.
-    result, testbed, _app = run_game(
-        "aeon", 2, n_clients=24, duration_ms=400.0, warmup_ms=100.0, seed=0
-    )
-    recorder = testbed.runtime.latency
-    assert recorder.sampling is False
-    assert 0 < len(recorder) < DEFAULT_SAMPLE_THRESHOLD
+    with make_testbed("aeon", 2, seed=0) as testbed:
+        app = build_game(
+            testbed.runtime, GameConfig(rooms=2), "aeon", servers=testbed.servers
+        )
+        result = run_closed_loop(
+            testbed, "aeon", app.sample_op, 24,
+            think_ms=1.0, duration_ms=400.0, warmup_ms=100.0, drain_ms=2000.0,
+        )
+        recorder = testbed.runtime.latency
+        assert recorder.sampling is False
+        assert 0 < len(recorder) < DEFAULT_SAMPLE_THRESHOLD
     assert result.completed > 0
 
 

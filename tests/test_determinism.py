@@ -15,8 +15,9 @@ the optimized kernel must reproduce them byte for byte.
 
 import hashlib
 
+from repro.apps.game import GameConfig, build_game
 from repro.apps.tpcc import TpccConfig, TpccWorkload, build_tpcc
-from repro.harness.runner import make_testbed, run_game
+from repro.harness.runner import make_testbed, run_closed_loop
 from repro.workloads.generators import ClosedLoopClients
 
 
@@ -52,17 +53,15 @@ def _trace_checksum(runtime, sim) -> str:
 
 
 def _game_checksum(system: str) -> str:
-    _result, testbed, _app = run_game(
-        system,
-        n_servers=2,
-        n_clients=16,
-        duration_ms=400.0,
-        warmup_ms=100.0,
-        think_ms=2.0,
-        seed=7,
-        record_history=True,
-    )
-    return _trace_checksum(testbed.runtime, testbed.sim)
+    with make_testbed(system, 2, seed=7, record_history=True) as testbed:
+        app = build_game(
+            testbed.runtime, GameConfig(rooms=2), system, servers=testbed.servers
+        )
+        run_closed_loop(
+            testbed, system, app.sample_op, 16,
+            think_ms=2.0, duration_ms=400.0, warmup_ms=100.0, drain_ms=2000.0,
+        )
+        return _trace_checksum(testbed.runtime, testbed.sim)
 
 
 def _tpcc_checksum() -> str:

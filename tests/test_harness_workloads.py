@@ -4,7 +4,13 @@ import pytest
 
 from repro.core import AeonRuntime, ContextClass, Ref
 from repro.harness.report import format_series, format_table
-from repro.harness.runner import SYSTEMS, make_testbed, run_game, runtime_class_for
+from repro.apps.game import GameConfig, build_game
+from repro.harness.runner import (
+    SYSTEMS,
+    make_testbed,
+    run_closed_loop,
+    runtime_class_for,
+)
 from repro.workloads import ClosedLoopClients, RampProfile, SlaReport, sla_report
 from repro.workloads.generators import DynamicClients
 from repro.sim.metrics import LatencyRecorder
@@ -50,9 +56,14 @@ def test_make_testbed_builds_cluster():
 
 
 def test_run_game_produces_metrics():
-    result, testbed, app = run_game(
-        "aeon", 2, n_clients=8, duration_ms=400.0, warmup_ms=100.0
-    )
+    with make_testbed("aeon", 2) as testbed:
+        app = build_game(
+            testbed.runtime, GameConfig(rooms=2), "aeon", servers=testbed.servers
+        )
+        result = run_closed_loop(
+            testbed, "aeon", app.sample_op, 8,
+            think_ms=1.0, duration_ms=400.0, warmup_ms=100.0, drain_ms=2000.0,
+        )
     assert result.throughput_per_s > 0
     assert result.mean_latency_ms > 0
     assert result.p99_latency_ms >= result.p50_latency_ms

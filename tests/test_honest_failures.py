@@ -24,7 +24,7 @@ from repro.faults import (
 )
 from repro.sim import M3_LARGE
 
-from conftest import Cell, Testbed
+from conftest import Cell, Testbed, digest
 
 
 def _bed(n_servers=3):
@@ -352,3 +352,11 @@ def test_split_brain_invariant_and_determinism():
     assert unfenced["lost_updates"] > 0
     assert unfenced["fenced_writes"] == 0
     assert fenced["false_detections"] >= 1  # learned from the flush
+
+    # Both partition run dicts, byte for byte (key order included).
+    assert digest(fenced) == (
+        "b627fe6f6219e57f7e3f7d7ba92b07d7a5eba1b6e043405d42844a7cf2c08aec"
+    )
+    assert digest(unfenced) == (
+        "79d90ef364104c49403737eefbf4fef04dae57ba9af6563a7b34356ce33626d4"
+    )

@@ -33,7 +33,7 @@ from repro.core.events import AccessMode, CallSpec, Event
 from repro.core.locking import ContextLock
 from repro.exec import Cell, execute_cell
 from repro.faults import FaultInjector, FaultSchedule, ServerCrash
-from repro.harness import scenarios
+from repro.harness import runner, scenarios
 from repro.harness.runner import make_testbed
 from repro.harness.scenarios import SCALES, expand, prepare_scenario
 from repro.sim import Resource, SimulationError, Simulator
@@ -422,9 +422,10 @@ def test_memory_does_not_grow_with_cells_executed():
     assert after_five <= 1.05 * after_one
 
 
-def test_cell_that_raises_still_closes_its_testbed(monkeypatch):
+def _testbed_of_cell_failing_at_measure(monkeypatch, cell):
+    """Run ``cell`` with ``measure`` raising; returns the testbed it made."""
     made = []
-    make = scenarios.make_testbed
+    make = runner.make_testbed
 
     def recording_make_testbed(*args, **kwargs):
         made.append(make(*args, **kwargs))
@@ -433,11 +434,29 @@ def test_cell_that_raises_still_closes_its_testbed(monkeypatch):
     def failing_measure(*_args, **_kwargs):
         raise RuntimeError("measurement failed")
 
-    monkeypatch.setattr(scenarios, "make_testbed", recording_make_testbed)
-    monkeypatch.setattr(scenarios, "measure", failing_measure)
+    for module in (runner, scenarios):
+        monkeypatch.setattr(module, "make_testbed", recording_make_testbed)
+        monkeypatch.setattr(module, "measure", failing_measure)
     with pytest.raises(RuntimeError, match="measurement failed"):
-        execute_cell(_quick_cell("ablation", (True,)))
+        execute_cell(cell)
     (testbed,) = made
+    return testbed
+
+
+def test_cell_that_raises_still_closes_its_testbed(monkeypatch):
+    testbed = _testbed_of_cell_failing_at_measure(
+        monkeypatch, _quick_cell("ablation", (True,))
+    )
+    with pytest.raises(SimulationError, match="closed"):
+        testbed.sim.run()
+
+
+@pytest.mark.parametrize("figure", ["fig5a", "fig6a"])
+def test_throughput_cell_that_raises_still_closes_its_testbed(figure, monkeypatch):
+    testbed = _testbed_of_cell_failing_at_measure(
+        monkeypatch,
+        _quick_cell(figure, ("aeon", 2), ["duration_ms=400", "warmup_ms=100"]),
+    )
     with pytest.raises(SimulationError, match="closed"):
         testbed.sim.run()
 

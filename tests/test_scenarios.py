@@ -19,10 +19,11 @@ JSON against the same golden file (tools/compare_figures.py).
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN, dump
+from conftest import GOLDEN, digest, dump
 from repro.exec import Cell
 from repro.harness.experiments import main
 from repro.harness.runner import SYSTEMS, CellPool, run_cells
@@ -34,10 +35,12 @@ from repro.harness.scenarios import (
     expand,
     get_scenario,
     list_scenarios,
+    render_scenario,
     run_point,
     run_scenario,
     sweep_axes,
 )
+from repro.workloads.sla import SlaReport
 
 _SCN = "repro.harness.scenarios"
 
@@ -267,6 +270,23 @@ def test_fig11_cell_byte_identical_to_legacy():
     assert dump(value) == dump(GOLDEN["fig11"]["systems"]["aeon"])
 
 
+def test_rendered_text_pinned():
+    # What the CLI prints for the eleven paper figures, off the pinned
+    # golden (no simulation).  JSON keeps an SlaReport's fields but not
+    # its violation_pct property, which _render_fig7 reads.
+    blocks = []
+    for name in sorted(PAPER_FIGURES):
+        data = GOLDEN[name]
+        if name == "fig7":
+            data = {
+                setup: {**run, "sla": SlaReport(**run["sla"])}
+                for setup, run in data.items()
+            }
+        blocks.append(render_scenario(get_scenario(name), data) + "\n\n")
+    pinned = Path(__file__).parent / "data" / "rendered_quick_seed0.txt"
+    assert "".join(blocks) == pinned.read_text()
+
+
 # ----------------------------------------------------------------------
 # --set overrides: folding and validation
 # ----------------------------------------------------------------------
@@ -413,6 +433,9 @@ def test_churn_sweep_scenario_smoke():
     run = data["runs"]["aeon@2000"]
     assert run["checkpoint_mode"] == "delta"
     assert run["goodput"], "goodput series missing"
+    assert digest(data) == (
+        "afd5fbab6e4c357101225ebc0bb2302720adc4d1ced42028e72b0e7b2a278cf4"
+    )
 
 
 def test_mixed_cotenancy_scenario_smoke():
@@ -449,6 +472,9 @@ def test_mixed_cotenancy_scenario_smoke():
     )
     assert run["game"]["throughput_per_s"] > 0
     assert run["tpcc"]["p99_latency_ms"] >= run["tpcc"]["mean_latency_ms"] * 0.5
+    assert digest(data) == (
+        "74cc3e7c092c403ad537c2be281fc0e6502237ffa67577679003eb78e1bc550d"
+    )
 
 
 def test_mixed_cotenancy_rejects_eventwave():
@@ -493,6 +519,9 @@ def test_diurnal_scenario_smoke():
     servers = [n for _t, n in run["server_series"]]
     assert run["peak_servers"] > min(servers)
     assert 0 < run["avg_servers"] < run["peak_servers"]
+    assert digest(data) == (
+        "525f84c486445aba5e1e9e13b3854c1064c702b63b6d2578c5a178830ae20d5e"
+    )
 
 
 def test_cli_scenario_end_to_end(tmp_path, capsys):
