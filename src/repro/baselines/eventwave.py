@@ -12,10 +12,10 @@ Execution discipline reproduced:
   (per-hop forwarding cost), executes with exclusive per-context locks
   acquired top-down, and releases everything at commit (no chain
   release, no read-only sharing, no asynchronous method calls — the
-  three mechanisms the paper credits for AEON's advantage);
-* migration support is coarse: :meth:`EventWaveRuntime.halt` stalls
-  *all* event admission while contexts move (the paper: "halting all
-  executions during migration").
+  three mechanisms the paper credits for AEON's advantage).
+
+EventWave's coarse migration ("halting all executions during migration")
+is not modelled: no figure migrates EventWave (fig8 migrates AEON only).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from ..core.events import CallSpec, Event
 from ..core.runtime import Branch, ClientHandle, RuntimeBase
 from ..sim.cluster import Server
 from ..sim.kernel import Signal
-from ..sim.queues import Notifier, Resource
+from ..sim.queues import Resource
 
 __all__ = ["EventWaveRuntime", "SingleOwnershipError"]
 
@@ -47,8 +47,6 @@ class EventWaveRuntime(RuntimeBase):
         super().__init__(*args, **kwargs)
         self._sequencer: Optional[Resource] = None
         self._ticket = 0
-        self._halted = False
-        self._halt_gate = Notifier(self.sim, "eventwave-halt")
         # The tree root, recomputed only when contexts change (it is
         # consulted on every event).
         self._root_cache: Optional[str] = None
@@ -92,18 +90,6 @@ class EventWaveRuntime(RuntimeBase):
         return roots[0]
 
     # ------------------------------------------------------------------
-    # Migration halting (the paper's coarse elasticity)
-    # ------------------------------------------------------------------
-    def halt(self) -> None:
-        """Stall admission of new events (during migration)."""
-        self._halted = True
-
-    def resume(self) -> None:
-        """Resume event admission after a migration."""
-        self._halted = False
-        self._halt_gate.notify_all()
-
-    # ------------------------------------------------------------------
     # Event lifecycle
     # ------------------------------------------------------------------
     def _event_process(self, event: Event, client: ClientHandle) -> Generator:
@@ -113,8 +99,6 @@ class EventWaveRuntime(RuntimeBase):
         root_server = self.server_of(root)
         # Clients always submit through the root (it orders everything).
         yield self.network.delay_ms(client.name, root_server.name, costs.client_msg_bytes)
-        if self._halted:
-            yield self._halt_gate.wait_for(lambda: not self._halted)
         # Serial sequencing at the root: the global bottleneck.
         sequencer = self._root_sequencer()
         grant = sequencer.request()

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple, Type
 
 from ..sim.cluster import Cluster, Server
-from ..sim.kernel import CpuCharge, Process, Signal, SimulationError, Simulator
+from ..sim.kernel import CpuCharge, Process, Signal, Simulator
 from ..sim.metrics import LatencyRecorder, ThroughputRecorder
 from ..sim.network import LatencyModel, Network
 from .analysis import StaticAnalysis
@@ -905,11 +905,9 @@ class RuntimeBase:
                 self._dispatch_release(locks[0], delay, event)
                 continue
             if delay == 0.0:
-                sim.call_soon(_release_lock_batch, sim, locks, event)
+                sim.call_soon(_release_lock_batch, locks, event)
             else:
-                sim._schedule_at(
-                    sim.now + delay, _release_lock_batch, (sim, locks, event)
-                )
+                sim._schedule_at(sim.now + delay, _release_lock_batch, (locks, event))
 
     # ------------------------------------------------------------------
     # Protocol-specific hooks
@@ -989,18 +987,12 @@ def _is_generator(value: Any) -> bool:
     return hasattr(value, "send") and hasattr(value, "throw")
 
 
-def _release_lock_batch(sim: Simulator, locks: List[ContextLock], event: Event) -> None:
+def _release_lock_batch(locks: List[ContextLock], event: Event) -> None:
     """Dispatch-loop callback running a batch of same-timestamp releases.
 
     The batch replaces what would have been one queue entry per lock
     with consecutive sequence numbers — nothing could have interleaved
     between them, so running them back to back here is order-identical.
-    Under a ``max_steps`` budget the elided dispatches are still
-    accounted, keeping step parity with the unbatched kernel.
     """
     for lock in locks:
         lock.release(event)
-    if sim._max_steps is not None:
-        sim._step_count += len(locks) - 1
-        if sim._step_count > sim._max_steps:
-            raise SimulationError(f"exceeded max_steps={sim._max_steps}")

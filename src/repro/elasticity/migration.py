@@ -35,7 +35,7 @@ from ..core.errors import FencedError, MigrationError
 from ..core.events import AccessMode, CallSpec, Event
 from ..core.runtime import RuntimeBase
 from ..sim.cluster import Server
-from ..sim.kernel import Signal, Simulator
+from ..sim.kernel import CpuCharge, Signal, Simulator
 from .storage import CloudStorage
 
 __all__ = ["MigrationCoordinator", "MigrationRecord"]
@@ -201,7 +201,7 @@ class MigrationCoordinator:
         network = self.runtime.network
         try:
             # eManager bookkeeping (CPU on the eManager host).
-            yield from self.host.execute(self.EMANAGER_CPU_MS)
+            yield CpuCharge(self.host.cpu, self.host.itype.cpu_ms(self.EMANAGER_CPU_MS))
             yield sim.timeout(self.BASE_OVERHEAD_MS)
 
             # Step I: prepare the destination, wait for its ack.
@@ -267,7 +267,7 @@ class MigrationCoordinator:
         network = self.runtime.network
         try:
             # eManager bookkeeping (CPU on the eManager host).
-            yield from self.host.execute(self.EMANAGER_CPU_MS)
+            yield CpuCharge(self.host.cpu, self.host.itype.cpu_ms(self.EMANAGER_CPU_MS))
             yield sim.timeout(self.BASE_OVERHEAD_MS)
             yield from self._log(record, "prepared")
             if self.halted:

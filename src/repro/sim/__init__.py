@@ -16,7 +16,7 @@ from .cluster import (
     M3_LARGE,
     Server,
 )
-from .kernel import AllOf, AnyOf, Process, Signal, SimulationError, Simulator, Timeout
+from .kernel import Process, Signal, SimulationError, Simulator, Timeout
 from .metrics import (
     LatencyRecorder,
     LatencySample,
@@ -26,12 +26,10 @@ from .metrics import (
     percentile,
 )
 from .network import DeliveryError, LatencyModel, Message, Network
-from .queues import Notifier, Resource, Store
+from .queues import Resource, Store
 from .rng import RngRegistry
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Cluster",
     "DeliveryError",
     "InstanceType",
@@ -46,7 +44,6 @@ __all__ = [
     "mean",
     "Message",
     "Network",
-    "Notifier",
     "percentile",
     "Process",
     "Resource",

@@ -10,7 +10,7 @@ reproduce the relative ordering of those setups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .kernel import Simulator
 from .queues import Resource, Store
@@ -87,20 +87,6 @@ class Server:
         self.on_restart: List[Callable[["Server"], None]] = []
         self._util_mark_busy = 0.0
         self._util_mark_time = 0.0
-
-    def execute(self, work_ms: float) -> Generator:
-        """Generator: occupy one core for ``work_ms`` of unit work.
-
-        The wall-clock duration is scaled by the instance speed; if all
-        cores are busy the request queues FIFO — this queueing is what
-        produces saturation knees in the throughput figures.
-
-        Returns the :meth:`Resource.use` generator directly (rather
-        than delegating through a frame of its own): ``yield from``
-        resumptions walk every intermediate frame, and this sits on the
-        hottest path in the repository.
-        """
-        return self.cpu.use(self.itype.cpu_ms(work_ms))
 
     # ------------------------------------------------------------------
     # Fail-stop faults

@@ -22,16 +22,14 @@ from __future__ import annotations
 
 import gc
 from collections import deque
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 __all__ = [
     "Simulator",
     "Signal",
     "Timeout",
     "Process",
-    "AllOf",
-    "AnyOf",
     "CpuCharge",
     "SimulationError",
 ]
@@ -167,10 +165,9 @@ class Timeout(Signal):
         # single-waiter inline fast path: when the simulator is idle at
         # the fire time, the immediate-queue entry succeed() would
         # append is the very next callback anyway, so the waiter runs
-        # now, skipping one dispatch round-trip per timeout (the
-        # accounted step keeps max_steps parity).  Multi-waiter and
-        # not-idle cases enqueue exactly like succeed(), so the executed
-        # order never changes.
+        # now, skipping one dispatch round-trip per timeout.  Multi-waiter
+        # and not-idle cases enqueue exactly like succeed(), so the
+        # executed order never changes.
         if self._triggered:
             raise SimulationError("signal 'timeout' completed twice")
         self._triggered = True
@@ -185,8 +182,6 @@ class Timeout(Signal):
                 and not immediate
                 and (not (timers := sim._timers) or timers[0][0] > sim.now)
             ):
-                if sim._max_steps is not None:
-                    sim._count_inline_step()
                 callbacks[0](self)
                 return
             now = sim.now
@@ -200,74 +195,15 @@ class Timeout(Signal):
         return f"<Timeout delay={self.delay} {state}>"
 
 
-class AllOf(Signal):
-    """Succeeds when every child signal has completed.
-
-    The value is the list of child values in the order given.  If any
-    child fails, this fails with the first failure (but only after all
-    children completed, keeping lock bookkeeping in higher layers simple).
-    """
-
-    __slots__ = ("_children", "_remaining")
-
-    def __init__(self, sim: "Simulator", children: Iterable[Signal]) -> None:
-        super().__init__(sim, name="all_of")
-        self._children = list(children)
-        self._remaining = len(self._children)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for child in self._children:
-            child.add_callback(self._child_done)
-
-    def _child_done(self, _child: Signal) -> None:
-        self._remaining -= 1
-        if self._remaining > 0:
-            return
-        first_failure = next((c.exc for c in self._children if c.exc), None)
-        if first_failure is not None:
-            self.fail(first_failure)
-        else:
-            self.succeed([c.value for c in self._children])
-
-
-class AnyOf(Signal):
-    """Succeeds when the first child signal completes.
-
-    The value is ``(index, value)`` of the first completed child; a child
-    failure fails this signal.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", children: Iterable[Signal]) -> None:
-        super().__init__(sim, name="any_of")
-        children = list(children)
-        if not children:
-            raise ValueError("AnyOf requires at least one child")
-        for index, child in enumerate(children):
-            child.add_callback(self._make_child_done(index))
-
-    def _make_child_done(self, index: int) -> Callable[[Signal], None]:
-        def on_done(child: Signal) -> None:
-            if self.triggered:
-                return
-            if child.exc is not None:
-                self.fail(child.exc)
-            else:
-                self.succeed((index, child.value))
-
-        return on_done
-
-
 class CpuCharge:
     """A yieldable "hold one unit of ``resource`` for ``delay`` ms".
 
-    Equivalent to ``yield from resource.use(delay)`` but interpreted
-    directly by the process trampoline: no generator is created and no
-    extra frame is walked on the resume — CPU charges are the single
-    most frequent wait in a protocol simulation.  ``resource`` is duck
-    typed (``acquire_now``/``release_unit``/``request``), matching
+    The one way to hold a CPU: interpreted directly by the process
+    trampoline, no generator is created and no extra frame is walked on
+    the resume — CPU charges are the single most frequent wait in a
+    protocol simulation (:meth:`repro.sim.queues.Resource.use` is one
+    ``CpuCharge``).  ``resource`` is duck typed
+    (``acquire_now``/``release_unit``/``enqueue_waiter``), matching
     :class:`repro.sim.queues.Resource`.
     """
 
@@ -321,15 +257,15 @@ class Process(Signal):
 
     The generator may yield:
 
-    * any :class:`Signal` (including :class:`Timeout`, another
-      :class:`Process`, :class:`AllOf`, :class:`AnyOf`) — the process
-      resumes with the signal's value, or the signal's exception is
-      raised at the yield site;
+    * any :class:`Signal` (including :class:`Timeout` and another
+      :class:`Process`) — the process resumes with the signal's value,
+      or the signal's exception is raised at the yield site;
     * a non-negative ``float`` (strictly a float: a yielded int is still
       rejected, as ever) — resume after that many virtual milliseconds,
       equivalent to yielding ``sim.timeout(delay)`` but without
       allocating a signal: the timer resumes the process directly from
       the heap;
+    * a :class:`CpuCharge` — resume once the unit is held for its delay;
     * ``None`` — resume on the next scheduler step (a cooperative hop).
 
     The process itself is a signal: it succeeds with the generator's
@@ -435,12 +371,6 @@ class Process(Signal):
                         until is None or fire_at <= until
                     ):
                         sim.now = fire_at
-                        if sim._max_steps is not None:
-                            sim._step_count += 2  # the timer pop + resume
-                            if sim._step_count > sim._max_steps:
-                                raise SimulationError(
-                                    f"exceeded max_steps={sim._max_steps}"
-                                )
                         value = exc = None
                         continue
                 sim._sequence += 1
@@ -475,12 +405,6 @@ class Process(Signal):
                         self._charge_delay = delay
                         sim.call_soon(self._charge_start_cb)
                         return
-                    if sim._max_steps is not None:  # the elided grant hop
-                        sim._step_count += 1
-                        if sim._step_count > sim._max_steps:
-                            raise SimulationError(
-                                f"exceeded max_steps={sim._max_steps}"
-                            )
                     # Service timer, mirroring the raw-delay branch
                     # (fast-forward included); release on fire.
                     fire_at = sim.now + delay
@@ -489,12 +413,6 @@ class Process(Signal):
                         until is None or fire_at <= until
                     ):
                         sim.now = fire_at
-                        if sim._max_steps is not None:
-                            sim._step_count += 2
-                            if sim._step_count > sim._max_steps:
-                                raise SimulationError(
-                                    f"exceeded max_steps={sim._max_steps}"
-                                )
                         self._charge_res = None
                         resource.release_unit()
                         value = exc = None
@@ -518,16 +436,10 @@ class Process(Signal):
                 resource.enqueue_waiter(self._charge_start_cb)
                 return
             if isinstance(target, Signal):
-                # Inline idle_at_now(): this is the hottest branch.
+                # Already triggered and idle at now: consume it inline.
                 if target._triggered:
                     if not immediate and (not timers or timers[0][0] > sim.now):
                         value, exc = target.value, target.exc
-                        if sim._max_steps is not None:
-                            sim._step_count += 1
-                            if sim._step_count > sim._max_steps:
-                                raise SimulationError(
-                                    f"exceeded max_steps={sim._max_steps}"
-                                )
                         continue
                     sim.call_soon(self._wait_cb, target)
                     return
@@ -542,8 +454,6 @@ class Process(Signal):
             if target is None:
                 if not immediate and (not timers or timers[0][0] > sim.now):
                     value = exc = None
-                    if sim._max_steps is not None:
-                        sim._count_inline_step()
                     continue
                 sim.call_soon(self._step, None, None)
                 return
@@ -572,7 +482,7 @@ class Process(Signal):
         self._retire()
         self._charge_res = None  # whose waiter queue may hold this process
 
-    def _charge_start(self, _signal: Optional[Signal] = None) -> None:
+    def _charge_start(self) -> None:
         # Holding the unit (taken synchronously, or handed over by a
         # releaser); start the service timer.  Mirrors the raw-delay
         # yield branch, fast-forward included.
@@ -586,10 +496,6 @@ class Process(Signal):
                 until is None or fire_at <= until
             ):
                 sim.now = fire_at
-                if sim._max_steps is not None:
-                    sim._step_count += 2
-                    if sim._step_count > sim._max_steps:
-                        raise SimulationError(f"exceeded max_steps={sim._max_steps}")
                 resource, self._charge_res = self._charge_res, None
                 resource.release_unit()
                 self._step(None, None)
@@ -604,13 +510,11 @@ class Process(Signal):
 
     def _charge_timer(self) -> None:
         # The service timer fired; the release runs at the (possibly
-        # queued) resume — exactly where the use() generator's finally
-        # block ran.
+        # queued) resume, where a ``try: yield delay / finally: release``
+        # would have run it.
         sim = self.sim
         timers = sim._timers
         if not sim._immediate and (not timers or timers[0][0] > sim.now):
-            if sim._max_steps is not None:
-                sim._count_inline_step()
             resource, self._charge_res = self._charge_res, None
             resource.release_unit()
             self._step(None, None)
@@ -631,8 +535,6 @@ class Process(Signal):
         sim = self.sim
         timers = sim._timers
         if not sim._immediate and (not timers or timers[0][0] > sim.now):
-            if sim._max_steps is not None:
-                sim._count_inline_step()
             self._step(None, None)
         else:
             sim._sequence += 1
@@ -664,8 +566,8 @@ class Simulator:
     docs/ARCHITECTURE.md § Timer queue).
 
     A run ends with :meth:`close`, which frees whatever is still queued
-    or suspended by reference count; ``run``/``process``/``schedule``/
-    ``cancel`` then raise :class:`SimulationError`.
+    or suspended by reference count; ``run``/``process``/``schedule``
+    then raise :class:`SimulationError`.
     """
 
     def __init__(self) -> None:
@@ -673,8 +575,6 @@ class Simulator:
         self._timers: List[Tuple[float, int, Callable, tuple]] = []
         self._immediate: Deque[Tuple[float, int, Callable, tuple]] = deque()
         self._sequence = 0
-        self._step_count = 0
-        self._max_steps: Optional[int] = None
         self._until: Optional[float] = None
         self._closed = False
         #: Unfinished processes, in creation order (see :meth:`close`).
@@ -713,58 +613,28 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling primitives
     # ------------------------------------------------------------------
-    def schedule(
-        self, delay: float, callback: Callable, *args: Any
-    ) -> Tuple[float, int, Callable, tuple]:
-        """Run ``callback(*args)`` after ``delay`` virtual milliseconds.
-
-        Returns the queue entry, which can be passed to :meth:`cancel`
-        while it has not fired yet.
-        """
+    def schedule(self, delay: float, callback: Callable, *args: Any) -> None:
+        """Run ``callback(*args)`` after ``delay`` virtual milliseconds."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         if self._closed:
             raise SimulationError("simulator is closed")
         self._sequence += 1
         if delay == 0.0:
-            entry = (self.now, self._sequence, callback, args)
-            self._immediate.append(entry)
+            self._immediate.append((self.now, self._sequence, callback, args))
         else:
-            entry = (self.now + delay, self._sequence, callback, args)
-            heappush(self._timers, entry)
-        return entry
+            heappush(self._timers, (self.now + delay, self._sequence, callback, args))
 
     def _schedule_at(self, fire_at: float, callback: Callable, args: tuple) -> None:
         """Arm a timer at absolute time ``fire_at`` (later than ``now``).
 
         :meth:`schedule` for this package's own per-event callers: no
-        checks, no entry returned, and — unlike ``schedule`` — legal
-        while the simulator closes, where the ``finally`` of a dying
-        generator may still send a lock release (dropped by
-        :meth:`close`).
+        checks, and — unlike ``schedule`` — legal while the simulator
+        closes, where the ``finally`` of a dying generator may still send
+        a lock release (dropped by :meth:`close`).
         """
         self._sequence += 1
         heappush(self._timers, (fire_at, self._sequence, callback, args))
-
-    def cancel(self, entry: Tuple[float, int, Callable, tuple]) -> None:
-        """Cancel a not-yet-fired entry returned by :meth:`schedule`.
-
-        Raises :class:`SimulationError` if the entry already fired (or
-        was cancelled before).
-        """
-        if self._closed:
-            raise SimulationError("simulator is closed")
-        try:
-            try:
-                self._immediate.remove(entry)
-            except ValueError:
-                timers = self._timers
-                timers.remove(entry)
-                heapify(timers)
-        except ValueError:
-            raise SimulationError(
-                f"cancelling an entry that already fired: {entry!r}"
-            ) from None
 
     def call_soon(self, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` at the current time (after pending work).
@@ -773,28 +643,6 @@ class Simulator:
         """
         self._sequence += 1
         self._immediate.append((self.now, self._sequence, callback, args))
-
-    def idle_at_now(self) -> bool:
-        """True when no queued callback is due at the current timestamp.
-
-        Fast paths (the process trampoline, uncontended resource use)
-        may only shortcut the scheduler when this holds: the shortcut
-        then runs exactly what would have been the next callback.
-        """
-        if self._immediate:
-            return False
-        timers = self._timers
-        return not timers or timers[0][0] > self.now
-
-    def _count_inline_step(self) -> None:
-        """Account an inline trampoline resume as one scheduler step.
-
-        Steps are only counted while a ``max_steps`` budget is active.
-        """
-        if self._max_steps is not None:
-            self._step_count += 1
-            if self._step_count > self._max_steps:
-                raise SimulationError(f"exceeded max_steps={self._max_steps}")
 
     def signal(self, name: str = "") -> Signal:
         """Create a fresh pending :class:`Signal`."""
@@ -810,30 +658,19 @@ class Simulator:
             raise SimulationError("simulator is closed")
         return Process(self, generator, name)
 
-    def all_of(self, children: Iterable[Signal]) -> AllOf:
-        """Signal that completes when all ``children`` complete."""
-        return AllOf(self, children)
-
-    def any_of(self, children: Iterable[Signal]) -> AnyOf:
-        """Signal that completes when the first child completes."""
-        return AnyOf(self, children)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None, max_steps: Optional[int] = None) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Run the simulation.
 
         ``until`` stops the clock at that virtual time (events scheduled
-        later stay queued); ``max_steps`` bounds the number of callbacks
-        (a safety valve against accidental infinite loops).  Returns the
-        final clock value.
+        later stay queued).  Returns the final clock value.
         """
         if self._closed:
             raise SimulationError("simulator is closed")
         timers = self._timers
         immediate = self._immediate
-        self._max_steps = max_steps
         self._until = until
         # The dispatch loop is an allocation storm of short-lived,
         # mostly acyclic objects; cyclic-GC generation scans in the
@@ -845,11 +682,10 @@ class Simulator:
             gc.disable()
         # The loop merges the immediate queue and the timer heap on
         # (time, seq): both are ordered, so comparing the two fronts
-        # yields the globally next callback.  Three specializations keep
-        # per-dispatch branch count minimal; step accounting only runs
-        # under a max_steps budget.
+        # yields the globally next callback.  Two specializations keep
+        # per-dispatch branch count minimal.
         try:
-            if max_steps is None and until is None:
+            if until is None:
                 while True:
                     if immediate:
                         if not timers or timers[0] >= immediate[0]:
@@ -862,7 +698,7 @@ class Simulator:
                         break
                     self.now = entry[0]
                     entry[2](*entry[3])
-            elif max_steps is None:
+            else:
                 while True:
                     if immediate and (not timers or timers[0] >= immediate[0]):
                         entry = immediate[0]
@@ -879,31 +715,7 @@ class Simulator:
                         break
                     self.now = entry[0]
                     entry[2](*entry[3])
-            else:
-                while True:
-                    if immediate and (not timers or timers[0] >= immediate[0]):
-                        entry = immediate[0]
-                        from_immediate = True
-                    elif timers:
-                        entry = timers[0]
-                        from_immediate = False
-                    else:
-                        break
-                    fire_at = entry[0]
-                    if until is not None and fire_at > until:
-                        self.now = until
-                        return self.now
-                    if from_immediate:
-                        immediate.popleft()
-                    else:
-                        heappop(timers)
-                    self.now = fire_at
-                    self._step_count += 1
-                    if self._step_count > max_steps:
-                        raise SimulationError(f"exceeded max_steps={max_steps}")
-                    entry[2](*entry[3])
         finally:
-            self._max_steps = None
             self._until = None
             if gc_was_enabled:
                 gc.enable()

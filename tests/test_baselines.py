@@ -91,18 +91,6 @@ def test_eventwave_async_degrades_to_sync(eventwave_bed):
         assert runtime.instance_of(cell).value == 2
 
 
-def test_eventwave_halt_blocks_admission(eventwave_bed):
-    _group, workers, _ = build_group(eventwave_bed, shared_cells=0)
-    runtime = eventwave_bed.runtime
-    runtime.halt()
-    done = eventwave_bed.submit(workers[0].bump_all())
-    eventwave_bed.sim.run(until=eventwave_bed.sim.now + 100)
-    assert not done.triggered  # stalled during "migration"
-    runtime.resume()
-    eventwave_bed.run()
-    assert done.triggered and done.value.error is None
-
-
 def test_eventwave_strict_serializability_under_load(eventwave_bed):
     """Conflicts in a tree arise through ancestor-target events."""
     group, workers, _ = build_group(eventwave_bed, n_workers=2, shared_cells=0)

@@ -360,3 +360,26 @@ def test_split_brain_invariant_and_determinism():
     assert digest(unfenced) == (
         "79d90ef364104c49403737eefbf4fef04dae57ba9af6563a7b34356ce33626d4"
     )
+
+
+# ----------------------------------------------------------------------
+# The partition_recovery scenario: invariant + determinism
+# ----------------------------------------------------------------------
+def test_partition_recovery_invariant_and_determinism():
+    from repro.harness.scenarios import get_scenario, run_point
+
+    spec = get_scenario("partition_recovery").with_(duration_ms=6000.0)
+    run = run_point(spec=spec, system="aeon")
+
+    # The cut heals mid-recovery: a live server was declared dead (a
+    # false detection), the flush restored its contexts, and no acked
+    # write is lost.
+    assert run["lost_updates"] == 0
+    assert run["flush_restores"] >= 1
+    assert run["false_detections"] >= 1
+    assert run["partition_at_ms"] < run["partition_heal_ms"]
+
+    # The run dict, byte for byte (key order included).
+    assert digest(run) == (
+        "ac4d4e265334eb28f068d2bdb32d3f91d0011b9f90f78fc7c980028b9b929a83"
+    )

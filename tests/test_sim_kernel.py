@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import AllOf, AnyOf, Signal, SimulationError, Simulator, Timeout
+from repro.sim.kernel import SimulationError, Simulator, Timeout
 
 
 def test_clock_starts_at_zero():
@@ -183,67 +183,6 @@ def test_process_yielding_garbage_fails():
     sim.run()
     assert proc.exc is not None
     assert isinstance(proc.exc, SimulationError)
-
-
-def test_all_of_collects_values_in_order():
-    sim = Simulator()
-    a = sim.timeout(3.0, "a")
-    b = sim.timeout(1.0, "b")
-
-    def body():
-        values = yield AllOf(sim, [a, b])
-        return values
-
-    assert sim.run_process(body()) == ["a", "b"]
-    assert sim.now == 3.0
-
-
-def test_all_of_empty_completes_immediately():
-    sim = Simulator()
-    done = AllOf(sim, [])
-    assert done.triggered and done.value == []
-
-
-def test_all_of_fails_after_all_children_complete():
-    sim = Simulator()
-    good = sim.timeout(5.0, "ok")
-    bad = sim.signal("bad")
-    sim.schedule(1.0, bad.fail, RuntimeError("child failed"))
-    combined = AllOf(sim, [good, bad])
-    sim.run()
-    assert combined.triggered
-    assert isinstance(combined.exc, RuntimeError)
-    assert sim.now == 5.0  # waited for the slow child too
-
-
-def test_any_of_first_wins():
-    sim = Simulator()
-    slow = sim.timeout(10.0, "slow")
-    fast = sim.timeout(2.0, "fast")
-
-    def body():
-        index, value = yield AnyOf(sim, [slow, fast])
-        return index, value
-
-    assert sim.run_process(body()) == (1, "fast")
-
-
-def test_any_of_requires_children():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        AnyOf(sim, [])
-
-
-def test_max_steps_guard():
-    sim = Simulator()
-
-    def forever():
-        while True:
-            yield sim.timeout(1.0)
-
-    sim.process(forever())
-    with pytest.raises(SimulationError):
-        sim.run(max_steps=50)
 
 
 def test_run_process_unfinished_raises():

@@ -120,7 +120,7 @@ def test_server_execute_occupies_scaled_time():
     server = Server(sim, "s", M1_MEDIUM)
 
     def body():
-        yield from server.execute(10.0)
+        yield from server.cpu.use(server.itype.cpu_ms(10.0))
 
     sim.run_process(body())
     assert sim.now == pytest.approx(5.0)
@@ -131,7 +131,7 @@ def test_server_cores_parallelism():
     server = Server(sim, "s", M1_LARGE)  # 2 cores, speed 2
 
     def body():
-        yield from server.execute(10.0)
+        yield from server.cpu.use(server.itype.cpu_ms(10.0))
 
     for _ in range(4):
         sim.process(body())
@@ -145,7 +145,7 @@ def test_server_utilization_window():
     server = Server(sim, "s", M1_SMALL)
 
     def body():
-        yield from server.execute(5.0)
+        yield from server.cpu.use(server.itype.cpu_ms(5.0))
 
     sim.process(body())
     sim.run(until=10.0)

@@ -1,9 +1,9 @@
-"""Unit tests for Store, Resource and Notifier."""
+"""Unit tests for Store and Resource."""
 
 import pytest
 
 from repro.sim.kernel import SimulationError, Simulator
-from repro.sim.queues import Notifier, Resource, Store
+from repro.sim.queues import Resource, Store
 
 
 # ----------------------------------------------------------------------
@@ -158,97 +158,3 @@ def test_resource_queue_length():
     sim.process(worker())
     sim.run(until=1.0)
     assert res.queue_length == 1
-
-
-# ----------------------------------------------------------------------
-# Notifier
-# ----------------------------------------------------------------------
-def test_notifier_wakes_all_waiters():
-    sim = Simulator()
-    gate = Notifier(sim)
-    woken = []
-
-    def waiter(name):
-        yield gate.wait()
-        woken.append((name, sim.now))
-
-    sim.process(waiter("a"))
-    sim.process(waiter("b"))
-    sim.schedule(3.0, gate.notify_all)
-    sim.run()
-    assert woken == [("a", 3.0), ("b", 3.0)]
-
-
-def test_notifier_wait_for_predicate_already_true():
-    sim = Simulator()
-    gate = Notifier(sim)
-
-    def body():
-        yield gate.wait_for(lambda: True)
-        return sim.now
-
-    assert sim.run_process(body()) == 0.0
-
-
-def test_notifier_wait_for_predicate_becomes_true():
-    sim = Simulator()
-    gate = Notifier(sim)
-    state = {"ready": False}
-
-    def flipper():
-        yield sim.timeout(2.0)
-        gate.notify_all()  # not ready yet
-        yield sim.timeout(2.0)
-        state["ready"] = True
-        gate.notify_all()
-
-    def body():
-        yield gate.wait_for(lambda: state["ready"])
-        return sim.now
-
-    sim.process(flipper())
-    assert sim.run_process(body()) == 4.0
-
-
-def test_notifier_wait_for_prunes_waiter_on_external_completion():
-    # A wait_for whose signal is completed out of band must not leave
-    # its helper wait() signal in the notifier's waiter list forever.
-    sim = Simulator()
-    gate = Notifier(sim)
-    done = gate.wait_for(lambda: False)
-    sim.run()
-    assert len(gate._waiters) == 1
-    done.succeed(None)
-    sim.run()
-    assert gate._waiters == []
-
-
-def test_notifier_notify_all_skips_already_triggered_waiters():
-    sim = Simulator()
-    gate = Notifier(sim)
-    waiter = gate.wait()
-    waiter.succeed("early")
-    gate.notify_all()  # must not double-complete the waiter
-    sim.run()
-    assert waiter.value == "early"
-
-
-def test_notifier_wait_for_repeated_cycles_do_not_accumulate_waiters():
-    sim = Simulator()
-    gate = Notifier(sim)
-    state = {"ready": False}
-
-    def driver():
-        for _ in range(50):
-            yield sim.timeout(1.0)
-            gate.notify_all()  # predicate still false: re-registers once
-        state["ready"] = True
-        yield sim.timeout(1.0)
-        gate.notify_all()
-
-    def body():
-        yield gate.wait_for(lambda: state["ready"])
-
-    sim.process(driver())
-    sim.run_process(body())
-    assert gate._waiters == []

@@ -2,16 +2,11 @@
 
 The queue is one binary heap of ``(fire_at, seq, callback, args)``
 tuples that only ``sim/kernel.py`` touches, so every test here goes
-through :meth:`Simulator.schedule` / :meth:`~Simulator.cancel` /
-:meth:`~Simulator.run`.  It must order entries *exactly* by
-``(fire_at, seq)`` — any deviation breaks the determinism trace
-checksums — which a hypothesis differential test checks against a
-sorted-list model of the kernel without fast paths; two seeded mutants
-of the heap show that the test can fail.
-
-The file keeps the name it had when the kernel also carried a calendar
-wheel and a heap/wheel hybrid (deleted: docs/ARCHITECTURE.md § Timer
-queue), so that the ids of the tests that outlived them stay put.
+through :meth:`Simulator.schedule` / :meth:`~Simulator.run`.  It must
+order entries *exactly* by ``(fire_at, seq)`` — any deviation breaks the
+determinism trace checksums — which a hypothesis differential test
+checks against a sorted-list model of the kernel without fast paths; a
+seeded mutant of the heap shows that the test can fail.
 """
 
 from bisect import insort
@@ -21,7 +16,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from repro.sim import kernel
-from repro.sim.kernel import SimulationError, Simulator
+from repro.sim.kernel import Simulator
 
 
 def _fired_order(sim, delays):
@@ -69,75 +64,6 @@ def test_in_window_push_keeps_order():
     assert fired == ["a", "d", "b", "c"]
 
 
-def test_cancel_head_mid_run_and_future():
-    sim = Simulator()
-    fired = []
-    a, b, c, d = (
-        sim.schedule(delay, fired.append, name)
-        for name, delay in (("a", 0.5), ("b", 0.6), ("c", 0.7), ("d", 50.0))
-    )
-    sim.cancel(a)  # the head
-    sim.run(until=0.55)
-    assert fired == []
-    sim.cancel(c)  # in the middle, mid-run
-    sim.cancel(d)  # the last
-    sim.run()
-    assert fired == ["b"] and sim.now == 0.6
-
-
-def test_cancel_missing_entry_raises():
-    sim = Simulator()
-    entry = sim.schedule(1.0, print)
-    with pytest.raises(SimulationError, match="already fired"):
-        sim.cancel((2.0, 2, print, ()))  # never scheduled
-    with pytest.raises(SimulationError, match="already fired"):
-        sim.cancel((entry[0], entry[1] + 1, print, ()))  # same time, not queued
-    assert sim.pending_events == 1
-
-
-def test_heap_timers_cancel():
-    # Removing from the middle of the list breaks the heap invariant
-    # unless cancel() restores it: the survivors must still fire in
-    # (time, seq) order.
-    sim = Simulator()
-    fired = []
-    delays = [1.0 + (i * 37 % 50) for i in range(50)]
-    entries = [sim.schedule(delay, fired.append, i) for i, delay in enumerate(delays)]
-    dropped = set(range(0, 50, 3))
-    for i in sorted(dropped):
-        sim.cancel(entries[i])
-    with pytest.raises(SimulationError):
-        sim.cancel(entries[0])  # already cancelled
-    sim.run()
-    assert fired == sorted(
-        (i for i in range(50) if i not in dropped), key=lambda i: (delays[i], i)
-    )
-
-
-def test_simulator_cancel_prevents_firing():
-    fired = []
-    sim = Simulator()
-    keep = sim.schedule(5.0, fired.append, "keep")
-    drop = sim.schedule(3.0, fired.append, "drop")
-    sim.cancel(drop)
-    sim.run()
-    assert keep[0] == 5.0
-    with pytest.raises(SimulationError):
-        sim.cancel(drop)  # already cancelled
-    with pytest.raises(SimulationError):
-        sim.cancel(keep)  # already fired
-    assert fired == ["keep"]
-
-
-def test_simulator_cancel_immediate_entry():
-    sim = Simulator()
-    fired = []
-    entry = sim.schedule(0.0, fired.append, "immediate")
-    sim.cancel(entry)
-    sim.run()
-    assert fired == []
-
-
 def test_timer_mode_selection(monkeypatch):
     # There is none: one queue, no constructor parameter, no env knob.
     with pytest.raises(TypeError):
@@ -158,7 +84,6 @@ class _Model:
     def __init__(self):
         self.now = 0.0
         self.seq = 0
-        self.steps = 0
         self.queue = []
         self.fired = []
 
@@ -170,14 +95,8 @@ class _Model:
         self.seq += 1
         entry = (self.now + delay, self.seq, action, args)
         insort(self.queue, entry)  # seq is unique: actions are never compared
-        return entry
 
-    def cancel(self, entry):
-        if entry not in self.queue:
-            raise SimulationError("already fired")
-        self.queue.remove(entry)
-
-    def run(self, until=None, max_steps=None):
+    def run(self, until=None):
         queue = self.queue
         while queue:
             entry = queue[0]
@@ -186,10 +105,6 @@ class _Model:
                 return
             del queue[0]
             self.now = entry[0]
-            if max_steps is not None:
-                self.steps += 1
-                if self.steps > max_steps:
-                    raise SimulationError("exceeded max_steps")
             entry[2](*entry[3])
         if until is not None:
             self.now = max(self.now, until)
@@ -211,10 +126,9 @@ class _Real:
     def __init__(self):
         self.sim = sim = Simulator()
         self.fired = []
-        self.schedule, self.cancel, self.run = sim.schedule, sim.cancel, sim.run
+        self.schedule, self.run = sim.schedule, sim.run
 
     now = property(lambda self: self.sim.now)
-    steps = property(lambda self: self.sim._step_count)
     pending = property(lambda self: self.sim.pending_events)
 
     def spawn(self, ident, naps):
@@ -232,27 +146,18 @@ def _fire(world, ident, children):
         world.schedule(delay, _fire, world, (ident, k), ())
 
 
-def _apply(world, handles, ident, op, args):
-    """One step of a program on one world; True if it raised."""
-    try:
-        if op == "schedule":
-            delays, children = args
-            for k, delay in enumerate(delays):
-                handles.append(world.schedule(delay, _fire, world, (ident, k), children))
-        elif op == "spawn":
-            world.spawn(ident, *args)
-        elif op == "cancel":
-            if handles:  # the head, one in the middle, one long fired, ...
-                world.cancel(handles[args[0] % len(handles)])
-        elif op == "run_until":
-            world.run(until=world.now + args[0])
-        elif op == "run_steps":
-            world.run(max_steps=world.steps + args[0])
-        else:
-            world.run()
-    except SimulationError:
-        return True
-    return False
+def _apply(world, ident, op, args):
+    """One step of a program on one world."""
+    if op == "schedule":
+        delays, children = args
+        for k, delay in enumerate(delays):
+            world.schedule(delay, _fire, world, (ident, k), children)
+    elif op == "spawn":
+        world.spawn(ident, *args)
+    elif op == "run_until":
+        world.run(until=world.now + args[0])
+    else:
+        world.run()
 
 
 # Zero, equal (a grid, so fire times collide) and arbitrary delays.
@@ -269,9 +174,7 @@ _ops = st.one_of(
     st.tuples(
         st.just("spawn"), st.lists(st.tuples(st.booleans(), _delays), max_size=4)
     ),
-    st.tuples(st.just("cancel"), st.integers(min_value=0)),
     st.tuples(st.just("run_until"), _delays),
-    st.tuples(st.just("run_steps"), st.integers(min_value=1, max_value=12)),
 )
 
 
@@ -284,19 +187,14 @@ _SETTINGS = settings(
 
 def _check_equivalence(program):
     # Random schedules (callbacks that arm more timers, sleeping
-    # processes), cancels and resumed runs: the heap-backed kernel and
-    # the model must fire the same things at the same times, agree on
-    # every error, and count the same steps under a budget.
+    # processes) and resumed runs: the heap-backed kernel and the model
+    # must fire the same things at the same times.
     model, real = _Model(), _Real()
-    model_handles, real_handles = [], []
     for ident, (op, *args) in enumerate(program + [("run",)]):
-        raised = _apply(model, model_handles, ident, op, args)
-        assert _apply(real, real_handles, ident, op, args) == raised
+        _apply(model, ident, op, args)
+        _apply(real, ident, op, args)
         assert real.fired == model.fired
         assert real.now == model.now
-        if raised and op == "run_steps":
-            return  # an overrun stops mid-dispatch: nothing to resume
-        assert real.steps == model.steps
         assert real.pending == model.pending
     assert real.pending == 0
 
@@ -305,8 +203,7 @@ test_randomized_equivalence_with_heap = _SETTINGS(given(_PROGRAMS)(_check_equiva
 
 
 def _assert_mutant_dies():
-    # The same property, first failure as found (no shrinking); the
-    # slower mutant to die needed 58-613 examples over 30 seeds.
+    # The same property, first failure as found (no shrinking).
     hunt = settings(_SETTINGS, phases=[Phase.generate], max_examples=5000)
     with pytest.raises(AssertionError):
         hunt(given(_PROGRAMS)(_check_equivalence))()
@@ -321,9 +218,4 @@ def test_mutant_pop_by_fire_time_only_dies(monkeypatch):
         return entry
 
     monkeypatch.setattr(kernel, "heappop", pop_ignoring_seq)
-    _assert_mutant_dies()
-
-
-def test_mutant_cancel_without_reheapify_dies(monkeypatch):
-    monkeypatch.setattr(kernel, "heapify", lambda heap: None)
     _assert_mutant_dies()
