@@ -42,7 +42,7 @@ def run_system(system, duration_ms=DURATION_MS, warmup_ms=WARMUP_MS, n_clients=4
 
         runtime = testbed.runtime
         window_s = (duration_ms - warmup_ms) / 1000.0
-        throughput = runtime.throughput.count_between(warmup_ms, duration_ms) / window_s
+        throughput = runtime.latency.count_between(warmup_ms, duration_ms) / window_s
         latency = runtime.latency.mean_latency(warmup_ms)
         probe = deployment.consistency_probe()
         consistent = (

@@ -278,5 +278,5 @@ def run_checksum(runtime: RuntimeBase, app: MassiveApp) -> str:
         for cid in sorted(instances)
         if cid.startswith(prefix)
     ]
-    lines.append(str(runtime.throughput.count_between(0.0, runtime.sim.now + 1.0)))
+    lines.append(str(runtime.latency.count_between(0.0, runtime.sim.now + 1.0)))
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -76,8 +76,9 @@ class FencingTable:
     successor bumps it, and the predecessor's migration-WAL appends are
     rejected as stale (see ``MigrationCoordinator._log``).
 
-    All state is mirrored to cloud storage by the eManager so that a
-    successor rebuilds the same table after a failover.
+    The eManager persists each epoch as its own ``fencing/{root}`` (and
+    ``fencing/manager``) write, so a successor re-adopts them
+    (:meth:`adopt_epoch`) after a failover.
     """
 
     def __init__(self) -> None:
@@ -168,29 +169,6 @@ class FencingTable:
         """Bump the eManager fencing epoch (successor takeover)."""
         self.manager_epoch += 1
         return self.manager_epoch
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """A serializable copy of the whole table (for cloud storage)."""
-        return {
-            "manager_epoch": self.manager_epoch,
-            "epochs": dict(self._epochs),
-            "fenced": sorted(self._fenced),
-            "holders": dict(self._holders),
-        }
-
-    def restore(self, payload: Dict[str, object]) -> None:
-        """Overwrite epoch state from a :meth:`snapshot` payload.
-
-        Membership (``track``) is re-derived by the caller from the
-        ownership network; only epochs, fences and holders persist.
-        """
-        self.manager_epoch = int(payload.get("manager_epoch", 0))
-        self._epochs.update(payload.get("epochs", {}))  # type: ignore[arg-type]
-        self._fenced.update(payload.get("fenced", ()))  # type: ignore[arg-type]
-        self._holders.update(payload.get("holders", {}))  # type: ignore[arg-type]
 
 
 class OwnershipNetwork:

@@ -23,8 +23,8 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple, T
 
 from ..sim.cluster import Cluster, Server
 from ..sim.kernel import CpuCharge, Process, Signal, Simulator
-from ..sim.metrics import LatencyRecorder, ThroughputRecorder
-from ..sim.network import LatencyModel, Network
+from ..sim.metrics import LatencyRecorder
+from ..sim.network import Network
 from .analysis import StaticAnalysis
 from .context import ContextClass, ContextRef, is_readonly, method_cost
 from .costs import CostModel, DEFAULT_COSTS
@@ -169,7 +169,6 @@ class RuntimeBase:
         self.analysis = StaticAnalysis()
         self._new_context_state()
         self.latency = LatencyRecorder()
-        self.throughput = ThroughputRecorder()
         self.history: Optional[HistoryRecorder] = HistoryRecorder() if record_history else None
         self._eid_counter = 0
         self._cid_counters: Dict[str, int] = {}
@@ -530,7 +529,6 @@ class RuntimeBase:
         else:
             self.events_failed += 1
             self.latency.record(event.submitted_ms, self.sim.now, tag=FAILED_TAG)
-        self.throughput.record(self.sim.now)
         if self.history is not None and event.error is None:
             self.history.commit(
                 event.eid,
@@ -843,14 +841,10 @@ class RuntimeBase:
             lock_server_name = self.server_of(cid).name
         except Exception:  # pragma: no cover - context vanished mid-flight
             return None
-        latency = self.network.latency
-        if type(latency) is LatencyModel:  # open-coded default model
-            return (
-                latency.same_host_ms
-                if from_server.name == lock_server_name
-                else latency.lan_ms
-            )
-        return latency.latency_ms(from_server.name, lock_server_name)
+        network = self.network
+        if from_server.name == lock_server_name:
+            return network.same_host_ms
+        return network.lan_ms
 
     def _dispatch_release(self, lock: ContextLock, delay: float, event: Event) -> None:
         """Schedule one lock release ``delay`` ms out (0 = immediate queue)."""

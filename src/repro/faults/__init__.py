@@ -15,7 +15,6 @@ from .injector import FaultInjector, NetworkFaults
 from .schedule import (
     FaultEvent,
     FaultSchedule,
-    LinkFault,
     NetworkPartition,
     ServerCrash,
     random_churn,
@@ -27,7 +26,6 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultSchedule",
-    "LinkFault",
     "NetworkFaults",
     "NetworkPartition",
     "ServerCrash",

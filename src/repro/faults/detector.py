@@ -2,7 +2,7 @@
 
 Every watched server runs a heartbeat sender: while the server is up it
 sends a small message to the detector endpoint each interval — **real
-network traffic**, so partitions, lossy links and the crash itself all
+network traffic**, so partitions and the crash itself all
 affect detection exactly as they would a production detector (including
 false positives when only the detector's links are cut).
 

@@ -6,8 +6,8 @@ The injector owns the *ground truth* of what is broken at any instant:
   (``crash()``), their mailbox detached from the network, and recorded in
   the shared :class:`NetworkFaults` filter so traffic involving them
   fails;
-* active partitions and degraded links — windows registered/removed on
-  the filter at their scheduled boundaries.
+* active partitions — windows registered/removed on the filter at their
+  scheduled boundaries.
 
 With an **empty schedule nothing is installed at all** — ``Network.fault``
 stays ``None`` and every trace is byte-identical to a fault-free run
@@ -16,14 +16,12 @@ stays ``None`` and every trace is byte-identical to a fault-free run
 
 from __future__ import annotations
 
-from random import Random
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..sim.cluster import Cluster
 from ..sim.kernel import Simulator
 from ..sim.network import DeliveryError, Network
-from ..sim.rng import RngRegistry
-from .schedule import FaultSchedule, LinkFault, NetworkPartition, ServerCrash
+from .schedule import FaultSchedule, NetworkPartition, ServerCrash
 
 __all__ = ["NetworkFaults", "FaultInjector"]
 
@@ -32,18 +30,14 @@ class NetworkFaults:
     """The live fault state consulted by :class:`repro.sim.network.Network`.
 
     Implements the duck-typed filter protocol documented in
-    :mod:`repro.sim.network`: ``hop_penalty_ms`` for process-style hops
-    (raises :class:`DeliveryError` when unreachable), and
-    ``message_penalty_ms`` for fire-and-forget messages (returns ``None``
-    to drop).  Loss draws come from a dedicated RNG stream, so lossy
-    links never perturb workload randomness.
+    :mod:`repro.sim.network`: ``check_hop`` for process-style hops
+    (raises :class:`DeliveryError` when unreachable), and ``drops`` for
+    fire-and-forget messages.
     """
 
-    def __init__(self, rng: Optional[Random] = None) -> None:
+    def __init__(self) -> None:
         self.down: Set[str] = set()
         self._partitions: Dict[int, Tuple[frozenset, frozenset]] = {}
-        self._links: Dict[int, LinkFault] = {}
-        self._rng = rng
         self.hops_refused = 0
         self.messages_lost = 0
 
@@ -64,14 +58,6 @@ class NetworkFaults:
         """Deactivate a partition window."""
         self._partitions.pop(key, None)
 
-    def add_link_fault(self, key: int, fault: LinkFault) -> None:
-        """Activate a degraded-link window."""
-        self._links[key] = fault
-
-    def remove_link_fault(self, key: int) -> None:
-        """Deactivate a degraded-link window."""
-        self._links.pop(key, None)
-
     # -- the filter protocol -------------------------------------------
     def _partitioned(self, src: str, dst: str) -> bool:
         for group_a, group_b in self._partitions.values():
@@ -81,13 +67,8 @@ class NetworkFaults:
                 return True
         return False
 
-    def _link_matches(self, fault: LinkFault, src: str, dst: str) -> bool:
-        if fault.src == src and fault.dst == dst:
-            return True
-        return fault.bidirectional and fault.src == dst and fault.dst == src
-
-    def hop_penalty_ms(self, src: str, dst: str) -> float:
-        """Extra latency for a process hop; raises when unreachable."""
+    def check_hop(self, src: str, dst: str) -> None:
+        """Raise :class:`DeliveryError` when a process hop cannot arrive."""
         down = self.down
         if src in down or dst in down:
             self.hops_refused += 1
@@ -96,40 +77,23 @@ class NetworkFaults:
         if self._partitions and self._partitioned(src, dst):
             self.hops_refused += 1
             raise DeliveryError(f"network partition between {src!r} and {dst!r}")
-        extra = 0.0
-        if self._links:
-            for fault in self._links.values():
-                if self._link_matches(fault, src, dst):
-                    extra += fault.extra_latency_ms
-        return extra
 
-    def message_penalty_ms(self, src: str, dst: str) -> Optional[float]:
-        """Extra latency for a message, or ``None`` when it is lost."""
+    def drops(self, src: str, dst: str) -> bool:
+        """Whether a fire-and-forget message from ``src`` to ``dst`` is lost."""
         down = self.down
-        if src in down or dst in down:
+        if src in down or dst in down or (
+            self._partitions and self._partitioned(src, dst)
+        ):
             self.messages_lost += 1
-            return None
-        if self._partitions and self._partitioned(src, dst):
-            self.messages_lost += 1
-            return None
-        extra = 0.0
-        if self._links:
-            for fault in self._links.values():
-                if self._link_matches(fault, src, dst):
-                    if fault.drop_rate > 0.0 and self._rng is not None:
-                        if self._rng.random() < fault.drop_rate:
-                            self.messages_lost += 1
-                            return None
-                    extra += fault.extra_latency_ms
-        return extra
+            return True
+        return False
 
 
 class FaultInjector:
     """Schedules a :class:`FaultSchedule`'s events on the simulator clock.
 
-    Args: the testbed's ``sim``/``network``/``cluster``, the ``schedule``
-    to apply, and an optional ``rng`` registry for faults that draw
-    randomness (loss).  Call :meth:`start` once before ``sim.run``;
+    Args: the testbed's ``sim``/``network``/``cluster`` and the
+    ``schedule`` to apply.  Call :meth:`start` once before ``sim.run``;
     applied transitions land in :attr:`log`.  Used by ``fig10``/``fig11``
     — see docs/EXPERIMENTS.md and docs/ARCHITECTURE.md § layer map.
     """
@@ -140,13 +104,11 @@ class FaultInjector:
         network: Network,
         cluster: Cluster,
         schedule: FaultSchedule,
-        rng: Optional[RngRegistry] = None,
     ) -> None:
         self.sim = sim
         self.network = network
         self.cluster = cluster
         self.schedule = schedule
-        self.rng = rng
         self.state: Optional[NetworkFaults] = None
         #: ``(time_ms, description)`` log of every applied transition.
         self.log: List[Tuple[float, str]] = []
@@ -164,16 +126,7 @@ class FaultInjector:
         if self.schedule.empty:
             return
         self.schedule.validate()
-        if self.rng is None and any(
-            isinstance(fault, LinkFault) and fault.drop_rate > 0.0
-            for fault in self.schedule
-        ):
-            raise ValueError(
-                "schedule contains lossy LinkFaults: pass an RngRegistry "
-                "(rng=...) so drop draws are seeded, not silently skipped"
-            )
-        drop_stream = self.rng.stream("faults/drop") if self.rng is not None else None
-        self.state = NetworkFaults(drop_stream)
+        self.state = NetworkFaults()
         self.network.fault = self.state
         now = self.sim.now
         counter = 0
@@ -182,10 +135,8 @@ class FaultInjector:
             delay = max(0.0, fault.at_ms - now)
             if isinstance(fault, ServerCrash):
                 self.sim.schedule(delay, self._apply_crash, fault)
-            elif isinstance(fault, NetworkPartition):
-                self.sim.schedule(delay, self._apply_partition, counter, fault)
             else:
-                self.sim.schedule(delay, self._apply_link_fault, counter, fault)
+                self.sim.schedule(delay, self._apply_partition, counter, fault)
 
     # -- appliers -------------------------------------------------------
     def _note(self, text: str) -> None:
@@ -224,16 +175,3 @@ class FaultInjector:
     def _heal_partition(self, key: int) -> None:
         self.state.remove_partition(key)
         self._note("partition healed")
-
-    def _apply_link_fault(self, key: int, fault: LinkFault) -> None:
-        self.state.add_link_fault(key, fault)
-        self._note(
-            f"link {fault.src}->{fault.dst} degraded "
-            f"(+{fault.extra_latency_ms:.2f} ms, drop {fault.drop_rate:.0%}) "
-            f"for {fault.duration_ms:.0f} ms"
-        )
-        self.sim.schedule(fault.duration_ms, self._heal_link_fault, key)
-
-    def _heal_link_fault(self, key: int) -> None:
-        self.state.remove_link_fault(key)
-        self._note("link healed")

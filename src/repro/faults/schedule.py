@@ -2,14 +2,12 @@
 
 A :class:`FaultSchedule` is a plain list of fault events pinned to the
 simulator clock — the experiment equivalent of a chaos-engineering
-scenario file.  Three fault kinds cover the availability studies:
+scenario file.  Two fault kinds cover the availability studies:
 
 * :class:`ServerCrash` — fail-stop a server (optionally restarting it
   after a delay); the paper's §5.3 recovery story is driven by these;
 * :class:`NetworkPartition` — sever all traffic between two endpoint
-  groups for a window;
-* :class:`LinkFault` — degrade one link (extra latency and/or message
-  loss) for a window.
+  groups for a window.
 
 Schedules are data, not behaviour: :class:`repro.faults.FaultInjector`
 turns one into scheduled simulator callbacks.  :func:`random_churn`
@@ -28,7 +26,6 @@ from ..sim.rng import RngRegistry
 __all__ = [
     "ServerCrash",
     "NetworkPartition",
-    "LinkFault",
     "FaultEvent",
     "FaultSchedule",
     "random_churn",
@@ -77,27 +74,7 @@ class NetworkPartition:
     group_b: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class LinkFault:
-    """Degrade the ``src``→``dst`` link for ``duration_ms``.
-
-    ``extra_latency_ms`` is added to every transmission on the link;
-    ``drop_rate`` is the probability a fire-and-forget message is lost
-    (process hops never drop — protocol channels are TCP-like, loss
-    surfaces as the latency penalty).  ``bidirectional`` applies the
-    fault to both directions.
-    """
-
-    at_ms: float
-    duration_ms: float
-    src: str
-    dst: str
-    extra_latency_ms: float = 0.0
-    drop_rate: float = 0.0
-    bidirectional: bool = True
-
-
-FaultEvent = Union[ServerCrash, NetworkPartition, LinkFault]
+FaultEvent = Union[ServerCrash, NetworkPartition]
 
 
 @dataclass
@@ -142,13 +119,6 @@ class FaultSchedule:
                     raise ValueError(f"partition needs two non-empty groups: {fault}")
                 if set(fault.group_a) & set(fault.group_b):
                     raise ValueError(f"partition groups overlap: {fault}")
-            elif isinstance(fault, LinkFault):
-                if fault.duration_ms <= 0:
-                    raise ValueError(f"non-positive link-fault window: {fault}")
-                if not 0.0 <= fault.drop_rate <= 1.0:
-                    raise ValueError(f"drop_rate outside [0, 1]: {fault}")
-                if fault.extra_latency_ms < 0:
-                    raise ValueError(f"negative latency penalty: {fault}")
             else:
                 raise TypeError(f"unknown fault event {fault!r}")
 

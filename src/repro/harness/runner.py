@@ -364,7 +364,7 @@ def measure(
     """
     runtime = testbed.runtime
     window = duration_ms - warmup_ms
-    completed = runtime.throughput.count_between(warmup_ms, duration_ms)
+    completed = runtime.latency.count_between(warmup_ms, duration_ms)
     # Bisect-windowed query on the array-backed recorder: no per-sample
     # objects, no full scan.
     latencies = runtime.latency.latencies_between(warmup_ms, duration_ms)

@@ -979,9 +979,7 @@ def _fault_run(
         detector.start()
 
         schedule, timeline = _fault_schedule(f, sizing, testbed, duration)
-        injector = FaultInjector(
-            testbed.sim, testbed.network, testbed.cluster, schedule, rng=testbed.rng
-        )
+        injector = FaultInjector(testbed.sim, testbed.network, testbed.cluster, schedule)
         injector.start()
 
         wl = spec.workload
@@ -1345,7 +1343,7 @@ def _fig8_cell(
 
         testbed.sim.process(migrate_rooms())
         testbed.sim.run(until=duration + 5000.0)
-        window = testbed.runtime.throughput.windowed_rate(250.0, duration)
+        window = testbed.runtime.latency.windowed_rate(250.0, duration)
         return window.points
 
 
@@ -1402,7 +1400,8 @@ def _massive_run(flavor: str, scale: str, seed: int) -> Dict[str, object]:
     with make_testbed("aeon", sizing.massive_servers, seed=seed) as testbed:
         # Swap the recorder before any event completes: massive runs engage
         # reservoir sampling almost immediately instead of at the default
-        # exact-mode threshold, bounding metric memory at any event count.
+        # exact-mode threshold, so past it only one end time per
+        # completion is kept (start times and tags live in the reservoir).
         testbed.runtime.latency = LatencyRecorder(sample_threshold=65536)
         config = MassiveConfig(contexts=sizing.massive_contexts, flavor=flavor)
         app = build_massive(testbed.runtime, config, testbed.servers)

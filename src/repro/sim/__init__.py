@@ -20,12 +20,11 @@ from .kernel import Process, Signal, SimulationError, Simulator, Timeout
 from .metrics import (
     LatencyRecorder,
     LatencySample,
-    ThroughputRecorder,
     TimeSeries,
     mean,
     percentile,
 )
-from .network import DeliveryError, LatencyModel, Message, Network
+from .network import DeliveryError, Message, Network
 from .queues import Resource, Store
 from .rng import RngRegistry
 
@@ -34,7 +33,6 @@ __all__ = [
     "DeliveryError",
     "InstanceType",
     "INSTANCE_TYPES",
-    "LatencyModel",
     "LatencyRecorder",
     "LatencySample",
     "M1_LARGE",
@@ -53,7 +51,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Store",
-    "ThroughputRecorder",
     "TimeSeries",
     "Timeout",
 ]

@@ -11,13 +11,12 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_SAMPLE_THRESHOLD",
     "LatencySample",
     "LatencyRecorder",
-    "ThroughputRecorder",
     "TimeSeries",
     "percentile",
     "mean",
@@ -67,22 +66,21 @@ DEFAULT_SAMPLE_THRESHOLD = 4_000_000
 
 
 class LatencyRecorder:
-    """Collects completed-request samples and answers latency questions.
+    """The completion log: every finished request, read for throughput and latency.
 
     Storage is three append-only parallel lists (start, end, tag) — one
     dataclass allocation per completed request was a measurable share of
-    the simulation hot path.  Completions from a simulator arrive in
-    nondecreasing end-time order, so ``since_ms`` windows are located
-    with :func:`bisect.bisect_left` instead of an O(n) scan; out-of-order
-    records (hand-fed in tests) degrade gracefully to scans.
+    the simulation hot path.  A simulator records at ``sim.now``, so end
+    times never decrease (:meth:`record` rejects one that does) and every
+    window is located with :func:`bisect.bisect_left`.
 
     **Reservoir mode.**  Once ``sample_threshold`` samples have been
-    recorded, the recorder switches to Algorithm R reservoir sampling
-    over a fixed-size buffer of ``(start, end, tag)`` triples, seeded
-    deterministically: total count and latency sum stay exact (so
-    ``len``, ``count()`` and ``mean_latency()`` over the full run are
-    exact), while window/percentile queries answer from the reservoir —
-    unbiased estimates with the usual ~1/sqrt(k) error for a window
+    recorded, start times and tags move into an Algorithm R reservoir of
+    ``(start, end, tag)`` triples, seeded deterministically, while end
+    times stay exact: ``len``, :meth:`count`, :meth:`count_between`,
+    :meth:`windowed_rate` and the full-run :meth:`mean_latency` are exact
+    in both modes; latency/percentile queries answer from the reservoir
+    — unbiased estimates with the usual ~1/sqrt(k) error for a window
     holding ``k`` reservoir points.  The threshold is far above every
     golden-pinned figure's sample count, so quick/full figures never
     leave exact mode.
@@ -97,10 +95,8 @@ class LatencyRecorder:
         self._starts: List[float] = []
         self._ends: List[float] = []
         self._tags: List[str] = []
-        # End times seen so far are nondecreasing (bisect is valid).
-        self._monotonic = True
         # Single-slot cache of the last sorted latency view, keyed by
-        # (record-version, since_ms, tag): percentile batches over the
+        # (record count, since_ms, tag): percentile batches over the
         # same window sort once instead of once per call.
         self._sorted_key: Optional[tuple] = None
         self._sorted_view: List[float] = []
@@ -115,7 +111,6 @@ class LatencyRecorder:
         self._sample_seed = sample_seed
         self._reservoir: Optional[List[Tuple[float, float, str]]] = None
         self._rng: Optional[Random] = None
-        self._seen = 0
         self._lat_sum = 0.0
 
     @property
@@ -124,36 +119,33 @@ class LatencyRecorder:
         return self._reservoir is not None
 
     def __len__(self) -> int:
-        if self._reservoir is not None:
-            return self._seen
         return len(self._ends)
 
     def record(self, start_ms: float, end_ms: float, tag: str = "") -> None:
         """Record one completed request."""
         if end_ms < start_ms:
             raise ValueError("request completed before it started")
-        reservoir = self._reservoir
-        if reservoir is not None:
-            self._seen += 1
-            self._lat_sum += end_ms - start_ms
-            if len(reservoir) < self._reservoir_size:
-                reservoir.append((start_ms, end_ms, tag))
-            else:
-                j = self._rng.randrange(self._seen)
-                if j < self._reservoir_size:
-                    reservoir[j] = (start_ms, end_ms, tag)
-            return
         ends = self._ends
         if ends and end_ms < ends[-1]:
-            self._monotonic = False
-        self._starts.append(start_ms)
+            raise ValueError("completion recorded before an earlier one")
         ends.append(end_ms)
-        self._tags.append(tag)
-        if len(ends) >= self._sample_threshold:
-            self._engage_sampling()
+        reservoir = self._reservoir
+        if reservoir is None:
+            self._starts.append(start_ms)
+            self._tags.append(tag)
+            if len(ends) >= self._sample_threshold:
+                self._engage_sampling()
+            return
+        self._lat_sum += end_ms - start_ms
+        if len(reservoir) < self._reservoir_size:
+            reservoir.append((start_ms, end_ms, tag))
+        else:
+            j = self._rng.randrange(len(ends))
+            if j < self._reservoir_size:
+                reservoir[j] = (start_ms, end_ms, tag)
 
     def _engage_sampling(self) -> None:
-        """Switch to reservoir mode: replay the exact samples, drop them.
+        """Switch to reservoir mode: replay the exact samples, drop starts/tags.
 
         Algorithm R over the existing stream with a fixed-seed RNG, so
         the reservoir (and everything derived from it) is a pure
@@ -163,23 +155,19 @@ class LatencyRecorder:
         size = self._reservoir_size
         reservoir: List[Tuple[float, float, str]] = []
         starts, ends, tags = self._starts, self._ends, self._tags
-        seen = 0
         lat_sum = 0.0
         for i in range(len(ends)):
-            seen += 1
             lat_sum += ends[i] - starts[i]
             if len(reservoir) < size:
                 reservoir.append((starts[i], ends[i], tags[i]))
             else:
-                j = rng.randrange(seen)
+                j = rng.randrange(i + 1)
                 if j < size:
                     reservoir[j] = (starts[i], ends[i], tags[i])
         self._reservoir = reservoir
         self._rng = rng
-        self._seen = seen
         self._lat_sum = lat_sum
         self._starts = []
-        self._ends = []
         self._tags = []
         self._sorted_key = None
         self._buckets_key = None
@@ -189,7 +177,7 @@ class LatencyRecorder:
         reservoir = self._reservoir
         if not reservoir:
             return 1.0
-        return self._seen / len(reservoir)
+        return len(self._ends) / len(reservoir)
 
     @property
     def samples(self) -> List[LatencySample]:
@@ -205,17 +193,6 @@ class LatencyRecorder:
             for s, e, t in zip(self._starts, self._ends, self._tags)
         ]
 
-    def _first_at_or_after(self, since_ms: float) -> int:
-        """Index of the first sample completing at/after ``since_ms``."""
-        if since_ms <= 0.0:
-            return 0
-        if self._monotonic:
-            return bisect.bisect_left(self._ends, since_ms)
-        for index, end in enumerate(self._ends):
-            if end >= since_ms:
-                return index
-        return len(self._ends)
-
     def latencies(self, since_ms: float = 0.0, tag: Optional[str] = None) -> List[float]:
         """Latency values completed at/after ``since_ms`` (optionally by tag).
 
@@ -227,20 +204,12 @@ class LatencyRecorder:
                 e - s for s, e, t in reservoir
                 if e >= since_ms and (tag is None or t == tag)
             ]
-        lo = self._first_at_or_after(since_ms)
-        starts, ends, since = self._starts, self._ends, since_ms
+        starts, ends = self._starts, self._ends
+        lo = bisect.bisect_left(ends, since_ms)
         if tag is None:
-            if self._monotonic:
-                return [ends[i] - starts[i] for i in range(lo, len(ends))]
-            return [
-                ends[i] - starts[i] for i in range(lo, len(ends)) if ends[i] >= since
-            ]
+            return [ends[i] - starts[i] for i in range(lo, len(ends))]
         tags = self._tags
-        return [
-            ends[i] - starts[i]
-            for i in range(lo, len(ends))
-            if tags[i] == tag and (self._monotonic or ends[i] >= since)
-        ]
+        return [ends[i] - starts[i] for i in range(lo, len(ends)) if tags[i] == tag]
 
     def latencies_between(
         self,
@@ -255,51 +224,39 @@ class LatencyRecorder:
         stream into per-application views.  Reservoir mode answers from
         the sampled subset.
         """
+        wanted = None if tags is None else set(tags)
         reservoir = self._reservoir
         if reservoir is not None:
-            wanted = None if tags is None else set(tags)
             return [
                 e - s for s, e, t in reservoir
                 if since_ms <= e < before_ms and (wanted is None or t in wanted)
             ]
         starts, ends = self._starts, self._ends
-        tagset = None if tags is None else set(tags)
-        if self._monotonic:
-            lo = bisect.bisect_left(ends, since_ms)
-            hi = bisect.bisect_left(ends, before_ms)
-            if tagset is None:
-                return [ends[i] - starts[i] for i in range(lo, hi)]
-            sample_tags = self._tags
-            return [
-                ends[i] - starts[i]
-                for i in range(lo, hi)
-                if sample_tags[i] in tagset
-            ]
+        lo = bisect.bisect_left(ends, since_ms)
+        hi = bisect.bisect_left(ends, before_ms)
+        if wanted is None:
+            return [ends[i] - starts[i] for i in range(lo, hi)]
         sample_tags = self._tags
-        return [
-            ends[i] - starts[i]
-            for i in range(len(ends))
-            if since_ms <= ends[i] < before_ms
-            and (tagset is None or sample_tags[i] in tagset)
-        ]
+        return [ends[i] - starts[i] for i in range(lo, hi) if sample_tags[i] in wanted]
 
     def count(self, since_ms: float = 0.0) -> int:
-        """Number of completions at/after ``since_ms``.
+        """Number of completions at/after ``since_ms`` (exact in both modes)."""
+        return len(self._ends) - bisect.bisect_left(self._ends, since_ms)
 
-        Exact in exact mode; in reservoir mode the full-stream count is
-        exact and windowed counts are scaled reservoir estimates.
-        """
-        if self._reservoir is not None:
-            if since_ms <= 0.0:
-                return self._seen
-            reservoir = self._reservoir
-            if not reservoir:
-                return 0
-            matching = sum(1 for _s, e, _t in reservoir if e >= since_ms)
-            return int(round(matching * self._scale()))
-        if self._monotonic:
-            return len(self._ends) - self._first_at_or_after(since_ms)
-        return sum(1 for end in self._ends if end >= since_ms)
+    def count_between(self, start_ms: float, end_ms: float) -> int:
+        """Completions in the half-open interval [start, end) (exact)."""
+        ends = self._ends
+        return bisect.bisect_left(ends, end_ms) - bisect.bisect_left(ends, start_ms)
+
+    def windowed_rate(self, window_ms: float, horizon_ms: float) -> "TimeSeries":
+        """Completions/second per ``window_ms`` bucket over [0, horizon) (exact)."""
+        return self._series(
+            window_ms,
+            horizon_ms,
+            lambda _index, start, end: (
+                self.count_between(start, end) / ((end - start) / 1000.0)
+            ),
+        )
 
     def mean_latency(self, since_ms: float = 0.0) -> float:
         """Mean latency of completions at/after ``since_ms``.
@@ -308,11 +265,11 @@ class LatencyRecorder:
         a running sum); windowed means are reservoir estimates.
         """
         if self._reservoir is not None and since_ms <= 0.0:
-            return self._lat_sum / self._seen if self._seen else 0.0
+            return self._lat_sum / len(self._ends)
         return mean(self.latencies(since_ms))
 
     def _sorted_latencies(self, since_ms: float, tag: Optional[str]) -> List[float]:
-        key = (len(self._ends), self._seen, since_ms, tag)
+        key = (len(self._ends), since_ms, tag)
         if key != self._sorted_key:
             self._sorted_view = sorted(self.latencies(since_ms, tag))
             self._sorted_key = key
@@ -356,7 +313,7 @@ class LatencyRecorder:
         experiments stop rescanning the full record per query.  Callers
         treat the returned dict as read-only.
         """
-        key = (len(self._ends), self._seen, window_ms, horizon_ms, exclude_tag)
+        key = (len(self._ends), window_ms, horizon_ms, exclude_tag)
         if key == self._buckets_key:
             return self._buckets_view
         buckets: Dict[int, List[float]] = {}
@@ -372,9 +329,7 @@ class LatencyRecorder:
             for i in range(len(ends)):
                 end = ends[i]
                 if end >= horizon_ms:
-                    if self._monotonic:
-                        break
-                    continue
+                    break
                 if exclude_tag is not None and tags[i] == exclude_tag:
                     continue
                 buckets.setdefault(int(end // window_ms), []).append(end - starts[i])
@@ -382,26 +337,18 @@ class LatencyRecorder:
         self._buckets_view = buckets
         return buckets
 
-    def _windowed_series(
-        self,
-        window_ms: float,
-        horizon_ms: float,
-        exclude_tag: Optional[str],
-        aggregate,
-    ) -> "TimeSeries":
-        """One point per window over [0, horizon): ``aggregate(values, span_s)``.
+    @staticmethod
+    def _series(window_ms: float, horizon_ms: float, value) -> "TimeSeries":
+        """One point per window over [0, horizon): ``value(index, start, end)``.
 
-        Every bucket appears — ``aggregate`` receives ``None`` for empty
-        windows — so outage gaps show as explicit points.
+        Every window appears, so outage gaps show as explicit points.
         """
-        buckets = self._window_buckets(window_ms, horizon_ms, exclude_tag)
         points: List[Tuple[float, float]] = []
         index = 0
         start = 0.0
         while start < horizon_ms:
             end = min(start + window_ms, horizon_ms)
-            value = aggregate(buckets.get(index), (end - start) / 1000.0)
-            points.append(((start + end) / 2.0, value))
+            points.append(((start + end) / 2.0, value(index, start, end)))
             index += 1
             start = end
         return TimeSeries(points)
@@ -420,14 +367,17 @@ class LatencyRecorder:
         each sampled point by the stream/reservoir ratio so the rates
         stay unbiased.
         """
+        buckets = self._window_buckets(window_ms, horizon_ms, exclude_tag)
         weight = self._scale() if self._reservoir is not None else 1.0
 
-        def rate(values: Optional[List[float]], span_s: float) -> float:
+        def rate(index: int, start: float, end: float) -> float:
+            values = buckets.get(index)
+            span_s = (end - start) / 1000.0
             if not values or span_s <= 0:
                 return 0.0
             return len(values) * weight / span_s
 
-        return self._windowed_series(window_ms, horizon_ms, exclude_tag, rate)
+        return self._series(window_ms, horizon_ms, rate)
 
     def windowed_percentile(
         self,
@@ -440,49 +390,13 @@ class LatencyRecorder:
 
         Empty buckets report 0.0 (nothing completed in the window).
         """
+        buckets = self._window_buckets(window_ms, horizon_ms, exclude_tag)
 
-        def bucket_pct(values: Optional[List[float]], _span_s: float) -> float:
+        def bucket_pct(index: int, _start: float, _end: float) -> float:
+            values = buckets.get(index)
             return percentile(values, pct) if values else 0.0
 
-        return self._windowed_series(window_ms, horizon_ms, exclude_tag, bucket_pct)
-
-
-class ThroughputRecorder:
-    """Counts completions; reports rates over intervals and windows."""
-
-    def __init__(self) -> None:
-        self.completion_times: List[float] = []
-
-    def record(self, end_ms: float) -> None:
-        """Record one completion at virtual time ``end_ms``.
-
-        Completions arrive in nondecreasing time order from a single
-        simulator, so an append keeps the list sorted.
-        """
-        self.completion_times.append(end_ms)
-
-    def count_between(self, start_ms: float, end_ms: float) -> int:
-        """Completions in the half-open interval [start, end)."""
-        lo = bisect.bisect_left(self.completion_times, start_ms)
-        hi = bisect.bisect_left(self.completion_times, end_ms)
-        return hi - lo
-
-    def rate_per_s(self, start_ms: float, end_ms: float) -> float:
-        """Throughput (completions/second) over [start, end)."""
-        span = end_ms - start_ms
-        if span <= 0:
-            return 0.0
-        return self.count_between(start_ms, end_ms) / (span / 1000.0)
-
-    def windowed_rate(self, window_ms: float, horizon_ms: float) -> "TimeSeries":
-        """Throughput per ``window_ms`` bucket over [0, horizon)."""
-        points: List[Tuple[float, float]] = []
-        start = 0.0
-        while start < horizon_ms:
-            end = min(start + window_ms, horizon_ms)
-            points.append(((start + end) / 2.0, self.rate_per_s(start, end)))
-            start = end
-        return TimeSeries(points)
+        return self._series(window_ms, horizon_ms, bucket_pct)
 
 
 @dataclass
@@ -510,12 +424,3 @@ class TimeSeries:
     def max_value(self) -> float:
         """Max of the y-values (0.0 if empty)."""
         return max(self.values()) if self.points else 0.0
-
-    def resample(self, times: Iterable[float]) -> "TimeSeries":
-        """Step-function resample at the given times (previous-point hold)."""
-        result = TimeSeries()
-        xs = self.times()
-        for t in times:
-            idx = bisect.bisect_right(xs, t) - 1
-            result.add(t, self.points[idx][1] if idx >= 0 else 0.0)
-        return result

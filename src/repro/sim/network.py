@@ -6,8 +6,12 @@ transmission time (size / sender NIC bandwidth).  Two properties matter
 to the runtimes built on top:
 
 * **FIFO per sender→receiver pair** — the AEON dominator protocol and the
-  EventWave root sequencer both assume ordered channels; the transport
-  enforces nondecreasing delivery times per pair.
+  EventWave root sequencer both assume ordered channels.  It holds by
+  construction: a sender's transmissions finish at
+  ``max(now, previous finish) + size × ms/byte``, never before the
+  previous one (IEEE addition of a non-negative term is monotone), and
+  delivery adds a propagation latency that is constant per pair, so
+  delivery times per (src, dst) pair never decrease.
 * **Bandwidth serialization per sender** — large transfers (context
   migrations) queue on the sender's egress link, which is what bounds the
   eManager migration throughput in Fig. 9.
@@ -16,13 +20,12 @@ Fault injection (:mod:`repro.faults`) plugs in through two hooks kept
 deliberately cheap when unused:
 
 * ``fault`` — an optional filter object consulted on every transmission.
-  It is duck typed: ``hop_penalty_ms(src, dst)`` returns extra latency
-  for a process-style hop or raises :class:`DeliveryError` when the pair
-  is unreachable (endpoint down, network partition);
-  ``message_penalty_ms(src, dst)`` returns extra latency for a fire-and-
-  forget message or ``None`` to drop it.  Process hops model TCP-like
-  protocol channels (loss shows up as latency or hard failure), messages
-  model UDP-like traffic (heartbeats) that is silently lost.
+  It is duck typed: ``check_hop(src, dst)`` raises
+  :class:`DeliveryError` when a process-style hop cannot reach its
+  destination (endpoint down, network partition); ``drops(src, dst)``
+  says whether a fire-and-forget message is lost.  Process hops model
+  TCP-like protocol channels (loss is a hard failure), messages model
+  UDP-like traffic (heartbeats) that is silently lost.
 * ``detach``/``reattach`` — take an endpoint's mailbox off the fabric
   without forgetting its registration (a crashed server that may
   restart), unlike :meth:`Network.unregister`.
@@ -33,14 +36,14 @@ fault-free transport.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from .cluster import InstanceType
 from .kernel import Signal, Simulator
 from .queues import Store
 
-__all__ = ["Message", "Network", "LatencyModel", "DeliveryError"]
+__all__ = ["Message", "Network", "DeliveryError"]
 
 
 class DeliveryError(Exception):
@@ -71,40 +74,30 @@ def _ms_per_byte(gbps: float) -> float:
     return 8.0 / (gbps * 1e6) if gbps > 0 else 0.0
 
 
-class LatencyModel:
-    """Propagation latency between endpoints.
-
-    Default: ``same_host_ms`` when src == dst, ``lan_ms`` otherwise (one
-    intra-datacenter hop, the paper's EC2 placement).  Subclass or pass a
-    custom function for other topologies.
-    """
-
-    def __init__(self, lan_ms: float = 0.25, same_host_ms: float = 0.01) -> None:
-        self.lan_ms = lan_ms
-        self.same_host_ms = same_host_ms
-
-    def latency_ms(self, src: str, dst: str) -> float:
-        """One-way propagation latency from ``src`` to ``dst``."""
-        return self.same_host_ms if src == dst else self.lan_ms
-
-
 class Network:
-    """The datacenter fabric connecting all registered endpoints."""
+    """The datacenter fabric connecting all registered endpoints.
+
+    Propagation latency is ``same_host_ms`` when src == dst and
+    ``lan_ms`` otherwise (one intra-datacenter hop, the paper's EC2
+    placement); ``default_gbps`` is the NIC speed of endpoints
+    registered without an instance type.
+    """
 
     def __init__(
         self,
         sim: Simulator,
-        latency: Optional[LatencyModel] = None,
+        lan_ms: float = 0.25,
+        same_host_ms: float = 0.01,
         default_gbps: float = 0.7,
     ) -> None:
         self.sim = sim
-        self.latency = latency or LatencyModel()
+        self.lan_ms = lan_ms
+        self.same_host_ms = same_host_ms
         self.default_gbps = default_gbps
         self._mailboxes: Dict[str, Store] = {}
-        # Per-sender egress record ``[ms_per_byte, free_at_ms, last_by_dst]``
-        # — one dict lookup per transmission instead of three: transmit
-        # cost (precomputed ms/byte), link busy-until (bandwidth FIFO)
-        # and last delivery per destination (per-pair FIFO).
+        # Per-sender egress record ``[ms_per_byte, free_at_ms]`` — one
+        # dict lookup per transmission instead of two: transmit cost
+        # (precomputed ms/byte) and link busy-until (bandwidth FIFO).
         self._egress: Dict[str, list] = {}
         self._default_ms_per_byte = _ms_per_byte(default_gbps)
         self.messages_sent = 0
@@ -120,7 +113,7 @@ class Network:
         record = self._egress.get(src)
         if record is None:
             # Unregistered sender (tests drive these): default NIC.
-            record = [self._default_ms_per_byte, 0.0, {}]
+            record = [self._default_ms_per_byte, 0.0]
             self._egress[src] = record
         return record
 
@@ -139,7 +132,7 @@ class Network:
         box = mailbox if mailbox is not None else Store(self.sim, name=f"mbox:{name}")
         self._mailboxes[name] = box
         gbps = itype.nic_gbps if itype else self.default_gbps
-        self._egress[name] = [_ms_per_byte(gbps), 0.0, {}]
+        self._egress[name] = [_ms_per_byte(gbps), 0.0]
         return box
 
     def unregister(self, name: str) -> None:
@@ -187,36 +180,25 @@ class Network:
         """Deliver ``payload`` from ``src`` to ``dst``.
 
         Delivery time = egress queueing + size/bandwidth + propagation,
-        clamped to preserve per-(src, dst) FIFO order.  Unknown
-        destinations raise ``KeyError`` immediately (the caller — e.g.
-        a client with a stale context map — handles redirection at a
+        which keeps per-(src, dst) FIFO order (see the module docstring).
+        Unknown destinations raise ``KeyError`` immediately (the caller —
+        e.g. a client with a stale context map — handles redirection at a
         higher layer); detached (crashed) destinations and fault-filter
         drops lose the message silently, like UDP — the sender still
-        pays egress, and the ghost's delivery time still advances the
-        per-pair FIFO marker so later messages cannot overtake it.
+        pays egress, so later messages queue behind the lost one.
         """
         dropped = dst in self._detached
         if not dropped and dst not in self._mailboxes:
             raise KeyError(f"unknown endpoint {dst!r}")
-        extra = 0.0
         fault = self.fault
         if fault is not None and not dropped:
-            penalty = fault.message_penalty_ms(src, dst)
-            if penalty is None:
-                dropped = True
-            else:
-                extra = penalty
+            dropped = fault.drops(src, dst)
         now = self.sim.now
         record = self._egress_record(src)
         free = record[1]
         finish = (now if now > free else free) + size_bytes * record[0]
         record[1] = finish
-        deliver_at = finish + self.latency.latency_ms(src, dst) + extra
-        last_by_dst = record[2]
-        last = last_by_dst.get(dst, 0.0)
-        if deliver_at < last:
-            deliver_at = last
-        last_by_dst[dst] = deliver_at
+        deliver_at = finish + (self.same_host_ms if src == dst else self.lan_ms)
         self.messages_sent += 1
         self.bytes_sent += size_bytes
         if dropped:
@@ -239,16 +221,14 @@ class Network:
 
         Process-style runtimes yield this float to 'travel' between
         servers — the kernel resumes them directly, no signal needed.
-        Shares the egress link and per-pair FIFO bookkeeping with
-        :meth:`send`, so in-flight ordering between the two styles
-        stays consistent.  With a fault filter installed, an unreachable
-        pair raises :class:`DeliveryError` (before any egress state is
-        touched) and a degraded link adds its latency penalty.
+        Shares the egress link with :meth:`send`, so in-flight ordering
+        between the two styles stays consistent.  With a fault filter
+        installed, an unreachable pair raises :class:`DeliveryError`
+        before any egress state is touched.
         """
-        extra = 0.0
         fault = self.fault
         if fault is not None:
-            extra = fault.hop_penalty_ms(src, dst)  # raises DeliveryError
+            fault.check_hop(src, dst)  # raises DeliveryError
         now = self.sim.now
         record = self._egress.get(src)
         if record is None:
@@ -256,21 +236,9 @@ class Network:
         free = record[1]
         finish = (now if now > free else free) + size_bytes * record[0]
         record[1] = finish
-        latency = self.latency
-        if type(latency) is LatencyModel:  # open-coded default model
-            deliver_at = finish + extra + (
-                latency.same_host_ms if src == dst else latency.lan_ms
-            )
-        else:
-            deliver_at = finish + extra + latency.latency_ms(src, dst)
-        last_by_dst = record[2]
-        last = last_by_dst.get(dst, 0.0)
-        if deliver_at < last:
-            deliver_at = last
-        last_by_dst[dst] = deliver_at
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-        return deliver_at - now
+        return finish + (self.same_host_ms if src == dst else self.lan_ms) - now
 
     def delay_signal(self, src: str, dst: str, size_bytes: int = 256) -> "Signal":
         """A signal firing when a message of ``size_bytes`` would arrive.

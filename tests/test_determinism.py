@@ -45,7 +45,7 @@ def _trace_checksum(runtime, sim) -> str:
                 str(runtime.network.messages_sent),
                 repr(runtime.latency.mean_latency()),
                 repr(runtime.latency.percentile_latency(99.0)),
-                str(runtime.throughput.count_between(0.0, sim.now + 1.0)),
+                str(runtime.latency.count_between(0.0, sim.now + 1.0)),
             )
         )
     )

@@ -40,11 +40,13 @@ from repro.workloads.generators import ClosedLoopClients
 # LatencyRecorder: reservoir mode
 # ----------------------------------------------------------------------
 def _stream(n, seed=0):
+    """Seeded completions in end-time order, as a simulator records them."""
     rng = Random(seed)
     out = []
     for i in range(n):
         start = i * 0.01
         out.append((start, start + rng.expovariate(1.0 / 5.0), "op"))
+    out.sort(key=lambda record: record[1])
     return out
 
 
@@ -96,6 +98,16 @@ def test_reservoir_keeps_exact_aggregates():
     assert sampled.mean_latency() == pytest.approx(exact_mean, rel=1e-12)
     # The reservoir itself is bounded.
     assert len(sampled.samples) == 512
+    # End times stay exact, so windowed counts and rates match an exact
+    # recorder's (they were scaled reservoir estimates once).
+    exact = _feed(LatencyRecorder(sample_threshold=2**62), stream)
+    for since in (0.0, 50.0, 123.4, 299.0):
+        assert sampled.count(since) == exact.count(since)
+    for lo, hi in ((10.0, 40.0), (0.0, 1e9), (100.5, 250.25)):
+        assert sampled.count_between(lo, hi) == exact.count_between(lo, hi)
+    for window, horizon in ((25.0, 300.0), (7.5, 100.0)):
+        rates = sampled.windowed_rate(window, horizon).points
+        assert rates == exact.windowed_rate(window, horizon).points
 
 
 def test_reservoir_percentiles_within_error_bounds():

@@ -130,8 +130,7 @@ def test_failed_events_leave_no_cyclic_garbage(system):
     testbed, clients = _game_bed(system, max_retries=1)
     crash = ServerCrash(100.0, testbed.servers[1].name)
     FaultInjector(
-        testbed.sim, testbed.network, testbed.cluster, FaultSchedule([crash]),
-        rng=testbed.rng,
+        testbed.sim, testbed.network, testbed.cluster, FaultSchedule([crash])
     ).start()
     garbage, _completed, failed = _garbage_in_window(testbed)
     assert failed > 100 and clients.errors
@@ -139,7 +138,7 @@ def test_failed_events_leave_no_cyclic_garbage(system):
     # The stored traceback lost the trampoline's frame and every frame's
     # locals, not its file/line record.
     report = "".join(traceback.format_exception(clients.errors[-1]))
-    assert "hop_penalty_ms" in report and "raise DeliveryError" in report
+    assert "check_hop" in report and "raise DeliveryError" in report
     assert "_step" not in report
 
 

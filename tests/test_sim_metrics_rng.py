@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim.metrics import (
     LatencyRecorder,
-    ThroughputRecorder,
     TimeSeries,
     mean,
     percentile,
@@ -70,18 +69,18 @@ def test_windowed_mean_buckets():
 
 
 def test_throughput_rates():
-    rec = ThroughputRecorder()
+    rec = LatencyRecorder()
     for t in (1.0, 2.0, 3.0, 11.0):
-        rec.record(t)
+        rec.record(t, t)
     assert rec.count_between(0.0, 10.0) == 3
-    assert rec.rate_per_s(0.0, 10.0) == pytest.approx(300.0)
-    assert rec.rate_per_s(5.0, 5.0) == 0.0
+    assert rec.count_between(5.0, 5.0) == 0
+    assert rec.windowed_rate(10.0, 10.0).values() == [pytest.approx(300.0)]
 
 
 def test_throughput_windowed_series():
-    rec = ThroughputRecorder()
+    rec = LatencyRecorder()
     for t in (1.0, 2.0, 12.0):
-        rec.record(t)
+        rec.record(t, t)
     series = rec.windowed_rate(window_ms=10.0, horizon_ms=20.0)
     assert [v for _t, v in series.points] == [pytest.approx(200.0), pytest.approx(100.0)]
 
@@ -92,70 +91,28 @@ def test_time_series_helpers():
     series.add(10.0, 3.0)
     assert series.mean_value() == pytest.approx(2.0)
     assert series.max_value() == 3.0
-    resampled = series.resample([5.0, 15.0])
-    assert resampled.values() == [1.0, 3.0]
+    assert series.times() == [0.0, 10.0]
 
 
-def test_time_series_resample_before_first_point():
-    series = TimeSeries([(10.0, 5.0)])
-    assert series.resample([0.0]).values() == [0.0]
-
-
-def _out_of_order_recorder():
-    """Hand-fed records whose end times are NOT nondecreasing.
-
-    Exercises the recorder's linear-scan fallback paths (the bisect fast
-    path requires simulator-ordered completions).
-    """
+def test_latency_recorder_rejects_out_of_order_completions():
+    # A simulator records at sim.now, so end times never decrease; the
+    # bisect-located windows rely on it.
     rec = LatencyRecorder()
-    rec.record(0.0, 5.0, tag="ok")      # latency 5
-    rec.record(20.0, 25.0, tag="bad")   # latency 5, beyond-horizon filler
-    rec.record(5.0, 15.0, tag="ok")     # latency 10, OUT OF ORDER
-    rec.record(2.0, 8.0, tag="ok")      # latency 6, out of order again
-    assert not rec._monotonic
-    return rec
-
-
-def test_nonmonotonic_latencies_and_counts():
-    rec = _out_of_order_recorder()
-    # since filter must scan by value, not trust record order.
-    assert sorted(rec.latencies(since_ms=10.0)) == [5.0, 10.0]
-    assert rec.count(since_ms=10.0) == 2
-    assert rec.count() == 4
-    # The tag filter composes with the value scan.
-    assert rec.latencies(since_ms=10.0, tag="ok") == [10.0]
-    assert rec.latencies(tag="bad") == [5.0]
-    assert sorted(rec.latencies_between(6.0, 16.0)) == [6.0, 10.0]
-    assert rec.fraction_over(5.5, since_ms=6.0) == pytest.approx(2 / 3)
-
-
-def test_nonmonotonic_windowed_series_with_exclude_tag():
-    rec = _out_of_order_recorder()
-    # Beyond-horizon records sit mid-list: bucketing must skip (not
-    # break on) them and keep scanning later in-horizon records.
-    counts = rec.windowed_count(10.0, 20.0)
-    assert [v for _t, v in counts.points] == [
-        pytest.approx(200.0),  # ends 5 and 8 -> 2 per 10 ms window
-        pytest.approx(100.0),  # end 15
-    ]
-    excl = rec.windowed_count(10.0, 20.0, exclude_tag="ok")
-    assert [v for _t, v in excl.points] == [0.0, 0.0]  # 25 is past horizon
-    p99 = rec.windowed_percentile(99.0, 10.0, 20.0, exclude_tag="bad")
-    assert [v for _t, v in p99.points] == [pytest.approx(6.0), pytest.approx(10.0)]
-    means = rec.windowed_mean(10.0, 20.0)
-    assert means.points[0][1] == pytest.approx(5.5)
-    assert means.points[1][1] == pytest.approx(10.0)
+    rec.record(0.0, 5.0)
+    rec.record(1.0, 5.0)  # equal end times are fine
+    with pytest.raises(ValueError):
+        rec.record(2.0, 4.0)
+    assert len(rec) == 2 and rec.count_between(0.0, 10.0) == 2
 
 
 def test_monotonic_windowed_exclude_tag_matches_scan():
-    # Same data fed in order: the bisect/early-break fast path must agree
-    # with the out-of-order scan fallback.
+    # The bucketing pass stops at the first record past the horizon and
+    # skips the excluded tag.
     rec = LatencyRecorder()
     rec.record(0.0, 5.0, tag="ok")
     rec.record(2.0, 8.0, tag="ok")
     rec.record(5.0, 15.0, tag="ok")
     rec.record(20.0, 25.0, tag="bad")
-    assert rec._monotonic
     counts = rec.windowed_count(10.0, 20.0, exclude_tag="bad")
     assert [v for _t, v in counts.points] == [
         pytest.approx(200.0),

@@ -1,6 +1,7 @@
 """Unit tests for the network transport and cluster model."""
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.sim.cluster import (
     Cluster,
@@ -12,7 +13,7 @@ from repro.sim.cluster import (
     Server,
 )
 from repro.sim.kernel import Simulator
-from repro.sim.network import LatencyModel, Network
+from repro.sim.network import DeliveryError, Network
 
 
 # ----------------------------------------------------------------------
@@ -20,7 +21,7 @@ from repro.sim.network import LatencyModel, Network
 # ----------------------------------------------------------------------
 def test_send_delivers_after_latency():
     sim = Simulator()
-    net = Network(sim, latency=LatencyModel(lan_ms=0.5))
+    net = Network(sim, lan_ms=0.5)
     box = net.register("dst")
     net.register("src")
     net.send("src", "dst", {"k": 1}, size_bytes=0)
@@ -32,9 +33,9 @@ def test_send_delivers_after_latency():
 
 
 def test_same_host_latency_is_cheap():
-    model = LatencyModel(lan_ms=0.25, same_host_ms=0.01)
-    assert model.latency_ms("a", "a") == 0.01
-    assert model.latency_ms("a", "b") == 0.25
+    net = Network(Simulator(), lan_ms=0.25, same_host_ms=0.01)
+    assert net.delay_ms("a", "a", size_bytes=0) == 0.01
+    assert net.delay_ms("a", "b", size_bytes=0) == 0.25
 
 
 def test_send_to_unknown_endpoint_raises():
@@ -202,7 +203,7 @@ def test_decommission_removes_server():
 # ----------------------------------------------------------------------
 def test_zero_byte_payload_pays_propagation_only():
     sim = Simulator()
-    net = Network(sim, latency=LatencyModel(lan_ms=0.4, same_host_ms=0.02))
+    net = Network(sim, lan_ms=0.4, same_host_ms=0.02)
     net.register("a")
     net.register("b")
     assert net.delay_ms("a", "b", size_bytes=0) == pytest.approx(0.4)
@@ -211,7 +212,7 @@ def test_zero_byte_payload_pays_propagation_only():
 
 def test_self_send_uses_same_host_latency():
     sim = Simulator()
-    net = Network(sim, latency=LatencyModel(lan_ms=0.4, same_host_ms=0.02))
+    net = Network(sim, lan_ms=0.4, same_host_ms=0.02)
     box = net.register("a")
     assert net.delay_ms("a", "a", size_bytes=0) == pytest.approx(0.02)
     net.send("a", "a", "loop", size_bytes=0)
@@ -220,73 +221,119 @@ def test_self_send_uses_same_host_latency():
     assert sim.now == pytest.approx(0.02)
 
 
-def test_fifo_preserved_when_delay_filter_heals_mid_stream():
-    """A latency spike must not let later messages overtake earlier ones."""
-    from repro.faults import NetworkFaults
-    from repro.faults.schedule import LinkFault
+class _DropAll:
+    """A fault filter that refuses every hop and loses every message."""
 
-    sim = Simulator()
-    net = Network(sim, latency=LatencyModel(lan_ms=0.25))
-    box = net.register("dst")
-    net.register("src")
-    state = NetworkFaults()
-    net.fault = state
-    state.add_link_fault(1, LinkFault(0.0, 1e9, "src", "dst", extra_latency_ms=50.0))
-    net.send("src", "dst", "slow", size_bytes=0)  # would arrive at ~50.25
-    state.remove_link_fault(1)  # spike ends immediately
-    net.send("src", "dst", "fast", size_bytes=0)  # raw delivery ~0.25, clamped
-    sim.run()
-    assert [m.payload for m in box.items] == ["slow", "fast"]
-    assert [m.sent_at_ms for m in box.items] == [0.0, 0.0]
+    def check_hop(self, src, dst):
+        raise DeliveryError(f"{src!r} -> {dst!r} is cut")
+
+    def drops(self, src, dst):
+        return True
 
 
 def test_fifo_preserved_across_dropped_messages():
-    """A drop consumes the ghost's slot: survivors never arrive earlier."""
-    from repro.faults import NetworkFaults
-    from repro.faults.schedule import LinkFault
-
+    """A drop still pays egress: survivors queue behind the ghost."""
     sim = Simulator()
-    net = Network(sim, latency=LatencyModel(lan_ms=0.25))
+    net = Network(sim, lan_ms=0.25)
     box = net.register("dst")
     net.register("src")
-    state = NetworkFaults()
-    net.fault = state
-    state.add_link_fault(
-        1, LinkFault(0.0, 1e9, "src", "dst", extra_latency_ms=10.0, drop_rate=0.0)
-    )
-    net.send("src", "dst", "first", size_bytes=0)  # delivered at ~10.25
-
-    class DropAll:  # drops every message it is asked about
-        def message_penalty_ms(self, src, dst):
-            return None
-
-    net.fault = DropAll()
-    net.send("src", "dst", "ghost", size_bytes=0)
+    ms_per_byte = 8.0 / (0.7 * 1e6)  # the default 0.7 Gbps NIC
+    net.send("src", "dst", "first", size_bytes=70_000)  # egress until 0.8
+    net.fault = _DropAll()
+    net.send("src", "dst", "ghost", size_bytes=70_000)  # egress until 1.6
     net.fault = None
-    net.send("src", "dst", "third", size_bytes=0)  # clamped behind the ghost
+    net.send("src", "dst", "third", size_bytes=0)
     sim.run()
     assert [m.payload for m in box.items] == ["first", "third"]
     assert net.messages_dropped == 1
-    # The third message was clamped to the ghost's (spiked) slot, not 0.25.
-    assert sim.now == pytest.approx(10.25)
+    # The third message waited for the ghost's transmission, not just its own.
+    assert sim.now == pytest.approx(140_000 * ms_per_byte + 0.25)
 
 
-def test_delay_ms_fifo_shared_with_send_under_filter():
-    from repro.faults import NetworkFaults
-    from repro.faults.schedule import LinkFault
+# FIFO per pair holds without a per-destination clamp: per sender each
+# transmission finishes no earlier than the previous one, and delivery adds
+# a latency constant per pair.  Random programs of sends and process hops
+# over three endpoints with different NICs, with time advancing and a
+# drop-everything filter switched on and off, must deliver every pair's
+# traffic in send order; a seeded mutant shows the property can fail.
+_ENDPOINTS = (("a", M1_SMALL), ("b", M1_MEDIUM), ("c", M1_LARGE))
+_endpoint = st.integers(0, len(_ENDPOINTS) - 1)
+_size = st.one_of(st.sampled_from([0, 1, 256, 100_000]), st.integers(0, 100_000))
+_net_ops = st.one_of(
+    st.tuples(st.sampled_from(["send", "delay"]), _endpoint, _endpoint, _size),
+    st.tuples(
+        st.just("advance"),
+        st.one_of(
+            st.sampled_from([0.0, 0.25, 1.0]),
+            st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+        ),
+    ),
+    st.tuples(st.just("toggle")),
+)
+_NET_PROGRAMS = st.lists(_net_ops, max_size=60)
+_NET_SETTINGS = settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    report_multiple_bugs=False,
+)
 
+
+def _check_fifo(program, network_cls):
     sim = Simulator()
-    net = Network(sim, latency=LatencyModel(lan_ms=0.25))
-    net.register("dst")
-    net.register("src")
-    state = NetworkFaults()
-    net.fault = state
-    state.add_link_fault(1, LinkFault(0.0, 1e9, "src", "dst", extra_latency_ms=5.0))
-    first = net.delay_ms("src", "dst", size_bytes=0)
-    state.remove_link_fault(1)
-    second = net.delay_ms("src", "dst", size_bytes=0)
-    assert first == pytest.approx(5.25)
-    assert second == pytest.approx(5.25)  # clamped: FIFO per pair
+    net = network_cls(sim)
+    boxes = {name: net.register(name, itype=itype) for name, itype in _ENDPOINTS}
+    timeline = {}  # (src, dst) -> [(op index, delivery time)]
+    arrivals = {}  # (src, dst) -> op indices in arrival order
+    sent = {}  # (src, dst) -> op indices of messages not dropped
+
+    def arrived(message):
+        pair = (message.src, message.dst)
+        arrivals.setdefault(pair, []).append(message.payload)
+        timeline.setdefault(pair, []).append((message.payload, sim.now))
+
+    for index, (op, *args) in enumerate(program):
+        if op == "advance":
+            sim.run(until=sim.now + args[0])
+        elif op == "toggle":
+            net.fault = None if net.fault is not None else _DropAll()
+        else:
+            src, dst = _ENDPOINTS[args[0]][0], _ENDPOINTS[args[1]][0]
+            if op == "send":
+                if net.fault is None:
+                    sent.setdefault((src, dst), []).append(index)
+                net.send(src, dst, index, args[2], arrived)
+            elif net.fault is not None:
+                with pytest.raises(DeliveryError):
+                    net.delay_ms(src, dst, args[2])
+            else:
+                at = sim.now + net.delay_ms(src, dst, args[2])
+                timeline.setdefault((src, dst), []).append((index, at))
+    sim.run()
+    assert arrivals == sent
+    for (src, dst), indices in sent.items():
+        assert [m.payload for m in boxes[dst].items if m.src == src] == indices
+    for points in timeline.values():
+        times = [at for _index, at in sorted(points)]
+        assert times == sorted(times)
+
+
+@_NET_SETTINGS
+@given(_NET_PROGRAMS)
+def test_fifo_per_pair_without_clamp(program):
+    _check_fifo(program, Network)
+
+
+class _OddSizesLag(Network):
+    """Mutant: odd-sized hops take half a millisecond longer."""
+
+    def delay_ms(self, src, dst, size_bytes=256):
+        return super().delay_ms(src, dst, size_bytes) + (0.5 if size_bytes % 2 else 0.0)
+
+
+def test_mutant_odd_sizes_lag_dies():
+    # The same property, first failure as found (no shrinking).
+    hunt = settings(_NET_SETTINGS, phases=[Phase.generate], max_examples=5000)
+    with pytest.raises(AssertionError):
+        hunt(given(_NET_PROGRAMS)(lambda program: _check_fifo(program, _OddSizesLag)))()
 
 
 def test_crash_and_restart_server_helpers():
