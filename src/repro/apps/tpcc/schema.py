@@ -351,12 +351,6 @@ class District(ContextClass):
         """The item ids of recently placed orders (read-only)."""
         return list(self.recent_items[-100:])
 
-    @readonly
-    @cost(0.5)
-    def order_count(self) -> int:
-        """How many orders this district has sequenced (read-only)."""
-        return self.next_o_id - 1
-
 
 class Warehouse(ContextClass):
     """The warehouse: stock rows folded in, one per deployment."""

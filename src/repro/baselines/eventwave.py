@@ -20,13 +20,12 @@ is not modelled: no figure migrates EventWave (fig8 migrates AEON only).
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, Optional
 
 from ..core.errors import AeonError
 from ..core.events import CallSpec, Event
 from ..core.runtime import Branch, ClientHandle, RuntimeBase
 from ..sim.cluster import Server
-from ..sim.kernel import Signal
 from ..sim.queues import Resource
 
 __all__ = ["EventWaveRuntime", "SingleOwnershipError"]
@@ -46,7 +45,6 @@ class EventWaveRuntime(RuntimeBase):
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
         self._sequencer: Optional[Resource] = None
-        self._ticket = 0
         # The tree root, recomputed only when contexts change (it is
         # consulted on every event).
         self._root_cache: Optional[str] = None
@@ -106,7 +104,6 @@ class EventWaveRuntime(RuntimeBase):
         branch = Branch(event)
         try:
             yield self._charge(root_server, costs.eventwave_root_cpu_ms)
-            self._ticket += 1
             event.started_ms = self.sim.now
             event.dom = root
             # Reserve the target's execution-queue position while serial:
@@ -122,7 +119,6 @@ class EventWaveRuntime(RuntimeBase):
             nxt = self.server_of(cid)
             if nxt.name != current.name:
                 yield self._charge(current, costs.net_cpu_ms)
-                event.hops += 1
                 yield self.network.delay_ms(current.name, nxt.name, costs.proto_msg_bytes)
                 current = nxt
             yield self._charge(nxt, costs.eventwave_forward_cpu_ms)
@@ -130,7 +126,6 @@ class EventWaveRuntime(RuntimeBase):
         target_server = self.server_of(spec.target)
         if current.name != target_server.name:
             yield self._charge(current, costs.net_cpu_ms)
-            event.hops += 1
             yield self.network.delay_ms(
                 current.name, target_server.name, costs.proto_msg_bytes
             )
@@ -147,7 +142,6 @@ class EventWaveRuntime(RuntimeBase):
         event.committed_ms = self.sim.now
         reply_from = self.server_of(spec.target)
         yield self._charge(reply_from, costs.net_cpu_ms)
-        event.hops += 1
         yield self.network.delay_ms(reply_from.name, client.name, costs.client_msg_bytes)
 
     def _release_at_commit(self, event: Event, branch: Branch) -> Generator:

@@ -27,7 +27,7 @@ hit shared grains directly (fast, non-serializable).
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from ..core.errors import AeonError
 from ..core.events import CallSpec, Event
@@ -86,7 +86,6 @@ class OrleansRuntime(RuntimeBase):
             stale_server = self.cluster.servers.get(cached_name)
             if stale_server is not None:
                 yield self._charge(stale_server, costs.net_cpu_ms)
-                event.hops += 1
                 yield self.network.delay_ms(
                     stale_server.name, grain_server.name, costs.client_msg_bytes
                 )
@@ -115,7 +114,6 @@ class OrleansRuntime(RuntimeBase):
         event.committed_ms = self.sim.now
         reply_from = self.server_of(spec.target)
         yield self._charge(reply_from, costs.net_cpu_ms)
-        event.hops += 1
         yield self.network.delay_ms(reply_from.name, client.name, costs.client_msg_bytes)
 
     # ------------------------------------------------------------------
@@ -137,7 +135,6 @@ class OrleansRuntime(RuntimeBase):
         callee_server = self.server_of(spec.target)
         if callee_server.name != caller_server.name:
             yield self._charge(caller_server, self.costs.net_cpu_ms)
-            event.hops += 1
             yield self.network.delay_ms(
                 caller_server.name, callee_server.name, self.costs.proto_msg_bytes
             )
@@ -156,7 +153,6 @@ class OrleansRuntime(RuntimeBase):
         landed = self.server_of(spec.target)
         if landed.name != caller_server.name:
             yield self._charge(landed, self.costs.net_cpu_ms)
-            event.hops += 1
             yield self.network.delay_ms(
                 landed.name, caller_server.name, self.costs.proto_msg_bytes
             )
@@ -174,15 +170,12 @@ class OrleansRuntime(RuntimeBase):
         self._branch_opened(event)
 
         def runner() -> Generator:
-            landed: Optional[Server] = caller_server
             try:
                 yield from self._sync_call(event, spec, Branch(event), caller_server, caller_cid)
-                landed = self.server_of(spec.target)
             except Exception as exc:  # noqa: BLE001 - surfaced on the event
                 if event.error is None:
                     event.error = exc
             finally:
-                _ = landed
                 self._branch_closed(event)
 
         self.sim.process(runner(), name="event-task")

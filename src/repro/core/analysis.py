@@ -40,19 +40,6 @@ class StaticAnalysis:
             known |= referenced_types
             self._epoch += 1
 
-    def registered_types(self) -> List[str]:
-        """All contextclass type names seen so far."""
-        return sorted(self._refs)
-
-    def recursive_types(self) -> Set[str]:
-        """Types with a reflexive constraint (inductive structures).
-
-        These are legal but force runtime cycle checks on ownership
-        mutations (which :class:`repro.core.ownership.OwnershipNetwork`
-        performs unconditionally in this implementation).
-        """
-        return {t for t, refs in self._refs.items() if t in refs}
-
     def check(self) -> None:
         """Verify the constraint graph is acyclic modulo self-loops.
 

@@ -167,7 +167,7 @@ class RefSet:
         refs = refsets.get(self.name)
         if refs is None:
             refs = refsets[self.name] = {}
-        return RefSetView(obj, self.name, refs)
+        return RefSetView(obj, refs)
 
     def __set__(self, obj: "ContextClass", value: Any) -> None:
         raise AeonError(
@@ -182,13 +182,10 @@ class RefSetView:
     every view of one field sees the same set.
     """
 
-    __slots__ = ("_owner", "_name", "_refs")
+    __slots__ = ("_owner", "_refs")
 
-    def __init__(
-        self, owner: "ContextClass", name: str, refs: Dict[str, ContextRef]
-    ) -> None:
+    def __init__(self, owner: "ContextClass", refs: Dict[str, ContextRef]) -> None:
         self._owner = owner
-        self._name = name
         self._refs = refs
 
     def add(self, ref: ContextRef) -> None:

@@ -155,7 +155,6 @@ class Event:
         "reads",
         "writes",
         "sub_events",
-        "hops",
         "held",
         "open_branches",
         "quiescent",
@@ -186,7 +185,6 @@ class Event:
         self.reads: Dict[str, int] = {}
         self.writes: Dict[str, int] = {}
         self.sub_events: List[CallSpec] = []
-        self.hops = 0
         # Runtime lock bookkeeping, owned by RuntimeBase: the set of
         # held/reserved cids (None once the event finished), the count
         # of open branches, the quiescence signal and locks deferred to

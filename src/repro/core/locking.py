@@ -38,7 +38,6 @@ class ContextLock:
         "sim",
         "cid",
         "activated",
-        "total_acquisitions",
         "_queue",
         "_pending",
         "_exclusive_active",
@@ -53,8 +52,6 @@ class ContextLock:
         # until first contention; they hold the same events thereafter.
         self._queue: Optional[Deque[Tuple[Event, Signal]]] = None
         self._pending: Optional[Dict[int, Signal]] = None
-        # Counters exposed to tests and the elasticity manager.
-        self.total_acquisitions = 0
         # Number of exclusive holders in ``activated`` (0 or 1),
         # maintained incrementally so _pump never scans the set.
         self._exclusive_active = 0
@@ -95,7 +92,6 @@ class ContextLock:
             self.activated[eid] = mode
             if mode is not AccessMode.RO:
                 self._exclusive_active += 1
-            self.total_acquisitions += 1
             return self.sim.ready, True
         if queue is None:
             queue = self._queue = deque()
@@ -150,7 +146,6 @@ class ContextLock:
         self.activated[event.eid] = mode
         if mode is AccessMode.EX:
             self._exclusive_active += 1
-        self.total_acquisitions += 1
         grant.succeed(None)
 
     # ------------------------------------------------------------------

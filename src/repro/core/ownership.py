@@ -104,10 +104,6 @@ class FencingTable:
         """All tracked subtree roots, sorted."""
         return sorted(self._epochs)
 
-    def root_of(self, cid: str) -> Optional[str]:
-        """The tracked subtree root covering ``cid`` (None if untracked)."""
-        return self._root_of.get(cid)
-
     # ------------------------------------------------------------------
     # Epoch protocol
     # ------------------------------------------------------------------

@@ -71,7 +71,6 @@ class AeonRuntime(RuntimeBase):
             stale_server = self.cluster.servers.get(cached_name)
             if stale_server is not None:
                 yield self._charge(stale_server, costs.net_cpu_ms)
-                event.hops += 1
                 yield self.network.delay_ms(
                     stale_server.name, target_server.name, costs.client_msg_bytes
                 )
@@ -90,7 +89,6 @@ class AeonRuntime(RuntimeBase):
             dom_server = self.server_of(dominator)
             if dom_server.name != target_server.name:
                 yield self._charge(target_server, costs.net_cpu_ms)
-                event.hops += 1
                 yield self.network.delay_ms(
                     target_server.name, dom_server.name, costs.proto_msg_bytes
                 )
@@ -101,7 +99,6 @@ class AeonRuntime(RuntimeBase):
             target_reserved = self._reserve(event, branch, spec.target)
             if dom_server.name != target_server.name:
                 yield self._charge(dom_server, costs.net_cpu_ms)
-                event.hops += 1
                 yield self.network.delay_ms(
                     dom_server.name, target_server.name, costs.proto_msg_bytes
                 )
@@ -130,7 +127,6 @@ class AeonRuntime(RuntimeBase):
         # Reply to the client.
         reply_from = self.server_of(spec.target)
         yield self._charge(reply_from, costs.net_cpu_ms)
-        event.hops += 1
         yield self.network.delay_ms(reply_from.name, client.name, costs.client_msg_bytes)
 
     # ------------------------------------------------------------------
@@ -158,7 +154,6 @@ class AeonRuntime(RuntimeBase):
                 callee_server = self.server_of(spec.target)
                 if current.name != callee_server.name:
                     yield self._charge(current, self.costs.net_cpu_ms)
-                    event.hops += 1
                     yield self.network.delay_ms(
                         current.name, callee_server.name, self.costs.proto_msg_bytes
                     )

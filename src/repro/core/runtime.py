@@ -93,8 +93,6 @@ class ClientHandle:
         self.runtime = runtime
         self.name = name
         self._cache: Dict[str, str] = {}
-        #: Cache entries dropped by push invalidations (metrics).
-        self.invalidated = 0
 
     def locate(self, cid: str) -> str:
         """Best-known server name for ``cid`` (cache, else authoritative).
@@ -128,7 +126,6 @@ class ClientHandle:
         stale = [cid for cid, host in self._cache.items() if host == server_name]
         for cid in stale:
             del self._cache[cid]
-        self.invalidated += len(stale)
         return len(stale)
 
     def submit(self, spec: CallSpec, tag: str = "") -> Signal:
@@ -178,7 +175,6 @@ class RuntimeBase:
         self._method_meta: Dict[Tuple[type, str], Tuple[Any, bool, float]] = {}
         self._clients: Dict[str, ClientHandle] = {}
         self._registered_classes: Set[str] = set()
-        self.events_inflight = 0
         self.events_completed = 0
         self.events_failed = 0
         #: Honest failure semantics (all off by default, enabled by the
@@ -195,6 +191,11 @@ class RuntimeBase:
         # object itself — see repro.core.events.Event.
         for server in cluster.servers.values():
             self.attach_server(server)
+
+    @property
+    def events_inflight(self) -> int:
+        """Events submitted and not yet finished."""
+        return self._eid_counter - self.events_completed
 
     def _new_context_state(self) -> None:
         """Start from empty per-context state.
@@ -503,7 +504,6 @@ class RuntimeBase:
         self._eid_counter += 1
         event = Event(self._eid_counter, spec, mode, client.name, self.sim.now, tag)
         completion = Signal(self.sim, "event")
-        self.events_inflight += 1
         _EventProcess(self, event, completion, self._event_process(event, client))
         return completion
 
@@ -518,7 +518,6 @@ class RuntimeBase:
                 self.lock_of(cid).release(event)
         event.quiescent = None
         event.deferred_locks = []
-        self.events_inflight -= 1
         self.events_completed += 1
         # Errored events (including delivery failures during a crash or
         # partition — surfaced on event.error as retryable) are recorded
@@ -756,7 +755,6 @@ class RuntimeBase:
             lock_server = self.server_of(cid)
             if lock_server.name != current.name:
                 yield self._charge(current, self.costs.net_cpu_ms)
-                event.hops += 1
                 yield self.network.delay_ms(
                     current.name, lock_server.name, self.costs.proto_msg_bytes
                 )
@@ -787,7 +785,6 @@ class RuntimeBase:
         callee_server = self.server_of(spec.target)
         if current.name != callee_server.name:
             yield self._charge(current, self.costs.net_cpu_ms)
-            event.hops += 1
             yield self.network.delay_ms(
                 current.name, callee_server.name, self.costs.proto_msg_bytes
             )
@@ -796,7 +793,6 @@ class RuntimeBase:
         landed = self.server_of(spec.target)
         if landed.name != caller_server.name:
             yield self._charge(landed, self.costs.net_cpu_ms)
-            event.hops += 1
             yield self.network.delay_ms(
                 landed.name, caller_server.name, self.costs.proto_msg_bytes
             )

@@ -5,12 +5,9 @@ from .migration import MigrationCoordinator, MigrationRecord
 from .policies import (
     Action,
     ClusterSnapshot,
-    ElasticityPolicy,
     MigrateAction,
-    ResourceUtilizationPolicy,
     ScaleInAction,
     ScaleOutAction,
-    ServerContentionPolicy,
     ServerReport,
     SLAPolicy,
 )
@@ -27,15 +24,12 @@ __all__ = [
     "CloudStorage",
     "DeltaCheckpointer",
     "ClusterSnapshot",
-    "ElasticityPolicy",
     "EManager",
     "MigrateAction",
     "MigrationCoordinator",
     "MigrationRecord",
-    "ResourceUtilizationPolicy",
     "ScaleInAction",
     "ScaleOutAction",
-    "ServerContentionPolicy",
     "ServerReport",
     "SLAPolicy",
     "fuzzy_snapshot",

@@ -6,8 +6,8 @@ Every ``report_interval_ms`` it:
 
 1. collects per-server resource reports (CPU utilization, context
    counts) and recent client latency,
-2. asks its :class:`~repro.elasticity.policies.ElasticityPolicy` for
-   actions,
+2. asks its policy (duck-typed ``decide(snapshot)``, e.g.
+   :class:`~repro.elasticity.policies.SLAPolicy`) for actions,
 3. provisions/decommissions servers and launches migrations through the
    :class:`~repro.elasticity.migration.MigrationCoordinator` (bounded
    concurrency),
@@ -45,7 +45,6 @@ from .snapshot import (
 from .policies import (
     Action,
     ClusterSnapshot,
-    ElasticityPolicy,
     MigrateAction,
     ScaleInAction,
     ScaleOutAction,
@@ -63,11 +62,10 @@ class EManager:
         self,
         runtime: RuntimeBase,
         storage: CloudStorage,
-        policy: Optional[ElasticityPolicy],
+        policy: Optional[Any],
         instance_type: InstanceType,
         report_interval_ms: float = 1000.0,
         max_concurrent_migrations: int = 4,
-        host: Optional[Server] = None,
     ) -> None:
         self.runtime = runtime
         self.storage = storage
@@ -76,7 +74,7 @@ class EManager:
         self.report_interval_ms = report_interval_ms
         self.max_concurrent_migrations = max_concurrent_migrations
         sim = runtime.sim
-        self.host = host or Server(sim, "~emanager", instance_type)
+        self.host = Server(sim, "~emanager", instance_type)
         if not runtime.network.is_registered(self.host.name):
             runtime.network.register(self.host.name, self.host.mailbox, instance_type)
         self.coordinator = MigrationCoordinator(runtime, storage, self.host)
@@ -84,7 +82,6 @@ class EManager:
         self.running = False
         self.migrations_started = 0
         self.server_count_series = TimeSeries()
-        self._latency_mark = 0
         self._draining: Dict[str, bool] = {}
         # Fault tolerance (enable_fault_tolerance): periodic checkpoints
         # and crash recovery driven by a failure detector.
@@ -102,7 +99,6 @@ class EManager:
         self._checkpoint_roots: List[str] = []
         self._checkpointing = False
         self._consistent_checkpoints = True
-        self._checkpoint_mode = "full"
         self._delta_checkpointers: Dict[str, DeltaCheckpointer] = {}
         self._recovering: Dict[str, bool] = {}
         # Names currently counted as false alarms: the detector
@@ -245,7 +241,6 @@ class EManager:
         roots: Optional[List[str]] = None,
         consistent_checkpoints: bool = True,
         checkpoint_mode: str = "full",
-        max_delta_chain: int = 6,
         fencing: bool = False,
         honest_recovery: Optional[bool] = None,
         crash_drops_state: bool = False,
@@ -272,9 +267,9 @@ class EManager:
         * ``"delta"`` — a :class:`~repro.elasticity.snapshot.DeltaCheckpointer`
           per root: contexts whose ``_aeon_version`` has not moved are
           skipped, unchanged intervals write nothing, and after
-          ``max_delta_chain`` deltas the subtree re-bases.  Orthogonal
-          to ``consistent_checkpoints`` (capture discipline vs storage
-          layout).
+          ``DeltaCheckpointer.MAX_CHAIN`` deltas the subtree re-bases.
+          Orthogonal to ``consistent_checkpoints`` (capture discipline vs
+          storage layout).
 
         The honest-failure knobs (all default **off**, preserving the
         legacy byte-identical behavior):
@@ -302,7 +297,6 @@ class EManager:
             raise ValueError(f"unknown checkpoint_mode {checkpoint_mode!r}")
         self.checkpoint_interval_ms = checkpoint_interval_ms
         self._consistent_checkpoints = consistent_checkpoints
-        self._checkpoint_mode = checkpoint_mode
         if roots is None:
             ownership = self.runtime.ownership
             roots = sorted(
@@ -317,7 +311,6 @@ class EManager:
                     root,
                     key=self.checkpoint_key(root),
                     consistent=consistent_checkpoints,
-                    max_chain=max_delta_chain,
                 )
                 for root in self._checkpoint_roots
             }
@@ -505,9 +498,7 @@ class EManager:
             ]
             if not dropped:
                 continue
-            bundle = yield from read_checkpoint(
-                self.storage, self.checkpoint_key(root), base_size_bytes=None
-            )
+            bundle = yield from read_checkpoint(self.storage, self.checkpoint_key(root))
             bundle = bundle or {}
             for member in dropped:
                 instance = runtime.instances.get(member)
@@ -622,9 +613,7 @@ class EManager:
             # priced by the *stored* bundle sizes (a full bundle ships
             # the whole subtree even when only part of it was lost; a
             # chain ships the base plus its deltas).
-            value = yield from read_checkpoint(
-                self.storage, self.checkpoint_key(root), base_size_bytes=None
-            )
+            value = yield from read_checkpoint(self.storage, self.checkpoint_key(root))
             if value:
                 bundles[root] = value
         restored, _granted = yield from self._restore_lost(
@@ -768,9 +757,7 @@ class EManager:
                     self.flush_restores += 1
                     self.storage.delete(f"fence-flush/{root}")
                     continue
-            value = yield from read_checkpoint(
-                self.storage, self.checkpoint_key(root), base_size_bytes=None
-            )
+            value = yield from read_checkpoint(self.storage, self.checkpoint_key(root))
             if value:
                 bundles[root] = value
         if flushed_roots and not self._false_suspects.get(name):
@@ -902,7 +889,7 @@ class EManager:
             state = None
             if root is not None:
                 bundle = yield from read_checkpoint(
-                    self.storage, self.checkpoint_key(root), base_size_bytes=None
+                    self.storage, self.checkpoint_key(root)
                 )
                 if bundle:
                     state = bundle.get(cid)

@@ -28,14 +28,14 @@ lets a recovering eManager finish in-flight migrations (§5.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, List, Optional
 
 from ..core.errors import FencedError, MigrationError
 from ..core.events import AccessMode, CallSpec, Event
 from ..core.runtime import RuntimeBase
 from ..sim.cluster import Server
-from ..sim.kernel import CpuCharge, Signal, Simulator
+from ..sim.kernel import CpuCharge, Signal
 from .storage import CloudStorage
 
 __all__ = ["MigrationCoordinator", "MigrationRecord"]
@@ -74,6 +74,8 @@ class MigrationCoordinator:
 
     #: Fixed eManager work per migration (bookkeeping, not CPU-scaled).
     BASE_OVERHEAD_MS = 4.0
+    #: Step III's δ: the wait between stopping the source and remapping.
+    DELTA_MS = 2.0
     #: CPU unit-work charged on the eManager host per migration.
     EMANAGER_CPU_MS = 14.0
 
@@ -82,17 +84,12 @@ class MigrationCoordinator:
         runtime: RuntimeBase,
         storage: CloudStorage,
         emanager_host: Server,
-        delta_ms: float = 2.0,
     ) -> None:
         self.runtime = runtime
         self.storage = storage
         self.host = emanager_host
-        self.delta_ms = delta_ms
         self.records: List[MigrationRecord] = []
         self._counter = 0
-        self.completed = 0
-        self.failed = 0
-        self.restored = 0
         #: Set on eManager crash: in-flight migrations stop at their
         #: next step boundary, leaving their WAL record for recovery.
         self.halted = False
@@ -219,7 +216,7 @@ class MigrationCoordinator:
                 return
 
             # Step III: after δ, durably remap, then tell the source.
-            yield sim.timeout(self.delta_ms)
+            yield sim.timeout(self.DELTA_MS)
             yield self.storage.write(
                 f"mapping/{record.cid}", record.dst, size_bytes=64
             )
@@ -254,10 +251,8 @@ class MigrationCoordinator:
             yield network.delay_signal(record.dst, self.host.name)
             yield from self._log(record, "done")
             record.finished_ms = sim.now
-            self.completed += 1
             done.succeed(record)
         except Exception as exc:  # noqa: BLE001 - surfaced to the caller
-            self.failed += 1
             done.fail(MigrationError(f"migration of {record.cid!r} failed: {exc}"))
 
     def _run_restore(
@@ -320,11 +315,8 @@ class MigrationCoordinator:
             yield network.delay_signal(record.dst, self.host.name)
             yield from self._log(record, "done")
             record.finished_ms = sim.now
-            self.completed += 1
-            self.restored += 1
             done.succeed(record)
         except Exception as exc:  # noqa: BLE001 - surfaced to the caller
-            self.failed += 1
             done.fail(MigrationError(f"restore of {record.cid!r} failed: {exc}"))
 
     def _apply_restore_placement(self, record: MigrationRecord) -> None:

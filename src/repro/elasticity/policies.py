@@ -1,24 +1,20 @@
-"""Elasticity policies (§5.2): when and where contexts migrate.
+"""Elasticity policy (§5.2): when to scale and where contexts migrate.
 
 The eManager periodically assembles a :class:`ClusterSnapshot` (server
 utilization, context counts, recent latency) and asks its policy for
-:class:`Action` objects.  The paper's built-in policies are implemented:
-
-* :class:`ResourceUtilizationPolicy` — lower/upper bounds on CPU
-  utilization with an activation threshold;
-* :class:`ServerContentionPolicy` — a maximum number of contexts per
-  server;
-* :class:`SLAPolicy` — the §6.2 experiment's policy: scale out while the
-  mean request latency exceeds the SLA, scale in when comfortably under.
-
-Policies can be constrained (the Tuba-style constraints of §5.2) with
-predicates vetoing individual migrations or capping total servers.
+:class:`Action` objects.  One policy is implemented: :class:`SLAPolicy`,
+the §6.2 experiment's — scale out while the mean request latency
+exceeds the SLA, scale in when comfortably under, within
+``min_servers``/``max_servers``.  The paper's §5.2 also names
+utilization-bound and contexts-per-server policies; no §6 figure or
+registered scenario runs them, so they are not modelled.  The eManager
+duck-types ``policy.decide(snapshot)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 __all__ = [
     "ServerReport",
@@ -27,9 +23,6 @@ __all__ = [
     "MigrateAction",
     "ScaleOutAction",
     "ScaleInAction",
-    "ElasticityPolicy",
-    "ResourceUtilizationPolicy",
-    "ServerContentionPolicy",
     "SLAPolicy",
 ]
 
@@ -86,126 +79,14 @@ class ScaleInAction(Action):
     server: str
 
 
-class ElasticityPolicy:
-    """Base policy: subclasses implement :meth:`decide`.
-
-    ``constraints`` are predicates over proposed MigrateActions; a
-    migration vetoed by any constraint is dropped (§5.2's Tuba-style
-    constraint mechanism).  ``max_servers``/``min_servers`` bound
-    scaling decisions.
-    """
-
-    def __init__(
-        self,
-        constraints: Sequence[Callable[[MigrateAction], bool]] = (),
-        min_servers: int = 1,
-        max_servers: int = 64,
-    ) -> None:
-        self.constraints = list(constraints)
-        self.min_servers = min_servers
-        self.max_servers = max_servers
-
-    def decide(self, snapshot: ClusterSnapshot) -> List[Action]:
-        """Return the actions to perform for this reporting period."""
-        raise NotImplementedError
-
-    def _admit(self, actions: List[Action], snapshot: ClusterSnapshot) -> List[Action]:
-        """Apply constraints and scaling bounds to proposed actions."""
-        admitted: List[Action] = []
-        alive = len(snapshot.alive_reports())
-        for action in actions:
-            if isinstance(action, MigrateAction):
-                if all(constraint(action) for constraint in self.constraints):
-                    admitted.append(action)
-            elif isinstance(action, ScaleOutAction):
-                allowed = max(0, self.max_servers - alive)
-                if allowed > 0:
-                    admitted.append(ScaleOutAction(min(action.count, allowed)))
-                    alive += min(action.count, allowed)
-            elif isinstance(action, ScaleInAction):
-                if alive > self.min_servers:
-                    admitted.append(action)
-                    alive -= 1
-        return admitted
-
-    # Helpers shared by concrete policies -------------------------------
-    @staticmethod
-    def _spread(
-        snapshot: ClusterSnapshot, sources: List[ServerReport], targets: List[ServerReport]
-    ) -> List[Action]:
-        """Propose moving one context from each source to a target."""
-        actions: List[Action] = []
-        if not targets:
-            return actions
-        target_cycle = sorted(targets, key=lambda r: (r.context_count, r.name))
-        for index, src in enumerate(sources):
-            contexts = snapshot.contexts_by_server.get(src.name, [])
-            if not contexts:
-                continue
-            dst = target_cycle[index % len(target_cycle)]
-            if dst.name == src.name:
-                continue
-            actions.append(MigrateAction(cid=contexts[0], dst_server=dst.name))
-        return actions
-
-
-class ResourceUtilizationPolicy(ElasticityPolicy):
-    """Keep per-server CPU utilization within [lower, upper]."""
-
-    def __init__(
-        self,
-        lower: float = 0.2,
-        upper: float = 0.8,
-        threshold: float = 0.05,
-        **kwargs: object,
-    ) -> None:
-        super().__init__(**kwargs)
-        if not 0 <= lower < upper <= 1:
-            raise ValueError("require 0 <= lower < upper <= 1")
-        self.lower = lower
-        self.upper = upper
-        self.threshold = threshold
-
-    def decide(self, snapshot: ClusterSnapshot) -> List[Action]:
-        alive = snapshot.alive_reports()
-        hot = [r for r in alive if r.cpu_utilization > self.upper + self.threshold]
-        cold = [r for r in alive if r.cpu_utilization < self.lower]
-        actions: List[Action] = []
-        if hot and cold:
-            actions.extend(self._spread(snapshot, hot, cold))
-        elif hot:
-            actions.append(ScaleOutAction(count=len(hot)))
-        return self._admit(actions, snapshot)
-
-
-class ServerContentionPolicy(ElasticityPolicy):
-    """Cap the number of contexts hosted per server."""
-
-    def __init__(self, max_contexts_per_server: int = 64, **kwargs: object) -> None:
-        super().__init__(**kwargs)
-        if max_contexts_per_server < 1:
-            raise ValueError("max_contexts_per_server must be >= 1")
-        self.max_contexts = max_contexts_per_server
-
-    def decide(self, snapshot: ClusterSnapshot) -> List[Action]:
-        alive = snapshot.alive_reports()
-        over = [r for r in alive if r.context_count > self.max_contexts]
-        under = [r for r in alive if r.context_count < self.max_contexts]
-        actions: List[Action] = []
-        if over and under:
-            actions.extend(self._spread(snapshot, over, under))
-        elif over:
-            actions.append(ScaleOutAction(count=1))
-        return self._admit(actions, snapshot)
-
-
-class SLAPolicy(ElasticityPolicy):
+class SLAPolicy:
     """Scale out while latency violates the SLA; scale in when idle.
 
     The §6.2 experiment: SLA of 10 ms on client requests; scale-out adds
     servers and rebalances the hottest servers' contexts onto them;
     scale-in removes the emptiest server when latency is comfortably
-    below the SLA (hysteresis factor).
+    below the SLA (hysteresis factor).  ``min_servers``/``max_servers``
+    bound every scaling decision.
     """
 
     def __init__(
@@ -214,17 +95,20 @@ class SLAPolicy(ElasticityPolicy):
         scale_out_step: int = 2,
         scale_in_fraction: float = 0.4,
         headroom: float = 0.6,
-        **kwargs: object,
+        min_servers: int = 1,
+        max_servers: int = 64,
     ) -> None:
-        super().__init__(**kwargs)
         self.sla_ms = sla_ms
         self.scale_out_step = scale_out_step
         self.scale_in_fraction = scale_in_fraction
         #: Scale out when latency exceeds ``headroom * sla`` — acting at
         #: the SLA itself would always lag the ramp by a boot time.
         self.headroom = headroom
+        self.min_servers = min_servers
+        self.max_servers = max_servers
 
     def decide(self, snapshot: ClusterSnapshot) -> List[Action]:
+        """Return the actions to perform for this reporting period."""
         actions: List[Action] = []
         alive = snapshot.alive_reports()
         if snapshot.completed_in_window == 0:
@@ -243,3 +127,40 @@ class SLAPolicy(ElasticityPolicy):
                 victim = empty_first[0]
                 actions.append(ScaleInAction(server=victim.name))
         return self._admit(actions, snapshot)
+
+    def _admit(self, actions: List[Action], snapshot: ClusterSnapshot) -> List[Action]:
+        """Apply the scaling bounds to proposed actions."""
+        admitted: List[Action] = []
+        alive = len(snapshot.alive_reports())
+        for action in actions:
+            if isinstance(action, MigrateAction):
+                admitted.append(action)
+            elif isinstance(action, ScaleOutAction):
+                allowed = max(0, self.max_servers - alive)
+                if allowed > 0:
+                    admitted.append(ScaleOutAction(min(action.count, allowed)))
+                    alive += min(action.count, allowed)
+            elif isinstance(action, ScaleInAction):
+                if alive > self.min_servers:
+                    admitted.append(action)
+                    alive -= 1
+        return admitted
+
+    @staticmethod
+    def _spread(
+        snapshot: ClusterSnapshot, sources: List[ServerReport], targets: List[ServerReport]
+    ) -> List[Action]:
+        """Propose moving one context from each source to a target."""
+        actions: List[Action] = []
+        if not targets:
+            return actions
+        target_cycle = sorted(targets, key=lambda r: (r.context_count, r.name))
+        for index, src in enumerate(sources):
+            contexts = snapshot.contexts_by_server.get(src.name, [])
+            if not contexts:
+                continue
+            dst = target_cycle[index % len(target_cycle)]
+            if dst.name == src.name:
+                continue
+            actions.append(MigrateAction(cid=contexts[0], dst_server=dst.name))
+        return actions

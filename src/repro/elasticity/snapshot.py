@@ -19,10 +19,11 @@ bundle plus a bounded chain of delta bundles**, each recording the
 per-context ``_aeon_version`` it captured.  A context whose version has
 not moved since the previous bundle is skipped (its bytes are never
 re-shipped); an interval in which *nothing* moved writes no bundle at
-all.  After ``max_chain`` deltas the checkpointer re-bases (one full
-upload, resetting the chain), which bounds both recovery read fan-out
-and storage growth.  :func:`read_checkpoint` reassembles base + chain
-(or passes a legacy full bundle through) for the recovery path.
+all.  After ``DeltaCheckpointer.MAX_CHAIN`` deltas the checkpointer
+re-bases (one full upload, resetting the chain), which bounds both
+recovery read fan-out and storage growth.  :func:`read_checkpoint`
+reassembles base + chain (or passes a legacy full bundle through) for
+the recovery path.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ __all__ = [
 _SNAPSHOT_COUNTER = [0]
 
 #: Hard cap on delta-chain reads during reassembly (a chain can never
-#: legitimately grow past the checkpointer's ``max_chain``; this guards
+#: legitimately grow past ``DeltaCheckpointer.MAX_CHAIN``; this guards
 #: recovery against a corrupt key space).
 _MAX_CHAIN_READS = 64
 
@@ -200,13 +201,16 @@ class DeltaCheckpointer:
     increases monotonically across bundles; reassembly applies a delta
     only when its seq is newer than what it has already absorbed, which
     makes stale chain keys left over from before a re-base harmless (no
-    deletes needed, the key space stays bounded by ``max_chain``).
+    deletes needed, the key space stays bounded by ``MAX_CHAIN``).
 
     ``consistent=True`` captures under subtree read locks (the same
     guarantee as :func:`snapshot_context`); ``consistent=False`` is the
     per-grain lock-free capture of :func:`fuzzy_snapshot` — required for
     Orleans-style runtimes.
     """
+
+    #: Deltas written before the next bundle re-bases.
+    MAX_CHAIN = 6
 
     def __init__(
         self,
@@ -215,16 +219,12 @@ class DeltaCheckpointer:
         root_cid: str,
         key: str,
         consistent: bool = True,
-        max_chain: int = 6,
     ) -> None:
-        if max_chain < 1:
-            raise ValueError("max_chain must be at least 1")
         self.runtime = runtime
         self.storage = storage
         self.root = root_cid
         self.key = key
         self.consistent = consistent
-        self.max_chain = max_chain
         #: Per-context ``_aeon_version`` as of the last written bundle.
         self._last_versions: Dict[str, int] = {}
         #: Per-context ownership signature (sorted direct children) as of
@@ -254,8 +254,6 @@ class DeltaCheckpointer:
         self.bases_written = 0
         self.deltas_written = 0
         self.skipped = 0
-        #: Checkpoint payload bytes actually shipped to storage.
-        self.bytes_written = 0
 
     def checkpoint(self) -> Signal:
         """Write the next bundle (or skip); returns a completion signal.
@@ -330,7 +328,7 @@ class DeltaCheckpointer:
         if not versions and not last:
             self.skipped += 1  # nothing checkpointable yet
             return None, "skip"
-        rebase = not last or self._chain >= self.max_chain
+        rebase = not last or self._chain >= self.MAX_CHAIN
         ownership = runtime.ownership
         if not rebase and self._ownership_epoch != ownership.epoch:
             # The ownership network moved since the last bundle: ship any
@@ -391,13 +389,10 @@ class DeltaCheckpointer:
         }
         size_bytes = max(sum(sizes[cid] for cid in shipped), 64)
         self._last_versions = versions
-        self.bytes_written += size_bytes
         return self.storage.write(key, bundle, size_bytes=size_bytes), kind
 
 
-def read_checkpoint(
-    storage: CloudStorage, key: str, base_size_bytes: Optional[int] = None
-) -> Generator:
+def read_checkpoint(storage: CloudStorage, key: str) -> Generator:
     """Read and reassemble the checkpoint stored under ``key``.
 
     A generator (``states = yield from read_checkpoint(...)``) issuing
@@ -411,7 +406,7 @@ def read_checkpoint(
 
     Returns ``None`` when nothing durable exists under ``key``.
     """
-    base = yield storage.read(key, size_bytes=base_size_bytes)
+    base = yield storage.read(key)
     if base is None:
         return None
     if not (isinstance(base, dict) and base.get("kind") == "base"):
@@ -420,7 +415,7 @@ def read_checkpoint(
     members = set(base["versions"])
     seq = base["seq"]
     for index in range(1, _MAX_CHAIN_READS + 1):
-        delta = yield storage.read(f"{key}/delta/{index}", size_bytes=None)
+        delta = yield storage.read(f"{key}/delta/{index}")
         if not (isinstance(delta, dict) and delta.get("kind") == "delta"):
             break
         if delta["seq"] <= seq:

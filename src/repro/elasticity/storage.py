@@ -9,7 +9,7 @@ dicts so tests (and eManager crash-recovery) can inspect state.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..sim.kernel import Signal, Simulator
 
@@ -19,25 +19,19 @@ __all__ = ["CloudStorage"]
 class CloudStorage:
     """A durable, highly available key-value store with simulated latency."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        read_latency_ms: float = 0.8,
-        write_latency_ms: float = 1.6,
-        gbps: float = 1.0,
-    ) -> None:
+    #: Per-operation latencies (ms) and the transfer speed (Gbit/s).
+    READ_LATENCY_MS = 0.8
+    WRITE_LATENCY_MS = 1.6
+    GBPS = 1.0
+
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.read_latency_ms = read_latency_ms
-        self.write_latency_ms = write_latency_ms
-        self.gbps = gbps
         self._data: Dict[str, Any] = {}
         # Size (as charged at write time) of each durable key, so reads
         # can be priced by what is actually stored (see :meth:`read`).
         self._sizes: Dict[str, int] = {}
         self.reads = 0
         self.writes = 0
-        self.bytes_written = 0
-        self.bytes_read = 0
         # Bytes written per top-level key namespace ("checkpoint",
         # "migration", "mapping", ...): the storage-cost breakdown the
         # availability experiments report (full vs delta checkpoints).
@@ -53,13 +47,12 @@ class CloudStorage:
         reader racing the write observes the old value — like S3.
         """
         signal = self.sim.signal(name=f"storage-write:{key}")
-        delay = self.write_latency_ms + self._transfer_ms(size_bytes)
+        delay = self.WRITE_LATENCY_MS + self._transfer_ms(size_bytes)
 
         def apply() -> None:
             self._data[key] = value
             self._sizes[key] = size_bytes
             self.writes += 1
-            self.bytes_written += size_bytes
             prefix = key.split("/", 1)[0]
             self.bytes_written_by_prefix[prefix] = (
                 self.bytes_written_by_prefix.get(prefix, 0) + size_bytes
@@ -69,22 +62,18 @@ class CloudStorage:
         self.sim.schedule(delay, apply)
         return signal
 
-    def read(self, key: str, size_bytes: Optional[int] = 256) -> Signal:
+    def read(self, key: str) -> Signal:
         """Fetch ``key``; the signal fires with the value (or None).
 
-        ``size_bytes=None`` prices the transfer by the size the key was
-        last written with (what a real store would actually ship) —
-        callers that cannot know a bundle's size up front, like the
-        delta-chain recovery reads, use this.
+        The transfer is priced by the size the key was last written with
+        (what a real store would actually ship; 64 bytes for a miss).
         """
-        if size_bytes is None:
-            size_bytes = self._sizes.get(key, 64)
+        size_bytes = self._sizes.get(key, 64)
         signal = self.sim.signal(name=f"storage-read:{key}")
-        delay = self.read_latency_ms + self._transfer_ms(size_bytes)
+        delay = self.READ_LATENCY_MS + self._transfer_ms(size_bytes)
 
         def finish() -> None:
             self.reads += 1
-            self.bytes_read += size_bytes
             signal.succeed(self._data.get(key))
 
         self.sim.schedule(delay, finish)
@@ -100,7 +89,7 @@ class CloudStorage:
             self.writes += 1
             signal.succeed(None)
 
-        self.sim.schedule(self.write_latency_ms, apply)
+        self.sim.schedule(self.WRITE_LATENCY_MS, apply)
         return signal
 
     def bytes_written_for(self, prefix: str) -> int:
@@ -108,9 +97,7 @@ class CloudStorage:
         return self.bytes_written_by_prefix.get(prefix.rstrip("/"), 0)
 
     def _transfer_ms(self, size_bytes: int) -> float:
-        if self.gbps <= 0:
-            return 0.0
-        return (size_bytes * 8) / (self.gbps * 1e6)
+        return (size_bytes * 8) / (self.GBPS * 1e6)
 
     # ------------------------------------------------------------------
     # Synchronous inspection (tests, recovery bootstrap)

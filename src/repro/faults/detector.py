@@ -10,10 +10,13 @@ The detector grants each server a lease; a monitor loop declares a
 server *suspected* once its lease expires without a heartbeat, firing
 the registered failure callbacks (the eManager's recovery hook).  A
 heartbeat from a suspected server (a restart, or a healed partition)
-clears the suspicion and fires the recovery callbacks.
+clears the suspicion and fires the recovery callbacks.  Heartbeats
+carry the sender's fencing epoch; the detector itself only reads the
+sender's name.
 
-Detection latency — declared-at minus the server's actual crash time —
-is recorded per detection, the subsystem's headline metric.
+Each declaration is recorded as a :class:`Detection`; its latency —
+declared-at minus the server's actual crash time — is the subsystem's
+headline metric (the fig10/fig11 cells average it).
 """
 
 from __future__ import annotations
@@ -47,52 +50,48 @@ class Detection:
 class FailureDetector:
     """Lease-based failure detector endpoint on the network fabric.
 
-    Servers heartbeat every ``heartbeat_interval_ms`` over the *real*
-    simulated network; a server whose lease (``lease_ms``) expires is
-    declared dead on the next check, recorded as a
-    :class:`Detection` (with crash-to-declaration latency) and pushed to
-    subscribers — the eManager's recovery hook and client location-cache
-    invalidation.  Call :meth:`start` after construction and
+    Servers send a ``HEARTBEAT_BYTES`` heartbeat every
+    ``heartbeat_interval_ms`` over the *real* simulated network to the
+    ``~fdetector`` endpoint; a server whose lease (``lease_ms``) expires
+    is declared dead on the next check (every ``check_interval_ms``),
+    recorded as a :class:`Detection` (with crash-to-declaration latency)
+    and pushed to subscribers — the eManager's recovery hook and client
+    location-cache invalidation.  :attr:`suspected` is the live set of
+    declared-dead servers.  Call :meth:`start` after construction and
     :meth:`stop` when the run ends.  See docs/EXPERIMENTS.md § fig10 and
     docs/ARCHITECTURE.md § layer map.
     """
+
+    HEARTBEAT_BYTES = 64
 
     def __init__(
         self,
         sim: Simulator,
         network: Network,
         cluster: Cluster,
-        name: str = "~fdetector",
         heartbeat_interval_ms: float = 200.0,
         lease_ms: float = 650.0,
         check_interval_ms: float = 100.0,
-        heartbeat_bytes: int = 64,
     ) -> None:
         if lease_ms <= heartbeat_interval_ms:
             raise ValueError("lease must outlast the heartbeat interval")
         self.sim = sim
         self.network = network
         self.cluster = cluster
-        self.name = name
+        self.name = "~fdetector"
         self.heartbeat_interval_ms = heartbeat_interval_ms
         self.lease_ms = lease_ms
         self.check_interval_ms = check_interval_ms
-        self.heartbeat_bytes = heartbeat_bytes
         self.mailbox = (
-            network.mailbox(name)
-            if network.is_registered(name)
-            else network.register(name)
+            network.mailbox(self.name)
+            if network.is_registered(self.name)
+            else network.register(self.name)
         )
         self.running = False
         self.suspected: Set[str] = set()
         self.detections: List[Detection] = []
         self.heartbeats_received = 0
         self.redeclarations = 0
-        #: Fencing epoch carried by each server's latest heartbeat (the
-        #: epoch the sender *believes* it holds).  Recovery hooks compare
-        #: this against the fencing table to spot a stale owner that
-        #: came back after being fenced.
-        self.last_epochs: Dict[str, int] = {}
         self._last_seen: Dict[str, float] = {}
         self._declared_at: Dict[str, float] = {}
         self._watched: Set[str] = set()
@@ -132,7 +131,6 @@ class FailureDetector:
         # a sender for every current server.
         self._watched.clear()
         self._last_seen.clear()
-        self.last_epochs.clear()
         self.suspected.clear()
         self._declared_at.clear()
         for name in sorted(self.cluster.servers):
@@ -170,15 +168,15 @@ class FailureDetector:
             and server.name in self.cluster.servers
         ):
             if server.alive:
-                # The heartbeat carries the sender's fencing epoch: a
-                # fenced server that comes back announces its (stale)
-                # belief, and the recovery hook re-admits it at the
-                # current epoch instead of letting it race the new owner.
+                # The heartbeat carries the sender's fencing epoch (its
+                # possibly stale belief); a fenced server that comes back
+                # is re-admitted at the current epoch by the eManager's
+                # recovery hook, not by reading this field.
                 self.network.send(
                     server.name,
                     self.name,
                     ("hb", server.name, server.fencing_epoch),
-                    size_bytes=self.heartbeat_bytes,
+                    size_bytes=self.HEARTBEAT_BYTES,
                 )
             yield interval
 
@@ -191,8 +189,6 @@ class FailureDetector:
             source = payload[1]
             self.heartbeats_received += 1
             self._last_seen[source] = self.sim.now
-            if len(payload) > 2:
-                self.last_epochs[source] = payload[2]
             if source in self.suspected:
                 self.suspected.discard(source)
                 self._declared_at.pop(source, None)
@@ -214,7 +210,6 @@ class FailureDetector:
             for name in sorted(self._watched - servers.keys()):
                 self._watched.discard(name)
                 self._last_seen.pop(name, None)
-                self.last_epochs.pop(name, None)
                 self.suspected.discard(name)
                 self._declared_at.pop(name, None)
             now = self.sim.now
@@ -243,15 +238,3 @@ class FailureDetector:
                 self.detections.append(Detection(name, now, crashed_at))
                 for callback in self._on_failure:
                     callback(name)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def is_suspected(self, name: str) -> bool:
-        """Whether ``name`` is currently declared dead."""
-        return name in self.suspected
-
-    def mean_detection_latency_ms(self) -> float:
-        """Mean crash-to-declaration latency over true detections."""
-        values = [d.latency_ms for d in self.detections if d.latency_ms is not None]
-        return sum(values) / len(values) if values else 0.0

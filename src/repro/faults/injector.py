@@ -38,8 +38,6 @@ class NetworkFaults:
     def __init__(self) -> None:
         self.down: Set[str] = set()
         self._partitions: Dict[int, Tuple[frozenset, frozenset]] = {}
-        self.hops_refused = 0
-        self.messages_lost = 0
 
     # -- state transitions (driven by the injector) --------------------
     def mark_down(self, name: str) -> None:
@@ -71,22 +69,17 @@ class NetworkFaults:
         """Raise :class:`DeliveryError` when a process hop cannot arrive."""
         down = self.down
         if src in down or dst in down:
-            self.hops_refused += 1
             victim = dst if dst in down else src
             raise DeliveryError(f"endpoint {victim!r} is down")
         if self._partitions and self._partitioned(src, dst):
-            self.hops_refused += 1
             raise DeliveryError(f"network partition between {src!r} and {dst!r}")
 
     def drops(self, src: str, dst: str) -> bool:
         """Whether a fire-and-forget message from ``src`` to ``dst`` is lost."""
         down = self.down
-        if src in down or dst in down or (
+        return src in down or dst in down or bool(
             self._partitions and self._partitioned(src, dst)
-        ):
-            self.messages_lost += 1
-            return True
-        return False
+        )
 
 
 class FaultInjector:

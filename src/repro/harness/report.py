@@ -1,10 +1,10 @@
-"""Plain-text rendering of experiment results (tables and series)."""
+"""Plain-text rendering of experiment results (aligned tables)."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["format_table"]
 
 
 def format_table(
@@ -26,23 +26,6 @@ def format_table(
     lines.append("  ".join("-" * w for w in widths))
     for row in rendered_rows:
         lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(columns))))
-    return "\n".join(lines)
-
-
-def format_series(
-    title: str,
-    series_by_label: Dict[str, List[tuple]],
-    x_name: str = "t",
-    y_name: str = "value",
-) -> str:
-    """Render one or more (x, y) series as aligned columns."""
-    lines = [title, ""]
-    for label, points in series_by_label.items():
-        lines.append(f"[{label}]")
-        lines.append(f"  {x_name:>12}  {y_name:>12}")
-        for x, y in points:
-            lines.append(f"  {_cell(x):>12}  {_cell(y):>12}")
-        lines.append("")
     return "\n".join(lines)
 
 

@@ -481,7 +481,9 @@ class ResultStore:
                 else:
                     survivors.append(entry)
             kept = survivors
-        self._rewrite_manifest(kept)
+        # Event records (:meth:`note`) have no object to age or evict:
+        # gc keeps every one; only :meth:`clear` drops them.
+        self._rewrite_manifest(self.events() + kept)
         self._sweep_tmp()
         return removed
 

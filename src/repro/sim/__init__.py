@@ -19,7 +19,6 @@ from .cluster import (
 from .kernel import Process, Signal, SimulationError, Simulator, Timeout
 from .metrics import (
     LatencyRecorder,
-    LatencySample,
     TimeSeries,
     mean,
     percentile,
@@ -34,7 +33,6 @@ __all__ = [
     "InstanceType",
     "INSTANCE_TYPES",
     "LatencyRecorder",
-    "LatencySample",
     "M1_LARGE",
     "M1_MEDIUM",
     "M1_SMALL",

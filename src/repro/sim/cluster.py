@@ -187,25 +187,6 @@ class Cluster:
         server = self.servers.pop(name)
         server.alive = False
 
-    def crash_server(self, name: str) -> Server:
-        """Fail-stop a server's *machine state* (it stays listed, for recovery).
-
-        This flips only the cluster-side flags.  A full fail-stop also
-        detaches the mailbox and marks the endpoint down on the network
-        fault filter — :class:`repro.faults.FaultInjector` does all
-        three; use it (with a :class:`~repro.faults.ServerCrash` event)
-        unless you are testing the cluster layer in isolation.
-        """
-        server = self.servers[name]
-        server.crash()
-        return server
-
-    def restart_server(self, name: str) -> Server:
-        """Restart a previously crashed server (cluster-side flags only)."""
-        server = self.servers[name]
-        server.restart()
-        return server
-
     def alive_servers(self) -> Dict[str, Server]:
         """Servers currently booted and usable."""
         return {n: s for n, s in self.servers.items() if s.alive}

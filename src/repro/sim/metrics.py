@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_SAMPLE_THRESHOLD",
-    "LatencySample",
     "LatencyRecorder",
     "TimeSeries",
     "percentile",
@@ -43,20 +42,6 @@ def percentile(values: Sequence[float], pct: float, presorted: bool = False) -> 
     return ordered[rank]
 
 
-@dataclass(frozen=True)
-class LatencySample:
-    """One completed request: submission time, completion time, tag."""
-
-    start_ms: float
-    end_ms: float
-    tag: str = ""
-
-    @property
-    def latency_ms(self) -> float:
-        """End-to-end latency in milliseconds."""
-        return self.end_ms - self.start_ms
-
-
 #: Exact-to-sampled switchover: below this many samples the recorder
 #: keeps every completion (the golden-pinned figures run far below it,
 #: so their metrics stay exact and byte-identical); at/above it the
@@ -76,8 +61,8 @@ class LatencyRecorder:
 
     **Reservoir mode.**  Once ``sample_threshold`` samples have been
     recorded, start times and tags move into an Algorithm R reservoir of
-    ``(start, end, tag)`` triples, seeded deterministically, while end
-    times stay exact: ``len``, :meth:`count`, :meth:`count_between`,
+    ``(start, end, tag)`` triples (fixed seed 0), while end times stay
+    exact: ``len``, :meth:`count`, :meth:`count_between`,
     :meth:`windowed_rate` and the full-run :meth:`mean_latency` are exact
     in both modes; latency/percentile queries answer from the reservoir
     — unbiased estimates with the usual ~1/sqrt(k) error for a window
@@ -90,25 +75,18 @@ class LatencyRecorder:
         self,
         sample_threshold: int = DEFAULT_SAMPLE_THRESHOLD,
         reservoir_size: int = 65536,
-        sample_seed: int = 0,
     ) -> None:
         self._starts: List[float] = []
         self._ends: List[float] = []
         self._tags: List[str] = []
-        # Single-slot cache of the last sorted latency view, keyed by
-        # (record count, since_ms, tag): percentile batches over the
-        # same window sort once instead of once per call.
-        self._sorted_key: Optional[tuple] = None
-        self._sorted_view: List[float] = []
-        # Single-slot cache of the last window-bucket view (same idea):
-        # windowed count + percentile series over the same horizon reuse
-        # one O(n) bucketing pass instead of rescanning per query.
+        # Single-slot cache of the last window-bucket view: windowed
+        # count + percentile series over the same horizon reuse one O(n)
+        # bucketing pass instead of rescanning per query.
         self._buckets_key: Optional[tuple] = None
         self._buckets_view: Dict[int, List[float]] = {}
         # Reservoir-sampling state (engaged at sample_threshold).
         self._sample_threshold = max(1, int(sample_threshold))
         self._reservoir_size = max(1, int(reservoir_size))
-        self._sample_seed = sample_seed
         self._reservoir: Optional[List[Tuple[float, float, str]]] = None
         self._rng: Optional[Random] = None
         self._lat_sum = 0.0
@@ -151,7 +129,7 @@ class LatencyRecorder:
         the reservoir (and everything derived from it) is a pure
         function of the recorded stream and the seed.
         """
-        rng = Random(self._sample_seed)
+        rng = Random(0)
         size = self._reservoir_size
         reservoir: List[Tuple[float, float, str]] = []
         starts, ends, tags = self._starts, self._ends, self._tags
@@ -169,7 +147,6 @@ class LatencyRecorder:
         self._lat_sum = lat_sum
         self._starts = []
         self._tags = []
-        self._sorted_key = None
         self._buckets_key = None
 
     def _scale(self) -> float:
@@ -178,20 +155,6 @@ class LatencyRecorder:
         if not reservoir:
             return 1.0
         return len(self._ends) / len(reservoir)
-
-    @property
-    def samples(self) -> List[LatencySample]:
-        """Materialized sample objects (compatibility/introspection view).
-
-        In reservoir mode this is the reservoir's content — a uniform
-        random subset of the stream — not every completion.
-        """
-        if self._reservoir is not None:
-            return [LatencySample(s, e, t) for s, e, t in self._reservoir]
-        return [
-            LatencySample(s, e, t)
-            for s, e, t in zip(self._starts, self._ends, self._tags)
-        ]
 
     def latencies(self, since_ms: float = 0.0, tag: Optional[str] = None) -> List[float]:
         """Latency values completed at/after ``since_ms`` (optionally by tag).
@@ -268,23 +231,6 @@ class LatencyRecorder:
             return self._lat_sum / len(self._ends)
         return mean(self.latencies(since_ms))
 
-    def _sorted_latencies(self, since_ms: float, tag: Optional[str]) -> List[float]:
-        key = (len(self._ends), since_ms, tag)
-        if key != self._sorted_key:
-            self._sorted_view = sorted(self.latencies(since_ms, tag))
-            self._sorted_key = key
-        return self._sorted_view
-
-    def percentile_latency(self, pct: float, since_ms: float = 0.0) -> float:
-        """Latency percentile of completions at/after ``since_ms``.
-
-        Repeated percentile queries over the same window (p50/p99/...
-        batches in ``measure()`` and SLA reports) reuse one cached
-        sorted view instead of re-sorting per call.
-        """
-        return percentile(self._sorted_latencies(since_ms, None), pct,
-                          presorted=True)
-
     def fraction_over(self, threshold_ms: float, since_ms: float = 0.0) -> float:
         """Fraction of requests with latency > threshold (SLA accounting)."""
         lats = self.latencies(since_ms)
@@ -308,7 +254,7 @@ class LatencyRecorder:
 
         One O(n) bucketing pass serves every windowed series over the
         same (window, horizon, tag) triple: the result is cached in a
-        single slot keyed like the sorted-latency view, so the
+        single slot keyed by the record count and that triple, so the
         count+percentile query pairs issued by the availability
         experiments stop rescanning the full record per query.  Callers
         treat the returned dict as read-only.
@@ -412,10 +358,6 @@ class TimeSeries:
     def values(self) -> List[float]:
         """All y-values."""
         return [value for _t, value in self.points]
-
-    def times(self) -> List[float]:
-        """All x-values (milliseconds)."""
-        return [time_ms for time_ms, _v in self.points]
 
     def mean_value(self) -> float:
         """Mean of the y-values."""

@@ -31,6 +31,9 @@ OpSampler = Callable[[Random], Tuple[CallSpec, str]]
 class ClosedLoopClients:
     """A fixed population of think-time closed-loop clients."""
 
+    #: Mean of the exponential backoff before a retry.
+    RETRY_BACKOFF_MS = 4.0
+
     def __init__(
         self,
         runtime: RuntimeBase,
@@ -41,7 +44,6 @@ class ClosedLoopClients:
         stop_at_ms: Optional[float] = None,
         name_prefix: str = "client",
         max_retries: int = 0,
-        retry_backoff_ms: float = 4.0,
     ) -> None:
         if n_clients < 1:
             raise ValueError("need at least one client")
@@ -57,8 +59,6 @@ class ClosedLoopClients:
         #: partition).  0 (the default) keeps the fault-free behaviour —
         #: and the fault-free RNG streams — exactly as before.
         self.max_retries = max_retries
-        self.retry_backoff_ms = retry_backoff_ms
-        self.submitted = 0
         self.retries = 0
         self.errors: List[BaseException] = []
 
@@ -80,10 +80,9 @@ class ClosedLoopClients:
         think_rate = 1.0 / self.think_ms if self.think_ms > 0 else None
         expovariate = stream.expovariate
         max_retries = self.max_retries
-        backoff_rate = 1.0 / self.retry_backoff_ms if self.retry_backoff_ms > 0 else None
+        backoff_rate = 1.0 / self.RETRY_BACKOFF_MS
         while stop_at is None or sim.now < stop_at:
             spec, tag = sampler(stream)
-            self.submitted += 1
             event = yield submit(handle, spec, tag=tag)
             if event is not None and event.error is not None:
                 self.errors.append(event.error)
@@ -100,8 +99,7 @@ class ClosedLoopClients:
                 ):
                     attempts += 1
                     self.retries += 1
-                    if backoff_rate is not None:
-                        yield stream.expovariate(backoff_rate)
+                    yield stream.expovariate(backoff_rate)
                     event = yield submit(handle, spec, tag=tag)
                     if event is not None and event.error is not None:
                         self.errors.append(event.error)
@@ -115,8 +113,11 @@ class RampProfile:
 
     The §6.2 experiment varies clients per machine 1→16 following a
     normal-shaped curve peaking mid-experiment; :meth:`normal_peak`
-    builds exactly that shape.
+    builds exactly that shape.  Both builders sample their curve at
+    ``STEPS + 1`` evenly spaced instants.
     """
+
+    STEPS = 48
 
     points: List[Tuple[float, int]]
 
@@ -127,12 +128,12 @@ class RampProfile:
         machines: int = 8,
         min_per_machine: int = 1,
         max_per_machine: int = 16,
-        steps: int = 48,
     ) -> "RampProfile":
         """Clients per machine follow a Gaussian bump over the run."""
         points: List[Tuple[float, int]] = []
         mid = duration_ms / 2.0
         sigma = duration_ms / 6.0
+        steps = cls.STEPS
         for step in range(steps + 1):
             t = duration_ms * step / steps
             bump = math.exp(-((t - mid) ** 2) / (2 * sigma**2))
@@ -148,7 +149,6 @@ class RampProfile:
         min_per_machine: int = 1,
         max_per_machine: int = 16,
         cycles: int = 2,
-        steps: int = 48,
     ) -> "RampProfile":
         """Clients follow a day/night wave: ``cycles`` raised-cosine peaks.
 
@@ -160,6 +160,7 @@ class RampProfile:
         if cycles < 1:
             raise ValueError(f"need at least one diurnal cycle, got {cycles}")
         points: List[Tuple[float, int]] = []
+        steps = cls.STEPS
         for step in range(steps + 1):
             t = duration_ms * step / steps
             phase = (t / duration_ms) * cycles * 2.0 * math.pi
@@ -186,10 +187,12 @@ class RampProfile:
 class DynamicClients:
     """A client population tracking a :class:`RampProfile`.
 
-    A controller process re-evaluates the target every ``tick_ms`` and
+    A controller process re-evaluates the target every ``TICK_MS`` and
     starts/retires client loops to match; each client is a closed loop
     identical to :class:`ClosedLoopClients`.
     """
+
+    TICK_MS = 500.0
 
     def __init__(
         self,
@@ -197,7 +200,6 @@ class DynamicClients:
         sampler: OpSampler,
         profile: RampProfile,
         think_ms: float = 50.0,
-        tick_ms: float = 500.0,
         rng: Optional[RngRegistry] = None,
         stop_at_ms: Optional[float] = None,
     ) -> None:
@@ -205,7 +207,6 @@ class DynamicClients:
         self.sampler = sampler
         self.profile = profile
         self.think_ms = think_ms
-        self.tick_ms = tick_ms
         self.rng = rng or RngRegistry(0)
         self.stop_at_ms = stop_at_ms
         self.active = 0
@@ -234,7 +235,7 @@ class DynamicClients:
                 self._spawned -= 1
                 self.active -= 1
             self.active_series.append((sim.now, self.active))
-            yield float(self.tick_ms)
+            yield self.TICK_MS
 
     def _client_loop(self, client_id: int) -> Generator:
         sim = self.runtime.sim

@@ -217,9 +217,10 @@ def test_sub_event_runs_after_creator(aeon_bed):
     # The dispatched sub-event committed after the creator.
     runtime = aeon_bed.runtime
     assert runtime.instance_of(workers[1]).steps == 1
-    sub_samples = [s for s in runtime.latency.samples if s.tag.endswith("sub")]
-    assert len(sub_samples) == 1
-    assert sub_samples[0].start_ms >= creator.committed_ms - 1e-9
+    subs = [ev for ev in runtime.history.events if ev.tag.endswith("sub")]
+    assert len(subs) == 1
+    assert len(runtime.latency.latencies(tag="creator/sub")) == 1
+    assert subs[0].submitted_ms >= creator.committed_ms - 1e-9
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ import hashlib
 from repro.apps.game import GameConfig, build_game
 from repro.apps.tpcc import TpccConfig, TpccWorkload, build_tpcc
 from repro.harness.runner import make_testbed, run_closed_loop
+from repro.sim.metrics import percentile
 from repro.workloads.generators import ClosedLoopClients
 
 
@@ -44,7 +45,7 @@ def _trace_checksum(runtime, sim) -> str:
                 str(runtime.events_completed),
                 str(runtime.network.messages_sent),
                 repr(runtime.latency.mean_latency()),
-                repr(runtime.latency.percentile_latency(99.0)),
+                repr(percentile(runtime.latency.latencies(), 99.0)),
                 str(runtime.latency.count_between(0.0, sim.now + 1.0)),
             )
         )
@@ -65,27 +66,27 @@ def _game_checksum(system: str) -> str:
 
 
 def _tpcc_checksum() -> str:
-    testbed = make_testbed("aeon", 2, seed=3, record_history=True)
-    config = TpccConfig(districts=2, customers_per_district=6)
-    deployment = build_tpcc(
-        testbed.runtime,
-        config,
-        multi_ownership=True,
-        servers=testbed.servers,
-        colocate=True,
-    )
-    workload = TpccWorkload(deployment, "aeon")
-    clients = ClosedLoopClients(
-        testbed.runtime,
-        workload.sample_op,
-        n_clients=8,
-        think_ms=5.0,
-        rng=testbed.rng,
-        stop_at_ms=600.0,
-    )
-    clients.start()
-    testbed.sim.run(until=3000.0)
-    return _trace_checksum(testbed.runtime, testbed.sim)
+    with make_testbed("aeon", 2, seed=3, record_history=True) as testbed:
+        config = TpccConfig(districts=2, customers_per_district=6)
+        deployment = build_tpcc(
+            testbed.runtime,
+            config,
+            multi_ownership=True,
+            servers=testbed.servers,
+            colocate=True,
+        )
+        workload = TpccWorkload(deployment, "aeon")
+        clients = ClosedLoopClients(
+            testbed.runtime,
+            workload.sample_op,
+            n_clients=8,
+            think_ms=5.0,
+            rng=testbed.rng,
+            stop_at_ms=600.0,
+        )
+        clients.start()
+        testbed.sim.run(until=3000.0)
+        return _trace_checksum(testbed.runtime, testbed.sim)
 
 
 # Pinned traces (generated with the pre-fast-path kernel; see module doc).

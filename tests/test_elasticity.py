@@ -7,12 +7,9 @@ from repro.core.errors import MigrationError
 from repro.elasticity import (
     CloudStorage,
     EManager,
-    MigrateAction,
     MigrationCoordinator,
-    ResourceUtilizationPolicy,
     ScaleInAction,
     ScaleOutAction,
-    ServerContentionPolicy,
     SLAPolicy,
     snapshot_context,
 )
@@ -183,44 +180,6 @@ def snap(reports, mean_latency=5.0, completed=100, contexts=None):
     )
 
 
-def test_resource_policy_moves_hot_to_cold():
-    policy = ResourceUtilizationPolicy(lower=0.2, upper=0.8)
-    snapshot = snap(
-        [
-            ServerReport("hot", 0.95, 4, True),
-            ServerReport("cold", 0.05, 1, True),
-        ],
-        contexts={"hot": ["c1", "c2"], "cold": ["c9"]},
-    )
-    actions = policy.decide(snapshot)
-    assert actions == [MigrateAction(cid="c1", dst_server="cold")]
-
-
-def test_resource_policy_scales_out_when_no_cold():
-    policy = ResourceUtilizationPolicy(lower=0.2, upper=0.8)
-    snapshot = snap([ServerReport("hot", 0.95, 4, True)])
-    actions = policy.decide(snapshot)
-    assert actions == [ScaleOutAction(count=1)]
-
-
-def test_resource_policy_validates_bounds():
-    with pytest.raises(ValueError):
-        ResourceUtilizationPolicy(lower=0.9, upper=0.5)
-
-
-def test_contention_policy_caps_contexts():
-    policy = ServerContentionPolicy(max_contexts_per_server=2)
-    snapshot = snap(
-        [
-            ServerReport("full", 0.5, 5, True),
-            ServerReport("empty", 0.1, 0, True),
-        ],
-        contexts={"full": ["a", "b", "c", "d", "e"], "empty": []},
-    )
-    actions = policy.decide(snapshot)
-    assert actions == [MigrateAction(cid="a", dst_server="empty")]
-
-
 def test_sla_policy_scales_out_on_violation():
     policy = SLAPolicy(sla_ms=10.0, scale_out_step=2)
     snapshot = snap(
@@ -250,23 +209,10 @@ def test_sla_policy_respects_min_servers():
     assert policy.decide(snapshot) == []
 
 
-def test_policy_constraints_veto_migrations():
-    policy = ResourceUtilizationPolicy(
-        lower=0.2, upper=0.8, constraints=[lambda m: m.cid != "pinned"]
-    )
-    snapshot = snap(
-        [
-            ServerReport("hot", 0.95, 2, True),
-            ServerReport("cold", 0.05, 0, True),
-        ],
-        contexts={"hot": ["pinned"], "cold": []},
-    )
-    assert policy.decide(snapshot) == []
-
-
 def test_policy_max_servers_caps_scale_out():
-    policy = ResourceUtilizationPolicy(lower=0.2, upper=0.8, max_servers=1)
-    snapshot = snap([ServerReport("hot", 0.99, 3, True)])
+    policy = SLAPolicy(sla_ms=10.0, max_servers=1)
+    snapshot = snap([ServerReport("hot", 0.99, 3, True)], mean_latency=25.0,
+                    contexts={"hot": ["a", "b", "c"]})
     assert policy.decide(snapshot) == []
 
 

@@ -286,6 +286,6 @@ def test_fig5a_two_queue_workers_byte_identical_to_golden(figure_store, tmp_path
 
 
 def test_fig11_two_queue_workers_byte_identical_to_golden(figure_store, tmp_path):
-    cold = [("eventwave", "delta"), ("aeon", "full")]
+    cold = [("orleans", "delta")]
     data = _queue_figure_data("fig11", cold, figure_store, tmp_path)
     assert dump(data) == dump(GOLDEN["fig11"])

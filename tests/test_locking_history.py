@@ -142,9 +142,10 @@ def test_acquisition_counter():
     lock = ContextLock(sim, "c")
     for eid in range(3):
         event = make_event(eid)
-        lock.request(event)
+        grant, owned = lock.request(event)
+        assert owned and grant.triggered and lock.holders() == [eid]
         lock.release(event)
-    assert lock.total_acquisitions == 3
+    assert not lock.is_held()
 
 
 # ----------------------------------------------------------------------

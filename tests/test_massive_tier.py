@@ -32,7 +32,7 @@ from repro.harness.scenarios import (
 )
 from repro.results import MISS, ResultStore
 from repro.results.__main__ import parse_size
-from repro.sim.metrics import DEFAULT_SAMPLE_THRESHOLD, LatencyRecorder
+from repro.sim.metrics import DEFAULT_SAMPLE_THRESHOLD, LatencyRecorder, percentile
 from repro.workloads.generators import ClosedLoopClients
 
 
@@ -77,9 +77,9 @@ def test_cross_mode_byte_identity_below_threshold():
             {
                 "count": rec.count(),
                 "mean": rec.mean_latency(),
-                "p50": rec.percentile_latency(50.0),
-                "p90": rec.percentile_latency(90.0),
-                "p99": rec.percentile_latency(99.0),
+                "p50": percentile(rec.latencies(), 50.0),
+                "p90": percentile(rec.latencies(), 90.0),
+                "p99": percentile(rec.latencies(), 99.0),
                 "window": rec.latencies_between(10.0, 40.0),
             },
             sort_keys=True,
@@ -97,7 +97,7 @@ def test_reservoir_keeps_exact_aggregates():
     exact_mean = sum(e - s for s, e, _t in stream) / len(stream)
     assert sampled.mean_latency() == pytest.approx(exact_mean, rel=1e-12)
     # The reservoir itself is bounded.
-    assert len(sampled.samples) == 512
+    assert len(sampled.latencies()) == 512
     # End times stay exact, so windowed counts and rates match an exact
     # recorder's (they were scaled reservoir estimates once).
     exact = _feed(LatencyRecorder(sample_threshold=2**62), stream)
@@ -118,8 +118,8 @@ def test_reservoir_percentiles_within_error_bounds():
     )
     assert not exact.sampling and sampled.sampling
     for pct in (50.0, 90.0, 99.0):
-        truth = exact.percentile_latency(pct)
-        estimate = sampled.percentile_latency(pct)
+        truth = percentile(exact.latencies(), pct)
+        estimate = percentile(sampled.latencies(), pct)
         assert estimate == pytest.approx(truth, rel=0.10), pct
 
 
@@ -127,8 +127,8 @@ def test_reservoir_is_deterministic():
     stream = _stream(20_000, seed=5)
     a = _feed(LatencyRecorder(sample_threshold=500, reservoir_size=256), stream)
     b = _feed(LatencyRecorder(sample_threshold=500, reservoir_size=256), stream)
-    assert a.samples == b.samples
-    assert a.percentile_latency(99.0) == b.percentile_latency(99.0)
+    assert a.latencies() == b.latencies()
+    assert percentile(a.latencies(), 99.0) == percentile(b.latencies(), 99.0)
 
 
 def test_quick_figure_runs_never_leave_exact_mode():

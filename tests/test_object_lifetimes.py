@@ -317,7 +317,7 @@ def test_context_lock_is_slotted_and_idle_until_contention():
     assert lock.request(first) == (sim.ready, False)  # re-entrant
     assert lock.queue_length == 0 and lock.holders() == [1]
     lock.release(first)
-    assert lock.queue_length == 0 and lock.total_acquisitions == 1
+    assert lock.queue_length == 0 and not lock.is_held()
     # Every lock of a simulator hands out the same ready signal.
     assert ContextLock(sim, "d").request(first)[0] is grant
 
@@ -338,7 +338,7 @@ def test_context_lock_cancels_a_reservation_on_a_late_queue():
     lock.release(holder)
     assert grant.triggered and lock.holders() == [3] and lock.queue_length == 0
     lock.release(waiter)
-    assert not lock.is_held() and lock.total_acquisitions == 2
+    assert not lock.is_held() and lock.holders() == []
     # The drained queue keeps working on the uncontended path.
     assert lock.request(cancelled) == (sim.ready, True)
 

@@ -4,9 +4,12 @@ Figure data is assembled from :class:`~repro.exec.Cell` results in cell
 order, and each cell is a self-contained deterministic simulation — so
 fanning cells out to worker processes must reproduce the serial figure
 data *byte for byte*.  The serial bytes are the pinned golden
-(``tests/test_scenarios.py`` holds the serial path to it), so these
-tests JSON-serialize the ``jobs=4`` path and compare it with the golden
-strings, per the determinism contract in docs/ARCHITECTURE.md.
+(``tests/test_scenarios.py`` holds the serial path to it, e.g.
+``test_fig5a_byte_identical_to_legacy`` and
+``test_fig6a_byte_identical_to_legacy``), so these tests JSON-serialize
+the ``jobs=4`` path — fig9 here, and the session store's one ``jobs=4``
+fig11 run (tests/conftest.py) — and compare it with the golden strings,
+per the determinism contract in docs/ARCHITECTURE.md.
 """
 
 import os
@@ -71,14 +74,6 @@ def test_fig9_parallel_byte_identical():
 # ----------------------------------------------------------------------
 # Figure-level byte-identity (the acceptance gate; slower)
 # ----------------------------------------------------------------------
-def test_fig5a_quick_parallel_byte_identical():
-    assert dump(run_scenario("fig5a", scale="quick", jobs=4)) == dump(GOLDEN["fig5a"])
-
-
-def test_fig6a_quick_parallel_byte_identical():
-    assert dump(run_scenario("fig6a", scale="quick", jobs=4)) == dump(GOLDEN["fig6a"])
-
-
 def test_fig11_quick_parallel_byte_identical(figure_store):
     # The session's one fig11 run is a jobs=4 run (tests/conftest.py).
     assert dump(figure_store.cold["fig11"]) == dump(GOLDEN["fig11"])

@@ -181,7 +181,7 @@ def test_recovery_excludes_draining_targets():
     detector = FakeDetector()
     manager.enable_fault_tolerance(detector, checkpoint_interval_ms=0.0)
     manager._draining[draining.name] = True
-    bed.cluster.crash_server(victim.name)
+    victim.crash()
     bed.network.detach(victim.name)
     detector.declare(victim.name)
     bed.run()
@@ -216,7 +216,7 @@ def _churny_crash_run(checkpoint_mode):
         cells.append(cell)
     manager.enable_fault_tolerance(
         detector, checkpoint_interval_ms=100.0, roots=["w"],
-        checkpoint_mode=checkpoint_mode, max_delta_chain=3,
+        checkpoint_mode=checkpoint_mode,
     )
     detector.start()
     FaultInjector(
@@ -255,10 +255,10 @@ def test_delta_chain_recovery_matches_full_bundle_recovery():
     # ...because unchanged members were skipped and whole intervals with
     # no version movement wrote nothing at all.
     assert delta["skipped"] > 0 and full["skipped"] == 0
-    # The chain is bounded: base + at most max_delta_chain delta keys.
+    # The chain is bounded: base + at most MAX_CHAIN delta keys.
     assert full["checkpoint_keys"] == ["checkpoint/w"]
     deltas = [k for k in delta["checkpoint_keys"] if "/delta/" in k]
-    assert 1 <= len(deltas) <= 3
+    assert 1 <= len(deltas) <= DeltaCheckpointer.MAX_CHAIN
 
 
 def test_delta_checkpointer_rebases_and_reassembles():
@@ -273,25 +273,27 @@ def test_delta_checkpointer_rebases_and_reassembles():
         )
         runtime.instance_of("root").cells.add(cell)
         cells.append(cell)
-    checkpointer = DeltaCheckpointer(
-        runtime, storage, "root", key="checkpoint/root", max_chain=2
-    )
+    checkpointer = DeltaCheckpointer(runtime, storage, "root", key="checkpoint/root")
 
     def tick(expected_kind):
         done = checkpointer.checkpoint()
         sim.run(until=sim.now + 50.0)
         assert done.triggered and done.value == expected_kind
 
+    assert DeltaCheckpointer.MAX_CHAIN == 6
     tick("base")  # first bundle is always a base
     tick("skip")  # nothing moved: nothing written
     bed.run_event(cells[0].add(1))
     tick("delta")  # only leaf0 shipped
-    bed.run_event(cells[1].add(5))
-    tick("delta")  # chain now at max_chain
+    for _ in range(4):
+        bed.run_event(cells[1].add(1))
+        tick("delta")
+    bed.run_event(cells[1].add(1))
+    tick("delta")  # chain now at MAX_CHAIN
     bed.run_event(cells[2].add(7))
     tick("base")  # bounded chain: periodic re-base
     assert checkpointer.bases_written == 2
-    assert checkpointer.deltas_written == 2
+    assert checkpointer.deltas_written == 6
     assert checkpointer.skipped == 1
 
     def assemble():
@@ -358,7 +360,8 @@ def test_invalidate_cached_locations_drops_matching_entries_only():
     assert client.locate("on-0") == bed.servers[0].name
     assert client.locate("on-1") == bed.servers[1].name
     dropped = runtime.invalidate_cached_locations(bed.servers[0].name)
-    assert dropped == 1 and client.invalidated == 1
+    assert dropped == 1
+    assert client.invalidate_server(bed.servers[0].name) == 0
     assert "on-0" not in client._cache
     assert client._cache["on-1"] == bed.servers[1].name
 

@@ -177,6 +177,24 @@ def test_torn_manifest_line_is_skipped(tmp_path):
     assert store.stats()["entries"] == 1
 
 
+def test_gc_keeps_queue_event_records(tmp_path):
+    # The queue coordinator's lease reclaims and speculative dispatches
+    # are manifest records without an object; gc rewrites the manifest
+    # but must keep them (only clear() drops them).
+    store = ResultStore(tmp_path / "store")
+    store.put(Cell(("a",), "m:f", {"x": 1}), "old")
+    store.note({"event": "lease_reclaimed", "cell": "('a',)"})
+    store.put(Cell(("b",), "m:f", {"x": 2}), "new")
+    store.note({"event": "speculated", "cell": "('b',)"})
+    assert store.gc(older_than_s=3600) == 0
+    assert [e["event"] for e in store.events()] == ["lease_reclaimed", "speculated"]
+    assert store.gc(max_bytes=0) == 2
+    assert store.entries() == []
+    assert [e["event"] for e in store.events()] == ["lease_reclaimed", "speculated"]
+    assert store.clear() == 0
+    assert store.events() == []
+
+
 def test_version_tag_bump_invalidates_whole_store(tmp_path):
     root = tmp_path / "store"
     cell = Cell(("a",), "m:f", {"x": 1})

@@ -7,8 +7,10 @@ implementations with ``--all --scale quick --seed 0``); here we pin
 * full-figure byte-identity for the cheap figures (fig5a, fig6a, fig9,
   ablation — both generic and custom cell paths);
 * single-cell byte-identity for one representative cell of each
-  expensive figure (fig5b, fig6b, fig10, fig11 — covering the generic
-  game/tpcc sweep and the crash/churn fault wiring);
+  expensive figure (fig5b, fig6b, fig10 — covering the generic
+  game/tpcc sweep and the crash fault wiring; fig11's churn wiring is
+  pinned whole by the session store's ``jobs=4`` run, see
+  ``tests/test_parallel_runner.py``);
 * the exact cell plan (keys, cell function, kwargs) of all eleven
   figures, which — cells being deterministic functions of their
   kwargs — extends the byte-identity guarantee to the figures whose
@@ -259,15 +261,6 @@ def test_fig10_cell_byte_identical_to_legacy():
     # fig10_run driver byte for byte.
     value = run_point(spec=get_scenario("fig10"), system="aeon")
     assert dump(value) == dump(GOLDEN["fig10"]["aeon"])
-
-
-def test_fig11_cell_byte_identical_to_legacy():
-    # The generic churn-fault wiring (incl. room skew, delta checkpoints
-    # and the availability SLO) vs the historical fig11_run driver.
-    value = run_point(
-        spec=get_scenario("fig11"), system="aeon", checkpoint_mode="delta"
-    )
-    assert dump(value) == dump(GOLDEN["fig11"]["systems"]["aeon"])
 
 
 def test_rendered_text_pinned():

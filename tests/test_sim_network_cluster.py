@@ -334,17 +334,3 @@ def test_mutant_odd_sizes_lag_dies():
     hunt = settings(_NET_SETTINGS, phases=[Phase.generate], max_examples=5000)
     with pytest.raises(AssertionError):
         hunt(given(_NET_PROGRAMS)(lambda program: _check_fifo(program, _OddSizesLag)))()
-
-
-def test_crash_and_restart_server_helpers():
-    sim = Simulator()
-    cluster = Cluster(sim)
-    cluster.add_server(M1_SMALL, "x")
-    sim.run(until=12.0)
-    server = cluster.crash_server("x")
-    assert not server.alive and server.crashed
-    assert server.crashed_at_ms == pytest.approx(12.0)
-    assert cluster.alive_servers() == {}
-    cluster.restart_server("x")
-    assert server.alive and not server.crashed and server.crashed_at_ms is None
-    assert set(cluster.alive_servers()) == {"x"}
