@@ -47,7 +47,6 @@ from .scenarios import (
     PAPER_FIGURES,
     SCALES,
     ScenarioError,
-    _jsonable,
     assemble_scenario,
     expand,
     get_scenario,
@@ -55,6 +54,7 @@ from .scenarios import (
     prepare_scenario,
     render_scenario,
 )
+from .scenarios.output import _jsonable
 
 __all__ = ["main"]
 

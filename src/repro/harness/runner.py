@@ -9,7 +9,7 @@ This module also wires the **parallel experiment engine**: every figure
 decomposes into independent :class:`~repro.exec.Cell`\\ s (one
 self-contained simulation each — typically one ``(system,
 server_count, seed)`` run), executed serially or across worker
-processes by :func:`run_cells`, and reassembled in cell order so the
+processes by a :class:`CellPool`, and reassembled in cell order so the
 figure data is byte-identical at any ``--jobs`` level.  See
 docs/ARCHITECTURE.md § Parallel experiment engine for why cells
 parallelise safely (each builds its own simulator and named RNG
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..baselines import EventWaveRuntime, OrleansRuntime
 from ..core.costs import CostModel, DEFAULT_COSTS
@@ -41,7 +41,6 @@ __all__ = [
     "make_testbed",
     "RunResult",
     "run_closed_loop",
-    "run_cells",
     "CellPool",
 ]
 
@@ -190,46 +189,6 @@ def run_closed_loop(
 # ----------------------------------------------------------------------
 # Parallel experiment engine (executor wiring; primitives: repro.exec)
 # ----------------------------------------------------------------------
-def run_cells(
-    cells: Sequence[Cell],
-    jobs: int = 1,
-    pool: Optional["CellPool"] = None,
-    store: Optional[ResultStore] = None,
-    executor: Any = None,
-    queue_dir: Any = None,
-) -> List[CellResult]:
-    """Execute ``cells`` and return their results *in cell order*.
-
-    ``jobs=1`` runs serially in-process (no worker processes, no
-    pickling); ``jobs>1``/``0`` fans the cells out to a local
-    worker-process pool.  ``executor`` picks the backend explicitly —
-    ``"serial"``, ``"pool"`` (retry-on-worker-death, see
-    :class:`~repro.exec.ProcessExecutor`), ``"queue"`` (the spool-dir
-    work queue under ``queue_dir`` that external ``python -m
-    repro.exec.worker`` processes drain), or any
-    :class:`~repro.exec.Executor` instance; default: ``REPRO_EXECUTOR``
-    or jobs-based.  Whatever the backend, results are reassembled in
-    submission order, so figure data is byte-identical to the serial
-    path regardless of completion order.  Passing a :class:`CellPool`
-    shares one long-lived backend (and its duplicate-cell cache) across
-    many ``run_cells`` calls — the ``--all`` streaming path; a pool
-    carries its own store and backend, so the other knobs are only
-    honored when ``pool`` is ``None``.
-
-    ``store`` attaches a :class:`~repro.results.ResultStore`: cells with
-    a persisted result are not dispatched at all (hit → deserialize),
-    and every miss is persisted the moment it completes — a killed run
-    resumes where it died, and cached data is byte-identical to fresh
-    data at any ``jobs`` level.  See docs/EXPERIMENTS.md for per-figure
-    ``--jobs`` guidance and docs/ARCHITECTURE.md § Result store /
-    § Executors.
-    """
-    if pool is not None:
-        return pool.gather(pool.submit(cells))
-    with CellPool(jobs, store=store, executor=executor, queue_dir=queue_dir) as pool_:
-        return pool_.gather(pool_.submit(cells))
-
-
 class _CachedCell:
     """Pool handle for a result-store hit: the value is already here."""
 
@@ -248,14 +207,13 @@ class _CachedCell:
 class CellPool:
     """One executor backend shared by every scenario of an ``--all`` run.
 
-    Historically each figure ran its cells through its own
-    ``run_cells`` batch, so worker processes idled at every figure
-    boundary while the last straggler cell finished.  A ``CellPool``
-    instead accepts *all* figures' cells up front (:meth:`submit`
+    A ``CellPool`` accepts *all* figures' cells up front (:meth:`submit`
     returns per-cell handles immediately), streams results back as
     cells complete, and :meth:`gather` blocks only for the cells a
     figure actually needs — in cell order, so assembled figure data is
-    byte-identical to the per-figure batches.
+    byte-identical to running each figure alone, and worker processes
+    never idle at a figure boundary while a straggler cell finishes.
+    ``pool.gather(pool.submit(cells))`` runs one batch.
 
     Identical cells (same ``fn`` and kwargs — e.g. the four elastic
     setups fig7 and table1 share) are executed **once** and their result

@@ -10,7 +10,9 @@ Layout (one directory, default ``.repro_results/``)::
 
 Key derivation: :func:`cell_key` canonicalizes the cell's payload —
 its ``"module:function"`` body path plus every kwarg, with frozen spec
-dataclasses expanded field by field — into deterministic JSON, prefixes
+dataclasses expanded field by field under their qualname (never their
+module: keys name content and public names, not file locations) — into
+deterministic JSON, prefixes
 the :data:`STORE_TAG` (store format + kernel version), and SHA-256
 hashes the result.  Anything that could change a cell's value (spec
 fields, scale, seed, ``--set`` overrides, fault/fencing knobs, the
@@ -62,7 +64,8 @@ log = logging.getLogger("repro.results")
 
 #: Store layout generation: bump when the on-disk format changes.
 #: 2: object files are zlib-compressed pickles (v1 stores wipe on open).
-FORMAT_VERSION = 2
+#: 3: keys name spec classes by qualname only, so v2 keys are unreachable.
+FORMAT_VERSION = 3
 
 #: Kernel/result generation: bump whenever simulation semantics change
 #: (anything that would regenerate tests/data/figures_quick_seed0.json).
@@ -92,11 +95,12 @@ def canonical(value: Any) -> Any:
     """A deterministic, JSON-encodable form of a cell payload value.
 
     Frozen spec dataclasses expand to ``["dataclass", qualname,
-    {field: ...}]`` so *every* field lands in the key; tuples and lists
-    collapse to tagged sequences; dict/set iteration order is sorted
-    away (per the determinism contract, nothing may depend on hash
-    order).  Unknown objects fall back to ``repr`` — stable for the
-    value-like objects cells carry.
+    {field: ...}]`` so *every* field lands in the key (the qualname
+    without its module, so moving a class between files moves no key);
+    tuples and lists collapse to tagged sequences; dict/set iteration
+    order is sorted away (per the determinism contract, nothing may
+    depend on hash order).  Unknown objects fall back to ``repr`` —
+    stable for the value-like objects cells carry.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         cls = type(value)
@@ -104,7 +108,7 @@ def canonical(value: Any) -> Any:
             f.name: canonical(getattr(value, f.name))
             for f in dataclasses.fields(value)
         }
-        return ["dataclass", f"{cls.__module__}.{cls.__qualname__}", fields]
+        return ["dataclass", cls.__qualname__, fields]
     if isinstance(value, dict):
         return ["dict", sorted((repr(k), canonical(v)) for k, v in value.items())]
     if isinstance(value, (list, tuple)):

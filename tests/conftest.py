@@ -8,7 +8,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.baselines import EventWaveRuntime, OrleansRuntime
-from repro.harness.scenarios import _jsonable, run_scenario
+from repro.harness.scenarios import run_scenario
+from repro.harness.scenarios.output import _jsonable
 from repro.results import MODE_ENV
 
 #: The pinned figure data by figure name: ``--all --scale quick --seed 0``.

@@ -18,7 +18,7 @@ from repro.exec import (
     make_executor,
     resolve_executor,
 )
-from repro.harness.runner import CellPool, run_cells
+from repro.harness.runner import CellPool
 from repro.results.store import MISS, ResultStore
 
 
@@ -55,8 +55,10 @@ def test_make_executor_instance_passthrough_and_queue_dir(tmp_path):
 # ----------------------------------------------------------------------
 def test_serial_and_pool_backends_agree():
     cells = _cells([3, 1, 2])
-    serial = run_cells(cells, executor="serial")
-    pooled = run_cells(cells, jobs=2, executor="pool")
+    with CellPool(executor="serial") as pool:
+        serial = pool.gather(pool.submit(cells))
+    with CellPool(jobs=2, executor="pool") as pool:
+        pooled = pool.gather(pool.submit(cells))
     assert [r.value for r in serial] == [r.value for r in pooled] == ["3", "1", "2"]
     assert [r.key for r in pooled] == [(3,), (1,), (2,)]
 
@@ -78,7 +80,8 @@ def test_pool_respawns_after_worker_sigkill(tmp_path):
 def test_pool_worker_loss_is_bounded_and_resumable(tmp_path):
     store = ResultStore(tmp_path / "results")
     safe = Cell(("safe",), "json:dumps", {"obj": 7})
-    run_cells([safe], store=store)  # one completed cell already persisted
+    with CellPool(store=store) as pool:  # one completed cell already persisted
+        pool.gather(pool.submit([safe]))
     doomed = Cell(("doomed",), "exec_cells:kill_self", {})  # dies every attempt
     backend = ProcessExecutor(jobs=2, store=store, max_respawns=1)
     with pytest.raises(WorkerLostError) as info:

@@ -29,7 +29,7 @@ from repro.exec import queue as q
 from conftest import GOLDEN, dump
 from repro.exec.base import Cell
 from repro.exec.worker import run_worker
-from repro.harness.runner import run_cells
+from repro.harness.runner import CellPool
 from repro.harness.scenarios import assemble_scenario, expand, prepare_scenario
 from repro.results.store import ResultStore, cell_key
 
@@ -268,7 +268,8 @@ def _queue_figure_data(name, cold, figure_store, tmp_path):
     ex = QueueExecutor(queue_dir=tmp_path / "spool", store=bus, poll_interval_s=0.05)
     workers = [_spawn_worker(tmp_path / "spool", f"w{i}") for i in (1, 2)]
     try:
-        results = run_cells(cells, executor=ex)
+        with CellPool(executor=ex) as pool:
+            results = pool.gather(pool.submit(cells))
         stats = ex.stats()
     finally:
         ex.shutdown()

@@ -27,9 +27,8 @@ from repro.core.errors import UnknownContextError
 from repro.core.ownership import OwnershipNetwork
 from repro.exec import Cell
 from repro.harness.runner import make_testbed, run_closed_loop
-from repro.harness.scenarios import (
-    PAPER_FIGURES, SCALES, _massive_run, get_scenario, list_scenarios,
-)
+from repro.harness.scenarios import PAPER_FIGURES, SCALES, get_scenario, list_scenarios
+from repro.harness.scenarios.cells import _massive_run
 from repro.results import MISS, ResultStore
 from repro.results.__main__ import parse_size
 from repro.sim.metrics import DEFAULT_SAMPLE_THRESHOLD, LatencyRecorder, percentile

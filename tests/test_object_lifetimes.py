@@ -33,9 +33,9 @@ from repro.core.events import AccessMode, CallSpec, Event
 from repro.core.locking import ContextLock
 from repro.exec import Cell, execute_cell
 from repro.faults import FaultInjector, FaultSchedule, ServerCrash
-from repro.harness import runner, scenarios
+from repro.harness import runner
 from repro.harness.runner import make_testbed
-from repro.harness.scenarios import SCALES, expand, prepare_scenario
+from repro.harness.scenarios import SCALES, cells, drivers, expand, prepare_scenario
 from repro.sim import Resource, SimulationError, Simulator
 from repro.workloads.generators import ClosedLoopClients
 
@@ -397,7 +397,7 @@ def test_executed_massive_cell_leaves_no_simulation_behind(monkeypatch):
     monkeypatch.setitem(SCALES, "tiny", tiny)
     cell = Cell(
         key=(0,),
-        fn="repro.harness.scenarios:_massive_game_cell",
+        fn="repro.harness.scenarios:massive_game_cell",
         kwargs={"rep": 0, "scale": "tiny", "seed": 0},
     )
     assert _garbage_after(cell) <= GARBAGE_PER_CELL
@@ -433,8 +433,10 @@ def _testbed_of_cell_failing_at_measure(monkeypatch, cell):
     def failing_measure(*_args, **_kwargs):
         raise RuntimeError("measurement failed")
 
-    for module in (runner, scenarios):
+    # Patched where they are called: each module holds its own binding.
+    for module in (runner, drivers, cells):
         monkeypatch.setattr(module, "make_testbed", recording_make_testbed)
+    for module in (runner, drivers):
         monkeypatch.setattr(module, "measure", failing_measure)
     with pytest.raises(RuntimeError, match="measurement failed"):
         execute_cell(cell)

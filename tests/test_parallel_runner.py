@@ -18,13 +18,18 @@ import pytest
 
 from conftest import GOLDEN, dump
 from repro.exec import Cell, CellResult, execute_cell, resolve_jobs
-from repro.harness.runner import run_cells
+from repro.harness.runner import CellPool
 from repro.harness.scenarios import run_scenario
 
 
 # ----------------------------------------------------------------------
 # Engine mechanics (cheap)
 # ----------------------------------------------------------------------
+def _run(cells, jobs=1):
+    with CellPool(jobs) as pool:
+        return pool.gather(pool.submit(cells))
+
+
 def _cells(values):
     # Pool-crossing cells must use a dotted path importable in *any*
     # worker (fork or spawn) — a stdlib function qualifies, this test
@@ -35,7 +40,7 @@ def _cells(values):
 def test_run_cells_preserves_cell_order():
     cells = _cells([7, 3, 5, 1])
     for jobs in (1, 3):
-        results = run_cells(cells, jobs=jobs)
+        results = _run(cells, jobs)
         assert [r.key for r in results] == [(7,), (3,), (5,), (1,)]
         assert [r.value for r in results] == ["7", "3", "5", "1"]
 
@@ -58,13 +63,13 @@ def test_resolve_jobs():
 
 
 def test_run_cells_honours_the_executor_env(monkeypatch):
-    # Precedence explicit > REPRO_EXECUTOR > jobs-based holds for
-    # run_cells too: jobs=1 is in-process only when nothing says "pool".
+    # Precedence explicit > REPRO_EXECUTOR > jobs-based holds for a
+    # CellPool too: jobs=1 is in-process only when nothing says "pool".
     cell = Cell((0,), "os:getpid", {})
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    assert run_cells([cell])[0].value == os.getpid()
+    assert _run([cell])[0].value == os.getpid()
     monkeypatch.setenv("REPRO_EXECUTOR", "pool")
-    assert run_cells([cell])[0].value != os.getpid()
+    assert _run([cell])[0].value != os.getpid()
 
 
 def test_fig9_parallel_byte_identical():

@@ -18,6 +18,7 @@ Covers the `repro.results` subsystem end to end:
   repro.results`` maintenance commands.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -25,12 +26,20 @@ import pytest
 
 from conftest import GOLDEN, dump
 from repro.exec import Cell
+from repro.harness import scenarios
 from repro.harness.experiments import main
-from repro.harness.runner import CellPool, run_cells
+from repro.harness.runner import CellPool
 from repro.harness.scenarios import (
+    ElasticSpec,
+    FaultSpec,
+    GameSpec,
+    ScenarioSpec,
+    TpccSpec,
+    WorkloadSpec,
     assemble_scenario,
     expand,
     get_scenario,
+    list_scenarios,
     prepare_scenario,
     run_scenario,
 )
@@ -41,6 +50,11 @@ from repro.results.__main__ import main as results_main, parse_age
 def _keys(name, overrides=()):
     spec = prepare_scenario(name, scale="quick", seed=0, overrides=overrides)
     return [cell_key(cell) for cell in expand(spec)]
+
+
+def _run(cells, store):
+    with CellPool(store=store) as pool:
+        return pool.gather(pool.submit(cells))
 
 
 # ----------------------------------------------------------------------
@@ -89,6 +103,41 @@ def test_seed_and_scale_land_in_the_key():
     }
     assert not base & other_seed
     assert not base & other_scale
+
+
+def _every_cell():
+    """Every registered scenario's cells at quick and full scale."""
+    for name in list_scenarios():
+        for scale in ("quick", "full"):
+            for cell in expand(prepare_scenario(name, scale=scale)):
+                yield name, scale, cell
+
+
+def test_cell_keys_ignore_file_layout(monkeypatch):
+    # A key names content and public names, never file locations: moving
+    # the spec classes to another module moves no key...
+    before = _keys("fig5a") + _keys("fig11")
+    for cls in (ScenarioSpec, GameSpec, TpccSpec, WorkloadSpec, FaultSpec, ElasticSpec):
+        monkeypatch.setattr(cls, "__module__", "elsewhere.specs")
+    assert _keys("fig5a") + _keys("fig11") == before
+    # ...and every built-in cell body is a public name of the package.
+    for _name, _scale, cell in _every_cell():
+        module, _, attr = cell.fn.partition(":")
+        assert module == "repro.harness.scenarios", cell.fn
+        assert not attr.startswith("_"), cell.fn
+        assert callable(getattr(scenarios, attr)), cell.fn
+
+
+def test_cell_key_listing_pinned():
+    # Every key of every registered cell: a re-key is a deliberate edit here.
+    listing = sorted(
+        (name, scale, repr(cell.key), cell_key(cell))
+        for name, scale, cell in _every_cell()
+    )
+    assert len(listing) == 258
+    assert hashlib.sha256(json.dumps(listing).encode()).hexdigest() == (
+        "c24b2a6dea174b1376cfe2d8e021da81f5899257e906400e3f58f78839b622d4"
+    )
 
 
 def test_version_tag_lands_in_the_key(monkeypatch):
@@ -162,7 +211,7 @@ def test_corrupt_or_truncated_entry_is_a_miss_then_overwritten(tmp_path, damage)
     _object_path(store, cell).write_bytes(damage)  # partial write / bad bytes
     assert store.load(cell) is MISS  # logged, never raised
     # The execution layer recomputes and atomically overwrites:
-    (result,) = run_cells([cell], store=store)
+    (result,) = _run([cell], store)
     assert result.value == 2.0
     assert ResultStore(tmp_path / "store").load(cell) == 2.0
 
@@ -237,17 +286,17 @@ def test_interrupted_run_resumes_with_only_the_remainder(tmp_path):
         for tag in ("c0", "c1", "c2", "c3", "c4")
     ]
     # "Killed" run: only the first two cells completed and persisted.
-    run_cells(cells[:2], store=ResultStore(tmp_path / "store"))
+    _run(cells[:2], ResultStore(tmp_path / "store"))
     assert _executions(tmp_path) == ["c0", "c1"]
     # Rerun of the full sweep: only the remainder executes.
     store = ResultStore(tmp_path / "store")
-    results = run_cells(cells, store=store)
+    results = _run(cells, store)
     assert _executions(tmp_path) == ["c0", "c1", "c2", "c3", "c4"]
     assert (store.hits, store.misses) == (2, 3)
     assert [r.value for r in results] == [f"ran-c{i}" for i in range(5)]
     # Fully warm rerun: nothing executes at all.
     warm = ResultStore(tmp_path / "store")
-    run_cells(cells, store=warm)
+    _run(cells, warm)
     assert _executions(tmp_path) == ["c0", "c1", "c2", "c3", "c4"]
     assert (warm.hits, warm.misses) == (5, 0)
 
@@ -258,7 +307,7 @@ def test_failing_cell_keeps_earlier_cells_persisted(tmp_path):
         for tag in ("ok0", "ok1", "boom", "ok2")
     ]
     with pytest.raises(RuntimeError, match="cell failure"):
-        run_cells(cells, store=ResultStore(tmp_path / "store"))
+        _run(cells, ResultStore(tmp_path / "store"))
     # The cells completed before the failure survived the crash...
     store = ResultStore(tmp_path / "store")
     assert store.load(cells[0]) == "ran-ok0"
@@ -345,12 +394,12 @@ def test_maintenance_cli(tmp_path, capsys):
 
     assert results_main(["--dir", cache_dir, "ls"]) == 0
     out = capsys.readouterr().out
-    assert "6 entries" in out and "_fig9_cell" in out
+    assert "6 entries" in out and "fig9_cell" in out
 
     assert results_main(["--dir", cache_dir, "stats"]) == 0
     out = capsys.readouterr().out
     assert "entries:  6" in out
-    assert "repro.harness.scenarios:_fig9_cell" in out
+    assert "repro.harness.scenarios:fig9_cell" in out
 
     # Nothing is older than a day; everything is older than 0 seconds.
     assert results_main(["--dir", cache_dir, "gc", "--older-than", "1d"]) == 0

@@ -28,7 +28,7 @@ import pytest
 from conftest import GOLDEN, digest, dump
 from repro.exec import Cell
 from repro.harness.experiments import main
-from repro.harness.runner import SYSTEMS, CellPool, run_cells
+from repro.harness.runner import SYSTEMS, CellPool
 from repro.harness.scenarios import (
     PAPER_FIGURES,
     REGISTRY,
@@ -133,7 +133,7 @@ def test_fig7_table1_cell_plans():
         (s, 0) for s in ("8", "16", "22", "32", "elastic")
     ]
     for key, fn, kwargs in fig7_plan + table1_plan:
-        assert fn == f"{_SCN}:_elastic_cell"
+        assert fn == f"{_SCN}:elastic_cell"
         assert kwargs == {"setup": key[0], "rep": 0, "scale": "quick", "seed": 0}
     shared = {("8",), ("16",), ("32",), ("elastic",)}
     fig7_cells = {(fn, tuple(sorted(kw.items()))) for _k, fn, kw in fig7_plan}
@@ -143,13 +143,13 @@ def test_fig7_table1_cell_plans():
 
 def test_fig8_fig9_ablation_cell_plans():
     assert _plan("fig8") == [
-        ((n,), f"{_SCN}:_fig8_cell", {"n_migrations": n, "scale": "quick", "seed": 0})
+        ((n,), f"{_SCN}:fig8_cell", {"n_migrations": n, "scale": "quick", "seed": 0})
         for n in (1, 8, 12)
     ]
     assert _plan("fig9") == [
         (
             (itype, size),
-            f"{_SCN}:_fig9_cell",
+            f"{_SCN}:fig9_cell",
             {"itype_name": itype, "size_bytes": size, "scale": "quick", "seed": 0},
         )
         for itype in ("m1.large", "m1.medium", "m1.small")
@@ -158,7 +158,7 @@ def test_fig8_fig9_ablation_cell_plans():
     assert _plan("ablation") == [
         (
             (early,),
-            f"{_SCN}:_ablation_cell",
+            f"{_SCN}:ablation_cell",
             {"early_release": early, "scale": "quick", "seed": 0},
         )
         for early in (True, False)
@@ -213,6 +213,30 @@ def test_multi_seed_rejected_where_assembly_cannot_combine():
         expand(get_scenario("fig11").with_(seeds=(0, 1)))  # explicit points
     with pytest.raises(ScenarioError, match="multi-seed"):
         expand(get_scenario("churn_sweep").with_(seeds=(0, 1)))
+
+
+def test_set_systems_beside_explicit_points_fails_fast():
+    # fig11's points alone pick what runs: its point set is its systems,
+    # and a systems= override that the points would ignore is rejected.
+    spec = get_scenario("fig11")
+    assert {c.kwargs["system"] for c in expand(spec)} == set(spec.systems)
+    with pytest.raises(ScenarioError, match="explicit points"):
+        expand(apply_overrides(spec, ["systems=aeon"]))
+
+
+def test_set_server_counts_beside_a_fixed_fleet_fails_fast():
+    # fig5b runs on a fixed 8-server fleet, so server_counts never sweeps.
+    with pytest.raises(ScenarioError, match="fixed fleet"):
+        expand(apply_overrides(get_scenario("fig5b"), ["server_counts=2"]))
+
+
+def test_instance_type_reaches_the_generic_drivers():
+    spec = get_scenario("fig5a").with_(duration_ms=600.0, warmup_ms=200.0)
+    default = run_point(spec, system="aeon", n_servers=2)
+    small = run_point(spec.with_(instance="m1.small"), system="aeon", n_servers=2)
+    assert 0 < small < default
+    with pytest.raises(ScenarioError, match="unknown instance"):
+        run_point(spec.with_(instance="m9.huge"), system="aeon", n_servers=2)
 
 
 def test_cli_rejects_conflicting_selectors(capsys):
@@ -396,7 +420,7 @@ def test_run_cells_on_a_shared_pool_preserves_order():
     cells = [Cell((x,), "json:dumps", {"obj": x}) for x in (7, 3, 5)]
     for jobs in (1, 3):
         with CellPool(jobs=jobs) as pool:
-            results = run_cells(cells, pool=pool)
+            results = pool.gather(pool.submit(cells))
         assert [r.key for r in results] == [(7,), (3,), (5,)]
         assert [r.value for r in results] == ["7", "3", "5"]
 
@@ -535,105 +559,3 @@ def test_cli_scenario_end_to_end(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert "churn_sweep" in payload["experiments"]
     assert payload["experiments"]["churn_sweep"]["rows"]
-
-
-# ----------------------------------------------------------------------
-# Zip axes: paired sweeps alongside the cross-product
-# ----------------------------------------------------------------------
-def _zip_spec(**changes):
-    spec = get_scenario("fig5a").with_(
-        name="ziptest",
-        systems=("aeon",),
-        server_counts=(2,),
-        zip_axes=(("clients", (8, 16)), ("think_ms", (1.0, 2.0))),
-    )
-    return spec.with_(**changes) if changes else spec
-
-
-def test_zip_axes_pair_instead_of_crossing():
-    cells = expand(_zip_spec())
-    # 1 system x 1 server count x 2 zip positions — not 2x2.
-    assert [c.key for c in cells] == [
-        ("aeon", 2, 8, 1.0),
-        ("aeon", 2, 16, 2.0),
-    ]
-    for cell, (clients, think) in zip(cells, [(8, 1.0), (16, 2.0)]):
-        assert cell.kwargs["clients"] == clients
-        assert cell.kwargs["think_ms"] == think
-
-
-def test_zip_axes_cross_with_the_product_axes():
-    cells = expand(_zip_spec(server_counts=(2, 4)))
-    # Cross axes expand first; zip positions vary fastest within each.
-    assert [c.key for c in cells] == [
-        ("aeon", 2, 8, 1.0),
-        ("aeon", 2, 16, 2.0),
-        ("aeon", 4, 8, 1.0),
-        ("aeon", 4, 16, 2.0),
-    ]
-
-
-def test_zip_axes_empty_values_pull_scale_defaults():
-    from repro.harness.scenarios import SCALES, zip_points
-
-    # () pulls the scale preset, exactly like cross axes — so both zip
-    # axes here must resolve to the quick preset's client_sweep length.
-    sweep = SCALES["quick"].client_sweep
-    spec = _zip_spec(
-        zip_axes=(("clients", ()), ("think_ms", tuple(float(i) for i in range(len(sweep))))),
-    )
-    points = zip_points(spec)
-    assert [dict(p)["clients"] for p in points] == list(sweep)
-
-
-def test_zip_axes_length_mismatch_fails_fast():
-    bad = _zip_spec(zip_axes=(("clients", (8, 16)), ("think_ms", (1.0,))))
-    with pytest.raises(ScenarioError, match="equal lengths"):
-        expand(bad)
-
-
-def test_zip_axes_name_collision_fails_fast():
-    spec = get_scenario("fig5b").with_(
-        name="zipcollide", zip_axes=(("clients", (8, 16)),)
-    )  # fig5b already sweeps a "clients" cross axis
-    with pytest.raises(ScenarioError, match="collides"):
-        expand(spec)
-
-
-def test_zip_axes_conflict_with_explicit_points_fails_fast():
-    spec = get_scenario("fig11").with_(
-        name="zippoints", zip_axes=(("clients", (8,)),)
-    )
-    with pytest.raises(ScenarioError, match="explicit points"):
-        expand(spec)
-
-
-def test_set_overrides_zip_axis_values():
-    spec = apply_overrides(_zip_spec(), ["clients=32,64"])
-    assert dict(spec.zip_axes)["clients"] == (32, 64)
-    assert dict(spec.zip_axes)["think_ms"] == (1.0, 2.0)
-    # A scalar replacement shrinks one axis: expansion then fail-fasts.
-    with pytest.raises(ScenarioError, match="equal lengths"):
-        expand(apply_overrides(_zip_spec(), ["clients=32"]))
-
-
-def test_zip_axes_protected_from_direct_set():
-    with pytest.raises(ScenarioError, match="cannot be overridden"):
-        apply_overrides(_zip_spec(), ["zip_axes=()"])
-
-
-def test_zip_axes_end_to_end_run():
-    data = run_scenario(
-        _zip_spec(
-            duration_ms=600.0,
-            warmup_ms=200.0,
-            output="xy",
-            metrics=("throughput_per_s", "mean_latency_ms"),
-        ),
-        scale="quick",
-        seed=0,
-    )
-    # xy output keeps each sweep point: one system, one server count,
-    # two zip positions -> two (throughput, latency) pairs for aeon.
-    assert len(data["aeon"]) == 2
-    assert all(thr > 0 and lat > 0 for thr, lat in data["aeon"])
