@@ -73,34 +73,25 @@ class ContextRef:
         result = yield spec              # synchronous call inside a body
     """
 
-    __slots__ = ("cid", "type_name", "_proxies")
+    __slots__ = ("cid", "type_name")
 
     def __init__(self, cid: str, type_name: str) -> None:
         self.cid = cid
         self.type_name = type_name
 
     def __getattr__(self, name: str) -> Callable[..., CallSpec]:
+        # Reached only when the normal lookup failed, i.e. once per
+        # method name: the builder goes on the class, so every later
+        # ``ref.name`` is a plain bound-method lookup that never raises.
         if name.startswith("_"):
             raise AttributeError(name)
-        # Cache one builder per method name: bodies call the same few
-        # methods on long-lived refs, and a fresh closure per nested
-        # call is measurable.  The cache dict itself is lazy, so plain
-        # refs stay two-slot cheap.
-        try:
-            proxies = self._proxies
-        except AttributeError:
-            proxies = {}
-            self._proxies = proxies
-        build = proxies.get(name)
-        if build is None:
-            cid = self.cid
 
-            def build(*args: Any, **kwargs: Any) -> CallSpec:
-                return CallSpec(cid, name, args, kwargs)
+        def build(self: ContextRef, *args: Any, **kwargs: Any) -> CallSpec:
+            return CallSpec(self.cid, name, args, kwargs)
 
-            build.__name__ = name
-            proxies[name] = build
-        return build
+        build.__name__ = name
+        setattr(ContextRef, name, build)
+        return getattr(self, name)
 
     def call(self, method: str, *args: Any, **kwargs: Any) -> CallSpec:
         """Explicit CallSpec constructor (useful for dynamic method names)."""

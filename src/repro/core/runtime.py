@@ -19,6 +19,7 @@ replaces the reserve-then-claim arbitration of a synchronous nested call
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple, Type
 
 from ..sim.cluster import Cluster, Server
@@ -503,11 +504,9 @@ class RuntimeBase:
         mode = AccessMode.RO if ro_allowed else AccessMode.EX
         self._eid_counter += 1
         event = Event(self._eid_counter, spec, mode, client.name, self.sim.now, tag)
-        completion = Signal(self.sim, "event")
-        _EventProcess(self, event, completion, self._event_process(event, client))
-        return completion
+        return _EventProcess(self, event, self._event_process(event, client))
 
-    def _finish_event(self, event: Event, completion: Signal) -> None:
+    def _finish_event(self, event: Event) -> None:
         if event.committed_ms is None:
             event.committed_ms = self.sim.now
         # Safety net: release anything still held (error paths); a None
@@ -542,7 +541,6 @@ class RuntimeBase:
         client = self._clients[event.client]
         for sub_spec in event.sub_events:
             self.submit(client, sub_spec, tag=event.tag + "/sub" if event.tag else "sub")
-        completion.succeed(event)
 
     # ------------------------------------------------------------------
     # Branch bookkeeping
@@ -651,7 +649,9 @@ class RuntimeBase:
             outcome = func(instance, *spec.args, **spec.kwargs)
         else:
             outcome = getattr(instance, spec.method)(*spec.args, **spec.kwargs)
-        if not _is_generator(outcome):
+        # An exact type test, not duck typing: a ContextRef answers every
+        # public name, ``send`` and ``throw`` included.
+        if type(outcome) is not GeneratorType:
             return outcome
 
         body = outcome
@@ -750,7 +750,11 @@ class RuntimeBase:
         reserved: List[Tuple[str, Signal]],
         current: Server,
     ) -> Generator:
-        """Pay hops/CPU and wait for each reserved grant, top-down."""
+        """Pay hops/CPU and wait for each reserved grant, top-down.
+
+        :meth:`_sync_call` open-codes this loop: one generator and one
+        ``yield from`` level fewer per nested call on the common path.
+        """
         for cid, grant in reserved:
             lock_server = self.server_of(cid)
             if lock_server.name != current.name:
@@ -777,11 +781,17 @@ class RuntimeBase:
         callee's body, return control (and the result) to the caller's
         server.  AEON and EventWave share it; Orleans overrides it.
         """
-        reserved = self._reserve_path(event, branch, caller_cid, spec.target)
-        if reserved:
-            current = yield from self._claim_reserved(event, reserved, caller_server)
-        else:
-            current = caller_server
+        current = caller_server
+        for cid, grant in self._reserve_path(event, branch, caller_cid, spec.target):
+            lock_server = self.server_of(cid)
+            if lock_server.name != current.name:
+                yield self._charge(current, self.costs.net_cpu_ms)
+                yield self.network.delay_ms(
+                    current.name, lock_server.name, self.costs.proto_msg_bytes
+                )
+                current = lock_server
+            yield self._charge(lock_server, self.costs.lock_cpu_ms)
+            yield grant
         callee_server = self.server_of(spec.target)
         if current.name != callee_server.name:
             yield self._charge(current, self.costs.net_cpu_ms)
@@ -937,25 +947,20 @@ class _EventProcess(Process):
     ran: ``_finish_event`` fires synchronously inside the final step,
     application exceptions are surfaced on ``event.error`` and the
     process still *succeeds* (with the Event), so lock cleanup and
-    metrics stay uniform.
+    metrics stay uniform.  The process is also the signal ``submit``
+    returns: the client's waiter is queued by ``super().succeed`` right
+    after ``_finish_event``'s last action.
     """
 
-    __slots__ = ("_runtime", "_event", "_completion")
+    __slots__ = ("_runtime", "_event")
 
-    def __init__(
-        self,
-        runtime: "RuntimeBase",
-        event: Event,
-        completion: Signal,
-        generator: Generator,
-    ) -> None:
+    def __init__(self, runtime: "RuntimeBase", event: Event, generator: Generator) -> None:
         self._runtime = runtime
         self._event = event
-        self._completion = completion
         super().__init__(runtime.sim, generator, name="event")
 
     def succeed(self, value: Any = None) -> Signal:
-        self._runtime._finish_event(self._event, self._completion)
+        self._runtime._finish_event(self._event)
         return super().succeed(self._event)
 
     def fail(self, exc: BaseException) -> Signal:
@@ -963,18 +968,14 @@ class _EventProcess(Process):
             # Application error: surfaced on the event, then a normal
             # finish (mirrors the old wrapper's `except Exception`).
             self._event.error = exc
-            self._runtime._finish_event(self._event, self._completion)
+            self._runtime._finish_event(self._event)
             return super().succeed(self._event)
-        self._runtime._finish_event(self._event, self._completion)
+        self._runtime._finish_event(self._event)
         return super().fail(exc)
 
     def _abandon(self) -> None:
         super()._abandon()
-        self._runtime = self._event = self._completion = None
-
-
-def _is_generator(value: Any) -> bool:
-    return hasattr(value, "send") and hasattr(value, "throw")
+        self._runtime = self._event = None
 
 
 def _release_lock_batch(locks: List[ContextLock], event: Event) -> None:

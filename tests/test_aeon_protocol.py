@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import AeonRuntime, CostModel
+from repro.core import AeonRuntime, ContextClass, CostModel, Ref
 from repro.core.errors import (
     AeonError,
     OwnershipViolationError,
@@ -37,6 +37,32 @@ def test_unknown_method_raises_at_submit(aeon_bed):
     _group, workers, _ = build_group(aeon_bed)
     with pytest.raises(AeonError):
         aeon_bed.submit(workers[0].call("no_such_method"))
+
+
+class _Child(ContextClass):
+    pass
+
+
+class _Parent(ContextClass):
+    child = Ref(_Child)
+
+    def get_child(self):
+        return self.child
+
+
+def test_method_returning_a_ref_completes(aeon_bed):
+    """A ref answers every public name, ``send`` and ``throw`` included:
+    the body driver must not take a returned ref for a generator body
+    (it used to send into it and throw into it forever)."""
+    runtime = aeon_bed.runtime
+    parent = runtime.create_context(_Parent, server=aeon_bed.servers[0], name="parent")
+    child = runtime.create_context(
+        _Child, owners=[parent], server=aeon_bed.servers[1], name="child"
+    )
+    runtime.instance_of(parent).child = child
+    event = aeon_bed.run_event(parent.get_child(), horizon=50.0)
+    assert event.result == child
+    assert event.error is None
 
 
 def test_plain_method_call_supported(aeon_bed):

@@ -1,5 +1,9 @@
 """Unit tests for the static analysis and contextclass machinery."""
 
+import copy
+import pickle
+from collections import Counter
+
 import pytest
 
 from repro.core.analysis import StaticAnalysis
@@ -15,6 +19,8 @@ from repro.core.context import (
 )
 from repro.core.errors import AeonError, StaticAnalysisError
 from repro.core.events import CallSpec
+from repro.exec import execute_cell
+from repro.harness.scenarios import expand, prepare_scenario
 
 
 # ----------------------------------------------------------------------
@@ -100,6 +106,10 @@ def test_ref_builds_callspecs():
     assert spec.method == "get_gold"
     assert spec.args == (50,)
     assert spec.kwargs == {"fast": True}
+    # The first lookup installed a builder on the class: later lookups
+    # are plain method lookups, not a failed lookup caught by __getattr__.
+    assert callable(vars(ContextRef)["get_gold"])
+    assert ref.get_gold(7).args == (7,)
 
 
 def test_ref_explicit_call():
@@ -120,6 +130,56 @@ def test_ref_private_attribute_raises():
     ref = ContextRef("x", "T")
     with pytest.raises(AttributeError):
         _ = ref._secret
+    assert "_secret" not in vars(ContextRef)
+
+
+def test_refs_of_different_types_build_their_own_specs():
+    player = ContextRef("player-7", "Player")
+    room = ContextRef("room-2", "Room")
+    assert player.shared_name(1).target == "player-7"
+    assert room.shared_name(2).target == "room-2"
+    assert player.shared_name().method == room.shared_name().method == "shared_name"
+
+
+def test_ref_copy_and_pickle_round_trip():
+    ref = ContextRef("x", "T")
+    _ = ref.some_method  # a builder on the class must not leak into state
+    assert copy.copy(ref) == ref
+    restored = pickle.loads(pickle.dumps(ref))
+    assert restored == ref
+    assert (restored.cid, restored.type_name) == ("x", "T")
+
+
+def test_ref_has_no_instance_dict():
+    ref = ContextRef("x", "T")
+    assert not hasattr(ref, "__dict__")
+    with pytest.raises(AttributeError):
+        ref.extra = 1
+
+
+def test_game_cell_reaches_ref_getattr_once_per_method(monkeypatch):
+    """A failed attribute lookup (an AttributeError built and caught) per
+    nested call was the event path's largest avoidable cost: on a real
+    run ``__getattr__`` may fire once per method name, never per op."""
+    # Drop the builders earlier tests installed, so this run installs its own.
+    for name, value in list(vars(ContextRef).items()):
+        if getattr(value, "__qualname__", "").startswith("ContextRef.__getattr__."):
+            monkeypatch.delattr(ContextRef, name)
+    fired = Counter()
+    original = ContextRef.__getattr__
+
+    def counting(self, name):
+        fired[name] += 1
+        return original(self, name)
+
+    monkeypatch.setattr(ContextRef, "__getattr__", counting)
+    spec = prepare_scenario("fig5a", scale="quick", seed=0)
+    (cell,) = [cell for cell in expand(spec) if cell.key == ("aeon", 2)]
+    result = execute_cell(cell)
+    public = {name: n for name, n in fired.items() if not name.startswith("_")}
+    assert public, "the game built no nested call through ref.method"
+    assert max(public.values()) == 1, public
+    assert result.value > 0  # throughput: the run did execute events
 
 
 # ----------------------------------------------------------------------
