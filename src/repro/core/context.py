@@ -310,12 +310,13 @@ class ContextClass:
         runtime = self._aeon_runtime
         if runtime is None:
             return []
-        refs = []
-        for child_cid in runtime.ownership.children(self._aeon_cid):
-            child = runtime.instances.get(child_cid)
-            if child is not None and type(child).__name__ == type_name:
-                refs.append(child.ref)
-        return sorted(refs, key=lambda r: r.cid)
+        instances = runtime.instances
+        cids = sorted(
+            cid
+            for cid in runtime.ownership.children(self._aeon_cid)
+            if cid in instances and type(instances[cid]).__name__ == type_name
+        )
+        return [ContextRef(cid, type_name) for cid in cids]
 
     def state_snapshot(self) -> Dict[str, Any]:
         """The context's persistent state, for snapshots and migration.

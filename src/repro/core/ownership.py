@@ -25,9 +25,10 @@ offending maxima, which completes the DAG into a join semi-lattice.
 
 Caching
 -------
-``desc``, ``share`` and ``dom`` are cached.  The common dynamic mutation —
-adding a fresh leaf context (TPC-C creates an Order context on every
-NewOrder transaction) — is handled incrementally: descendant sets of the
+``desc``, ``share`` and ``dom`` are cached; a descendant set only once a
+query has asked for it.  The common dynamic mutation — adding a fresh
+leaf context (TPC-C creates an Order context on every NewOrder
+transaction) — is handled incrementally: built descendant sets of the
 ancestors gain the leaf, new sharing pairs are derived from the parents'
 ancestor sets, and only dominators whose share set actually changed are
 invalidated.  Any other mutation (edges between existing contexts,
@@ -39,7 +40,7 @@ Almost every context in the evaluated applications (players, items,
 terminals) is a childless context with at most one owner.  Such a leaf
 is stored as one ``cid -> parent`` entry in a single map — no parent,
 child, descendant or share set of its own — plus its membership in the
-parent's child set and in the cached descendant sets of its ancestors.
+parent's child set and in the descendant sets its ancestors have built.
 It shares with nobody and is its own dominator by construction (see
 :meth:`OwnershipNetwork.dominator`).  The first time it gains a child or
 a second owner it is *promoted* to a full node; full nodes are never
@@ -213,7 +214,6 @@ class OwnershipNetwork:
         self._parents[cid] = set(parent_list)
         self._children[cid] = set()
         self.epoch += 1
-        self._desc_cache[cid] = {cid}
         self._share_cache[cid] = set()
         ancestor_sets = [self._ancestors_of(parent) for parent in parent_list]
         self._add_descendants(set().union(*ancestor_sets), (cid,))
@@ -263,16 +263,15 @@ class OwnershipNetwork:
     def _promote(self, cid: str) -> None:
         """Turn a compact leaf into a full node (no-op on a full node).
 
-        Its caches are seeded with what the compact form answers by
-        construction, so the caller's incremental patching applies to it
-        like to any other full node.
+        Its share set is seeded empty, as the compact form answers, so the
+        caller's incremental patching keeps ``share``/``dominator`` warm;
+        its descendant set is left to the first query that asks.
         """
         if cid not in self._leaf:
             return
         parent = self._leaf.pop(cid)
         self._parents[cid] = set() if parent is None else {parent}
         self._children[cid] = set()
-        self._desc_cache[cid] = {cid}
         self._share_cache[cid] = set()
 
     def _add_descendants(self, ancestors: Iterable[str], leaves: Iterable[str]) -> None:

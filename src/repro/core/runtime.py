@@ -19,6 +19,7 @@ replaces the reserve-then-claim arbitration of a synchronous nested call
 
 from __future__ import annotations
 
+from itertools import repeat
 from types import GeneratorType
 from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple, Type
 
@@ -407,7 +408,7 @@ class RuntimeBase:
         n_servers = len(servers)
         names = [server.name for server in servers]
         self.placement.update(zip(cids, [names[i % n_servers] for i in range(count)]))
-        self._lazy_classes.update(dict.fromkeys(cids, cls))
+        self._lazy_classes.update(zip(cids, repeat(cls)))
         for i, server in enumerate(servers):
             server.context_count += count // n_servers + (1 if i < count % n_servers else 0)
 

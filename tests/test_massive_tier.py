@@ -280,9 +280,36 @@ def test_context_count_on_a_partly_materialized_population():
     assert runtime.context_count() == len(runtime.instances) + lazy == 355
 
 
+def test_bulk_registration_caches_no_descendant_sets():
+    """Registering leaves mirrors them into no ancestor's descendant set:
+    a set is built by the first query that asks, then patched."""
+    testbed = make_testbed("aeon", 4, seed=0)
+    app = build_massive(testbed.runtime, MassiveConfig(contexts=20_000), testbed.servers)
+    ownership = testbed.runtime.ownership
+    region, shards = app.region.cid, [shard.cid for shard in app.shards]
+    # A massive run asks no descendant query: leaves are their own
+    # dominators and their bodies make no nested call.
+    clients = ClosedLoopClients(
+        testbed.runtime, app.sample_op, n_clients=16, think_ms=2.0,
+        rng=testbed.rng, stop_at_ms=100.0,
+    )
+    clients.start()
+    testbed.sim.run(until=600.0)
+    assert clients.errors == [] and len(testbed.runtime.instances) > 5
+    assert not {region, *shards} & set(ownership._desc_cache)
+    assert ownership.owns(region, "p-19999")
+    built = ownership._desc_cache[region]
+    assert len(built) == 20_000 + 1 + len(shards)
+    ownership.add_leaves(["late-0"], [shards[3]])
+    assert "late-0" in built and ownership._desc_cache[region] is built
+    assert shards[3] not in ownership._desc_cache
+    testbed.close()
+
+
 def test_ownership_bytes_per_bulk_leaf():
-    """A bulk-registered single-owner leaf is one map entry plus set
-    memberships (measured 165–230 B); four sets of its own were ≈1.1 KB."""
+    """A bulk-registered single-owner leaf is one map entry plus its slot
+    in the owner's child set: 73.5 B measured.  The bound is measured
+    x 1.15, so descendant sets mirrored at registration (+157 B) fail."""
     network = OwnershipNetwork()
     network.add_context("region")
     shards = [f"s-{i}" for i in range(8)]
@@ -298,14 +325,15 @@ def test_ownership_bytes_per_bulk_leaf():
     finally:
         tracemalloc.stop()
     assert len(network) == 20_009 and network.dominator("p-19999") == "p-19999"
-    assert retained / 20_000 < 400
+    assert retained / 20_000 < 85
 
 
 def test_bytes_per_registered_untouched_leaf():
     """What ``build_massive`` retains per leaf nobody has touched: the cid
     string, a placement entry, a lazy-class entry and the compact
-    ownership leaf — 433 B measured at 20 k leaves.  The bound is
-    measured x 1.15: one more per-leaf dict entry (~80 B) fails here."""
+    ownership leaf — 223 B measured at 20 k leaves.  The bound is
+    measured x 1.15, so the region's and shards' descendant sets built
+    at registration (+210 B) fail here."""
     count = 20_000
     testbed = make_testbed("aeon", 4, seed=0)
     tracemalloc.start()
@@ -316,7 +344,7 @@ def test_bytes_per_registered_untouched_leaf():
     finally:
         tracemalloc.stop()
     assert len(testbed.runtime.instances) == 5
-    assert retained / count <= 498
+    assert retained / count <= 256
 
 
 @pytest.mark.parametrize("flavor, completed, checksum", [
