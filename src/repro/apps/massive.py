@@ -203,15 +203,20 @@ class MassiveApp:
     config: MassiveConfig
     region: ContextRef
     shards: List[ContextRef] = field(default_factory=list)
+    #: The registered leaf cids, leaf ``i`` at index ``i``.
+    leaf_cids: List[str] = field(default_factory=list, repr=False)
 
     def sample_op(self, rng: Random) -> Tuple[CallSpec, str]:
         """Draw one client operation ``(spec, tag)``.
 
         CallSpecs are built straight from the leaf cid — no ContextRef
-        per leaf exists, matching the no-object-graph registration.
+        per leaf exists, matching the no-object-graph registration.  The
+        cid is the registered string itself, so a leaf the op
+        materialises keys its instance and client-cache entries with the
+        string its placement already holds, not a formatted copy.
         """
         flavor = MASSIVE_FLAVORS[self.config.flavor]
-        cid = f"{flavor.leaf_prefix}-{rng.randrange(self.config.contexts)}"
+        cid = self.leaf_cids[rng.randrange(self.config.contexts)]
         if rng.random() < self.config.p_read:
             return CallSpec(cid, flavor.read_method, (), {}), flavor.read_tag
         amount = rng.randrange(1, 10)
@@ -249,9 +254,11 @@ def build_massive(
                 args=(i,),
             )
         )
-    cids = [f"{flavor.leaf_prefix}-{i}" for i in range(config.contexts)]
+    app.leaf_cids = [f"{flavor.leaf_prefix}-{i}" for i in range(config.contexts)]
     parents = [app.shards[i % n_shards] for i in range(config.contexts)]
-    runtime.create_contexts_bulk(flavor.leaf_cls, cids, servers, parents=parents)
+    runtime.create_contexts_bulk(
+        flavor.leaf_cls, app.leaf_cids, servers, parents=parents
+    )
     return app
 
 

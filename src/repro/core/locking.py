@@ -12,6 +12,36 @@ read-only and no exclusive holder is active, or when the activated set is
 empty.  Strict FIFO admission (only the head may enter) is what provides
 the paper's starvation freedom — a stream of read-only events cannot
 overtake a queued exclusive event forever.
+
+Live locks only
+---------------
+A lock exists only while some event holds it or has a reservation on
+it.  The runtime's ``locks`` table maps a cid to its live lock, and
+:func:`acquire` is the one way in: it requests on the live lock, or,
+when there is none, constructs the lock with the event already admitted
+— one call, because the constructor admits the event and enters the
+lock in the table.  The release that leaves a lock with no holder and an
+empty queue (a holder's release or a cancelled reservation) takes it out
+of the table again.  Why nothing can interleave:
+
+* An idle lock answers ``request``, ``release``, ``holders``,
+  ``is_held`` and ``queue_length`` exactly as a fresh one does: a
+  request is admitted at once and owns the hold, a release is a no-op,
+  and nobody holds or waits.  So dropping it and constructing another
+  on the next acquisition is invisible.
+* Creating a lock touches no simulator state: it takes no sequence
+  number and puts nothing on a queue.
+* Every lock reference that outlives a call (a scheduled release, a
+  batch of releases, a migration or snapshot local) is taken while that
+  lock is held or reserved, so the lock cannot leave the table before
+  the reference is used.  (A branch that closes after its event
+  finished, which released everything the event held, finds no lock
+  and schedules nothing, or finds a later event's lock, on which its
+  release is the no-op of the next point.)
+* A stale double release is a no-op, as it always was: the event is
+  neither a holder nor queued, so ``release`` returns before it looks
+  at the table, and the removal is guarded by identity, so it can never
+  take out the lock that replaced this one.
 """
 
 from __future__ import annotations
@@ -22,20 +52,21 @@ from typing import Deque, Dict, List, Optional, Tuple
 from ..sim.kernel import Signal, Simulator
 from .events import AccessMode, Event
 
-__all__ = ["ContextLock"]
+__all__ = ["ContextLock", "acquire"]
 
 
 class ContextLock:
     """Read/write lock with FIFO admission for one context.
 
-    One lock exists per materialised context and is almost always held
-    by nobody, so the idle state is kept small: slots instead of an
-    instance dict, and the queue and its eid index are allocated when
-    the first event has to wait.
+    Constructed by :func:`acquire` with its first event already admitted,
+    and entered in ``table``; the release that leaves it idle takes it
+    out again.  Slots instead of an instance dict, and the queue and its
+    eid index are allocated when the first event has to wait.
     """
 
     __slots__ = (
         "sim",
+        "table",
         "cid",
         "activated",
         "_queue",
@@ -43,18 +74,23 @@ class ContextLock:
         "_exclusive_active",
     )
 
-    def __init__(self, sim: Simulator, cid: str) -> None:
+    def __init__(
+        self, sim: Simulator, table: Dict[str, "ContextLock"], cid: str, event: Event
+    ) -> None:
         self.sim = sim
+        self.table = table
         self.cid = cid
+        mode = event.mode
         # eid -> mode of events currently holding the context.
-        self.activated: Dict[int, AccessMode] = {}
+        self.activated: Dict[int, AccessMode] = {event.eid: mode}
         # The toActivateQueue and its eid -> grant index, both ``None``
         # until first contention; they hold the same events thereafter.
         self._queue: Optional[Deque[Tuple[Event, Signal]]] = None
         self._pending: Optional[Dict[int, Signal]] = None
         # Number of exclusive holders in ``activated`` (0 or 1),
         # maintained incrementally so _pump never scans the set.
-        self._exclusive_active = 0
+        self._exclusive_active = 0 if mode is AccessMode.RO else 1
+        table[cid] = self
 
     # ------------------------------------------------------------------
     # Acquisition
@@ -106,18 +142,16 @@ class ContextLock:
     def release(self, event: Event) -> None:
         """Release ``event``'s hold (or cancel its reservation).
 
-        Admits successors.  Double release is tolerated: branch cleanup
-        paths may overlap on error.
+        Admits successors; the release that leaves the lock idle takes
+        it out of its table.  Double release is tolerated: branch
+        cleanup paths may overlap on error.
         """
         eid = event.eid
-        if eid in self.activated:
-            mode = self.activated.pop(eid)
-            if mode is AccessMode.EX:
+        activated = self.activated
+        if eid in activated:
+            if activated.pop(eid) is AccessMode.EX:
                 self._exclusive_active -= 1
-            if self._queue:
-                self._pump()
-            return
-        if self._queue and eid in self._pending:
+        elif self._queue and eid in self._pending:
             # The event reserved a position but never claimed it
             # (error/abort path): cancel the reservation.
             del self._pending[eid]
@@ -126,7 +160,12 @@ class ContextLock:
                 for queued, grant in self._queue
                 if queued.eid != eid
             )
+        else:
+            return
+        if self._queue:
             self._pump()
+        elif not activated and self.table.get(self.cid) is self:
+            del self.table[self.cid]
 
     def _pump(self) -> None:
         queue = self._queue
@@ -169,3 +208,20 @@ class ContextLock:
             f"<ContextLock {self.cid} held_by={sorted(self.activated)} "
             f"queue={self.queue_length}>"
         )
+
+
+def acquire(
+    sim: Simulator, table: Dict[str, ContextLock], cid: str, event: Event
+) -> Tuple[ContextLock, Signal, bool]:
+    """Reserve ``event``'s FIFO position on ``cid``'s lock in ``table``.
+
+    Returns ``(lock, grant, owned)``: the live lock and what
+    :meth:`ContextLock.request` returns.  With no live lock, the lock is
+    constructed holding ``event`` — the grant is the simulator's shared
+    ``ready`` signal and the event owns the hold.
+    """
+    lock = table.get(cid)
+    if lock is None:
+        return ContextLock(sim, table, cid, event), sim.ready, True
+    grant, owned = lock.request(event)
+    return lock, grant, owned

@@ -210,7 +210,8 @@ class RuntimeBase:
         self.instances: Dict[str, ContextClass] = {}
         #: cid -> hosting server name (the paper's context mapping, §5).
         self.placement: Dict[str, str] = {}
-        #: cid -> per-context lock (§4).
+        #: cid -> per-context lock (§4), for the contexts some event
+        #: holds or has a reservation on (see ``repro.core.locking``).
         self.locks: Dict[str, ContextLock] = {}
         #: cid -> contextclass of every bulk-registered context that has
         #: no instance yet; ``instance_of`` pops it on first touch.
@@ -229,6 +230,9 @@ class RuntimeBase:
         if self._closed:
             return
         self._closed = True
+        # A live lock refers back to its table: empty the table first,
+        # so that no lock-table cycle outlives the run.
+        self.locks.clear()
         self._new_context_state()
         self.ownership = OwnershipNetwork()
         self._clients = {}
@@ -279,14 +283,6 @@ class RuntimeBase:
         charge.delay = work_ms * self.cpu_factor / server.itype.speed
         return charge
 
-    def lock_of(self, cid: str) -> ContextLock:
-        """The lock object for ``cid`` (created lazily for virtual joins)."""
-        lock = self.locks.get(cid)
-        if lock is None:
-            lock = ContextLock(self.sim, cid)
-            self.locks[cid] = lock
-        return lock
-
     # ------------------------------------------------------------------
     # Context lifecycle
     # ------------------------------------------------------------------
@@ -324,7 +320,6 @@ class RuntimeBase:
         self.instances[cid] = instance
         self.placement[cid] = host.name
         host.context_count += 1
-        self.locks[cid] = ContextLock(self.sim, cid)
         try:
             instance.__init__(*args, **(kwargs or {}))
         except Exception:
@@ -333,7 +328,6 @@ class RuntimeBase:
             self.ownership.remove_context(cid)
             del self.placement[cid]
             host.context_count -= 1
-            del self.locks[cid]
             raise
         return instance.ref
 
@@ -378,13 +372,14 @@ class RuntimeBase:
 
         The massive-tier fast path: every context is placed (round-robin
         over ``servers``) and registered in the ownership network, but
-        the Python instance — and its lock — materialize lazily on first
-        touch, so a million registered players cost two dict entries
-        and ownership bookkeeping each, not a million object graphs.
-        Requirements: ``cls.__init__`` must be callable with no
-        arguments, and ``parents`` (if given) is aligned with ``cids``.
-        Lock/instance creation order — hence the trace — is driven
-        entirely by deterministic event order.
+        the Python instance materializes lazily on first touch (and a
+        lock exists only while an event holds or waits for it), so a
+        million registered players cost two dict entries and ownership
+        bookkeeping each, not a million object graphs.  Requirements:
+        ``cls.__init__`` must be callable with no arguments, and
+        ``parents`` (if given) is aligned with ``cids``.  Instance
+        creation order — hence the trace — is driven entirely by
+        deterministic event order.
 
         All or nothing: a cid that is already registered or repeated in
         the batch, an unknown parent or a ``parents`` of the wrong
@@ -514,8 +509,11 @@ class RuntimeBase:
         # held-set marks the event finished for late branch cleanup.
         held, event.held = event.held, None
         if held:
-            for cid in list(held):
-                self.lock_of(cid).release(event)
+            locks = self.locks
+            for cid in held:
+                lock = locks.get(cid)
+                if lock is not None:
+                    lock.release(event)
         event.quiescent = None
         event.deferred_locks = []
         self.events_completed += 1
@@ -719,9 +717,14 @@ class RuntimeBase:
         makes the per-context execution order inherit the sequencer
         (dominator / root) order, and what keeps chain release safe.
         """
-        lock = self.locks.get(cid)
+        locks = self.locks
+        lock = locks.get(cid)
         if lock is None:
-            lock = self.lock_of(cid)
+            # ``locking.acquire`` open-coded: one call per reservation.
+            ContextLock(self.sim, locks, cid, event)
+            event.held.add(cid)
+            branch.locks.append(cid)
+            return self.sim.ready
         grant, owned = lock.request(event)
         event.held.add(cid)
         if owned:
@@ -864,8 +867,8 @@ class RuntimeBase:
     def _schedule_release(self, event: Event, cid: str, from_server: Server) -> None:
         """Release ``cid`` after the release message's one-way latency."""
         lock = self.locks.get(cid)
-        if lock is None:
-            lock = self.lock_of(cid)
+        if lock is None:  # released already, by ``_finish_event``
+            return
         delay = self._release_delay(from_server, cid)
         if delay is None:  # pragma: no cover - context vanished mid-flight
             lock.release(event)
@@ -890,8 +893,8 @@ class RuntimeBase:
         groups: Dict[float, List[ContextLock]] = {}
         for cid in cids:
             lock = locks_by_cid.get(cid)
-            if lock is None:
-                lock = self.lock_of(cid)
+            if lock is None:  # released already, by ``_finish_event``
+                continue
             delay = self._release_delay(from_server, cid)
             if delay is None:  # pragma: no cover - context vanished mid-flight
                 lock.release(event)

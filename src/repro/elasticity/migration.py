@@ -33,6 +33,7 @@ from typing import Generator, List, Optional
 
 from ..core.errors import FencedError, MigrationError
 from ..core.events import AccessMode, CallSpec, Event
+from ..core.locking import acquire
 from ..core.runtime import RuntimeBase
 from ..sim.cluster import Server
 from ..sim.kernel import CpuCharge, Signal
@@ -234,8 +235,9 @@ class MigrationCoordinator:
                 submitted_ms=sim.now,
                 tag="migrate",
             )
-            lock = self.runtime.lock_of(record.cid)
-            grant, _owned = lock.request(migratec)
+            lock, grant, _owned = acquire(
+                sim, self.runtime.locks, record.cid, migratec
+            )
             yield grant
             try:
                 # Step V: transfer the state and flip the placement.
@@ -291,8 +293,9 @@ class MigrationCoordinator:
                 submitted_ms=sim.now,
                 tag="restore",
             )
-            lock = self.runtime.lock_of(record.cid)
-            grant, _owned = lock.request(restorec)
+            lock, grant, _owned = acquire(
+                sim, self.runtime.locks, record.cid, restorec
+            )
             yield grant
             try:
                 # Push the checkpointed state to the destination and

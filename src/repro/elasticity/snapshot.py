@@ -33,6 +33,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from ..core.context import ContextRef
 from ..core.events import AccessMode, CallSpec, Event
+from ..core.locking import acquire
 from ..core.runtime import RuntimeBase
 from ..sim.kernel import Signal
 from .storage import CloudStorage
@@ -169,8 +170,7 @@ def _locked_capture(
     locks = []
     try:
         for cid in ordered:
-            lock = runtime.lock_of(cid)
-            grant, _owned = lock.request(event)
+            lock, grant, _owned = acquire(runtime.sim, runtime.locks, cid, event)
             yield grant
             locks.append(lock)
         write, value = persist(ordered)

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core import AeonRuntime, ContextClass, CostModel, Ref
+from repro.core import AeonRuntime, ContextClass, CostModel, Ref, RefSet
 from repro.core.errors import (
     AeonError,
     OwnershipViolationError,
     ReadOnlyViolationError,
 )
-from repro.core.events import AccessMode
+from repro.core.events import AccessMode, async_, compute
 
 from conftest import Cell, Group, Testbed, Worker, build_group
 
@@ -63,6 +63,39 @@ def test_method_returning_a_ref_completes(aeon_bed):
     event = aeon_bed.run_event(parent.get_child(), horizon=50.0)
     assert event.result == child
     assert event.error is None
+
+
+class _Halt(BaseException):
+    """Not an ``Exception``: nothing on the event path may swallow it."""
+
+
+class _Halting(ContextClass):
+    def halt(self):
+        raise _Halt("stop")
+
+
+def test_base_exception_from_a_body_reaches_the_submitter(aeon_bed):
+    """Only an ``Exception`` becomes ``event.error``.  Any other
+    ``BaseException`` fails the signal ``submit`` returned, so whatever
+    waits on it gets it thrown in — after the event has finished and
+    let go of its locks."""
+    runtime = aeon_bed.runtime
+    halting = runtime.create_context(_Halting, server=aeon_bed.servers[0], name="h")
+    done = aeon_bed.submit(halting.halt())
+    caught = []
+
+    def submitter():
+        try:
+            yield done
+        except _Halt as exc:
+            caught.append(exc)
+
+    aeon_bed.sim.process(submitter())
+    aeon_bed.run()
+    assert done.triggered and isinstance(done.exc, _Halt)
+    assert caught == [done.exc]
+    assert runtime.events_completed == 1
+    assert not any(lock.is_held() for lock in runtime.locks.values())
 
 
 def test_plain_method_call_supported(aeon_bed):
@@ -192,8 +225,50 @@ def test_error_in_body_releases_locks(aeon_bed):
     # Subsequent events proceed: no lock leaked.
     event2 = aeon_bed.run_event(cell.add(1))
     assert event2.error is None
-    assert not runtime.lock_of(boom.cid).is_held()
-    assert not runtime.lock_of(cell.cid).is_held()
+    assert boom.cid not in runtime.locks and cell.cid not in runtime.locks
+
+
+class _SlowCell(Cell):
+    def slow_add(self, delta):
+        yield compute(5.0)
+        return self.add(delta)
+
+
+class _Spawner(ContextClass):
+    cells = RefSet(_SlowCell)
+
+    def spawn_then_fail(self):
+        for cell in self.cells:
+            yield async_(cell.slow_add(1))
+        raise RuntimeError("kaboom")
+
+
+def test_async_branch_outliving_its_failed_event_leaves_no_lock(aeon_bed, monkeypatch):
+    """A body that fails after spawning async calls finishes its event at
+    once, which releases everything the event holds; each async branch
+    closes later, finds nothing left to release and ends cleanly."""
+    branches = []
+    spawn = aeon_bed.sim.process
+
+    def spawn_and_keep(*args, **kwargs):
+        branches.append(spawn(*args, **kwargs))
+        return branches[-1]
+
+    monkeypatch.setattr(aeon_bed.sim, "process", spawn_and_keep)
+    runtime = aeon_bed.runtime
+    spawner = runtime.create_context(_Spawner, server=aeon_bed.servers[0], name="sp")
+    cells = [
+        runtime.create_context(_SlowCell, owners=[spawner], server=server)
+        for server in (*aeon_bed.servers, aeon_bed.servers[0])
+    ]
+    for cell in cells:
+        runtime.instance_of(spawner).cells.add(cell)
+    event = aeon_bed.run_event(spawner.spawn_then_fail())
+    assert isinstance(event.error, RuntimeError)
+    assert runtime.events_inflight == 0 and not runtime.locks
+    assert len(branches) == 3 and all(b.triggered and b.exc is None for b in branches)
+    assert aeon_bed.run_event(cells[0].add(1)).error is None
+    assert not runtime.locks
 
 
 def test_body_can_catch_nested_call_error(aeon_bed):
@@ -334,7 +409,7 @@ def test_mixed_load_stress_serializable(aeon_bed):
     errors = [d.value.error for d in done if d.value.error]
     assert not errors, errors[:3]
     aeon_bed.runtime.check_history()
-    assert aeon_bed.runtime.events_inflight == 0
+    assert aeon_bed.runtime.events_inflight == 0 and not aeon_bed.runtime.locks
 
 
 def test_racy_async_fanout_contract():

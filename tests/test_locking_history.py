@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.events import AccessMode, CallSpec, Event
 from repro.core.history import HistoryRecorder, SerializabilityViolation
-from repro.core.locking import ContextLock
+from repro.core.locking import acquire
 from repro.sim.kernel import Simulator
 
 
@@ -13,47 +13,46 @@ def make_event(eid, mode=AccessMode.EX):
 
 
 # ----------------------------------------------------------------------
-# ContextLock
+# ContextLock, reached as the runtime reaches it: through a lock table
 # ----------------------------------------------------------------------
 def test_first_exclusive_granted_immediately():
-    sim = Simulator()
-    lock = ContextLock(sim, "c")
-    grant, owned = lock.request(make_event(1))
-    assert grant.triggered and owned
-    assert lock.holders() == [1]
+    sim, table = Simulator(), {}
+    lock, grant, owned = acquire(sim, table, "c", make_event(1))
+    assert grant.triggered and owned and grant is sim.ready
+    assert lock.holders() == [1] and table == {"c": lock}
 
 
 def test_second_exclusive_waits_for_release():
-    sim = Simulator()
-    lock = ContextLock(sim, "c")
+    sim, table = Simulator(), {}
     e1, e2 = make_event(1), make_event(2)
-    g1, _ = lock.request(e1)
+    lock, g1, _ = acquire(sim, table, "c", e1)
     g2, _ = lock.request(e2)
     assert g1.triggered and not g2.triggered
     assert lock.queue_length == 1
     lock.release(e1)
     assert g2.triggered
-    assert lock.holders() == [2]
+    assert lock.holders() == [2] and table["c"] is lock
+    lock.release(e2)
+    assert table == {}
 
 
 def test_readonly_events_share():
-    sim = Simulator()
-    lock = ContextLock(sim, "c")
+    sim, table = Simulator(), {}
     r1 = make_event(1, AccessMode.RO)
     r2 = make_event(2, AccessMode.RO)
-    g1, _ = lock.request(r1)
-    g2, _ = lock.request(r2)
+    lock, g1, _ = acquire(sim, table, "c", r1)
+    same, g2, _ = acquire(sim, table, "c", r2)
+    assert same is lock
     assert g1.triggered and g2.triggered
     assert sorted(lock.holders()) == [1, 2]
 
 
 def test_exclusive_waits_for_all_readers():
-    sim = Simulator()
-    lock = ContextLock(sim, "c")
+    sim, table = Simulator(), {}
     r1 = make_event(1, AccessMode.RO)
     r2 = make_event(2, AccessMode.RO)
     w = make_event(3, AccessMode.EX)
-    lock.request(r1)
+    lock, _grant, _owned = acquire(sim, table, "c", r1)
     lock.request(r2)
     gw, _ = lock.request(w)
     assert not gw.triggered
@@ -65,12 +64,11 @@ def test_exclusive_waits_for_all_readers():
 
 def test_fifo_reader_does_not_overtake_queued_writer():
     """Starvation freedom: a reader arriving after a queued writer waits."""
-    sim = Simulator()
-    lock = ContextLock(sim, "c")
+    sim, table = Simulator(), {}
     r1 = make_event(1, AccessMode.RO)
     w = make_event(2, AccessMode.EX)
     r2 = make_event(3, AccessMode.RO)
-    lock.request(r1)
+    lock, _grant, _owned = acquire(sim, table, "c", r1)
     gw, _ = lock.request(w)
     gr2, _ = lock.request(r2)
     assert not gw.triggered and not gr2.triggered
@@ -81,12 +79,11 @@ def test_fifo_reader_does_not_overtake_queued_writer():
 
 
 def test_consecutive_readers_admitted_together():
-    sim = Simulator()
-    lock = ContextLock(sim, "c")
+    sim, table = Simulator(), {}
     w = make_event(1, AccessMode.EX)
     r1 = make_event(2, AccessMode.RO)
     r2 = make_event(3, AccessMode.RO)
-    lock.request(w)
+    lock, _grant, _owned = acquire(sim, table, "c", w)
     g1, _ = lock.request(r1)
     g2, _ = lock.request(r2)
     lock.release(w)
@@ -94,20 +91,19 @@ def test_consecutive_readers_admitted_together():
 
 
 def test_request_idempotent_for_holder():
-    sim = Simulator()
-    lock = ContextLock(sim, "c")
+    sim, table = Simulator(), {}
     event = make_event(1)
-    lock.request(event)
+    lock, _grant, _owned = acquire(sim, table, "c", event)
     again, owned = lock.request(event)
     assert again.triggered and not owned
+    assert acquire(sim, table, "c", event) == (lock, sim.ready, False)
     assert lock.holders() == [1]
 
 
 def test_request_shares_pending_grant():
-    sim = Simulator()
-    lock = ContextLock(sim, "c")
+    sim, table = Simulator(), {}
     e1, e2 = make_event(1), make_event(2)
-    lock.request(e1)
+    lock, _grant, _owned = acquire(sim, table, "c", e1)
     first, owned_first = lock.request(e2)
     second, owned_second = lock.request(e2)
     assert first is second
@@ -115,10 +111,9 @@ def test_request_shares_pending_grant():
 
 
 def test_release_cancels_pending_reservation():
-    sim = Simulator()
-    lock = ContextLock(sim, "c")
+    sim, table = Simulator(), {}
     e1, e2, e3 = make_event(1), make_event(2), make_event(3)
-    lock.request(e1)
+    lock, _grant, _owned = acquire(sim, table, "c", e1)
     lock.request(e2)
     g3, _ = lock.request(e3)
     lock.release(e2)  # e2 aborts its reservation
@@ -128,24 +123,26 @@ def test_release_cancels_pending_reservation():
 
 
 def test_double_release_tolerated():
-    sim = Simulator()
-    lock = ContextLock(sim, "c")
+    sim, table = Simulator(), {}
     event = make_event(1)
-    lock.request(event)
+    lock, _grant, _owned = acquire(sim, table, "c", event)
     lock.release(event)
     lock.release(event)  # no-op
-    assert not lock.is_held()
+    assert not lock.is_held() and table == {}
+    # A late duplicate on the dropped lock leaves its successor alone.
+    successor, _grant, _owned = acquire(sim, table, "c", make_event(2))
+    lock.release(event)
+    assert table == {"c": successor} and successor.holders() == [2]
 
 
 def test_acquisition_counter():
-    sim = Simulator()
-    lock = ContextLock(sim, "c")
+    sim, table = Simulator(), {}
     for eid in range(3):
         event = make_event(eid)
-        grant, owned = lock.request(event)
+        lock, grant, owned = acquire(sim, table, "c", event)
         assert owned and grant.triggered and lock.holders() == [eid]
         lock.release(event)
-    assert not lock.is_held()
+        assert not lock.is_held() and table == {}
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,8 @@ lifetimes and memory):
 * no per-event cycle — an explicit ``gc.collect()`` after a stretch of
   simulated time finds (next to) nothing, for completed and for failed
   events, on every runtime;
-* a materialised bulk leaf (instance + lock) costs a few hundred bytes;
+* a materialised bulk leaf costs its instance, about a hundred bytes:
+  its lock exists only while an event holds it or waits for it;
 * no per-run cycle — a driver closes its testbed, and a closed testbed
   (finished or stopped mid-flight) is freed by reference count, quietly.
 """
@@ -30,7 +31,7 @@ from repro.apps.massive import MassiveConfig, build_massive
 from repro.apps.tpcc import TpccConfig, TpccWorkload, build_tpcc
 from repro.core.errors import AeonError
 from repro.core.events import AccessMode, CallSpec, Event
-from repro.core.locking import ContextLock
+from repro.core.locking import acquire
 from repro.exec import Cell, execute_cell
 from repro.faults import FaultInjector, FaultSchedule, ServerCrash
 from repro.harness import runner
@@ -272,10 +273,12 @@ def test_finished_process_drops_its_generator_and_callbacks():
 # (b) lean materialised context
 # ----------------------------------------------------------------------
 def test_bytes_per_materialised_bulk_leaf():
-    """Instance + lock of a bulk leaf after one acquire/release: 1494 B
-    when the lock carried a deque, two dicts, a name and a private ready
-    signal; measured 457 B now.  Extends PR 12's per-registered-leaf
-    guard (``test_ownership_bytes_per_bulk_leaf``)."""
+    """What a bulk leaf retains after one acquire/release: the instance
+    alone, 125.1 B measured, since the release that leaves a lock idle
+    drops it.  449.6 B while every materialised leaf kept an idle lock
+    (1494 B when that lock carried a deque, two dicts, a name and a
+    private ready signal).  The bound is measured x 1.15.  Extends the
+    per-registered-leaf guard (``test_ownership_bytes_per_bulk_leaf``)."""
     count = 10_000
     testbed = make_testbed("aeon", 4, seed=0)
     runtime = testbed.runtime
@@ -287,15 +290,47 @@ def test_bytes_per_materialised_bulk_leaf():
         before = tracemalloc.get_traced_memory()[0]
         for cid in cids:
             runtime.instance_of(cid)
-            lock = runtime.lock_of(cid)
-            _grant, owned = lock.request(event)
+            lock, _grant, owned = acquire(runtime.sim, runtime.locks, cid, event)
             assert owned
             lock.release(event)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(runtime.instances) >= count
-    assert retained / count <= 650
+    assert len(runtime.instances) >= count and not runtime.locks
+    assert retained / count <= 144
+
+
+def test_drained_runs_hold_no_lock(monkeypatch):
+    """A lock lives only while an event holds or waits for it, so a run
+    that has drained holds none.  Looked at where a cell measures, after
+    its drain tail: a quick fig5a cell (AEON, 2 servers) and a 20 k-leaf
+    massive run, which held 59 and 7 593 idle locks while every
+    materialised context kept one."""
+    measure = runner.measure
+    seen = []
+
+    def measure_and_look(system, testbed, *args):
+        seen.append((testbed.runtime.events_inflight, len(testbed.runtime.locks)))
+        return measure(system, testbed, *args)
+
+    monkeypatch.setattr(runner, "measure", measure_and_look)
+    monkeypatch.setitem(
+        SCALES,
+        "tiny",
+        dataclasses.replace(
+            SCALES["quick"],
+            massive_contexts=20_000,
+            massive_duration_ms=100.0,
+            massive_warmup_ms=20.0,
+        ),
+    )
+    execute_cell(_quick_cell("fig5a", ("aeon", 2)))
+    execute_cell(Cell(
+        key=(0,),
+        fn="repro.harness.scenarios:massive_game_cell",
+        kwargs={"rep": 0, "scale": "tiny", "seed": 0},
+    ))
+    assert seen == [(0, 0), (0, 0)]
 
 
 # ----------------------------------------------------------------------
@@ -306,27 +341,25 @@ def _event(eid, mode=AccessMode.EX):
 
 
 def test_context_lock_is_slotted_and_idle_until_contention():
-    sim = Simulator()
-    lock = ContextLock(sim, "c")
-    assert not hasattr(lock, "__dict__")
-    assert lock.queue_length == 0 and lock.holders() == [] and not lock.is_held()
-    lock.release(_event(9))  # releasing a stranger on a never-queued lock
+    sim, table = Simulator(), {}
     first = _event(1)
-    grant, owned = lock.request(first)
+    lock, grant, owned = acquire(sim, table, "c", first)
+    assert not hasattr(lock, "__dict__")
     assert owned and grant.triggered and grant is sim.ready
-    assert lock.request(first) == (sim.ready, False)  # re-entrant
+    assert lock.queue_length == 0
+    lock.release(_event(9))  # releasing a stranger on a never-queued lock
+    assert acquire(sim, table, "c", first) == (lock, sim.ready, False)  # re-entrant
     assert lock.queue_length == 0 and lock.holders() == [1]
     lock.release(first)
-    assert lock.queue_length == 0 and not lock.is_held()
+    assert lock.queue_length == 0 and not lock.is_held() and table == {}
     # Every lock of a simulator hands out the same ready signal.
-    assert ContextLock(sim, "d").request(first)[0] is grant
+    assert acquire(sim, table, "d", first)[1] is grant
 
 
 def test_context_lock_cancels_a_reservation_on_a_late_queue():
-    sim = Simulator()
-    lock = ContextLock(sim, "c")
+    sim, table = Simulator(), {}
     holder, cancelled, waiter = _event(1), _event(2), _event(3)
-    lock.request(holder)
+    lock, _grant, _owned = acquire(sim, table, "c", holder)
     pending, owned = lock.request(cancelled)  # first contention: queue appears
     assert owned and not pending.triggered and lock.queue_length == 1
     assert lock.request(cancelled) == (pending, False)
@@ -337,10 +370,11 @@ def test_context_lock_cancels_a_reservation_on_a_late_queue():
     lock.release(cancelled)  # double release tolerated
     lock.release(holder)
     assert grant.triggered and lock.holders() == [3] and lock.queue_length == 0
+    assert table == {"c": lock}  # the admitted waiter keeps it live
     lock.release(waiter)
-    assert not lock.is_held() and lock.holders() == []
-    # The drained queue keeps working on the uncontended path.
-    assert lock.request(cancelled) == (sim.ready, True)
+    assert not lock.is_held() and lock.holders() == [] and table == {}
+    # The next acquisition starts a fresh lock on the uncontended path.
+    assert acquire(sim, table, "c", cancelled)[1:] == (sim.ready, True)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.errors import OwnershipCycleError, UnknownContextError
 from repro.core.events import AccessMode, CallSpec, Event
 from repro.core.history import HistoryRecorder
-from repro.core.locking import ContextLock
+from repro.core.locking import acquire
 from repro.core.ownership import OwnershipNetwork
 from repro.sim.kernel import Simulator
 from repro.sim.metrics import percentile
@@ -389,55 +389,89 @@ def test_cycle_rejection_property(data):
 # ----------------------------------------------------------------------
 # Lock admission invariants under arbitrary schedules
 # ----------------------------------------------------------------------
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(["req_ro", "req_ex", "rel"]),
-                  st.integers(min_value=0, max_value=7)),
-        min_size=1,
-        max_size=60,
-    )
+lock_scripts = st.lists(
+    st.tuples(st.sampled_from(["req_ro", "req_ex", "rel"]),
+              st.integers(min_value=0, max_value=7)),
+    min_size=1,
+    max_size=60,
 )
-@settings(max_examples=100, deadline=None)
-def test_lock_safety_invariants(script):
-    """Never RO+EX or EX+EX concurrently; FIFO admission; no lost grants."""
+
+
+def _run_lock_model(script, after_step):
+    """Play ``script`` on context ``c``'s lock, reached through a lock
+    table as the runtime reaches it, calling ``after_step(table, locks)``
+    after every step and after every drain release.
+
+    ``locks`` is every lock object the table ever held, oldest first.
+    A release goes to the live lock; once none is live, to the last one,
+    as a late duplicate release would.  Each event requests once.
+    """
     sim = Simulator()
-    lock = ContextLock(sim, "c")
+    table = {}
+    locks = []
     events = {}
     granted = set()
 
-    def get_event(eid, mode):
-        if eid not in events:
-            events[eid] = Event(eid, CallSpec("c", "m"), mode, "cl", 0.0)
-        return events[eid]
+    def release(event):
+        (table.get("c") or locks[-1]).release(event)
+        sim.run()
+        after_step(table, locks)
 
     for op, eid in script:
         if op == "rel":
             if eid in events:
-                lock.release(events[eid])
-        else:
-            mode = AccessMode.RO if op == "req_ro" else AccessMode.EX
-            if eid in events:
-                continue  # one request per event in this model
-            grant, _owned = lock.request(get_event(eid, mode))
-            grant.add_callback(lambda _s, e=eid: granted.add(e))
+                release(events[eid])
+            continue
+        if eid in events:
+            continue
+        mode = AccessMode.RO if op == "req_ro" else AccessMode.EX
+        events[eid] = Event(eid, CallSpec("c", "m"), mode, "cl", 0.0)
+        lock, grant, _owned = acquire(sim, table, "c", events[eid])
+        if not locks or locks[-1] is not lock:
+            locks.append(lock)
+        grant.add_callback(lambda _s, e=eid: granted.add(e))
         sim.run()
-        holders = lock.activated
-        ex_holders = [e for e, m in holders.items() if m is AccessMode.EX]
-        assert len(ex_holders) <= 1
-        if ex_holders:
-            assert len(holders) == 1
-    # Drain: after releasing everything (twice, covering reservations
-    # that got granted by the first pass), nothing is held or queued.
-    for event in events.values():
-        lock.release(event)
-        sim.run()
-    for event in events.values():
-        lock.release(event)
-        sim.run()
-    assert lock.queue_length == 0
-    assert not lock.is_held()
+        after_step(table, locks)
+    # Drain: release everything twice (the first pass grants
+    # reservations, the second releases what they were granted).
+    for event in [*events.values(), *events.values()]:
+        release(event)
+    return table, locks, events, granted
+
+
+@given(lock_scripts)
+@settings(max_examples=100, deadline=None)
+def test_lock_safety_invariants(script):
+    """Never RO+EX or EX+EX concurrently — over every lock object the
+    context ever had; FIFO admission; no lost grants."""
+
+    def exclusive(_table, locks):
+        holders = [mode for lock in locks for mode in lock.activated.values()]
+        if AccessMode.EX in holders:
+            assert holders == [AccessMode.EX]
+
+    table, locks, events, granted = _run_lock_model(script, exclusive)
+    # After the drain nothing is held or queued.
+    assert all(lock.queue_length == 0 and not lock.is_held() for lock in locks)
     # Every grant that fired belongs to a known event.
     assert granted <= set(events)
+
+
+@given(lock_scripts)
+@settings(max_examples=100, deadline=None)
+def test_lock_table_holds_exactly_the_live_lock(script):
+    """After every step the cid is in the table exactly when its lock is
+    held or has a queue — an idle lock is dropped, a live one never."""
+
+    def table_matches(table, locks):
+        lock = locks[-1]
+        live = lock.is_held() or lock.queue_length > 0
+        assert ("c" in table) == live
+        assert table.get("c", lock) is lock
+        assert not any(old.is_held() or old.queue_length for old in locks[:-1])
+
+    table, _locks, _events, _granted = _run_lock_model(script, table_matches)
+    assert table == {}
 
 
 # ----------------------------------------------------------------------
