@@ -40,12 +40,32 @@ Almost every context in the evaluated applications (players, items,
 terminals) is a childless context with at most one owner.  Such a leaf
 is stored as one ``cid -> parent`` entry in a single map — no parent,
 child, descendant or share set of its own — plus its membership in the
-parent's child set and in the descendant sets its ancestors have built.
-It shares with nobody and is its own dominator by construction (see
+descendant sets its ancestors have built.  It shares with nobody and is
+its own dominator by construction (see
 :meth:`OwnershipNetwork.dominator`).  The first time it gains a child or
 a second owner it is *promoted* to a full node; full nodes are never
 demoted.  Hence every context that has a child, and every proper
 ancestor of any context, is a full node.
+
+Owners' child sets learn their compact leaves only when something reads
+child sets.  Every such read goes through one accessor,
+:meth:`OwnershipNetwork._kids`, whose first call enters each compact
+leaf into its owner's set in one pass over the leaf map; from then on
+``add_leaves`` keeps the sets filled.  A full node is in its owners'
+sets at all times.  No answer can change:
+
+* a compact leaf's only owner is always a full node with a set, so the
+  first read adds exactly the edges the leaf map records;
+* every query that reads child sets (children, downward walks, share,
+  virtual joins, acyclicity, edges, snapshots, edge mutations and
+  removals) goes through the accessor first;
+* a compact child never decides share clause 1 — its only owner lies
+  inside ``mine`` (see ``_compute_share``);
+* string-set iteration order already varies with ``PYTHONHASHSEED``, so
+  nothing byte-pinned can depend on the order in which a set was filled.
+
+A run that only asks for dominators (the massive tier) never reads a
+child set, so a leaf there stays one map entry.
 """
 
 from __future__ import annotations
@@ -177,6 +197,8 @@ class OwnershipNetwork:
         self._children: Dict[str, Set[str]] = {}
         # Compact leaves (module docstring): cid -> only owner, or None.
         self._leaf: Dict[str, Optional[str]] = {}
+        # Whether owners' child sets hold their compact leaves (_kids).
+        self._mirrored = False
         self._desc_cache: Dict[str, Set[str]] = {}
         self._share_cache: Dict[str, Set[str]] = {}
         self._dom_cache: Dict[str, str] = {}
@@ -237,35 +259,66 @@ class OwnershipNetwork:
         ``parents[i]`` is an existing context or ``None``.  The whole
         batch is validated before the first mutation, and each distinct
         parent's ancestor chain is resolved once per call, not per leaf.
+        The batch is checked and written with no Python loop per leaf;
+        leaves are grouped by owner only when the child sets are filled
+        (:meth:`_kids`) or an ancestor has built its descendant set.
         """
         if len(parents) != len(cids):
             raise ValueError(f"{len(cids)} context ids but {len(parents)} parents")
+        leaf = self._leaf
+        owners = dict.fromkeys(parents)
+        owners.pop(None, None)
+        if not (leaf.keys().isdisjoint(cids) and self._parents.keys().isdisjoint(cids)):
+            self._reject(cids, owners)
+        for owner in owners:
+            if owner not in self._parents and owner not in leaf:
+                self._reject(cids, owners)
+        size = len(leaf)
+        leaf.update(zip(cids, parents))
+        if len(leaf) - size != len(cids):
+            # A cid repeated in the batch.  None of the batch's cids
+            # existed before, so popping them all restores the map.
+            for cid in cids:
+                leaf.pop(cid, None)
+            self._reject(cids, owners)
+        self.epoch += len(cids)
+        chains: Dict[str, Set[str]] = {}
+        groups: Dict[str, List[str]] = {}
+        for owner in owners:
+            self._promote(owner)
+            chain = self._ancestors_of(owner)
+            if self._mirrored or not self._desc_cache.keys().isdisjoint(chain):
+                chains[owner] = chain
+                groups[owner] = []
+        if not groups:
+            return
+        for cid, parent in zip(cids, parents):
+            if parent in groups:
+                groups[parent].append(cid)
+        for owner, group in groups.items():
+            if self._mirrored:
+                self._children[owner].update(group)
+            self._add_descendants(chains[owner], group)
+
+    def _reject(self, cids: Sequence[str], owners: Iterable[str]) -> None:
+        """Raise what a bad batch earns: a repeated or existing cid (the
+        first in batch order), else the first unknown owner."""
         seen: Set[str] = set()
         for cid in cids:
             if cid in seen or cid in self:
                 raise ValueError(f"context {cid!r} already exists")
             seen.add(cid)
-        groups: Dict[Optional[str], List[str]] = {}
-        for cid, parent in zip(cids, parents):
-            groups.setdefault(parent, []).append(cid)
-        for parent in groups:
-            if parent is not None:
-                self._require(parent)
-        self._leaf.update(zip(cids, parents))
-        self.epoch += len(cids)
-        for parent, group in groups.items():
-            if parent is None:
-                continue
-            self._promote(parent)
-            self._children[parent].update(group)
-            self._add_descendants(self._ancestors_of(parent), group)
+        for owner in owners:
+            self._require(owner)
 
     def _promote(self, cid: str) -> None:
         """Turn a compact leaf into a full node (no-op on a full node).
 
         Its share set is seeded empty, as the compact form answers, so the
         caller's incremental patching keeps ``share``/``dominator`` warm;
-        its descendant set is left to the first query that asks.
+        its descendant set is left to the first query that asks.  A full
+        node is in its owner's child set whether or not :meth:`_kids` has
+        filled the sets.
         """
         if cid not in self._leaf:
             return
@@ -273,6 +326,23 @@ class OwnershipNetwork:
         self._parents[cid] = set() if parent is None else {parent}
         self._children[cid] = set()
         self._share_cache[cid] = set()
+        if parent is not None:
+            self._children[parent].add(cid)
+
+    def _kids(self) -> Dict[str, Set[str]]:
+        """The child-set map, with every compact leaf in its owner's set.
+
+        The first call enters the compact leaves in one pass; from then
+        on :meth:`add_leaves` keeps the sets filled.  Every read of a
+        child set goes through here (module docstring).
+        """
+        if not self._mirrored:
+            self._mirrored = True
+            children = self._children
+            for cid, owner in self._leaf.items():
+                if owner is not None:
+                    children[owner].add(cid)
+        return self._children
 
     def _add_descendants(self, ancestors: Iterable[str], leaves: Iterable[str]) -> None:
         """Add fresh ``leaves`` to the cached descendant sets of ``ancestors``."""
@@ -329,7 +399,7 @@ class OwnershipNetwork:
         """
         self._require(parent)
         self._require(child)
-        if child in self._children.get(parent, ()):
+        if child in self._kids().get(parent, ()):
             return
         self._check_no_cycle(parent, child)
         self._promote(parent)
@@ -342,14 +412,14 @@ class OwnershipNetwork:
         """Remove a direct-ownership edge (no-op if absent)."""
         self._require(parent)
         self._require(child)
-        if child not in self._children.get(parent, ()):
+        if child not in self._kids().get(parent, ()):
             return
         self._unlink(parent, child)
         self._invalidate()
 
     def _unlink(self, parent: str, child: str) -> None:
         """Drop the ``parent -> child`` edge; the child keeps its form."""
-        self._children[parent].discard(child)
+        self._kids()[parent].discard(child)
         if child in self._leaf:
             self._leaf[child] = None
         else:
@@ -397,7 +467,7 @@ class OwnershipNetwork:
     def children(self, cid: str) -> Set[str]:
         """Contexts directly owned by ``cid``."""
         self._require(cid)
-        return set(self._children.get(cid, ()))
+        return set(self._kids().get(cid, ()))
 
     def is_virtual(self, cid: str) -> bool:
         """Whether ``cid`` is an automatically added join context."""
@@ -434,11 +504,12 @@ class OwnershipNetwork:
         return owned in self.descendants(owner)
 
     def _reachable_from(self, cid: str) -> Set[str]:
+        children = self._kids()
         seen = {cid}
         frontier = deque([cid])
         while frontier:
             node = frontier.popleft()
-            for child in self._children.get(node, ()):
+            for child in children.get(node, ()):
                 if child not in seen:
                     seen.add(child)
                     frontier.append(child)
@@ -482,6 +553,7 @@ class OwnershipNetwork:
         mine = self.descendants(cid)
         mine_proper = mine - {cid}
         my_ancestors = self._ancestors_of(cid)
+        children = self._kids()
         sharing: Set[str] = set()
         # Full nodes only: a compact leaf is childless (clause 1) and
         # its only descendant, itself, lies under nobody incomparable
@@ -493,8 +565,10 @@ class OwnershipNetwork:
             if other == cid or other in mine:
                 continue
             # Clause 1: other's direct children intersect my proper
-            # descendants (shared child with a (potential) owner).
-            if not self._children[other].isdisjoint(mine_proper):
+            # descendants (shared child with a (potential) owner).  A
+            # compact child never decides it: one in ``mine_proper``
+            # has its only owner in ``mine``, skipped above.
+            if not children[other].isdisjoint(mine_proper):
                 sharing.add(other)
                 continue
             # Clause 2: incomparable with intersecting descendant sets.
@@ -563,8 +637,9 @@ class OwnershipNetwork:
     def _virtual_join(self, members: List[str]) -> str:
         """Find or create the virtual context owning all of ``members``."""
         key = set(members)
+        children = self._kids()
         for candidate in self._parents:
-            if self.is_virtual(candidate) and self._children[candidate] >= key:
+            if self.is_virtual(candidate) and children[candidate] >= key:
                 return candidate
         self._vroot_counter += 1
         vroot = f"{VIRTUAL_PREFIX}{self._vroot_counter}"
@@ -624,13 +699,14 @@ class OwnershipNetwork:
         """Verify the whole network is a DAG (used by tests and checks)."""
         # Over the full nodes: a compact leaf is childless, so it is on
         # no cycle.
+        children = self._kids()
         in_degree = {cid: len(parents) for cid, parents in self._parents.items()}
         frontier = deque([cid for cid, deg in in_degree.items() if deg == 0])
         visited = 0
         while frontier:
             node = frontier.popleft()
             visited += 1
-            for child in self._children[node]:
+            for child in children[node]:
                 if child in in_degree:
                     in_degree[child] -= 1
                     if in_degree[child] == 0:
@@ -641,12 +717,12 @@ class OwnershipNetwork:
         """All (parent, child) ownership edges."""
         return [
             (parent, child)
-            for parent, kids in self._children.items()
+            for parent, kids in self._kids().items()
             for child in kids
         ]
 
     def snapshot(self) -> Dict[str, List[str]]:
         """A serializable copy of the adjacency (parent -> children)."""
-        adjacency = {cid: sorted(kids) for cid, kids in self._children.items()}
+        adjacency = {cid: sorted(kids) for cid, kids in self._kids().items()}
         adjacency.update((cid, []) for cid in self._leaf)
         return adjacency

@@ -307,9 +307,11 @@ def test_bulk_registration_caches_no_descendant_sets():
 
 
 def test_ownership_bytes_per_bulk_leaf():
-    """A bulk-registered single-owner leaf is one map entry plus its slot
-    in the owner's child set: 73.5 B measured.  The bound is measured
-    x 1.15, so descendant sets mirrored at registration (+157 B) fail."""
+    """A bulk-registered single-owner leaf is one map entry, and no child
+    set learns it until a query reads child sets: 21.1 B measured.  The
+    bound is measured x 1.15, so a slot in the owner's child set filled
+    at registration (73.5 B in all) or descendant sets mirrored there
+    (+157 B) fail."""
     network = OwnershipNetwork()
     network.add_context("region")
     shards = [f"s-{i}" for i in range(8)]
@@ -325,15 +327,16 @@ def test_ownership_bytes_per_bulk_leaf():
     finally:
         tracemalloc.stop()
     assert len(network) == 20_009 and network.dominator("p-19999") == "p-19999"
-    assert retained / 20_000 < 85
+    assert retained / 20_000 < 24.3
 
 
 def test_bytes_per_registered_untouched_leaf():
     """What ``build_massive`` retains per leaf nobody has touched: the cid
     string, a placement entry, a lazy-class entry and the compact
-    ownership leaf — 223 B measured at 20 k leaves.  The bound is
-    measured x 1.15, so the region's and shards' descendant sets built
-    at registration (+210 B) fail here."""
+    ownership leaf — 118.1 B measured at 20 k leaves.  The bound is
+    measured x 1.15, so a slot in the owner shard's child set filled at
+    registration (222.9 B in all) or the region's and shards' descendant
+    sets built there (+210 B) fail here."""
     count = 20_000
     testbed = make_testbed("aeon", 4, seed=0)
     tracemalloc.start()
@@ -344,7 +347,7 @@ def test_bytes_per_registered_untouched_leaf():
     finally:
         tracemalloc.stop()
     assert len(testbed.runtime.instances) == 5
-    assert retained / count <= 256
+    assert retained / count <= 136
 
 
 @pytest.mark.parametrize("flavor, completed, checksum", [

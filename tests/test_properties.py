@@ -297,11 +297,15 @@ def test_mutation_sequences_match_brute_force_model(data):
     """Random add/link/unlink/remove sequences, compact leaves included.
 
     Single-owner adds stay compact, gain children or second owners
-    (promotion), lose their owner, and are removed; after a random
-    subset of the steps — so both warm and cold caches are hit — every
-    public query must equal the model's from-scratch answer.
+    (promotion), lose their owner, and are removed.  Each sequence runs
+    on two networks.  The first is checked after a random subset of the
+    steps, so both warm and cold caches are hit — and, from its first
+    check on, its child sets hold their compact leaves.  The second is
+    checked only at the end, so its steps also run before any child-set
+    read.  Every public query must equal the model's from-scratch answer.
     """
-    network, model = OwnershipNetwork(), _ModelDag()
+    pair = [(OwnershipNetwork(), _ModelDag()) for _ in range(2)]
+    network, model = pair[0]
     counter = 0
 
     def fresh():
@@ -311,6 +315,13 @@ def test_mutation_sequences_match_brute_force_model(data):
 
     def pick(**kwargs):
         return data.draw(st.sampled_from(sorted(model.owners)), **kwargs)
+
+    def on_both(step, *cids):
+        # A virtual join made by a check exists in the checked network
+        # only; a step naming one runs there alone.
+        for net, dag in pair:
+            if all(cid in dag.owners for cid in cids):
+                step(net, dag)
 
     for _ in range(data.draw(st.integers(min_value=1, max_value=14))):
         op = data.draw(st.sampled_from(
@@ -323,55 +334,86 @@ def test_mutation_sequences_match_brute_force_model(data):
                 st.lists(st.sampled_from(real), min_size=k, max_size=k, unique=True)
             ) if k else []
             cid = fresh()
-            network.add_context(cid, parents=owners)
-            model.owners[cid] = set(owners)
+            for net, dag in pair:
+                net.add_context(cid, parents=owners)
+                dag.owners[cid] = set(owners)
         elif op == "add_leaves":
             owners = data.draw(st.lists(
                 st.one_of(st.none(), st.sampled_from(real)), min_size=1, max_size=4
             ))
             cids = [fresh() for _ in owners]
-            network.add_leaves(cids, owners)
-            for cid, owner in zip(cids, owners):
-                model.owners[cid] = set() if owner is None else {owner}
+            for net, dag in pair:
+                net.add_leaves(cids, owners)
+                for cid, owner in zip(cids, owners):
+                    dag.owners[cid] = set() if owner is None else {owner}
         elif op == "add_edge":
             owner, child = pick(), pick()
-            graph = model.graph()
-            if owner == child or owner in nx.descendants(graph, child):
-                with pytest.raises(OwnershipCycleError):
-                    network.add_edge(owner, child)
-            else:
-                network.add_edge(owner, child)
-                model.owners[child].add(owner)
+
+            def link(net, dag):
+                if owner == child or owner in nx.descendants(dag.graph(), child):
+                    with pytest.raises(OwnershipCycleError):
+                        net.add_edge(owner, child)
+                else:
+                    net.add_edge(owner, child)
+                    dag.owners[child].add(owner)
+            on_both(link, owner, child)
         elif op == "remove_edge":
             edges = sorted(model.graph().edges)
             owner, child = (
                 data.draw(st.sampled_from(edges)) if edges else (pick(), pick())
             )
-            network.remove_edge(owner, child)
-            model.owners[child].discard(owner)
+
+            def unlink(net, dag):
+                net.remove_edge(owner, child)
+                dag.owners[child].discard(owner)
+            on_both(unlink, owner, child)
         else:
             cid = pick()
-            network.remove_context(cid)
-            model.remove(cid)
+
+            def remove(net, dag):
+                net.remove_context(cid)
+                dag.remove(cid)
+            on_both(remove, cid)
         if data.draw(st.booleans()):
             _assert_matches_model(network, model)
-    _assert_matches_model(network, model)
+    for net, dag in pair:
+        _assert_matches_model(net, dag)
 
 
 def test_add_leaves_rejects_a_bad_batch_untouched():
-    network = OwnershipNetwork()
-    network.add_context("root")
-    network.add_leaves(["a", "b"], ["root", None])
-    before = (network.snapshot(), network.epoch)
-    for cids, owners, error in (
+    """Every bad batch raises before anything changes, whether or not a
+    query has read the child sets yet.  Before that read the leaf map is
+    compared directly, because ``snapshot()`` itself reads child sets."""
+    bad_batches = (
         (["c", "d", "c"], ["root"] * 3, ValueError),       # repeated in batch
         (["c", "a"], ["root", "root"], ValueError),          # already exists
+        (["c", "root"], ["root", None], ValueError),         # exists, full node
         (["c", "d"], ["root", "nope"], UnknownContextError),  # unknown owner
+        (["c", "d"], ["root", "c"], UnknownContextError),     # owner in the batch
         (["c", "d"], ["root"], ValueError),                  # misaligned
-    ):
-        with pytest.raises(error):
-            network.add_leaves(cids, owners)
-        assert (network.snapshot(), network.epoch) == before
+    )
+    for read_first in (False, True):
+        network = OwnershipNetwork()
+        network.add_context("root")
+        network.add_leaves(["a", "b"], ["root", None])
+        if read_first:
+            before = network.snapshot()
+        else:
+            assert network._children == {"root": set()}
+        leaves, epoch = list(network._leaf.items()), network.epoch
+        for cids, owners, error in bad_batches:
+            with pytest.raises(error):
+                network.add_leaves(cids, owners)
+            assert list(network._leaf.items()) == leaves
+            assert network.epoch == epoch
+            if read_first:
+                assert network.snapshot() == before
+        # A batch both repeating a cid and naming an unknown owner is
+        # rejected for the repeat, as the checks run in that order.
+        with pytest.raises(ValueError, match="'c' already exists"):
+            network.add_leaves(["c", "d", "c"], ["root", "nope", "root"])
+        assert list(network._leaf.items()) == leaves
+        assert network.snapshot() == {"root": ["a"], "a": [], "b": []}
 
 
 @given(ownership_dags())
