@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import cycle, islice
 from random import Random
 from typing import List, Sequence, Tuple
 
@@ -255,9 +256,9 @@ def build_massive(
             )
         )
     app.leaf_cids = [f"{flavor.leaf_prefix}-{i}" for i in range(config.contexts)]
-    parents = [app.shards[i % n_shards] for i in range(config.contexts)]
     runtime.create_contexts_bulk(
-        flavor.leaf_cls, app.leaf_cids, servers, parents=parents
+        flavor.leaf_cls, app.leaf_cids, servers,
+        parents=islice(cycle(app.shards), config.contexts),
     )
     return app
 

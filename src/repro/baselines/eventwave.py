@@ -20,8 +20,9 @@ is not modelled: no figure migrates EventWave (fig8 migrates AEON only).
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Any, Generator, Iterable, Optional, Type
 
+from ..core.context import ContextClass, ContextRef
 from ..core.errors import AeonError
 from ..core.events import CallSpec, Event
 from ..core.runtime import Branch, ClientHandle, RuntimeBase
@@ -61,12 +62,17 @@ class EventWaveRuntime(RuntimeBase):
             )
         super().ownership_link(owner_cid, child_cid)
 
-    def create_context(self, *args: object, **kwargs: object):  # type: ignore[override]
-        owners = kwargs.get("owners") or (args[1] if len(args) > 1 else ())
-        if owners is not None and len(list(owners)) > 1:
+    def create_context(  # type: ignore[override]
+        self, cls: Type[ContextClass], owners: Iterable[ContextRef] = (),
+        *args: Any, **kwargs: Any,
+    ) -> ContextRef:
+        # Read ``owners`` once: a one-shot iterator is passed on as the
+        # list it yielded, not as the exhausted iterator.
+        owners = list(owners)
+        if len(owners) > 1:
             raise SingleOwnershipError("EventWave contexts accept a single owner")
         self._root_cache = None
-        return super().create_context(*args, **kwargs)
+        return super().create_context(cls, owners, *args, **kwargs)
 
     def root_context(self) -> str:
         """The unique tree root every event is sequenced at."""

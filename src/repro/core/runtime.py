@@ -19,9 +19,9 @@ replaces the reserve-then-claim arbitration of a synchronous nested call
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import cycle
 from types import GeneratorType
-from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence, Set, Tuple, Type
 
 from ..sim.cluster import Cluster, Server
 from ..sim.kernel import CpuCharge, Process, Signal, Simulator
@@ -49,7 +49,7 @@ from .events import (
 )
 from .history import HistoryRecorder
 from .locking import ContextLock
-from .ownership import FencingTable, OwnershipNetwork
+from .ownership import VIRTUAL_PREFIX, FencingTable, OwnershipNetwork
 
 __all__ = ["RuntimeBase", "ClientHandle", "Branch", "FAILED_TAG"]
 
@@ -213,9 +213,12 @@ class RuntimeBase:
         #: cid -> per-context lock (§4), for the contexts some event
         #: holds or has a reservation on (see ``repro.core.locking``).
         self.locks: Dict[str, ContextLock] = {}
-        #: cid -> contextclass of every bulk-registered context that has
-        #: no instance yet; ``instance_of`` pops it on first touch.
-        self._lazy_classes: Dict[str, Type[ContextClass]] = {}
+        #: The one contextclass of the bulk population (``None`` until
+        #: the first batch) and how many of its leaves have no instance
+        #: yet: a placed, non-virtual cid without an instance is such a
+        #: leaf, and ``instance_of`` materialises it on first touch.
+        self._bulk_class: Optional[Type[ContextClass]] = None
+        self._lazy_count = 0
 
     def close(self) -> None:
         """End this runtime's life; idempotent.
@@ -353,11 +356,13 @@ class RuntimeBase:
         instance = self.instances.get(cid)
         if instance is not None:
             return instance
-        cls = self._lazy_classes.pop(cid, None)
-        if cls is None:
+        # Placed, not virtual and without an instance: exactly the bulk
+        # leaves nobody has touched yet (see ``create_contexts_bulk``).
+        cls = self._bulk_class
+        if cls is None or cid not in self.placement or cid.startswith(VIRTUAL_PREFIX):
             raise UnknownContextError(f"unknown context {cid!r}")
-        # First touch of a bulk-registered context.
         instance = self.instances[cid] = cls._aeon_new(self, cid)
+        self._lazy_count -= 1
         instance.__init__()
         return instance
 
@@ -366,7 +371,7 @@ class RuntimeBase:
         cls: Type[ContextClass],
         cids: Sequence[str],
         servers: Sequence[Server],
-        parents: Optional[Sequence[Optional[ContextRef]]] = None,
+        parents: Optional[Iterable[Optional[ContextRef]]] = None,
     ) -> None:
         """Register a large population of contexts without instantiating them.
 
@@ -374,16 +379,27 @@ class RuntimeBase:
         over ``servers``) and registered in the ownership network, but
         the Python instance materializes lazily on first touch (and a
         lock exists only while an event holds or waits for it), so a
-        million registered players cost two dict entries and ownership
-        bookkeeping each, not a million object graphs.  Requirements:
-        ``cls.__init__`` must be callable with no arguments, and
-        ``parents`` (if given) is aligned with ``cids``.  Instance
-        creation order — hence the trace — is driven entirely by
-        deterministic event order.
+        million registered players cost a ``placement`` entry and a
+        compact ownership leaf each, not a million object graphs.
+        Requirements: ``cls.__init__`` must be callable with no
+        arguments, every batch of a runtime registers the same ``cls``,
+        and ``parents`` (if given, a sequence or a one-shot iterator) is
+        aligned with ``cids``.  Instance creation order — hence the
+        trace — is driven entirely by deterministic event order.
 
-        All or nothing: a cid that is already registered or repeated in
-        the batch, an unknown parent or a ``parents`` of the wrong
-        length raises before anything is registered.
+        Nothing per leaf records the class.  ``instance_of`` takes a
+        placed, non-virtual cid without an instance for an untouched
+        leaf of the bulk class, and no other cid fits: ``placement``
+        gains keys only here, in ``create_context`` together with the
+        instance (its rollback removes both), in ``_ensure_placed`` for
+        virtual joins, and never in migration, which overwrites cids
+        already placed; ``instances`` gains keys only in
+        ``create_context`` and ``instance_of``.
+
+        All or nothing: a second contextclass, a cid that is already
+        registered or repeated in the batch, an unknown parent or a
+        ``parents`` of the wrong length raises before anything is
+        registered.
         """
         if self._closed:
             raise AeonError(f"{self.system_name} runtime is closed")
@@ -391,6 +407,11 @@ class RuntimeBase:
             raise TypeError(f"create_contexts_bulk requires a ContextClass, got {cls!r}")
         if not servers:
             raise AeonError("create_contexts_bulk needs at least one server")
+        if self._bulk_class is not None and cls is not self._bulk_class:
+            raise AeonError(
+                f"bulk population is {self._bulk_class.__name__}, "
+                f"cannot bulk-register {cls.__name__}"
+            )
         self._register_class(cls)
         if parents is None:
             parent_cids: List[Optional[str]] = [None] * len(cids)
@@ -401,9 +422,9 @@ class RuntimeBase:
         self.ownership.add_leaves(cids, parent_cids)
         count = len(cids)
         n_servers = len(servers)
-        names = [server.name for server in servers]
-        self.placement.update(zip(cids, [names[i % n_servers] for i in range(count)]))
-        self._lazy_classes.update(zip(cids, repeat(cls)))
+        self.placement.update(zip(cids, cycle([server.name for server in servers])))
+        self._bulk_class = cls
+        self._lazy_count += count
         for i, server in enumerate(servers):
             server.context_count += count // n_servers + (1 if i < count % n_servers else 0)
 
@@ -931,8 +952,9 @@ class RuntimeBase:
     # ------------------------------------------------------------------
     def context_count(self) -> int:
         """Number of live (non-virtual) contexts, including bulk-registered
-        ones whose instances have not materialized yet."""
-        return len(self.instances) + len(self._lazy_classes)
+        ones whose instances have not materialized yet (counted, not
+        stored)."""
+        return len(self.instances) + self._lazy_count
 
     def check_history(self) -> None:
         """Run the strict-serializability checker (requires history)."""

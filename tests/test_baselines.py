@@ -46,6 +46,18 @@ def test_eventwave_rejects_multi_owner_creation(eventwave_bed):
         runtime.create_context(Cell, owners=[a, b], server=eventwave_bed.servers[0])
 
 
+def test_eventwave_create_context_reads_one_shot_owners_once(eventwave_bed):
+    """The single-owner check must not exhaust an iterator of owners: the
+    context would then register with no parent and become a second root."""
+    runtime = eventwave_bed.runtime
+    root = runtime.create_context(Worker, server=eventwave_bed.servers[0], name="r")
+    cell = runtime.create_context(
+        Cell, owners=(o for o in [root]), server=eventwave_bed.servers[0], name="c"
+    )
+    assert runtime.ownership.parents(cell.cid) == {root.cid}
+    assert runtime.root_context() == root.cid
+
+
 def test_eventwave_requires_single_root(eventwave_bed):
     runtime = eventwave_bed.runtime
     runtime.create_context(Worker, server=eventwave_bed.servers[0], name="root1")

@@ -23,7 +23,7 @@ import pytest
 from repro.apps.game import GameConfig, build_game
 from repro.apps.massive import MassiveConfig, build_massive, run_checksum
 from repro.core.context import ContextClass, ContextRef
-from repro.core.errors import UnknownContextError
+from repro.core.errors import AeonError, UnknownContextError
 from repro.core.ownership import OwnershipNetwork
 from repro.exec import Cell
 from repro.harness.runner import make_testbed, run_closed_loop
@@ -230,6 +230,14 @@ def test_bulk_rejects_a_bad_batch_untouched():
         with pytest.raises(error):
             runtime.create_contexts_bulk(leaf_cls, cids, testbed.servers, parents=parents)
         assert _registry_state(runtime, testbed.servers) == before
+    # One contextclass per bulk population: a batch of another class is
+    # refused before anything is written.
+    for parents in ([shard, shard], None):
+        with pytest.raises(AeonError):
+            runtime.create_contexts_bulk(_Other, ["a", "b"], testbed.servers, parents=parents)
+        assert _registry_state(runtime, testbed.servers) == before
+    with pytest.raises(UnknownContextError):
+        runtime.instance_of("a")
     runtime.create_contexts_bulk(leaf_cls, ["a", "b"], testbed.servers, parents=[shard, None])
     assert runtime.context_count() == count_before + 2
     assert runtime.instance_of("b").score == 0
@@ -278,6 +286,46 @@ def test_context_count_on_a_partly_materialized_population():
     )
     assert lazy == 350 - 6
     assert runtime.context_count() == len(runtime.instances) + lazy == 355
+
+
+def test_instance_of_refuses_unknown_and_virtual_cids_beside_a_bulk_population():
+    """Only a placed, non-virtual cid without an instance materialises as
+    the bulk class: an unknown cid and a placed virtual join do not."""
+    testbed = make_testbed("aeon", 2, seed=0)
+    build_massive(testbed.runtime, MassiveConfig(contexts=10), testbed.servers)
+    runtime = testbed.runtime
+    a = runtime.create_context(_Other, name="a")
+    b = runtime.create_context(_Other, name="b")
+    runtime.create_context(_Other, owners=[a, b], name="x")
+    join = runtime.ownership.dominator("a")
+    assert runtime.ownership.is_virtual(join)
+    runtime.server_of(join)  # a virtual join is placed on first routing
+    assert join in runtime.placement
+    count = runtime.context_count()
+    for cid in ("nobody", join):
+        with pytest.raises(UnknownContextError):
+            runtime.instance_of(cid)
+    assert runtime.context_count() == count == 10 + 3 + 3
+
+
+def test_bulk_parents_may_be_a_one_shot_iterator():
+    """``parents`` is read in one pass: an iterator registers exactly what
+    the same parents as a list register."""
+    states = []
+    for as_iterator in (False, True):
+        testbed = make_testbed("aeon", 3, seed=0)
+        app = build_massive(testbed.runtime, MassiveConfig(contexts=4), testbed.servers)
+        runtime = testbed.runtime
+        leaf_cls = type(runtime.instance_of("p-0"))
+        cids = [f"q-{i}" for i in range(7)]
+        parents = [app.shards[i % 2] for i in range(7)]
+        runtime.create_contexts_bulk(
+            leaf_cls, cids, testbed.servers,
+            parents=iter(parents) if as_iterator else parents,
+        )
+        assert runtime.ownership.parents("q-5") == {app.shards[1].cid}
+        states.append(_registry_state(runtime, testbed.servers))
+    assert states[0] == states[1]
 
 
 def test_bulk_registration_caches_no_descendant_sets():
@@ -332,11 +380,11 @@ def test_ownership_bytes_per_bulk_leaf():
 
 def test_bytes_per_registered_untouched_leaf():
     """What ``build_massive`` retains per leaf nobody has touched: the cid
-    string, a placement entry, a lazy-class entry and the compact
-    ownership leaf — 118.1 B measured at 20 k leaves.  The bound is
-    measured x 1.15, so a slot in the owner shard's child set filled at
-    registration (222.9 B in all) or the region's and shards' descendant
-    sets built there (+210 B) fail here."""
+    string, a placement entry and the compact ownership leaf — 97.3 B
+    measured at 20 k leaves.  The bound is measured x 1.15, so a per-leaf
+    class map (118.0 B in all), a slot in the owner shard's child set
+    filled at registration (222.9 B with that map) or the region's and
+    shards' descendant sets built there (+210 B) fail here."""
     count = 20_000
     testbed = make_testbed("aeon", 4, seed=0)
     tracemalloc.start()
@@ -347,7 +395,25 @@ def test_bytes_per_registered_untouched_leaf():
     finally:
         tracemalloc.stop()
     assert len(testbed.runtime.instances) == 5
-    assert retained / count <= 136
+    assert retained / count <= 112
+
+
+def test_bulk_build_traced_peak():
+    """``build_massive``'s traced peak at 20 k leaves on 4 servers: what it
+    retains plus its population-sized temporaries (``cids`` and
+    ``parent_cids``) — 2.50 MB measured.  The bound is measured x 1.1, so
+    a round-robin server-name list and a ``parents`` list built before
+    the call (3.09 MB with a per-leaf class map too) fail here."""
+    testbed = make_testbed("aeon", 4, seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        build_massive(testbed.runtime, MassiveConfig(contexts=20_000), testbed.servers)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert testbed.runtime.context_count() == 20_005
+    assert peak / 1e6 <= 2.75
 
 
 @pytest.mark.parametrize("flavor, completed, checksum", [
