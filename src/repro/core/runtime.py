@@ -183,10 +183,11 @@ class RuntimeBase:
         #: eManager's fault-tolerance wiring): a fencing table rejects
         #: writes into declared-dead subtrees, crashed servers drop their
         #: contexts' volatile state, and restores account the committed
-        #: writes a rollback discarded.
+        #: writes a rollback discarded.  The eManager and its migration
+        #: coordinator read these two facts here and keep no copy.
         self.fencing: Optional[FencingTable] = None
         self.writes_rolled_back = 0
-        self._honest = False
+        self.honest = False
         self._charge_obj = CpuCharge(None, 0.0)  # reused; see _charge
         # Per-event lock bookkeeping (held set, open branch count,
         # quiescence signal, deferred lock list) lives on the Event
@@ -469,9 +470,21 @@ class RuntimeBase:
         the eManager's fault-tolerance wiring; never on the default path,
         so golden-pinned runs execute byte-identically.
         """
-        self._honest = True
+        self.honest = True
         if fencing is not None:
             self.fencing = fencing
+
+    def rollback(self, instance: ContextClass, state: dict) -> None:
+        """Roll ``instance`` back to checkpointed ``state``.
+
+        The one place a restore rolls state back, and so the one place
+        the committed writes it discards are counted: under honest
+        semantics versions and ownership wiring come back from the
+        checkpoint too, and the version gap is lost work.
+        """
+        self.writes_rolled_back += instance.state_restore(
+            state, restore_version=self.honest, restore_structure=self.honest
+        )
 
     def drop_server_state(self, server_name: str) -> int:
         """Crash realism: drop the volatile state of a server's contexts.
@@ -646,7 +659,7 @@ class RuntimeBase:
         # context whose host crashed has no state until rehydrated, and
         # writes into a fenced (declared-dead) subtree are rejected
         # before they can mutate anything.
-        if self._honest:
+        if self.honest:
             if instance._aeon_state_dropped:
                 raise RetryableError(
                     f"context {instance.cid!r} lost its volatile state in a "

@@ -98,17 +98,16 @@ class EManager:
         self.recovery_log: List[Dict[str, Any]] = []
         self._checkpoint_roots: List[str] = []
         self._checkpointing = False
-        self._consistent_checkpoints = True
         self._delta_checkpointers: Dict[str, DeltaCheckpointer] = {}
         self._recovering: Dict[str, bool] = {}
         # Names currently counted as false alarms: the detector
         # re-declares a silent suspect every lease, but one partition is
         # one false detection, counted on the suspicion transition only.
         self._false_suspects: Dict[str, bool] = {}
-        # Honest failure semantics (enable_fault_tolerance knobs): when
+        # Honest failure semantics (enable_fault_tolerance knobs) live on
+        # the runtime (``runtime.honest``, ``runtime.fencing``): when
         # fencing is on, recovery is driven by fencing epochs and durable
         # storage evidence instead of ground-truth aliveness peeks.
-        self.fencing: Optional[FencingTable] = None
         self.fence_grace_ms = 300.0
         #: Restores served from a fenced owner's step-down flush (the
         #: zero-lost-updates path) rather than a periodic checkpoint.
@@ -117,8 +116,6 @@ class EManager:
         #: realism: restarts rehydrate from checkpoint, not from the
         #: ghost of pre-crash memory).
         self.rehydrations = 0
-        self._fencing_enabled = False
-        self._honest_recovery = False
         self._crash_drops_state = False
         # The detector's live set of suspects (not the detector: it
         # holds this manager's callbacks, and the pair must not be a
@@ -177,14 +174,12 @@ class EManager:
             self.max_concurrent_migrations,
         )
         fencing = self.runtime.fencing
-        if self._fencing_enabled and fencing is not None:
+        if fencing is not None:
             epoch = fencing.bump_manager()
             # Fire-and-forget durable CAS floor: once applied, the
             # predecessor's _log appends observe a newer epoch and fence.
             self.storage.write("fencing/manager", epoch, size_bytes=32)
-            successor.coordinator.fenced = True
             successor.coordinator.acting_epoch = epoch
-        successor.coordinator.honest = self.coordinator.honest
         max_walled_id = 0
         for key in self.storage.keys_with_prefix("migration/"):
             payload = self.storage.peek(key)
@@ -239,10 +234,9 @@ class EManager:
         detector: Any,
         checkpoint_interval_ms: float = 2000.0,
         roots: Optional[List[str]] = None,
-        consistent_checkpoints: bool = True,
         checkpoint_mode: str = "full",
         fencing: bool = False,
-        honest_recovery: Optional[bool] = None,
+        honest_recovery: bool = False,
         crash_drops_state: bool = False,
         fence_grace_ms: float = 300.0,
     ) -> None:
@@ -255,12 +249,10 @@ class EManager:
         ``roots`` defaults to every non-virtual root of the ownership
         network at enable time (checkpoint the world).
 
-        ``consistent_checkpoints=False`` switches to lock-free per-context
-        capture (:func:`~repro.elasticity.snapshot.fuzzy_snapshot`) —
-        required for runtimes whose locking has no global acquisition
-        order (Orleans' per-call turn locks deadlock against a
-        subtree-locking snapshot).
-
+        Capture discipline follows the runtime: one that enforces
+        ownership gets subtree-locked snapshots, one that does not
+        (Orleans) gets lock-free per-context capture
+        (:func:`~repro.elasticity.snapshot.fuzzy_snapshot`).
         ``checkpoint_mode`` selects what each interval uploads:
 
         * ``"full"`` — the whole subtree every time (one rolling bundle);
@@ -268,11 +260,10 @@ class EManager:
           per root: contexts whose ``_aeon_version`` has not moved are
           skipped, unchanged intervals write nothing, and after
           ``DeltaCheckpointer.MAX_CHAIN`` deltas the subtree re-bases.
-          Orthogonal to ``consistent_checkpoints`` (capture discipline vs
-          storage layout).
 
         The honest-failure knobs (all default **off**, preserving the
-        legacy byte-identical behavior):
+        legacy byte-identical behavior).  Any of them turns on
+        ``runtime.honest``; ``fencing`` also installs ``runtime.fencing``:
 
         * ``fencing`` — replace ground-truth aliveness with the fencing
           epoch protocol: a declaration fences the victim's subtrees
@@ -283,11 +274,12 @@ class EManager:
           :class:`~repro.core.errors.FencedError`, and a predecessor
           eManager's WAL appends are fenced by the manager epoch.
         * ``honest_recovery`` — recovery never double-checks ground
-          truth before restoring (defaults to ``fencing``).  With
-          fencing off this deliberately re-introduces the window the
-          paper's §5.3 glosses over: a falsely-declared live owner keeps
-          serving while recovery rolls its subtree back — the lost
-          updates the ``split_brain`` scenario quantifies.
+          truth before restoring (implied by ``fencing`` and
+          ``crash_drops_state``).  With fencing off this deliberately
+          re-introduces the window the paper's §5.3 glosses over: a
+          falsely-declared live owner keeps serving while recovery rolls
+          its subtree back — the lost updates the ``split_brain``
+          scenario quantifies.
         * ``crash_drops_state`` — crash realism: a server crash drops
           the volatile state of every context it hosted *at crash time*;
           a restart rehydrates from checkpoint + WAL instead of
@@ -296,7 +288,6 @@ class EManager:
         if checkpoint_mode not in ("full", "delta"):
             raise ValueError(f"unknown checkpoint_mode {checkpoint_mode!r}")
         self.checkpoint_interval_ms = checkpoint_interval_ms
-        self._consistent_checkpoints = consistent_checkpoints
         if roots is None:
             ownership = self.runtime.ownership
             roots = sorted(
@@ -310,16 +301,13 @@ class EManager:
                     self.storage,
                     root,
                     key=self.checkpoint_key(root),
-                    consistent=consistent_checkpoints,
                 )
                 for root in self._checkpoint_roots
             }
         self._suspected = getattr(detector, "suspected", ())
-        self._honest_recovery = fencing if honest_recovery is None else honest_recovery
         self._crash_drops_state = crash_drops_state
         self.fence_grace_ms = fence_grace_ms
         if fencing:
-            self._fencing_enabled = True
             table = self.runtime.fencing or FencingTable()
             stored_manager = self.storage.peek("fencing/manager")
             if stored_manager is not None:
@@ -336,16 +324,12 @@ class EManager:
                     # failing over: adopt the durable epoch (epochs only
                     # move forward).
                     table.adopt_epoch(root, int(persisted))
-            self.fencing = table
             self.runtime.enable_honest_failures(table)
-            self.coordinator.honest = True
-            self.coordinator.fenced = True
             self.coordinator.acting_epoch = table.manager_epoch
-        elif self._honest_recovery or crash_drops_state:
+        elif honest_recovery or crash_drops_state:
             # Honest semantics without epochs: dropped-state retries and
             # rolled-back-write accounting, but no write fencing.
             self.runtime.enable_honest_failures(None)
-            self.coordinator.honest = True
         if crash_drops_state:
             for name in sorted(self.runtime.cluster.servers):
                 self._hook_server(self.runtime.cluster.servers[name])
@@ -371,15 +355,14 @@ class EManager:
                 instance = runtime.instances.get(root)
                 if instance is None:
                     continue
-                if self._honest_mode:
+                if runtime.honest:
                     # Honest capture guard — no ground-truth peeks: skip
                     # roots that are fenced (an ownership handoff is in
                     # flight) and members whose volatile state died in a
                     # crash; checkpointing ghost memory would mask the
                     # loss.
-                    skip = self.fencing is not None and self.fencing.is_fenced(
-                        root
-                    )
+                    fencing = runtime.fencing
+                    skip = fencing is not None and fencing.is_fenced(root)
                     if not skip:
                         for member in subtree_members(runtime, root):
                             peer = runtime.instances.get(member)
@@ -405,7 +388,9 @@ class EManager:
                 checkpointer = self._delta_checkpointers.get(root)
                 if checkpointer is not None:
                     done = checkpointer.checkpoint()
-                elif self._consistent_checkpoints:
+                elif runtime.enforce_ownership:
+                    # Locked capture needs a global lock order; see
+                    # DeltaCheckpointer.checkpoint.
                     done = snapshot_context(
                         runtime, self.storage, instance.ref,
                         key=self.checkpoint_key(root),
@@ -422,15 +407,6 @@ class EManager:
                     self.checkpoints_skipped += 1
                 else:
                     self.checkpoints_taken += 1
-
-    @property
-    def _honest_mode(self) -> bool:
-        """Whether any honest-failure knob is on (no ground-truth peeks)."""
-        return (
-            self._fencing_enabled
-            or self._honest_recovery
-            or self._crash_drops_state
-        )
 
     def _ground_truth_alive(self, name: str) -> bool:
         """Simulator-omniscient liveness peek (legacy recovery only).
@@ -478,14 +454,11 @@ class EManager:
         stands down.
         """
         runtime = self.runtime
-        if self.fencing is not None:
+        if runtime.fencing is not None:
             # Re-admission at the current epochs: the restarting server
             # learns it may have been fenced while away (its heartbeats
             # advertise this epoch to the detector).
-            server.fencing_epoch = max(
-                (self.fencing.epoch(root) for root in self.fencing.roots()),
-                default=0,
-            )
+            server.fencing_epoch = runtime.fencing.max_epoch()
         if self._recovering.get(server.name):
             return
         for root in self._checkpoint_roots:
@@ -511,13 +484,12 @@ class EManager:
                     instance._aeon_state_dropped = False
                     self.contexts_restored_without_checkpoint += 1
                     continue
-                rolled = instance.state_restore(
-                    state, restore_version=True, restore_structure=True
-                )
-                runtime.writes_rolled_back += rolled
+                runtime.rollback(instance, state)
                 self.rehydrations += 1
 
     def _on_server_failure(self, server_name: str) -> None:
+        if self.crashed:
+            return  # fail-stop: a dead manager answers no detector
         # Detector-driven client redirection: push-invalidate every
         # client cache entry pointing at the declared-dead server, so
         # clients re-resolve instead of discovering the corpse one
@@ -532,20 +504,20 @@ class EManager:
         )
 
     def _on_server_recovered(self, server_name: str) -> None:
+        if self.crashed:
+            return
         # The suspect heartbeats again: a future suspicion is a fresh
         # (possibly false) detection, counted anew.
         self._false_suspects.pop(server_name, None)
-        if self.fencing is not None:
+        fencing = self.runtime.fencing
+        if fencing is not None:
             # Re-admit the returning server at the current epochs: its
             # heartbeats carried a stale belief, and overwriting it here
             # mirrors the owner accepting that it lost its leases — it
             # will not serve fenced subtrees as if it still owned them.
             server = self.runtime.cluster.servers.get(server_name)
             if server is not None:
-                server.fencing_epoch = max(
-                    (self.fencing.epoch(root) for root in self.fencing.roots()),
-                    default=0,
-                )
+                server.fencing_epoch = fencing.max_epoch()
 
     def _recover_server(self, name: str) -> Generator:
         """Re-place everything a dead-*declared* server hosted.
@@ -570,7 +542,7 @@ class EManager:
     def _recover_server_inner(self, name: str) -> Generator:
         runtime = self.runtime
         sim = runtime.sim
-        if self._honest_mode:
+        if runtime.honest:
             yield from self._recover_server_honest(name)
             return
         if self._ground_truth_alive(name):
@@ -606,16 +578,7 @@ class EManager:
         # download each needed bundle from cloud storage once; the
         # per-context state is then pushed to its new host by restore().
         cover = self._covering_roots(lost)
-        bundles: Dict[str, dict] = {}
-        for root in sorted(set(cover.values())):
-            # Reassemble whatever layout the checkpointer stored: a
-            # legacy full bundle, or a base + delta chain.  Reads are
-            # priced by the *stored* bundle sizes (a full bundle ships
-            # the whole subtree even when only part of it was lost; a
-            # chain ships the base plus its deltas).
-            value = yield from read_checkpoint(self.storage, self.checkpoint_key(root))
-            if value:
-                bundles[root] = value
+        bundles = yield from self._read_bundles(cover)
         restored, _granted = yield from self._restore_lost(
             lost, cover, bundles, targets
         )
@@ -652,6 +615,20 @@ class EManager:
                 if cid in members and cid not in cover:
                     cover[cid] = root
         return cover
+
+    def _read_bundles(self, cover: Dict[str, str]) -> Generator:
+        """Download each covering root's checkpoint once: root → bundle.
+
+        Either stored layout (full bundle, or base + delta chain), priced
+        by the stored sizes: a full bundle ships the whole subtree even
+        when only part of it was lost.
+        """
+        bundles: Dict[str, dict] = {}
+        for root in sorted(set(cover.values())):
+            value = yield from read_checkpoint(self.storage, self.checkpoint_key(root))
+            if value:
+                bundles[root] = value
+        return bundles
 
     def _restore_lost(
         self,
@@ -728,7 +705,7 @@ class EManager:
             return
         cover = self._covering_roots(lost)
         roots = sorted(set(cover.values()))
-        fencing = self.fencing
+        fencing = runtime.fencing
         if fencing is not None:
             persists: List[Signal] = []
             for root in roots:
@@ -841,7 +818,7 @@ class EManager:
                 size += int(getattr(instance, "size_bytes", 1024))
             if not states:
                 continue
-            epoch = self.fencing.epoch(root) if self.fencing is not None else 0
+            epoch = runtime.fencing.epoch(root) if runtime.fencing is not None else 0
             writes.append(
                 self.storage.write(
                     f"fence-flush/{root}",
@@ -881,30 +858,14 @@ class EManager:
                 # would roll back writes the restore already recovered.
                 yield self.storage.delete(stale_key)
                 continue
-            root = None
-            for candidate in self._checkpoint_roots:
-                if cid in runtime.ownership.descendants(candidate):
-                    root = candidate
-                    break
-            state = None
-            if root is not None:
-                bundle = yield from read_checkpoint(
-                    self.storage, self.checkpoint_key(root)
-                )
-                if bundle:
-                    state = bundle.get(cid)
-            if state is None:
-                self.contexts_restored_without_checkpoint += 1
-            try:
-                done = self.coordinator.restore(cid, dst, state)
-            except MigrationError:
-                yield self.storage.delete(stale_key)
-                continue
-            try:
-                yield done
-                self.contexts_recovered += 1
-            except Exception:  # noqa: BLE001 - retire the entry regardless
-                pass
+            cover = self._covering_roots([cid])
+            bundles = yield from self._read_bundles(cover)
+            # A restore that fails (or cannot start) still retires the
+            # stale entry.
+            restored, _granted = yield from self._restore_lost(
+                [cid], cover, bundles, [dst]
+            )
+            self.contexts_recovered += restored
             yield self.storage.delete(stale_key)
         self._pending_restores = []
 

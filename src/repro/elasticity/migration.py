@@ -94,14 +94,11 @@ class MigrationCoordinator:
         #: Set on eManager crash: in-flight migrations stop at their
         #: next step boundary, leaving their WAL record for recovery.
         self.halted = False
-        #: Honest failure semantics (wired by the eManager; default off):
-        #: ``honest`` makes restores reset versions from the snapshot and
-        #: account rolled-back writes; ``fenced`` makes every WAL append
-        #: validate ``acting_epoch`` against the durable manager epoch,
-        #: so a predecessor eManager that lost a failover cannot corrupt
-        #: the WAL its successor now owns.
-        self.honest = False
-        self.fenced = False
+        #: The manager epoch this coordinator acts under.  While the
+        #: runtime has a fencing table every WAL append validates it
+        #: against the durable manager epoch, so a predecessor eManager
+        #: that lost a failover cannot corrupt the WAL its successor now
+        #: owns.
         self.acting_epoch = 0
         self.fenced_appends = 0
 
@@ -305,12 +302,7 @@ class MigrationCoordinator:
                 )
                 instance = self.runtime.instances.get(record.cid)
                 if instance is not None and state is not None:
-                    rolled = instance.state_restore(
-                        state,
-                        restore_version=self.honest,
-                        restore_structure=self.honest,
-                    )
-                    self.runtime.writes_rolled_back += rolled
+                    self.runtime.rollback(instance, state)
                 self._apply_restore_placement(record)
                 yield from self._log(record, "moved")
             finally:
@@ -364,13 +356,13 @@ class MigrationCoordinator:
     def _log(self, record: MigrationRecord, step: str) -> Generator:
         """Persist the WAL record for crash recovery (§5.3).
 
-        With fencing enabled the append is conditional on the manager
-        epoch (a compare-and-set against the durable ``fencing/manager``
-        key): a coordinator whose ``acting_epoch`` lags the epoch a
-        recovered successor wrote is stale and its append is rejected —
-        it cannot race the successor on the WAL.
+        While the runtime has a fencing table the append is conditional
+        on the manager epoch (a compare-and-set against the durable
+        ``fencing/manager`` key): a coordinator whose ``acting_epoch``
+        lags the epoch a recovered successor wrote is stale and its
+        append is rejected — it cannot race the successor on the WAL.
         """
-        if self.fenced:
+        if self.runtime.fencing is not None:
             current = self.storage.peek("fencing/manager")
             if current is not None and int(current) > self.acting_epoch:
                 self.fenced_appends += 1

@@ -161,7 +161,7 @@ def _locked_capture(
     ``persist`` returns ``(write_signal_or_None, done_value)``; the
     write (if any) is awaited while the locks are held, then ``done``
     succeeds with the value.  Shared by :func:`snapshot_context` and
-    :class:`DeltaCheckpointer`'s consistent mode, so the locking
+    :class:`DeltaCheckpointer`'s locked capture, so the locking
     discipline lives in exactly one place.
     """
     ownership = runtime.ownership
@@ -203,10 +203,10 @@ class DeltaCheckpointer:
     makes stale chain keys left over from before a re-base harmless (no
     deletes needed, the key space stays bounded by ``MAX_CHAIN``).
 
-    ``consistent=True`` captures under subtree read locks (the same
-    guarantee as :func:`snapshot_context`); ``consistent=False`` is the
-    per-grain lock-free capture of :func:`fuzzy_snapshot` — required for
-    Orleans-style runtimes.
+    Capture follows the runtime (see :meth:`checkpoint`): under subtree
+    read locks (the guarantee of :func:`snapshot_context`) where
+    ownership is enforced, else the per-grain lock-free capture of
+    :func:`fuzzy_snapshot`.
     """
 
     #: Deltas written before the next bundle re-bases.
@@ -218,13 +218,11 @@ class DeltaCheckpointer:
         storage: CloudStorage,
         root_cid: str,
         key: str,
-        consistent: bool = True,
     ) -> None:
         self.runtime = runtime
         self.storage = storage
         self.root = root_cid
         self.key = key
-        self.consistent = consistent
         #: Per-context ``_aeon_version`` as of the last written bundle.
         self._last_versions: Dict[str, int] = {}
         #: Per-context ownership signature (sorted direct children) as of
@@ -262,7 +260,10 @@ class DeltaCheckpointer:
         """
         sim = self.runtime.sim
         done = sim.signal(name=f"checkpoint:{self.key}")
-        if self.consistent:
+        # Subtree locking is deadlock-free only under a global lock order:
+        # with ownership enforced every event locks top-down along
+        # ownership paths; Orleans opts out of that order, so per-grain.
+        if self.runtime.enforce_ownership:
             snap_id, event = _snapshot_event(self.runtime, self.root)
             sim.process(
                 _locked_capture(

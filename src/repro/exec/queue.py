@@ -378,8 +378,10 @@ class QueueExecutor(Executor):
         # reads by raw key without touching hit/miss accounting, and
         # under refresh the coordinator discards stale entries at
         # submit time so a pre-existing result can't short-circuit the
-        # recompute.
-        self._refresh = bool(store is not None and store.refresh)
+        # recompute.  A private bus (no store: the run has no cache) is
+        # a transport, not a cache — a result an earlier run left in it
+        # must not stand in for this run's computation.
+        self._refresh = store is None or store.refresh
         self.bus = store if store is not None else ResultStore(self.root / "store")
         write_config(self.root, self.bus.root)
         self.reclaims = 0

@@ -242,7 +242,6 @@ def _fault_run(
     if f.kind not in ("crash", "churn", "split_brain", "partition_recovery"):
         raise ScenarioError(f"unknown fault kind {f.kind!r}")
     churn = f.kind == "churn"
-    honest = f.fencing or f.honest_recovery or f.crash_drops_state
     duration = spec.duration_ms or (
         sizing.churn_duration_ms if churn else sizing.fault_duration_ms
     )
@@ -271,15 +270,9 @@ def _fault_run(
             detector,
             checkpoint_interval_ms=checkpoint_ms,
             roots=[room.cid for room in app.rooms],
-            # Orleans has no global lock order: a subtree-locking snapshot
-            # deadlocks against its per-call turn locks, so it gets the
-            # per-grain (fuzzy) persistence real Orleans offers.
-            consistent_checkpoints=(system != "orleans"),
             checkpoint_mode=f.checkpoint_mode,
             fencing=f.fencing,
-            # False means "unset" here: the eManager then defaults honest
-            # recovery to the fencing flag, so fencing alone is coherent.
-            honest_recovery=(f.honest_recovery or None),
+            honest_recovery=f.honest_recovery,
             crash_drops_state=f.crash_drops_state,
             fence_grace_ms=f.fence_grace_ms,
         )
@@ -327,7 +320,7 @@ def _fault_run(
                 # Lost *work* (acked writes rolled back at crash/recovery) rides
                 # along only under honest semantics; None keeps the legacy fig11
                 # payload byte-identical.
-                lost_work=(runtime.writes_rolled_back if honest else None),
+                lost_work=(runtime.writes_rolled_back if runtime.honest else None),
             )
             detect_latencies = [
                 d.latency_ms for d in detector.detections if d.latency_ms is not None
@@ -385,7 +378,7 @@ def _fault_run(
                 "false_detections": manager.false_detections,
                 "lost_updates": runtime.writes_rolled_back,
                 "fenced_writes": (
-                    manager.fencing.rejected if manager.fencing is not None else 0
+                    runtime.fencing.rejected if runtime.fencing is not None else 0
                 ),
                 "flush_restores": manager.flush_restores,
                 "contexts_recovered": manager.contexts_recovered,
@@ -403,7 +396,7 @@ def _fault_run(
             "checkpoints_taken": manager.checkpoints_taken,
             "fault_log": injector.log,
         }
-        if honest:
+        if runtime.honest:
             # Conditional: legacy fig10 payloads stay byte-identical.
             result["lost_work"] = runtime.writes_rolled_back
         return result

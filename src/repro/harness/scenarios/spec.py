@@ -194,9 +194,11 @@ class FaultSpec:
 
     The honest-failure knobs (``fencing``, ``honest_recovery``,
     ``crash_drops_state``) all default **off**, which keeps every legacy
-    figure byte-identical; the partition kinds are expected to turn at
-    least ``honest_recovery`` on — with it off, recovery would peek
-    ground truth, see a live server and skip the restore entirely.
+    figure byte-identical.  Any of them turns on ``runtime.honest``
+    (``fencing`` and ``crash_drops_state`` imply ``honest_recovery``);
+    the partition kinds are expected to turn at least one on — with all
+    off, recovery would peek ground truth, see a live server and skip
+    the restore entirely.
     """
 
     kind: str = "none"  # "none" | "crash" | "churn" | "split_brain" | "partition_recovery"

@@ -292,8 +292,8 @@ class ResultStore:
     def discard(self, key: str) -> bool:
         """Drop the object stored under raw ``key`` (manifest untouched;
         :meth:`entries` joins on the object file, so the entry vanishes).
-        Used by ``--refresh`` queue runs to stop a stale bus entry from
-        short-circuiting the recompute."""
+        Used by ``--refresh`` and cache-less queue runs to stop a stale
+        bus entry from short-circuiting the recompute."""
         try:
             self._path(key).unlink()
         except OSError:

@@ -215,6 +215,23 @@ def test_coordinator_resumes_from_bus_without_dispatch(tmp_path):
         ex.shutdown()
 
 
+def test_private_bus_is_not_a_cache(tmp_path):
+    # Without a store (a --no-cache run) the bus under queue_dir is a
+    # transport: a result an earlier run left there is not reused.
+    cell = _cell(3)
+    ResultStore(tmp_path / "store").put(cell, "stale", wall_ms=1.0)
+    ex = QueueExecutor(queue_dir=tmp_path, poll_interval_s=0.02)
+    try:
+        handle = ex.submit(cell)
+        assert not handle.done()
+        assert len(list((tmp_path / "queue").glob("*.task"))) == 1
+        assert run_worker(tmp_path, worker="w1", poll_interval_s=0.01,
+                          max_idle_s=0.2) == 0
+        assert handle.result().value == 3
+    finally:
+        ex.shutdown()
+
+
 # ----------------------------------------------------------------------
 # Real worker subprocesses
 # ----------------------------------------------------------------------

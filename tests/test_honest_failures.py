@@ -82,8 +82,8 @@ def test_honest_knobs_default_off():
     bed.runtime.create_context(Cell, server=bed.servers[0], name="plain")
     manager.enable_fault_tolerance(detector, checkpoint_interval_ms=100.0,
                                    roots=["plain"])
-    assert not manager._honest_mode
-    assert manager.fencing is None and bed.runtime.fencing is None
+    assert not bed.runtime.honest
+    assert bed.runtime.fencing is None
 
 
 # ----------------------------------------------------------------------
@@ -117,12 +117,12 @@ def test_fencing_rejects_stale_owner_and_loses_no_acked_writes():
     # write hitting the still-reachable old owner during the grace
     # window is rejected, not silently acked-then-rolled-back.
     sim.run(until=400.0)
-    assert detector.detections and manager.fencing.is_fenced("hot")
+    assert detector.detections and runtime.fencing.is_fenced("hot")
     fenced = bed.submit(cell.add(1))
     sim.run(until=430.0)
     assert fenced.triggered and isinstance(fenced.value.error, FencedError)
     assert is_retryable(fenced.value.error)
-    assert manager.fencing.rejected >= 1
+    assert runtime.fencing.rejected >= 1
 
     # The fenced owner's step-down flush reached cloud storage: the
     # restore is byte-fresh, nothing acked was lost, and the flush is
@@ -134,9 +134,9 @@ def test_fencing_rejects_stale_owner_and_loses_no_acked_writes():
     assert runtime.placement["hot"] != victim.name
     assert runtime.instance_of("hot").value == 5
     assert manager.recovery_log[0]["flushed_roots"] == 1
-    assert not manager.fencing.is_fenced("hot")
-    assert manager.fencing.holder("hot") == runtime.placement["hot"]
-    assert storage.peek("fencing/hot") == manager.fencing.epoch("hot")
+    assert not runtime.fencing.is_fenced("hot")
+    assert runtime.fencing.holder("hot") == runtime.placement["hot"]
+    assert storage.peek("fencing/hot") == runtime.fencing.epoch("hot")
 
     after = bed.submit(cell.add(2))
     sim.run(until=1500.0)
@@ -225,7 +225,7 @@ def test_fencing_epochs_survive_emanager_failover():
     sim = bed.sim
     bed.submit(cell.add(1))
     sim.run(until=1200.0)  # declare → fence → flush → restore → grant
-    root_epoch = manager.fencing.epoch("hot")
+    root_epoch = bed.runtime.fencing.epoch("hot")
     assert root_epoch >= 1
     assert storage.peek("fencing/hot") == root_epoch
 
@@ -236,12 +236,13 @@ def test_fencing_epochs_survive_emanager_failover():
 
     # Model a successor with a cold cache: wipe the in-memory table and
     # make enable_fault_tolerance rebuild it from durable state alone.
+    old_table = bed.runtime.fencing
     bed.runtime.fencing = None
     successor.enable_fault_tolerance(detector, checkpoint_interval_ms=100.0,
                                      roots=["hot"], fencing=True)
-    assert successor.fencing is not manager.fencing
-    assert successor.fencing.epoch("hot") == root_epoch
-    assert successor.fencing.manager_epoch == 1
+    assert bed.runtime.fencing is not old_table
+    assert bed.runtime.fencing.epoch("hot") == root_epoch
+    assert bed.runtime.fencing.manager_epoch == 1
     assert successor.coordinator.acting_epoch == 1
     detector.stop()
     successor.stop()
@@ -275,6 +276,34 @@ def test_predecessor_wal_appends_are_fenced_after_failover():
     detector.stop()
     manager.stop()
     successor.stop()
+
+
+def test_crashed_manager_ignores_the_failure_detector():
+    # Fail-stop: once crashed, the manager must not act on declarations
+    # — no recovery, no fencing write nobody will grant, no restore WAL
+    # record its halted coordinator leaves stuck at "prepared".
+    bed, storage, manager, detector = _bed()
+    runtime, sim = bed.runtime, bed.sim
+    victim = bed.servers[0]
+    runtime.create_context(Cell, server=victim, name="hot")
+    manager.enable_fault_tolerance(detector, checkpoint_interval_ms=100.0,
+                                   roots=["hot"], fencing=True)
+    detector.start()
+    FaultInjector(
+        sim, bed.network, bed.cluster,
+        FaultSchedule([ServerCrash(150.0, victim.name, restart_after_ms=600.0)]),
+    ).start()
+    sim.run(until=120.0)
+    manager.crash()
+    sim.run(until=1500.0)
+    detector.stop()
+
+    assert detector.detections  # the victim was declared
+    assert manager.recoveries == 0
+    assert storage.keys_with_prefix("migration/") == []
+    assert storage.peek("fencing/hot") is None
+    assert not runtime.fencing.is_fenced("hot")
+    assert runtime.placement["hot"] == victim.name
 
 
 def test_failover_redrives_half_done_restore_with_fresh_id():

@@ -4,7 +4,10 @@ client location-cache invalidation."""
 
 import pytest
 
+import repro.elasticity.snapshot as snapshot_module
+from repro.baselines import OrleansRuntime
 from repro.core import AeonRuntime
+from repro.core.locking import acquire
 from repro.core.errors import MigrationError, is_retryable
 from repro.elasticity import (
     CloudStorage,
@@ -346,6 +349,46 @@ def test_successor_checkpointer_seeds_seq_past_stale_bundles():
         return states
 
     assert sim.run_process(assemble())["c"]["value"] == 7
+
+
+@pytest.mark.parametrize("checkpoint_mode", ["full", "delta"])
+@pytest.mark.parametrize(
+    "runtime_cls, locked", [(AeonRuntime, True), (OrleansRuntime, False)]
+)
+def test_checkpoint_capture_follows_the_runtime(
+    monkeypatch, runtime_cls, locked, checkpoint_mode
+):
+    # Subtree-locked capture needs the global lock order that enforced
+    # ownership gives; an Orleans runtime (no such order) checkpoints
+    # per grain and never takes a lock for its snapshot event.
+    snapshot_eids = []
+
+    def recording_acquire(sim, table, cid, event):
+        if event.eid <= -1_000_000:  # the synthetic snapshot id space
+            snapshot_eids.append(event.eid)
+        return acquire(sim, table, cid, event)
+
+    monkeypatch.setattr(snapshot_module, "acquire", recording_acquire)
+    bed = Testbed(runtime_cls, n_servers=2, record_history=False)
+    runtime, sim = bed.runtime, bed.sim
+    cell = runtime.create_context(Cell, server=bed.servers[0], name="r")
+    bed.run_event(cell.add(2))
+    storage = CloudStorage(sim)
+    manager = EManager(runtime, storage, None, M3_LARGE)
+    manager.enable_fault_tolerance(
+        FakeDetector(), checkpoint_interval_ms=100.0, roots=["r"],
+        checkpoint_mode=checkpoint_mode,
+    )
+    sim.run(until=sim.now + 150.0)
+    manager.stop()
+    assert manager.checkpoints_taken == 1
+    assert bool(snapshot_eids) is locked
+
+    def assemble():
+        states = yield from read_checkpoint(storage, "checkpoint/r")
+        return states
+
+    assert sim.run_process(assemble())["r"]["value"] == 2
 
 
 # ----------------------------------------------------------------------
