@@ -107,6 +107,12 @@ class MigrationCoordinator:
     # ------------------------------------------------------------------
     def migrate(self, cid: str, dst: Server) -> Signal:
         """Migrate context ``cid`` to server ``dst``; returns completion."""
+        if cid not in self.runtime.placement:
+            raise MigrationError(f"cannot migrate unknown context {cid!r}")
+        if self.runtime.placement[cid] == dst.name:
+            raise MigrationError(f"context {cid!r} is already on {dst.name}")
+        if not dst.alive:
+            raise MigrationError(f"destination {dst.name} is not booted")
         record = self._new_record(cid, dst)
         done = self.runtime.sim.signal(name=f"migration:{record.migration_id}")
         self.runtime.sim.process(
@@ -128,18 +134,7 @@ class MigrationCoordinator:
             raise MigrationError(f"cannot restore unknown context {cid!r}")
         if not dst.alive:
             raise MigrationError(f"restore destination {dst.name} is not booted")
-        self._counter += 1
-        instance = self.runtime.instances.get(cid)
-        record = MigrationRecord(
-            migration_id=self._counter,
-            cid=cid,
-            src=self.runtime.placement[cid],
-            dst=dst.name,
-            kind="restore",
-            started_ms=self.runtime.sim.now,
-            size_bytes=int(getattr(instance, "size_bytes", 1024)),
-        )
-        self.records.append(record)
+        record = self._new_record(cid, dst, kind="restore")
         done = self.runtime.sim.signal(name=f"restore:{record.migration_id}")
         self.runtime.sim.process(
             self._run_restore(record, state, done),
@@ -167,23 +162,21 @@ class MigrationCoordinator:
         )
         return done
 
-    def _new_record(self, cid: str, dst: Server) -> MigrationRecord:
-        if cid not in self.runtime.placement:
-            raise MigrationError(f"cannot migrate unknown context {cid!r}")
-        src = self.runtime.placement[cid]
-        if src == dst.name:
-            raise MigrationError(f"context {cid!r} is already on {dst.name}")
-        if not dst.alive:
-            raise MigrationError(f"destination {dst.name} is not booted")
+    def _new_record(
+        self, cid: str, dst: Server, kind: str = "migrate"
+    ) -> MigrationRecord:
+        """Allocate the next migration id and record a move of ``cid``
+        from its current host to ``dst`` (the caller has validated it)."""
         self._counter += 1
-        instance = self.runtime.instances[cid]
+        instance = self.runtime.instances.get(cid)
         record = MigrationRecord(
             migration_id=self._counter,
             cid=cid,
-            src=src,
+            src=self.runtime.placement[cid],
             dst=dst.name,
             started_ms=self.runtime.sim.now,
             size_bytes=int(getattr(instance, "size_bytes", 1024)),
+            kind=kind,
         )
         self.records.append(record)
         return record
@@ -241,7 +234,7 @@ class MigrationCoordinator:
                 yield network.delay_signal(
                     record.src, record.dst, size_bytes=record.size_bytes
                 )
-                self._apply_placement(record)
+                self._flip_placement(record, expected_src=record.src)
                 yield from self._log(record, "moved")
             finally:
                 lock.release(migratec)
@@ -303,7 +296,7 @@ class MigrationCoordinator:
                 instance = self.runtime.instances.get(record.cid)
                 if instance is not None and state is not None:
                     self.runtime.rollback(instance, state)
-                self._apply_restore_placement(record)
+                self._flip_placement(record)
                 yield from self._log(record, "moved")
             finally:
                 lock.release(restorec)
@@ -314,40 +307,32 @@ class MigrationCoordinator:
         except Exception as exc:  # noqa: BLE001 - surfaced to the caller
             done.fail(MigrationError(f"restore of {record.cid!r} failed: {exc}"))
 
-    def _apply_restore_placement(self, record: MigrationRecord) -> None:
-        """Force the placement to the restore destination.
+    def _flip_placement(
+        self, record: MigrationRecord, expected_src: Optional[str] = None
+    ) -> None:
+        """Move the placement (and the servers' context counts) to the
+        record's destination, which must be alive.
 
-        Unlike :meth:`_apply_placement` the source may be a dead server
-        (or even already-moved bookkeeping from a half-completed earlier
-        attempt); the destination must be alive.
+        A live migration passes its source as ``expected_src``: finding
+        the context anywhere else aborts it.  A restore passes none, as
+        its source may be a dead server (or bookkeeping a half-completed
+        earlier attempt already moved).  A re-run after the flip already
+        happened is a no-op.
         """
         placement = self.runtime.placement
         current = placement.get(record.cid)
         if current == record.dst:
             return
-        dst_server = self.runtime.cluster.servers.get(record.dst)
-        if dst_server is None or not dst_server.alive:
-            raise MigrationError(f"restore destination {record.dst} vanished")
-        src_server = self.runtime.cluster.servers.get(current) if current else None
-        placement[record.cid] = record.dst
-        if src_server is not None:
-            src_server.context_count -= 1
-        dst_server.context_count += 1
-
-    def _apply_placement(self, record: MigrationRecord) -> None:
-        placement = self.runtime.placement
-        current = placement.get(record.cid)
-        if current == record.dst:
-            return  # recovery re-run after the move already happened
-        if current != record.src:
+        if expected_src is not None and current != expected_src:
             raise MigrationError(
                 f"context {record.cid!r} moved unexpectedly "
-                f"({current!r} != {record.src!r})"
+                f"({current!r} != {expected_src!r})"
             )
-        src_server = self.runtime.cluster.servers.get(record.src)
-        dst_server = self.runtime.cluster.servers.get(record.dst)
+        servers = self.runtime.cluster.servers
+        dst_server = servers.get(record.dst)
         if dst_server is None or not dst_server.alive:
-            raise MigrationError(f"destination {record.dst} vanished mid-migration")
+            raise MigrationError(f"{record.kind} destination {record.dst} vanished")
+        src_server = servers.get(current) if current else None
         placement[record.cid] = record.dst
         if src_server is not None:
             src_server.context_count -= 1

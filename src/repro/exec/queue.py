@@ -373,6 +373,7 @@ class QueueExecutor(Executor):
         self.max_attempts = int(max_attempts)
         ensure_layout(self.root)
         (self.root / STOP_NAME).unlink(missing_ok=True)
+        self._since = time.time()  # wall clock, as heartbeats carry it
         # The result bus.  A shared cache store doubles as the bus; its
         # --refresh semantics live in `load`, which we bypass: `fetch`
         # reads by raw key without touching hit/miss accounting, and
@@ -577,13 +578,17 @@ class QueueExecutor(Executor):
 
     # -- lifecycle ------------------------------------------------------
     def workers_seen(self) -> List[str]:
-        """Worker ids that have ever heartbeated into this spool."""
+        """Worker ids whose heartbeat in this spool is no older than this
+        coordinator (a killed worker of an earlier run leaves its file)."""
         try:
-            return sorted(
-                p.stem for p in _heartbeat_dir(self.root).glob("*.json")
-            )
+            names = sorted(p.stem for p in _heartbeat_dir(self.root).glob("*.json"))
         except OSError:
             return []
+        return [
+            name for name in names
+            if float((read_heartbeat(self.root, name) or {}).get("time", 0.0))
+            >= self._since
+        ]
 
     def shutdown(self, wait: bool = True) -> None:
         """Withdraw pending tasks and stop workers this coordinator spawned.

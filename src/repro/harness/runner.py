@@ -150,6 +150,21 @@ class RunResult:
     extras: Dict[str, float] = field(default_factory=dict)
 
 
+def _start_clients(
+    testbed: Testbed, sample_op: OpSampler, n_clients: int, think_ms: float,
+    stop_at_ms: float, **kwargs: Any,
+) -> ClosedLoopClients:
+    """Start a closed-loop population and return it, for drivers that
+    keep a handle (retry counters, per-population errors);
+    :func:`run_closed_loop` is the whole start/run/measure sequence."""
+    clients = ClosedLoopClients(
+        testbed.runtime, sample_op, n_clients=n_clients, think_ms=think_ms,
+        rng=testbed.rng, stop_at_ms=stop_at_ms, **kwargs,
+    )
+    clients.start()
+    return clients
+
+
 def run_closed_loop(
     testbed: Testbed,
     system: str,
@@ -171,15 +186,7 @@ def run_closed_loop(
     testbed``).  Used by the fig5/fig6, ablation and massive cells —
     see docs/EXPERIMENTS.md.
     """
-    clients = ClosedLoopClients(
-        testbed.runtime,
-        sample_op,
-        n_clients=n_clients,
-        think_ms=think_ms,
-        rng=testbed.rng,
-        stop_at_ms=duration_ms,
-    )
-    clients.start()
+    clients = _start_clients(testbed, sample_op, n_clients, think_ms, duration_ms)
     testbed.sim.run(until=duration_ms + drain_ms)
     result = measure(system, testbed, n_clients, warmup_ms, duration_ms)
     result.errors = len(clients.errors)

@@ -18,8 +18,8 @@ from ...core.costs import DEFAULT_COSTS
 from ...elasticity import CloudStorage, MigrationCoordinator
 from ...sim.cluster import INSTANCE_TYPES, M1_SMALL, M3_LARGE, InstanceType, Server
 from ...sim.metrics import LatencyRecorder
-from ..runner import make_testbed, run_closed_loop
-from .drivers import _elastic_run, _game_app, _start_clients, _tpcc_sampler
+from ..runner import _start_clients, make_testbed, run_closed_loop
+from .drivers import _elastic_run, _game_app, _tpcc_sampler
 from .spec import SCALES, ElasticSpec, GameSpec, ScenarioSpec, WorkloadSpec
 
 

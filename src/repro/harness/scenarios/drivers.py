@@ -22,9 +22,9 @@ from ...faults import (
 )
 from ...sim.cluster import INSTANCE_TYPES, M3_LARGE, InstanceType
 from ...sim.metrics import mean, percentile
-from ...workloads.generators import ClosedLoopClients, DynamicClients, RampProfile
+from ...workloads.generators import DynamicClients, RampProfile
 from ...workloads.sla import availability_slo, sla_report
-from ..runner import make_testbed, measure, run_closed_loop
+from ..runner import _start_clients, make_testbed, measure, run_closed_loop
 from .spec import (
     SCALES, ElasticSpec, FaultSpec, GameSpec, Scale, ScenarioError, ScenarioSpec,
     TpccSpec, WorkloadSpec,
@@ -77,25 +77,6 @@ def _tpcc_sampler(testbed, system: str, config: TpccConfig):
         colocate=system in ("aeon", "aeon_so", "eventwave"),
     )
     return TpccWorkload(deployment, system).sample_op
-
-
-def _start_clients(
-    testbed, sample_op, n_clients: int, think_ms: float, stop_at_ms: float, **kwargs
-) -> ClosedLoopClients:
-    """Start a closed-loop population the driver keeps a handle on
-    (retry counters, per-population errors); :func:`run_closed_loop` is
-    the whole start/run/measure sequence."""
-    clients = ClosedLoopClients(
-        testbed.runtime,
-        sample_op,
-        n_clients=n_clients,
-        think_ms=think_ms,
-        rng=testbed.rng,
-        stop_at_ms=stop_at_ms,
-        **kwargs,
-    )
-    clients.start()
-    return clients
 
 
 def run_point(spec: ScenarioSpec, **point: Any) -> Any:

@@ -3,16 +3,18 @@
 A spec's ``output`` names one :data:`OUTPUTS` entry, an ``(assemble,
 render)`` pair: ``assemble(spec, cells, results)`` turns the results
 (in cell order) into the figure data, and ``render(spec, data)`` turns
-that into the text the CLI prints.
+that into the text the CLI prints.  Most entries are one of two shared
+shapes: :func:`_keyed` (one value per cell, labelled by its key) and
+:func:`_table` (one aligned table, a row per run, declared as a column
+list).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ...sim.metrics import mean
-from ..report import format_table
 from .spec import ScenarioError, ScenarioSpec
 
 
@@ -26,6 +28,18 @@ def _grouped(cells, results, width: int) -> Dict[Tuple, List[Any]]:
     for cell, result in zip(cells, results):
         groups.setdefault(cell.key[:width], []).append(result.value)
     return groups
+
+
+def _keyed(label: Callable[[Tuple], str]) -> Callable:
+    """The assembler ``{label(cell.key): value}``, in cell order."""
+
+    def assemble(spec, cells, results):
+        return {label(cell.key): r.value for cell, r in zip(cells, results)}
+
+    return assemble
+
+
+_by_first_key = _keyed(lambda key: key[0])
 
 
 def _assemble_curve(spec, cells, results):
@@ -47,13 +61,6 @@ def _assemble_xy(spec, cells, results):
     for cell, result in zip(cells, results):
         curves[cell.key[0]].append(result.value)
     return curves
-
-
-def _assemble_by_first_key(spec, cells, results):
-    """``{key[0]: run}`` in cell order (fig10-style per-system runs)."""
-    return {
-        cell.key[0]: result.value for cell, result in zip(cells, results)
-    }
 
 
 def _aggregate_elastic_runs(runs: List[Dict[str, object]]) -> Dict[str, object]:
@@ -112,13 +119,6 @@ def _assemble_table1(spec, cells, results):
     return rows
 
 
-def _assemble_fig8(spec, cells, results):
-    return {
-        f"{cell.key[0]} contexts": result.value
-        for cell, result in zip(cells, results)
-    }
-
-
 _FIG9_SIZE_LABELS = {1024: "1KB", 1_000_000: "1MB"}
 
 
@@ -147,14 +147,6 @@ def _assemble_fig11(spec, cells, results):
     }
 
 
-def _assemble_ablation(spec, cells, results):
-    labels = {True: "chain-release", False: "hold-till-commit"}
-    return {
-        labels[cell.key[0]]: result.value
-        for cell, result in zip(cells, results)
-    }
-
-
 def _assemble_split_brain(spec, cells, results):
     """``{"fenced"/"unfenced": run}`` plus the lost-updates invariant.
 
@@ -163,10 +155,8 @@ def _assemble_split_brain(spec, cells, results):
     a **nonzero** count with fencing off (restore rolls back to the
     last periodic checkpoint while the old owner was still serving).
     """
-    runs = {
-        "fenced" if cell.key[1] else "unfenced": result.value
-        for cell, result in zip(cells, results)
-    }
+    by_mode = _keyed(lambda key: "fenced" if key[1] else "unfenced")
+    runs = by_mode(spec, cells, results)
     lost = {label: run["lost_updates"] for label, run in runs.items()}
     return {
         "runs": runs,
@@ -183,7 +173,7 @@ def _assemble_massive(spec, cells, results):
     """The single run dict (one rep) or ``{rep: run}`` (sharded reps)."""
     if len(results) == 1:
         return results[0].value
-    return {f"rep{cell.key[0]}": r.value for cell, r in zip(cells, results)}
+    return _keyed(lambda key: f"rep{key[0]}")(spec, cells, results)
 
 
 def _assemble_churn_sweep(spec, cells, results):
@@ -211,6 +201,60 @@ def _assemble_churn_sweep(spec, cells, results):
 # ----------------------------------------------------------------------
 # Rendering: figure data -> text
 # ----------------------------------------------------------------------
+def format_table(
+    title: str,
+    columns: Sequence[str],
+    rows: Sequence[Sequence[object]],
+) -> str:
+    """Render an aligned text table with a title line (floats to 2 places)."""
+    headers = [str(column) for column in columns]
+    body = [[f"{v:.2f}" if isinstance(v, float) else str(v) for v in row]
+            for row in rows]
+    widths = [
+        max([len(header)] + [len(row[i]) for row in body])
+        for i, header in enumerate(headers)
+    ]
+
+    def line(values: Sequence[str]) -> str:
+        return "  ".join(value.ljust(width) for value, width in zip(values, widths))
+
+    return "\n".join(
+        [title, "", line(headers), line(["-" * w for w in widths])]
+        + [line(row) for row in body]
+    )
+
+
+def _field(record: Any, path: str) -> Any:
+    for name in path.split("."):
+        record = record[name]
+    return record
+
+
+def _table(first_header: str, columns: Sequence[Tuple], rows: Callable = dict.items):
+    """The renderer of a one-table figure: one row per ``(label, record)``
+    pair of ``rows(data)``.
+
+    A column is ``(header, field)`` or ``(header, field, digits)``:
+    ``field`` is a dotted path into the record or a function of it, and
+    ``digits`` rounds the value with ``round(value, digits)`` (``None``
+    rounds to an int).
+    """
+
+    def render(spec, data) -> str:
+        body = []
+        for label, record in rows(data):
+            row = [label]
+            for _header, field, *digits in columns:
+                value = field(record) if callable(field) else _field(record, field)
+                row.append(round(value, *digits) if digits else value)
+            body.append(row)
+        return format_table(
+            spec.title, [first_header] + [column[0] for column in columns], body
+        )
+
+    return render
+
+
 def _render_grid_curve(spec, data) -> str:
     systems = list(data)
     xs = [x for x, _ in data[systems[0]]]
@@ -230,32 +274,34 @@ def _render_xy_curve(spec, data) -> str:
     return "\n".join(lines)
 
 
-def _sla_field(sla, name):
-    """Read an SLA field from a SlaReport or an aggregated-rep dict."""
-    return sla[name] if isinstance(sla, dict) else getattr(sla, name)
+def _latency_line(label: str, width: int, run) -> str:
+    """One elastic run's latency summary: mean, peak, SLA violations.
+
+    ``run["sla"]`` is a SlaReport or, for aggregated reps, a dict.
+    """
+    values = [v for _t, v in run["latency_series"]]
+    sla = run["sla"]
+    pct = sla["violation_pct"] if isinstance(sla, dict) else sla.violation_pct
+    return (
+        f"  {label:>{width}}: mean={mean(values):6.2f} ms  "
+        f"peak={max(values) if values else 0:6.2f} ms  "
+        f"violations={pct:5.1f}%"
+    )
 
 
 def _render_fig7(spec, data) -> str:
-    lines = [spec.title, ""]
-    for setup, run in data.items():
-        values = [v for _t, v in run["latency_series"]]
-        lines.append(
-            f"  {setup:>8}: mean={mean(values):6.2f} ms  "
-            f"peak={max(values) if values else 0:6.2f} ms  "
-            f"violations={_sla_field(run['sla'], 'violation_pct'):5.1f}%"
-        )
-    return "\n".join(lines)
+    lines = [_latency_line(setup, 8, run) for setup, run in data.items()]
+    return "\n".join([spec.title, ""] + lines)
 
 
-def _render_table1(spec, data) -> str:
-    return format_table(
-        spec.title,
-        ["setup", "% requests > SLA", "avg servers", "requests"],
-        [
-            [r["setup"], round(r["violation_pct"], 1), round(r["avg_servers"], 1), r["requests"]]
-            for r in data
-        ],
-    )
+def _render_elastic(spec, data) -> str:
+    lines = [
+        _latency_line(system, 10, run)
+        + f"  servers avg={run['avg_servers']:.1f} peak={run['peak_servers']:.0f}"
+        + f"  clients peak={run['peak_clients']}"
+        for system, run in data.items()
+    ]
+    return "\n".join([spec.title, ""] + lines)
 
 
 def _render_fig8(spec, data) -> str:
@@ -266,14 +312,6 @@ def _render_fig8(spec, data) -> str:
         dip = min(values) if values else 0.0
         lines.append(f"  {label:>12}: steady={steady:7.1f}/s  dip={dip:7.1f}/s")
     return "\n".join(lines)
-
-
-def _render_fig9(spec, data) -> str:
-    rows = [
-        [itype, round(sizes["1KB"], 1), round(sizes["1MB"], 1)]
-        for itype, sizes in data.items()
-    ]
-    return format_table(spec.title, ["instance", "1KB", "1MB"], rows)
 
 
 def fig10_phases(run: Dict[str, object]) -> Dict[str, float]:
@@ -304,197 +342,67 @@ def fig10_phases(run: Dict[str, object]) -> Dict[str, float]:
     }
 
 
-def _render_fig10(spec, data) -> str:
-    rows = []
-    for system, run in data.items():
-        phases = fig10_phases(run)
-        detections = run["detections"]
-        detect_ms = mean(
-            [d["latency_ms"] for d in detections if d["latency_ms"] is not None]
-        )
-        rows.append(
-            [
-                system,
-                round(phases["pre"], 1),
-                round(phases["outage"], 1),
-                round(phases["post"], 1),
-                round(detect_ms, 1),
-                run["contexts_recovered"],
-                run["events_failed"],
-            ]
-        )
-    return format_table(
-        spec.title,
-        ["system", "pre-crash", "outage", "recovered", "detect ms", "ctx restored", "failed"],
-        rows,
-    )
+def _mean_detect_ms(run) -> float:
+    detections = run["detections"]
+    return mean([d["latency_ms"] for d in detections if d["latency_ms"] is not None])
+
+
+_render_fig11_table = _table(
+    "system",
+    [
+        ("avail %", "slo.availability_pct", 1),
+        ("base ev/s", "slo.baseline_goodput_per_s", 1),
+        ("target ev/s", "slo.goodput_target_per_s", 1),
+        ("detect ms", "mean_detection_latency_ms", 1),
+        ("ctx restored", "contexts_recovered"),
+        ("failed", "events_failed"),
+        ("ckpts", "checkpoints_taken"),
+        ("skipped", "checkpoints_skipped"),
+        ("ckpt bytes", "checkpoint_bytes_written"),
+    ],
+    rows=lambda data: [
+        *data["systems"].items(), ("aeon (full ckpt)", data["aeon_full"])
+    ],
+)
 
 
 def _render_fig11(spec, data) -> str:
-    rows = []
-    runs = dict(data["systems"])
-    runs["aeon (full ckpt)"] = data["aeon_full"]
-    for label, run in runs.items():
-        slo = run["slo"]
-        rows.append(
-            [
-                label,
-                round(slo["availability_pct"], 1),
-                round(slo["baseline_goodput_per_s"], 1),
-                round(slo["goodput_target_per_s"], 1),
-                round(run["mean_detection_latency_ms"], 1),
-                run["contexts_recovered"],
-                run["events_failed"],
-                run["checkpoints_taken"],
-                run["checkpoints_skipped"],
-                run["checkpoint_bytes_written"],
-            ]
-        )
-    table = format_table(
-        spec.title,
-        [
-            "system",
-            "avail %",
-            "base ev/s",
-            "target ev/s",
-            "detect ms",
-            "ctx restored",
-            "failed",
-            "ckpts",
-            "skipped",
-            "ckpt bytes",
-        ],
-        rows,
-    )
     delta_bytes = data["systems"]["aeon"]["checkpoint_bytes_written"]
     full_bytes = data["aeon_full"]["checkpoint_bytes_written"]
     saving = 100.0 * (1.0 - delta_bytes / full_bytes) if full_bytes else 0.0
     return (
-        table
+        _render_fig11_table(spec, data)
         + f"\n\ndelta checkpoints: {delta_bytes:,} bytes vs full "
         + f"{full_bytes:,} bytes ({saving:.1f}% saved on identical churn)"
     )
 
 
+_render_split_brain_table = _table(
+    "mode",
+    [
+        ("lost upd", "lost_updates"),
+        ("fenced wr", "fenced_writes"),
+        ("flush rst", "flush_restores"),
+        ("ctx restored", "contexts_recovered"),
+        ("false det", "false_detections"),
+        ("failed", "events_failed"),
+        ("retries", "client_retries"),
+    ],
+    rows=lambda data: [
+        (label, data["runs"][label])
+        for label in ("fenced", "unfenced")
+        if label in data["runs"]
+    ],
+)
+
+
 def _render_split_brain(spec, data) -> str:
-    rows = []
-    for label in ("fenced", "unfenced"):
-        run = data["runs"].get(label)
-        if run is None:
-            continue
-        rows.append(
-            [
-                label,
-                run["lost_updates"],
-                run["fenced_writes"],
-                run["flush_restores"],
-                run["contexts_recovered"],
-                run["false_detections"],
-                run["events_failed"],
-                run["client_retries"],
-            ]
-        )
-    table = format_table(
-        spec.title,
-        ["mode", "lost upd", "fenced wr", "flush rst", "ctx restored",
-         "false det", "failed", "retries"],
-        rows,
-    )
     inv = data["invariant"]
     return (
-        table
+        _render_split_brain_table(spec, data)
         + f"\n\nzero lost updates with fencing: {inv['zero_loss_with_fencing']}"
         + f"; lost updates without fencing: {inv['unfenced_lost_updates']}"
     )
-
-
-def _render_partition_recovery(spec, data) -> str:
-    rows = []
-    for system, run in data.items():
-        rows.append(
-            [
-                system,
-                round(run["partition_at_ms"], 1),
-                round(run["partition_heal_ms"], 1),
-                run["lost_updates"],
-                run["flush_restores"],
-                run["contexts_recovered"],
-                run["false_detections"],
-                run["events_failed"],
-            ]
-        )
-    return format_table(
-        spec.title,
-        ["system", "cut ms", "heal ms", "lost upd", "flush rst",
-         "ctx restored", "false det", "failed"],
-        rows,
-    )
-
-
-def _render_ablation(spec, data) -> str:
-    return format_table(
-        spec.title,
-        ["mode", "events/s"],
-        [[k, round(v, 1)] for k, v in data.items()],
-    )
-
-
-def _render_churn_sweep(spec, data) -> str:
-    rows = [
-        [
-            r["system"],
-            round(r["mtbf_ms"]),
-            r["crashes"],
-            round(r["availability_pct"], 1),
-            round(r["mean_detection_latency_ms"], 1),
-            r["contexts_recovered"],
-            r["events_failed"],
-            r["checkpoint_bytes_written"],
-        ]
-        for r in data["rows"]
-    ]
-    return format_table(
-        spec.title,
-        ["system", "MTBF ms", "crashes", "avail %", "detect ms",
-         "ctx restored", "failed", "ckpt bytes"],
-        rows,
-    )
-
-
-def _render_mixed(spec, data) -> str:
-    rows = []
-    for system, run in data.items():
-        rows.append(
-            [
-                system,
-                round(run["game"]["throughput_per_s"], 1),
-                round(run["game"]["p99_latency_ms"], 2),
-                round(run["tpcc"]["throughput_per_s"], 1),
-                round(run["tpcc"]["p99_latency_ms"], 2),
-                round(run["combined"]["throughput_per_s"], 1),
-                run["game_errors"] + run["tpcc_errors"],
-            ]
-        )
-    return format_table(
-        spec.title,
-        ["system", "game ev/s", "game p99", "tpcc txn/s", "tpcc p99",
-         "combined/s", "errors"],
-        rows,
-    )
-
-
-def _render_elastic(spec, data) -> str:
-    lines = [spec.title, ""]
-    for system, run in data.items():
-        values = [v for _t, v in run["latency_series"]]
-        lines.append(
-            f"  {system:>10}: mean={mean(values):6.2f} ms  "
-            f"peak={max(values) if values else 0:6.2f} ms  "
-            f"violations={_sla_field(run['sla'], 'violation_pct'):5.1f}%  "
-            f"servers avg={run['avg_servers']:.1f} peak={run['peak_servers']:.0f}  "
-            f"clients peak={run['peak_clients']}"
-        )
-    return "\n".join(lines)
 
 
 def _render_massive(spec, data) -> str:
@@ -523,18 +431,62 @@ def _render_massive(spec, data) -> str:
 OUTPUTS: Dict[str, Tuple[Callable, Callable]] = {
     "curve": (_assemble_curve, _render_grid_curve),
     "xy": (_assemble_xy, _render_xy_curve),
-    "runs": (_assemble_by_first_key, _render_fig10),
-    "elastic": (_assemble_by_first_key, _render_elastic),
-    "mixed": (_assemble_by_first_key, _render_mixed),
-    "partition_recovery": (_assemble_by_first_key, _render_partition_recovery),
+    "runs": (_by_first_key, _table("system", [
+        ("pre-crash", lambda run: fig10_phases(run)["pre"], 1),
+        ("outage", lambda run: fig10_phases(run)["outage"], 1),
+        ("recovered", lambda run: fig10_phases(run)["post"], 1),
+        ("detect ms", _mean_detect_ms, 1),
+        ("ctx restored", "contexts_recovered"),
+        ("failed", "events_failed"),
+    ])),
+    "elastic": (_by_first_key, _render_elastic),
+    "mixed": (_by_first_key, _table("system", [
+        ("game ev/s", "game.throughput_per_s", 1),
+        ("game p99", "game.p99_latency_ms", 2),
+        ("tpcc txn/s", "tpcc.throughput_per_s", 1),
+        ("tpcc p99", "tpcc.p99_latency_ms", 2),
+        ("combined/s", "combined.throughput_per_s", 1),
+        ("errors", lambda run: run["game_errors"] + run["tpcc_errors"]),
+    ])),
+    "partition_recovery": (_by_first_key, _table("system", [
+        ("cut ms", "partition_at_ms", 1),
+        ("heal ms", "partition_heal_ms", 1),
+        ("lost upd", "lost_updates"),
+        ("flush rst", "flush_restores"),
+        ("ctx restored", "contexts_recovered"),
+        ("false det", "false_detections"),
+        ("failed", "events_failed"),
+    ])),
     "fig7": (_assemble_fig7, _render_fig7),
-    "table1": (_assemble_table1, _render_table1),
-    "fig8": (_assemble_fig8, _render_fig8),
-    "fig9": (_assemble_fig9, _render_fig9),
+    "table1": (_assemble_table1, _table(
+        "setup",
+        [("% requests > SLA", "violation_pct", 1), ("avg servers", "avg_servers", 1),
+         ("requests", "requests")],
+        rows=lambda data: [(row["setup"], row) for row in data],
+    )),
+    "fig8": (_keyed(lambda key: f"{key[0]} contexts"), _render_fig8),
+    "fig9": (
+        _assemble_fig9, _table("instance", [("1KB", "1KB", 1), ("1MB", "1MB", 1)])
+    ),
     "fig11": (_assemble_fig11, _render_fig11),
-    "ablation": (_assemble_ablation, _render_ablation),
+    "ablation": (
+        _keyed(lambda key: "chain-release" if key[0] else "hold-till-commit"),
+        _table("mode", [("events/s", lambda value: value, 1)]),
+    ),
     "split_brain": (_assemble_split_brain, _render_split_brain),
-    "churn_sweep": (_assemble_churn_sweep, _render_churn_sweep),
+    "churn_sweep": (_assemble_churn_sweep, _table(
+        "system",
+        [
+            ("MTBF ms", "mtbf_ms", None),
+            ("crashes", "crashes"),
+            ("avail %", "availability_pct", 1),
+            ("detect ms", "mean_detection_latency_ms", 1),
+            ("ctx restored", "contexts_recovered"),
+            ("failed", "events_failed"),
+            ("ckpt bytes", "checkpoint_bytes_written"),
+        ],
+        rows=lambda data: [(row["system"], row) for row in data["rows"]],
+    )),
     "massive": (_assemble_massive, _render_massive),
 }
 

@@ -14,6 +14,7 @@ Three layers (docs/ARCHITECTURE.md § Executors):
   the run still completes.
 """
 
+import json
 import os
 import shutil
 import signal
@@ -199,6 +200,23 @@ def test_cell_failure_reaches_coordinator_with_traceback(tmp_path):
             handle.result()
     finally:
         ex.shutdown()
+
+
+def test_worker_count_ignores_heartbeats_of_earlier_runs(tmp_path):
+    # A heartbeat an earlier run left in the spool (a killed worker's)
+    # is not one of this run's workers.
+    q.ensure_layout(tmp_path)
+    stale = {"worker": "old", "pid": 1, "current": None, "seq": 3,
+             "time": time.time() - 3600.0}
+    (tmp_path / "heartbeats" / "old.json").write_text(json.dumps(stale))
+    ex = QueueExecutor(queue_dir=tmp_path, poll_interval_s=0.02)
+    worker = _spawn_worker(tmp_path, "w1")
+    try:
+        assert ex.submit(_cell(4)).result().value == 4
+        assert ex.stats()["workers"] == 1
+    finally:
+        ex.shutdown()
+        worker.wait(timeout=10)
 
 
 def test_coordinator_resumes_from_bus_without_dispatch(tmp_path):

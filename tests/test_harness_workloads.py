@@ -1,9 +1,9 @@
-"""Tests for the workload generators, harness runner and report module."""
+"""Tests for the workload generators, harness runner and text tables."""
 
 import pytest
 
 from repro.core import AeonRuntime, ContextClass, Ref
-from repro.harness.report import format_table
+from repro.harness.scenarios.output import format_table
 from repro.apps.game import GameConfig, build_game
 from repro.harness.runner import (
     SYSTEMS,

@@ -304,6 +304,28 @@ def test_rendered_text_pinned():
     assert "".join(blocks) == pinned.read_text()
 
 
+def test_rendered_text_pinned_beyond_the_paper():
+    # The same pin for the seven registered scenarios beyond the paper,
+    # off their assembled data as written by ``--scenario <each>
+    # --scale quick --seed 0 --json`` (no simulation).  diurnal's SLA
+    # report is rebuilt as for fig7.
+    data_dir = Path(__file__).parent / "data"
+    captured = json.loads((data_dir / "beyond_quick_seed0.json").read_text())
+    experiments = captured["experiments"]
+    assert sorted(experiments) == sorted(set(list_scenarios()) - set(PAPER_FIGURES))
+    blocks = []
+    for name in sorted(experiments):
+        data = experiments[name]
+        if name == "diurnal":
+            data = {
+                system: {**run, "sla": SlaReport(**run["sla"])}
+                for system, run in data.items()
+            }
+        blocks.append(render_scenario(get_scenario(name), data) + "\n\n")
+    pinned = data_dir / "rendered_beyond_quick_seed0.txt"
+    assert "".join(blocks) == pinned.read_text()
+
+
 # ----------------------------------------------------------------------
 # --set overrides: folding and validation
 # ----------------------------------------------------------------------
