@@ -137,24 +137,23 @@ class EventWaveRuntime(RuntimeBase):
             )
         yield self._charge(target_server, costs.lock_cpu_ms)
         yield target_reserved
-        # Not a ``finally``: the release takes a scheduler hop, and a
-        # generator that dies with its run must not yield on the way out.
+        # Strict hold-till-commit, after the hop AeonRuntime._close_branch
+        # describes.  Not a ``finally``: a generator that dies with its
+        # run must not yield on the way out.
         try:
             event.result = yield from self._drive_body(event, spec, branch)
         except Exception:
-            yield from self._release_at_commit(event, branch)
+            yield None
+            self._release_branch_locks(event, branch, self.server_of(spec.target))
+            self._branch_closed(event)
             raise
-        yield from self._release_at_commit(event, branch)
+        yield None
+        self._release_branch_locks(event, branch, self.server_of(spec.target))
+        self._branch_closed(event)
         event.committed_ms = self.sim.now
         reply_from = self.server_of(spec.target)
         yield self._charge(reply_from, costs.net_cpu_ms)
         yield self.network.delay_ms(reply_from.name, client.name, costs.client_msg_bytes)
-
-    def _release_at_commit(self, event: Event, branch: Branch) -> Generator:
-        """Strict hold-till-commit: everything released at the end."""
-        yield None
-        self._release_branch_locks(event, branch, self.server_of(event.spec.target))
-        self._branch_closed(event)
 
     def _root_sequencer(self) -> Resource:
         if self._sequencer is None:

@@ -117,9 +117,11 @@ class AeonRuntime(RuntimeBase):
         try:
             event.result = yield from self._drive_body(event, spec, branch)
         except Exception:
-            yield from self._close_branch(event, branch, self.server_of(spec.target))
+            yield None
+            self._close_branch(event, branch, self.server_of(spec.target))
             raise
-        yield from self._close_branch(event, branch, self.server_of(spec.target))
+        yield None
+        self._close_branch(event, branch, self.server_of(spec.target))
         if event.open_branches > 0:
             yield from self._await_quiescence(event)
         event.committed_ms = self.sim.now
@@ -163,22 +165,24 @@ class AeonRuntime(RuntimeBase):
             except Exception as exc:  # noqa: BLE001 - surfaced on the event
                 if event.error is None:
                     event.error = exc
-            yield from self._close_branch(event, child, landed or caller_server)
+            yield None
+            self._close_branch(event, child, landed or caller_server)
 
         self.sim.process(runner(), name="event-async")
 
     # ------------------------------------------------------------------
     # Lock release
     # ------------------------------------------------------------------
-    def _close_branch(self, event: Event, branch: Branch, at_server: Server) -> Generator:
-        """Close a branch: flush spawned continuations, release locks.
+    def _close_branch(self, event: Event, branch: Branch, at_server: Server) -> None:
+        """Close a branch: release its locks (or defer them to commit).
 
-        The single scheduler hop (``yield None``) lets continuations
-        spawned in the final body step take their first step before the
-        release admits competitors (their positions are already
-        reserved, this is belt-and-braces).
+        The caller hops first, itself (``yield None``, no helper
+        generator per branch): continuations spawned in the final body
+        step take their first step before the release admits competitors
+        (belt-and-braces: their positions are reserved).  The branch
+        holds its target's lock through the hop, and a placement moves
+        only under that lock, so ``at_server`` may be read after it.
         """
-        yield None
         if self.costs.early_release:
             self._release_branch_locks(event, branch, at_server)
         else:

@@ -528,10 +528,13 @@ class RuntimeBase:
         """
         if self._closed:
             raise AeonError(f"{self.system_name} runtime is closed")
-        instance = self.instance_of(spec.target)
-        _func, ro_method, _cost = self._method_meta_for(instance, spec.method)
-        ro_allowed = self.supports_readonly and ro_method
-        mode = AccessMode.RO if ro_allowed else AccessMode.EX
+        instance = self.instances.get(spec.target)
+        if instance is None:
+            instance = self.instance_of(spec.target)
+        meta = self._method_meta.get((instance.__class__, spec.method))
+        if meta is None:
+            meta = self._method_meta_for(instance, spec.method)
+        mode = AccessMode.RO if self.supports_readonly and meta[1] else AccessMode.EX
         self._eid_counter += 1
         event = Event(self._eid_counter, spec, mode, client.name, self.sim.now, tag)
         return _EventProcess(self, event, self._event_process(event, client))

@@ -286,7 +286,12 @@ class Process(Signal):
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:
         if not hasattr(generator, "send"):
             raise TypeError(f"Process requires a generator, got {generator!r}")
-        super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
+        # Signal.__init__, open-coded: one process starts per event.
+        self.sim = sim
+        self.callbacks = None
+        self._triggered = False
+        self.value = self.exc = None
+        self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
         # Bound once: these are scheduled on every timer yield / signal
         # wait / CPU charge, and bound-method creation per wait adds up.
@@ -302,7 +307,8 @@ class Process(Signal):
         sim._processes[self] = None
         # The first step is always queued (never run inline): callers may
         # continue setting up state between process() and run().
-        sim.call_soon(self._step, None, None)
+        sim._sequence += 1
+        sim._immediate.append((sim.now, sim._sequence, self._step, (None, None)))
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         # Trampoline: consume already-triggered waitables in a loop
@@ -315,7 +321,6 @@ class Process(Signal):
         # exactly equivalent.
         sim = self.sim
         generator = self._generator
-        send = generator.send
         immediate = sim._immediate
         timers = sim._timers
         thrown_tb = None
@@ -329,7 +334,7 @@ class Process(Signal):
                     # the frames of a generator that lives on.
                     exc.__traceback__ = thrown_tb
                 else:
-                    target = send(value)
+                    target = generator.send(value)
             except StopIteration as stop:
                 self._retire()
                 self.succeed(stop.value)
@@ -350,13 +355,7 @@ class Process(Signal):
                 return
             if type(target) is float:
                 if target < 0.0:
-                    sim.call_soon(
-                        self._step,
-                        None,
-                        SimulationError(
-                            f"process {self.name!r} yielded non-waitable {target!r}"
-                        ),
-                    )
+                    self._reject(f"non-waitable {target!r}")
                     return
                 # A raw delay: the timer resumes this process directly,
                 # no signal allocation, no completion round-trip.
@@ -387,14 +386,7 @@ class Process(Signal):
                 if delay < 0.0:
                     # Mirror the raw-delay branch: negative work is a
                     # programming error, surfaced at the yield site.
-                    sim.call_soon(
-                        self._step,
-                        None,
-                        SimulationError(
-                            f"process {self.name!r} yielded negative "
-                            f"CPU charge {delay!r}"
-                        ),
-                    )
+                    self._reject(f"negative CPU charge {delay!r}")
                     return
                 if resource.acquire_now():
                     self._charge_res = resource
@@ -455,13 +447,19 @@ class Process(Signal):
                 if not immediate and (not timers or timers[0][0] > sim.now):
                     value = exc = None
                     continue
-                sim.call_soon(self._step, None, None)
+                sim._sequence += 1
+                immediate.append((sim.now, sim._sequence, self._step, (None, None)))
                 return
-            error = SimulationError(
-                f"process {self.name!r} yielded non-waitable {target!r}"
-            )
-            sim.call_soon(self._step, None, error)
+            self._reject(f"non-waitable {target!r}")
             return
+
+    def _reject(self, what: str) -> None:
+        # A yield the trampoline refuses: the error is thrown in at the
+        # yield site on the next step, queued like any resume.
+        sim = self.sim
+        error = SimulationError(f"process {self.name!r} yielded {what}")
+        sim._sequence += 1
+        sim._immediate.append((sim.now, sim._sequence, self._step, (None, error)))
 
     def _retire(self) -> None:
         # A finished process must die by reference count (run() pauses
@@ -665,10 +663,18 @@ class Simulator:
         """Run the simulation.
 
         ``until`` stops the clock at that virtual time (events scheduled
-        later stay queued).  Returns the final clock value.
+        later stay queued); one before :attr:`now` is a ``ValueError``.
+        Returns the final clock value.
+
+        Every immediate entry carries the ``now`` of its append, and
+        ``now`` moves (a timer pop, a fast-forward) only while that queue
+        is empty, so the loop pops an immediate entry without storing the
+        clock or testing ``until``.
         """
         if self._closed:
             raise SimulationError("simulator is closed")
+        if until is not None and until < self.now:
+            raise ValueError(f"cannot run back to {until} (now={self.now})")
         timers = self._timers
         immediate = self._immediate
         self._until = until
@@ -687,32 +693,27 @@ class Simulator:
         try:
             if until is None:
                 while True:
-                    if immediate:
-                        if not timers or timers[0] >= immediate[0]:
-                            entry = immediate.popleft()
-                        else:
-                            entry = heappop(timers)
-                    elif timers:
-                        entry = heappop(timers)
-                    else:
+                    if immediate and (not timers or timers[0] >= immediate[0]):
+                        entry = immediate.popleft()
+                        entry[2](*entry[3])
+                        continue
+                    if not timers:
                         break
+                    entry = heappop(timers)
                     self.now = entry[0]
                     entry[2](*entry[3])
             else:
                 while True:
                     if immediate and (not timers or timers[0] >= immediate[0]):
-                        entry = immediate[0]
-                        if entry[0] > until:
-                            self.now = until
-                            return self.now
-                        immediate.popleft()
-                    elif timers:
-                        if timers[0][0] > until:
-                            self.now = until
-                            return self.now
-                        entry = heappop(timers)
-                    else:
+                        entry = immediate.popleft()
+                        entry[2](*entry[3])
+                        continue
+                    if not timers:
                         break
+                    if timers[0][0] > until:
+                        self.now = until
+                        return until
+                    entry = heappop(timers)
                     self.now = entry[0]
                     entry[2](*entry[3])
         finally:
@@ -720,7 +721,7 @@ class Simulator:
             if gc_was_enabled:
                 gc.enable()
         if until is not None:
-            self.now = max(self.now, until)
+            self.now = until
         return self.now
 
     def run_process(self, generator: Generator, name: str = "",

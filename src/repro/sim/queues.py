@@ -146,7 +146,10 @@ class Resource:
         if waiters:
             waiter = waiters.popleft()
             if callable(waiter):
-                self.sim.call_soon(waiter)
+                # Open-coded sim.call_soon(waiter): one per contended hold.
+                sim = self.sim
+                sim._sequence += 1
+                sim._immediate.append((now, sim._sequence, waiter, ()))
             else:
                 waiter.succeed(None)
         else:

@@ -48,6 +48,21 @@ def test_run_until_past_all_events_advances_clock():
     assert sim.run(until=100.0) == 100.0
 
 
+@pytest.mark.parametrize("pending", ["timer", "immediate", "none"])
+def test_run_until_before_now_rejected(pending):
+    # The clock never moves back, whatever is queued.
+    sim = Simulator()
+    sim.run(until=10.0)
+    if pending == "timer":
+        sim.schedule(5.0, lambda: None)
+    elif pending == "immediate":
+        sim.call_soon(lambda: None)
+    with pytest.raises(ValueError):
+        sim.run(until=2.0)
+    assert sim.now == 10.0
+    assert sim.run(until=10.0) == 10.0
+
+
 def test_signal_succeeds_once():
     sim = Simulator()
     signal = sim.signal("s")

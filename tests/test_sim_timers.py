@@ -5,18 +5,21 @@ tuples that only ``sim/kernel.py`` touches, so every test here goes
 through :meth:`Simulator.schedule` / :meth:`~Simulator.run`.  It must
 order entries *exactly* by ``(fire_at, seq)`` — any deviation breaks the
 determinism trace checksums — which a hypothesis differential test
-checks against a sorted-list model of the kernel without fast paths; a
-seeded mutant of the heap shows that the test can fail.
+checks against a sorted-list model of the kernel without fast paths;
+seeded mutants of the heap and of a CPU hand-over show that the test can
+fail.
 """
 
 from bisect import insort
-from heapq import heapify
+from collections import deque
+from heapq import heapify, heappush
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from repro.sim import kernel
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import CpuCharge, Simulator
+from repro.sim.queues import Resource
 
 
 def _fired_order(sim, delays):
@@ -79,17 +82,25 @@ def test_timer_mode_selection(monkeypatch):
 class _Model:
     """What the kernel must be indistinguishable from: one sorted list of
     ``(fire_at, seq, action)``, every wait a timer entry *and* a queued
-    resume (two steps), nothing inlined, nothing fast-forwarded."""
+    resume (two steps), nothing inlined, nothing fast-forwarded.  A CPU
+    unit is ``[in_use, capacity, waiters]``; a charge is a grant signal
+    (a queued resume, at once or at a release), a service timer and a
+    queued resume that releases the unit."""
 
     def __init__(self):
         self.now = 0.0
         self.seq = 0
         self.queue = []
         self.fired = []
+        self.units = [[0, 1, deque()], [0, 2, deque()]]
 
     @property
     def pending(self):
         return len(self.queue)
+
+    @property
+    def in_use(self):
+        return [unit[0] for unit in self.units]
 
     def schedule(self, delay, action, *args):
         self.seq += 1
@@ -119,6 +130,28 @@ class _Model:
             resume = (0.0, self._nap, ident, naps, i + 1)
             self.schedule(naps[i][1], self.schedule, *resume)
 
+    def charge(self, ident, index, delays):
+        self.schedule(0.0, self._charge, ident, self.units[index], delays, 0)
+
+    def _charge(self, ident, unit, delays, i):
+        if i:
+            if unit[2]:  # hand the unit over: the waiter's grant resumes
+                self.schedule(0.0, *unit[2].popleft())
+            else:
+                unit[0] -= 1
+            self.fired.append((self.now, ident, i - 1))
+        if i < len(delays):
+            start = (self._serve, ident, unit, delays, i)
+            if unit[0] < unit[1]:
+                unit[0] += 1
+                self.schedule(0.0, *start)
+            else:
+                unit[2].append(start)
+
+    def _serve(self, ident, unit, delays, i):
+        resume = (0.0, self._charge, ident, unit, delays, i + 1)
+        self.schedule(delays[i], self.schedule, *resume)
+
 
 class _Real:
     """The same verbs on a :class:`Simulator`."""
@@ -127,9 +160,11 @@ class _Real:
         self.sim = sim = Simulator()
         self.fired = []
         self.schedule, self.run = sim.schedule, sim.run
+        self.units = [Resource(sim, 1), Resource(sim, 2)]
 
     now = property(lambda self: self.sim.now)
     pending = property(lambda self: self.sim.pending_events)
+    in_use = property(lambda self: [unit.in_use for unit in self.units])
 
     def spawn(self, ident, naps):
         def sleeper():
@@ -138,6 +173,16 @@ class _Real:
                 self.fired.append((self.sim.now, ident, i))
 
         self.sim.process(sleeper())
+
+    def charge(self, ident, index, delays):
+        unit = self.units[index]
+
+        def worker():
+            for i, delay in enumerate(delays):
+                yield CpuCharge(unit, delay)
+                self.fired.append((self.sim.now, ident, i))
+
+        self.sim.process(worker())
 
 
 def _fire(world, ident, children):
@@ -154,6 +199,8 @@ def _apply(world, ident, op, args):
             world.schedule(delay, _fire, world, (ident, k), children)
     elif op == "spawn":
         world.spawn(ident, *args)
+    elif op == "charge":
+        world.charge(ident, *args)
     elif op == "run_until":
         world.run(until=world.now + args[0])
     else:
@@ -161,9 +208,9 @@ def _apply(world, ident, op, args):
 
 
 # Zero, equal (a grid, so fire times collide) and arbitrary delays.
+_grid = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 2.0])
 _delays = st.one_of(
-    st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 2.0]),
-    st.floats(min_value=0.01, max_value=30.0, allow_nan=False),
+    _grid, st.floats(min_value=0.01, max_value=30.0, allow_nan=False)
 )
 _ops = st.one_of(
     st.tuples(
@@ -175,6 +222,9 @@ _ops = st.one_of(
         st.just("spawn"), st.lists(st.tuples(st.booleans(), _delays), max_size=4)
     ),
     st.tuples(st.just("run_until"), _delays),
+    st.tuples(
+        st.just("charge"), st.sampled_from([0, 1]), st.lists(_grid, min_size=1, max_size=4)
+    ),
 )
 
 
@@ -187,8 +237,9 @@ _SETTINGS = settings(
 
 def _check_equivalence(program):
     # Random schedules (callbacks that arm more timers, sleeping
-    # processes) and resumed runs: the heap-backed kernel and the model
-    # must fire the same things at the same times.
+    # processes, processes holding a 1- or 2-unit CPU) and resumed runs:
+    # the heap-backed kernel and the model must fire the same things at
+    # the same times.
     model, real = _Model(), _Real()
     for ident, (op, *args) in enumerate(program + [("run",)]):
         _apply(model, ident, op, args)
@@ -196,6 +247,7 @@ def _check_equivalence(program):
         assert real.fired == model.fired
         assert real.now == model.now
         assert real.pending == model.pending
+        assert real.in_use == model.in_use
     assert real.pending == 0
 
 
@@ -218,4 +270,22 @@ def test_mutant_pop_by_fire_time_only_dies(monkeypatch):
         return entry
 
     monkeypatch.setattr(kernel, "heappop", pop_ignoring_seq)
+    _assert_mutant_dies()
+
+
+def test_mutant_handover_timer_at_release_dies(monkeypatch):
+    # Fusing a hand-over's grant into the release: the service timer is
+    # armed at release time, with an earlier seq than a queued grant
+    # would have given it.
+    def release_and_arm(resource):
+        sim = resource.sim
+        if not resource._waiters:
+            resource.in_use -= 1
+            return
+        process = resource._waiters.popleft().__self__
+        sim._sequence += 1
+        fire_at = sim.now + process._charge_delay
+        heappush(sim._timers, (fire_at, sim._sequence, process._charge_timer_cb, ()))
+
+    monkeypatch.setattr(Resource, "release_unit", release_and_arm)
     _assert_mutant_dies()

@@ -51,11 +51,19 @@ import sys
 #: It was 64.1610 while ``OwnershipNetwork.add_leaves`` checked each cid
 #: of the bulk build with a ``__contains__`` call; the batch is now
 #: checked and written by dict and set operations.
+#: ``sim.calls`` was 6.9161 (micro), 105.2835 (game), 84.0285 (TPC-C)
+#: and 44.0209 (massive), and ``core.calls`` 129.8058, 163.2534 and
+#: 56.6483, while a process start, a CPU hand-over and a busy
+#: ``yield None`` each went through ``Simulator.call_soon``, a process
+#: built its signal half through ``Signal.__init__``, AEON's branch
+#: close (``_close_branch``) was a generator resumed twice, and
+#: ``submit`` resolved its instance and method through ``instance_of``
+#: and ``_method_meta_for`` calls.
 PINNED = {
-    "kernel_micro": {"sim.calls": 6.9161, "core.calls": 0.0},
-    "game_scaleout": {"sim.calls": 105.2835, "core.calls": 129.8058},
-    "tpcc_contention": {"sim.calls": 84.0285, "core.calls": 163.2534},
-    "massive_bulk": {"sim.calls": 44.0209, "core.calls": 56.6483},
+    "kernel_micro": {"sim.calls": 6.6994, "core.calls": 0.0},
+    "game_scaleout": {"sim.calls": 99.225, "core.calls": 126.6714},
+    "tpcc_contention": {"sim.calls": 80.8893, "core.calls": 157.995},
+    "massive_bulk": {"sim.calls": 40.851, "core.calls": 53.848},
 }
 
 #: Relative excess over a pin that fails the gate.
