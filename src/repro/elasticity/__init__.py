@@ -12,8 +12,8 @@ from .policies import (
     SLAPolicy,
 )
 from .snapshot import (
+    Checkpointer,
     DeltaCheckpointer,
-    fuzzy_snapshot,
     read_checkpoint,
     snapshot_context,
 )
@@ -21,6 +21,7 @@ from .storage import CloudStorage
 
 __all__ = [
     "Action",
+    "Checkpointer",
     "CloudStorage",
     "DeltaCheckpointer",
     "ClusterSnapshot",
@@ -32,7 +33,6 @@ __all__ = [
     "ScaleOutAction",
     "ServerReport",
     "SLAPolicy",
-    "fuzzy_snapshot",
     "read_checkpoint",
     "snapshot_context",
 ]

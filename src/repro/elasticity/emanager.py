@@ -34,12 +34,11 @@ from ..core.runtime import RuntimeBase
 from ..sim.cluster import InstanceType, Server
 from ..sim.kernel import Signal
 from ..sim.metrics import TimeSeries, mean, percentile
-from .migration import MigrationCoordinator, MigrationRecord
+from .migration import MigrationCoordinator
 from .snapshot import (
+    Checkpointer,
     DeltaCheckpointer,
-    fuzzy_snapshot,
     read_checkpoint,
-    snapshot_context,
     subtree_members,
 )
 from .policies import (
@@ -96,9 +95,9 @@ class EManager:
         #: (detector declarations and scale-in decommissions).
         self.cache_invalidations = 0
         self.recovery_log: List[Dict[str, Any]] = []
-        self._checkpoint_roots: List[str] = []
+        #: Checkpoint root → its checkpointer, in the configured order.
+        self._checkpointers: Dict[str, Checkpointer] = {}
         self._checkpointing = False
-        self._delta_checkpointers: Dict[str, DeltaCheckpointer] = {}
         self._recovering: Dict[str, bool] = {}
         # Names currently counted as false alarms: the detector
         # re-declares a silent suspect every lease, but one partition is
@@ -157,13 +156,13 @@ class EManager:
         (:class:`~repro.core.errors.FencedError`) even if it was merely
         partitioned, not dead — the split-brain-manager guard.
 
-        Half-done *restores* found in the WAL are journaled onto the
-        successor and re-driven once :meth:`enable_fault_tolerance`
-        wires it (self-healing recovery), instead of stalling until the
-        detector re-declares the still-silent server.  Their ids seed
-        the migration counter alongside the migrate records, so a drain
-        or recovery issued during the failover can never double-assign
-        an id a half-done restore still holds.
+        The successor's coordinator adopts the WAL
+        (:meth:`~repro.elasticity.migration.MigrationCoordinator.adopt_wal`):
+        half-done migrations resume, and half-done *restores* are
+        journaled onto the successor and re-driven once
+        :meth:`enable_fault_tolerance` wires it (self-healing recovery),
+        instead of stalling until the detector re-declares the
+        still-silent server.
         """
         successor = EManager(
             self.runtime,
@@ -180,36 +179,7 @@ class EManager:
             # predecessor's _log appends observe a newer epoch and fence.
             self.storage.write("fencing/manager", epoch, size_bytes=32)
             successor.coordinator.acting_epoch = epoch
-        max_walled_id = 0
-        for key in self.storage.keys_with_prefix("migration/"):
-            payload = self.storage.peek(key)
-            if not payload:
-                continue
-            # Track every id the WAL has seen (resumed or not) so the
-            # successor's counter can be seeded past all of them — see
-            # MigrationCoordinator.ensure_counter_at_least.
-            max_walled_id = max(max_walled_id, int(payload.get("migration_id", 0)))
-            if payload.get("step") in (None, "done"):
-                continue
-            if payload.get("kind", "migrate") != "migrate":
-                # Half-done restore: journal it for re-drive once the
-                # successor is wired with enable_fault_tolerance — the
-                # self-healing path (no waiting for re-detection).
-                successor._pending_restores.append(dict(payload))
-                continue
-            record = MigrationRecord(
-                migration_id=payload["migration_id"],
-                cid=payload["cid"],
-                src=payload["src"],
-                dst=payload["dst"],
-                step=payload["step"],
-                started_ms=self.runtime.sim.now,
-            )
-            instance = self.runtime.instances.get(record.cid)
-            if instance is not None:
-                record.size_bytes = int(getattr(instance, "size_bytes", 1024))
-            successor.coordinator.resume(record)
-        successor.coordinator.ensure_counter_at_least(max_walled_id)
+        successor._pending_restores = successor.coordinator.adopt_wal()
         return successor
 
     # ------------------------------------------------------------------
@@ -249,16 +219,15 @@ class EManager:
         ``roots`` defaults to every non-virtual root of the ownership
         network at enable time (checkpoint the world).
 
-        Capture discipline follows the runtime: one that enforces
-        ownership gets subtree-locked snapshots, one that does not
-        (Orleans) gets lock-free per-context capture
-        (:func:`~repro.elasticity.snapshot.fuzzy_snapshot`).
+        Each root gets one checkpointer, whose capture discipline
+        follows the runtime (:mod:`repro.elasticity.snapshot`).
         ``checkpoint_mode`` selects what each interval uploads:
 
-        * ``"full"`` — the whole subtree every time (one rolling bundle);
-        * ``"delta"`` — a :class:`~repro.elasticity.snapshot.DeltaCheckpointer`
-          per root: contexts whose ``_aeon_version`` has not moved are
-          skipped, unchanged intervals write nothing, and after
+        * ``"full"`` — a :class:`~repro.elasticity.snapshot.Checkpointer`:
+          the whole subtree every time (one rolling bundle);
+        * ``"delta"`` — a :class:`~repro.elasticity.snapshot.DeltaCheckpointer`:
+          contexts whose ``_aeon_version`` has not moved are skipped,
+          unchanged intervals write nothing, and after
           ``DeltaCheckpointer.MAX_CHAIN`` deltas the subtree re-bases.
 
         The honest-failure knobs (all default **off**, preserving the
@@ -293,17 +262,11 @@ class EManager:
             roots = sorted(
                 cid for cid in ownership.roots() if not ownership.is_virtual(cid)
             )
-        self._checkpoint_roots = list(roots)
-        if checkpoint_mode == "delta":
-            self._delta_checkpointers = {
-                root: DeltaCheckpointer(
-                    self.runtime,
-                    self.storage,
-                    root,
-                    key=self.checkpoint_key(root),
-                )
-                for root in self._checkpoint_roots
-            }
+        kind = DeltaCheckpointer if checkpoint_mode == "delta" else Checkpointer
+        self._checkpointers = {
+            root: kind(self.runtime, self.storage, root, self.checkpoint_key(root))
+            for root in roots
+        }
         self._suspected = getattr(detector, "suspected", ())
         self._crash_drops_state = crash_drops_state
         self.fence_grace_ms = fence_grace_ms
@@ -312,7 +275,7 @@ class EManager:
             stored_manager = self.storage.peek("fencing/manager")
             if stored_manager is not None:
                 table.manager_epoch = max(table.manager_epoch, int(stored_manager))
-            for root in self._checkpoint_roots:
+            for root in self._checkpointers:
                 table.track(
                     root,
                     subtree_members(self.runtime, root),
@@ -351,9 +314,8 @@ class EManager:
             yield runtime.sim.timeout(self.checkpoint_interval_ms)
             if not self._checkpointing or self.crashed:
                 return
-            for root in self._checkpoint_roots:
-                instance = runtime.instances.get(root)
-                if instance is None:
+            for root, checkpointer in self._checkpointers.items():
+                if root not in runtime.instances:
                     continue
                 if runtime.honest:
                     # Honest capture guard — no ground-truth peeks: skip
@@ -385,22 +347,8 @@ class EManager:
                             break
                     if not members_alive:
                         continue
-                checkpointer = self._delta_checkpointers.get(root)
-                if checkpointer is not None:
-                    done = checkpointer.checkpoint()
-                elif runtime.enforce_ownership:
-                    # Locked capture needs a global lock order; see
-                    # DeltaCheckpointer.checkpoint.
-                    done = snapshot_context(
-                        runtime, self.storage, instance.ref,
-                        key=self.checkpoint_key(root),
-                    )
-                else:
-                    done = fuzzy_snapshot(
-                        runtime, self.storage, root, key=self.checkpoint_key(root)
-                    )
                 try:
-                    outcome = yield done
+                    outcome = yield checkpointer.checkpoint()
                 except Exception:  # noqa: BLE001 - keep checkpointing others
                     continue
                 if outcome == "skip":
@@ -461,7 +409,7 @@ class EManager:
             server.fencing_epoch = runtime.fencing.max_epoch()
         if self._recovering.get(server.name):
             return
-        for root in self._checkpoint_roots:
+        for root in self._checkpointers:
             dropped = [
                 member
                 for member in sorted(subtree_members(runtime, root))
@@ -609,7 +557,7 @@ class EManager:
     def _covering_roots(self, lost: List[str]) -> Dict[str, str]:
         """Each lost context → the checkpoint root whose bundle covers it."""
         cover: Dict[str, str] = {}
-        for root in self._checkpoint_roots:
+        for root in self._checkpointers:
             members = self.runtime.ownership.descendants(root)
             for cid in lost:
                 if cid in members and cid not in cover:
@@ -707,14 +655,9 @@ class EManager:
         roots = sorted(set(cover.values()))
         fencing = runtime.fencing
         if fencing is not None:
-            persists: List[Signal] = []
-            for root in roots:
-                epoch = fencing.fence(root)
-                persists.append(
-                    self.storage.write(f"fencing/{root}", epoch, size_bytes=32)
-                )
-            for signal in persists:
-                yield signal
+            yield from self._persist_epochs(
+                {root: fencing.fence(root) for root in roots}
+            )
             # The flush runs *on the victim* (dead servers run nothing);
             # it alone may consult its own liveness.
             sim.process(
@@ -729,7 +672,7 @@ class EManager:
             if fencing is not None:
                 flush = self.storage.peek(f"fence-flush/{root}")
                 if flush:
-                    bundles[root] = dict(flush.get("states", {}))
+                    bundles[root] = dict(flush)
                     flushed_roots += 1
                     self.flush_restores += 1
                     self.storage.delete(f"fence-flush/{root}")
@@ -765,14 +708,9 @@ class EManager:
             lost, cover, bundles, targets
         )
         if fencing is not None:
-            persists = []
-            for root in sorted(granted):
-                epoch = fencing.grant(root, granted[root])
-                persists.append(
-                    self.storage.write(f"fencing/{root}", epoch, size_bytes=32)
-                )
-            for signal in persists:
-                yield signal
+            yield from self._persist_epochs(
+                {root: fencing.grant(root, granted[root]) for root in sorted(granted)}
+            )
         self.contexts_recovered += restored
         self.recovery_log.append(
             {
@@ -784,6 +722,16 @@ class EManager:
                 "finished_ms": sim.now,
             }
         )
+
+    def _persist_epochs(self, epochs: Dict[str, int]) -> Generator:
+        """Write each root's fencing epoch under ``fencing/{root}``, in
+        order, then wait for every write to land."""
+        writes = [
+            self.storage.write(f"fencing/{root}", epoch, size_bytes=32)
+            for root, epoch in epochs.items()
+        ]
+        for signal in writes:
+            yield signal
 
     def _step_down_flush(self, name: str, roots: List[str]) -> Generator:
         """The fenced owner's step-down handler (runs *on the victim*).
@@ -806,26 +754,18 @@ class EManager:
             return  # truly dead: no flush ever appears
         writes: List[Signal] = []
         for root in roots:
-            states: Dict[str, dict] = {}
-            size = 0
-            for member in sorted(subtree_members(runtime, root)):
-                if runtime.placement.get(member) != name:
-                    continue
-                instance = runtime.instances.get(member)
-                if instance is None or instance._aeon_state_dropped:
-                    continue
-                states[member] = instance.state_snapshot()
-                size += int(getattr(instance, "size_bytes", 1024))
-            if not states:
-                continue
-            epoch = runtime.fencing.epoch(root) if runtime.fencing is not None else 0
-            writes.append(
-                self.storage.write(
-                    f"fence-flush/{root}",
-                    {"epoch": epoch, "states": states},
-                    size_bytes=max(size, 64),
-                )
-            )
+            members = [
+                member
+                for member in subtree_members(runtime, root)
+                if runtime.placement.get(member) == name
+                and member in runtime.instances
+                and not runtime.instances[member]._aeon_state_dropped
+            ]
+            if members:
+                # A deep-copied full bundle: later in-place writes to the
+                # live contexts must not reach the durable image.
+                flush = Checkpointer(runtime, self.storage, root, f"fence-flush/{root}")
+                writes.append(flush.persist(members)[0])
         for signal in writes:
             yield signal
 
@@ -841,11 +781,8 @@ class EManager:
         retires the stale journal entry.
         """
         runtime = self.runtime
-        for payload in sorted(
-            self._pending_restores, key=lambda p: int(p.get("migration_id", 0))
-        ):
+        for payload in self._pending_restores:
             cid = payload.get("cid")
-            stale_key = f"migration/{int(payload.get('migration_id', 0))}"
             dst = runtime.cluster.servers.get(payload.get("dst") or "")
             if (
                 cid is None
@@ -856,7 +793,7 @@ class EManager:
                 # Unknown context/target, or the state push already
                 # landed (only the "done" marker is missing): re-driving
                 # would roll back writes the restore already recovered.
-                yield self.storage.delete(stale_key)
+                yield self.coordinator.retire(payload)
                 continue
             cover = self._covering_roots([cid])
             bundles = yield from self._read_bundles(cover)
@@ -866,7 +803,7 @@ class EManager:
                 [cid], cover, bundles, [dst]
             )
             self.contexts_recovered += restored
-            yield self.storage.delete(stale_key)
+            yield self.coordinator.retire(payload)
         self._pending_restores = []
 
     # ------------------------------------------------------------------

@@ -23,7 +23,8 @@ migration), and events arriving later queue behind it and execute at
 cache was stale (modeled by :class:`~repro.core.runtime.ClientHandle`).
 
 Every step writes a write-ahead record to cloud storage, which is what
-lets a recovering eManager finish in-flight migrations (§5.3).
+lets a recovering eManager finish in-flight migrations (§5.3): its
+coordinator reads them back with :meth:`MigrationCoordinator.adopt_wal`.
 """
 
 from __future__ import annotations
@@ -142,25 +143,53 @@ class MigrationCoordinator:
         )
         return done
 
-    def ensure_counter_at_least(self, floor: int) -> None:
-        """Never allocate a migration id at or below ``floor``.
+    def adopt_wal(self) -> List[dict]:
+        """Take over the WAL a failed predecessor left (§5.3).
 
-        A recovering eManager calls this with the highest id its WAL has
-        seen: a fresh migration reusing a live id would collide on the
-        ``migration/{id}`` WAL key (one migration's "done" delete erases
-        another's record) and on the synthetic ``eid=-id`` events in the
-        lock machinery.
+        Seeds the id counter past every id the WAL holds, restore
+        records included: a fresh migration reusing a live id would
+        collide on the ``migration/{id}`` WAL key (one migration's
+        "done" delete erases another's record) and on the synthetic
+        ``eid=-id`` events in the lock machinery.  Half-done migrations
+        resume from their logged step.  Returns the half-done restore
+        payloads in id order, for the caller to re-drive and
+        :meth:`retire`.
         """
-        self._counter = max(self._counter, int(floor))
+        sim = self.runtime.sim
+        restores: List[dict] = []
+        for key in self.storage.keys_with_prefix("migration/"):
+            payload = self.storage.peek(key)
+            if not payload:
+                continue
+            self._counter = max(self._counter, int(payload.get("migration_id", 0)))
+            if payload.get("step") in (None, "done"):
+                continue
+            if payload.get("kind", "migrate") != "migrate":
+                restores.append(dict(payload))
+                continue
+            instance = self.runtime.instances.get(payload["cid"])
+            record = MigrationRecord(
+                migration_id=payload["migration_id"],
+                cid=payload["cid"],
+                src=payload["src"],
+                dst=payload["dst"],
+                step=payload["step"],
+                started_ms=sim.now,
+                size_bytes=(
+                    int(getattr(instance, "size_bytes", 1024))
+                    if instance is not None else 0
+                ),
+            )
+            self.records.append(record)
+            done = sim.signal(name=f"migration:{record.migration_id}:resume")
+            sim.process(
+                self._run(record, done), name=f"migration-{record.migration_id}-resume"
+            )
+        return sorted(restores, key=lambda p: int(p.get("migration_id", 0)))
 
-    def resume(self, record: MigrationRecord) -> Signal:
-        """Finish an in-flight migration found in the WAL (recovery)."""
-        done = self.runtime.sim.signal(name=f"migration:{record.migration_id}:resume")
-        self.records.append(record)
-        self.runtime.sim.process(
-            self._run(record, done), name=f"migration-{record.migration_id}-resume"
-        )
-        return done
+    def retire(self, payload: dict) -> Signal:
+        """Delete the WAL entry of an adopted restore once re-driven."""
+        return self.storage.delete(f"migration/{int(payload.get('migration_id', 0))}")
 
     def _new_record(
         self, cid: str, dst: Server, kind: str = "migrate"

@@ -1,20 +1,21 @@
 """Consistent snapshots for fault tolerance (§5.3).
 
-A snapshot request for a context dispatches a special read-only event
-that captures the state of the context *and all its descendants* as of a
-single point in the serial order, then writes the bundle to cloud
-storage.  A context whose ``state_snapshot`` returns ``None`` is skipped
-(the paper's checkpoint-skipping override).
+A snapshot request for a context captures the state of the context *and
+all its descendants* and writes the bundle to cloud storage.  A context
+whose ``state_snapshot`` returns ``None`` is skipped (the paper's
+checkpoint-skipping override).
 
-:func:`fuzzy_snapshot` is the uncoordinated counterpart — per-context
-state capture with no cross-context locking, modelling per-grain
-persistence (Orleans): the bundle may mix states from different points
-of the serial order.  Runtimes whose locking has no global acquisition
-order (Orleans' per-call turn locks) must use it: a subtree-locking
-snapshot can deadlock against their events.
+Capture follows the runtime, decided in one place (:func:`_capture`).
+Where ownership is enforced, a special read-only event read-locks the
+subtree top-down, so the bundle is a single point in the serial order.
+Runtimes whose locking has no global acquisition order (Orleans'
+per-call turn locks) would deadlock against such an event: they capture
+inline with no locks, per context — the per-grain persistence guarantee,
+where a bundle may mix states from different points of the serial order.
 
-:class:`DeltaCheckpointer` is the *incremental* mode: instead of
-re-uploading the whole subtree every interval, it stores a **base
+:class:`Checkpointer` writes the whole subtree as one ``{cid: state}``
+bundle.  :class:`DeltaCheckpointer` is the *incremental* mode: instead
+of re-uploading the whole subtree every interval, it stores a **base
 bundle plus a bounded chain of delta bundles**, each recording the
 per-context ``_aeon_version`` it captured.  A context whose version has
 not moved since the previous bundle is skipped (its bytes are never
@@ -22,13 +23,14 @@ re-shipped); an interval in which *nothing* moved writes no bundle at
 all.  After ``DeltaCheckpointer.MAX_CHAIN`` deltas the checkpointer
 re-bases (one full upload, resetting the chain), which bounds both
 recovery read fan-out and storage growth.  :func:`read_checkpoint`
-reassembles base + chain (or passes a legacy full bundle through) for
-the recovery path.
+reassembles base + chain (or passes a full bundle through) for the
+recovery path.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..core.context import ContextRef
@@ -40,12 +42,13 @@ from .storage import CloudStorage
 
 __all__ = [
     "snapshot_context",
-    "fuzzy_snapshot",
+    "Checkpointer",
     "DeltaCheckpointer",
     "read_checkpoint",
 ]
 
-_SNAPSHOT_COUNTER = [0]
+#: Snapshot ids: synthetic event ids and default snapshot keys.
+_SNAPSHOT_IDS = itertools.count(1)
 
 #: Hard cap on delta-chain reads during reassembly (a chain can never
 #: legitimately grow past ``DeltaCheckpointer.MAX_CHAIN``; this guards
@@ -83,87 +86,70 @@ def subtree_members(runtime: RuntimeBase, root_cid: str) -> List[str]:
     )
 
 
-def fuzzy_snapshot(
-    runtime: RuntimeBase,
-    storage: CloudStorage,
-    root_cid: str,
-    key: Optional[str] = None,
-) -> Signal:
-    """Checkpoint a subtree with per-context capture and no locks.
-
-    States are read at the call instant (each simulator callback is
-    atomic, so individual states are never torn) but without any
-    cross-context coordination — the weaker per-grain-persistence
-    guarantee.  Returns the storage write's completion signal.
-    """
-    _SNAPSHOT_COUNTER[0] += 1
-    storage_key = key or f"snapshot/{root_cid}/{_SNAPSHOT_COUNTER[0]}"
-    states, total_bytes = _collect_states(runtime, subtree_members(runtime, root_cid))
-    return storage.write(storage_key, states, size_bytes=max(total_bytes, 64))
-
-
-def _snapshot_event(runtime: RuntimeBase, root_cid: str) -> tuple:
-    """``(snap_id, synthetic read-only Event)`` for a subtree capture."""
-    _SNAPSHOT_COUNTER[0] += 1
-    snap_id = _SNAPSHOT_COUNTER[0]
-    event = Event(
-        eid=-1_000_000 - snap_id,  # synthetic id space, below migrations
-        spec=CallSpec(root_cid, "__snapshot__"),
-        mode=AccessMode.RO,
-        client="~snapshot",
-        submitted_ms=runtime.sim.now,
-        tag="snapshot",
-    )
-    return snap_id, event
-
-
 def snapshot_context(
     runtime: RuntimeBase,
     storage: CloudStorage,
     target: ContextRef,
     key: Optional[str] = None,
 ) -> Signal:
-    """Take a consistent snapshot of ``target`` and its descendants.
+    """Snapshot ``target`` and its descendants as one full bundle.
 
     Returns a signal that fires with the storage key once the snapshot
-    is durable.  The snapshot event takes read locks on the whole
-    subtree (top-down, in deterministic order), so it is consistent with
-    the strict-serializable event order; concurrent read-only events
-    still proceed.
+    is durable.  Where ownership is enforced the capture read-locks the
+    whole subtree (top-down, in deterministic order), so it is
+    consistent with the strict-serializable event order; concurrent
+    read-only events still proceed.
     """
-    snap_id, event = _snapshot_event(runtime, target.cid)
-    storage_key = key or f"snapshot/{target.cid}/{snap_id}"
-    done = runtime.sim.signal(name=f"snapshot:{storage_key}")
+    storage_key = key or f"snapshot/{target.cid}/{next(_SNAPSHOT_IDS)}"
+    return Checkpointer(runtime, storage, target.cid, storage_key).checkpoint()
 
-    def persist(ordered: List[str]):
-        states, total_bytes = _collect_states(runtime, ordered)
-        write = storage.write(storage_key, states, size_bytes=max(total_bytes, 64))
-        return write, storage_key
 
-    runtime.sim.process(
-        _locked_capture(runtime, event, target.cid, persist, done),
-        name=f"snapshot-{snap_id}",
-    )
+def _capture(runtime: RuntimeBase, root_cid: str, persist, name: str) -> Signal:
+    """Run ``persist(members) -> (write_or_None, value)`` over
+    ``root_cid``'s subtree; returns a completion signal.
+
+    The one place the capture discipline is decided.  With ownership
+    enforced every event locks top-down along ownership paths, so a
+    subtree read-locked in that order is consistent and deadlock-free
+    (:func:`_locked_capture`).  Orleans opts out of that order: its
+    members are captured here and now, with no locks.  The signal
+    succeeds with ``persist``'s value once its write (if any) landed.
+    """
+    sim = runtime.sim
+    done = sim.signal(name=name)
+    if runtime.enforce_ownership:
+        sim.process(_locked_capture(runtime, root_cid, persist, done), name=name)
+        return done
+    try:
+        write, value = persist(subtree_members(runtime, root_cid))
+    except Exception as exc:  # noqa: BLE001 - surfaced to the caller
+        done.fail(exc)
+        return done
+    if write is None:
+        done.succeed(value)
+    else:
+        write.add_callback(lambda _sig: done.succeed(value))
     return done
 
 
 def _locked_capture(
-    runtime: RuntimeBase,
-    event: Event,
-    root_cid: str,
-    persist,
-    done: Signal,
+    runtime: RuntimeBase, root_cid: str, persist, done: Signal
 ) -> Generator:
     """Run ``persist(ordered_members)`` under subtree read locks.
 
-    The subtree is read-locked top-down (ancestors before descendants)
-    so acquisition order is consistent with every other event.
-    ``persist`` returns ``(write_signal_or_None, done_value)``; the
-    write (if any) is awaited while the locks are held, then ``done``
-    succeeds with the value.  Shared by :func:`snapshot_context` and
-    :class:`DeltaCheckpointer`'s locked capture, so the locking
-    discipline lives in exactly one place.
+    A synthetic read-only event read-locks the subtree top-down
+    (ancestors before descendants), so acquisition order is consistent
+    with every other event.  The write (if any) is awaited while the
+    locks are held, then ``done`` succeeds with ``persist``'s value.
     """
+    event = Event(
+        eid=-1_000_000 - next(_SNAPSHOT_IDS),  # synthetic ids, below migrations
+        spec=CallSpec(root_cid, "__snapshot__"),
+        mode=AccessMode.RO,
+        client="~snapshot",
+        submitted_ms=runtime.sim.now,
+        tag="snapshot",
+    )
     ownership = runtime.ownership
     members = subtree_members(runtime, root_cid)
     ordered = sorted(members, key=lambda cid: (len(ownership.ancestors(cid)), cid))
@@ -184,10 +170,46 @@ def _locked_capture(
             lock.release(event)
 
 
+class Checkpointer:
+    """Rolling checkpoints of one subtree, one full bundle each.
+
+    Each :meth:`checkpoint` writes every member's state under ``key`` as
+    a plain ``{cid: state}`` bundle, captured as :func:`_capture`
+    decides for the runtime.  Subclasses change what is written by
+    overriding :meth:`persist` alone.
+    """
+
+    def __init__(
+        self,
+        runtime: RuntimeBase,
+        storage: CloudStorage,
+        root_cid: str,
+        key: str,
+    ) -> None:
+        self.runtime = runtime
+        self.storage = storage
+        self.root = root_cid
+        self.key = key
+
+    def checkpoint(self) -> Signal:
+        """Capture and write the next bundle; returns a completion signal.
+
+        The signal succeeds with :meth:`persist`'s value: the key for a
+        full bundle.
+        """
+        return _capture(self.runtime, self.root, self.persist, f"checkpoint:{self.key}")
+
+    def persist(self, members: List[str]) -> Tuple[Optional[Signal], object]:
+        """Write ``members``' states; returns ``(write_signal, key)``."""
+        states, total_bytes = _collect_states(self.runtime, members)
+        write = self.storage.write(self.key, states, size_bytes=max(total_bytes, 64))
+        return write, self.key
+
+
 # ----------------------------------------------------------------------
 # Incremental (base + delta chain) checkpoints
 # ----------------------------------------------------------------------
-class DeltaCheckpointer:
+class DeltaCheckpointer(Checkpointer):
     """Incremental checkpoints of one subtree: a base plus delta chain.
 
     Storage layout (for root key ``K`` — the eManager's rolling
@@ -202,11 +224,8 @@ class DeltaCheckpointer:
     only when its seq is newer than what it has already absorbed, which
     makes stale chain keys left over from before a re-base harmless (no
     deletes needed, the key space stays bounded by ``MAX_CHAIN``).
-
-    Capture follows the runtime (see :meth:`checkpoint`): under subtree
-    read locks (the guarantee of :func:`snapshot_context`) where
-    ownership is enforced, else the per-grain lock-free capture of
-    :func:`fuzzy_snapshot`.
+    :meth:`checkpoint`'s signal succeeds with ``"base"``, ``"delta"`` or
+    ``"skip"``.
     """
 
     #: Deltas written before the next bundle re-bases.
@@ -219,10 +238,7 @@ class DeltaCheckpointer:
         root_cid: str,
         key: str,
     ) -> None:
-        self.runtime = runtime
-        self.storage = storage
-        self.root = root_cid
-        self.key = key
+        super().__init__(runtime, storage, root_cid, key)
         #: Per-context ``_aeon_version`` as of the last written bundle.
         self._last_versions: Dict[str, int] = {}
         #: Per-context ownership signature (sorted direct children) as of
@@ -253,41 +269,7 @@ class DeltaCheckpointer:
         self.deltas_written = 0
         self.skipped = 0
 
-    def checkpoint(self) -> Signal:
-        """Write the next bundle (or skip); returns a completion signal.
-
-        The signal succeeds with ``"base"``, ``"delta"`` or ``"skip"``.
-        """
-        sim = self.runtime.sim
-        done = sim.signal(name=f"checkpoint:{self.key}")
-        # Subtree locking is deadlock-free only under a global lock order:
-        # with ownership enforced every event locks top-down along
-        # ownership paths; Orleans opts out of that order, so per-grain.
-        if self.runtime.enforce_ownership:
-            snap_id, event = _snapshot_event(self.runtime, self.root)
-            sim.process(
-                _locked_capture(
-                    self.runtime, event, self.root, self._capture_and_write, done
-                ),
-                name=f"checkpoint-{snap_id}",
-            )
-        else:
-            try:
-                write, kind = self._capture_and_write(
-                    subtree_members(self.runtime, self.root)
-                )
-            except Exception as exc:  # noqa: BLE001 - surfaced to the caller
-                done.fail(exc)
-                return done
-            if write is None:
-                done.succeed("skip")
-            else:
-                write.add_callback(lambda _sig, k=kind: done.succeed(k))
-        return done
-
-    def _capture_and_write(
-        self, members: List[str]
-    ) -> Tuple[Optional[Signal], str]:
+    def persist(self, members: List[str]) -> Tuple[Optional[Signal], object]:
         """Capture ``members``, write base/delta/nothing, update tracking.
 
         Returns ``(write_signal_or_None, "base" | "delta" | "skip")``.
@@ -399,7 +381,7 @@ def read_checkpoint(storage: CloudStorage, key: str) -> Generator:
     A generator (``states = yield from read_checkpoint(...)``) issuing
     simulated-latency storage reads.  Handles all three layouts:
 
-    * legacy full bundle (plain ``{cid: state}``) — returned as-is;
+    * a full bundle (plain ``{cid: state}``) — returned as-is;
     * a base bundle — its states, pruned to its member set;
     * a base + delta chain — deltas overlaid in order, each applied only
       if newer (by seq) than what is already absorbed, final member set
@@ -411,7 +393,7 @@ def read_checkpoint(storage: CloudStorage, key: str) -> Generator:
     if base is None:
         return None
     if not (isinstance(base, dict) and base.get("kind") == "base"):
-        return base  # legacy full bundle: {cid: state}
+        return base  # full bundle: {cid: state}
     states: Dict[str, dict] = dict(base["states"])
     members = set(base["versions"])
     seq = base["seq"]

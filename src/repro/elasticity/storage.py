@@ -103,7 +103,10 @@ class CloudStorage:
     # Synchronous inspection (tests, recovery bootstrap)
     # ------------------------------------------------------------------
     def peek(self, key: str) -> Any:
-        """Current durable value without simulated latency (tests only)."""
+        """Current durable value without simulated latency: for tests,
+        and for the reads the model prices as free — WAL and fencing-epoch
+        adoption at failover, delta seq seeding, the WAL append's epoch
+        compare-and-set and recovery's read of a step-down flush."""
         return self._data.get(key)
 
     def keys_with_prefix(self, prefix: str) -> List[str]:

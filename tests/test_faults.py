@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.baselines import OrleansRuntime
 from repro.core import AeonRuntime, is_retryable
-from repro.elasticity import CloudStorage, EManager
-from repro.elasticity.snapshot import fuzzy_snapshot
+from repro.elasticity import Checkpointer, CloudStorage, EManager
 from repro.faults import (
     FailureDetector,
     FaultInjector,
@@ -308,14 +308,19 @@ def test_clients_retry_retryable_failures_and_recover():
 
 
 def test_fuzzy_snapshot_checkpoints_without_locks():
-    bed = Testbed(AeonRuntime, n_servers=2, record_history=False)
+    # Orleans has no global lock order, so its checkpoints capture each
+    # grain at the call instant with no locks (per-grain persistence).
+    bed = Testbed(OrleansRuntime, n_servers=2, record_history=False)
     runtime, sim = bed.runtime, bed.sim
     storage = CloudStorage(sim)
-    cell = runtime.create_context(Cell, server=bed.servers[0], name="plain")
+    runtime.create_context(Cell, server=bed.servers[0], name="plain")
     runtime.instance_of("plain").value = 9
-    done = fuzzy_snapshot(runtime, storage, "plain", key="checkpoint/plain")
+    done = Checkpointer(runtime, storage, "plain", key="checkpoint/plain").checkpoint()
+    assert not runtime.locks
+    runtime.instance_of("plain").value = 10  # after the capture instant
     sim.run(until=50.0)
     assert done.triggered and done.ok
+    assert not runtime.locks
     assert storage.peek("checkpoint/plain")["plain"]["value"] == 9
 
 

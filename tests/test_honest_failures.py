@@ -7,11 +7,12 @@ off by default (``fencing``, ``honest_recovery``, ``crash_drops_state``)
 ground truth and crashes really drop volatile state.
 """
 
+import copy
 import json
 
 import pytest
 
-from repro.core import AeonRuntime, is_retryable
+from repro.core import AeonRuntime, ContextClass, is_retryable
 from repro.core.errors import FencedError
 from repro.core.ownership import FencingTable
 from repro.elasticity import CloudStorage, EManager
@@ -166,6 +167,27 @@ def test_fencing_recovery_never_peeks_ground_truth(monkeypatch):
     assert manager.contexts_recovered == 1
     assert bed.runtime.placement["hot"] != victim.name
     assert bed.runtime.instance_of("hot").value == 4
+
+
+class Bag(ContextClass):
+    """A context with a mutable field."""
+
+    def __init__(self):
+        self.items = [1]
+
+
+def test_step_down_flush_does_not_alias_live_state():
+    # The flush is the durable image a restore rolls back to: a later
+    # in-place mutation of the live context must not reach into it.
+    bed, storage, manager, _detector = _bed()
+    runtime, sim = bed.runtime, bed.sim
+    victim = bed.servers[1]
+    runtime.create_context(Bag, server=victim, name="bag")
+    sim.run_process(manager._step_down_flush(victim.name, ["bag"]))
+    image = copy.deepcopy(storage.peek("fence-flush/bag"))
+    assert image
+    runtime.instance_of("bag").items.append(2)
+    assert storage.peek("fence-flush/bag") == image
 
 
 # ----------------------------------------------------------------------

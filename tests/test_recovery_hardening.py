@@ -5,7 +5,7 @@ client location-cache invalidation."""
 import pytest
 
 import repro.elasticity.snapshot as snapshot_module
-from repro.baselines import OrleansRuntime
+from repro.baselines import EventWaveRuntime, OrleansRuntime
 from repro.core import AeonRuntime
 from repro.core.locking import acquire
 from repro.core.errors import MigrationError, is_retryable
@@ -13,8 +13,11 @@ from repro.elasticity import (
     CloudStorage,
     DeltaCheckpointer,
     EManager,
+    MigrationCoordinator,
+    MigrationRecord,
     ScaleInAction,
     read_checkpoint,
+    snapshot_context,
 )
 from repro.faults import FailureDetector, FaultInjector, FaultSchedule, ServerCrash
 from repro.sim import M3_LARGE, RngRegistry
@@ -154,6 +157,31 @@ def test_recovered_manager_does_not_reuse_live_migration_ids():
     assert runtime.placement["fresh"] == bed.servers[1].name
     # Both WAL records were cleaned up under their distinct keys.
     assert storage.keys_with_prefix("migration/") == []
+
+
+def test_adopt_wal_resumes_migrations_and_hands_back_restores():
+    bed = Testbed(AeonRuntime, n_servers=3, record_history=False)
+    runtime, sim = bed.runtime, bed.sim
+    storage = CloudStorage(sim)
+    for name in ("moving", "lost", "fresh"):
+        runtime.create_context(Cell, server=bed.servers[0], name=name)
+    src, dst = bed.servers[0].name, bed.servers[1].name
+    migrate = MigrationRecord(3, "moving", src, dst, step="stopped")
+    restore = MigrationRecord(7, "lost", src, dst, step="prepared", kind="restore")
+    for record in (migrate, restore):
+        storage.write(f"migration/{record.migration_id}", record.as_payload())
+    sim.run(until=sim.now + 10.0)
+
+    coordinator = MigrationCoordinator(runtime, storage, bed.servers[2])
+    assert coordinator.adopt_wal() == [restore.as_payload()]
+    # Restore ids seed the counter too: a fresh id never reuses 7.
+    fresh = coordinator.migrate("fresh", bed.servers[1])
+    assert coordinator.records[-1].migration_id > restore.migration_id
+    sim.run(until=sim.now + 500.0)
+    assert fresh.ok
+    assert runtime.placement["moving"] == dst  # the migrate record completed
+    assert runtime.placement["lost"] == src  # re-driving a restore is the caller's
+    assert storage.keys_with_prefix("migration/") == ["migration/7"]
 
 
 # ----------------------------------------------------------------------
@@ -351,24 +379,31 @@ def test_successor_checkpointer_seeds_seq_past_stale_bundles():
     assert sim.run_process(assemble())["c"]["value"] == 7
 
 
+@pytest.fixture
+def snapshot_eids(monkeypatch):
+    """The eids of every lock a snapshot event acquires."""
+    eids = []
+
+    def recording_acquire(sim, table, cid, event):
+        if event.eid <= -1_000_000:  # the synthetic snapshot id space
+            eids.append(event.eid)
+        return acquire(sim, table, cid, event)
+
+    monkeypatch.setattr(snapshot_module, "acquire", recording_acquire)
+    return eids
+
+
+CAPTURE_RULE = [(AeonRuntime, True), (EventWaveRuntime, True), (OrleansRuntime, False)]
+
+
 @pytest.mark.parametrize("checkpoint_mode", ["full", "delta"])
-@pytest.mark.parametrize(
-    "runtime_cls, locked", [(AeonRuntime, True), (OrleansRuntime, False)]
-)
+@pytest.mark.parametrize("runtime_cls, locked", CAPTURE_RULE)
 def test_checkpoint_capture_follows_the_runtime(
-    monkeypatch, runtime_cls, locked, checkpoint_mode
+    snapshot_eids, runtime_cls, locked, checkpoint_mode
 ):
     # Subtree-locked capture needs the global lock order that enforced
     # ownership gives; an Orleans runtime (no such order) checkpoints
     # per grain and never takes a lock for its snapshot event.
-    snapshot_eids = []
-
-    def recording_acquire(sim, table, cid, event):
-        if event.eid <= -1_000_000:  # the synthetic snapshot id space
-            snapshot_eids.append(event.eid)
-        return acquire(sim, table, cid, event)
-
-    monkeypatch.setattr(snapshot_module, "acquire", recording_acquire)
     bed = Testbed(runtime_cls, n_servers=2, record_history=False)
     runtime, sim = bed.runtime, bed.sim
     cell = runtime.create_context(Cell, server=bed.servers[0], name="r")
@@ -389,6 +424,23 @@ def test_checkpoint_capture_follows_the_runtime(
         return states
 
     assert sim.run_process(assemble())["r"]["value"] == 2
+
+
+@pytest.mark.parametrize("runtime_cls, locked", CAPTURE_RULE)
+def test_snapshot_context_capture_follows_the_runtime(
+    snapshot_eids, runtime_cls, locked
+):
+    # An explicit snapshot obeys the same rule as periodic checkpoints.
+    bed = Testbed(runtime_cls, n_servers=2, record_history=False)
+    runtime, sim = bed.runtime, bed.sim
+    cell = runtime.create_context(Cell, server=bed.servers[0], name="r")
+    bed.run_event(cell.add(2))
+    storage = CloudStorage(sim)
+    done = snapshot_context(runtime, storage, cell, key="snap/r")
+    sim.run(until=sim.now + 50.0)
+    assert done.value == "snap/r"
+    assert storage.peek("snap/r")["r"]["value"] == 2
+    assert bool(snapshot_eids) is locked
 
 
 # ----------------------------------------------------------------------
