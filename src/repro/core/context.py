@@ -340,50 +340,34 @@ class ContextClass:
         state["__version__"] = self._aeon_version
         return state
 
-    def state_restore(
-        self,
-        state: Dict[str, Any],
-        *,
-        restore_version: bool = False,
-        restore_structure: bool = False,
-    ) -> int:
-        """Reset the plain persistent fields from a snapshot bundle entry.
+    def state_restore(self, state: Dict[str, Any]) -> int:
+        """Roll the context back to a snapshot bundle entry.
 
-        The crash-recovery path (§5.3): the context's volatile state is
-        rolled back to the checkpoint.  By default Ref/RefSet wiring is
-        left alone — ownership edges and the context mapping live in the
-        runtime and cloud storage, not on the crashed server — and the
-        version counter is bumped so later readers observe the rollback
-        as a write.  Values are deep-copied in: the same durable bundle
-        may restore this context again after a second crash, so the live
-        instance must never share mutables with it.
+        The crash-recovery path (§5.3): plain fields, the Ref/RefSet
+        wiring (re-maintaining ownership edges through the normal
+        descriptors, so delta-restored subtrees rebuild their wiring
+        without a full re-base) and the version counter all come back
+        from the snapshot.  Values are deep-copied in: the same durable
+        bundle may restore this context again after a second crash, so
+        the live instance must never share mutables with it.
 
-        With ``restore_version`` (the honest-recovery path) the version
-        counter is instead reset to the snapshot's ``__version__``, and
-        the return value is the number of committed writes the rollback
-        discarded (0 when the snapshot is at least as new as the live
-        state).  With ``restore_structure`` the Ref/RefSet wiring is
-        additionally rebuilt from the snapshot's ``__refs__``/
-        ``__refsets__`` entries, re-maintaining ownership edges through
-        the normal descriptors — delta-restored subtrees rebuild their
-        wiring without a full re-base.
-
-        Either way the instance is live again afterwards: a crash-time
-        state drop (see :meth:`drop_volatile_state`) is cleared.
+        Returns the version gap: the writes past the snapshot the
+        rollback discarded (0 when the snapshot is at least as new as
+        the live state).  The instance is live again afterwards: a
+        crash-time state drop (see
+        :meth:`~repro.core.runtime.RuntimeBase.drop_server_state`) is
+        cleared.
         """
         for key, value in state.items():
             if key in ("__refs__", "__refsets__", "__version__"):
                 continue
             setattr(self, key, copy.deepcopy(value))
-        if restore_structure:
-            self._restore_wiring(state)
+        self._restore_wiring(state)
         rolled_back = 0
-        if restore_version and "__version__" in state:
+        if "__version__" in state:
             restored = int(state["__version__"])
             rolled_back = max(0, self._aeon_version - restored)
             self._aeon_version = restored
-        else:
-            self._aeon_version += 1
         if self._aeon_state_dropped:
             del self._aeon_state_dropped  # fall back to the class default
         return rolled_back
@@ -411,19 +395,6 @@ class ContextClass:
             for cid in sorted(wanted):
                 if ContextRef(cid, "?") not in view:
                     view.add(make_ref(cid))
-
-    def drop_volatile_state(self) -> int:
-        """Mark the in-memory state as lost (the host crashed).
-
-        Honest fail-stop semantics: the attribute values stay around
-        only as simulator bookkeeping (so recovery can quantify the
-        rolled-back work), but any method execution fails until a
-        checkpoint restore repopulates the context.  Returns the version
-        at the moment of the crash — the high-water mark of committed
-        writes the crash made volatile.
-        """
-        self._aeon_state_dropped = True
-        return self._aeon_version
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self._aeon_cid}>"

@@ -18,12 +18,22 @@ and verifies
 The second check is the standard sound approximation for locking
 protocols: any strict-serializability violation produced by mis-ordered
 conflicting events shows up as such a backward edge.
+
+Crash recovery rolls a context back to a durable image, and the versions
+past it are then written again.  Runtimes record each rollback too; the
+checker replays commits and rollbacks in time order, and a rollback
+starts a new *incarnation* of the context that keeps the writes and
+reads at or below the restored version.  The committed writes it
+discarded are **lost updates**, a violation class of its own that
+:meth:`HistoryRecorder.check` counts rather than raises.  A version
+written by two live committed events is a hard violation.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 __all__ = ["CommittedEvent", "HistoryRecorder", "SerializabilityViolation"]
@@ -50,6 +60,9 @@ class HistoryRecorder:
 
     def __init__(self) -> None:
         self.events: List[CommittedEvent] = []
+        #: ``(time, cid, version restored)`` per rollback, in the order
+        #: they happened.
+        self.rollbacks: List[Tuple[float, str, int]] = []
 
     def commit(
         self,
@@ -65,46 +78,87 @@ class HistoryRecorder:
             CommittedEvent(eid, tag, submitted_ms, committed_ms, dict(reads), dict(writes))
         )
 
+    def rollback(self, cid: str, version: int, at_ms: float) -> None:
+        """Record that ``cid`` went back to ``version`` at ``at_ms``
+        (called by runtimes at their one rollback site)."""
+        self.rollbacks.append((at_ms, cid, version))
+
     # ------------------------------------------------------------------
     # Conflict graph construction
     # ------------------------------------------------------------------
+    def _replay(self) -> tuple:
+        """Replay commits and rollbacks in time order.
+
+        Commit time, not record order: an event is recorded once its
+        reply reaches the client, and a rollback can fall in between.  A
+        commit at a rollback's instant precedes it (the restore waited
+        for the lock).  Returns the ``(cid, incarnation) -> version ->
+        writer`` and ``-> readers`` maps, the number of committed writes
+        rollbacks discarded, and each ``(cid, version)`` that a second
+        live writer wrote.
+        """
+        writers: dict = defaultdict(dict)
+        readers: dict = defaultdict(lambda: defaultdict(list))
+        incarnation: Dict[str, int] = defaultdict(int)
+        lost = 0
+        duplicated = []
+        pending = iter(self.rollbacks)
+        rollback = next(pending, None)
+        by_commit = sorted(self.events, key=lambda e: e.committed_ms)
+        for event in by_commit + [None]:
+            while rollback is not None and (
+                event is None or rollback[0] < event.committed_ms
+            ):
+                _, cid, restored = rollback
+                old = (cid, incarnation[cid])
+                incarnation[cid] += 1
+                new = (cid, incarnation[cid])
+                discarded = writers[old]
+                writers[new] = {v: e for v, e in discarded.items() if v <= restored}
+                lost += len(discarded) - len(writers[new])
+                readers[new] = defaultdict(
+                    list,
+                    {v: list(r) for v, r in readers[old].items() if v <= restored},
+                )
+                rollback = next(pending, None)
+            if event is None:
+                break
+            for cid, version in event.writes.items():
+                live = writers[(cid, incarnation[cid])]
+                if version in live:
+                    duplicated.append((cid, version))
+                live[version] = event.eid
+            for cid, version in event.reads.items():
+                readers[(cid, incarnation[cid])][version].append(event.eid)
+        return writers, readers, lost, duplicated
+
     def conflict_edges(self) -> Set[Tuple[int, int]]:
         """Precedence edges (eid_a -> eid_b) implied by version conflicts.
 
-        Per context: the writer of version v precedes the writer of any
-        later version; a reader of version v follows its writer and
-        precedes the writer of version v+1.
+        Per context incarnation: the writer of version v precedes the
+        writer of any later version; a reader of version v follows its
+        writer and precedes the writer of version v+1.
         """
-        edges: Set[Tuple[int, int]] = set()
-        writers: Dict[str, Dict[int, int]] = defaultdict(dict)  # cid -> version -> eid
-        readers: Dict[str, Dict[int, List[int]]] = defaultdict(lambda: defaultdict(list))
-        for event in self.events:
-            for cid, version in event.writes.items():
-                writers[cid][version] = event.eid
-            for cid, version in event.reads.items():
-                readers[cid][version].append(event.eid)
-        for cid, by_version in writers.items():
-            ordered_versions = sorted(by_version)
-            for earlier, later in zip(ordered_versions, ordered_versions[1:]):
-                if by_version[earlier] != by_version[later]:
-                    edges.add((by_version[earlier], by_version[later]))
-            for version, writer_eid in by_version.items():
-                # Readers of version v-1 (the state before this write)
-                # precede the writer; readers of v follow it.
-                for reader_eid in readers[cid].get(version - 1, ()):
-                    if reader_eid != writer_eid:
-                        edges.add((reader_eid, writer_eid))
-                for reader_eid in readers[cid].get(version, ()):
-                    if reader_eid != writer_eid:
-                        edges.add((writer_eid, reader_eid))
-        return edges
+        writers, readers, _lost, _duplicated = self._replay()
+        return _edges(writers, readers)
 
     # ------------------------------------------------------------------
     # Checks
     # ------------------------------------------------------------------
-    def check(self) -> None:
-        """Raise :class:`SerializabilityViolation` if the history is bad."""
-        edges = self.conflict_edges()
+    def check(self) -> int:
+        """Raise :class:`SerializabilityViolation` if the history is bad.
+
+        Returns the lost-update count: committed writes a rollback
+        discarded, whether or not their versions were written again.
+        """
+        writers, readers, lost, duplicated = self._replay()
+        if duplicated:
+            cid, version = duplicated[0]
+            raise SerializabilityViolation(
+                f"{len(duplicated)} version(s) written by two live committed "
+                f"events, the first {cid!r} v{version}"
+            )
+        edges = _edges(writers, readers)
         cycle = _find_cycle(edges)
         if cycle is not None:
             raise SerializabilityViolation(
@@ -121,6 +175,7 @@ class HistoryRecorder:
                         f"{committed[dst]:.3f}ms before {src} started at "
                         f"{started[src]:.3f}ms"
                     )
+        return lost
 
     def is_strictly_serializable(self) -> bool:
         """Boolean form of :meth:`check`."""
@@ -143,14 +198,9 @@ class HistoryRecorder:
         # Prefer commit-time order among available nodes (deterministic
         # and consistent with strictness when the history is valid).
         commit_of = {e.eid: e.committed_ms for e in self.events}
-        available = sorted(
-            (n for n in nodes if indeg[n] == 0), key=lambda n: commit_of.get(n, 0.0)
-        )
-        order: List[int] = []
-        import heapq
-
-        heap = [(commit_of.get(n, 0.0), n) for n in available]
+        heap = [(commit_of.get(n, 0.0), n) for n in nodes if indeg[n] == 0]
         heapq.heapify(heap)
+        order: List[int] = []
         while heap:
             _, node = heapq.heappop(heap)
             order.append(node)
@@ -161,6 +211,26 @@ class HistoryRecorder:
         if len(order) != len(nodes):
             return None
         return order
+
+
+def _edges(writers: dict, readers: dict) -> Set[Tuple[int, int]]:
+    """The conflict edges of :meth:`HistoryRecorder._replay`'s maps."""
+    edges: Set[Tuple[int, int]] = set()
+    for key, by_version in writers.items():
+        ordered_versions = sorted(by_version)
+        for earlier, later in zip(ordered_versions, ordered_versions[1:]):
+            if by_version[earlier] != by_version[later]:
+                edges.add((by_version[earlier], by_version[later]))
+        for version, writer_eid in by_version.items():
+            # Readers of version v-1 (the state before this write)
+            # precede the writer; readers of v follow it.
+            for reader_eid in readers[key].get(version - 1, ()):
+                if reader_eid != writer_eid:
+                    edges.add((reader_eid, writer_eid))
+            for reader_eid in readers[key].get(version, ()):
+                if reader_eid != writer_eid:
+                    edges.add((writer_eid, reader_eid))
+    return edges
 
 
 def _find_cycle(edges: Set[Tuple[int, int]]) -> Optional[List[int]]:

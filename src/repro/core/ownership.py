@@ -82,7 +82,7 @@ VIRTUAL_PREFIX = "~vroot:"
 
 
 class FencingTable:
-    """Per-subtree fencing epochs for honest failure handling.
+    """Per-subtree fencing epochs: the ``fencing`` knob of crash recovery.
 
     Each checkpoint root carries a monotonically increasing *fencing
     epoch*.  When the failure detector **declares** a server dead the

@@ -179,15 +179,12 @@ class RuntimeBase:
         self._registered_classes: Set[str] = set()
         self.events_completed = 0
         self.events_failed = 0
-        #: Honest failure semantics (all off by default, enabled by the
-        #: eManager's fault-tolerance wiring): a fencing table rejects
-        #: writes into declared-dead subtrees, crashed servers drop their
-        #: contexts' volatile state, and restores account the committed
-        #: writes a rollback discarded.  The eManager and its migration
-        #: coordinator read these two facts here and keep no copy.
+        #: Failure semantics: the fencing table (installed by the
+        #: eManager when fencing is on) rejects writes into declared-dead
+        #: subtrees, and every rollback counts the committed writes it
+        #: discarded.  The eManager and its coordinator keep no copy.
         self.fencing: Optional[FencingTable] = None
         self.writes_rolled_back = 0
-        self.honest = False
         self._charge_obj = CpuCharge(None, 0.0)  # reused; see _charge
         # Per-event lock bookkeeping (held set, open branch count,
         # quiescence signal, deferred lock list) lives on the Event
@@ -462,48 +459,44 @@ class RuntimeBase:
             self.network.register(name)
         return handle
 
-    def enable_honest_failures(self, fencing: Optional[FencingTable] = None) -> None:
-        """Turn on honest failure semantics for this runtime.
-
-        Installs the (optional) fencing table on the write path and
-        activates the dropped-state check in the body driver.  Called by
-        the eManager's fault-tolerance wiring; never on the default path,
-        so golden-pinned runs execute byte-identically.
-        """
-        self.honest = True
-        if fencing is not None:
-            self.fencing = fencing
-
-    def rollback(self, instance: ContextClass, state: dict) -> None:
+    def rollback(self, instance: ContextClass, state: Optional[dict]) -> None:
         """Roll ``instance`` back to checkpointed ``state``.
 
         The one place a restore rolls state back, and so the one place
-        the committed writes it discards are counted: under honest
-        semantics versions and ownership wiring come back from the
-        checkpoint too, and the version gap is lost work.
-        """
-        self.writes_rolled_back += instance.state_restore(
-            state, restore_version=self.honest, restore_structure=self.honest
-        )
+        the acked writes it discards are counted: version and ownership
+        wiring come back from the checkpoint too, and the version gap is
+        lost work (writes the crash took before their events finished
+        are already off the counter, see :meth:`_finish_event`).  A
+        recording runtime also tells its history which version the
+        context went back to, so the checker can tell those lost writes
+        from mis-ordered ones.
 
-    def drop_server_state(self, server_name: str) -> int:
-        """Crash realism: drop the volatile state of a server's contexts.
+        With no ``state`` (no checkpoint covers the context) nothing is
+        rolled back: the context serves again from what it holds.
+        """
+        if state is None:
+            instance.__dict__.pop("_aeon_state_dropped", None)
+            return
+        self.writes_rolled_back += instance.state_restore(state)
+        if self.history is not None:
+            self.history.rollback(
+                instance._aeon_cid, instance._aeon_version, self.sim.now
+            )
+
+    def drop_server_state(self, server_name: str) -> None:
+        """Drop the volatile state of a crashed server's contexts.
 
         Called from the server's crash hook.  Every context currently
-        placed on ``server_name`` loses its in-memory state (methods fail
-        until a restore rehydrates it); the pre-crash version survives as
-        bookkeeping so recovery can count the rolled-back writes.
-        Returns the number of contexts dropped.
+        placed on ``server_name`` loses its in-memory state: methods fail
+        until a restore repopulates it.  The attribute values and the
+        pre-crash version stay only as simulator bookkeeping, so recovery
+        can count the rolled-back writes.
         """
-        dropped = 0
         for cid in sorted(self.placement):
-            if self.placement[cid] != server_name:
-                continue
-            instance = self.instances.get(cid)
-            if instance is not None:
-                instance.drop_volatile_state()
-                dropped += 1
-        return dropped
+            if self.placement[cid] == server_name:
+                instance = self.instances.get(cid)
+                if instance is not None:
+                    instance._aeon_state_dropped = True
 
     def invalidate_cached_locations(self, server_name: str) -> int:
         """Push-invalidate every client cache entry pointing at a server.
@@ -563,6 +556,16 @@ class RuntimeBase:
         else:
             self.events_failed += 1
             self.latency.record(event.submitted_ms, self.sim.now, tag=FAILED_TAG)
+            # A failed event's write into a context whose state a crash
+            # dropped went with the host's memory before any client saw
+            # it acked: take it back off the version counter, so the
+            # rollback that follows does not count it as lost work.
+            # Only a write nobody has written over yet can go.
+            for cid, version in event.writes.items():
+                instance = self.instances.get(cid)
+                if instance is not None and instance._aeon_state_dropped:
+                    if instance._aeon_version == version:
+                        instance._aeon_version = version - 1
         if self.history is not None and event.error is None:
             self.history.commit(
                 event.eid,
@@ -658,18 +661,16 @@ class RuntimeBase:
                 f"read-only event {event.eid} called non-readonly "
                 f"{type(instance).__name__}.{spec.method}"
             )
-        # Honest failure semantics (off on the default fast path): a
-        # context whose host crashed has no state until rehydrated, and
+        # A context whose host crashed has no state until rehydrated, and
         # writes into a fenced (declared-dead) subtree are rejected
         # before they can mutate anything.
-        if self.honest:
-            if instance._aeon_state_dropped:
-                raise RetryableError(
-                    f"context {instance.cid!r} lost its volatile state in a "
-                    f"crash; retry after checkpoint rehydration"
-                )
-            if not ro_method and self.fencing is not None:
-                self.fencing.check_write(instance.cid)
+        if instance._aeon_state_dropped:
+            raise RetryableError(
+                f"context {instance.cid!r} lost its volatile state in a "
+                f"crash; retry after checkpoint rehydration"
+            )
+        if self.fencing is not None and not ro_method:
+            self.fencing.check_write(instance.cid)
         # Version tracking (_record_access, inlined: once per call).
         cid = instance._aeon_cid
         writes = event.writes
@@ -972,11 +973,12 @@ class RuntimeBase:
         stored)."""
         return len(self.instances) + self._lazy_count
 
-    def check_history(self) -> None:
-        """Run the strict-serializability checker (requires history)."""
+    def check_history(self) -> int:
+        """Run the strict-serializability checker (requires history);
+        returns its lost-update count."""
         if self.history is None:
             raise AeonError("runtime was created without record_history=True")
-        self.history.check()
+        return self.history.check()
 
 
 class _EventProcess(Process):

@@ -26,7 +26,7 @@ checkpoint through the migration coordinator's restore path.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Set
+from typing import Any, Dict, Generator, Iterable, List, Optional
 
 from ..core.errors import MigrationError
 from ..core.ownership import FencingTable
@@ -103,24 +103,20 @@ class EManager:
         # re-declares a silent suspect every lease, but one partition is
         # one false detection, counted on the suspicion transition only.
         self._false_suspects: Dict[str, bool] = {}
-        # Honest failure semantics (enable_fault_tolerance knobs) live on
-        # the runtime (``runtime.honest``, ``runtime.fencing``): when
-        # fencing is on, recovery is driven by fencing epochs and durable
-        # storage evidence instead of ground-truth aliveness peeks.
+        # The fencing table lives on the runtime (``runtime.fencing``):
+        # when it is installed, recovery fences the victim's subtrees and
+        # waits for its step-down flush before restoring.
         self.fence_grace_ms = 300.0
         #: Restores served from a fenced owner's step-down flush (the
         #: zero-lost-updates path) rather than a periodic checkpoint.
         self.flush_restores = 0
-        #: Contexts rebuilt in place after their host restarted (crash
-        #: realism: restarts rehydrate from checkpoint, not from the
-        #: ghost of pre-crash memory).
+        #: Contexts rebuilt in place after their host restarted (from
+        #: checkpoint, not from the ghost of pre-crash memory).
         self.rehydrations = 0
-        self._crash_drops_state = False
         # The detector's live set of suspects (not the detector: it
         # holds this manager's callbacks, and the pair must not be a
         # reference cycle).
         self._suspected: Any = ()
-        self._hooked_servers: Set[str] = set()
         # Half-done restores a crashed predecessor journaled; re-driven
         # once this (successor) manager is wired for fault tolerance.
         self._pending_restores: List[Dict[str, Any]] = []
@@ -206,8 +202,6 @@ class EManager:
         roots: Optional[List[str]] = None,
         checkpoint_mode: str = "full",
         fencing: bool = False,
-        honest_recovery: bool = False,
-        crash_drops_state: bool = False,
         fence_grace_ms: float = 300.0,
     ) -> None:
         """Checkpoint ``roots``' subtrees periodically; recover on crashes.
@@ -230,29 +224,26 @@ class EManager:
           unchanged intervals write nothing, and after
           ``DeltaCheckpointer.MAX_CHAIN`` deltas the subtree re-bases.
 
-        The honest-failure knobs (all default **off**, preserving the
-        legacy byte-identical behavior).  Any of them turns on
-        ``runtime.honest``; ``fencing`` also installs ``runtime.fencing``:
+        Failure semantics are fixed: a server crash drops the volatile
+        state of every context it hosted *at crash time* (every server,
+        booted ones included, is hooked), a restart rehydrates from the
+        checkpoint instead of resurrecting pre-crash memory, and
+        recovery acts on the detector's declarations and durable storage
+        alone — it never asks the simulator whether a server is alive.
+        A restore rolls version and wiring back to the durable image,
+        and the acked writes it discards are counted as lost work.
 
-        * ``fencing`` — replace ground-truth aliveness with the fencing
-          epoch protocol: a declaration fences the victim's subtrees
-          (epoch bump, persisted under ``fencing/{root}``); a fenced
-          owner gets ``fence_grace_ms`` to flush its live state through
-          cloud storage before the manager restores from the freshest
-          durable image.  Writes from a stale-epoch owner raise
-          :class:`~repro.core.errors.FencedError`, and a predecessor
-          eManager's WAL appends are fenced by the manager epoch.
-        * ``honest_recovery`` — recovery never double-checks ground
-          truth before restoring (implied by ``fencing`` and
-          ``crash_drops_state``).  With fencing off this deliberately
-          re-introduces the window the paper's §5.3 glosses over: a
-          falsely-declared live owner keeps serving while recovery rolls
-          its subtree back — the lost updates the ``split_brain``
-          scenario quantifies.
-        * ``crash_drops_state`` — crash realism: a server crash drops
-          the volatile state of every context it hosted *at crash time*;
-          a restart rehydrates from checkpoint + WAL instead of
-          resurrecting pre-crash memory.
+        ``fencing`` (default off) installs ``runtime.fencing``, the
+        epoch protocol: a declaration fences the victim's subtrees
+        (epoch bump, persisted under ``fencing/{root}``); a fenced owner
+        gets ``fence_grace_ms`` to flush its live state through cloud
+        storage before the manager restores from the freshest durable
+        image.  Writes from a stale-epoch owner raise
+        :class:`~repro.core.errors.FencedError`, and a predecessor
+        eManager's WAL appends are fenced by the manager epoch.  With
+        fencing off, a falsely-declared live owner keeps serving while
+        recovery rolls its subtree back — the lost updates the
+        ``split_brain`` scenario quantifies.
         """
         if checkpoint_mode not in ("full", "delta"):
             raise ValueError(f"unknown checkpoint_mode {checkpoint_mode!r}")
@@ -268,7 +259,6 @@ class EManager:
             for root in roots
         }
         self._suspected = getattr(detector, "suspected", ())
-        self._crash_drops_state = crash_drops_state
         self.fence_grace_ms = fence_grace_ms
         if fencing:
             table = self.runtime.fencing or FencingTable()
@@ -287,15 +277,10 @@ class EManager:
                     # failing over: adopt the durable epoch (epochs only
                     # move forward).
                     table.adopt_epoch(root, int(persisted))
-            self.runtime.enable_honest_failures(table)
+            self.runtime.fencing = table
             self.coordinator.acting_epoch = table.manager_epoch
-        elif honest_recovery or crash_drops_state:
-            # Honest semantics without epochs: dropped-state retries and
-            # rolled-back-write accounting, but no write fencing.
-            self.runtime.enable_honest_failures(None)
-        if crash_drops_state:
-            for name in sorted(self.runtime.cluster.servers):
-                self._hook_server(self.runtime.cluster.servers[name])
+        for name in sorted(self.runtime.cluster.servers):
+            self._hook_server(self.runtime.cluster.servers[name])
         detector.on_failure(self._on_server_failure)
         on_recovery = getattr(detector, "on_recovery", None)
         if on_recovery is not None:
@@ -317,36 +302,20 @@ class EManager:
             for root, checkpointer in self._checkpointers.items():
                 if root not in runtime.instances:
                     continue
-                if runtime.honest:
-                    # Honest capture guard — no ground-truth peeks: skip
-                    # roots that are fenced (an ownership handoff is in
-                    # flight) and members whose volatile state died in a
-                    # crash; checkpointing ghost memory would mask the
-                    # loss.
-                    fencing = runtime.fencing
-                    skip = fencing is not None and fencing.is_fenced(root)
-                    if not skip:
-                        for member in subtree_members(runtime, root):
-                            peer = runtime.instances.get(member)
-                            if peer is not None and peer._aeon_state_dropped:
-                                skip = True
-                                break
-                    if skip:
-                        continue
-                else:
-                    # A subtree with ANY member on a dead server keeps
-                    # its previous checkpoint: capturing the ghost memory
-                    # of a crashed host would mask exactly the state loss
-                    # this machinery exists to model.
-                    members_alive = True
-                    for member in subtree_members(runtime, root):
-                        if not self._ground_truth_alive(
-                            runtime.placement.get(member, "")
-                        ):
-                            members_alive = False
-                            break
-                    if not members_alive:
-                        continue
+                # Skip roots that are fenced (an ownership handoff is in
+                # flight) and subtrees with a member whose volatile state
+                # died in a crash: that subtree keeps its previous
+                # checkpoint, since capturing the crash's aftermath would
+                # mask exactly the loss this machinery models.
+                fencing = runtime.fencing
+                if fencing is not None and fencing.is_fenced(root):
+                    continue
+                instances = runtime.instances
+                if any(
+                    member in instances and instances[member]._aeon_state_dropped
+                    for member in subtree_members(runtime, root)
+                ):
+                    continue
                 try:
                     outcome = yield checkpointer.checkpoint()
                 except Exception:  # noqa: BLE001 - keep checkpointing others
@@ -356,30 +325,16 @@ class EManager:
                 else:
                     self.checkpoints_taken += 1
 
-    def _ground_truth_alive(self, name: str) -> bool:
-        """Simulator-omniscient liveness peek (legacy recovery only).
-
-        The default (non-fencing) configuration decides recovery and
-        checkpoint safety by peeking the simulator's ground truth — a
-        cheat no distributed system can perform.  Every such peek routes
-        through this one accessor so the honest configuration can prove
-        it never consults it: tests monkeypatch this method to raise and
-        run full fencing scenarios end to end.
-        """
-        server = self.runtime.cluster.servers.get(name)
-        return server is not None and server.alive
-
     def _hook_server(self, server: Server) -> None:
-        """Register crash-realism hooks on ``server`` (idempotent)."""
-        if server.name in self._hooked_servers:
+        """Register the crash and restart hooks on ``server`` (idempotent)."""
+        if self._on_host_crash in server.on_crash:
             return
-        self._hooked_servers.add(server.name)
         server.on_crash.append(self._on_host_crash)
         server.on_restart.append(self._on_host_restart)
 
     def _on_host_crash(self, server: Server) -> None:
-        # Crash realism: the volatile state of every hosted context dies
-        # with the host, at crash time — not lazily at declaration.
+        # The volatile state of every hosted context dies with the host,
+        # at crash time — not lazily at declaration.
         self.runtime.drop_server_state(server.name)
 
     def _on_host_restart(self, server: Server) -> None:
@@ -392,14 +347,14 @@ class EManager:
     def _rehydrate(self, server: Server) -> Generator:
         """Rebuild a restarted server's dropped state from checkpoints.
 
-        Crash realism makes restarts honest: a context still mapped to
-        the restarted host whose volatile state was dropped at crash
-        time reloads its last checkpointed state, version rolled back to
-        the checkpoint's — the gap is accounted as lost work.  Contexts
-        the recovery path already restored elsewhere are no longer
-        mapped here and are skipped; if a declared recovery for this
-        server is still in flight, it owns the subtrees and rehydration
-        stands down.
+        A context still mapped to the restarted host whose volatile
+        state was dropped at crash time reloads its last checkpointed
+        state, version rolled back to the checkpoint's — the gap is
+        accounted as lost work; one no checkpoint covers just serves
+        again.  Contexts the recovery path already restored elsewhere
+        are no longer mapped here and are skipped; if a declared
+        recovery for this server is still in flight, it owns the
+        subtrees and rehydration stands down.
         """
         runtime = self.runtime
         if runtime.fencing is not None:
@@ -409,31 +364,25 @@ class EManager:
             server.fencing_epoch = runtime.fencing.max_epoch()
         if self._recovering.get(server.name):
             return
-        for root in self._checkpointers:
-            dropped = [
-                member
-                for member in sorted(subtree_members(runtime, root))
-                if runtime.placement.get(member) == server.name
-                and runtime.instances.get(member) is not None
-                and runtime.instances[member]._aeon_state_dropped
-            ]
-            if not dropped:
-                continue
-            bundle = yield from read_checkpoint(self.storage, self.checkpoint_key(root))
-            bundle = bundle or {}
-            for member in dropped:
-                instance = runtime.instances.get(member)
-                if instance is None:
-                    continue
-                state = bundle.get(member)
-                if state is None:
-                    # Nothing durable covers it: the context restarts
-                    # empty-handed; clearing the flag lets it serve.
-                    instance._aeon_state_dropped = False
-                    self.contexts_restored_without_checkpoint += 1
-                    continue
-                runtime.rollback(instance, state)
+        instances = runtime.instances
+        dropped = [
+            cid
+            for cid in self._lost_contexts(server.name)
+            if cid in instances and instances[cid]._aeon_state_dropped
+        ]
+        cover = self._covering_roots(dropped)
+        bundles = yield from self._read_bundles(cover.values())
+        for cid in dropped:
+            instance = instances.get(cid)
+            if instance is None or not instance._aeon_state_dropped:
+                continue  # gone, or a recovery restored it meanwhile
+            root = cover.get(cid)
+            state = bundles.get(root, {}).get(cid) if root is not None else None
+            if state is None:
+                self.contexts_restored_without_checkpoint += 1
+            else:
                 self.rehydrations += 1
+            runtime.rollback(instance, state)
 
     def _on_server_failure(self, server_name: str) -> None:
         if self.crashed:
@@ -468,78 +417,111 @@ class EManager:
                 server.fencing_epoch = fencing.max_epoch()
 
     def _recover_server(self, name: str) -> Generator:
-        """Re-place everything a dead-*declared* server hosted.
+        """Re-place everything a dead-*declared* server hosted, from
+        durable state alone.
 
-        Legacy path: double-check the simulator's ground truth (via
-        :meth:`_ground_truth_alive` — an admitted cheat) and restore
-        from the rolling checkpoints.  Honest path (any honest knob on):
-        no ground truth — fence the covered subtrees, give the possibly
-        merely-partitioned owner a grace window to flush its state
-        through cloud storage, then restore from the freshest durable
-        image.  Re-declarations while a recovery is in flight are
-        coalesced either way.
+        1. Fence every checkpoint root with members mapped to ``name``
+           (epoch bump, persisted under ``fencing/{root}``) — from this
+           instant the old owner's writes raise ``FencedError`` even if
+           it is alive but partitioned.
+        2. Give the fenced owner ``fence_grace_ms`` to run its step-down
+           flush: a live owner snapshots its subtrees to cloud storage,
+           which is not behind the partitioned network fabric.
+        3. Restore each subtree from the flush when one appeared (zero
+           lost updates, and durable evidence the detection was false)
+           or from the last periodic checkpoint when none did (the
+           server really is dead; acked writes past the checkpoint are
+           the lost work the availability scoring counts).
+        4. Grant each root to its new holder at the fenced epoch.
+
+        With fencing off steps 1, 2 and 4 are skipped: recovery rolls
+        straight back to the checkpoint, quantifying exactly what the
+        fence prevents.  Re-declarations while a recovery is in flight
+        are coalesced.
         """
         if self._recovering.get(name):
             return  # the detector re-declared mid-recovery; one is enough
         self._recovering[name] = True
         try:
-            yield from self._recover_server_inner(name)
-        finally:
-            self._recovering.pop(name, None)
-
-    def _recover_server_inner(self, name: str) -> Generator:
-        runtime = self.runtime
-        sim = runtime.sim
-        if runtime.honest:
-            yield from self._recover_server_honest(name)
-            return
-        if self._ground_truth_alive(name):
-            # The detector was partitioned away from a healthy server;
-            # ground truth says nothing was lost.  Real deployments fence
-            # instead — here we only count the false alarm (once per
-            # suspicion episode, not per lease re-declaration).
-            if not self._false_suspects.get(name):
+            runtime = self.runtime
+            sim = runtime.sim
+            lost = self._lost_contexts(name)
+            if not lost:
+                return
+            cover = self._covering_roots(lost)
+            roots = sorted(set(cover.values()))
+            fencing = runtime.fencing
+            if fencing is not None:
+                yield from self._persist_epochs(
+                    {root: fencing.fence(root) for root in roots}
+                )
+                # The flush runs *on the victim* (dead servers run
+                # nothing); it alone may consult its own liveness.
+                sim.process(
+                    self._step_down_flush(name, roots),
+                    name=f"fence-flush-{name}",
+                )
+                yield sim.timeout(self.fence_grace_ms)
+            self.recoveries += 1
+            started = sim.now
+            bundles: Dict[str, dict] = {}
+            if fencing is not None:
+                for root in roots:
+                    flush = self.storage.peek(f"fence-flush/{root}")
+                    if flush:
+                        bundles[root] = dict(flush)
+                        self.flush_restores += 1
+                        self.storage.delete(f"fence-flush/{root}")
+            flushed_roots = len(bundles)
+            unflushed = [root for root in roots if root not in bundles]
+            bundles.update((yield from self._read_bundles(unflushed)))
+            if flushed_roots and not self._false_suspects.get(name):
+                # A flush is durable evidence the declared server was
+                # alive — a false detection learned from storage alone.
                 self._false_suspects[name] = True
                 self.false_detections += 1
-            return
-        lost = self._lost_contexts(name)
-        if not lost:
-            return
-        # Draining servers are about to be decommissioned: restoring a
-        # context onto one would move it twice (or strand it).
-        targets = sorted(
-            (
-                s
-                for s in runtime.cluster.alive_servers().values()
-                if not self._draining.get(s.name)
-            ),
-            key=lambda s: (s.context_count, s.name),
-        )
-        if not targets:
-            self.recovery_log.append(
-                {"server": name, "contexts": len(lost), "status": "no-targets"}
+            # Restore targets: servers the detector does not currently
+            # suspect (the manager's belief), minus draining ones and the
+            # victim itself.  A target that is in fact dead surfaces as a
+            # MigrationError from the restore protocol, not as a peek.
+            suspected = set(self._suspected)
+            suspected.add(name)
+            targets = sorted(
+                (
+                    s
+                    for s in runtime.cluster.servers.values()
+                    if s.name not in suspected and not self._draining.get(s.name)
+                ),
+                key=lambda s: (s.context_count, s.name),
             )
-            return
-        self.recoveries += 1
-        started = sim.now
-        # Map each lost context to the checkpoint bundle covering it and
-        # download each needed bundle from cloud storage once; the
-        # per-context state is then pushed to its new host by restore().
-        cover = self._covering_roots(lost)
-        bundles = yield from self._read_bundles(cover)
-        restored, _granted = yield from self._restore_lost(
-            lost, cover, bundles, targets
-        )
-        self.contexts_recovered += restored
-        self.recovery_log.append(
-            {
-                "server": name,
-                "contexts": len(lost),
-                "restored": restored,
-                "started_ms": started,
-                "finished_ms": sim.now,
-            }
-        )
+            if not targets:
+                self.recovery_log.append(
+                    {"server": name, "contexts": len(lost), "status": "no-targets"}
+                )
+                return
+            restored, granted = yield from self._restore_lost(
+                lost, cover, bundles, targets
+            )
+            if fencing is not None:
+                yield from self._persist_epochs(
+                    {
+                        root: fencing.grant(root, granted[root])
+                        for root in sorted(granted)
+                    }
+                )
+            self.contexts_recovered += restored
+            self.recovery_log.append(
+                {
+                    "server": name,
+                    "contexts": len(lost),
+                    "restored": restored,
+                    "flushed_roots": flushed_roots,
+                    "started_ms": started,
+                    "finished_ms": sim.now,
+                }
+            )
+        finally:
+            self._recovering.pop(name, None)
 
     def _lost_contexts(self, name: str) -> List[str]:
         """The real contexts placed on ``name``, containers first so
@@ -564,15 +546,15 @@ class EManager:
                     cover[cid] = root
         return cover
 
-    def _read_bundles(self, cover: Dict[str, str]) -> Generator:
-        """Download each covering root's checkpoint once: root → bundle.
+    def _read_bundles(self, roots: Iterable[str]) -> Generator:
+        """Download each root's checkpoint once: root → bundle.
 
         Either stored layout (full bundle, or base + delta chain), priced
         by the stored sizes: a full bundle ships the whole subtree even
         when only part of it was lost.
         """
         bundles: Dict[str, dict] = {}
-        for root in sorted(set(cover.values())):
+        for root in sorted(set(roots)):
             value = yield from read_checkpoint(self.storage, self.checkpoint_key(root))
             if value:
                 bundles[root] = value
@@ -625,104 +607,6 @@ class EManager:
             restored += 1
         return restored, granted
 
-    def _recover_server_honest(self, name: str) -> Generator:
-        """Fencing-epoch recovery: declaration-driven, no ground truth.
-
-        1. Fence every checkpoint root with members mapped to ``name``
-           (epoch bump, persisted under ``fencing/{root}``) — from this
-           instant the old owner's writes raise ``FencedError`` even if
-           it is alive but partitioned.
-        2. Give the fenced owner ``fence_grace_ms`` to run its step-down
-           flush: a live owner snapshots its subtrees to cloud storage,
-           which is not behind the partitioned network fabric.
-        3. Restore each subtree from the flush when one appeared (zero
-           lost updates, and durable evidence the detection was false)
-           or from the last periodic checkpoint when none did (the
-           server really is dead; acked writes past the checkpoint are
-           the lost work the availability scoring counts).
-        4. Grant each root to its new holder at the fenced epoch.
-
-        With fencing off (``honest_recovery`` alone) steps 1, 2 and 4
-        are skipped: recovery rolls straight back to the checkpoint,
-        quantifying exactly what the fence prevents.
-        """
-        runtime = self.runtime
-        sim = runtime.sim
-        lost = self._lost_contexts(name)
-        if not lost:
-            return
-        cover = self._covering_roots(lost)
-        roots = sorted(set(cover.values()))
-        fencing = runtime.fencing
-        if fencing is not None:
-            yield from self._persist_epochs(
-                {root: fencing.fence(root) for root in roots}
-            )
-            # The flush runs *on the victim* (dead servers run nothing);
-            # it alone may consult its own liveness.
-            sim.process(
-                self._step_down_flush(name, roots), name=f"fence-flush-{name}"
-            )
-            yield sim.timeout(self.fence_grace_ms)
-        self.recoveries += 1
-        started = sim.now
-        bundles: Dict[str, dict] = {}
-        flushed_roots = 0
-        for root in roots:
-            if fencing is not None:
-                flush = self.storage.peek(f"fence-flush/{root}")
-                if flush:
-                    bundles[root] = dict(flush)
-                    flushed_roots += 1
-                    self.flush_restores += 1
-                    self.storage.delete(f"fence-flush/{root}")
-                    continue
-            value = yield from read_checkpoint(self.storage, self.checkpoint_key(root))
-            if value:
-                bundles[root] = value
-        if flushed_roots and not self._false_suspects.get(name):
-            # A flush is durable evidence the declared server was alive
-            # — a false detection learned without peeking ground truth.
-            self._false_suspects[name] = True
-            self.false_detections += 1
-        # Restore targets: servers the detector does not currently
-        # suspect (the manager's honest belief), minus draining ones and
-        # the victim itself.  A target that is in fact dead surfaces as
-        # a MigrationError from the restore protocol, not as a peek.
-        suspected = set(self._suspected)
-        suspected.add(name)
-        targets = sorted(
-            (
-                s
-                for s in runtime.cluster.servers.values()
-                if s.name not in suspected and not self._draining.get(s.name)
-            ),
-            key=lambda s: (s.context_count, s.name),
-        )
-        if not targets:
-            self.recovery_log.append(
-                {"server": name, "contexts": len(lost), "status": "no-targets"}
-            )
-            return
-        restored, granted = yield from self._restore_lost(
-            lost, cover, bundles, targets
-        )
-        if fencing is not None:
-            yield from self._persist_epochs(
-                {root: fencing.grant(root, granted[root]) for root in sorted(granted)}
-            )
-        self.contexts_recovered += restored
-        self.recovery_log.append(
-            {
-                "server": name,
-                "contexts": len(lost),
-                "restored": restored,
-                "flushed_roots": flushed_roots,
-                "started_ms": started,
-                "finished_ms": sim.now,
-            }
-        )
-
     def _persist_epochs(self, epochs: Dict[str, int]) -> Generator:
         """Write each root's fencing epoch under ``fencing/{root}``, in
         order, then wait for every write to land."""
@@ -746,7 +630,7 @@ class EManager:
         Checking ``server.alive`` here is not a ground-truth cheat: this
         generator models code executing on the victim itself, and dead
         servers run nothing — the absence of a flush after the grace
-        window is exactly the manager's (honest) evidence of death.
+        window is exactly the manager's evidence of death.
         """
         runtime = self.runtime
         server = runtime.cluster.servers.get(name)
@@ -796,7 +680,7 @@ class EManager:
                 yield self.coordinator.retire(payload)
                 continue
             cover = self._covering_roots([cid])
-            bundles = yield from self._read_bundles(cover)
+            bundles = yield from self._read_bundles(cover.values())
             # A restore that fails (or cannot start) still retires the
             # stale entry.
             restored, _granted = yield from self._restore_lost(
@@ -921,7 +805,7 @@ class EManager:
 
     def _on_booted(self, server: Server) -> None:
         self.runtime.attach_server(server)
-        if self._crash_drops_state:
+        if self.checkpoint_interval_ms is not None:  # fault tolerance is on
             self._hook_server(server)
 
     def _drain_and_remove(self, server_name: str) -> Generator:

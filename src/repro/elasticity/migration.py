@@ -318,12 +318,13 @@ class MigrationCoordinator:
             yield grant
             try:
                 # Push the checkpointed state to the destination and
-                # roll the instance back to it.
+                # roll the instance back to it (with no state, the
+                # context just serves again).
                 yield network.delay_signal(
                     self.host.name, record.dst, size_bytes=record.size_bytes
                 )
                 instance = self.runtime.instances.get(record.cid)
-                if instance is not None and state is not None:
+                if instance is not None:
                     self.runtime.rollback(instance, state)
                 self._flip_placement(record)
                 yield from self._log(record, "moved")

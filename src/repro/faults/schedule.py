@@ -39,16 +39,12 @@ class ServerCrash:
     ``restart_after_ms=None`` leaves the server down for the rest of the
     run (recovery then happens purely by re-placement).
 
-    Modeling note: by default, state loss is *realized* by the recovery
-    rollback, not at crash time — a restart faster than the detector's
-    declaration (lease + check interval) then behaves like an OS blip
-    whose memory survived, not a true fail-stop.  With the eManager's
-    ``crash_drops_state`` knob on, crashes are honest: the volatile
-    state of every hosted context is dropped *at crash time* (via the
-    server's ``on_crash`` hooks) and a restart rehydrates from the last
-    checkpoint instead of resurrecting pre-crash memory, however fast
-    it comes back.  Either way, keep ``restart_after_ms`` above the
-    detection latency when the experiment is about recovery
+    Modeling note: once an eManager's fault tolerance is enabled, the
+    volatile state of every hosted context is dropped *at crash time*
+    (via the server's ``on_crash`` hooks), and a restart rehydrates from
+    the last checkpoint instead of resurrecting pre-crash memory, however
+    fast it comes back.  Keep ``restart_after_ms`` above the detection
+    latency when the experiment is about recovery
     (:func:`random_churn`'s default 2–8 s restarts clear the default
     650 ms lease comfortably).
     """

@@ -216,8 +216,9 @@ def _fault_run(
 
     ``"split_brain"`` / ``"partition_recovery"`` cut the detector and
     eManager off from one server (clients still reach it — an
-    *asymmetric* partition) and exercise the honest-failure knobs:
-    fencing epochs, step-down flushes and rolled-back-write accounting.
+    *asymmetric* partition) to compare recovery with and without fencing.
+    Every kind reports ``runtime.writes_rolled_back``: as ``lost_work``
+    (crash, churn) or ``lost_updates`` (the partition kinds).
     """
     f = spec.faults
     if f.kind not in ("crash", "churn", "split_brain", "partition_recovery"):
@@ -253,8 +254,6 @@ def _fault_run(
             roots=[room.cid for room in app.rooms],
             checkpoint_mode=f.checkpoint_mode,
             fencing=f.fencing,
-            honest_recovery=f.honest_recovery,
-            crash_drops_state=f.crash_drops_state,
             fence_grace_ms=f.fence_grace_ms,
         )
         detector.start()
@@ -298,10 +297,7 @@ def _fault_run(
                 goodput_fraction=f.goodput_fraction,
                 p99_multiplier=f.p99_multiplier,
                 p99_floor_ms=f.p99_floor_ms,
-                # Lost *work* (acked writes rolled back at crash/recovery) rides
-                # along only under honest semantics; None keeps the legacy fig11
-                # payload byte-identical.
-                lost_work=(runtime.writes_rolled_back if runtime.honest else None),
+                lost_work=runtime.writes_rolled_back,
             )
             detect_latencies = [
                 d.latency_ms for d in detector.detections if d.latency_ms is not None
@@ -367,7 +363,7 @@ def _fault_run(
                 "checkpoints_taken": manager.checkpoints_taken,
                 "fault_log": injector.log,
             }
-        result = {
+        return {
             "system": system,
             "duration_ms": duration,
             **timeline,
@@ -376,11 +372,8 @@ def _fault_run(
             "contexts_recovered": manager.contexts_recovered,
             "checkpoints_taken": manager.checkpoints_taken,
             "fault_log": injector.log,
+            "lost_work": runtime.writes_rolled_back,
         }
-        if runtime.honest:
-            # Conditional: legacy fig10 payloads stay byte-identical.
-            result["lost_work"] = runtime.writes_rolled_back
-        return result
 
 
 def _ramp_profile(wl: WorkloadSpec, duration_ms: float) -> RampProfile:

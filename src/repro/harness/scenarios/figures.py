@@ -246,11 +246,7 @@ def _split_brain() -> ScenarioSpec:
         servers=4,
         game=GameSpec(players_per_room=4, shared_items_per_room=2),
         workload=WorkloadSpec(think_ms=8.0, max_retries=3),
-        faults=FaultSpec(
-            kind="split_brain",
-            honest_recovery=True,
-            crash_drops_state=True,
-        ),
+        faults=FaultSpec(kind="split_brain"),
         axes=(("fencing", (True, False)),),
         output="split_brain",
     )
@@ -272,12 +268,7 @@ def _partition_recovery() -> ScenarioSpec:
         servers=4,
         game=GameSpec(players_per_room=4, shared_items_per_room=2),
         workload=WorkloadSpec(think_ms=8.0, max_retries=3),
-        faults=FaultSpec(
-            kind="partition_recovery",
-            fencing=True,
-            honest_recovery=True,
-            crash_drops_state=True,
-        ),
+        faults=FaultSpec(kind="partition_recovery", fencing=True),
         output="partition_recovery",
     )
 

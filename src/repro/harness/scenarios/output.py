@@ -192,6 +192,7 @@ def _assemble_churn_sweep(spec, cells, results):
                 "mean_detection_latency_ms": run["mean_detection_latency_ms"],
                 "contexts_recovered": run["contexts_recovered"],
                 "events_failed": run["events_failed"],
+                "lost_work": run["slo"]["lost_work"],
                 "checkpoint_bytes_written": run["checkpoint_bytes_written"],
             }
         )
@@ -356,6 +357,7 @@ _render_fig11_table = _table(
         ("detect ms", "mean_detection_latency_ms", 1),
         ("ctx restored", "contexts_recovered"),
         ("failed", "events_failed"),
+        ("lost work", "slo.lost_work"),
         ("ckpts", "checkpoints_taken"),
         ("skipped", "checkpoints_skipped"),
         ("ckpt bytes", "checkpoint_bytes_written"),
@@ -438,6 +440,7 @@ OUTPUTS: Dict[str, Tuple[Callable, Callable]] = {
         ("detect ms", _mean_detect_ms, 1),
         ("ctx restored", "contexts_recovered"),
         ("failed", "events_failed"),
+        ("lost work", "lost_work"),
     ])),
     "elastic": (_by_first_key, _render_elastic),
     "mixed": (_by_first_key, _table("system", [
@@ -483,6 +486,7 @@ OUTPUTS: Dict[str, Tuple[Callable, Callable]] = {
             ("detect ms", "mean_detection_latency_ms", 1),
             ("ctx restored", "contexts_recovered"),
             ("failed", "events_failed"),
+            ("lost work", "lost_work"),
             ("ckpt bytes", "checkpoint_bytes_written"),
         ],
         rows=lambda data: [(row["system"], row) for row in data["rows"]],

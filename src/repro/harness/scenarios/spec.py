@@ -192,13 +192,11 @@ class FaultSpec:
     recovery is mid-flight.  Zero-valued sizing fields fall back to the
     scale preset.
 
-    The honest-failure knobs (``fencing``, ``honest_recovery``,
-    ``crash_drops_state``) all default **off**, which keeps every legacy
-    figure byte-identical.  Any of them turns on ``runtime.honest``
-    (``fencing`` and ``crash_drops_state`` imply ``honest_recovery``);
-    the partition kinds are expected to turn at least one on — with all
-    off, recovery would peek ground truth, see a live server and skip
-    the restore entirely.
+    Failure semantics are fixed: a crash drops its host's volatile
+    state, and recovery restores from durable state, counting the acked
+    writes it rolls back.  ``fencing`` (default off) is the one knob: it
+    fences a declared server's subtrees and restores from its step-down
+    flush when one lands within ``fence_grace_ms``.
     """
 
     kind: str = "none"  # "none" | "crash" | "churn" | "split_brain" | "partition_recovery"
@@ -220,10 +218,8 @@ class FaultSpec:
     goodput_fraction: float = 0.85
     p99_multiplier: float = 3.0
     p99_floor_ms: float = 20.0
-    # honest failure semantics (all default off — legacy byte-identical):
+    # fencing epochs + step-down flush on declaration:
     fencing: bool = False
-    honest_recovery: bool = False
-    crash_drops_state: bool = False
     fence_grace_ms: float = 300.0
     # partition placement (split_brain / partition_recovery kinds):
     partition_frac: float = 0.35

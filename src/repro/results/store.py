@@ -71,7 +71,7 @@ FORMAT_VERSION = 3
 #: (anything that would regenerate tests/data/figures_quick_seed0.json).
 #: Every key embeds this tag, and the whole store is invalidated on open
 #: when it moves — old results never mix with a new kernel.
-KERNEL_TAG = "golden-quick-seed0-pr5"
+KERNEL_TAG = "golden-quick-seed0-one-failure-model"
 
 #: The full version tag written to ``FORMAT`` and hashed into every key.
 STORE_TAG = f"repro-results/{FORMAT_VERSION} kernel={KERNEL_TAG}"

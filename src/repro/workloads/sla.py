@@ -11,7 +11,7 @@ baseline p99 — availability is the fraction of windows that meet both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..sim.metrics import LatencyRecorder, mean
 
@@ -65,9 +65,8 @@ class AvailabilityReport:
     p99_target_ms: float
     baseline_goodput_per_s: float
     baseline_p99_ms: float
-    #: Acked writes rolled back by crash/recovery (honest failure runs
-    #: only; ``None`` keeps legacy figure payloads byte-identical).
-    lost_work: Optional[int] = None
+    #: Acked writes rolled back by crash/recovery.
+    lost_work: int
 
     @property
     def availability_pct(self) -> float:
@@ -78,7 +77,7 @@ class AvailabilityReport:
 
     def as_dict(self) -> dict:
         """Plain-dict form for figure-data JSON."""
-        payload = {
+        return {
             "windows": self.windows,
             "windows_meeting": self.windows_meeting,
             "availability_pct": self.availability_pct,
@@ -86,10 +85,8 @@ class AvailabilityReport:
             "p99_target_ms": self.p99_target_ms,
             "baseline_goodput_per_s": self.baseline_goodput_per_s,
             "baseline_p99_ms": self.baseline_p99_ms,
+            "lost_work": self.lost_work,
         }
-        if self.lost_work is not None:
-            payload["lost_work"] = self.lost_work
-        return payload
 
 
 def availability_slo(
@@ -102,7 +99,8 @@ def availability_slo(
     goodput_fraction: float = 0.5,
     p99_multiplier: float = 5.0,
     p99_floor_ms: float = 25.0,
-    lost_work: Optional[int] = None,
+    *,
+    lost_work: int,
 ) -> AvailabilityReport:
     """Score windowed goodput/p99 series against an availability SLO.
 
@@ -119,10 +117,9 @@ def availability_slo(
       unmeetably strict).
 
     ``lost_work`` — acked writes rolled back at crash/recovery time
-    (``runtime.writes_rolled_back`` under honest failure semantics) —
-    rides along in the report when provided: availability alone hides
-    durability loss, since a run that drops updates can still meet
-    every latency window.
+    (``runtime.writes_rolled_back``) — rides along in the report:
+    availability alone hides durability loss, since a run that drops
+    updates can still meet every latency window.
     """
     base_goodput = mean(
         [v for t, v in goodput_points if baseline_from_ms <= t < baseline_to_ms]

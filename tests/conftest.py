@@ -29,6 +29,27 @@ def digest(data) -> str:
     return hashlib.sha256(json.dumps(_jsonable(data)).encode()).hexdigest()
 
 
+@pytest.fixture
+def recorded_histories(monkeypatch):
+    """Record history in every testbed the scenario drivers build.
+
+    Returns the list each new testbed's recorder is appended to, so a
+    test that simulates a cell can run the checker on it afterwards.
+    """
+    from repro.harness.scenarios import drivers
+
+    histories = []
+    build = drivers.make_testbed
+
+    def recording(*args, **kwargs):
+        testbed = build(*args, **dict(kwargs, record_history=True))
+        histories.append(testbed.runtime.history)
+        return testbed
+
+    monkeypatch.setattr(drivers, "make_testbed", recording)
+    return histories
+
+
 @pytest.fixture(autouse=True)
 def _no_ambient_result_store(monkeypatch):
     """Keep tests hermetic: no test reads or writes a developer's

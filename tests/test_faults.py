@@ -189,21 +189,28 @@ def test_detector_partition_is_a_false_positive_guarded_by_recovery():
         bed.sim, bed.network, bed.cluster,
         heartbeat_interval_ms=50.0, lease_ms=160.0, check_interval_ms=25.0,
     )
-    manager.enable_fault_tolerance(detector, checkpoint_interval_ms=0.0)
-    detector.start()
     runtime = bed.runtime
-    runtime.create_context(Cell, server=bed.servers[0], name="steady")
+    steady = runtime.create_context(Cell, server=bed.servers[0], name="steady")
+    manager.enable_fault_tolerance(detector, checkpoint_interval_ms=0.0,
+                                   fencing=True)
+    detector.start()
+    done = bed.submit(steady.add(3))
     # Cut the detector (only) off from server 0 for a while.
     schedule = FaultSchedule(
         [NetworkPartition(100.0, 500.0, (detector.name,), (bed.servers[0].name,))]
     )
     FaultInjector(bed.sim, bed.network, bed.cluster, schedule).start()
     bed.sim.run(until=1200.0)
+    assert done.value.error is None
     assert detector.detections  # declared dead...
-    # ...but nothing was lost — and one partition is ONE false alarm,
-    # however many times the silent suspect was re-declared meanwhile.
+    # ...but the victim's step-down flush reached storage: the restore
+    # lost nothing, the flush told the manager the alarm was false, and
+    # one partition is ONE false alarm, however many times the silent
+    # suspect was re-declared meanwhile.
+    assert manager.flush_restores == 1
     assert manager.false_detections == 1
-    assert runtime.placement["steady"] == bed.servers[0].name
+    assert runtime.writes_rolled_back == 0
+    assert runtime.instance_of("steady").value == 3
     detector.stop()
     manager.stop()
 
@@ -465,14 +472,17 @@ def test_checkpoints_do_not_alias_live_mutable_state():
 
 
 def test_crash_while_suspected_is_redeclared_and_recovered():
-    """A partition false-positive that turns into a real crash must still
-    drive recovery: the detector re-declares a suspect that stays silent."""
+    """A partition false positive that turns into a real crash is
+    recovered exactly once: the declaration fences the victim and
+    restores from its step-down flush (the alarm was false then), and
+    neither the crash that follows nor the detector's re-declarations of
+    the still-silent suspect find anything left to restore."""
     bed, storage, manager, detector = _recovery_bed()
     runtime, sim = bed.runtime, bed.sim
     victim = bed.servers[1]
     runtime.create_context(Cell, server=victim, name="twice")
     manager.enable_fault_tolerance(detector, checkpoint_interval_ms=100.0,
-                                   roots=["twice"])
+                                   roots=["twice"], fencing=True)
     detector.start()
     schedule = FaultSchedule([
         # Cut the detector off from the victim (victim stays healthy)...
@@ -484,9 +494,11 @@ def test_crash_while_suspected_is_redeclared_and_recovered():
     sim.run(until=2500.0)
     detector.stop()
     manager.stop()
-    assert manager.false_detections >= 1  # the partition-era declaration
+    assert manager.false_detections == 1  # learned from the flush
+    assert manager.flush_restores == 1
     assert detector.redeclarations >= 1
-    assert manager.contexts_recovered == 1  # the re-declaration drove it
+    assert manager.contexts_recovered == 1  # re-declarations added none
+    assert runtime.writes_rolled_back == 0
     assert runtime.placement["twice"] != victim.name
 
 

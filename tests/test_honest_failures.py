@@ -1,18 +1,19 @@
-"""Honest failure semantics: fencing epochs, crash-time state loss,
+"""Failure semantics: fencing epochs, crash-time state loss,
 self-healing recovery.
 
-These tests exercise the knobs `EManager.enable_fault_tolerance` keeps
-off by default (``fencing``, ``honest_recovery``, ``crash_drops_state``)
-— the configurations where recovery may never peek the simulator's
-ground truth and crashes really drop volatile state.
+Recovery never peeks the simulator's ground truth and crashes really
+drop volatile state; ``fencing``, the one knob
+`EManager.enable_fault_tolerance` keeps off by default, adds epochs and
+the step-down flush.
 """
 
 import copy
-import json
+import inspect
+from dataclasses import fields
 
 import pytest
 
-from repro.core import AeonRuntime, ContextClass, is_retryable
+from repro.core import AeonRuntime, ContextClass, Sleep, is_retryable
 from repro.core.errors import FencedError
 from repro.core.ownership import FencingTable
 from repro.elasticity import CloudStorage, EManager
@@ -24,6 +25,7 @@ from repro.faults import (
     ServerCrash,
 )
 from repro.sim import M3_LARGE
+from repro.sim.cluster import Cluster
 
 from conftest import Cell, Testbed, digest
 
@@ -70,20 +72,20 @@ def test_fencing_table_fence_grant_and_write_checks():
 
 
 def test_honest_knobs_default_off():
-    # The legacy configuration (all 11 golden figures) must not see any
-    # honest-failure behavior unless explicitly asked for.
+    # One failure model: fencing is the only switch left, and it is off
+    # unless asked for.
     from repro.harness.scenarios import FaultSpec
 
-    f = FaultSpec(kind="crash")
-    assert f.fencing is False
-    assert f.honest_recovery is False
-    assert f.crash_drops_state is False
+    assert FaultSpec(kind="crash").fencing is False
+    switches = {f.name for f in fields(FaultSpec) if isinstance(f.default, bool)}
+    assert switches == {"fencing"}
+    params = inspect.signature(EManager.enable_fault_tolerance).parameters
+    assert [p for p in params if isinstance(params[p].default, bool)] == ["fencing"]
 
     bed, _storage, manager, detector = _bed()
     bed.runtime.create_context(Cell, server=bed.servers[0], name="plain")
     manager.enable_fault_tolerance(detector, checkpoint_interval_ms=100.0,
                                    roots=["plain"])
-    assert not bed.runtime.honest
     assert bed.runtime.fencing is None
 
 
@@ -148,15 +150,15 @@ def test_fencing_rejects_stale_owner_and_loses_no_acked_writes():
 
 
 def test_fencing_recovery_never_peeks_ground_truth(monkeypatch):
-    # Acceptance: with fencing on, no recovery or checkpoint path may
-    # consult the simulator's omniscient liveness.  Every legacy peek
-    # routes through this one accessor — make it explode.
-    def boom(self, name):
+    # Acceptance: no recovery or checkpoint path may consult the
+    # simulator's omniscient liveness — the cluster's list of live
+    # servers explodes if anything asks for it.
+    def boom(self):
         raise AssertionError(
             "ground-truth aliveness consulted in a fencing run"
         )
 
-    monkeypatch.setattr(EManager, "_ground_truth_alive", boom)
+    monkeypatch.setattr(Cluster, "alive_servers", boom)
     bed, _storage, manager, detector, victim, cell = _fenced_partition_bed()
     [bed.submit(cell.add(1)) for _ in range(4)]
     bed.sim.run(until=1500.0)
@@ -194,17 +196,16 @@ def test_step_down_flush_does_not_alias_live_state():
 # Crash realism: state dies at crash time, restarts rehydrate
 # ----------------------------------------------------------------------
 def test_fast_restart_rehydrates_from_checkpoint_not_memory():
-    # A restart *faster than the declaration* used to behave like an OS
-    # blip whose memory survived.  With crash_drops_state the crash is
-    # honest: post-checkpoint writes die with the host and the restart
-    # rolls back to durable state — a declaration racing the restart
-    # finds nothing left to resurrect either way.
+    # A restart *faster than the declaration* must not behave like an
+    # OS blip whose memory survived: post-checkpoint writes die with the
+    # host and the restart rolls back to durable state — a declaration
+    # racing the restart finds nothing left to resurrect either way.
     bed, storage, manager, detector = _bed()
     runtime, sim = bed.runtime, bed.sim
     victim = bed.servers[1]
     cell = runtime.create_context(Cell, server=victim, name="hot")
     manager.enable_fault_tolerance(detector, checkpoint_interval_ms=100.0,
-                                   roots=["hot"], crash_drops_state=True)
+                                   roots=["hot"])
     detector.start()
     schedule = FaultSchedule(
         [ServerCrash(150.0, victim.name, restart_after_ms=60.0)]
@@ -234,6 +235,80 @@ def test_fast_restart_rehydrates_from_checkpoint_not_memory():
     sim.run(until=800.0)
     assert after.value.error is None
     assert runtime.instance_of("hot").value == 6
+    detector.stop()
+    manager.stop()
+
+
+@pytest.mark.parametrize("restart_after_ms", [None, 60.0],
+                         ids=["declared", "fast_restart"])
+def test_context_no_checkpoint_covers_serves_after_its_host_crash(restart_after_ms):
+    # A context outside every checkpoint root has nothing durable to
+    # come back from; whether a declared recovery re-places it or a fast
+    # restart finds it at home, it must serve its next event.
+    bed, storage, manager, detector = _bed()
+    runtime, sim = bed.runtime, bed.sim
+    victim = bed.servers[1]
+    manager.enable_fault_tolerance(detector, checkpoint_interval_ms=100.0,
+                                   roots=[])
+    orphan = runtime.create_context(Cell, server=victim, name="orphan")
+    detector.start()
+    schedule = FaultSchedule(
+        [ServerCrash(150.0, victim.name, restart_after_ms=restart_after_ms)]
+    )
+    FaultInjector(sim, bed.network, bed.cluster, schedule).start()
+    bed.submit(orphan.add(1))
+    sim.run(until=1500.0)
+    assert manager.contexts_restored_without_checkpoint == 1
+    assert (runtime.placement["orphan"] == victim.name) == bool(restart_after_ms)
+    assert not runtime.instance_of("orphan")._aeon_state_dropped
+
+    after = bed.submit(orphan.add(1))
+    sim.run(until=3000.0)
+    assert after.value.error is None
+    detector.stop()
+    manager.stop()
+
+
+class SlowCell(Cell):
+    def add_slowly(self, delta):
+        self.value += delta
+        yield Sleep(100.0)
+        return self.value
+
+
+def test_write_the_crash_killed_is_not_lost_work():
+    # Lost work is acked writes the rollback discarded.  An event that
+    # wrote the context and was still running when its host crashed
+    # never reached its client: the rollback must not count its write.
+    bed = Testbed(AeonRuntime, n_servers=3, record_history=True)
+    storage = CloudStorage(bed.sim)
+    manager = EManager(bed.runtime, storage, None, M3_LARGE)
+    detector = FailureDetector(
+        bed.sim, bed.network, bed.cluster,
+        heartbeat_interval_ms=50.0, lease_ms=160.0, check_interval_ms=25.0,
+    )
+    runtime, sim = bed.runtime, bed.sim
+    victim = bed.servers[1]
+    cell = runtime.create_context(SlowCell, server=victim, name="slow")
+    manager.enable_fault_tolerance(detector, checkpoint_interval_ms=100.0,
+                                   roots=["slow"])
+    detector.start()
+    FaultInjector(sim, bed.network, bed.cluster,
+                  FaultSchedule([ServerCrash(150.0, victim.name)])).start()
+
+    for _ in range(2):
+        bed.submit(cell.add(1))
+    sim.run(until=120.0)
+    assert storage.peek("checkpoint/slow")["slow"]["__version__"] == 2
+    acked = bed.submit(cell.add(1))
+    sim.run(until=135.0)
+    assert acked.value.error is None
+    killed = bed.submit(cell.add_slowly(1))  # v4, mid-sleep at the crash
+    sim.run(until=2000.0)
+    assert killed.value.error is not None
+    assert manager.contexts_recovered == 1
+    assert runtime.writes_rolled_back == 1  # the acked v3 only
+    assert runtime.check_history() == 1
     detector.stop()
     manager.stop()
 
@@ -383,16 +458,12 @@ def test_failover_redrives_half_done_restore_with_fresh_id():
 # ----------------------------------------------------------------------
 # The split_brain scenario: invariant + determinism
 # ----------------------------------------------------------------------
-def test_split_brain_invariant_and_determinism():
+def test_split_brain_invariant_and_determinism(recorded_histories):
     from repro.harness.scenarios import get_scenario, run_point
 
     spec = get_scenario("split_brain").with_(duration_ms=6000.0)
     fenced = run_point(spec=spec, system="aeon", fencing=True)
-    again = run_point(spec=spec, system="aeon", fencing=True)
     unfenced = run_point(spec=spec, system="aeon", fencing=False)
-
-    # Byte-level determinism: same point, same trace.
-    assert json.dumps(fenced, sort_keys=True) == json.dumps(again, sort_keys=True)
 
     # The headline invariant: fencing turns lost updates into rejected
     # (retryable) writes; without it the same partition silently rolls
@@ -404,7 +475,15 @@ def test_split_brain_invariant_and_determinism():
     assert unfenced["fenced_writes"] == 0
     assert fenced["false_detections"] >= 1  # learned from the flush
 
-    # Both partition run dicts, byte for byte (key order included).
+    # The checker, independent of the counter the rollback increments:
+    # no hard violation either way, and it finds exactly the writes the
+    # unfenced restore discarded.
+    fenced_history, unfenced_history = recorded_histories
+    assert fenced_history.check() == 0
+    assert unfenced_history.check() == unfenced["lost_updates"]
+
+    # Both partition run dicts, byte for byte (key order included):
+    # the determinism pin.
     assert digest(fenced) == (
         "b627fe6f6219e57f7e3f7d7ba92b07d7a5eba1b6e043405d42844a7cf2c08aec"
     )

@@ -203,6 +203,34 @@ def test_disjoint_events_any_order_valid():
     assert set(recorder.serial_order()) == {1, 2}
 
 
+def test_rollback_discards_are_lost_updates_not_violations():
+    recorder = HistoryRecorder()
+    recorder.commit(1, "", 0.0, 1.0, reads={}, writes={"x": 1})
+    recorder.commit(5, "", 1.2, 1.5, reads={"x": 1}, writes={})
+    recorder.commit(2, "", 2.0, 3.0, reads={}, writes={"x": 2})
+    recorder.commit(3, "", 4.0, 5.0, reads={"x": 2}, writes={"x": 3})
+    recorder.rollback("x", 1, 5.5)  # versions 2 and 3 are gone...
+    recorder.commit(4, "", 6.0, 7.0, reads={"x": 1}, writes={"x": 2})
+    # ...and written again: a new incarnation, not a mis-ordering.
+    assert recorder.check() == 2
+    edges = recorder.conflict_edges()
+    assert (1, 4) in edges  # the kept write precedes the rewrite
+    assert (5, 4) in edges  # so does a kept version's earlier reader
+    assert (3, 4) not in edges and (4, 3) not in edges
+    # A rollback whose versions are never rewritten still lost them.
+    recorder.rollback("x", 1, 8.0)
+    assert recorder.check() == 3
+
+
+def test_version_written_twice_without_rollback_is_a_hard_violation():
+    recorder = HistoryRecorder()
+    recorder.commit(1, "", 0.0, 1.0, reads={}, writes={"x": 1})
+    recorder.commit(2, "", 2.0, 3.0, reads={}, writes={"x": 1})
+    with pytest.raises(SerializabilityViolation) as excinfo:
+        recorder.check()
+    assert "two live committed events" in str(excinfo.value)
+
+
 def test_readers_of_same_version_unordered():
     recorder = HistoryRecorder()
     recorder.commit(1, "", 0.0, 1.0, reads={}, writes={"x": 1})

@@ -136,7 +136,7 @@ def test_cell_key_listing_pinned():
     )
     assert len(listing) == 258
     assert hashlib.sha256(json.dumps(listing).encode()).hexdigest() == (
-        "c24b2a6dea174b1376cfe2d8e021da81f5899257e906400e3f58f78839b622d4"
+        "78f697f12ecc6f993d6ef8d361493fdeabafff44f3508cc5af723c6d603711df"
     )
 
 

@@ -280,11 +280,15 @@ def test_fig6b_cell_byte_identical_to_legacy():
     assert dump(value) == dump(GOLDEN["fig6b"]["aeon"][2])
 
 
-def test_fig10_cell_byte_identical_to_legacy():
+def test_fig10_cell_byte_identical_to_legacy(recorded_histories):
     # The generic crash-fault wiring must reproduce the historical
     # fig10_run driver byte for byte.
     value = run_point(spec=get_scenario("fig10"), system="aeon")
     assert dump(value) == dump(GOLDEN["fig10"]["aeon"])
+    # The checker, on the same run: no hard violation, and every write
+    # the recovery rolled back is a lost update it finds on its own.
+    (history,) = recorded_histories
+    assert history.check() == value["lost_work"] == 1408
 
 
 def test_rendered_text_pinned():
@@ -450,7 +454,7 @@ def test_run_cells_on_a_shared_pool_preserves_order():
 # ----------------------------------------------------------------------
 # New scenarios: end-to-end smoke at quick scale (shrunk via --set)
 # ----------------------------------------------------------------------
-def test_churn_sweep_scenario_smoke():
+def test_churn_sweep_scenario_smoke(recorded_histories):
     data = run_scenario(
         "churn_sweep",
         scale="quick",
@@ -472,8 +476,12 @@ def test_churn_sweep_scenario_smoke():
     run = data["runs"]["aeon@2000"]
     assert run["checkpoint_mode"] == "delta"
     assert run["goodput"], "goodput series missing"
+    # The checker on the same churn cell (delta checkpoints): no hard
+    # violation, and the lost updates it finds are the payload's.
+    (history,) = recorded_histories
+    assert history.check() == run["slo"]["lost_work"] == 85
     assert digest(data) == (
-        "afd5fbab6e4c357101225ebc0bb2302720adc4d1ced42028e72b0e7b2a278cf4"
+        "d6b54787b3fef52e1cf62fcabd64ae64a0b4cd76c3756f367b5ff4a792b0114f"
     )
 
 
