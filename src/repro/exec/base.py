@@ -30,10 +30,12 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+# concurrent.futures (and with it multiprocessing) is imported by the
+# ProcessExecutor methods that use it: a process that runs cells serially
+# never loads it (docs/ARCHITECTURE.md, "What a process imports").
 
 __all__ = [
     "Cell",
@@ -271,6 +273,8 @@ class _PoolHandle:
         self.future: Any = None
 
     def done(self) -> bool:
+        from concurrent.futures.process import BrokenProcessPool
+
         future = self.future
         return (
             future is not None
@@ -305,13 +309,13 @@ class ProcessExecutor(Executor):
         store: Any = None,
         max_respawns: int = 2,
     ) -> None:
+        from concurrent.futures.process import ProcessPoolExecutor
+
         self.jobs = resolve_jobs(jobs)
         self.store = store
         self.max_respawns = max_respawns
         self.respawns = 0
-        self._pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
-            max_workers=self.jobs
-        )
+        self._pool: Any = ProcessPoolExecutor(max_workers=self.jobs)
         self._handles: List[_PoolHandle] = []
         self._lock = threading.Lock()
         self._dead: Optional[WorkerLostError] = None
@@ -344,6 +348,8 @@ class ProcessExecutor(Executor):
 
     # -- collection -----------------------------------------------------
     def _result_of(self, handle: _PoolHandle) -> CellResult:
+        from concurrent.futures.process import BrokenProcessPool
+
         while True:
             if self._dead is not None:
                 raise self._dead
@@ -363,6 +369,8 @@ class ProcessExecutor(Executor):
         ``handle.future`` identity check makes exactly one perform the
         respawn — the rest find a fresh future already installed.
         """
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         with self._lock:
             if self._dead is not None:
                 raise self._dead

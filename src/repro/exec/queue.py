@@ -59,15 +59,16 @@ from __future__ import annotations
 import json
 import logging
 import os
-import pickle
 import re
-import socket
-import subprocess
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
+
+# pickle, socket and subprocess are imported where the spool protocol and
+# the coordinator use them, so importing repro.exec does not load them
+# (docs/ARCHITECTURE.md, "What a process imports").
 
 from ..results.store import MISS, ResultStore, STORE_TAG, cell_key
 from .base import (
@@ -149,6 +150,8 @@ def ensure_layout(root: Path) -> None:
 
 def worker_id(base: Optional[str] = None) -> str:
     """A filesystem-safe worker identity (default ``host-pid``)."""
+    import socket
+
     raw = base or f"{socket.gethostname()}-{os.getpid()}"
     return re.sub(r"[^A-Za-z0-9_-]", "_", raw)
 
@@ -176,6 +179,8 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 def publish(root: Path, cell: Cell, key: str, attempt: int = 0) -> Path:
     """Atomically publish one claimable attempt into ``queue/``."""
+    import pickle
+
     ensure_layout(root)
     path = _queue_dir(root) / _task_name(key, attempt)
     _atomic_write(path, pickle.dumps(Task(key, attempt, cell)))
@@ -191,6 +196,8 @@ def claim(root: Path, worker: str) -> Optional[Tuple[Path, Task]]:
     queue is empty.  An unreadable task file (torn publish from a
     killed coordinator) is discarded.
     """
+    import pickle
+
     try:
         names = sorted(os.listdir(_queue_dir(root)))
     except FileNotFoundError:
@@ -393,12 +400,14 @@ class QueueExecutor(Executor):
         self._submitted_at: Dict[str, float] = {}
         self._claims: Dict[str, Tuple[str, float]] = {}  # key -> (worker, since)
         self._durations: List[float] = []
-        self._spawned: List[subprocess.Popen] = []
+        self._spawned: List[Any] = []
         for _ in range(int(spawn_workers)):
             self._spawned.append(self._spawn_worker())
 
-    def _spawn_worker(self) -> subprocess.Popen:
+    def _spawn_worker(self) -> Any:
         """Launch one local worker subprocess bound to this coordinator."""
+        import subprocess
+
         import repro
 
         env = dict(os.environ)
@@ -597,6 +606,8 @@ class QueueExecutor(Executor):
         empty queue or exit on their ``--max-idle``); a ``STOP`` file is
         written so drained workers exit promptly.
         """
+        import subprocess
+
         for key in list(self._outstanding):
             for path in _queue_dir(self.root).glob(f"{key}.*{_TASK_SUFFIX}"):
                 path.unlink(missing_ok=True)

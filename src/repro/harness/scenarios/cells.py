@@ -9,18 +9,20 @@ under that public name).  A body takes its axis values plus
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ...apps.game import GameConfig, Room
 from ...apps.massive import MassiveConfig, build_massive, run_checksum
 from ...apps.tpcc import TpccConfig
 from ...core.costs import DEFAULT_COSTS
-from ...elasticity import CloudStorage, MigrationCoordinator
 from ...sim.cluster import INSTANCE_TYPES, M1_SMALL, M3_LARGE, InstanceType, Server
 from ...sim.metrics import LatencyRecorder
 from ..runner import _start_clients, make_testbed, run_closed_loop
 from .drivers import _elastic_run, _game_app, _tpcc_sampler
 from .spec import SCALES, ElasticSpec, GameSpec, ScenarioSpec, WorkloadSpec
+
+# repro.elasticity loads in _migration_host, not with the massive and
+# ablation bodies (docs/ARCHITECTURE.md, "What a process imports").
 
 
 def elastic_cell(setup: str, rep: int, scale: str, seed: int) -> Dict[str, object]:
@@ -49,8 +51,10 @@ def elastic_cell(setup: str, rep: int, scale: str, seed: int) -> Dict[str, objec
     return {"setup": setup, **{key: run[key] for key in kept}}
 
 
-def _migration_host(testbed, itype: InstanceType) -> MigrationCoordinator:
+def _migration_host(testbed, itype: InstanceType) -> Any:
     """A migration coordinator on its own ``~emanager`` host of ``itype``."""
+    from ...elasticity import CloudStorage, MigrationCoordinator
+
     storage = CloudStorage(testbed.sim)
     host = Server(testbed.sim, "~emanager", itype)
     testbed.network.register(host.name, host.mailbox, itype)

@@ -15,21 +15,19 @@ from typing import Any, Dict, Tuple
 from ...apps.game import GameConfig, build_game
 from ...apps.tpcc import TpccConfig, TpccWorkload, build_tpcc
 from ...core.runtime import FAILED_TAG
-from ...elasticity import CloudStorage, EManager, SLAPolicy
-from ...faults import (
-    FailureDetector, FaultInjector, FaultSchedule, NetworkPartition, ServerCrash,
-    random_churn,
-)
 from ...sim.cluster import INSTANCE_TYPES, M3_LARGE, InstanceType
 from ...sim.metrics import mean, percentile
 from ...workloads.generators import DynamicClients, RampProfile
-from ...workloads.sla import availability_slo, sla_report
 from ..runner import _start_clients, make_testbed, measure, run_closed_loop
 from .spec import (
     SCALES, ElasticSpec, FaultSpec, GameSpec, Scale, ScenarioError, ScenarioSpec,
     TpccSpec, WorkloadSpec,
 )
 from .sweep import _set_key
+
+# repro.elasticity, repro.faults and repro.workloads.sla are imported by
+# the drivers that run them: a throughput cell never loads them
+# (docs/ARCHITECTURE.md, "What a process imports").
 
 
 def _game_config(game: GameSpec, n_servers: int) -> GameConfig:
@@ -147,8 +145,10 @@ def _throughput_point(
 
 def _fault_schedule(
     f: FaultSpec, sizing: Scale, testbed, duration: float
-) -> Tuple[FaultSchedule, Dict[str, object]]:
+) -> Tuple[Any, Dict[str, object]]:
     """The spec's fault schedule and the timeline fields its run dict carries."""
+    from ...faults import FaultSchedule, NetworkPartition, ServerCrash, random_churn
+
     if f.kind == "churn":
         churn_start = f.churn_start_ms or sizing.churn_start_ms
         schedule = random_churn(
@@ -220,6 +220,10 @@ def _fault_run(
     Every kind reports ``runtime.writes_rolled_back``: as ``lost_work``
     (crash, churn) or ``lost_updates`` (the partition kinds).
     """
+    from ...elasticity import CloudStorage, EManager
+    from ...faults import FailureDetector, FaultInjector
+    from ...workloads.sla import availability_slo
+
     f = spec.faults
     if f.kind not in ("crash", "churn", "split_brain", "partition_recovery"):
         raise ScenarioError(f"unknown fault kind {f.kind!r}")
@@ -408,6 +412,9 @@ def _elastic_run(
     the fleet stays at ``n_servers`` and is scored against the default
     SLA.
     """
+    from ...elasticity import CloudStorage, EManager, SLAPolicy
+    from ...workloads.sla import sla_report
+
     e = spec.elastic
     wl = spec.workload
     duration = spec.duration_ms or sizing.elastic_duration_ms

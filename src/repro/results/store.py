@@ -37,12 +37,15 @@ import hashlib
 import json
 import logging
 import os
-import pickle
 import threading
 import time
 import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional
+
+# pickle is imported by the methods that read and write objects: a run
+# without a result store never loads it (docs/ARCHITECTURE.md, "What a
+# process imports").
 
 __all__ = [
     "FORMAT_VERSION",
@@ -235,6 +238,8 @@ class ResultStore:
         killed process) is logged and reported as a miss — the caller
         recomputes and :meth:`put` overwrites it atomically.
         """
+        import pickle
+
         if self.refresh:
             with self._lock:
                 self.misses += 1
@@ -277,6 +282,8 @@ class ResultStore:
         it is the queue coordinator's collection read, not a cache
         consult.  Corrupt entries degrade to :data:`MISS` as usual.
         """
+        import pickle
+
         try:
             with open(self._path(key), "rb") as handle:
                 return pickle.loads(zlib.decompress(handle.read()))
@@ -337,6 +344,8 @@ class ResultStore:
         manifest line is appended, so a crash between the two leaves a
         valid (merely unlisted) entry, never a listed-but-broken one.
         """
+        import pickle
+
         key = cell_key(cell)
         raw = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         blob = zlib.compress(raw)

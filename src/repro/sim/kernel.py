@@ -564,8 +564,8 @@ class Simulator:
     docs/ARCHITECTURE.md § Timer queue).
 
     A run ends with :meth:`close`, which frees whatever is still queued
-    or suspended by reference count; ``run``/``process``/``schedule``
-    then raise :class:`SimulationError`.
+    or suspended by reference count; ``run``/``process``/``schedule``/
+    ``timeout`` then raise :class:`SimulationError`.
     """
 
     def __init__(self) -> None:
@@ -647,7 +647,15 @@ class Simulator:
         return Signal(self, name)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create a signal firing after ``delay`` ms."""
+        """Create a signal firing after ``delay`` ms.
+
+        Legal while :meth:`close` runs (a dying generator's ``finally``
+        may arm one; the close drops it); once the close has dropped
+        :attr:`ready`, an entry would sit in the timer heap unread, so
+        it raises like :meth:`schedule`.
+        """
+        if self.ready is None:
+            raise SimulationError("simulator is closed")
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:

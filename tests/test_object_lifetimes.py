@@ -603,6 +603,43 @@ def test_cell_in_a_subprocess_is_quiet_and_leaves_nothing():
 
 
 # ----------------------------------------------------------------------
+# A process imports only what its cells run
+# ----------------------------------------------------------------------
+#: Loaded on first use (the process pool, the queue transport, the fault
+#: and elasticity layers), never by a throughput cell.
+NOT_IMPORTED_BY_A_THROUGHPUT_CELL = (
+    "concurrent.futures.process",
+    "multiprocessing",
+    "socket",
+    "repro.elasticity",
+    "repro.faults",
+)
+
+
+def test_throughput_cell_process_imports_no_pool_queue_or_fault_layers():
+    script = (
+        "import sys\n"
+        "import repro.harness, repro.exec, repro.results\n"
+        "from repro.exec import execute_cell\n"
+        "from repro.harness.scenarios import expand, prepare_scenario\n"
+        "spec = prepare_scenario('fig5a', scale='quick', seed=0,"
+        " overrides=['duration_ms=400', 'warmup_ms=100'])\n"
+        "execute_cell(expand(spec)[0])\n"
+        f"print(' '.join(m for m in {NOT_IMPORTED_BY_A_THROUGHPUT_CELL!r}"
+        " if m in sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": ""},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
+
+
+# ----------------------------------------------------------------------
 # The CLI module is not imported by its own package
 # ----------------------------------------------------------------------
 def test_experiments_cli_runs_without_runtime_warning():

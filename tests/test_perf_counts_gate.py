@@ -37,6 +37,7 @@ def test_pins_are_real_counts():
         "kernel_micro", "game_scaleout", "tpcc_contention", "massive_bulk"
     }
     for pins in gate.PINNED.values():
+        assert set(pins) == {"sim.calls", "core.calls", "apps.calls", "baselines.calls"}
         assert pins["sim.calls"] > 0 and pins["core.calls"] >= 0
 
 
@@ -51,6 +52,10 @@ def test_a_count_over_its_pin_fails(tmp_path, capsys):
     over = {"tpcc_contention": {"core.calls": 1.03}}
     assert _run(tmp_path, _records(over)) == 1
     assert "OVER tpcc_contention" in capsys.readouterr().err
+    over = {"game_scaleout": {"apps.calls": 1.03, "baselines.calls": 1.03}}
+    assert _run(tmp_path, _records(over)) == 1
+    err = capsys.readouterr().err
+    assert "apps.calls" in err and "baselines.calls" in err
 
 
 def test_a_missing_traced_record_fails(tmp_path):

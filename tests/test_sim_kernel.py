@@ -101,6 +101,17 @@ def test_timeout_negative_rejected():
         Timeout(sim, -0.1)
 
 
+def test_timeout_on_a_closed_simulator_raises_and_arms_nothing():
+    sim = Simulator()
+    sim.timeout(1.0)
+    sim.run()
+    sim.close()
+    for delay in (0.0, 2.0):
+        with pytest.raises(SimulationError, match="simulator is closed"):
+            sim.timeout(delay)
+    assert sim.pending_events == 0 and sim._timers == []
+
+
 def test_process_returns_value():
     sim = Simulator()
 
