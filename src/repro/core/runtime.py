@@ -897,10 +897,7 @@ class RuntimeBase:
     def _dispatch_release(self, lock: ContextLock, delay: float, event: Event) -> None:
         """Schedule one lock release ``delay`` ms out (0 = immediate queue)."""
         sim = self.sim
-        if delay == 0.0:  # zero-latency model: immediate queue, not timers
-            sim.call_soon(lock.release, event)
-        else:
-            sim._schedule_at(sim.now + delay, lock.release, (event,))
+        sim._schedule_at(sim.now + delay, lock.release, (event,))
 
     def _schedule_release(self, event: Event, cid: str, from_server: Server) -> None:
         """Release ``cid`` after the release message's one-way latency."""
@@ -946,10 +943,7 @@ class RuntimeBase:
             if len(locks) == 1:
                 self._dispatch_release(locks[0], delay, event)
                 continue
-            if delay == 0.0:
-                sim.call_soon(_release_lock_batch, locks, event)
-            else:
-                sim._schedule_at(sim.now + delay, _release_lock_batch, (locks, event))
+            sim._schedule_at(sim.now + delay, _release_lock_batch, (locks, event))
 
     # ------------------------------------------------------------------
     # Protocol-specific hooks

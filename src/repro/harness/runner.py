@@ -18,7 +18,6 @@ streams; nothing reads wall-clock state).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
@@ -43,8 +42,6 @@ __all__ = [
     "run_closed_loop",
     "CellPool",
 ]
-
-_log = logging.getLogger("repro.harness.runner")
 
 #: The five measured systems, in the paper's legend order.
 SYSTEMS = ("eventwave", "orleans", "orleans_star", "aeon_so", "aeon")

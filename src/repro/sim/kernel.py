@@ -7,8 +7,9 @@ so instead every runtime (AEON, EventWave, Orleans) executes on this
 deterministic simulator.  The kernel is deliberately small and SimPy-like:
 
 * :class:`Simulator` owns the virtual clock and the two event queues: a
-  FIFO deque for zero-delay callbacks and one binary heap (``heapq`` on a
-  plain list) for timers, merged by ``(fire_at, seq)``.
+  plain FIFO deque of ``(callback, args)`` for callbacks due now and one
+  binary heap (``heapq`` on a plain list) of timers keyed ``(fire_at,
+  seq)``; timers due now run first, then the FIFO drains.
 * :class:`Signal` is a one-shot occurrence that processes can wait on.
 * :class:`Timeout` is a signal that fires after a virtual delay.
 * :class:`Process` drives a generator; each ``yield`` suspends the process
@@ -80,13 +81,10 @@ class Signal:
         callbacks = self.callbacks
         if callbacks:
             self.callbacks = None
-            sim = self.sim
-            now = sim.now
-            immediate = sim._immediate
+            immediate = self.sim._immediate
             arg = (self,)
             for callback in callbacks:
-                sim._sequence += 1
-                immediate.append((now, sim._sequence, callback, arg))
+                immediate.append((callback, arg))
         return self
 
     def fail(self, exc: BaseException) -> "Signal":
@@ -111,13 +109,10 @@ class Signal:
             self.callbacks = None
             # Waiters run via the immediate queue: same scheduling order
             # as schedule(0.0, ...) without touching the heap.
-            sim = self.sim
-            now = sim.now
-            immediate = sim._immediate
+            immediate = self.sim._immediate
             arg = (self,)
             for callback in callbacks:
-                sim._sequence += 1
-                immediate.append((now, sim._sequence, callback, arg))
+                immediate.append((callback, arg))
 
     def add_callback(self, callback: Callable[["Signal"], None]) -> None:
         """Invoke *callback(signal)* when the signal completes.
@@ -145,19 +140,24 @@ class Timeout(Signal):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        # A static name: formatting one per timeout is measurable on the
+        # Signal.__init__, open-coded: one timeout is built per wait.  A
+        # static name: formatting one per timeout is measurable on the
         # hot path, and the delay is available as an attribute anyway.
-        super().__init__(sim, name="timeout")
+        self.sim = sim
+        self.callbacks = None
+        self._triggered = False
+        self.value = self.exc = None
+        self.name = "timeout"
         self.delay = delay
         # Open-coded sim.schedule(delay, self._fire, value): one timer
         # is armed per timeout and the call layer is measurable.
-        sim._sequence += 1
-        if delay == 0.0:
-            sim._immediate.append((sim.now, sim._sequence, self._fire, (value,)))
+        now = sim.now
+        fire_at = now + delay
+        if fire_at == now:
+            sim._immediate.append((self._fire, (value,)))
         else:
-            heappush(
-                sim._timers, (sim.now + delay, sim._sequence, self._fire, (value,))
-            )
+            sim._sequence += 1
+            heappush(sim._timers, (fire_at, sim._sequence, self._fire, (value,)))
 
     def _fire(self, value: Any) -> None:
         # Open-coded succeed() — timer completion is the second most
@@ -184,11 +184,9 @@ class Timeout(Signal):
             ):
                 callbacks[0](self)
                 return
-            now = sim.now
             arg = (self,)
             for callback in callbacks:
-                sim._sequence += 1
-                immediate.append((now, sim._sequence, callback, arg))
+                immediate.append((callback, arg))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._triggered else "pending"
@@ -216,7 +214,7 @@ class CpuCharge:
 
 class _ClosedQueue:
     """The immediate queue of a closed :class:`Simulator`: always empty,
-    and an append is dropped.
+    and an append (a ``(callback, args)`` pair) is dropped.
 
     The one thing that still schedules on a closed simulator is the
     ``finally`` block of a generator dying with the run (a held CPU unit
@@ -230,7 +228,7 @@ class _ClosedQueue:
     def __len__(self) -> int:
         return 0
 
-    def append(self, entry: Tuple[float, int, Callable, tuple]) -> None:
+    def append(self, entry: Tuple[Callable, tuple]) -> None:
         """Drop ``entry``."""
 
 
@@ -307,16 +305,15 @@ class Process(Signal):
         sim._processes[self] = None
         # The first step is always queued (never run inline): callers may
         # continue setting up state between process() and run().
-        sim._sequence += 1
-        sim._immediate.append((sim.now, sim._sequence, self._step, (None, None)))
+        sim._immediate.append((self._step, (None, None)))
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         # Trampoline: consume already-triggered waitables in a loop
         # instead of round-tripping through the scheduler.  Inlining is
         # only legal while the simulator is *idle at the current
-        # timestamp* — otherwise a queued same-time callback (with a
-        # smaller sequence number) would be overtaken, changing the
-        # deterministic order.  When idle, the queued resume would have
+        # timestamp* — otherwise a queued same-time callback (armed
+        # earlier) would be overtaken, changing the deterministic
+        # order.  When idle, the queued resume would have
         # been the very next callback anyway, so running it now is
         # exactly equivalent.
         sim = self.sim
@@ -363,8 +360,9 @@ class Process(Signal):
                 # no heap event at/before the fire time, and the run
                 # horizon not in between, the timer entry would be the
                 # very next pop — advance the clock inline instead.
+                now = sim.now
+                fire_at = now + target
                 if not immediate:
-                    fire_at = sim.now + target
                     until = sim._until
                     if (not timers or timers[0][0] > fire_at) and (
                         until is None or fire_at <= until
@@ -372,13 +370,11 @@ class Process(Signal):
                         sim.now = fire_at
                         value = exc = None
                         continue
-                sim._sequence += 1
-                if target == 0.0:
-                    immediate.append((sim.now, sim._sequence, self._timer_cb, ()))
+                if fire_at == now:
+                    immediate.append((self._timer_cb, ()))
                 else:
-                    heappush(
-                        timers, (sim.now + target, sim._sequence, self._timer_cb, ())
-                    )
+                    sim._sequence += 1
+                    heappush(timers, (fire_at, sim._sequence, self._timer_cb, ()))
                 return
             if type(target) is CpuCharge:
                 resource = target.resource
@@ -395,7 +391,7 @@ class Process(Signal):
                         # queue one resume behind the pending callbacks;
                         # replicate it, then start the service timer.
                         self._charge_delay = delay
-                        sim.call_soon(self._charge_start_cb)
+                        immediate.append((self._charge_start_cb, ()))
                         return
                     # Service timer, mirroring the raw-delay branch
                     # (fast-forward included); release on fire.
@@ -409,16 +405,10 @@ class Process(Signal):
                         resource.release_unit()
                         value = exc = None
                         continue
+                    # Idle at now, so a delay the clock absorbs took the
+                    # fast-forward: this timer is later than now.
                     sim._sequence += 1
-                    if delay == 0.0:
-                        immediate.append(
-                            (sim.now, sim._sequence, self._charge_timer_cb, ())
-                        )
-                    else:
-                        heappush(
-                            timers,
-                            (sim.now + delay, sim._sequence, self._charge_timer_cb, ()),
-                        )
+                    heappush(timers, (fire_at, sim._sequence, self._charge_timer_cb, ()))
                     return
                 # Contended: wait for a unit, then run the timer.  The
                 # releaser schedules the callback exactly where a grant
@@ -433,7 +423,7 @@ class Process(Signal):
                     if not immediate and (not timers or timers[0][0] > sim.now):
                         value, exc = target.value, target.exc
                         continue
-                    sim.call_soon(self._wait_cb, target)
+                    immediate.append((self._wait_cb, (target,)))
                     return
                 # Open-coded target.add_callback(self._wait_cb): one
                 # registration per wait, worth skipping the call layer.
@@ -447,8 +437,7 @@ class Process(Signal):
                 if not immediate and (not timers or timers[0][0] > sim.now):
                     value = exc = None
                     continue
-                sim._sequence += 1
-                immediate.append((sim.now, sim._sequence, self._step, (None, None)))
+                immediate.append((self._step, (None, None)))
                 return
             self._reject(f"non-waitable {target!r}")
             return
@@ -456,10 +445,8 @@ class Process(Signal):
     def _reject(self, what: str) -> None:
         # A yield the trampoline refuses: the error is thrown in at the
         # yield site on the next step, queued like any resume.
-        sim = self.sim
         error = SimulationError(f"process {self.name!r} yielded {what}")
-        sim._sequence += 1
-        sim._immediate.append((sim.now, sim._sequence, self._step, (None, error)))
+        self.sim._immediate.append((self._step, (None, error)))
 
     def _retire(self) -> None:
         # A finished process must die by reference count (run() pauses
@@ -485,10 +472,10 @@ class Process(Signal):
         # releaser); start the service timer.  Mirrors the raw-delay
         # yield branch, fast-forward included.
         sim = self.sim
-        delay = self._charge_delay
         timers = sim._timers
+        now = sim.now
+        fire_at = now + self._charge_delay
         if not sim._immediate:
-            fire_at = sim.now + delay
             until = sim._until
             if (not timers or timers[0][0] > fire_at) and (
                 until is None or fire_at <= until
@@ -498,13 +485,11 @@ class Process(Signal):
                 resource.release_unit()
                 self._step(None, None)
                 return
-        sim._sequence += 1
-        if delay == 0.0:
-            sim._immediate.append((sim.now, sim._sequence, self._charge_timer_cb, ()))
+        if fire_at == now:
+            sim._immediate.append((self._charge_timer_cb, ()))
         else:
-            heappush(
-                timers, (sim.now + delay, sim._sequence, self._charge_timer_cb, ())
-            )
+            sim._sequence += 1
+            heappush(timers, (fire_at, sim._sequence, self._charge_timer_cb, ()))
 
     def _charge_timer(self) -> None:
         # The service timer fired; the release runs at the (possibly
@@ -517,8 +502,7 @@ class Process(Signal):
             resource.release_unit()
             self._step(None, None)
         else:
-            sim._sequence += 1
-            sim._immediate.append((sim.now, sim._sequence, self._charge_resume_cb, ()))
+            sim._immediate.append((self._charge_resume_cb, ()))
 
     def _charge_resume(self) -> None:
         resource, self._charge_res = self._charge_res, None
@@ -535,8 +519,7 @@ class Process(Signal):
         if not sim._immediate and (not timers or timers[0][0] > sim.now):
             self._step(None, None)
         else:
-            sim._sequence += 1
-            sim._immediate.append((sim.now, sim._sequence, self._step, (None, None)))
+            sim._immediate.append((self._step, (None, None)))
 
     def _on_wait_done(self, signal: Signal) -> None:
         self._step(signal.value, signal.exc)
@@ -546,21 +529,25 @@ class Simulator:
     """The virtual clock and scheduler.
 
     Determinism: scheduled callbacks with equal fire times run in
-    scheduling order (a monotonically increasing sequence number breaks
-    ties), so a fixed program + fixed RNG seeds always produces identical
-    traces.
+    scheduling order, so a fixed program + fixed RNG seeds always
+    produces identical traces.
 
     Zero-delay callbacks — the bulk of a protocol simulation (signal
     completions, process resumes, same-time hops) — bypass the timer
-    heap via an *immediate queue*, a FIFO deque whose entries carry the
-    same ``(time, sequence)`` keys as timer entries.  The run loop
-    merges the two by key, so the executed order is identical to a
-    heap-only kernel while zero-delay scheduling costs O(1).
+    heap via an *immediate queue*, a FIFO deque of ``(callback, args)``
+    pairs: its order is its arming order, so its entries need no key.
+    A positive delay the clock cannot represent (``now + delay ==
+    now``) is queued there too, which is where its place in arming
+    order puts it.  The executed order is that of a heap-only kernel
+    keyed ``(fire_at, seq)`` (see :meth:`run`) while zero-delay
+    scheduling costs O(1).
 
-    Positive delays go to the *timer heap*: a plain list of
-    ``(fire_at, sequence, callback, args)`` tuples that this module's
-    hot sites drive with ``heappush``/``heappop``/``heap[0]`` directly —
-    nothing outside ``sim/kernel.py`` knows it is a heap (why a heap:
+    Every other delay arms the *timer heap*, strictly later than
+    ``now``: a plain list of ``(fire_at, sequence, callback, args)``
+    tuples, where a monotonically increasing sequence number (spent on
+    timers only) breaks ties, that this module's hot sites drive with
+    ``heappush``/``heappop``/``heap[0]`` directly — nothing outside
+    ``sim/kernel.py`` knows it is a heap (why a heap:
     docs/ARCHITECTURE.md § Timer queue).
 
     A run ends with :meth:`close`, which frees whatever is still queued
@@ -571,7 +558,7 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._timers: List[Tuple[float, int, Callable, tuple]] = []
-        self._immediate: Deque[Tuple[float, int, Callable, tuple]] = deque()
+        self._immediate: Deque[Tuple[Callable, tuple]] = deque()
         self._sequence = 0
         self._until: Optional[float] = None
         self._closed = False
@@ -617,30 +604,35 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         if self._closed:
             raise SimulationError("simulator is closed")
-        self._sequence += 1
-        if delay == 0.0:
-            self._immediate.append((self.now, self._sequence, callback, args))
+        now = self.now
+        fire_at = now + delay
+        if fire_at == now:
+            self._immediate.append((callback, args))
         else:
-            heappush(self._timers, (self.now + delay, self._sequence, callback, args))
+            self._sequence += 1
+            heappush(self._timers, (fire_at, self._sequence, callback, args))
 
     def _schedule_at(self, fire_at: float, callback: Callable, args: tuple) -> None:
-        """Arm a timer at absolute time ``fire_at`` (later than ``now``).
+        """Arm a timer at absolute time ``fire_at`` (``now`` plus a delay).
 
         :meth:`schedule` for this package's own per-event callers: no
         checks, and — unlike ``schedule`` — legal while the simulator
         closes, where the ``finally`` of a dying generator may still send
-        a lock release (dropped by :meth:`close`).
+        a lock release (dropped by :meth:`close`).  ``fire_at == now`` (a
+        zero delay, or one the clock absorbs) queues like :meth:`call_soon`.
         """
-        self._sequence += 1
-        heappush(self._timers, (fire_at, self._sequence, callback, args))
+        if fire_at == self.now:
+            self._immediate.append((callback, args))
+        else:
+            self._sequence += 1
+            heappush(self._timers, (fire_at, self._sequence, callback, args))
 
     def call_soon(self, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` at the current time (after pending work).
 
         Equivalent to ``schedule(0.0, ...)``, skipping the delay check.
         """
-        self._sequence += 1
-        self._immediate.append((self.now, self._sequence, callback, args))
+        self._immediate.append((callback, args))
 
     def signal(self, name: str = "") -> Signal:
         """Create a fresh pending :class:`Signal`."""
@@ -674,10 +666,17 @@ class Simulator:
         later stay queued); one before :attr:`now` is a ``ValueError``.
         Returns the final clock value.
 
-        Every immediate entry carries the ``now`` of its append, and
-        ``now`` moves (a timer pop, a fast-forward) only while that queue
-        is empty, so the loop pops an immediate entry without storing the
-        clock or testing ``until``.
+        Why draining the FIFO whenever ``not timers or timers[0][0] >
+        now`` keeps the order of a heap-only kernel keyed ``(fire_at,
+        seq)``: ``now`` moves (a timer pop, a fast-forward) only while
+        the FIFO is empty, so every FIFO entry was armed at the current
+        ``now``, in FIFO order.  Every timer is armed strictly later than
+        the ``now`` of its arming, so a timer due at ``now`` was armed
+        before the clock got here: before every FIFO entry, which it
+        must precede.  And while the FIFO drains, no timer is armed at
+        ``now`` and a fast-forward stays short of the heap front, so one
+        test of the guard covers the whole drain, which needs neither
+        the clock nor ``until``.
         """
         if self._closed:
             raise SimulationError("simulator is closed")
@@ -694,17 +693,16 @@ class Simulator:
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
-        # The loop merges the immediate queue and the timer heap on
-        # (time, seq): both are ordered, so comparing the two fronts
-        # yields the globally next callback.  Two specializations keep
-        # per-dispatch branch count minimal.
+        # Timers due now first, then the whole FIFO, then the next
+        # timer.  Two specializations keep per-dispatch branch count
+        # minimal.
         try:
             if until is None:
                 while True:
-                    if immediate and (not timers or timers[0] >= immediate[0]):
-                        entry = immediate.popleft()
-                        entry[2](*entry[3])
-                        continue
+                    if immediate and (not timers or timers[0][0] > self.now):
+                        while immediate:
+                            callback, args = immediate.popleft()
+                            callback(*args)
                     if not timers:
                         break
                     entry = heappop(timers)
@@ -712,10 +710,10 @@ class Simulator:
                     entry[2](*entry[3])
             else:
                 while True:
-                    if immediate and (not timers or timers[0] >= immediate[0]):
-                        entry = immediate.popleft()
-                        entry[2](*entry[3])
-                        continue
+                    if immediate and (not timers or timers[0][0] > self.now):
+                        while immediate:
+                            callback, args = immediate.popleft()
+                            callback(*args)
                     if not timers:
                         break
                     if timers[0][0] > until:

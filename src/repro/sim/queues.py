@@ -147,9 +147,7 @@ class Resource:
             waiter = waiters.popleft()
             if callable(waiter):
                 # Open-coded sim.call_soon(waiter): one per contended hold.
-                sim = self.sim
-                sim._sequence += 1
-                sim._immediate.append((now, sim._sequence, waiter, ()))
+                self.sim._immediate.append((waiter, ()))
             else:
                 waiter.succeed(None)
         else:

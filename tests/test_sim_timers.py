@@ -1,18 +1,21 @@
 """Tests for the kernel's timer queue (sim/kernel.py).
 
 The queue is one binary heap of ``(fire_at, seq, callback, args)``
-tuples that only ``sim/kernel.py`` touches, so every test here goes
-through :meth:`Simulator.schedule` / :meth:`~Simulator.run`.  It must
+tuples beside a keyless FIFO of callbacks due now, both touched only by
+``sim/kernel.py``, so every test here goes through
+:meth:`Simulator.schedule` / :meth:`~Simulator.run`.  Together they must
 order entries *exactly* by ``(fire_at, seq)`` — any deviation breaks the
 determinism trace checksums — which a hypothesis differential test
-checks against a sorted-list model of the kernel without fast paths;
-seeded mutants of the heap and of a CPU hand-over show that the test can
+checks against a sorted-list model of the kernel without fast paths,
+and a second check repeats at a clock so coarse that a 1 ms delay is
+absorbed; seeded mutants of the heap, of a CPU hand-over, of the
+absorbed-delay routing and of the FIFO drain show that the tests can
 fail.
 """
 
 from bisect import insort
 from collections import deque
-from heapq import heapify, heappush
+from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -288,4 +291,103 @@ def test_mutant_handover_timer_at_release_dies(monkeypatch):
         heappush(sim._timers, (fire_at, sim._sequence, process._charge_timer_cb, ()))
 
     monkeypatch.setattr(Resource, "release_unit", release_and_arm)
+    _assert_mutant_dies()
+
+
+# ----------------------------------------------------------------------
+# A clock too coarse for the delay: at 2**60 ms one ulp is 256 ms
+# ----------------------------------------------------------------------
+_COARSE = 2.0**60
+_ULP = 256.0
+
+
+def _mix(world, ident):
+    # Every kind of wait the clock absorbs (now + 1.0 == now), between
+    # zero-delay callbacks: all of them must run in arming order.
+    world.fired.append((world.now, ident))
+    world.schedule(0.0, _fire, world, (ident, "soon"), (1.0, 0.0))
+    world.schedule(1.0, _fire, world, (ident, "absorbed"), (0.0, 1.0))
+    world.spawn(ident, [(False, 1.0), (True, 1.0), (False, 0.0), (True, 1.0)])
+    world.charge(ident, ident % 2, [1.0, 0.0, 1.0])
+    world.schedule(0.0, _fire, world, (ident, "late"), ())
+
+
+def _check_absorbed_delays():
+    model, real = _Model(), _Real()
+    for world in (model, real):
+        world.run(until=_COARSE)
+        assert world.now + 1.0 == world.now
+        # Three timers due at the same later instant: the first one's
+        # absorbed waits queue behind the other two, already due.
+        for ident in range(3):
+            world.schedule(_ULP, _mix, world, ident)
+        world.schedule(0.0, _fire, world, ("now", 0), (1.0, 0.0))
+        world.schedule(1.0, _fire, world, ("now", 1), ())
+        world.spawn("now", [(False, 1.0), (True, 1.0)])
+        world.run()
+    assert real.fired == model.fired
+    assert real.now == model.now == _COARSE + _ULP
+    assert real.pending == model.pending == 0
+    assert real.in_use == model.in_use == [0, 0]
+    due = [entry for entry in real.fired if entry[0] == _COARSE + _ULP]
+    assert due[:3] == [(_COARSE + _ULP, ident) for ident in range(3)]
+
+
+def test_absorbed_delays_run_in_arming_order():
+    _check_absorbed_delays()
+
+
+def test_absorbed_release_queues_in_arming_order():
+    # The per-event release path (``_schedule_at``) absorbs like schedule.
+    sim = Simulator()
+    fired = []
+    sim.run(until=_COARSE)
+    sim.call_soon(fired.append, "a")
+    sim._schedule_at(sim.now + 1.0, fired.append, ("b",))
+    sim.call_soon(fired.append, "c")
+    assert sim._timers == []
+    sim.run()
+    assert fired == ["a", "b", "c"]
+
+
+def test_mutant_absorbed_delay_on_heap_dies(monkeypatch):
+    # Arming an absorbed delay as a timer at now: it overtakes the
+    # zero-delay callbacks armed before it.
+    def schedule_on_heap(self, delay, callback, *args):
+        if delay == 0.0:
+            self._immediate.append((callback, args))
+        else:
+            self._sequence += 1
+            heappush(self._timers, (self.now + delay, self._sequence, callback, args))
+
+    monkeypatch.setattr(Simulator, "schedule", schedule_on_heap)
+    with pytest.raises(AssertionError):
+        _check_absorbed_delays()
+
+
+def test_mutant_drain_without_guard_dies(monkeypatch):
+    # Draining the FIFO while a timer is due now: the timer, armed
+    # before the clock got here, runs after callbacks armed since.
+    def run_draining_first(self, until=None):
+        timers, immediate = self._timers, self._immediate
+        self._until = until
+        try:
+            while True:
+                while immediate:
+                    callback, args = immediate.popleft()
+                    callback(*args)
+                if not timers or (until is not None and timers[0][0] > until):
+                    break
+                entry = heappop(timers)
+                self.now = entry[0]
+                entry[2](*entry[3])
+        finally:
+            self._until = None
+        if until is not None:
+            self.now = until
+        return self.now
+
+    monkeypatch.setattr(Simulator, "run", run_draining_first)
+    with pytest.raises(AssertionError):
+        _check_absorbed_delays()
     _assert_mutant_dies()

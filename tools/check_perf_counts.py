@@ -60,24 +60,29 @@ import sys
 #: close (``_close_branch``) was a generator resumed twice, and
 #: ``submit`` resolved its instance and method through ``instance_of``
 #: and ``_method_meta_for`` calls.
+#: ``sim.calls`` was 6.6994 (micro), 99.225 (game), 80.8893 (TPC-C) and
+#: 40.851 (massive) while a ``Timeout`` built its signal half through
+#: ``Signal.__init__`` and the trampoline queued an already-triggered
+#: wait and a busy CPU grant through ``Simulator.call_soon``; both are
+#: open-coded now that an immediate entry is a plain ``(callback, args)``.
 #: ``apps.calls`` and ``baselines.calls`` are pinned since they were
 #: first gated, at the values of that commit; ``game_scaleout`` counts
 #: EventWave's runtime under ``baselines``, ``tpcc_contention`` Orleans'.
 PINNED = {
     "kernel_micro": {
-        "sim.calls": 6.6994, "core.calls": 0.0,
+        "sim.calls": 6.4362, "core.calls": 0.0,
         "apps.calls": 0.0, "baselines.calls": 0.0,
     },
     "game_scaleout": {
-        "sim.calls": 99.225, "core.calls": 126.6714,
+        "sim.calls": 98.6291, "core.calls": 126.6714,
         "apps.calls": 9.5702, "baselines.calls": 31.0603,
     },
     "tpcc_contention": {
-        "sim.calls": 80.8893, "core.calls": 157.995,
+        "sim.calls": 80.8842, "core.calls": 157.995,
         "apps.calls": 23.0302, "baselines.calls": 70.9245,
     },
     "massive_bulk": {
-        "sim.calls": 40.851, "core.calls": 53.848,
+        "sim.calls": 40.7496, "core.calls": 53.848,
         "apps.calls": 5.1714, "baselines.calls": 0.0,
     },
 }
