@@ -69,7 +69,7 @@ def main():
 
     storage = CloudStorage(sim)
     emanager_host = Server(sim, "~emanager", M1_LARGE)
-    network.register(emanager_host.name, emanager_host.mailbox, M1_LARGE)
+    network.register(emanager_host.name, M1_LARGE)
     coordinator = MigrationCoordinator(runtime, storage, emanager_host)
 
     client = runtime.register_client("writer")

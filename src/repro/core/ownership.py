@@ -136,10 +136,6 @@ class FencingTable:
         """Server currently granted ``root`` (None while fenced)."""
         return self._holders.get(root)
 
-    def max_epoch(self) -> int:
-        """Highest epoch of any root: a returning server's re-admission."""
-        return max(self._epochs.values(), default=0)
-
     def is_fenced(self, root: str) -> bool:
         """Whether ``root`` is fenced (declared, handoff still pending)."""
         return root in self._fenced

@@ -244,7 +244,7 @@ class RuntimeBase:
     def attach_server(self, server: Server) -> None:
         """Register a (possibly newly provisioned) server with the fabric."""
         if not self.network.is_registered(server.name):
-            self.network.register(server.name, server.mailbox, server.itype)
+            self.network.register(server.name, server.itype)
 
     def server_of(self, cid: str) -> Server:
         """The server currently hosting context ``cid``."""

@@ -75,7 +75,7 @@ class EManager:
         sim = runtime.sim
         self.host = Server(sim, "~emanager", instance_type)
         if not runtime.network.is_registered(self.host.name):
-            runtime.network.register(self.host.name, self.host.mailbox, instance_type)
+            runtime.network.register(self.host.name, instance_type)
         self.coordinator = MigrationCoordinator(runtime, storage, self.host)
         self.crashed = False
         self.running = False
@@ -357,11 +357,6 @@ class EManager:
         subtrees and rehydration stands down.
         """
         runtime = self.runtime
-        if runtime.fencing is not None:
-            # Re-admission at the current epochs: the restarting server
-            # learns it may have been fenced while away (its heartbeats
-            # advertise this epoch to the detector).
-            server.fencing_epoch = runtime.fencing.max_epoch()
         if self._recovering.get(server.name):
             return
         instances = runtime.instances
@@ -406,15 +401,6 @@ class EManager:
         # The suspect heartbeats again: a future suspicion is a fresh
         # (possibly false) detection, counted anew.
         self._false_suspects.pop(server_name, None)
-        fencing = self.runtime.fencing
-        if fencing is not None:
-            # Re-admit the returning server at the current epochs: its
-            # heartbeats carried a stale belief, and overwriting it here
-            # mirrors the owner accepting that it lost its leases — it
-            # will not serve fenced subtrees as if it still owned them.
-            server = self.runtime.cluster.servers.get(server_name)
-            if server is not None:
-                server.fencing_epoch = fencing.max_epoch()
 
     def _recover_server(self, name: str) -> Generator:
         """Re-place everything a dead-*declared* server hosted, from

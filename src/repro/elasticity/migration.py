@@ -150,8 +150,10 @@ class MigrationCoordinator:
         records included: a fresh migration reusing a live id would
         collide on the ``migration/{id}`` WAL key (one migration's
         "done" delete erases another's record) and on the synthetic
-        ``eid=-id`` events in the lock machinery.  Half-done migrations
-        resume from their logged step.  Returns the half-done restore
+        ``eid=-id`` events in the lock machinery.  A half-done migration
+        is re-driven from the start: :meth:`_run` ignores the logged
+        ``step`` and repeats steps I–V, and :meth:`_flip_placement` makes
+        a flip that already happened a no-op.  Returns the half-done restore
         payloads in id order, for the caller to re-drive and
         :meth:`retire`.
         """
@@ -222,15 +224,15 @@ class MigrationCoordinator:
             yield sim.timeout(self.BASE_OVERHEAD_MS)
 
             # Step I: prepare the destination, wait for its ack.
-            yield network.delay_signal(self.host.name, record.dst)
-            yield network.delay_signal(record.dst, self.host.name)
+            yield network.delay_ms(self.host.name, record.dst)
+            yield network.delay_ms(record.dst, self.host.name)
             yield from self._log(record, "prepared")
             if self.halted:
                 return
 
             # Step II: source stops accepting events for the context.
-            yield network.delay_signal(self.host.name, record.src)
-            yield network.delay_signal(record.src, self.host.name)
+            yield network.delay_ms(self.host.name, record.src)
+            yield network.delay_ms(record.src, self.host.name)
             yield from self._log(record, "stopped")
             if self.halted:
                 return
@@ -243,7 +245,7 @@ class MigrationCoordinator:
             yield from self._log(record, "remapped")
             if self.halted:
                 return
-            yield network.delay_signal(self.host.name, record.src)
+            yield network.delay_ms(self.host.name, record.src)
 
             # Step IV: the migratec event drains the context's queue.
             migratec = Event(
@@ -260,7 +262,7 @@ class MigrationCoordinator:
             yield grant
             try:
                 # Step V: transfer the state and flip the placement.
-                yield network.delay_signal(
+                yield network.delay_ms(
                     record.src, record.dst, size_bytes=record.size_bytes
                 )
                 self._flip_placement(record, expected_src=record.src)
@@ -269,7 +271,7 @@ class MigrationCoordinator:
                 lock.release(migratec)
             # s2 notifies the eManager; buffered events already queue
             # on the (location-independent) lock and run at s2.
-            yield network.delay_signal(record.dst, self.host.name)
+            yield network.delay_ms(record.dst, self.host.name)
             yield from self._log(record, "done")
             record.finished_ms = sim.now
             done.succeed(record)
@@ -290,8 +292,8 @@ class MigrationCoordinator:
                 return
 
             # Prepare the destination (it allocates the pending queue).
-            yield network.delay_signal(self.host.name, record.dst)
-            yield network.delay_signal(record.dst, self.host.name)
+            yield network.delay_ms(self.host.name, record.dst)
+            yield network.delay_ms(record.dst, self.host.name)
 
             # Durably remap: new lookups resolve to the new host.
             yield self.storage.write(
@@ -320,7 +322,7 @@ class MigrationCoordinator:
                 # Push the checkpointed state to the destination and
                 # roll the instance back to it (with no state, the
                 # context just serves again).
-                yield network.delay_signal(
+                yield network.delay_ms(
                     self.host.name, record.dst, size_bytes=record.size_bytes
                 )
                 instance = self.runtime.instances.get(record.cid)
@@ -330,7 +332,7 @@ class MigrationCoordinator:
                 yield from self._log(record, "moved")
             finally:
                 lock.release(restorec)
-            yield network.delay_signal(record.dst, self.host.name)
+            yield network.delay_ms(record.dst, self.host.name)
             yield from self._log(record, "done")
             record.finished_ms = sim.now
             done.succeed(record)

@@ -10,9 +10,8 @@ The detector grants each server a lease; a monitor loop declares a
 server *suspected* once its lease expires without a heartbeat, firing
 the registered failure callbacks (the eManager's recovery hook).  A
 heartbeat from a suspected server (a restart, or a healed partition)
-clears the suspicion and fires the recovery callbacks.  Heartbeats
-carry the sender's fencing epoch; the detector itself only reads the
-sender's name.
+clears the suspicion and fires the recovery callbacks.  A heartbeat's
+payload is the sender's name, and its delivery callback renews the lease.
 
 Each declaration is recorded as a :class:`Detection`; its latency —
 declared-at minus the server's actual crash time — is the subsystem's
@@ -82,11 +81,8 @@ class FailureDetector:
         self.heartbeat_interval_ms = heartbeat_interval_ms
         self.lease_ms = lease_ms
         self.check_interval_ms = check_interval_ms
-        self.mailbox = (
-            network.mailbox(self.name)
-            if network.is_registered(self.name)
-            else network.register(self.name)
-        )
+        if not network.is_registered(self.name):
+            network.register(self.name)
         self.running = False
         self.suspected: Set[str] = set()
         self.detections: List[Detection] = []
@@ -137,7 +133,6 @@ class FailureDetector:
             server = self.cluster.servers[name]
             if server.alive:  # still-booting servers are watched on boot
                 self.watch(server)
-        self.sim.process(self._receiver(self._generation), name="fdetector-recv")
         self.sim.process(self._monitor(self._generation), name="fdetector-monitor")
 
     def stop(self) -> None:
@@ -168,32 +163,33 @@ class FailureDetector:
             and server.name in self.cluster.servers
         ):
             if server.alive:
-                # The heartbeat carries the sender's fencing epoch (its
-                # possibly stale belief); a fenced server that comes back
-                # is re-admitted at the current epoch by the eManager's
-                # recovery hook, not by reading this field.
                 self.network.send(
                     server.name,
                     self.name,
-                    ("hb", server.name, server.fencing_epoch),
+                    server.name,
                     size_bytes=self.HEARTBEAT_BYTES,
+                    on_delivered=self._on_heartbeat,
                 )
             yield interval
 
-    def _receiver(self, generation: int) -> Generator:
-        while self.running and generation == self._generation:
-            message = yield self.mailbox.get()
-            payload = message.payload
-            if not (isinstance(payload, tuple) and payload and payload[0] == "hb"):
-                continue
-            source = payload[1]
-            self.heartbeats_received += 1
-            self._last_seen[source] = self.sim.now
-            if source in self.suspected:
-                self.suspected.discard(source)
-                self._declared_at.pop(source, None)
-                for callback in self._on_recovery:
-                    callback(source)
+    def _on_heartbeat(self, source: str) -> None:
+        """Renew ``source``'s lease; a suspect that heartbeats recovers.
+
+        Runs inside the heartbeat's delivery timer, not from the
+        immediate queue: a monitor tick due at the exact float instant
+        of a delivery armed before it counts that heartbeat.  No pinned
+        run has a tick and a delivery coincide.  A stopped detector
+        ignores the heartbeats still in flight.
+        """
+        if not self.running:
+            return
+        self.heartbeats_received += 1
+        self._last_seen[source] = self.sim.now
+        if source in self.suspected:
+            self.suspected.discard(source)
+            self._declared_at.pop(source, None)
+            for callback in self._on_recovery:
+                callback(source)
 
     def _monitor(self, generation: int) -> Generator:
         interval = float(self.check_interval_ms)

@@ -3,9 +3,8 @@
 The injector owns the *ground truth* of what is broken at any instant:
 
 * crashed servers — marked down on the :class:`~repro.sim.cluster.Server`
-  (``crash()``), their mailbox detached from the network, and recorded in
-  the shared :class:`NetworkFaults` filter so traffic involving them
-  fails;
+  (``crash()``) and recorded in the shared :class:`NetworkFaults` filter
+  so traffic involving them fails;
 * active partitions — windows registered/removed on the filter at their
   scheduled boundaries.
 
@@ -141,7 +140,6 @@ class FaultInjector:
             self._note(f"crash of {fault.server} skipped (absent or already down)")
             return
         server.crash()
-        self.network.detach(fault.server)
         self.state.mark_down(fault.server)
         self._note(f"server {fault.server} crashed")
         if fault.restart_after_ms is not None:
@@ -153,7 +151,6 @@ class FaultInjector:
             self._note(f"restart of {name} skipped (absent or not crashed)")
             return
         server.restart()
-        self.network.reattach(name)
         self.state.mark_up(name)
         self._note(f"server {name} restarted")
 

@@ -57,7 +57,7 @@ def _migration_host(testbed, itype: InstanceType) -> Any:
 
     storage = CloudStorage(testbed.sim)
     host = Server(testbed.sim, "~emanager", itype)
-    testbed.network.register(host.name, host.mailbox, itype)
+    testbed.network.register(host.name, itype)
     return MigrationCoordinator(testbed.runtime, storage, host)
 
 

@@ -23,7 +23,7 @@ from .metrics import (
     mean,
     percentile,
 )
-from .network import DeliveryError, Message, Network
+from .network import DeliveryError, Network
 from .queues import Resource, Store
 from .rng import RngRegistry
 
@@ -38,7 +38,6 @@ __all__ = [
     "M1_SMALL",
     "M3_LARGE",
     "mean",
-    "Message",
     "Network",
     "percentile",
     "Process",

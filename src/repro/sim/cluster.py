@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from .kernel import Simulator
-from .queues import Resource, Store
+from .queues import Resource
 
 __all__ = [
     "InstanceType",
@@ -56,11 +56,11 @@ INSTANCE_TYPES: Dict[str, InstanceType] = {
 
 
 class Server:
-    """A simulated machine: CPU cores, NIC, a mailbox, and accounting.
+    """A simulated machine: CPU cores, NIC, and accounting.
 
     Runtimes place contexts/grains on servers; executing application or
-    protocol work occupies a core for the scaled duration.  The mailbox
-    is the single in-order channel used by :class:`repro.sim.network.Network`.
+    protocol work occupies a core for the scaled duration.  The server's
+    name is its endpoint on :class:`repro.sim.network.Network`.
     """
 
     def __init__(self, sim: Simulator, name: str, itype: InstanceType) -> None:
@@ -68,21 +68,15 @@ class Server:
         self.name = name
         self.itype = itype
         self.cpu = Resource(sim, capacity=itype.cores, name=f"cpu:{name}")
-        self.mailbox: Store = Store(sim, name=f"mbox:{name}")
         self.context_count = 0
         self.alive = True
         # Fail-stop state (driven by repro.faults.FaultInjector).
         self.crashed = False
         self.crashed_at_ms: Optional[float] = None
         self.crash_count = 0
-        #: The fencing epoch this server *believes* it holds.  The
-        #: recovery manager's fencing table is the authority; a server
-        #: whose belief lags the table is stale and gets its writes
-        #: rejected.  Heartbeats carry this value.
-        self.fencing_epoch = 0
-        #: Hooks fired inside crash()/restart() (crash realism: the
-        #: eManager drops volatile context state at crash time and
-        #: rehydrates from the durable checkpoint on restart).
+        #: Hooks fired inside crash()/restart() (with fault tolerance
+        #: on, the eManager drops volatile context state at crash time
+        #: and rehydrates from the durable checkpoint on restart).
         self.on_crash: List[Callable[["Server"], None]] = []
         self.on_restart: List[Callable[["Server"], None]] = []
         self._util_mark_busy = 0.0
@@ -96,12 +90,11 @@ class Server:
 
         The machine object (and the contexts the runtime still maps to
         it) stay around so a recovery manager can enumerate what was
-        lost; the injector additionally detaches the mailbox from the
-        network so nothing is delivered here while down.  By default the
-        in-memory context state survives as simulator bookkeeping; with
-        crash realism enabled the eManager registers an ``on_crash``
-        hook that drops it at crash time, so even a restart faster than
-        the detector's lease is a true fail-stop.
+        lost.  A down server sends no heartbeats; a crash the fault
+        injector applies also fails every hop to or from it.  With fault
+        tolerance on, the eManager's ``on_crash`` hook drops the
+        in-memory state of the contexts hosted here, so even a restart
+        faster than the detector's lease is a true fail-stop.
         """
         self.alive = False
         self.crashed = True
@@ -113,12 +106,11 @@ class Server:
     def restart(self) -> None:
         """Bring a crashed server back up.
 
-        Contexts the runtime still maps here come back with whatever the
-        failure model says survived: under the default (lenient) model
-        their in-memory state is intact; with crash realism the state
-        was dropped at crash time and an ``on_restart`` hook rehydrates
-        it from the durable checkpoint + WAL before the contexts serve
-        again.  Contexts already re-placed elsewhere stay there.
+        With fault tolerance on, the state of the contexts the runtime
+        still maps here was dropped at crash time, and the eManager's
+        ``on_restart`` hook rehydrates it from the durable checkpoint
+        before they serve again.  Contexts already re-placed elsewhere
+        stay there.
         """
         self.alive = True
         self.crashed = False

@@ -138,7 +138,7 @@ class Timeout(Signal):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # NaN fails this test too
             raise ValueError(f"negative timeout delay: {delay}")
         # Signal.__init__, open-coded: one timeout is built per wait.  A
         # static name: formatting one per timeout is measurable on the
@@ -351,7 +351,7 @@ class Process(Signal):
                 self.fail(step_exc)
                 return
             if type(target) is float:
-                if target < 0.0:
+                if not target >= 0.0:  # negative or NaN
                     self._reject(f"non-waitable {target!r}")
                     return
                 # A raw delay: the timer resumes this process directly,
@@ -379,9 +379,9 @@ class Process(Signal):
             if type(target) is CpuCharge:
                 resource = target.resource
                 delay = target.delay
-                if delay < 0.0:
-                    # Mirror the raw-delay branch: negative work is a
-                    # programming error, surfaced at the yield site.
+                if not delay >= 0.0:
+                    # Mirror the raw-delay branch: negative (or NaN) work
+                    # is a programming error, surfaced at the yield site.
                     self._reject(f"negative CPU charge {delay!r}")
                     return
                 if resource.acquire_now():
@@ -600,7 +600,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` after ``delay`` virtual milliseconds."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails this test too
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         if self._closed:
             raise SimulationError("simulator is closed")

@@ -1,10 +1,13 @@
 """Waitable queues and resources for simulated processes.
 
-Two primitives cover everything the runtimes need:
+Two primitives:
 
 * :class:`Store` — an unbounded FIFO of items; ``get()`` returns a signal
-  that fires when an item is available.  Context mailboxes, event queues
-  and grain mailboxes are all Stores.
+  that fires when an item is available, for processes that hand items
+  to one another (the store ping-pong kernel benchmark is one).  No
+  runtime layer keeps one: context and grain turns are taken on
+  :mod:`repro.core.locking` queues, and the network runs delivery
+  callbacks.
 * :class:`Resource` — a counted resource with FIFO admission; server CPU
   cores are Resources, held by yielding a
   :class:`~repro.sim.kernel.CpuCharge`.

@@ -22,7 +22,7 @@ from conftest import Cell, Testbed, Worker, build_group
 def make_coordinator(bed):
     storage = CloudStorage(bed.sim)
     host = Server(bed.sim, "~emanager", M1_LARGE)
-    bed.network.register(host.name, host.mailbox, M1_LARGE)
+    bed.network.register(host.name, M1_LARGE)
     return MigrationCoordinator(bed.runtime, storage, host), storage
 
 

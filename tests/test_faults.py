@@ -87,7 +87,7 @@ def _fabric(n=3):
     network = Network(sim)
     servers = [cluster.add_server(M3_LARGE) for _ in range(n)]
     for server in servers:
-        network.register(server.name, server.mailbox, server.itype)
+        network.register(server.name, server.itype)
     return sim, cluster, network, servers
 
 
@@ -111,18 +111,21 @@ def test_crash_detaches_and_restart_reattaches():
     assert victim.crashed_at_ms == pytest.approx(10.0)
     assert victim.crash_count == 1
     # Messages to the crashed server are transmitted and lost.
+    delivered = []
     sent_before = network.messages_dropped
-    network.send(servers[0].name, victim.name, "lost?")
+    network.send(servers[0].name, victim.name, "lost?", on_delivered=delivered.append)
     with pytest.raises(DeliveryError):
         network.delay_ms(servers[0].name, victim.name)
     sim.run(until=29.0)
-    assert len(victim.mailbox) == 0
+    assert delivered == []
     assert network.messages_dropped > sent_before
     sim.run(until=40.0)
     assert victim.alive and not victim.crashed
-    network.send(servers[0].name, victim.name, "hello again")
+    network.send(
+        servers[0].name, victim.name, "hello again", on_delivered=delivered.append
+    )
     sim.run(until=50.0)
-    assert [m.payload for m in victim.mailbox.items] == ["hello again"]
+    assert delivered == ["hello again"]
     assert [text for _t, text in injector.log] == [
         f"server {victim.name} crashed",
         f"server {victim.name} restarted",
@@ -141,11 +144,31 @@ def test_partition_blocks_hops_and_drops_messages_then_heals():
         network.delay_ms(b, a)
     # Unpartitioned pairs are untouched.
     assert network.delay_ms(a, c) > 0.0
-    network.send(a, b, "dropped")
+    delivered = []
+    network.send(a, b, "dropped", on_delivered=delivered.append)
     sim.run(until=24.0)
-    assert len(network.mailbox(b)) == 0
+    assert delivered == []
+    assert network.messages_dropped == 1
     sim.run(until=30.0)  # healed at t=25
     assert network.delay_ms(a, b) > 0.0
+
+
+def test_message_fate_is_decided_at_send():
+    # A message in flight when its destination crashes is still
+    # delivered; one sent after the crash is dropped by the fault filter.
+    sim, cluster, network, servers = _fabric(2)
+    src, victim = servers
+    schedule = FaultSchedule([ServerCrash(10.0, victim.name)])
+    FaultInjector(sim, network, cluster, schedule).start()
+    delivered = []
+    sim.run(until=10.0 - network.lan_ms / 2)
+    network.send(src.name, victim.name, "in flight", 0, delivered.append)
+    sim.run(until=10.0)
+    assert not victim.alive
+    network.send(src.name, victim.name, "after", 0, delivered.append)
+    sim.run(until=20.0)
+    assert delivered == ["in flight"]
+    assert network.messages_dropped == 1
 
 
 # ----------------------------------------------------------------------
@@ -378,13 +401,12 @@ def test_detector_tracks_cluster_membership():
     # A server provisioned after start() (boot takes boot_delay_ms) is
     # watched once booted — and only then.
     handle = cluster.provision(M3_LARGE)
-    network.register(handle.server.name, handle.server.mailbox, M3_LARGE)
+    network.register(handle.server.name, M3_LARGE)
     sim.run(until=cluster.boot_delay_ms + 400.0)
     assert handle.server.name in detector._watched
     assert handle.server.name not in detector.suspected
     # Crashing the late arrival IS detected.
     handle.server.crash()
-    network.detach(handle.server.name)
     sim.run(until=sim.now + 400.0)
     assert any(d.server == handle.server.name for d in detector.detections)
     # Decommissioning a server is forgotten, not declared dead.
@@ -560,7 +582,6 @@ def test_detector_stop_start_cycle_is_clean():
     assert detector.heartbeats_received > received_before  # senders live
     # A real crash after the restart is still detected exactly once.
     servers[1].crash()
-    network.detach(servers[1].name)
     sim.run(until=2600.0)
     assert servers[1].name in set(failures)
     assert len(detector.detections) == 1

@@ -213,7 +213,6 @@ def test_recovery_excludes_draining_targets():
     manager.enable_fault_tolerance(detector, checkpoint_interval_ms=0.0)
     manager._draining[draining.name] = True
     victim.crash()
-    bed.network.detach(victim.name)
     detector.declare(victim.name)
     bed.run()
     assert manager.contexts_recovered == 4

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.kernel import SimulationError, Simulator, Timeout
+from repro.sim.kernel import CpuCharge, SimulationError, Simulator, Timeout
+from repro.sim.queues import Resource
 
 
 def test_clock_starts_at_zero():
@@ -99,6 +100,32 @@ def test_timeout_negative_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         Timeout(sim, -0.1)
+
+
+@pytest.mark.parametrize("site", ["schedule", "timeout", "yield", "cpu_charge"])
+def test_nan_delay_rejected_and_clock_stays_finite(site):
+    # NaN compares False against 0, so a bare ``delay < 0`` check lets it
+    # through and a timer due at NaN poisons the clock.
+    nan = float("nan")
+    sim = Simulator()
+    sim.schedule(5.0, lambda: None)
+    unit = Resource(sim, capacity=1)
+
+    def body():
+        yield nan if site == "yield" else CpuCharge(unit, nan)
+
+    if site == "schedule":
+        with pytest.raises(ValueError):
+            sim.schedule(nan, lambda: None)
+    elif site == "timeout":
+        with pytest.raises(ValueError):
+            sim.timeout(nan)
+    else:
+        proc = sim.process(body())
+    sim.run()
+    assert sim.now == 5.0
+    if site in ("yield", "cpu_charge"):
+        assert isinstance(proc.exc, SimulationError)
 
 
 def test_timeout_on_a_closed_simulator_raises_and_arms_nothing():

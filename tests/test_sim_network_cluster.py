@@ -22,14 +22,13 @@ from repro.sim.network import DeliveryError, Network
 def test_send_delivers_after_latency():
     sim = Simulator()
     net = Network(sim, lan_ms=0.5)
-    box = net.register("dst")
+    net.register("dst")
     net.register("src")
-    net.send("src", "dst", {"k": 1}, size_bytes=0)
+    delivered = []
+    net.send("src", "dst", {"k": 1}, size_bytes=0,
+             on_delivered=lambda payload: delivered.append((payload, sim.now)))
     sim.run()
-    assert len(box) == 1
-    message = box.items[0]
-    assert message.payload == {"k": 1}
-    assert sim.now == pytest.approx(0.5)
+    assert delivered == [({"k": 1}, pytest.approx(0.5))]
 
 
 def test_same_host_latency_is_cheap():
@@ -57,13 +56,14 @@ def test_register_duplicate_rejected():
 def test_fifo_per_pair():
     sim = Simulator()
     net = Network(sim)
-    box = net.register("dst")
+    net.register("dst")
     net.register("src")
+    delivered = []
     # A big message then a small one: the small one must not overtake.
-    net.send("src", "dst", "big", size_bytes=10_000_000)
-    net.send("src", "dst", "small", size_bytes=1)
+    net.send("src", "dst", "big", 10_000_000, delivered.append)
+    net.send("src", "dst", "small", 1, delivered.append)
     sim.run()
-    assert [m.payload for m in box.items] == ["big", "small"]
+    assert delivered == ["big", "small"]
 
 
 def test_bandwidth_serializes_on_sender_egress():
@@ -72,12 +72,11 @@ def test_bandwidth_serializes_on_sender_egress():
     net.register("dst")
     net.register("src")
     one_mb = 1_000_000
-    done1 = net.delay_signal("src", "dst", size_bytes=one_mb)
-    done2 = net.delay_signal("src", "dst", size_bytes=one_mb)
-    sim.run()
+    first = net.delay_ms("src", "dst", size_bytes=one_mb)
+    second = net.delay_ms("src", "dst", size_bytes=one_mb)
     # 1 MB at 0.001 Gbps = 8000 ms each; second waits for the first.
-    assert done1.triggered and done2.triggered
-    assert sim.now == pytest.approx(2 * 8000.0, rel=0.01)
+    assert first == pytest.approx(8000.0, rel=0.01)
+    assert second == pytest.approx(2 * 8000.0, rel=0.01)
 
 
 def test_delay_signal_counts_traffic():
@@ -85,7 +84,7 @@ def test_delay_signal_counts_traffic():
     net = Network(sim)
     net.register("a")
     net.register("b")
-    net.delay_signal("a", "b", size_bytes=100)
+    net.delay_ms("a", "b", size_bytes=100)
     assert net.messages_sent == 1
     assert net.bytes_sent == 100
 
@@ -213,12 +212,13 @@ def test_zero_byte_payload_pays_propagation_only():
 def test_self_send_uses_same_host_latency():
     sim = Simulator()
     net = Network(sim, lan_ms=0.4, same_host_ms=0.02)
-    box = net.register("a")
+    net.register("a")
     assert net.delay_ms("a", "a", size_bytes=0) == pytest.approx(0.02)
-    net.send("a", "a", "loop", size_bytes=0)
+    delivered = []
+    net.send("a", "a", "loop", size_bytes=0,
+             on_delivered=lambda payload: delivered.append((payload, sim.now)))
     sim.run()
-    assert [m.payload for m in box.items] == ["loop"]
-    assert sim.now == pytest.approx(0.02)
+    assert delivered == [("loop", pytest.approx(0.02))]
 
 
 class _DropAll:
@@ -235,16 +235,17 @@ def test_fifo_preserved_across_dropped_messages():
     """A drop still pays egress: survivors queue behind the ghost."""
     sim = Simulator()
     net = Network(sim, lan_ms=0.25)
-    box = net.register("dst")
+    net.register("dst")
     net.register("src")
+    delivered = []
     ms_per_byte = 8.0 / (0.7 * 1e6)  # the default 0.7 Gbps NIC
-    net.send("src", "dst", "first", size_bytes=70_000)  # egress until 0.8
+    net.send("src", "dst", "first", 70_000, delivered.append)  # egress until 0.8
     net.fault = _DropAll()
-    net.send("src", "dst", "ghost", size_bytes=70_000)  # egress until 1.6
+    net.send("src", "dst", "ghost", 70_000, delivered.append)  # egress until 1.6
     net.fault = None
-    net.send("src", "dst", "third", size_bytes=0)
+    net.send("src", "dst", "third", 0, delivered.append)
     sim.run()
-    assert [m.payload for m in box.items] == ["first", "third"]
+    assert delivered == ["first", "third"]
     assert net.messages_dropped == 1
     # The third message waited for the ghost's transmission, not just its own.
     assert sim.now == pytest.approx(140_000 * ms_per_byte + 0.25)
@@ -280,15 +281,16 @@ _NET_SETTINGS = settings(
 def _check_fifo(program, network_cls):
     sim = Simulator()
     net = network_cls(sim)
-    boxes = {name: net.register(name, itype=itype) for name, itype in _ENDPOINTS}
+    for name, itype in _ENDPOINTS:
+        net.register(name, itype=itype)
     timeline = {}  # (src, dst) -> [(op index, delivery time)]
     arrivals = {}  # (src, dst) -> op indices in arrival order
     sent = {}  # (src, dst) -> op indices of messages not dropped
 
-    def arrived(message):
-        pair = (message.src, message.dst)
-        arrivals.setdefault(pair, []).append(message.payload)
-        timeline.setdefault(pair, []).append((message.payload, sim.now))
+    def arrived(payload):
+        pair, index = payload
+        arrivals.setdefault(pair, []).append(index)
+        timeline.setdefault(pair, []).append((index, sim.now))
 
     for index, (op, *args) in enumerate(program):
         if op == "advance":
@@ -300,7 +302,7 @@ def _check_fifo(program, network_cls):
             if op == "send":
                 if net.fault is None:
                     sent.setdefault((src, dst), []).append(index)
-                net.send(src, dst, index, args[2], arrived)
+                net.send(src, dst, ((src, dst), index), args[2], arrived)
             elif net.fault is not None:
                 with pytest.raises(DeliveryError):
                     net.delay_ms(src, dst, args[2])
@@ -309,8 +311,6 @@ def _check_fifo(program, network_cls):
                 timeline.setdefault((src, dst), []).append((index, at))
     sim.run()
     assert arrivals == sent
-    for (src, dst), indices in sent.items():
-        assert [m.payload for m in boxes[dst].items if m.src == src] == indices
     for points in timeline.values():
         times = [at for _index, at in sorted(points)]
         assert times == sorted(times)

@@ -65,6 +65,10 @@ import sys
 #: ``Signal.__init__`` and the trampoline queued an already-triggered
 #: wait and a busy CPU grant through ``Simulator.call_soon``; both are
 #: open-coded now that an immediate entry is a plain ``(callback, args)``.
+#: ``sim.calls`` was 98.6291 (game), 80.8842 (TPC-C) and 40.7496
+#: (massive) while every server, client and eManager host built a
+#: ``Store`` mailbox at setup that nothing read; ``kernel_micro`` did not
+#: move.
 #: ``apps.calls`` and ``baselines.calls`` are pinned since they were
 #: first gated, at the values of that commit; ``game_scaleout`` counts
 #: EventWave's runtime under ``baselines``, ``tpcc_contention`` Orleans'.
@@ -74,15 +78,15 @@ PINNED = {
         "apps.calls": 0.0, "baselines.calls": 0.0,
     },
     "game_scaleout": {
-        "sim.calls": 98.6291, "core.calls": 126.6714,
+        "sim.calls": 98.5729, "core.calls": 126.6714,
         "apps.calls": 9.5702, "baselines.calls": 31.0603,
     },
     "tpcc_contention": {
-        "sim.calls": 80.8842, "core.calls": 157.995,
+        "sim.calls": 80.8406, "core.calls": 157.995,
         "apps.calls": 23.0302, "baselines.calls": 70.9245,
     },
     "massive_bulk": {
-        "sim.calls": 40.7496, "core.calls": 53.848,
+        "sim.calls": 40.69, "core.calls": 53.848,
         "apps.calls": 5.1714, "baselines.calls": 0.0,
     },
 }
