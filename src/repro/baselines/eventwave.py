@@ -20,12 +20,12 @@ is not modelled: no figure migrates EventWave (fig8 migrates AEON only).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Optional, Type
+from typing import Any, Generator, Iterable, List, Optional, Type
 
 from ..core.context import ContextClass, ContextRef
 from ..core.errors import AeonError
 from ..core.events import CallSpec, Event
-from ..core.runtime import Branch, ClientHandle, RuntimeBase
+from ..core.runtime import ClientHandle, RuntimeBase
 from ..sim.cluster import Server
 from ..sim.queues import Resource
 
@@ -107,7 +107,7 @@ class EventWaveRuntime(RuntimeBase):
         sequencer = self._root_sequencer()
         grant = sequencer.request()
         yield grant
-        branch = Branch(event)
+        branch: List[str] = []
         try:
             yield self._charge(root_server, costs.eventwave_root_cpu_ms)
             event.started_ms = self.sim.now

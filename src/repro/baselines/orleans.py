@@ -27,11 +27,11 @@ hit shared grains directly (fast, non-serializable).
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, List
 
 from ..core.errors import AeonError
 from ..core.events import CallSpec, Event
-from ..core.runtime import Branch, ClientHandle, RuntimeBase
+from ..core.runtime import ClientHandle, RuntimeBase
 from ..sim.cluster import Server
 from ..sim.network import DeliveryError
 
@@ -96,7 +96,7 @@ class OrleansRuntime(RuntimeBase):
             client.learn(spec.target, grain_server.name)
         yield self._charge(grain_server, costs.route_cpu_ms)
         event.started_ms = self.sim.now
-        branch = Branch(event)
+        branch: List[str] = []
         # Take the grain's turn (FIFO mailbox admission).
         grant = self._reserve(event, branch, spec.target)
         yield grant
@@ -123,7 +123,7 @@ class OrleansRuntime(RuntimeBase):
         self,
         event: Event,
         spec: CallSpec,
-        branch: Branch,
+        branch: List[str],
         caller_server: Server,
         caller_cid: str,
     ) -> Generator:
@@ -138,18 +138,22 @@ class OrleansRuntime(RuntimeBase):
             yield self.network.delay_ms(
                 caller_server.name, callee_server.name, self.costs.proto_msg_bytes
             )
-        call_branch = Branch(event)
+        call_branch: List[str] = []
         grant = self._reserve(event, call_branch, spec.target)
         yield self._charge(callee_server, self.costs.route_cpu_ms)
         yield grant
-        # Not a ``finally``: ending the turn takes a scheduler hop, and a
+        # Turn over: the callee grain frees as soon as the call returns
+        # (no two-phase locking, hence no atomicity), after the hop
+        # AeonRuntime._close_branch describes.  Not a ``finally``: a
         # generator that dies with its run must not yield on the way out.
         try:
             result = yield from self._drive_body(event, spec, call_branch)
         except Exception:
-            yield from self._end_turn(event, call_branch, spec.target)
+            yield None
+            self._release_branch_locks(event, call_branch, self.server_of(spec.target))
             raise
-        yield from self._end_turn(event, call_branch, spec.target)
+        yield None
+        self._release_branch_locks(event, call_branch, self.server_of(spec.target))
         landed = self.server_of(spec.target)
         if landed.name != caller_server.name:
             yield self._charge(landed, self.costs.net_cpu_ms)
@@ -158,20 +162,14 @@ class OrleansRuntime(RuntimeBase):
             )
         return result
 
-    def _end_turn(self, event: Event, call_branch: Branch, cid: str) -> Generator:
-        """Turn over: the callee grain frees as soon as the call returns
-        (no two-phase locking — hence no atomicity)."""
-        yield None
-        self._release_branch_locks(event, call_branch, self.server_of(cid))
-
     def _spawn_async(
         self, event: Event, spec: CallSpec, caller_server: Server, caller_cid: str
     ) -> None:
-        self._branch_opened(event)
+        event.open_branches += 1
 
         def runner() -> Generator:
             try:
-                yield from self._sync_call(event, spec, Branch(event), caller_server, caller_cid)
+                yield from self._sync_call(event, spec, [], caller_server, caller_cid)
             except Exception as exc:  # noqa: BLE001 - surfaced on the event
                 if event.error is None:
                     event.error = exc

@@ -50,14 +50,13 @@ from .history import CommittedEvent, HistoryRecorder, SerializabilityViolation
 from .locking import ContextLock
 from .ownership import OwnershipNetwork, VIRTUAL_PREFIX
 from .protocol import AeonRuntime
-from .runtime import Branch, ClientHandle, RuntimeBase
+from .runtime import ClientHandle, RuntimeBase
 
 __all__ = [
     "AccessMode",
     "AeonError",
     "AeonRuntime",
     "AsyncCall",
-    "Branch",
     "CallSpec",
     "ClientHandle",
     "CommittedEvent",

@@ -135,9 +135,9 @@ class Event:
 
     Mirrors the paper's Algorithm 1 data structure (eid, dominator,
     target, access mode) plus the bookkeeping this implementation needs:
-    per-branch lock lists (for chain release), pending asynchronous call
-    processes, deferred sub-events, and read/write sets for the
-    serializability checker.
+    the lock bookkeeping (the ``held`` set, the open-branch count, the
+    quiescence signal and ``deferred_locks``), deferred sub-events, and
+    read/write sets for the serializability checker.
     """
 
     __slots__ = (

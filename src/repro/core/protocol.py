@@ -37,7 +37,7 @@ from ..sim.cluster import Server
 from ..sim.kernel import Signal
 from ..sim.network import DeliveryError
 from .events import CallSpec, Event
-from .runtime import Branch, ClientHandle, RuntimeBase
+from .runtime import ClientHandle, RuntimeBase
 
 __all__ = ["AeonRuntime"]
 
@@ -84,7 +84,7 @@ class AeonRuntime(RuntimeBase):
         # Lines 1-4: locate the dominator and send ACT to it.
         dominator = self.ownership.dominator(spec.target)
         event.dom = dominator
-        branch = Branch(event)
+        branch: List[str] = []
         if dominator != spec.target:
             dom_server = self.server_of(dominator)
             if dom_server.name != target_server.name:
@@ -137,8 +137,8 @@ class AeonRuntime(RuntimeBase):
     def _spawn_async(
         self, event: Event, spec: CallSpec, caller_server: Server, caller_cid: str
     ) -> None:
-        self._branch_opened(event)
-        child = Branch(event)
+        event.open_branches += 1
+        child: List[str] = []
         # Reserve the continuation's lock positions *now*, while the
         # caller's locks are held: the continuation is ordered before
         # anything admitted by a later release.
@@ -173,7 +173,7 @@ class AeonRuntime(RuntimeBase):
     # ------------------------------------------------------------------
     # Lock release
     # ------------------------------------------------------------------
-    def _close_branch(self, event: Event, branch: Branch, at_server: Server) -> None:
+    def _close_branch(self, event: Event, branch: List[str], at_server: Server) -> None:
         """Close a branch: release its locks (or defer them to commit).
 
         The caller hops first, itself (``yield None``, no helper
@@ -186,6 +186,6 @@ class AeonRuntime(RuntimeBase):
         if self.costs.early_release:
             self._release_branch_locks(event, branch, at_server)
         else:
-            event.deferred_locks.extend(branch.locks)
-            branch.locks = []
+            event.deferred_locks.extend(branch)
+            branch.clear()
         self._branch_closed(event)

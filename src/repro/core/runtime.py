@@ -51,28 +51,12 @@ from .history import HistoryRecorder
 from .locking import ContextLock
 from .ownership import VIRTUAL_PREFIX, FencingTable, OwnershipNetwork
 
-__all__ = ["RuntimeBase", "ClientHandle", "Branch", "FAILED_TAG"]
+__all__ = ["RuntimeBase", "ClientHandle", "FAILED_TAG"]
 
 #: Latency-recorder tag replacing the event's own tag when it completes
 #: with an error; availability experiments use it to separate goodput
 #: (successful completions) from failed/lost work.
 FAILED_TAG = "!failed"
-
-
-class Branch:
-    """One execution strand of an event (the root body or an async call).
-
-    Each branch keeps the ordered list of locks it acquired; with chain
-    release enabled, a branch releases its locks as soon as its body and
-    synchronous sub-calls are done and its asynchronous continuations are
-    already in flight.
-    """
-
-    __slots__ = ("event", "locks")
-
-    def __init__(self, event: Event) -> None:
-        self.event = event
-        self.locks: List[str] = []
 
 
 class ClientHandle:
@@ -584,9 +568,6 @@ class RuntimeBase:
     # ------------------------------------------------------------------
     # Branch bookkeeping
     # ------------------------------------------------------------------
-    def _branch_opened(self, event: Event) -> None:
-        event.open_branches += 1
-
     def _branch_closed(self, event: Event) -> None:
         event.open_branches -= 1
         if event.open_branches <= 0:
@@ -634,7 +615,7 @@ class RuntimeBase:
             self._method_meta[key] = meta
         return meta
 
-    def _drive_body(self, event: Event, spec: CallSpec, branch: Branch) -> Generator:
+    def _drive_body(self, event: Event, spec: CallSpec, branch: List[str]) -> Generator:
         """Execute one method call at the context's current server.
 
         Charges the method's CPU cost, tracks read/write versions, then
@@ -745,9 +726,11 @@ class RuntimeBase:
             )
 
     # ------------------------------------------------------------------
-    # Lock reservation and release (shared by AEON and EventWave)
+    # Lock reservation and release.  A *branch* is one execution strand
+    # of an event (the root body, an async call, an Orleans turn): the
+    # plain list of the cids it owns, in acquisition order.
     # ------------------------------------------------------------------
-    def _reserve(self, event: Event, branch: Branch, cid: str) -> Signal:
+    def _reserve(self, event: Event, branch: List[str], cid: str) -> Signal:
         """Reserve a FIFO position on ``cid``'s lock for ``event``.
 
         Performed synchronously (no simulated delay) at call-initiation
@@ -761,16 +744,16 @@ class RuntimeBase:
             # ``locking.acquire`` open-coded: one call per reservation.
             ContextLock(self.sim, locks, cid, event)
             event.held.add(cid)
-            branch.locks.append(cid)
+            branch.append(cid)
             return self.sim.ready
         grant, owned = lock.request(event)
         event.held.add(cid)
         if owned:
-            branch.locks.append(cid)
+            branch.append(cid)
         return grant
 
     def _reserve_path(
-        self, event: Event, branch: Branch, caller_cid: str, callee: str
+        self, event: Event, branch: List[str], caller_cid: str, callee: str
     ) -> List[Tuple[str, Signal]]:
         """Reserve positions along ``findPath(caller, callee)`` top-down.
 
@@ -813,7 +796,7 @@ class RuntimeBase:
         self,
         event: Event,
         spec: CallSpec,
-        branch: Branch,
+        branch: List[str],
         caller_server: Server,
         caller_cid: str,
     ) -> Generator:
@@ -850,100 +833,58 @@ class RuntimeBase:
             )
         return result
 
-    def _release_branch_locks(self, event: Event, branch: Branch, at_server: Server) -> None:
-        """Release a branch's locks in reverse acquisition order."""
-        held = event.held
-        locks = branch.locks
-        if held is not None:
-            for cid in locks:
-                held.discard(cid)
-        if len(locks) == 1:
-            self._schedule_release(event, locks[0], at_server)
-        elif locks:
-            self._schedule_release_batch(event, locks[::-1], at_server)
-        branch.locks = []
+    def _release_branch_locks(self, event: Event, branch: List[str], at_server: Server) -> None:
+        """Release a branch's locks from ``at_server`` and empty it."""
+        self._release(event, branch, at_server)
+        branch.clear()
 
     def _release_deferred(self, event: Event) -> None:
         """Release locks deferred to commit (non-chain-release mode)."""
-        deferred = event.deferred_locks
+        deferred, event.deferred_locks = event.deferred_locks, []
+        if deferred:
+            self._release(event, deferred, self.server_of(event.target))
+
+    def _release(self, event: Event, cids: List[str], from_server: Server) -> None:
+        """Give back ``cids`` (in acquisition order) in reverse order.
+
+        The one place a lock release is armed.  Each release lands after
+        its message's one-way latency from ``from_server`` to the lock's
+        server; a lock no longer in the table was released already, by
+        ``_finish_event``.  Every release armed here shares the current
+        timestamp, so releases with one latency would have landed at the
+        same instant with *consecutive* sequence numbers: the dispatch
+        loop would have run them back to back with nothing in between.
+        One queue entry per distinct latency, its locks in first-seen
+        order, therefore keeps that exact order.
+        """
         held = event.held
-        if not deferred:
-            return
-        release_from = self.server_of(event.target)
         if held is not None:
-            for cid in deferred:
+            for cid in cids:
                 held.discard(cid)
-        if len(deferred) == 1:
-            self._schedule_release(event, deferred[0], release_from)
-        else:
-            self._schedule_release_batch(event, deferred[::-1], release_from)
-        event.deferred_locks = []
-
-    def _release_delay(self, from_server: Server, cid: str) -> Optional[float]:
-        """One-way release-message latency to ``cid``'s lock server.
-
-        ``None`` means the context vanished mid-flight (crash/migration
-        race) and the release must run synchronously.
-        """
-        try:
-            lock_server_name = self.server_of(cid).name
-        except Exception:  # pragma: no cover - context vanished mid-flight
-            return None
+        locks = self.locks
         network = self.network
-        if from_server.name == lock_server_name:
-            return network.same_host_ms
-        return network.lan_ms
-
-    def _dispatch_release(self, lock: ContextLock, delay: float, event: Event) -> None:
-        """Schedule one lock release ``delay`` ms out (0 = immediate queue)."""
-        sim = self.sim
-        sim._schedule_at(sim.now + delay, lock.release, (event,))
-
-    def _schedule_release(self, event: Event, cid: str, from_server: Server) -> None:
-        """Release ``cid`` after the release message's one-way latency."""
-        lock = self.locks.get(cid)
-        if lock is None:  # released already, by ``_finish_event``
-            return
-        delay = self._release_delay(from_server, cid)
-        if delay is None:  # pragma: no cover - context vanished mid-flight
-            lock.release(event)
-            return
-        self._dispatch_release(lock, delay, event)
-
-    def _schedule_release_batch(
-        self, event: Event, cids: List[str], from_server: Server
-    ) -> None:
-        """Schedule several same-timestamp lock releases, batched.
-
-        All releases issued by one closing branch (or a commit) share the
-        current timestamp; releases whose messages have the same one-way
-        latency land at the same instant with *consecutive* sequence
-        numbers, so the dispatch loop would run them back to back with
-        nothing in between.  Batching them into a single queue entry per
-        distinct latency preserves that exact order while paying one
-        timer push (and one dispatch) per group instead of per lock.
-        """
-        sim = self.sim
-        locks_by_cid = self.locks
+        here = from_server.name
         groups: Dict[float, List[ContextLock]] = {}
-        for cid in cids:
-            lock = locks_by_cid.get(cid)
-            if lock is None:  # released already, by ``_finish_event``
+        for cid in reversed(cids):
+            lock = locks.get(cid)
+            if lock is None:
                 continue
-            delay = self._release_delay(from_server, cid)
-            if delay is None:  # pragma: no cover - context vanished mid-flight
-                lock.release(event)
-                continue
+            if self.server_of(cid).name == here:
+                delay = network.same_host_ms
+            else:
+                delay = network.lan_ms
             group = groups.get(delay)
             if group is None:
                 groups[delay] = [lock]
             else:
                 group.append(lock)
-        for delay, locks in groups.items():
-            if len(locks) == 1:
-                self._dispatch_release(locks[0], delay, event)
-                continue
-            sim._schedule_at(sim.now + delay, _release_lock_batch, (locks, event))
+        sim = self.sim
+        now = sim.now
+        for delay, group in groups.items():
+            if len(group) == 1:
+                sim._schedule_at(now + delay, group[0].release, (event,))
+            else:
+                sim._schedule_at(now + delay, _release_lock_batch, (group, event))
 
     # ------------------------------------------------------------------
     # Protocol-specific hooks

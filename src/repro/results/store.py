@@ -234,36 +234,18 @@ class ResultStore:
     def load(self, cell: Any) -> Any:
         """The persisted value for ``cell``, or :data:`MISS`.
 
-        A corrupted or truncated entry (bad pickle, partial write from a
-        killed process) is logged and reported as a miss — the caller
-        recomputes and :meth:`put` overwrites it atomically.
+        A cache consult: :meth:`fetch` under the cell's key, counted as
+        a hit or a miss; ``refresh`` makes every consult a miss.  A
+        corrupted or truncated entry (bad pickle, partial write from a
+        killed process) is a miss too — the caller recomputes and
+        :meth:`put` overwrites it atomically.
         """
-        import pickle
-
-        if self.refresh:
-            with self._lock:
-                self.misses += 1
-            return MISS
-        key = cell_key(cell)
-        try:
-            with open(self._path(key), "rb") as handle:
-                value = pickle.loads(zlib.decompress(handle.read()))
-        except FileNotFoundError:
-            with self._lock:
-                self.misses += 1
-            return MISS
-        except Exception as error:  # corrupt/truncated entry -> recompute
-            log.warning(
-                "result store: unreadable entry %s… (%s: %s); recomputing",
-                key[:12],
-                type(error).__name__,
-                error,
-            )
-            with self._lock:
-                self.misses += 1
-            return MISS
+        value = MISS if self.refresh else self.fetch(cell_key(cell))
         with self._lock:
-            self.hits += 1
+            if value is MISS:
+                self.misses += 1
+            else:
+                self.hits += 1
         return value
 
     # -- the result-bus protocol (the repro.exec queue backend) --------

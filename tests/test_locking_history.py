@@ -5,6 +5,7 @@ import pytest
 from repro.core.events import AccessMode, CallSpec, Event
 from repro.core.history import HistoryRecorder, SerializabilityViolation
 from repro.core.locking import acquire
+from repro.harness.runner import make_testbed
 from repro.sim.kernel import Simulator
 
 
@@ -143,6 +144,27 @@ def test_acquisition_counter():
         assert owned and grant.triggered and lock.holders() == [eid]
         lock.release(event)
         assert not lock.is_held() and table == {}
+
+
+def test_release_is_reverse_order_grouped_by_latency():
+    """A close gives its locks back in reverse acquisition order, each
+    after its release message's one-way latency from the closing server."""
+    with make_testbed("aeon", 2) as testbed:
+        sim, runtime, servers = testbed.sim, testbed.runtime, testbed.servers
+        cids = ["a", "b", "c", "d"]
+        holder = make_event(1)
+        admitted = []
+        for eid, (cid, host) in enumerate(zip(cids, servers * 2), start=2):
+            runtime.placement[cid] = host.name
+            lock, _grant, _owned = acquire(sim, runtime.locks, cid, holder)
+            holder.held.add(cid)
+            grant, _owned = lock.request(make_event(eid))
+            grant.add_callback(lambda _signal, cid=cid: admitted.append((cid, sim.now)))
+        runtime._release(holder, cids, servers[0])
+        assert holder.held == set()
+        sim.run()
+        same, lan = testbed.network.same_host_ms, testbed.network.lan_ms
+        assert admitted == [("c", same), ("a", same), ("d", lan), ("b", lan)]
 
 
 # ----------------------------------------------------------------------
