@@ -24,9 +24,8 @@ from typing import Any, Generator, Iterable, List, Optional, Type
 
 from ..core.context import ContextClass, ContextRef
 from ..core.errors import AeonError
-from ..core.events import CallSpec, Event
+from ..core.events import Event
 from ..core.runtime import ClientHandle, RuntimeBase
-from ..sim.cluster import Server
 from ..sim.queues import Resource
 
 __all__ = ["EventWaveRuntime", "SingleOwnershipError"]
@@ -45,7 +44,7 @@ class EventWaveRuntime(RuntimeBase):
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)
-        self._sequencer: Optional[Resource] = None
+        self._sequencer = Resource(self.sim, capacity=1, name="eventwave-root-seq")
         # The tree root, recomputed only when contexts change (it is
         # consulted on every event).
         self._root_cache: Optional[str] = None
@@ -104,8 +103,7 @@ class EventWaveRuntime(RuntimeBase):
         # Clients always submit through the root (it orders everything).
         yield self.network.delay_ms(client.name, root_server.name, costs.client_msg_bytes)
         # Serial sequencing at the root: the global bottleneck.
-        sequencer = self._root_sequencer()
-        grant = sequencer.request()
+        grant = self._sequencer.request()
         yield grant
         branch: List[str] = []
         try:
@@ -116,7 +114,7 @@ class EventWaveRuntime(RuntimeBase):
             # per-context order equals ticket order.
             target_reserved = self._reserve(event, branch, spec.target)
         finally:
-            sequencer.release(grant)
+            self._sequencer.release(grant)
 
         # Route down the tree, paying a forwarding cost per context hop.
         path = self.ownership.find_path(root, spec.target)
@@ -124,43 +122,26 @@ class EventWaveRuntime(RuntimeBase):
         for cid in path[1:]:
             nxt = self.server_of(cid)
             if nxt.name != current.name:
-                yield self._charge(current, costs.net_cpu_ms)
-                yield self.network.delay_ms(current.name, nxt.name, costs.proto_msg_bytes)
+                yield from self._hop(current, nxt.name, costs.proto_msg_bytes)
                 current = nxt
             yield self._charge(nxt, costs.eventwave_forward_cpu_ms)
 
         target_server = self.server_of(spec.target)
         if current.name != target_server.name:
-            yield self._charge(current, costs.net_cpu_ms)
-            yield self.network.delay_ms(
-                current.name, target_server.name, costs.proto_msg_bytes
-            )
+            yield from self._hop(current, target_server.name, costs.proto_msg_bytes)
         yield self._charge(target_server, costs.lock_cpu_ms)
         yield target_reserved
-        # Strict hold-till-commit, after the hop AeonRuntime._close_branch
-        # describes.  Not a ``finally``: a generator that dies with its
-        # run must not yield on the way out.
+        # Strict hold-till-commit: the branch close (RuntimeBase._close_branch)
+        # is the commit, since EventWave has no asynchronous branches.
         try:
             event.result = yield from self._drive_body(event, spec, branch)
         except Exception:
             yield None
-            self._release_branch_locks(event, branch, self.server_of(spec.target))
-            self._branch_closed(event)
+            self._close_branch(event, branch, self.server_of(spec.target))
             raise
         yield None
-        self._release_branch_locks(event, branch, self.server_of(spec.target))
-        self._branch_closed(event)
+        self._close_branch(event, branch, self.server_of(spec.target))
         event.committed_ms = self.sim.now
+        self._release_deferred(event)
         reply_from = self.server_of(spec.target)
-        yield self._charge(reply_from, costs.net_cpu_ms)
-        yield self.network.delay_ms(reply_from.name, client.name, costs.client_msg_bytes)
-
-    def _root_sequencer(self) -> Resource:
-        if self._sequencer is None:
-            self._sequencer = Resource(self.sim, capacity=1, name="eventwave-root-seq")
-        return self._sequencer
-
-    def _spawn_async(
-        self, event: Event, spec: CallSpec, caller_server: Server, caller_cid: str
-    ) -> None:  # pragma: no cover - supports_async is False
-        raise AeonError("EventWave has no asynchronous method calls")
+        yield from self._hop(reply_from, client.name, costs.client_msg_bytes)

@@ -33,7 +33,6 @@ from ..core.errors import AeonError
 from ..core.events import CallSpec, Event
 from ..core.runtime import ClientHandle, RuntimeBase
 from ..sim.cluster import Server
-from ..sim.network import DeliveryError
 
 __all__ = ["OrleansRuntime", "OrleansDeadlockError"]
 
@@ -69,32 +68,9 @@ class OrleansRuntime(RuntimeBase):
     # Event lifecycle: one turn on the target grain
     # ------------------------------------------------------------------
     def _event_process(self, event: Event, client: ClientHandle) -> Generator:
-        costs = self.costs
         spec = event.spec
-        cached_name = client.locate(spec.target)
-        try:
-            yield self.network.delay_ms(
-                client.name, cached_name, costs.client_msg_bytes
-            )
-        except DeliveryError:
-            # Cached server unreachable: forget the entry so a retry
-            # re-resolves (see ClientHandle), then surface the failure.
-            client.forget(spec.target)
-            raise
-        grain_server = self.server_of(spec.target)
-        if cached_name != grain_server.name:
-            stale_server = self.cluster.servers.get(cached_name)
-            if stale_server is not None:
-                yield self._charge(stale_server, costs.net_cpu_ms)
-                yield self.network.delay_ms(
-                    stale_server.name, grain_server.name, costs.client_msg_bytes
-                )
-            else:
-                yield self.network.delay_ms(
-                    cached_name, grain_server.name, costs.client_msg_bytes
-                )
-            client.learn(spec.target, grain_server.name)
-        yield self._charge(grain_server, costs.route_cpu_ms)
+        grain_server = yield from self._ingress(event, client)
+        yield self._charge(grain_server, self.costs.route_cpu_ms)
         event.started_ms = self.sim.now
         branch: List[str] = []
         # Take the grain's turn (FIFO mailbox admission).
@@ -113,8 +89,7 @@ class OrleansRuntime(RuntimeBase):
             self._release_branch_locks(event, branch, self.server_of(spec.target))
         event.committed_ms = self.sim.now
         reply_from = self.server_of(spec.target)
-        yield self._charge(reply_from, costs.net_cpu_ms)
-        yield self.network.delay_ms(reply_from.name, client.name, costs.client_msg_bytes)
+        yield from self._hop(reply_from, client.name, self.costs.client_msg_bytes)
 
     # ------------------------------------------------------------------
     # Nested calls: per-call turn on the callee grain only
@@ -134,9 +109,8 @@ class OrleansRuntime(RuntimeBase):
             )
         callee_server = self.server_of(spec.target)
         if callee_server.name != caller_server.name:
-            yield self._charge(caller_server, self.costs.net_cpu_ms)
-            yield self.network.delay_ms(
-                caller_server.name, callee_server.name, self.costs.proto_msg_bytes
+            yield from self._hop(
+                caller_server, callee_server.name, self.costs.proto_msg_bytes
             )
         call_branch: List[str] = []
         grant = self._reserve(event, call_branch, spec.target)
@@ -144,8 +118,7 @@ class OrleansRuntime(RuntimeBase):
         yield grant
         # Turn over: the callee grain frees as soon as the call returns
         # (no two-phase locking, hence no atomicity), after the hop
-        # AeonRuntime._close_branch describes.  Not a ``finally``: a
-        # generator that dies with its run must not yield on the way out.
+        # RuntimeBase._close_branch describes.
         try:
             result = yield from self._drive_body(event, spec, call_branch)
         except Exception:
@@ -156,10 +129,7 @@ class OrleansRuntime(RuntimeBase):
         self._release_branch_locks(event, call_branch, self.server_of(spec.target))
         landed = self.server_of(spec.target)
         if landed.name != caller_server.name:
-            yield self._charge(landed, self.costs.net_cpu_ms)
-            yield self.network.delay_ms(
-                landed.name, caller_server.name, self.costs.proto_msg_bytes
-            )
+            yield from self._hop(landed, caller_server.name, self.costs.proto_msg_bytes)
         return result
 
     def _spawn_async(

@@ -3,7 +3,8 @@
 Event lifecycle implemented by :class:`AeonRuntime`:
 
 1. The client ships the event to the server hosting the target context
-   (stale location caches cost a forward hop).
+   (:meth:`~repro.core.runtime.RuntimeBase._ingress`: a stale location
+   cache costs a forward hop).
 2. The target's server computes the target's **dominator** in the
    ownership network and sends an ACT message to it; the event queues in
    the dominator's ``toActivateQueue`` and is admitted FIFO — exclusively
@@ -31,11 +32,9 @@ Event lifecycle implemented by :class:`AeonRuntime`:
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple
+from typing import Generator, List
 
 from ..sim.cluster import Server
-from ..sim.kernel import Signal
-from ..sim.network import DeliveryError
 from .events import CallSpec, Event
 from .runtime import ClientHandle, RuntimeBase
 
@@ -53,32 +52,7 @@ class AeonRuntime(RuntimeBase):
     def _event_process(self, event: Event, client: ClientHandle) -> Generator:
         spec = event.spec
         costs = self.costs
-        # Client -> (cached) server hop; stale caches pay a forward hop.
-        cached_name = client.locate(spec.target)
-        try:
-            yield self.network.delay_ms(
-                client.name, cached_name, costs.client_msg_bytes
-            )
-        except DeliveryError:
-            # The cached server did not answer (crash/partition): drop
-            # the entry so a retry re-resolves instead of re-failing on
-            # the same dead endpoint, then surface the failure.
-            client.forget(spec.target)
-            raise
-        target_server = self.server_of(spec.target)
-        if cached_name != target_server.name:
-            # Stale client cache: the wrong server forwards the event.
-            stale_server = self.cluster.servers.get(cached_name)
-            if stale_server is not None:
-                yield self._charge(stale_server, costs.net_cpu_ms)
-                yield self.network.delay_ms(
-                    stale_server.name, target_server.name, costs.client_msg_bytes
-                )
-            else:
-                yield self.network.delay_ms(
-                    cached_name, target_server.name, costs.client_msg_bytes
-                )
-            client.learn(spec.target, target_server.name)
+        target_server = yield from self._ingress(event, client)
         yield self._charge(target_server, costs.route_cpu_ms)
 
         # Lines 1-4: locate the dominator and send ACT to it.
@@ -88,20 +62,14 @@ class AeonRuntime(RuntimeBase):
         if dominator != spec.target:
             dom_server = self.server_of(dominator)
             if dom_server.name != target_server.name:
-                yield self._charge(target_server, costs.net_cpu_ms)
-                yield self.network.delay_ms(
-                    target_server.name, dom_server.name, costs.proto_msg_bytes
-                )
+                yield from self._hop(target_server, dom_server.name, costs.proto_msg_bytes)
             yield self._charge(dom_server, costs.lock_cpu_ms)
             yield self._reserve(event, branch, dominator)
             # The EXEC back to the target is enqueued in dominator order:
             # reserve the target's position before traveling (line 16-18).
             target_reserved = self._reserve(event, branch, spec.target)
             if dom_server.name != target_server.name:
-                yield self._charge(dom_server, costs.net_cpu_ms)
-                yield self.network.delay_ms(
-                    dom_server.name, target_server.name, costs.proto_msg_bytes
-                )
+                yield from self._hop(dom_server, target_server.name, costs.proto_msg_bytes)
         else:
             target_reserved = self._reserve(event, branch, spec.target)
 
@@ -110,10 +78,8 @@ class AeonRuntime(RuntimeBase):
         yield target_reserved
         event.started_ms = self.sim.now
 
-        # Execute the body; the branch is closed even on error so the
-        # dominator is never wedged.  Not a ``finally``: closing takes a
-        # scheduler hop, and a generator that dies with its run (see
-        # Simulator.close) must not yield on the way out.
+        # Execute the body; the branch is closed even on error, so the
+        # dominator is never wedged (RuntimeBase._close_branch).
         try:
             event.result = yield from self._drive_body(event, spec, branch)
         except Exception:
@@ -126,10 +92,8 @@ class AeonRuntime(RuntimeBase):
             yield from self._await_quiescence(event)
         event.committed_ms = self.sim.now
         self._release_deferred(event)
-        # Reply to the client.
         reply_from = self.server_of(spec.target)
-        yield self._charge(reply_from, costs.net_cpu_ms)
-        yield self.network.delay_ms(reply_from.name, client.name, costs.client_msg_bytes)
+        yield from self._hop(reply_from, client.name, costs.client_msg_bytes)
 
     # ------------------------------------------------------------------
     # Asynchronous calls (new branches)
@@ -145,7 +109,7 @@ class AeonRuntime(RuntimeBase):
         reserved = self._reserve_path(event, child, caller_cid, spec.target)
 
         def runner() -> Generator:
-            landed: Optional[Server] = caller_server
+            landed = caller_server
             try:
                 if reserved:
                     current = yield from self._claim_reserved(
@@ -155,9 +119,8 @@ class AeonRuntime(RuntimeBase):
                     current = caller_server
                 callee_server = self.server_of(spec.target)
                 if current.name != callee_server.name:
-                    yield self._charge(current, self.costs.net_cpu_ms)
-                    yield self.network.delay_ms(
-                        current.name, callee_server.name, self.costs.proto_msg_bytes
+                    yield from self._hop(
+                        current, callee_server.name, self.costs.proto_msg_bytes
                     )
                 yield self._charge(callee_server, self.costs.route_cpu_ms)
                 yield from self._drive_body(event, spec, child)
@@ -166,26 +129,6 @@ class AeonRuntime(RuntimeBase):
                 if event.error is None:
                     event.error = exc
             yield None
-            self._close_branch(event, child, landed or caller_server)
+            self._close_branch(event, child, landed)
 
         self.sim.process(runner(), name="event-async")
-
-    # ------------------------------------------------------------------
-    # Lock release
-    # ------------------------------------------------------------------
-    def _close_branch(self, event: Event, branch: List[str], at_server: Server) -> None:
-        """Close a branch: release its locks (or defer them to commit).
-
-        The caller hops first, itself (``yield None``, no helper
-        generator per branch): continuations spawned in the final body
-        step take their first step before the release admits competitors
-        (belt-and-braces: their positions are reserved).  The branch
-        holds its target's lock through the hop, and a placement moves
-        only under that lock, so ``at_server`` may be read after it.
-        """
-        if self.costs.early_release:
-            self._release_branch_locks(event, branch, at_server)
-        else:
-            event.deferred_locks.extend(branch)
-            branch.clear()
-        self._branch_closed(event)

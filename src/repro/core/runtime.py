@@ -8,13 +8,14 @@ Orleans) have in common:
 * event submission, metrics and history recording,
 * the *body driver* that executes a context method written as a plain
   function or a generator yielding :class:`~repro.core.events.CallSpec`,
-  ``async_``/``dispatch`` markers, ``compute`` and ``sleep``.
+  ``async_``/``dispatch`` markers, ``compute`` and ``sleep``,
+* the message hop, the client ingress and the branch close.
 
-Subclasses implement the protocol-specific pieces: how an event reaches
-its target (:meth:`RuntimeBase._event_process`) and how asynchronous
-calls are spawned (:meth:`RuntimeBase._spawn_async`); Orleans also
-replaces the reserve-then-claim arbitration of a synchronous nested call
-(:meth:`RuntimeBase._sync_call`).
+Subclasses implement admission only: how an event is sequenced on its
+way to the target (:meth:`RuntimeBase._event_process`) and how
+asynchronous calls are spawned (:meth:`RuntimeBase._spawn_async`);
+Orleans also replaces the reserve-then-claim arbitration of a
+synchronous nested call (:meth:`RuntimeBase._sync_call`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence, Set
 from ..sim.cluster import Cluster, Server
 from ..sim.kernel import CpuCharge, Process, Signal, Simulator
 from ..sim.metrics import LatencyRecorder
-from ..sim.network import Network
+from ..sim.network import DeliveryError, Network
 from .analysis import StaticAnalysis
 from .context import ContextClass, ContextRef, is_readonly, method_cost
 from .costs import CostModel, DEFAULT_COSTS
@@ -268,6 +269,14 @@ class RuntimeBase:
         charge.delay = work_ms * self.cpu_factor / server.itype.speed
         return charge
 
+    def _hop(self, src: Server, dst_name: str, size_bytes: int) -> Generator:
+        """One message from ``src`` to ``dst_name`` (``yield from``): the one
+        place the sender's serialization CPU (``net_cpu_ms``) is charged,
+        before the transit.  Callers skip a co-located message themselves,
+        so that it builds no generator."""
+        yield self._charge(src, self.costs.net_cpu_ms)
+        yield self.network.delay_ms(src.name, dst_name, size_bytes)
+
     # ------------------------------------------------------------------
     # Context lifecycle
     # ------------------------------------------------------------------
@@ -496,6 +505,30 @@ class RuntimeBase:
             total += self._clients[name].invalidate_server(server_name)
         return total
 
+    def _ingress(self, event: Event, client: ClientHandle) -> Generator:
+        """Ship ``event`` to the server the client's cache names; returns
+        the target's server (``yield from``).  A dead cached server makes
+        the client forget the entry (a retry re-resolves) before the
+        failure surfaces; a stale one forwards the event, and the client
+        learns the right server (§5.1)."""
+        target = event.spec.target
+        size = self.costs.client_msg_bytes
+        cached_name = client.locate(target)
+        try:
+            yield self.network.delay_ms(client.name, cached_name, size)
+        except DeliveryError:
+            client.forget(target)
+            raise
+        server = self.server_of(target)
+        if cached_name != server.name:
+            stale_server = self.cluster.servers.get(cached_name)
+            if stale_server is not None:
+                yield from self._hop(stale_server, server.name, size)
+            else:
+                yield self.network.delay_ms(cached_name, server.name, size)
+            client.learn(target, server.name)
+        return server
+
     def submit(self, client: ClientHandle, spec: CallSpec, tag: str = "") -> Signal:
         """Submit ``spec`` as an event; returns a signal with the Event.
 
@@ -568,6 +601,25 @@ class RuntimeBase:
     # ------------------------------------------------------------------
     # Branch bookkeeping
     # ------------------------------------------------------------------
+    def _close_branch(self, event: Event, branch: List[str], at_server: Server) -> None:
+        """Close a branch: release its locks (or defer them to commit).
+
+        The caller hops first, itself (``yield None``), on the error path
+        too.  Not a ``finally``: a generator that dies with its run (see
+        ``Simulator.close``) must not yield on the way out.  The hop lets
+        continuations spawned in the final body step take their first
+        step before the release admits competitors (belt-and-braces:
+        their positions are reserved).  The branch holds its target's
+        lock through the hop, and a placement moves only under that
+        lock, so ``at_server`` may be read after it.
+        """
+        if self.costs.early_release:
+            self._release_branch_locks(event, branch, at_server)
+        else:
+            event.deferred_locks.extend(branch)
+            branch.clear()
+        self._branch_closed(event)
+
     def _branch_closed(self, event: Event) -> None:
         event.open_branches -= 1
         if event.open_branches <= 0:
@@ -578,13 +630,11 @@ class RuntimeBase:
     def _await_quiescence(self, event: Event) -> Generator:
         """Wait until all branches (root + asyncs) of ``event`` are done.
 
-        Callers guard with ``if event.open_branches > 0`` to skip the
-        generator entirely in the common no-async case.
+        Callers test ``event.open_branches > 0`` first, so the common
+        no-async case builds no generator.
         """
-        if event.open_branches > 0:
-            waiter = Signal(self.sim, "quiescent")
-            event.quiescent = waiter
-            yield waiter
+        waiter = event.quiescent = Signal(self.sim, "quiescent")
+        yield waiter
 
     # ------------------------------------------------------------------
     # Method-body driver (shared by all runtimes)
@@ -783,10 +833,7 @@ class RuntimeBase:
         for cid, grant in reserved:
             lock_server = self.server_of(cid)
             if lock_server.name != current.name:
-                yield self._charge(current, self.costs.net_cpu_ms)
-                yield self.network.delay_ms(
-                    current.name, lock_server.name, self.costs.proto_msg_bytes
-                )
+                yield from self._hop(current, lock_server.name, self.costs.proto_msg_bytes)
                 current = lock_server
             yield self._charge(lock_server, self.costs.lock_cpu_ms)
             yield grant
@@ -810,27 +857,18 @@ class RuntimeBase:
         for cid, grant in self._reserve_path(event, branch, caller_cid, spec.target):
             lock_server = self.server_of(cid)
             if lock_server.name != current.name:
-                yield self._charge(current, self.costs.net_cpu_ms)
-                yield self.network.delay_ms(
-                    current.name, lock_server.name, self.costs.proto_msg_bytes
-                )
+                yield from self._hop(current, lock_server.name, self.costs.proto_msg_bytes)
                 current = lock_server
             yield self._charge(lock_server, self.costs.lock_cpu_ms)
             yield grant
         callee_server = self.server_of(spec.target)
         if current.name != callee_server.name:
-            yield self._charge(current, self.costs.net_cpu_ms)
-            yield self.network.delay_ms(
-                current.name, callee_server.name, self.costs.proto_msg_bytes
-            )
+            yield from self._hop(current, callee_server.name, self.costs.proto_msg_bytes)
         yield self._charge(callee_server, self.costs.route_cpu_ms)
         result = yield from self._drive_body(event, spec, branch)
         landed = self.server_of(spec.target)
         if landed.name != caller_server.name:
-            yield self._charge(landed, self.costs.net_cpu_ms)
-            yield self.network.delay_ms(
-                landed.name, caller_server.name, self.costs.proto_msg_bytes
-            )
+            yield from self._hop(landed, caller_server.name, self.costs.proto_msg_bytes)
         return result
 
     def _release_branch_locks(self, event: Event, branch: List[str], at_server: Server) -> None:

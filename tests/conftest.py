@@ -57,7 +57,9 @@ def _no_ambient_result_store(monkeypatch):
     ``cache_dir`` (an explicit dir overrides this env default)."""
     monkeypatch.setenv(MODE_ENV, "off")
 from repro.core import AeonRuntime, ContextClass, Ref, RefSet, readonly
+from repro.core.errors import is_retryable
 from repro.core.events import async_, compute, dispatch
+from repro.faults import FaultInjector, FaultSchedule, ServerCrash
 from repro.sim import Cluster, M3_LARGE, Network, Simulator
 
 
@@ -247,3 +249,45 @@ def figure_store(tmp_path_factory):
         for name, jobs in (("fig5a", 1), ("fig11", 4))
     }
     return SimpleNamespace(dir=store_dir, cold=cold)
+
+
+# ----------------------------------------------------------------------
+# Client ingress checks shared by the runtimes that read the client's
+# location cache (AEON and Orleans; EventWave always submits to its root)
+# ----------------------------------------------------------------------
+def check_stale_cache_pays_forward_hop(bed):
+    """A stale cache entry still reaches the target, and is corrected."""
+    _group, workers, _ = build_group(bed)
+    runtime = bed.runtime
+    bed.run_event(workers[0].bump_all())
+    # Forge a stale cache entry pointing at the other server.
+    actual = runtime.placement[workers[0].cid]
+    other = next(s.name for s in bed.servers if s.name != actual)
+    bed.client.learn(workers[0].cid, other)
+    event = bed.run_event(workers[0].bump_all())
+    assert event.error is None
+    assert bed.client.locate(workers[0].cid) == actual
+
+
+def check_client_forgets_cached_location_on_delivery_failure(runtime_cls):
+    """A failed ingress drops the cache entry it was sent by."""
+    bed = Testbed(runtime_cls, n_servers=2, record_history=False)
+    runtime, sim = bed.runtime, bed.sim
+    victim = bed.servers[1]
+    cell = runtime.create_context(Cell, server=victim, name="gone")
+    done = bed.submit(cell.add(1))
+    sim.run(until=50.0)
+    assert done.value.error is None
+    assert bed.client._cache["gone"] == victim.name
+    # No detector anywhere: the client is on its own.
+    FaultInjector(
+        sim, bed.network, bed.cluster,
+        FaultSchedule([ServerCrash(60.0, victim.name)]),
+    ).start()
+    sim.run(until=100.0)
+    failed = bed.submit(cell.add(1))
+    sim.run(until=200.0)
+    assert failed.value.error is not None and is_retryable(failed.value.error)
+    # The failed hop dropped the entry: the retry will re-resolve
+    # instead of re-failing on the same cached corpse.
+    assert "gone" not in bed.client._cache

@@ -10,7 +10,14 @@ from repro.core.errors import (
 )
 from repro.core.events import AccessMode, async_, compute
 
-from conftest import Cell, Group, Testbed, Worker, build_group
+from conftest import (
+    Cell,
+    Group,
+    Testbed,
+    Worker,
+    build_group,
+    check_stale_cache_pays_forward_hop,
+)
 
 
 # ----------------------------------------------------------------------
@@ -365,16 +372,7 @@ def test_client_cache_learns_location(aeon_bed):
 
 
 def test_stale_cache_pays_forward_hop(aeon_bed):
-    _group, workers, _ = build_group(aeon_bed)
-    runtime = aeon_bed.runtime
-    aeon_bed.run_event(workers[0].bump_all())
-    # Forge a stale cache entry pointing at the other server.
-    actual = runtime.placement[workers[0].cid]
-    other = next(s.name for s in aeon_bed.servers if s.name != actual)
-    aeon_bed.client.learn(workers[0].cid, other)
-    event = aeon_bed.run_event(workers[0].bump_all())
-    assert event.error is None
-    assert aeon_bed.client.locate(workers[0].cid) == actual
+    check_stale_cache_pays_forward_hop(aeon_bed)
 
 
 # ----------------------------------------------------------------------

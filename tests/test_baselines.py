@@ -12,7 +12,13 @@ from repro.core import AeonRuntime, ContextClass, Ref
 from repro.core.errors import AeonError
 from repro.core.events import AccessMode
 
-from conftest import Cell, Testbed, Worker, build_group
+from conftest import (
+    Cell,
+    Testbed,
+    Worker,
+    build_group,
+    check_stale_cache_pays_forward_hop,
+)
 
 
 # ----------------------------------------------------------------------
@@ -238,6 +244,10 @@ def test_orleans_async_fanout_joined(orleans_bed):
     runtime = orleans_bed.runtime
     for cell in runtime.instance_of(workers[0]).cells:
         assert runtime.instance_of(cell).value == 5
+
+
+def test_orleans_stale_cache_pays_forward_hop(orleans_bed):
+    check_stale_cache_pays_forward_hop(orleans_bed)
 
 
 def test_orleans_allows_unowned_calls(orleans_bed):

@@ -22,7 +22,12 @@ from repro.elasticity import (
 from repro.faults import FailureDetector, FaultInjector, FaultSchedule, ServerCrash
 from repro.sim import M3_LARGE, RngRegistry
 
-from conftest import Cell, Testbed, Worker
+from conftest import (
+    Cell,
+    Testbed,
+    Worker,
+    check_client_forgets_cached_location_on_delivery_failure,
+)
 
 
 class ScriptedPolicy:
@@ -498,23 +503,8 @@ def test_detector_declaration_push_invalidates_client_caches():
 
 
 def test_client_forgets_cached_location_on_delivery_failure():
-    bed = Testbed(AeonRuntime, n_servers=2, record_history=False)
-    runtime, sim = bed.runtime, bed.sim
-    victim = bed.servers[1]
-    cell = runtime.create_context(Cell, server=victim, name="gone")
-    done = bed.submit(cell.add(1))
-    sim.run(until=50.0)
-    assert done.value.error is None
-    assert bed.client._cache["gone"] == victim.name
-    # No detector anywhere: the client is on its own.
-    FaultInjector(
-        sim, bed.network, bed.cluster,
-        FaultSchedule([ServerCrash(60.0, victim.name)]),
-    ).start()
-    sim.run(until=100.0)
-    failed = bed.submit(cell.add(1))
-    sim.run(until=200.0)
-    assert failed.value.error is not None and is_retryable(failed.value.error)
-    # The failed hop dropped the entry: the retry will re-resolve
-    # instead of re-failing on the same cached corpse.
-    assert "gone" not in bed.client._cache
+    check_client_forgets_cached_location_on_delivery_failure(AeonRuntime)
+
+
+def test_orleans_client_forgets_cached_location_on_delivery_failure():
+    check_client_forgets_cached_location_on_delivery_failure(OrleansRuntime)

@@ -27,8 +27,9 @@ import json
 import sys
 
 #: Calls per op of ``perf/run.py --all --with-trace --smoke`` (seed 0).
-#: ``game_scaleout`` counts EventWave's nested calls under ``core``:
-#: ``RuntimeBase._sync_call`` is the one body AEON and EventWave share.
+#: ``game_scaleout``'s smoke size runs EventWave alone, and counts its
+#: nested calls, hops and branch closes under ``core``: ``RuntimeBase``
+#: holds ``_sync_call``, ``_hop`` and ``_close_branch`` for every runtime.
 #: ``core.calls`` as of PR 22: per-context state went back to plain dicts,
 #: so the mapping-facade methods no longer count as calls (144.3833,
 #: 177.7987 and 75.5887 before); ``sim.calls`` did not move.
@@ -76,6 +77,18 @@ import sys
 #: an object of its own, opening one was a method call and an Orleans
 #: turn ended in a helper generator; ``RuntimeBase._release`` arms every
 #: release now.  ``sim.calls`` and ``apps.calls`` did not move.
+#: ``core.calls`` was 120.3599 (game), 144.5151 (TPC-C) and 49.8152
+#: (massive), and the game's ``baselines.calls`` 31.0603, while each
+#: runtime charged a message's serialization CPU and sent it inline and
+#: AEON and Orleans open-coded the client ingress.  ``RuntimeBase._hop``
+#: and ``_ingress`` are generators, and the profiler counts each resume
+#: of a delegating ``yield from`` level as a call: +7.0216 (game, where
+#: EventWave uses ``_hop`` only), +18.4413 (TPC-C) and +6.7213 (massive)
+#: calls per op.  EventWave's commit became ``_close_branch`` plus
+#: ``_release_deferred``, two ``core`` calls per event more (+3.0842 per
+#: op), and its root sequencer is built with the runtime instead of
+#: through a lazy accessor, one ``baselines`` call per event fewer
+#: (-1.5421 per op).  ``sim.calls`` and ``apps.calls`` did not move.
 #: ``apps.calls`` and ``baselines.calls`` are pinned since they were
 #: first gated, at the values of that commit; ``game_scaleout`` counts
 #: EventWave's runtime under ``baselines``, ``tpcc_contention`` Orleans'.
@@ -85,15 +98,15 @@ PINNED = {
         "apps.calls": 0.0, "baselines.calls": 0.0,
     },
     "game_scaleout": {
-        "sim.calls": 98.5729, "core.calls": 120.3599,
-        "apps.calls": 9.5702, "baselines.calls": 31.0603,
+        "sim.calls": 98.5729, "core.calls": 130.4657,
+        "apps.calls": 9.5702, "baselines.calls": 29.5182,
     },
     "tpcc_contention": {
-        "sim.calls": 80.8406, "core.calls": 144.5151,
+        "sim.calls": 80.8406, "core.calls": 162.9564,
         "apps.calls": 23.0302, "baselines.calls": 64.9413,
     },
     "massive_bulk": {
-        "sim.calls": 40.69, "core.calls": 49.8152,
+        "sim.calls": 40.69, "core.calls": 56.5365,
         "apps.calls": 5.1714, "baselines.calls": 0.0,
     },
 }
