@@ -45,7 +45,19 @@ its own dominator by construction (see
 :meth:`OwnershipNetwork.dominator`).  The first time it gains a child or
 a second owner it is *promoted* to a full node; full nodes are never
 demoted.  Hence every context that has a child, and every proper
-ancestor of any context, is a full node.
+ancestor of any context, is a full node.  A context created with
+several owners (a TPC-C Order under its Customer and its District) is a
+full node from the start.
+
+A full node keeps a child set only while it has a child: the map of
+child sets holds no empty set, every site that adds a child creates the
+set, and every reader takes a missing one as empty.  A childless full
+node — every Order — thus pays for its parent set alone.  Nor does a
+fresh multi-owned node get a share seed: by the argument that makes a
+compact leaf its own dominator its share is empty, no leaf addition
+patches it (it is nobody's ancestor), and :meth:`OwnershipNetwork.share`
+computes it if anything asks.  A *promoted* leaf does get the empty seed
+(:meth:`OwnershipNetwork._promote` says why).
 
 Owners' child sets learn their compact leaves only when something reads
 child sets.  Every such read goes through one accessor,
@@ -54,8 +66,9 @@ leaf into its owner's set in one pass over the leaf map; from then on
 ``add_leaves`` keeps the sets filled.  A full node is in its owners'
 sets at all times.  No answer can change:
 
-* a compact leaf's only owner is always a full node with a set, so the
-  first read adds exactly the edges the leaf map records;
+* a compact leaf's only owner is always a full node, and the first read
+  creates that owner's set if it has none, so it adds exactly the edges
+  the leaf map records;
 * every query that reads child sets (children, downward walks, share,
   virtual joins, acyclicity, edges, snapshots, edge mutations and
   removals) goes through the accessor first;
@@ -192,7 +205,8 @@ class OwnershipNetwork:
     """A mutable DAG of context ids with dominator computation."""
 
     def __init__(self) -> None:
-        # Full nodes: direct owners / directly owned, one set each.
+        # Full nodes: direct owners, one set each; directly owned, a set
+        # only for a node with a child (module docstring).
         self._parents: Dict[str, Set[str]] = {}
         self._children: Dict[str, Set[str]] = {}
         # Compact leaves (module docstring): cid -> only owner, or None.
@@ -232,11 +246,12 @@ class OwnershipNetwork:
             self._require(parent)
         for parent in parent_list:
             self._promote(parent)
-            self._children[parent].add(cid)
+            self._children.setdefault(parent, set()).add(cid)
+        # A childless node: no child set, and no share seed (its share is
+        # empty, as a compact leaf's; nothing patches it, and ``share``
+        # computes it if ever asked).
         self._parents[cid] = set(parent_list)
-        self._children[cid] = set()
         self.epoch += 1
-        self._share_cache[cid] = set()
         ancestor_sets = [self._ancestors_of(parent) for parent in parent_list]
         self._add_descendants(set().union(*ancestor_sets), (cid,))
         # New sharing pairs arise only between ancestors of different
@@ -297,7 +312,7 @@ class OwnershipNetwork:
                 groups[parent].append(cid)
         for owner, group in groups.items():
             if self._mirrored:
-                self._children[owner].update(group)
+                self._children.setdefault(owner, set()).update(group)
             self._add_descendants(chains[owner], group)
 
     def _reject(self, cids: Sequence[str], owners: Iterable[str]) -> None:
@@ -314,34 +329,39 @@ class OwnershipNetwork:
     def _promote(self, cid: str) -> None:
         """Turn a compact leaf into a full node (no-op on a full node).
 
-        Its share set is seeded empty, as the compact form answers, so the
-        caller's incremental patching keeps ``share``/``dominator`` warm;
-        its descendant set is left to the first query that asks.  A full
-        node is in its owner's child set whether or not :meth:`_kids` has
-        filled the sets.
+        Its share set is seeded empty, as the compact form answers: the
+        node is promoted because it is gaining a child or an owner, so
+        leaf additions below it will patch that set, and the seed keeps
+        ``share``/``dominator`` warm where a cold computation would walk
+        every full node (TPC-C's Customers, on each NewOrder).  It gets
+        no child set (the caller's edge creates one) and no descendant
+        set (the first query that asks builds it).  A full node is in its
+        owner's child set whether or not :meth:`_kids` has filled the
+        sets.
         """
         if cid not in self._leaf:
             return
         parent = self._leaf.pop(cid)
         self._parents[cid] = set() if parent is None else {parent}
-        self._children[cid] = set()
         self._share_cache[cid] = set()
         if parent is not None:
-            self._children[parent].add(cid)
+            self._children.setdefault(parent, set()).add(cid)
 
     def _kids(self) -> Dict[str, Set[str]]:
         """The child-set map, with every compact leaf in its owner's set.
 
-        The first call enters the compact leaves in one pass; from then
-        on :meth:`add_leaves` keeps the sets filled.  Every read of a
-        child set goes through here (module docstring).
+        The first call enters the compact leaves in one pass, creating an
+        owner's set where it has none; from then on :meth:`add_leaves`
+        keeps the sets filled.  The map holds a set only for a context
+        with a child, so a reader takes a missing entry as empty.  Every
+        read of a child set goes through here (module docstring).
         """
         if not self._mirrored:
             self._mirrored = True
             children = self._children
             for cid, owner in self._leaf.items():
                 if owner is not None:
-                    children[owner].add(cid)
+                    children.setdefault(owner, set()).add(cid)
         return self._children
 
     def _add_descendants(self, ancestors: Iterable[str], leaves: Iterable[str]) -> None:
@@ -387,7 +407,7 @@ class OwnershipNetwork:
             del self._leaf[cid]
         else:
             del self._parents[cid]
-            del self._children[cid]
+            self._children.pop(cid, None)
         self._invalidate()
 
     def add_edge(self, parent: str, child: str) -> None:
@@ -404,7 +424,7 @@ class OwnershipNetwork:
         self._check_no_cycle(parent, child)
         self._promote(parent)
         self._promote(child)
-        self._children[parent].add(child)
+        self._children.setdefault(parent, set()).add(child)
         self._parents[child].add(parent)
         self._invalidate()
 
@@ -419,7 +439,11 @@ class OwnershipNetwork:
 
     def _unlink(self, parent: str, child: str) -> None:
         """Drop the ``parent -> child`` edge; the child keeps its form."""
-        self._kids()[parent].discard(child)
+        children = self._kids()
+        kids = children[parent]
+        kids.discard(child)
+        if not kids:
+            del children[parent]
         if child in self._leaf:
             self._leaf[child] = None
         else:
@@ -568,7 +592,7 @@ class OwnershipNetwork:
             # descendants (shared child with a (potential) owner).  A
             # compact child never decides it: one in ``mine_proper``
             # has its only owner in ``mine``, skipped above.
-            if not children[other].isdisjoint(mine_proper):
+            if not mine_proper.isdisjoint(children.get(other, ())):
                 sharing.add(other)
                 continue
             # Clause 2: incomparable with intersecting descendant sets.
@@ -639,14 +663,13 @@ class OwnershipNetwork:
         key = set(members)
         children = self._kids()
         for candidate in self._parents:
-            if self.is_virtual(candidate) and children[candidate] >= key:
+            if self.is_virtual(candidate) and key.issubset(children.get(candidate, ())):
                 return candidate
         self._vroot_counter += 1
         vroot = f"{VIRTUAL_PREFIX}{self._vroot_counter}"
         self._parents[vroot] = set()
-        self._children[vroot] = set()
+        self._children[vroot] = set(members)
         for member in members:
-            self._children[vroot].add(member)
             self._parents[member].add(vroot)
         self._invalidate()
         return vroot
@@ -706,7 +729,7 @@ class OwnershipNetwork:
         while frontier:
             node = frontier.popleft()
             visited += 1
-            for child in children[node]:
+            for child in children.get(node, ()):
                 if child in in_degree:
                     in_degree[child] -= 1
                     if in_degree[child] == 0:
@@ -723,6 +746,7 @@ class OwnershipNetwork:
 
     def snapshot(self) -> Dict[str, List[str]]:
         """A serializable copy of the adjacency (parent -> children)."""
-        adjacency = {cid: sorted(kids) for cid, kids in self._kids().items()}
+        children = self._kids()
+        adjacency = {cid: sorted(children.get(cid, ())) for cid in self._parents}
         adjacency.update((cid, []) for cid in self._leaf)
         return adjacency

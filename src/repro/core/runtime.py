@@ -20,6 +20,7 @@ synchronous nested call (:meth:`RuntimeBase._sync_call`).
 
 from __future__ import annotations
 
+import sys
 from itertools import cycle
 from types import GeneratorType
 from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence, Set, Tuple, Type
@@ -562,7 +563,8 @@ class RuntimeBase:
                 if lock is not None:
                     lock.release(event)
         event.quiescent = None
-        event.deferred_locks = []
+        if event.deferred_locks:
+            event.deferred_locks = []
         self.events_completed += 1
         # Errored events (including delivery failures during a crash or
         # partition — surfaced on event.error as retryable) are recorded
@@ -593,10 +595,13 @@ class RuntimeBase:
                 event.writes,
             )
         # The paper: sub-events dispatched within an event execute after
-        # their creator finishes.
-        client = self._clients[event.client]
-        for sub_spec in event.sub_events:
-            self.submit(client, sub_spec, tag=event.tag + "/sub" if event.tag else "sub")
+        # their creator finishes.  Their tag is interned, so the latency
+        # recorder keeps one string per tag, not one per record.
+        if event.sub_events:
+            client = self._clients[event.client]
+            tag = sys.intern(event.tag + "/sub") if event.tag else "sub"
+            for sub_spec in event.sub_events:
+                self.submit(client, sub_spec, tag=tag)
 
     # ------------------------------------------------------------------
     # Branch bookkeeping
@@ -878,8 +883,9 @@ class RuntimeBase:
 
     def _release_deferred(self, event: Event) -> None:
         """Release locks deferred to commit (non-chain-release mode)."""
-        deferred, event.deferred_locks = event.deferred_locks, []
+        deferred = event.deferred_locks
         if deferred:
+            event.deferred_locks = []
             self._release(event, deferred, self.server_of(event.target))
 
     def _release(self, event: Event, cids: List[str], from_server: Server) -> None:

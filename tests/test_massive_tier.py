@@ -398,6 +398,48 @@ def test_bytes_per_registered_untouched_leaf():
     assert retained / count <= 112
 
 
+def test_bytes_per_multi_owned_leaf():
+    """What ``OwnershipNetwork.add_context`` retains per TPC-C Order — a
+    childless context owned by its Customer and its District — on a warm
+    network (warehouse -> 4 districts -> 30 customers each, one Order per
+    customer, every ancestor's dominator and descendant set built, as a
+    TPC-C run leaves them): 623 B measured at 2 k leaves.  By structure:
+    the parent set and its map slot 242 B, the leaf's slots in the
+    warehouse's, district's and customer's descendant sets 223 B, its
+    slots in the two owners' child sets 96 B, the cid string 61 B.  The
+    bound is measured x 1.15, so an empty child set or an empty share
+    seed per leaf (242 B each with its map slot; 1 107 B with both)
+    fails here."""
+    network = OwnershipNetwork()
+    network.add_context("warehouse")
+    owners = []
+    for d in range(4):
+        district = f"district-{d}"
+        network.add_context(district, parents=["warehouse"])
+        for c in range(30):
+            customer = f"customer-{d}-{c}"
+            network.add_context(customer, parents=[district])
+            network.add_context(f"order-{d}-{c}-1", parents=[customer, district])
+            owners.append((d, c, customer, district))
+    for cid in ["warehouse", *(o[3] for o in owners[::30]), *(o[2] for o in owners)]:
+        network.dominator(cid)
+        network.descendants(cid)
+    count = 2_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(count):
+            d, c, customer, district = owners[i % len(owners)]
+            seq = i // len(owners) + 2
+            network.add_context(f"order-{d}-{c}-{seq}", parents=[customer, district])
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(network) == 125 + 120 + count
+    assert network.dominator("customer-0-0") == "district-0"
+    assert retained / count <= 716
+
+
 def test_bulk_build_traced_peak():
     """``build_massive``'s traced peak at 20 k leaves on 4 servers: what it
     retains plus its population-sized temporaries (``cids`` and

@@ -104,6 +104,57 @@ def test_edges_and_snapshot():
     assert g.snapshot() == {"a": ["b"], "b": []}
 
 
+def _assert_childless_order(g):
+    """Every query on the childless two-owner ``o1`` built below."""
+    assert g.children("o1") == set()
+    assert g.parents("o1") == {"c1", "d1"}
+    assert g.share("o1") == set()
+    assert g.dominator("o1") == "o1"
+    assert g.dominator("c1") == "d1"
+    assert g.snapshot() == {"wh": ["d1"], "d1": ["c1", "o1"], "c1": ["o1"], "o1": []}
+    assert sorted(g.edges()) == [("c1", "o1"), ("d1", "c1"), ("d1", "o1"), ("wh", "d1")]
+    assert g.is_acyclic()
+
+
+def test_childless_two_owner_context():
+    """A TPC-C Order: a full node from the start that keeps no child set.
+    Every query answers for it as for any childless context, and from
+    the childless state it gains a child through each edge-adding path
+    (a batch of leaves, an edge) and loses it again by removal."""
+    g = OwnershipNetwork()
+    g.add_context("wh")
+    g.add_context("d1", parents=["wh"])
+    g.add_context("c1", parents=["d1"])
+    g.add_context("o1", parents=["c1", "d1"])
+    # A two-owner add builds its owners' descendant sets, which reads the
+    # child sets: leaves added under any multi-owned context take the
+    # mirrored path (``_kids``).
+    assert g._mirrored
+    _assert_childless_order(g)
+    g.add_leaves(["line-1", "line-2"], ["o1", "o1"])
+    assert g.children("o1") == {"line-1", "line-2"}
+    assert g.descendants("o1") == {"o1", "line-1", "line-2"}
+    assert g.snapshot()["o1"] == ["line-1", "line-2"]
+    g.remove_context("line-1")
+    g.remove_context("line-2")
+    _assert_childless_order(g)
+
+    g.add_context("note")
+    g.add_edge("o1", "note")
+    assert g.children("o1") == {"note"}
+    assert g.descendants("o1") == {"o1", "note"}
+    assert g.dominator("o1") == "o1"
+    assert ("o1", "note") in g.edges() and g.is_acyclic()
+    g.remove_context("note")
+    _assert_childless_order(g)
+
+    g.remove_context("o1")
+    assert g.snapshot() == {"wh": ["d1"], "d1": ["c1"], "c1": []}
+    assert sorted(g.edges()) == [("d1", "c1"), ("wh", "d1")]
+    assert g.dominator("c1") == "c1"
+    assert g.is_acyclic()
+
+
 # ----------------------------------------------------------------------
 # share (the paper's two clauses)
 # ----------------------------------------------------------------------

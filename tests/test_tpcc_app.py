@@ -227,3 +227,16 @@ def test_dominator_stability_under_order_creation():
     drive(testbed, deployment, "aeon", n_clients=8, duration=2000.0)
     for cid, dom in dom_before.items():
         assert runtime.ownership.dominator(cid) == dom
+
+
+def test_sub_event_tag_is_one_string():
+    """Every NewOrder's stock deduction is recorded under one interned
+    ``new_order/sub`` string, not a fresh copy per record.  The count is
+    the one recorded before the tag was interned: the same sub-events
+    complete."""
+    testbed, deployment = build("aeon")
+    drive(testbed, deployment, "aeon", duration=2000.0)
+    latency = testbed.runtime.latency
+    tags = [tag for tag in latency._tags if tag == "new_order/sub"]
+    assert len({id(tag) for tag in tags}) == 1
+    assert len(latency.latencies(tag="new_order/sub")) == len(tags) == 313
