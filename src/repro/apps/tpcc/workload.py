@@ -22,9 +22,9 @@ system           transaction entry
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from ...core.events import CallSpec
 from .loader import TpccDeployment
@@ -38,6 +38,11 @@ class TpccWorkload:
 
     deployment: TpccDeployment
     variant: str
+    # One tuple per distinct ``(item, qty)`` order line: every Order with
+    # an equal line holds the same object.
+    _line_pool: Dict[Tuple[int, int], Tuple[int, int]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def sample_op(self, rng: Random) -> Tuple[CallSpec, str]:
         """Draw one transaction ``(spec, tag)`` from the standard mix."""
@@ -69,20 +74,21 @@ class TpccWorkload:
     def _lines(self, rng: Random) -> List[Tuple[int, int]]:
         config = self.deployment.config
         n_lines = rng.randint(3, config.max_lines_per_order)
-        return [
-            (rng.randrange(config.n_items), rng.randint(1, 10))
-            for _ in range(n_lines)
-        ]
+        pool = self._line_pool
+        lines = []
+        for _ in range(n_lines):
+            line = (rng.randrange(config.n_items), rng.randint(1, 10))
+            lines.append(pool.setdefault(line, line))
+        return lines
 
     # ------------------------------------------------------------------
     # Transactions
     # ------------------------------------------------------------------
     def _new_order(self, rng: Random) -> CallSpec:
-        _d, district, customer = self._pick(rng)
+        d_index, district, customer = self._pick(rng)
         lines = self._lines(rng)
         warehouse = self.deployment.warehouse
         if self.variant == "orleans":
-            d_index = self.deployment.districts.index(district)
             return warehouse.tree_new_order(district, customer, d_index, lines)
         if self.variant == "orleans_star":
             return customer.unsafe_new_order(lines, warehouse, district)

@@ -25,14 +25,26 @@ offending maxima, which completes the DAG into a join semi-lattice.
 
 Caching
 -------
-``desc``, ``share`` and ``dom`` are cached; a descendant set only once a
-query has asked for it.  The common dynamic mutation — adding a fresh
-leaf context (TPC-C creates an Order context on every NewOrder
-transaction) — is handled incrementally: built descendant sets of the
-ancestors gain the leaf, new sharing pairs are derived from the parents'
+``desc``, ``share`` and ``dom`` are cached, and so are ancestor sets.  A
+descendant set is built only by a downward query that asks for it
+(``descendants``, a cold ``share``).  Every other ownership test reads
+upward: ``owns``, the comparability test of a leaf addition's sharing
+update and the lub's minimal-element test ask whether one context is
+among another's ancestors.  The ancestor index holds a set only for a
+context with a child, filled on its first query; a childless context
+(an Order, a compact leaf) answers from its owners' entries and never
+gets one.  So a TPC-C run, which asks dominators and ownership checks
+but no downward query, builds no descendant set.
+
+The common dynamic mutation — adding a fresh leaf context (TPC-C
+creates an Order context on every NewOrder transaction) — is handled
+incrementally: built descendant sets of the ancestors gain the leaf,
+every ancestor-index entry stays valid (a new leaf changes no existing
+context's ancestors), new sharing pairs are derived from the parents'
 ancestor sets, and only dominators whose share set actually changed are
 invalidated.  Any other mutation (edges between existing contexts,
-removals) conservatively clears all caches.
+removals) conservatively clears all caches, the ancestor index
+included.
 
 Compact leaves
 --------------
@@ -60,7 +72,8 @@ computes it if anything asks.  A *promoted* leaf does get the empty seed
 (:meth:`OwnershipNetwork._promote` says why).
 
 Owners' child sets learn their compact leaves only when something reads
-child sets.  Every such read goes through one accessor,
+child sets; a two-owner ``add_context`` reads none, since its tests walk
+up.  Every such read goes through one accessor,
 :meth:`OwnershipNetwork._kids`, whose first call enters each compact
 leaf into its owner's set in one pass over the leaf map; from then on
 ``add_leaves`` keeps the sets filled.  A full node is in its owners'
@@ -214,6 +227,9 @@ class OwnershipNetwork:
         # Whether owners' child sets hold their compact leaves (_kids).
         self._mirrored = False
         self._desc_cache: Dict[str, Set[str]] = {}
+        # cid -> ancestor set, inclusive, for contexts with a child only
+        # (_lineage); valid across leaf additions.
+        self._anc_cache: Dict[str, Set[str]] = {}
         self._share_cache: Dict[str, Set[str]] = {}
         self._dom_cache: Dict[str, str] = {}
         # (src, dst) -> path; valid across leaf additions (a childless
@@ -252,7 +268,7 @@ class OwnershipNetwork:
         # computes it if ever asked).
         self._parents[cid] = set(parent_list)
         self.epoch += 1
-        ancestor_sets = [self._ancestors_of(parent) for parent in parent_list]
+        ancestor_sets = [self._lineage(parent) for parent in parent_list]
         self._add_descendants(set().union(*ancestor_sets), (cid,))
         # New sharing pairs arise only between ancestors of different
         # parents of the leaf (the leaf is their new common descendant).
@@ -301,7 +317,7 @@ class OwnershipNetwork:
         groups: Dict[str, List[str]] = {}
         for owner in owners:
             self._promote(owner)
-            chain = self._ancestors_of(owner)
+            chain = self._lineage(owner)
             if self._mirrored or not self._desc_cache.keys().isdisjoint(chain):
                 chains[owner] = chain
                 groups[owner] = []
@@ -374,20 +390,23 @@ class OwnershipNetwork:
     def _record_new_sharing(
         self, left: str, right: str, left_parent: str, right_parent: str
     ) -> None:
-        """Register that ``left``/``right`` now share the new leaf."""
-        left_desc = self.descendants(left)
-        right_desc = self.descendants(right)
-        incomparable = left not in right_desc and right not in left_desc
+        """Register that ``left``/``right`` now share the new leaf.
+
+        Both own the leaf, so both have a child: comparability is read
+        from their ancestor-index entries (:meth:`_lineage`).
+        """
+        left_under_right = right in self._lineage(left)
+        right_under_left = left in self._lineage(right)
         # Clause 1: a direct parent of the leaf appears in the share set
         # of every other ancestor (the leaf is a shared child) — unless
         # it is that ancestor's descendant (lub-irrelevant, see
         # _compute_share).
-        if left == left_parent and left not in right_desc:
+        if left == left_parent and not left_under_right:
             self._share_add(right, left)
-        if right == right_parent and right not in left_desc:
+        if right == right_parent and not right_under_left:
             self._share_add(left, right)
         # Clause 2: incomparable contexts with intersecting descendants.
-        if incomparable:
+        if not (left_under_right or right_under_left):
             self._share_add(left, right)
             self._share_add(right, left)
 
@@ -457,6 +476,7 @@ class OwnershipNetwork:
 
     def _invalidate(self) -> None:
         self._desc_cache.clear()
+        self._anc_cache.clear()
         self._share_cache.clear()
         self._dom_cache.clear()
         self._path_cache.clear()
@@ -524,8 +544,26 @@ class OwnershipNetwork:
         return roots
 
     def owns(self, owner: str, owned: str) -> bool:
-        """Whether ``owner`` transitively owns ``owned`` (or equals it)."""
-        return owned in self.descendants(owner)
+        """Whether ``owner`` transitively owns ``owned`` (or equals it).
+
+        Answered upward, from the ancestor-index entries of ``owned``'s
+        direct owners (:meth:`_lineage`), so it builds no descendant set.
+        Every owner is asked, so the work does not depend on set order.
+        """
+        if owner == owned:
+            self._require(owner)
+            return True
+        parents = self._parents.get(owned)
+        if parents is None:
+            parent = self._leaf.get(owned)
+            parents = () if parent is None else (parent,)
+        found = False
+        for parent in parents:
+            if owner in self._lineage(parent):
+                found = True
+        if not found:
+            self._require(owner)
+        return found
 
     def _reachable_from(self, cid: str) -> Set[str]:
         children = self._kids()
@@ -540,20 +578,45 @@ class OwnershipNetwork:
         return seen
 
     def _ancestors_of(self, cid: str) -> Set[str]:
-        seen = {cid}
-        owner = self._leaf.get(cid)
-        if owner is not None:
-            # A compact leaf: continue from its only owner, a full node.
-            seen.add(owner)
-            cid = owner
-        frontier = deque([cid])
-        while frontier:
-            node = frontier.popleft()
-            for parent in self._parents.get(node, ()):
-                if parent not in seen:
-                    seen.add(parent)
-                    frontier.append(parent)
-        return seen
+        """``cid`` and every context that transitively owns it.
+
+        The index entry if ``cid`` has one; otherwise a fresh set built
+        from its direct owners' entries, so a childless context (an
+        Order, a compact leaf) never gets an entry of its own.  Callers
+        must not mutate the result.
+        """
+        found = self._anc_cache.get(cid)
+        if found is None:
+            found = {cid}
+            for owner in self._owners(cid):
+                found |= self._lineage(owner)
+        return found
+
+    def _lineage(self, cid: str) -> Set[str]:
+        """The ancestor-index entry of ``cid``, a context with a child.
+
+        Filled on the first query by an upward walk that takes in whole
+        any entry it meets.  A new leaf changes no existing context's
+        ancestors, so entries survive leaf additions; every other
+        mutation clears the index (:meth:`_invalidate`).  Callers must
+        not mutate the result.
+        """
+        found = self._anc_cache.get(cid)
+        if found is None:
+            index = self._anc_cache
+            found = {cid}
+            frontier = [cid]
+            while frontier:
+                for owner in self._owners(frontier.pop()):
+                    if owner not in found:
+                        known = index.get(owner)
+                        if known is None:
+                            found.add(owner)
+                            frontier.append(owner)
+                        else:
+                            found |= known
+            index[cid] = found
+        return found
 
     # ------------------------------------------------------------------
     # share / dominator (§3 of the paper)
@@ -647,13 +710,17 @@ class OwnershipNetwork:
         return self._virtual_join(join_over)
 
     def _minimal_of(self, candidates: Set[str]) -> List[str]:
-        """Elements of ``candidates`` with no *descendant* also in the set."""
-        minimal = []
-        for candidate in sorted(candidates):
-            below = self.descendants(candidate) - {candidate}
-            if below.isdisjoint(candidates):
-                minimal.append(candidate)
-        return minimal
+        """Elements of ``candidates`` that own no other element, sorted.
+
+        Each candidate is a common ancestor of two or more contexts, so
+        it has a child and an ancestor-index entry (:meth:`_lineage`).
+        """
+        owning: Set[str] = set()
+        for candidate in candidates:
+            above = candidates & self._lineage(candidate)
+            above.discard(candidate)
+            owning |= above
+        return sorted(candidates - owning)
 
     def _roots_above(self, cid: str) -> List[str]:
         return [a for a in self._ancestors_of(cid) if not self._parents[a]]

@@ -345,8 +345,11 @@ def test_bulk_registration_caches_no_descendant_sets():
     testbed.sim.run(until=600.0)
     assert clients.errors == [] and len(testbed.runtime.instances) > 5
     assert not {region, *shards} & set(ownership._desc_cache)
+    # ``owns`` walks up and builds nothing; the downward query builds it.
     assert ownership.owns(region, "p-19999")
-    built = ownership._desc_cache[region]
+    assert region not in ownership._desc_cache
+    built = ownership.descendants(region)
+    assert ownership._desc_cache[region] is built
     assert len(built) == 20_000 + 1 + len(shards)
     ownership.add_leaves(["late-0"], [shards[3]])
     assert "late-0" in built and ownership._desc_cache[region] is built
@@ -398,18 +401,9 @@ def test_bytes_per_registered_untouched_leaf():
     assert retained / count <= 112
 
 
-def test_bytes_per_multi_owned_leaf():
-    """What ``OwnershipNetwork.add_context`` retains per TPC-C Order — a
-    childless context owned by its Customer and its District — on a warm
-    network (warehouse -> 4 districts -> 30 customers each, one Order per
-    customer, every ancestor's dominator and descendant set built, as a
-    TPC-C run leaves them): 623 B measured at 2 k leaves.  By structure:
-    the parent set and its map slot 242 B, the leaf's slots in the
-    warehouse's, district's and customer's descendant sets 223 B, its
-    slots in the two owners' child sets 96 B, the cid string 61 B.  The
-    bound is measured x 1.15, so an empty child set or an empty share
-    seed per leaf (242 B each with its map slot; 1 107 B with both)
-    fails here."""
+def _order_network():
+    """A TPC-C ownership network: warehouse -> 4 districts -> 30 customers
+    each, one Order per customer (owned by its Customer and District)."""
     network = OwnershipNetwork()
     network.add_context("warehouse")
     owners = []
@@ -421,10 +415,11 @@ def test_bytes_per_multi_owned_leaf():
             network.add_context(customer, parents=[district])
             network.add_context(f"order-{d}-{c}-1", parents=[customer, district])
             owners.append((d, c, customer, district))
-    for cid in ["warehouse", *(o[3] for o in owners[::30]), *(o[2] for o in owners)]:
-        network.dominator(cid)
-        network.descendants(cid)
-    count = 2_000
+    return network, owners
+
+
+def _bytes_per_new_order(network, owners, count=2_000):
+    """Bytes ``add_context`` retains per new two-owner Order."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -437,7 +432,42 @@ def test_bytes_per_multi_owned_leaf():
         tracemalloc.stop()
     assert len(network) == 125 + 120 + count
     assert network.dominator("customer-0-0") == "district-0"
-    assert retained / count <= 716
+    return retained / count
+
+
+def test_bytes_per_multi_owned_leaf():
+    """What ``OwnershipNetwork.add_context`` retains per TPC-C Order — a
+    childless context owned by its Customer and its District — on a warm
+    network (warehouse -> 4 districts -> 30 customers each, one Order per
+    customer, every ancestor's dominator and descendant set built): 623 B
+    measured at 2 k leaves.  By structure: the parent set and its map
+    slot 242 B, the leaf's slots in the warehouse's, district's and
+    customer's descendant sets 223 B, its slots in the two owners' child
+    sets 96 B, the cid string 61 B.  The bound is measured x 1.15, so an
+    empty child set or an empty share seed per leaf (242 B each with its
+    map slot; 1 107 B with both) fails here."""
+    network, owners = _order_network()
+    for cid in ["warehouse", *(o[3] for o in owners[::30]), *(o[2] for o in owners)]:
+        network.dominator(cid)
+        network.descendants(cid)
+    assert _bytes_per_new_order(network, owners) <= 716
+
+
+def test_bytes_per_multi_owned_leaf_run_warmed():
+    """The same Orders on the network as a TPC-C run warms it: every
+    ancestor's dominator built and every ownership check (``owns``) asked,
+    but no downward query.  ``owns`` and the sharing update read ancestor
+    sets, so no descendant set is built and an Order costs its parent set
+    and map slot, its child-set slots and its cid: 399 B measured at 2 k
+    leaves.  The bound is measured x 1.15, so a check that builds the
+    ancestors' descendant sets (623 B) fails here."""
+    network, owners = _order_network()
+    for cid in ["warehouse", *(o[3] for o in owners[::30]), *(o[2] for o in owners)]:
+        network.dominator(cid)
+    for d, c, customer, district in owners:
+        for cid in ("warehouse", district, customer):
+            assert network.owns(cid, f"order-{d}-{c}-1")
+    assert _bytes_per_new_order(network, owners) <= 460
 
 
 def test_bulk_build_traced_peak():

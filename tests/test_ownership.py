@@ -126,9 +126,11 @@ def test_childless_two_owner_context():
     g.add_context("d1", parents=["wh"])
     g.add_context("c1", parents=["d1"])
     g.add_context("o1", parents=["c1", "d1"])
-    # A two-owner add builds its owners' descendant sets, which reads the
-    # child sets: leaves added under any multi-owned context take the
-    # mirrored path (``_kids``).
+    # A two-owner add reads no child set (its ownership checks walk up);
+    # reading one fills them all (``_kids``), so the leaves added under
+    # the multi-owned context below take the mirrored path.
+    assert not g._mirrored
+    assert g.children("d1") == {"c1", "o1"}
     assert g._mirrored
     _assert_childless_order(g)
     g.add_leaves(["line-1", "line-2"], ["o1", "o1"])

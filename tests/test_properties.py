@@ -234,6 +234,8 @@ def _assert_matches_model(network: OwnershipNetwork, model: _ModelDag) -> None:
         for cid in joins:
             for child in network.children(cid):
                 model.owners[child].add(cid)
+        # A join is an edge mutation: the upward queries must see it.
+        _assert_upward_queries_match(network, model)
     graph = model.graph()
     names = sorted(model.owners)
 
@@ -291,6 +293,19 @@ def _assert_matches_model(network: OwnershipNetwork, model: _ModelDag) -> None:
             assert fresh == doms[cid], cid
 
 
+def _assert_upward_queries_match(network: OwnershipNetwork, model: _ModelDag) -> None:
+    """``ancestors`` and ``owns`` against the model.  Neither reads a child
+    set, so checking them after every step leaves the child sets as the
+    steps left them."""
+    graph = model.graph()
+    for cid in sorted(model.owners):
+        above = set(nx.ancestors(graph, cid)) | {cid}
+        assert network.ancestors(cid) == above, cid
+        for other in model.owners:
+            assert network.owns(other, cid) == (other in above), (other, cid)
+        assert not network.owns(cid, "never-added")
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_mutation_sequences_match_brute_force_model(data):
@@ -302,7 +317,9 @@ def test_mutation_sequences_match_brute_force_model(data):
     steps, so both warm and cold caches are hit — and, from its first
     check on, its child sets hold their compact leaves.  The second is
     checked only at the end, so its steps also run before any child-set
-    read.  Every public query must equal the model's from-scratch answer.
+    read.  Every public query must equal the model's from-scratch answer;
+    ``ancestors`` and ``owns`` are checked on both after every step, so a
+    stale ancestor index shows at the step that made it stale.
     """
     pair = [(OwnershipNetwork(), _ModelDag()) for _ in range(2)]
     network, model = pair[0]
@@ -374,6 +391,8 @@ def test_mutation_sequences_match_brute_force_model(data):
                 net.remove_context(cid)
                 dag.remove(cid)
             on_both(remove, cid)
+        for net, dag in pair:
+            _assert_upward_queries_match(net, dag)
         if data.draw(st.booleans()):
             _assert_matches_model(network, model)
     for net, dag in pair:

@@ -4,6 +4,7 @@ import pytest
 from random import Random
 
 from repro.apps.tpcc import TpccConfig, TpccWorkload, build_tpcc
+from repro.apps.tpcc.schema import Order
 from repro.harness.runner import SYSTEMS, make_testbed
 from repro.workloads import ClosedLoopClients
 
@@ -240,3 +241,26 @@ def test_sub_event_tag_is_one_string():
     tags = [tag for tag in latency._tags if tag == "new_order/sub"]
     assert len({id(tag) for tag in tags}) == 1
     assert len(latency.latencies(tag="new_order/sub")) == len(tags) == 313
+
+
+@pytest.mark.parametrize("system", ["aeon", "aeon_so"])
+def test_run_builds_no_descendant_set_and_orders_share_lines(system):
+    """A NewOrder's ownership checks and sharing updates read ancestor
+    sets, so a TPC-C run builds no descendant set; and every Order the
+    run creates holds the workload's one tuple per distinct
+    ``(item, qty)`` line.  (The loader's initial Orders, ``o_id`` 1, are
+    built before any workload exists.)"""
+    testbed, deployment = build(system)
+    drive(testbed, deployment, system, duration=2000.0)
+    assert testbed.runtime.ownership._desc_cache == {}
+    lines = [
+        line
+        for instance in testbed.runtime.instances.values()
+        if isinstance(instance, Order) and instance.o_id > 1
+        for line in instance.lines
+    ]
+    distinct = {}
+    for line in lines:
+        assert distinct.setdefault(line, line) is line
+    # Lines recur, so the identity check above compared two Orders.
+    assert len(distinct) < len(lines)
