@@ -275,10 +275,11 @@ def run_checksum(runtime: RuntimeBase, app: MassiveApp) -> str:
     flavor = MASSIVE_FLAVORS[app.config.flavor]
     prefix = f"{flavor.leaf_prefix}-"
     instances = runtime.instances
-    lines = [
-        f"{cid}|{instances[cid].digest()}"
-        for cid in sorted(instances)
-        if cid.startswith(prefix)
-    ]
-    lines.append(str(runtime.latency.count_between(0.0, runtime.sim.now + 1.0)))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    # One line per leaf, then the count, newline-separated, fed as read.
+    digest = hashlib.sha256()
+    for cid in sorted(instances):
+        if cid.startswith(prefix):
+            digest.update(f"{cid}|{instances[cid].digest()}\n".encode())
+    completed = runtime.latency.count_between(0.0, runtime.sim.now + 1.0)
+    digest.update(str(completed).encode())
+    return digest.hexdigest()

@@ -89,7 +89,7 @@ class Order(ContextClass):
     ) -> None:
         self.o_id = o_id
         self.c_id = c_id
-        self.lines = list(lines)
+        self.lines = tuple(lines)
         self.total = total
         self.delivered = False
         self.carrier_id: Optional[int] = None
@@ -171,11 +171,11 @@ class Customer(ContextClass):
             owners=owners,
             server=runtime.server_of(self.cid),
             name=f"order-{self.d_id}-{self.c_id}-{self.order_seq}",
-            args=(self.order_seq, self.c_id, list(lines), total),
+            args=(self.order_seq, self.c_id, lines, total),
         )
         self._order_refs.append(order)
         self._undelivered.append(order)
-        yield dispatch(warehouse.stock_deduct(self.d_id, list(lines)))
+        yield dispatch(warehouse.stock_deduct(self.d_id, lines))
         return self.order_seq
 
     def add_order_direct(
@@ -194,7 +194,7 @@ class Customer(ContextClass):
             owners=owners,
             server=runtime.server_of(self.cid),
             name=f"order-{self.d_id}-{self.c_id}-{self.order_seq}",
-            args=(self.order_seq, self.c_id, list(lines), total),
+            args=(self.order_seq, self.c_id, lines, total),
         )
         self._order_refs.append(order)
         self._undelivered.append(order)
@@ -213,7 +213,7 @@ class Customer(ContextClass):
         way or risk the non-reentrancy deadlock §2.1 warns about.
         """
         order_id = yield from self.add_order_direct(lines, None)
-        yield warehouse.stock_deduct_unsafe(list(lines))
+        yield warehouse.stock_deduct_unsafe(lines)
         yield district.note_stock([item for item, _qty in lines])
         return order_id
 
@@ -435,7 +435,7 @@ class Warehouse(ContextClass):
             if remaining < 10:
                 remaining += 91
             self.stock[item] = remaining
-        order_id = yield customer.add_order_direct(list(lines), None)
+        order_id = yield customer.add_order_direct(lines, None)
         yield district.note_stock([item for item, _qty in lines])
         return order_id
 

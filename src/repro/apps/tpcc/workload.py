@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ...core.events import CallSpec
 from .loader import TpccDeployment
@@ -71,7 +71,7 @@ class TpccWorkload:
         customer = customers[rng.randrange(len(customers))]
         return d_index, district, customer
 
-    def _lines(self, rng: Random) -> List[Tuple[int, int]]:
+    def _lines(self, rng: Random) -> Tuple[Tuple[int, int], ...]:
         config = self.deployment.config
         n_lines = rng.randint(3, config.max_lines_per_order)
         pool = self._line_pool
@@ -79,7 +79,7 @@ class TpccWorkload:
         for _ in range(n_lines):
             line = (rng.randrange(config.n_items), rng.randint(1, 10))
             lines.append(pool.setdefault(line, line))
-        return lines
+        return tuple(lines)
 
     # ------------------------------------------------------------------
     # Transactions

@@ -25,73 +25,56 @@ offending maxima, which completes the DAG into a join semi-lattice.
 
 Caching
 -------
-``desc``, ``share`` and ``dom`` are cached, and so are ancestor sets.  A
-descendant set is built only by a downward query that asks for it
-(``descendants``, a cold ``share``).  Every other ownership test reads
-upward: ``owns``, the comparability test of a leaf addition's sharing
-update and the lub's minimal-element test ask whether one context is
+Four derived indexes are cached: ancestor sets, ``share``, ``dom`` and
+``find_path``'s paths.  Descendant sets are not: ``descendants`` and a
+cold ``share`` each walk down once and keep nothing.  Every ownership
+test — ``owns``, a leaf addition's sharing update, the lub's minimal
+test, both clauses of a cold ``share`` — asks whether one context is
 among another's ancestors.  The ancestor index holds a set only for a
 context with a child, filled on its first query; a childless context
-(an Order, a compact leaf) answers from its owners' entries and never
-gets one.  So a TPC-C run, which asks dominators and ownership checks
-but no downward query, builds no descendant set.
+(an Order, a compact leaf) answers from its owners' entries.
 
 The common dynamic mutation — adding a fresh leaf context (TPC-C
 creates an Order context on every NewOrder transaction) — is handled
-incrementally: built descendant sets of the ancestors gain the leaf,
-every ancestor-index entry stays valid (a new leaf changes no existing
-context's ancestors), new sharing pairs are derived from the parents'
-ancestor sets, and only dominators whose share set actually changed are
-invalidated.  Any other mutation (edges between existing contexts,
-removals) conservatively clears all caches, the ancestor index
-included.
+incrementally: ancestor-index entries and cached paths stay valid (a new
+leaf changes no existing context's ancestors and shortens no path), new
+sharing pairs are derived from the parents' ancestor sets, and only
+dominators whose share set actually changed are invalidated.  Any other
+mutation (edges between existing contexts, removals) clears all four.
 
 Compact leaves
 --------------
 Almost every context in the evaluated applications (players, items,
 terminals) is a childless context with at most one owner.  Such a leaf
 is stored as one ``cid -> parent`` entry in a single map — no parent,
-child, descendant or share set of its own — plus its membership in the
-descendant sets its ancestors have built.  It shares with nobody and is
-its own dominator by construction (see
-:meth:`OwnershipNetwork.dominator`).  The first time it gains a child or
-a second owner it is *promoted* to a full node; full nodes are never
-demoted.  Hence every context that has a child, and every proper
-ancestor of any context, is a full node.  A context created with
-several owners (a TPC-C Order under its Customer and its District) is a
-full node from the start.
+child or share set of its own.  It shares with nobody and is its own
+dominator by construction (see :meth:`OwnershipNetwork.dominator`).  The
+first time it gains a child or a second owner it is *promoted* to a full
+node; full nodes are never demoted.  Hence every context that has a
+child, and every proper ancestor of any context, is a full node.  A
+context created with several owners (a TPC-C Order under its Customer
+and its District) is a full node from the start.
 
-A full node keeps a child set only while it has a child: the map of
-child sets holds no empty set, every site that adds a child creates the
-set, and every reader takes a missing one as empty.  A childless full
-node — every Order — thus pays for its parent set alone.  Nor does a
-fresh multi-owned node get a share seed: by the argument that makes a
-compact leaf its own dominator its share is empty, no leaf addition
-patches it (it is nobody's ancestor), and :meth:`OwnershipNetwork.share`
-computes it if anything asks.  A *promoted* leaf does get the empty seed
+A full node keeps a child set only while it has a child (a reader takes
+a missing one as empty), so a childless full node — every Order — pays
+for its parent set alone.  Nor does a fresh multi-owned node get a share
+seed: as a compact leaf's, its share is empty, no leaf addition patches
+it (it is nobody's ancestor), and :meth:`OwnershipNetwork.share`
+computes it if asked.  A *promoted* leaf does get the empty seed
 (:meth:`OwnershipNetwork._promote` says why).
 
 Owners' child sets learn their compact leaves only when something reads
-child sets; a two-owner ``add_context`` reads none, since its tests walk
-up.  Every such read goes through one accessor,
-:meth:`OwnershipNetwork._kids`, whose first call enters each compact
-leaf into its owner's set in one pass over the leaf map; from then on
-``add_leaves`` keeps the sets filled.  A full node is in its owners'
-sets at all times.  No answer can change:
-
-* a compact leaf's only owner is always a full node, and the first read
-  creates that owner's set if it has none, so it adds exactly the edges
-  the leaf map records;
-* every query that reads child sets (children, downward walks, share,
-  virtual joins, acyclicity, edges, snapshots, edge mutations and
-  removals) goes through the accessor first;
-* a compact child never decides share clause 1 — its only owner lies
-  inside ``mine`` (see ``_compute_share``);
-* string-set iteration order already varies with ``PYTHONHASHSEED``, so
-  nothing byte-pinned can depend on the order in which a set was filled.
-
-A run that only asks for dominators (the massive tier) never reads a
-child set, so a leaf there stays one map entry.
+child sets.  Every such read (children, downward walks, virtual joins,
+acyclicity, edges, snapshots, edge mutations and removals) goes through
+one accessor, :meth:`OwnershipNetwork._kids`, whose first call enters
+each compact leaf into its owner's set in one pass over the leaf map;
+from then on ``add_leaves`` keeps the sets filled.  A full node is in
+its owners' sets at all times.  No answer can change: a compact leaf's
+only owner is a full node, so the first read adds exactly the edges the
+leaf map records, and string-set iteration order already varies with
+``PYTHONHASHSEED``, so nothing byte-pinned can depend on the order in
+which a set was filled.  A run that only asks for dominators (the
+massive tier) never reads a child set, so a leaf there stays one entry.
 """
 
 from __future__ import annotations
@@ -226,15 +209,11 @@ class OwnershipNetwork:
         self._leaf: Dict[str, Optional[str]] = {}
         # Whether owners' child sets hold their compact leaves (_kids).
         self._mirrored = False
-        self._desc_cache: Dict[str, Set[str]] = {}
-        # cid -> ancestor set, inclusive, for contexts with a child only
-        # (_lineage); valid across leaf additions.
+        # The four caches (module docstring).  Ancestor sets, inclusive,
+        # for contexts with a child only (_lineage); (src, dst) -> path.
         self._anc_cache: Dict[str, Set[str]] = {}
         self._share_cache: Dict[str, Set[str]] = {}
         self._dom_cache: Dict[str, str] = {}
-        # (src, dst) -> path; valid across leaf additions (a childless
-        # leaf can't appear on, or shorten, a path between existing
-        # nodes), cleared on every other structural mutation.
         self._path_cache: Dict[Tuple[str, str], List[str]] = {}
         self._vroot_counter = 0
         # Structural epoch, bumped on every mutation; lets long-lived
@@ -269,7 +248,6 @@ class OwnershipNetwork:
         self._parents[cid] = set(parent_list)
         self.epoch += 1
         ancestor_sets = [self._lineage(parent) for parent in parent_list]
-        self._add_descendants(set().union(*ancestor_sets), (cid,))
         # New sharing pairs arise only between ancestors of different
         # parents of the leaf (the leaf is their new common descendant).
         for i, left_parent in enumerate(parent_list):
@@ -288,11 +266,11 @@ class OwnershipNetwork:
         """Add fresh childless contexts, ``cids[i]`` under ``parents[i]``.
 
         ``parents[i]`` is an existing context or ``None``.  The whole
-        batch is validated before the first mutation, and each distinct
-        parent's ancestor chain is resolved once per call, not per leaf.
-        The batch is checked and written with no Python loop per leaf;
-        leaves are grouped by owner only when the child sets are filled
-        (:meth:`_kids`) or an ancestor has built its descendant set.
+        batch is validated before the first mutation.  It is checked and
+        written with no Python loop per leaf, unless the child sets are
+        filled (:meth:`_kids`) and each leaf enters its owner's set.  A
+        leaf with one owner changes no share set and no existing
+        context's ancestors, so no cache is patched.
         """
         if len(parents) != len(cids):
             raise ValueError(f"{len(cids)} context ids but {len(parents)} parents")
@@ -313,23 +291,13 @@ class OwnershipNetwork:
                 leaf.pop(cid, None)
             self._reject(cids, owners)
         self.epoch += len(cids)
-        chains: Dict[str, Set[str]] = {}
-        groups: Dict[str, List[str]] = {}
         for owner in owners:
             self._promote(owner)
-            chain = self._lineage(owner)
-            if self._mirrored or not self._desc_cache.keys().isdisjoint(chain):
-                chains[owner] = chain
-                groups[owner] = []
-        if not groups:
-            return
-        for cid, parent in zip(cids, parents):
-            if parent in groups:
-                groups[parent].append(cid)
-        for owner, group in groups.items():
-            if self._mirrored:
-                self._children.setdefault(owner, set()).update(group)
-            self._add_descendants(chains[owner], group)
+        if self._mirrored:
+            children = self._children
+            for cid, parent in zip(cids, parents):
+                if parent is not None:
+                    children.setdefault(parent, set()).add(cid)
 
     def _reject(self, cids: Sequence[str], owners: Iterable[str]) -> None:
         """Raise what a bad batch earns: a repeated or existing cid (the
@@ -348,12 +316,10 @@ class OwnershipNetwork:
         Its share set is seeded empty, as the compact form answers: the
         node is promoted because it is gaining a child or an owner, so
         leaf additions below it will patch that set, and the seed keeps
-        ``share``/``dominator`` warm where a cold computation would walk
-        every full node (TPC-C's Customers, on each NewOrder).  It gets
-        no child set (the caller's edge creates one) and no descendant
-        set (the first query that asks builds it).  A full node is in its
-        owner's child set whether or not :meth:`_kids` has filled the
-        sets.
+        ``share``/``dominator`` warm (TPC-C's Customers, on each
+        NewOrder).  It gets no child set (the caller's edge creates one).
+        A full node is in its owner's child set whether or not
+        :meth:`_kids` has filled the sets.
         """
         if cid not in self._leaf:
             return
@@ -379,13 +345,6 @@ class OwnershipNetwork:
                 if owner is not None:
                     children.setdefault(owner, set()).add(cid)
         return self._children
-
-    def _add_descendants(self, ancestors: Iterable[str], leaves: Iterable[str]) -> None:
-        """Add fresh ``leaves`` to the cached descendant sets of ``ancestors``."""
-        for ancestor in ancestors:
-            cached = self._desc_cache.get(ancestor)
-            if cached is not None:
-                cached.update(leaves)
 
     def _record_new_sharing(
         self, left: str, right: str, left_parent: str, right_parent: str
@@ -475,7 +434,6 @@ class OwnershipNetwork:
             )
 
     def _invalidate(self) -> None:
-        self._desc_cache.clear()
         self._anc_cache.clear()
         self._share_cache.clear()
         self._dom_cache.clear()
@@ -518,19 +476,11 @@ class OwnershipNetwork:
         return cid.startswith(VIRTUAL_PREFIX)
 
     def descendants(self, cid: str) -> Set[str]:
-        """``desc(G, C)``: all contexts reachable from ``cid``, inclusive.
-
-        The returned set is the live cache entry; callers must not
-        mutate it.
-        """
-        cached = self._desc_cache.get(cid)
-        if cached is None:
-            self._require(cid)
-            if cid in self._leaf:
-                return {cid}
-            cached = self._reachable_from(cid)
-            self._desc_cache[cid] = cached
-        return cached
+        """``desc(G, C)``, inclusive: a fresh set, walked down per call."""
+        self._require(cid)
+        if cid in self._leaf:
+            return {cid}
+        return self._reachable_from(cid)
 
     def ancestors(self, cid: str) -> FrozenSet[str]:
         """All contexts that transitively own ``cid``, inclusive."""
@@ -547,8 +497,8 @@ class OwnershipNetwork:
         """Whether ``owner`` transitively owns ``owned`` (or equals it).
 
         Answered upward, from the ancestor-index entries of ``owned``'s
-        direct owners (:meth:`_lineage`), so it builds no descendant set.
-        Every owner is asked, so the work does not depend on set order.
+        direct owners (:meth:`_lineage`).  Every owner is asked, so the
+        work does not depend on set order.
         """
         if owner == owned:
             self._require(owner)
@@ -596,10 +546,9 @@ class OwnershipNetwork:
         """The ancestor-index entry of ``cid``, a context with a child.
 
         Filled on the first query by an upward walk that takes in whole
-        any entry it meets.  A new leaf changes no existing context's
-        ancestors, so entries survive leaf additions; every other
-        mutation clears the index (:meth:`_invalidate`).  Callers must
-        not mutate the result.
+        any entry it meets; kept across leaf additions and cleared by
+        every other mutation (:meth:`_invalidate`).  Callers must not
+        mutate the result.
         """
         found = self._anc_cache.get(cid)
         if found is None:
@@ -624,8 +573,7 @@ class OwnershipNetwork:
     def share(self, cid: str) -> Set[str]:
         """Contexts that might conflict with events targeting ``cid``.
 
-        Returns a copy; the internal cache is maintained incrementally
-        for leaf additions and recomputed from scratch otherwise.
+        Returns a copy of the cached set, patched across leaf additions.
         """
         self._require(cid)
         if cid in self._leaf:
@@ -637,32 +585,24 @@ class OwnershipNetwork:
         return set(cached)
 
     def _compute_share(self, cid: str) -> Set[str]:
-        mine = self.descendants(cid)
-        mine_proper = mine - {cid}
+        """``share(C)``, read upward from one walk down to ``desc(C)``.
+
+        Both clauses skip ``desc(C)``: an ancestor of C owns all of it,
+        so it never moves ``lub(share ∪ {C})``.  Clause 1 is each direct
+        owner outside ``desc(C)`` of a proper descendant.  A clause-2
+        context, not C's ancestor, enters ``desc(C)`` below C, through
+        such an owner: it is in that owner's ancestor-index entry.
+        """
+        mine = self._reachable_from(cid)
         my_ancestors = self._ancestors_of(cid)
-        children = self._kids()
         sharing: Set[str] = set()
-        # Full nodes only: a compact leaf is childless (clause 1) and
-        # its only descendant, itself, lies under nobody incomparable
-        # with it (clause 2), so it is in no share set.
-        for other in self._parents:
-            # Descendants of C never affect lub(share ∪ {C}) (every
-            # ancestor of C is an ancestor of its descendants), so they
-            # are excluded for both clauses.
-            if other == cid or other in mine:
+        for node in mine:
+            if node == cid:
                 continue
-            # Clause 1: other's direct children intersect my proper
-            # descendants (shared child with a (potential) owner).  A
-            # compact child never decides it: one in ``mine_proper``
-            # has its only owner in ``mine``, skipped above.
-            if not mine_proper.isdisjoint(children.get(other, ())):
-                sharing.add(other)
-                continue
-            # Clause 2: incomparable with intersecting descendant sets.
-            if other in my_ancestors:
-                continue
-            if not mine.isdisjoint(self.descendants(other)):
-                sharing.add(other)
+            for owner in self._owners(node):
+                if owner not in mine and owner not in sharing:
+                    sharing |= self._lineage(owner) - my_ancestors
+                    sharing.add(owner)
         return sharing
 
     def dominator(self, cid: str) -> str:

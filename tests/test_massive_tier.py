@@ -328,9 +328,16 @@ def test_bulk_parents_may_be_a_one_shot_iterator():
     assert states[0] == states[1]
 
 
-def test_bulk_registration_caches_no_descendant_sets():
-    """Registering leaves mirrors them into no ancestor's descendant set:
-    a set is built by the first query that asks, then patched."""
+def test_bulk_registration_caches_no_descendant_sets(monkeypatch):
+    """Registering leaves and running a massive pass make no downward
+    walk; a descendant query makes one per call and keeps nothing, so
+    it sees a leaf added after the last call."""
+    walks = []
+    walk = OwnershipNetwork._reachable_from
+    monkeypatch.setattr(
+        OwnershipNetwork, "_reachable_from",
+        lambda network, cid: walks.append(cid) or walk(network, cid),
+    )
     testbed = make_testbed("aeon", 4, seed=0)
     app = build_massive(testbed.runtime, MassiveConfig(contexts=20_000), testbed.servers)
     ownership = testbed.runtime.ownership
@@ -344,16 +351,16 @@ def test_bulk_registration_caches_no_descendant_sets():
     clients.start()
     testbed.sim.run(until=600.0)
     assert clients.errors == [] and len(testbed.runtime.instances) > 5
-    assert not {region, *shards} & set(ownership._desc_cache)
-    # ``owns`` walks up and builds nothing; the downward query builds it.
+    # ``owns`` walks up; only the downward query walks down.
     assert ownership.owns(region, "p-19999")
-    assert region not in ownership._desc_cache
+    assert walks == []
     built = ownership.descendants(region)
-    assert ownership._desc_cache[region] is built
+    assert walks == [region]
     assert len(built) == 20_000 + 1 + len(shards)
     ownership.add_leaves(["late-0"], [shards[3]])
-    assert "late-0" in built and ownership._desc_cache[region] is built
-    assert shards[3] not in ownership._desc_cache
+    assert "late-0" not in built
+    assert "late-0" in ownership.descendants(region)
+    assert walks == [region, region]
     testbed.close()
 
 
@@ -439,18 +446,19 @@ def test_bytes_per_multi_owned_leaf():
     """What ``OwnershipNetwork.add_context`` retains per TPC-C Order — a
     childless context owned by its Customer and its District — on a warm
     network (warehouse -> 4 districts -> 30 customers each, one Order per
-    customer, every ancestor's dominator and descendant set built): 623 B
-    measured at 2 k leaves.  By structure: the parent set and its map
-    slot 242 B, the leaf's slots in the warehouse's, district's and
-    customer's descendant sets 223 B, its slots in the two owners' child
-    sets 96 B, the cid string 61 B.  The bound is measured x 1.15, so an
-    empty child set or an empty share seed per leaf (242 B each with its
-    map slot; 1 107 B with both) fails here."""
+    customer, every ancestor's dominator and descendant query asked):
+    445 B measured at 2 k leaves.  A descendant query keeps nothing, so
+    an Order costs its parent set and map slot, its child-set slots and
+    its cid, as on a run-warmed network.  The bound is measured x 1.15,
+    so a descendant cache that keeps the leaf's slots in the warehouse's,
+    district's and customer's sets (623 B), an empty child set or an
+    empty share seed per leaf (+242 B each with its map slot) fails
+    here."""
     network, owners = _order_network()
     for cid in ["warehouse", *(o[3] for o in owners[::30]), *(o[2] for o in owners)]:
         network.dominator(cid)
         network.descendants(cid)
-    assert _bytes_per_new_order(network, owners) <= 716
+    assert _bytes_per_new_order(network, owners) <= 512
 
 
 def test_bytes_per_multi_owned_leaf_run_warmed():

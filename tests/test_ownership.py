@@ -269,7 +269,7 @@ def test_virtual_root_reused_for_same_maxima():
 # ----------------------------------------------------------------------
 def test_leaf_addition_updates_descendants_incrementally():
     g = build_game_graph()
-    _ = g.descendants("castle")  # populate cache
+    _ = g.descendants("castle")  # an earlier answer must not go stale
     g.add_context("new-item", parents=["p1"])
     assert "new-item" in g.descendants("castle")
     assert "new-item" in g.descendants("p1")

@@ -5,6 +5,7 @@ from random import Random
 
 from repro.apps.tpcc import TpccConfig, TpccWorkload, build_tpcc
 from repro.apps.tpcc.schema import Order
+from repro.core.ownership import OwnershipNetwork
 from repro.harness.runner import SYSTEMS, make_testbed
 from repro.workloads import ClosedLoopClients
 
@@ -22,8 +23,8 @@ def build(system, n_servers=2, customers=6):
     return testbed, deployment
 
 
-def drive(testbed, deployment, system, n_clients=12, duration=4000.0):
-    workload = TpccWorkload(deployment, system)
+def drive(testbed, deployment, system, n_clients=12, duration=4000.0, workload=None):
+    workload = workload or TpccWorkload(deployment, system)
     clients = ClosedLoopClients(
         testbed.runtime, workload.sample_op, n_clients=n_clients,
         think_ms=5.0, rng=testbed.rng, stop_at_ms=duration,
@@ -244,23 +245,35 @@ def test_sub_event_tag_is_one_string():
 
 
 @pytest.mark.parametrize("system", ["aeon", "aeon_so"])
-def test_run_builds_no_descendant_set_and_orders_share_lines(system):
+def test_run_builds_no_descendant_set_and_orders_share_lines(system, monkeypatch):
     """A NewOrder's ownership checks and sharing updates read ancestor
-    sets, so a TPC-C run builds no descendant set; and every Order the
-    run creates holds the workload's one tuple per distinct
-    ``(item, qty)`` line.  (The loader's initial Orders, ``o_id`` 1, are
-    built before any workload exists.)"""
+    sets, so a TPC-C run, load included, makes no downward walk; and
+    every Order the run creates keeps the tuple its NewOrder drew, made
+    of the workload's one tuple per distinct ``(item, qty)`` line.  (The
+    loader's initial Orders, ``o_id`` 1, are built before any workload
+    exists.)"""
+    walks = []
+    walk = OwnershipNetwork._reachable_from
+    monkeypatch.setattr(
+        OwnershipNetwork, "_reachable_from",
+        lambda network, cid: walks.append(cid) or walk(network, cid),
+    )
     testbed, deployment = build(system)
-    drive(testbed, deployment, system, duration=2000.0)
-    assert testbed.runtime.ownership._desc_cache == {}
-    lines = [
-        line
+    workload = TpccWorkload(deployment, system)
+    drawn = []
+    draw = workload._lines
+    workload._lines = lambda rng: drawn.append(draw(rng)) or drawn[-1]
+    drive(testbed, deployment, system, duration=2000.0, workload=workload)
+    assert walks == []
+    orders = [
+        instance
         for instance in testbed.runtime.instances.values()
         if isinstance(instance, Order) and instance.o_id > 1
-        for line in instance.lines
     ]
-    distinct = {}
-    for line in lines:
-        assert distinct.setdefault(line, line) is line
+    assert orders
+    drawn_ids = {id(lines) for lines in drawn}
+    assert all(id(order.lines) in drawn_ids for order in orders)
+    lines = [line for order in orders for line in order.lines]
+    assert all(workload._line_pool[line] is line for line in lines)
     # Lines recur, so the identity check above compared two Orders.
-    assert len(distinct) < len(lines)
+    assert len(workload._line_pool) < len(lines)
