@@ -327,8 +327,8 @@ def measure(
     runtime = testbed.runtime
     window = duration_ms - warmup_ms
     completed = runtime.latency.count_between(warmup_ms, duration_ms)
-    # Bisect-windowed query on the array-backed recorder: no per-sample
-    # objects, no full scan.
+    # The recorder stores end times and latencies as two double arrays:
+    # the window is located by bisection and returned as one list.
     latencies = runtime.latency.latencies_between(warmup_ms, duration_ms)
     latencies.sort()
 

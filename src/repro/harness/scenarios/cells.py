@@ -146,7 +146,7 @@ def _massive_run(flavor: str, scale: str, seed: int) -> Dict[str, object]:
         # Swap the recorder before any event completes: massive runs engage
         # reservoir sampling almost immediately instead of at the default
         # exact-mode threshold, so past it only one end time per
-        # completion is kept (start times and tags live in the reservoir).
+        # completion is kept (latencies and tags live in the reservoir).
         testbed.runtime.latency = LatencyRecorder(sample_threshold=65536)
         config = MassiveConfig(contexts=sizing.massive_contexts, flavor=flavor)
         app = build_massive(testbed.runtime, config, testbed.servers)

@@ -9,6 +9,7 @@ series (elasticity figures) and windowed throughput (migration figures).
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass, field
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,6 +43,12 @@ def percentile(values: Sequence[float], pct: float, presorted: bool = False) -> 
     return ordered[rank]
 
 
+def _check_window(window_ms: float) -> None:
+    """Reject a window no series can step through (zero, negative or NaN)."""
+    if not window_ms > 0:
+        raise ValueError(f"window must be positive: {window_ms}")
+
+
 #: Exact-to-sampled switchover: below this many samples the recorder
 #: keeps every completion (the golden-pinned figures run far below it,
 #: so their metrics stay exact and byte-identical); at/above it the
@@ -53,15 +60,18 @@ DEFAULT_SAMPLE_THRESHOLD = 4_000_000
 class LatencyRecorder:
     """The completion log: every finished request, read for throughput and latency.
 
-    Storage is three append-only parallel lists (start, end, tag) — one
-    dataclass allocation per completed request was a measurable share of
-    the simulation hot path.  A simulator records at ``sim.now``, so end
-    times never decrease (:meth:`record` rejects one that does) and every
-    window is located with :func:`bisect.bisect_left`.
+    Storage is columnar: two ``array('d')`` columns, end time and latency
+    (``end - start``, subtracted once at record time: the same double a
+    subtraction at query time gives), plus a list of interned tag
+    strings.  A completion costs two raw doubles and a tag slot, about
+    24 B, and an untagged window query is one C-level slice.  A
+    simulator records at ``sim.now``, so end times never decrease
+    (:meth:`record` rejects one that does) and every window is located
+    with :func:`bisect.bisect_left`.
 
     **Reservoir mode.**  Once ``sample_threshold`` samples have been
-    recorded, start times and tags move into an Algorithm R reservoir of
-    ``(start, end, tag)`` triples (fixed seed 0), while end times stay
+    recorded, latencies and tags move into an Algorithm R reservoir of
+    ``(latency, end, tag)`` triples (fixed seed 0), while end times stay
     exact: ``len``, :meth:`count`, :meth:`count_between`,
     :meth:`windowed_rate` and the full-run :meth:`mean_latency` are exact
     in both modes; latency/percentile queries answer from the reservoir
@@ -76,8 +86,8 @@ class LatencyRecorder:
         sample_threshold: int = DEFAULT_SAMPLE_THRESHOLD,
         reservoir_size: int = 65536,
     ) -> None:
-        self._starts: List[float] = []
-        self._ends: List[float] = []
+        self._ends = array("d")
+        self._lats = array("d")
         self._tags: List[str] = []
         # Single-slot cache of the last window-bucket view: windowed
         # count + percentile series over the same horizon reuse one O(n)
@@ -109,21 +119,22 @@ class LatencyRecorder:
         ends.append(end_ms)
         reservoir = self._reservoir
         if reservoir is None:
-            self._starts.append(start_ms)
+            self._lats.append(end_ms - start_ms)
             self._tags.append(tag)
             if len(ends) >= self._sample_threshold:
                 self._engage_sampling()
             return
-        self._lat_sum += end_ms - start_ms
+        lat = end_ms - start_ms
+        self._lat_sum += lat
         if len(reservoir) < self._reservoir_size:
-            reservoir.append((start_ms, end_ms, tag))
+            reservoir.append((lat, end_ms, tag))
         else:
             j = self._rng.randrange(len(ends))
             if j < self._reservoir_size:
-                reservoir[j] = (start_ms, end_ms, tag)
+                reservoir[j] = (lat, end_ms, tag)
 
     def _engage_sampling(self) -> None:
-        """Switch to reservoir mode: replay the exact samples, drop starts/tags.
+        """Switch to reservoir mode: replay the exact samples, drop lats/tags.
 
         Algorithm R over the existing stream with a fixed-seed RNG, so
         the reservoir (and everything derived from it) is a pure
@@ -132,20 +143,19 @@ class LatencyRecorder:
         rng = Random(0)
         size = self._reservoir_size
         reservoir: List[Tuple[float, float, str]] = []
-        starts, ends, tags = self._starts, self._ends, self._tags
         lat_sum = 0.0
-        for i in range(len(ends)):
-            lat_sum += ends[i] - starts[i]
+        for i, triple in enumerate(zip(self._lats, self._ends, self._tags)):
+            lat_sum += triple[0]
             if len(reservoir) < size:
-                reservoir.append((starts[i], ends[i], tags[i]))
+                reservoir.append(triple)
             else:
                 j = rng.randrange(i + 1)
                 if j < size:
-                    reservoir[j] = (starts[i], ends[i], tags[i])
+                    reservoir[j] = triple
         self._reservoir = reservoir
         self._rng = rng
         self._lat_sum = lat_sum
-        self._starts = []
+        self._lats = array("d")
         self._tags = []
         self._buckets_key = None
 
@@ -164,15 +174,15 @@ class LatencyRecorder:
         reservoir = self._reservoir
         if reservoir is not None:
             return [
-                e - s for s, e, t in reservoir
+                lat for lat, e, t in reservoir
                 if e >= since_ms and (tag is None or t == tag)
             ]
-        starts, ends = self._starts, self._ends
-        lo = bisect.bisect_left(ends, since_ms)
+        lats = self._lats
+        lo = bisect.bisect_left(self._ends, since_ms)
         if tag is None:
-            return [ends[i] - starts[i] for i in range(lo, len(ends))]
+            return lats[lo:].tolist()
         tags = self._tags
-        return [ends[i] - starts[i] for i in range(lo, len(ends)) if tags[i] == tag]
+        return [lats[i] for i in range(lo, len(lats)) if tags[i] == tag]
 
     def latencies_between(
         self,
@@ -191,16 +201,16 @@ class LatencyRecorder:
         reservoir = self._reservoir
         if reservoir is not None:
             return [
-                e - s for s, e, t in reservoir
+                lat for lat, e, t in reservoir
                 if since_ms <= e < before_ms and (wanted is None or t in wanted)
             ]
-        starts, ends = self._starts, self._ends
+        ends, lats = self._ends, self._lats
         lo = bisect.bisect_left(ends, since_ms)
         hi = bisect.bisect_left(ends, before_ms)
         if wanted is None:
-            return [ends[i] - starts[i] for i in range(lo, hi)]
+            return lats[lo:hi].tolist()
         sample_tags = self._tags
-        return [ends[i] - starts[i] for i in range(lo, hi) if sample_tags[i] in wanted]
+        return [lats[i] for i in range(lo, hi) if sample_tags[i] in wanted]
 
     def count(self, since_ms: float = 0.0) -> int:
         """Number of completions at/after ``since_ms`` (exact in both modes)."""
@@ -213,6 +223,7 @@ class LatencyRecorder:
 
     def windowed_rate(self, window_ms: float, horizon_ms: float) -> "TimeSeries":
         """Completions/second per ``window_ms`` bucket over [0, horizon) (exact)."""
+        _check_window(window_ms)
         return self._series(
             window_ms,
             horizon_ms,
@@ -240,6 +251,7 @@ class LatencyRecorder:
 
     def windowed_mean(self, window_ms: float, horizon_ms: float) -> "TimeSeries":
         """Mean latency per ``window_ms`` bucket over [0, horizon)."""
+        _check_window(window_ms)
         buckets = self._window_buckets(window_ms, horizon_ms, None)
         points = [
             ((index + 0.5) * window_ms, mean(values))
@@ -264,21 +276,19 @@ class LatencyRecorder:
             return self._buckets_view
         buckets: Dict[int, List[float]] = {}
         if self._reservoir is not None:
-            for start, end, tag in self._reservoir:
+            for lat, end, tag in self._reservoir:
                 if end >= horizon_ms:
                     continue
                 if exclude_tag is not None and tag == exclude_tag:
                     continue
-                buckets.setdefault(int(end // window_ms), []).append(end - start)
+                buckets.setdefault(int(end // window_ms), []).append(lat)
         else:
-            starts, ends, tags = self._starts, self._ends, self._tags
-            for i in range(len(ends)):
-                end = ends[i]
+            for end, lat, tag in zip(self._ends, self._lats, self._tags):
                 if end >= horizon_ms:
                     break
-                if exclude_tag is not None and tags[i] == exclude_tag:
+                if exclude_tag is not None and tag == exclude_tag:
                     continue
-                buckets.setdefault(int(end // window_ms), []).append(end - starts[i])
+                buckets.setdefault(int(end // window_ms), []).append(lat)
         self._buckets_key = key
         self._buckets_view = buckets
         return buckets
@@ -313,6 +323,7 @@ class LatencyRecorder:
         each sampled point by the stream/reservoir ratio so the rates
         stay unbiased.
         """
+        _check_window(window_ms)
         buckets = self._window_buckets(window_ms, horizon_ms, exclude_tag)
         weight = self._scale() if self._reservoir is not None else 1.0
 
@@ -336,6 +347,7 @@ class LatencyRecorder:
 
         Empty buckets report 0.0 (nothing completed in the window).
         """
+        _check_window(window_ms)
         buckets = self._window_buckets(window_ms, horizon_ms, exclude_tag)
 
         def bucket_pct(index: int, _start: float, _end: float) -> float:

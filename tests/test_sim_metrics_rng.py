@@ -1,6 +1,10 @@
 """Unit tests for metrics recorders and the RNG registry."""
 
+import math
+from random import Random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.metrics import (
     LatencyRecorder,
@@ -119,6 +123,210 @@ def test_monotonic_windowed_exclude_tag_matches_scan():
         pytest.approx(100.0),
     ]
     assert sorted(rec.latencies(since_ms=10.0)) == [5.0, 10.0]
+
+
+@pytest.mark.parametrize("window_ms", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda rec, w: rec.windowed_rate(w, 100.0),
+        lambda rec, w: rec.windowed_count(w, 100.0),
+        lambda rec, w: rec.windowed_percentile(99.0, w, 100.0),
+        lambda rec, w: rec.windowed_mean(w, 100.0),
+    ],
+    ids=["rate", "count", "percentile", "mean"],
+)
+@pytest.mark.parametrize("samples", [0, 3])
+def test_windowed_series_reject_a_window_that_cannot_step(query, window_ms, samples):
+    # A series steps start = min(start + window, horizon): a zero or
+    # negative window never reaches the horizon (the point list grows
+    # forever on an empty recorder), and bucketing divides by it.
+    rec = LatencyRecorder()
+    for i in range(samples):
+        rec.record(float(i), float(i) + 1.0)
+    with pytest.raises(ValueError, match="window"):
+        query(rec, window_ms)
+
+
+# ----------------------------------------------------------------------
+# LatencyRecorder vs a reference model
+# ----------------------------------------------------------------------
+class _ReferenceLog:
+    """The completion log as a plain list of ``(start, end, tag)`` triples.
+
+    Every answer is re-derived from the triples at query time: a latency
+    is ``end - start``, a window is a scan, and once the stream reaches
+    ``sample_threshold`` the latency queries read an Algorithm R
+    reservoir replayed over the whole stream with ``Random(0)``.
+    """
+
+    def __init__(self, stream, sample_threshold, reservoir_size):
+        self.stream = self.view = stream
+        self.sampled = len(stream) >= sample_threshold
+        if self.sampled:
+            rng = Random(0)
+            self.view = []
+            for i, triple in enumerate(stream):
+                if len(self.view) < reservoir_size:
+                    self.view.append(triple)
+                else:
+                    j = rng.randrange(i + 1)
+                    if j < reservoir_size:
+                        self.view[j] = triple
+
+    @staticmethod
+    def _mean(values):
+        return sum(values) / len(values) if values else 0.0
+
+    def latencies(self, since, tag=None):
+        return [
+            e - s for s, e, t in self.view if e >= since and (tag is None or t == tag)
+        ]
+
+    def latencies_between(self, since, before, tags=None):
+        return [
+            e - s for s, e, t in self.view
+            if since <= e < before and (tags is None or t in tags)
+        ]
+
+    def count(self, since):
+        return sum(1 for _s, e, _t in self.stream if e >= since)
+
+    def count_between(self, lo, hi):
+        return sum(1 for _s, e, _t in self.stream if lo <= e < hi)
+
+    def mean_latency(self, since):
+        if self.sampled and since <= 0.0:
+            total = 0.0
+            for s, e, _t in self.stream:
+                total += e - s
+            return total / len(self.stream)
+        return self._mean(self.latencies(since))
+
+    def fraction_over(self, threshold, since):
+        values = self.latencies(since)
+        if not values:
+            return 0.0
+        return sum(1 for value in values if value > threshold) / len(values)
+
+    @staticmethod
+    def _windows(window, horizon):
+        start = 0.0
+        while start < horizon:
+            end = min(start + window, horizon)
+            yield start, end
+            start = end
+
+    def _buckets(self, window, horizon, exclude):
+        buckets = {}
+        for s, e, t in self.view:
+            if e < horizon and t != exclude:
+                buckets.setdefault(int(e // window), []).append(e - s)
+        return buckets
+
+    def windowed_rate(self, window, horizon):
+        return [
+            ((lo + hi) / 2.0, self.count_between(lo, hi) / ((hi - lo) / 1000.0))
+            for lo, hi in self._windows(window, horizon)
+        ]
+
+    def windowed_count(self, window, horizon, exclude):
+        buckets = self._buckets(window, horizon, exclude)
+        weight = len(self.stream) / len(self.view) if self.sampled else 1.0
+        points = []
+        for index, (lo, hi) in enumerate(self._windows(window, horizon)):
+            values = buckets.get(index)
+            span_s = (hi - lo) / 1000.0
+            rate = len(values) * weight / span_s if values and span_s > 0 else 0.0
+            points.append(((lo + hi) / 2.0, rate))
+        return points
+
+    def windowed_percentile(self, pct, window, horizon, exclude):
+        buckets = self._buckets(window, horizon, exclude)
+        return [
+            ((lo + hi) / 2.0, percentile(buckets[i], pct) if i in buckets else 0.0)
+            for i, (lo, hi) in enumerate(self._windows(window, horizon))
+        ]
+
+    def windowed_mean(self, window, horizon):
+        buckets = self._buckets(window, horizon, None)
+        return [((i + 0.5) * window, self._mean(buckets[i])) for i in sorted(buckets)]
+
+
+_TAGS = ["a", "b", "!failed"]
+
+
+@st.composite
+def _completion_streams(draw):
+    """Completions in non-decreasing end order, ties included, with
+    arbitrary doubles so ``end - start`` rounds.
+
+    The last completion may end at +inf, which :meth:`record` accepts.
+    For finite doubles ``e - (e - (e - s)) == e - s``, so a log that
+    kept ``end - latency`` and subtracted again would agree with the
+    model on every finite stream; at an infinite end it reads NaN.
+    """
+    n = draw(st.integers(min_value=0, max_value=60))
+    end = draw(st.floats(min_value=0.0, max_value=10.0))
+    stream = []
+    for _ in range(n):
+        end += draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=25.0)))
+        latency = draw(st.floats(min_value=0.0, max_value=40.0))
+        stream.append((end - latency, end, draw(st.sampled_from(_TAGS))))
+    if stream and draw(st.booleans()):
+        start, _end, tag = stream[-1]
+        stream[-1] = (start, math.inf, tag)
+    return stream
+
+
+@given(
+    stream=_completion_streams(),
+    sample_threshold=st.integers(min_value=1, max_value=50),
+    reservoir_size=st.integers(min_value=1, max_value=8),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_recorder_matches_reference_model(stream, sample_threshold, reservoir_size, data):
+    rec = LatencyRecorder(sample_threshold=sample_threshold, reservoir_size=reservoir_size)
+    for start, end, tag in stream:
+        rec.record(start, end, tag)
+    model = _ReferenceLog(stream, sample_threshold, reservoir_size)
+    assert rec.sampling is model.sampled
+
+    last = stream[-1][1] if stream else 0.0
+    ends = [e for _s, e, _t in stream]
+    instant = st.one_of(
+        st.floats(min_value=-1.0, max_value=last + 1.0),
+        st.sampled_from(ends) if ends else st.just(0.0),
+    )
+    for _ in range(3):
+        since, before = sorted([data.draw(instant), data.draw(instant)])
+        tag = data.draw(st.sampled_from(_TAGS))
+        tags = data.draw(st.lists(st.sampled_from(_TAGS), max_size=2))
+        threshold = data.draw(st.floats(min_value=0.0, max_value=40.0))
+        assert rec.latencies(since) == model.latencies(since)
+        assert rec.latencies(since, tag=tag) == model.latencies(since, tag)
+        assert rec.latencies_between(since, before) == model.latencies_between(since, before)
+        assert rec.latencies_between(since, before, tags) == model.latencies_between(
+            since, before, set(tags)
+        )
+        assert rec.count(since) == model.count(since)
+        assert rec.count_between(since, before) == model.count_between(since, before)
+        assert rec.mean_latency(since) == model.mean_latency(since)
+        assert rec.fraction_over(threshold, since) == model.fraction_over(threshold, since)
+
+    window = data.draw(st.floats(min_value=1.0, max_value=400.0))
+    horizon = data.draw(st.floats(min_value=0.0, max_value=window * 40.0, allow_subnormal=False))
+    exclude = data.draw(st.one_of(st.none(), st.sampled_from(_TAGS)))
+    pct = data.draw(st.sampled_from([0.0, 50.0, 99.0, 100.0]))
+    assert rec.windowed_rate(window, horizon).points == model.windowed_rate(window, horizon)
+    assert rec.windowed_count(window, horizon, exclude).points == model.windowed_count(
+        window, horizon, exclude
+    )
+    assert rec.windowed_percentile(
+        pct, window, horizon, exclude
+    ).points == model.windowed_percentile(pct, window, horizon, exclude)
+    assert rec.windowed_mean(window, horizon).points == model.windowed_mean(window, horizon)
 
 
 def test_rng_streams_are_independent_and_stable():
