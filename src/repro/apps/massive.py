@@ -4,12 +4,14 @@ A three-level tree — one ``Region`` root, a shard layer (one ``Shard``
 per server by default) and a huge population of single-parent leaf
 contexts — sized so the interesting cost is per-context *bookkeeping*,
 not per-context behaviour.  Leaves are registered through
-:meth:`~repro.core.runtime.RuntimeBase.create_contexts_bulk`: every leaf
-is placed and registered in the ownership network up front, but its
-Python instance and lock materialize lazily on first touch.  A run
-that samples a few hundred thousand ops over a million registered
-players therefore builds a few hundred thousand object graphs, never a
-million.
+:meth:`~repro.core.runtime.RuntimeBase.create_contexts_bulk`: the whole
+population is one record (a cid prefix, a count, the servers and each
+leaf's parent shard), and a leaf gets its placement entry, its ownership
+entry and its Python instance only on first touch, its lock only while
+an event holds or waits for it.  A run that samples a few hundred
+thousand ops over a million registered players therefore builds a few
+hundred thousand object graphs, never a million, and an untouched leaf
+costs its parent slot alone.
 
 Two flavors share the builder so the game- and TPC-C-shaped scenarios
 (``massive_game`` / ``massive_tpcc``, docs/SCENARIOS.md) stay honest
@@ -204,20 +206,17 @@ class MassiveApp:
     config: MassiveConfig
     region: ContextRef
     shards: List[ContextRef] = field(default_factory=list)
-    #: The registered leaf cids, leaf ``i`` at index ``i``.
-    leaf_cids: List[str] = field(default_factory=list, repr=False)
 
     def sample_op(self, rng: Random) -> Tuple[CallSpec, str]:
         """Draw one client operation ``(spec, tag)``.
 
-        CallSpecs are built straight from the leaf cid — no ContextRef
-        per leaf exists, matching the no-object-graph registration.  The
-        cid is the registered string itself, so a leaf the op
-        materialises keys its instance and client-cache entries with the
-        string its placement already holds, not a formatted copy.
+        CallSpecs are built straight from the leaf cid, formatted from
+        the drawn index as the population names it (``p-17``): no string
+        or ContextRef per leaf is kept, matching the one-record
+        registration.  The op's ``submit`` makes a leaf's first touch.
         """
         flavor = MASSIVE_FLAVORS[self.config.flavor]
-        cid = self.leaf_cids[rng.randrange(self.config.contexts)]
+        cid = f"{flavor.leaf_prefix}-{rng.randrange(self.config.contexts)}"
         if rng.random() < self.config.p_read:
             return CallSpec(cid, flavor.read_method, (), {}), flavor.read_tag
         amount = rng.randrange(1, 10)
@@ -255,9 +254,8 @@ def build_massive(
                 args=(i,),
             )
         )
-    app.leaf_cids = [f"{flavor.leaf_prefix}-{i}" for i in range(config.contexts)]
     runtime.create_contexts_bulk(
-        flavor.leaf_cls, app.leaf_cids, servers,
+        flavor.leaf_cls, f"{flavor.leaf_prefix}-", config.contexts, servers,
         parents=islice(cycle(app.shards), config.contexts),
     )
     return app

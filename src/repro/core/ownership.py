@@ -75,19 +75,90 @@ leaf map records, and string-set iteration order already varies with
 ``PYTHONHASHSEED``, so nothing byte-pinned can depend on the order in
 which a set was filled.  A run that only asks for dominators (the
 massive tier) never reads a child set, so a leaf there stays one entry.
+
+Bulk populations
+----------------
+A bulk-registered population (:meth:`OwnershipNetwork.add_population`)
+is one :class:`Population` record: a prefix, a count and the aligned
+owners.  Leaf ``i`` is ``f"{prefix}{i}"``, and a cid is a member when it
+is the prefix followed by the canonical ASCII decimal of an ``i`` below
+the count.  A member has no map entry until its first *touch*: the
+runtime's first ``instance_of``, or any mutation that names it (an edge,
+a promotion, a removal).  The touch enters it in the compact-leaf map,
+and from then on it answers from the maps like any other context.  An
+untouched member answers every query from the record instead: a map
+miss asks :meth:`OwnershipNetwork.member`.  Enumerations (``contexts``,
+``roots``, ``snapshot``, ``len`` and the first child-set read) list the
+untouched members too.  A member removed after its touch is remembered
+in a set, so the record does not bring it back (its cid may be
+registered again, as any unknown one).  Otherwise populations share no
+cid with each other or with a context in the maps.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from .errors import FencedError, OwnershipCycleError, UnknownContextError
 
-__all__ = ["FencingTable", "OwnershipNetwork", "VIRTUAL_PREFIX"]
+__all__ = ["FencingTable", "OwnershipNetwork", "Population", "VIRTUAL_PREFIX"]
 
 VIRTUAL_PREFIX = "~vroot:"
 """Prefix of automatically created virtual (unnamed) join contexts."""
+
+
+class Population:
+    """A bulk-registered population of compact leaves, as one record.
+
+    Leaf ``i`` is ``f"{prefix}{i}"`` for ``0 <= i < count``, owned by
+    ``parents[i]`` (``None``: no owner; ``parents`` itself ``None``: no
+    leaf has one).  ``hosts`` is opaque to the ownership network: the
+    runtime's server names, used round-robin.  ``untouched`` counts the
+    members without a map entry of their own (module docstring).
+    """
+
+    __slots__ = ("prefix", "count", "hosts", "parents", "untouched", "width")
+
+    def __init__(
+        self,
+        prefix: str,
+        count: int,
+        hosts: Tuple[str, ...] = (),
+        parents: Optional[Tuple[Optional[str], ...]] = None,
+    ) -> None:
+        if count < 0:
+            raise ValueError(f"a population needs a count >= 0, got {count}")
+        if parents is not None and len(parents) != count:
+            raise ValueError(f"{count} contexts but {len(parents)} parents")
+        self.prefix = prefix
+        self.count = count
+        self.hosts = hosts
+        self.parents = parents
+        self.untouched = count
+        # Digits of the largest index: a longer suffix is no member.
+        self.width = len(str(count))
+
+    def index(self, cid: str) -> int:
+        """``i`` if ``cid`` is leaf ``i`` of this population, else -1."""
+        prefix = self.prefix
+        if cid.startswith(prefix):
+            digits = cid[len(prefix):]
+            if (
+                digits.isdecimal() and digits.isascii() and len(digits) <= self.width
+                and (digits[0] != "0" or len(digits) == 1)
+            ):
+                i = int(digits)
+                if i < self.count:
+                    return i
+        return -1
+
+    def owner(self, i: int) -> Optional[str]:
+        """The only owner of leaf ``i``, or ``None``."""
+        return None if self.parents is None else self.parents[i]
 
 
 class FencingTable:
@@ -209,6 +280,10 @@ class OwnershipNetwork:
         self._leaf: Dict[str, Optional[str]] = {}
         # Whether owners' child sets hold their compact leaves (_kids).
         self._mirrored = False
+        # Bulk populations, one record each, and the members removed
+        # after their touch (module docstring).
+        self._populations: List[Population] = []
+        self._removed: Set[str] = set()
         # The four caches (module docstring).  Ancestor sets, inclusive,
         # for contexts with a child only (_lineage); (src, dst) -> path.
         self._anc_cache: Dict[str, Set[str]] = {}
@@ -279,8 +354,10 @@ class OwnershipNetwork:
         owners.pop(None, None)
         if not (leaf.keys().isdisjoint(cids) and self._parents.keys().isdisjoint(cids)):
             self._reject(cids, owners)
+        if self._populations and any(self.member(cid) for cid in cids):
+            self._reject(cids, owners)
         for owner in owners:
-            if owner not in self._parents and owner not in leaf:
+            if owner not in self._parents and owner not in leaf and not self.member(owner):
                 self._reject(cids, owners)
         size = len(leaf)
         leaf.update(zip(cids, parents))
@@ -310,6 +387,92 @@ class OwnershipNetwork:
         for owner in owners:
             self._require(owner)
 
+    def add_population(self, population: Population) -> None:
+        """Register a bulk population as its one record.
+
+        All or nothing: a prefix inside the virtual namespace, a member
+        that is already registered (a context in the maps, or a member of
+        another population) or an unknown owner raises before anything is
+        registered.  No member gets a map entry (module docstring); the
+        owners are promoted, and if the child sets are filled
+        (:meth:`_kids`) each member enters its owner's set.
+        """
+        prefix, parents = population.prefix, population.parents
+        if prefix.startswith(VIRTUAL_PREFIX):
+            raise ValueError(f"prefix {prefix!r} is in the virtual namespace")
+        for other in self._populations:
+            # The smallest member of the longer prefix is the only one that
+            # can also be a member of the shorter.
+            for short, long in ((other, population), (population, other)):
+                first = f"{long.prefix}0"
+                if long.count and long.prefix.startswith(short.prefix) and short.index(first) >= 0:
+                    raise ValueError(f"context {first!r} already exists")
+        for cid in chain(self._parents, self._leaf):
+            if cid.startswith(prefix) and population.index(cid) >= 0:
+                raise ValueError(f"context {cid!r} already exists")
+        owners = dict.fromkeys(parents or ())
+        owners.pop(None, None)
+        for owner in owners:
+            if owner not in self._parents and owner not in self._leaf:
+                self._require(owner)  # an untouched member, or unknown
+        self._populations.append(population)
+        self.epoch += population.count
+        for owner in owners:
+            self._promote(owner)
+        if self._mirrored and parents is not None:
+            children = self._children
+            for i, parent in enumerate(parents):
+                if parent is not None:
+                    children.setdefault(parent, set()).add(f"{prefix}{i}")
+
+    def member(
+        self, cid: str, touch: bool = False
+    ) -> Optional[Tuple[Population, int]]:
+        """``(population, i)`` if ``cid`` is leaf ``i`` of a population, else
+        ``None`` (a member removed after its touch is none).
+
+        The answer comes from the record, touched or not.  With ``touch``
+        a member without a map entry gets its compact-leaf entry: its
+        first touch (module docstring).
+        """
+        for population in self._populations:
+            # Population.index, open-coded: the runtime's first touch of a
+            # leaf makes this one call.
+            prefix = population.prefix
+            if cid.startswith(prefix):
+                digits = cid[len(prefix):]
+                if (
+                    digits.isdecimal() and digits.isascii()
+                    and len(digits) <= population.width
+                    and (digits[0] != "0" or len(digits) == 1)
+                ):
+                    i = int(digits)
+                    if i < population.count and cid not in self._removed:
+                        if touch and cid not in self._leaf and cid not in self._parents:
+                            parents = population.parents
+                            self._leaf[cid] = None if parents is None else parents[i]
+                            population.untouched -= 1
+                        return population, i
+        return None
+
+    def bulk_members(self) -> Iterator[Tuple[Population, int, str]]:
+        """``(population, i, cid)`` of every member, touched or not, by
+        population and index."""
+        removed = self._removed
+        for population in self._populations:
+            prefix = population.prefix
+            for i in range(population.count):
+                cid = f"{prefix}{i}"
+                if cid not in removed:
+                    yield population, i, cid
+
+    def _untouched(self) -> Iterator[Tuple[str, Optional[str]]]:
+        """``(cid, owner)`` of every member without a map entry."""
+        leaf, full = self._leaf, self._parents
+        for population, i, cid in self.bulk_members():
+            if population.untouched and cid not in leaf and cid not in full:
+                yield cid, population.owner(i)
+
     def _promote(self, cid: str) -> None:
         """Turn a compact leaf into a full node (no-op on a full node).
 
@@ -322,7 +485,9 @@ class OwnershipNetwork:
         :meth:`_kids` has filled the sets.
         """
         if cid not in self._leaf:
-            return
+            if cid in self._parents:
+                return
+            self.member(cid, touch=True)  # an untouched bulk member
         parent = self._leaf.pop(cid)
         self._parents[cid] = set() if parent is None else {parent}
         self._share_cache[cid] = set()
@@ -341,7 +506,7 @@ class OwnershipNetwork:
         if not self._mirrored:
             self._mirrored = True
             children = self._children
-            for cid, owner in self._leaf.items():
+            for cid, owner in chain(self._leaf.items(), self._untouched()):
                 if owner is not None:
                     children.setdefault(owner, set()).add(cid)
         return self._children
@@ -381,11 +546,14 @@ class OwnershipNetwork:
             self._unlink(parent, cid)
         for child in self.children(cid):
             self._unlink(cid, child)
+        self.member(cid, touch=True)
         if cid in self._leaf:
             del self._leaf[cid]
         else:
             del self._parents[cid]
             self._children.pop(cid, None)
+        if self.member(cid) is not None:
+            self._removed.add(cid)  # the record must not bring it back
         self._invalidate()
 
     def add_edge(self, parent: str, child: str) -> None:
@@ -416,7 +584,9 @@ class OwnershipNetwork:
         self._invalidate()
 
     def _unlink(self, parent: str, child: str) -> None:
-        """Drop the ``parent -> child`` edge; the child keeps its form."""
+        """Drop the ``parent -> child`` edge; the child keeps its form (an
+        untouched bulk member is touched first)."""
+        self.member(child, touch=True)
         children = self._kids()
         kids = children[parent]
         kids.discard(child)
@@ -444,14 +614,18 @@ class OwnershipNetwork:
     # Queries
     # ------------------------------------------------------------------
     def __contains__(self, cid: str) -> bool:
-        return cid in self._parents or cid in self._leaf
+        if cid in self._parents or cid in self._leaf:
+            return True
+        # No call without a population: every new TPC-C Order asks.
+        return bool(self._populations) and self.member(cid) is not None
 
     def __len__(self) -> int:
-        return len(self._parents) + len(self._leaf)
+        untouched = sum(population.untouched for population in self._populations)
+        return len(self._parents) + len(self._leaf) + untouched
 
     def contexts(self) -> List[str]:
         """All context ids, including virtual join contexts."""
-        return [*self._parents, *self._leaf]
+        return [*self._parents, *self._leaf, *(cid for cid, _ in self._untouched())]
 
     def parents(self, cid: str) -> Set[str]:
         """Direct owners of ``cid``."""
@@ -463,12 +637,23 @@ class OwnershipNetwork:
         full = self._parents.get(cid)
         if full is not None:
             return full
-        owner = self._leaf[cid]
+        try:
+            owner = self._leaf[cid]
+        except KeyError:
+            owner = self._bulk_owner(cid)
         return () if owner is None else (owner,)
+
+    def _bulk_owner(self, cid: str) -> Optional[str]:
+        """The owner of an untouched bulk member; ``None`` for a member
+        with none and for a cid that is no member."""
+        found = self.member(cid)
+        return None if found is None else found[0].owner(found[1])
 
     def children(self, cid: str) -> Set[str]:
         """Contexts directly owned by ``cid``."""
         self._require(cid)
+        if cid not in self._parents:  # a compact leaf or an untouched member
+            return set()
         return set(self._kids().get(cid, ()))
 
     def is_virtual(self, cid: str) -> bool:
@@ -478,7 +663,7 @@ class OwnershipNetwork:
     def descendants(self, cid: str) -> Set[str]:
         """``desc(G, C)``, inclusive: a fresh set, walked down per call."""
         self._require(cid)
-        if cid in self._leaf:
+        if cid not in self._parents:  # a compact leaf or an untouched member
             return {cid}
         return self._reachable_from(cid)
 
@@ -490,7 +675,8 @@ class OwnershipNetwork:
     def roots(self) -> List[str]:
         """Contexts with no owners (maximal elements)."""
         roots = [cid for cid, parents in self._parents.items() if not parents]
-        roots.extend(cid for cid, parent in self._leaf.items() if parent is None)
+        leaves = chain(self._leaf.items(), self._untouched())
+        roots.extend(cid for cid, parent in leaves if parent is None)
         return roots
 
     def owns(self, owner: str, owned: str) -> bool:
@@ -505,7 +691,10 @@ class OwnershipNetwork:
             return True
         parents = self._parents.get(owned)
         if parents is None:
-            parent = self._leaf.get(owned)
+            try:
+                parent = self._leaf[owned]
+            except KeyError:
+                parent = self._bulk_owner(owned)
             parents = () if parent is None else (parent,)
         found = False
         for parent in parents:
@@ -576,7 +765,7 @@ class OwnershipNetwork:
         Returns a copy of the cached set, patched across leaf additions.
         """
         self._require(cid)
-        if cid in self._leaf:
+        if cid not in self._parents:  # a compact leaf or an untouched member
             return set()
         cached = self._share_cache.get(cid)
         if cached is None:
@@ -624,6 +813,8 @@ class OwnershipNetwork:
         if cid in self._leaf:
             return cid
         self._require(cid)
+        if cid not in self._parents:  # an untouched bulk member
+            return cid
         group = self.share(cid) | {cid}
         dominator = self._lub(group)
         self._dom_cache[cid] = dominator
@@ -719,7 +910,7 @@ class OwnershipNetwork:
         raise ValueError(f"{dst!r} is not a descendant of {src!r}")
 
     def _require(self, cid: str) -> None:
-        if cid not in self._parents and cid not in self._leaf:
+        if cid not in self._parents and cid not in self._leaf and not self.member(cid):
             raise UnknownContextError(f"unknown context {cid!r}")
 
     # ------------------------------------------------------------------
@@ -756,4 +947,5 @@ class OwnershipNetwork:
         children = self._kids()
         adjacency = {cid: sorted(children.get(cid, ())) for cid in self._parents}
         adjacency.update((cid, []) for cid in self._leaf)
+        adjacency.update((cid, []) for cid, _ in self._untouched())
         return adjacency

@@ -21,9 +21,10 @@ synchronous nested call (:meth:`RuntimeBase._sync_call`).
 from __future__ import annotations
 
 import sys
-from itertools import cycle
 from types import GeneratorType
-from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence, Set, Tuple, Type
+from typing import (
+    Any, Dict, Generator, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type,
+)
 
 from ..sim.cluster import Cluster, Server
 from ..sim.kernel import CpuCharge, Process, Signal, Simulator
@@ -51,7 +52,7 @@ from .events import (
 )
 from .history import HistoryRecorder
 from .locking import ContextLock
-from .ownership import VIRTUAL_PREFIX, FencingTable, OwnershipNetwork
+from .ownership import FencingTable, OwnershipNetwork, Population
 
 __all__ = ["RuntimeBase", "ClientHandle", "FAILED_TAG"]
 
@@ -187,20 +188,20 @@ class RuntimeBase:
         """Start from empty per-context state.
 
         Product code iterates these maps (the eManager's scale-in scan
-        walks ``placement.items()``), so their insertion order is part
+        walks :meth:`placement_items`), so their insertion order is part
         of the determinism contract.
         """
         #: cid -> live instance.
         self.instances: Dict[str, ContextClass] = {}
-        #: cid -> hosting server name (the paper's context mapping, §5).
+        #: cid -> hosting server name (the paper's context mapping, §5);
+        #: an untouched bulk leaf has no entry (see ``placement_items``).
         self.placement: Dict[str, str] = {}
         #: cid -> per-context lock (§4), for the contexts some event
         #: holds or has a reservation on (see ``repro.core.locking``).
         self.locks: Dict[str, ContextLock] = {}
-        #: The one contextclass of the bulk population (``None`` until
-        #: the first batch) and how many of its leaves have no instance
-        #: yet: a placed, non-virtual cid without an instance is such a
-        #: leaf, and ``instance_of`` materialises it on first touch.
+        #: The one contextclass of the bulk populations (``None`` until
+        #: the first) and how many of their leaves have no instance yet:
+        #: ``instance_of`` materialises such a leaf on its first touch.
         self._bulk_class: Optional[Type[ContextClass]] = None
         self._lazy_count = 0
 
@@ -236,13 +237,35 @@ class RuntimeBase:
         """The server currently hosting context ``cid``."""
         owner = self.placement.get(cid)
         if owner is None:
-            self._ensure_placed(cid)
-            owner = self.placement[cid]
+            owner = self.host_of(cid)
+            if owner is None:
+                self._ensure_placed(cid)
+                owner = self.placement[cid]
         return self.cluster.servers[owner]
 
+    def host_of(self, cid: str) -> Optional[str]:
+        """``placement.get(cid)``, answering an untouched bulk leaf from its
+        population's record (its round-robin server)."""
+        host = self.placement.get(cid)
+        if host is None:
+            found = self.ownership.member(cid)
+            if found is not None:
+                population, i = found
+                host = population.hosts[i % len(population.hosts)]
+        return host
+
+    def placement_items(self) -> Iterator[Tuple[str, str]]:
+        """Every placed context as ``(cid, host)``: ``placement.items()``,
+        then each untouched bulk leaf, population by population in index
+        order.  The eManager's scans of a server's contexts go through
+        here, so a drain or a recovery moves untouched leaves too."""
+        placement = self.placement
+        yield from placement.items()
+        for population, i, cid in self.ownership.bulk_members():
+            if cid not in placement:
+                yield cid, population.hosts[i % len(population.hosts)]
+
     def _ensure_placed(self, cid: str) -> None:
-        if cid in self.placement:
-            return
         if not self.ownership.is_virtual(cid):
             raise UnknownContextError(f"context {cid!r} has no placement")
         # Virtual join contexts carry no state; host them with their
@@ -306,10 +329,9 @@ class RuntimeBase:
         self._cid_counters[cls.__name__] = count
         cid = name or f"{cls.__name__.lower()}-{count}"
         host = server or self._default_server()
-        # The ownership layer knows every registered cid (bulk leaves
-        # without an instance and virtual joins too) and validates
-        # before it changes anything; nothing else up to ``__init__``
-        # can fail.
+        # The ownership layer knows every registered cid (untouched bulk
+        # leaves and virtual joins too) and validates before it changes
+        # anything; nothing else up to ``__init__`` can fail.
         self.ownership.add_context(cid, parents=[owner.cid for owner in owners])
         instance = cls._aeon_new(self, cid)
         self.instances[cid] = instance
@@ -343,17 +365,27 @@ class RuntimeBase:
         return min(alive.values(), key=lambda s: (s.context_count, s.name))
 
     def instance_of(self, ref_or_cid: Any) -> ContextClass:
-        """The live instance behind a ref or context id."""
+        """The live instance behind a ref or context id.
+
+        A bulk leaf without an instance gets it here, on its first touch,
+        with its ``placement`` entry (its population's round-robin
+        server) and, unless an ownership mutation touched it already, its
+        compact ownership leaf; ``__init__`` runs with no arguments.  From
+        then on nothing distinguishes it from any other context.  Any
+        other cid without an instance (unknown, or a virtual join) is
+        refused.
+        """
         cid = ref_or_cid.cid if isinstance(ref_or_cid, ContextRef) else ref_or_cid
         instance = self.instances.get(cid)
         if instance is not None:
             return instance
-        # Placed, not virtual and without an instance: exactly the bulk
-        # leaves nobody has touched yet (see ``create_contexts_bulk``).
-        cls = self._bulk_class
-        if cls is None or cid not in self.placement or cid.startswith(VIRTUAL_PREFIX):
+        found = self.ownership.member(cid, touch=True)
+        if found is None:
             raise UnknownContextError(f"unknown context {cid!r}")
-        instance = self.instances[cid] = cls._aeon_new(self, cid)
+        population, i = found
+        hosts = population.hosts
+        self.placement[cid] = hosts[i % len(hosts)]
+        instance = self.instances[cid] = self._bulk_class._aeon_new(self, cid)
         self._lazy_count -= 1
         instance.__init__()
         return instance
@@ -361,37 +393,37 @@ class RuntimeBase:
     def create_contexts_bulk(
         self,
         cls: Type[ContextClass],
-        cids: Sequence[str],
+        prefix: str,
+        count: int,
         servers: Sequence[Server],
         parents: Optional[Iterable[Optional[ContextRef]]] = None,
     ) -> None:
-        """Register a large population of contexts without instantiating them.
+        """Register ``count`` contexts ``f"{prefix}{i}"`` without touching them.
 
-        The massive-tier fast path: every context is placed (round-robin
-        over ``servers``) and registered in the ownership network, but
-        the Python instance materializes lazily on first touch (and a
-        lock exists only while an event holds or waits for it), so a
-        million registered players cost a ``placement`` entry and a
-        compact ownership leaf each, not a million object graphs.
-        Requirements: ``cls.__init__`` must be callable with no
-        arguments, every batch of a runtime registers the same ``cls``,
-        and ``parents`` (if given, a sequence or a one-shot iterator) is
-        aligned with ``cids``.  Instance creation order — hence the
-        trace — is driven entirely by deterministic event order.
+        The massive-tier fast path: the population is one record in the
+        ownership network (:class:`~repro.core.ownership.Population`) —
+        the prefix, the count, the servers' names and the aligned parent
+        cids — and nothing per leaf is written until its first touch
+        (``instance_of``, which ``submit`` calls before routing).  Leaf
+        ``i`` is hosted on ``servers[i % len(servers)]``, and a lock
+        exists only while an event holds or waits for it, so a million
+        registered players cost one parent slot each, not a million
+        object graphs.  Requirements: ``cls.__init__`` must be callable
+        with no arguments, every population of a runtime has the same
+        ``cls``, and ``parents`` (if given, a sequence or a one-shot
+        iterator, read in one pass) is aligned with the leaves.
+        Instance creation order — hence the trace — is driven entirely
+        by deterministic event order.
 
-        Nothing per leaf records the class.  ``instance_of`` takes a
-        placed, non-virtual cid without an instance for an untouched
-        leaf of the bulk class, and no other cid fits: ``placement``
-        gains keys only here, in ``create_context`` together with the
-        instance (its rollback removes both), in ``_ensure_placed`` for
-        virtual joins, and never in migration, which overwrites cids
-        already placed; ``instances`` gains keys only in
-        ``create_context`` and ``instance_of``.
+        Every query answers an untouched leaf as it answers a touched
+        one: ``server_of`` and ``host_of`` from the record, the
+        ownership queries through ``OwnershipNetwork.member``, and
+        :meth:`placement_items` lists it with its server.
 
-        All or nothing: a second contextclass, a cid that is already
-        registered or repeated in the batch, an unknown parent or a
-        ``parents`` of the wrong length raises before anything is
-        registered.
+        All or nothing: a second contextclass, a leaf that is already
+        registered (an explicit cid or another population's), an
+        unknown parent or a ``parents`` of the wrong length raises
+        before anything is registered.
         """
         if self._closed:
             raise AeonError(f"{self.system_name} runtime is closed")
@@ -405,16 +437,18 @@ class RuntimeBase:
                 f"cannot bulk-register {cls.__name__}"
             )
         self._register_class(cls)
-        if parents is None:
-            parent_cids: List[Optional[str]] = [None] * len(cids)
-        else:
-            parent_cids = [None if p is None else p.cid for p in parents]
-        # The ownership layer validates the whole batch before it
+        # Comprehensions, not generator expressions: one call each, not
+        # one resume per leaf.
+        parent_cids = None if parents is None else tuple(
+            [None if parent is None else parent.cid for parent in parents]
+        )
+        population = Population(
+            prefix, count, tuple([server.name for server in servers]), parent_cids
+        )
+        # The ownership layer validates the whole population before it
         # changes anything, and nothing after this call can fail.
-        self.ownership.add_leaves(cids, parent_cids)
-        count = len(cids)
+        self.ownership.add_population(population)
         n_servers = len(servers)
-        self.placement.update(zip(cids, cycle([server.name for server in servers])))
         self._bulk_class = cls
         self._lazy_count += count
         for i, server in enumerate(servers):
@@ -947,9 +981,8 @@ class RuntimeBase:
     # Introspection
     # ------------------------------------------------------------------
     def context_count(self) -> int:
-        """Number of live (non-virtual) contexts, including bulk-registered
-        ones whose instances have not materialized yet (counted, not
-        stored)."""
+        """Number of live (non-virtual) contexts, including bulk leaves
+        nobody has touched yet (counted, not stored)."""
         return len(self.instances) + self._lazy_count
 
     def check_history(self) -> int:

@@ -269,7 +269,7 @@ class EManager:
                 table.track(
                     root,
                     subtree_members(self.runtime, root),
-                    self.runtime.placement.get(root),
+                    self.runtime.host_of(root),
                 )
                 persisted = self.storage.peek(f"fencing/{root}")
                 if persisted is not None:
@@ -516,7 +516,7 @@ class EManager:
         return sorted(
             (
                 cid
-                for cid, host in self.runtime.placement.items()
+                for cid, host in self.runtime.placement_items()
                 if host == name and not ownership.is_virtual(cid)
             ),
             key=lambda cid: (len(ownership.ancestors(cid)), cid),
@@ -710,7 +710,7 @@ class EManager:
         window_start = max(0.0, runtime.sim.now - self.report_interval_ms)
         latencies = runtime.latency.latencies(since_ms=window_start)
         contexts_by_server: Dict[str, List[str]] = {}
-        for cid, server_name in runtime.placement.items():
+        for cid, server_name in runtime.placement_items():
             if runtime.ownership.is_virtual(cid):
                 continue
             contexts_by_server.setdefault(server_name, []).append(cid)
@@ -748,7 +748,7 @@ class EManager:
                 dst = self.runtime.cluster.servers.get(action.dst_server)
                 if dst is None or not dst.alive:
                     continue
-                if self.runtime.placement.get(action.cid) == dst.name:
+                if self.runtime.host_of(action.cid) == dst.name:
                     continue
                 if len(self.coordinator.in_flight()) >= self.max_concurrent_migrations:
                     break
@@ -774,12 +774,12 @@ class EManager:
     def _colocated_subtree(self, cid: str) -> List[str]:
         """``cid`` plus its descendants hosted on the same server."""
         runtime = self.runtime
-        home = runtime.placement.get(cid)
+        home = runtime.host_of(cid)
         members = [
             member
             for member in runtime.ownership.descendants(cid)
             if not runtime.ownership.is_virtual(member)
-            and runtime.placement.get(member) == home
+            and runtime.host_of(member) == home
         ]
         # Containers first so arriving events find the parents settled.
         # The cid tiebreaker makes the order *total*: descendants() is a
@@ -811,7 +811,7 @@ class EManager:
         try:
             victims = [
                 cid
-                for cid, host in runtime.placement.items()
+                for cid, host in runtime.placement_items()
                 if host == server_name and not runtime.ownership.is_virtual(cid)
             ]
             # Never drain onto a server that is itself being drained (two
@@ -838,7 +838,7 @@ class EManager:
                     continue  # failed mid-flight: the victim stays put
             leftovers = any(
                 host == server_name and not runtime.ownership.is_virtual(cid)
-                for cid, host in runtime.placement.items()
+                for cid, host in runtime.placement_items()
             )
             if leftovers:
                 return

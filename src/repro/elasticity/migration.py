@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional
 
-from ..core.errors import FencedError, MigrationError
+from ..core.errors import FencedError, MigrationError, UnknownContextError
 from ..core.events import AccessMode, CallSpec, Event
 from ..core.locking import acquire
 from ..core.runtime import RuntimeBase
@@ -108,9 +108,7 @@ class MigrationCoordinator:
     # ------------------------------------------------------------------
     def migrate(self, cid: str, dst: Server) -> Signal:
         """Migrate context ``cid`` to server ``dst``; returns completion."""
-        if cid not in self.runtime.placement:
-            raise MigrationError(f"cannot migrate unknown context {cid!r}")
-        if self.runtime.placement[cid] == dst.name:
+        if self._placed(cid, "migrate") == dst.name:
             raise MigrationError(f"context {cid!r} is already on {dst.name}")
         if not dst.alive:
             raise MigrationError(f"destination {dst.name} is not booted")
@@ -131,8 +129,7 @@ class MigrationCoordinator:
         context is re-placed with whatever state survives, and the
         caller accounts the gap).  Returns the completion signal.
         """
-        if cid not in self.runtime.placement:
-            raise MigrationError(f"cannot restore unknown context {cid!r}")
+        self._placed(cid, "restore")
         if not dst.alive:
             raise MigrationError(f"restore destination {dst.name} is not booted")
         record = self._new_record(cid, dst, kind="restore")
@@ -192,6 +189,17 @@ class MigrationCoordinator:
     def retire(self, payload: dict) -> Signal:
         """Delete the WAL entry of an adopted restore once re-driven."""
         return self.storage.delete(f"migration/{int(payload.get('migration_id', 0))}")
+
+    def _placed(self, cid: str, verb: str) -> str:
+        """The host of ``cid``, which a move needs placed: an untouched bulk
+        leaf is touched first (``RuntimeBase.instance_of``)."""
+        placement = self.runtime.placement
+        if cid not in placement:
+            try:
+                self.runtime.instance_of(cid)
+            except UnknownContextError:
+                raise MigrationError(f"cannot {verb} unknown context {cid!r}") from None
+        return placement[cid]
 
     def _new_record(
         self, cid: str, dst: Server, kind: str = "migrate"

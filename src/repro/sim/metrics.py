@@ -9,6 +9,7 @@ series (elasticity figures) and windowed throughput (migration figures).
 from __future__ import annotations
 
 import bisect
+import math
 from array import array
 from dataclasses import dataclass, field
 from random import Random
@@ -43,10 +44,13 @@ def percentile(values: Sequence[float], pct: float, presorted: bool = False) -> 
     return ordered[rank]
 
 
-def _check_window(window_ms: float) -> None:
-    """Reject a window no series can step through (zero, negative or NaN)."""
+def _check_window(window_ms: float, horizon_ms: float) -> None:
+    """Reject a window no series can step through (zero, negative or NaN)
+    and a horizon it can never reach (infinite or NaN)."""
     if not window_ms > 0:
         raise ValueError(f"window must be positive: {window_ms}")
+    if not math.isfinite(horizon_ms):
+        raise ValueError(f"horizon must be finite: {horizon_ms}")
 
 
 #: Exact-to-sampled switchover: below this many samples the recorder
@@ -223,7 +227,7 @@ class LatencyRecorder:
 
     def windowed_rate(self, window_ms: float, horizon_ms: float) -> "TimeSeries":
         """Completions/second per ``window_ms`` bucket over [0, horizon) (exact)."""
-        _check_window(window_ms)
+        _check_window(window_ms, horizon_ms)
         return self._series(
             window_ms,
             horizon_ms,
@@ -251,7 +255,7 @@ class LatencyRecorder:
 
     def windowed_mean(self, window_ms: float, horizon_ms: float) -> "TimeSeries":
         """Mean latency per ``window_ms`` bucket over [0, horizon)."""
-        _check_window(window_ms)
+        _check_window(window_ms, horizon_ms)
         buckets = self._window_buckets(window_ms, horizon_ms, None)
         points = [
             ((index + 0.5) * window_ms, mean(values))
@@ -323,7 +327,7 @@ class LatencyRecorder:
         each sampled point by the stream/reservoir ratio so the rates
         stay unbiased.
         """
-        _check_window(window_ms)
+        _check_window(window_ms, horizon_ms)
         buckets = self._window_buckets(window_ms, horizon_ms, exclude_tag)
         weight = self._scale() if self._reservoir is not None else 1.0
 
@@ -347,7 +351,7 @@ class LatencyRecorder:
 
         Empty buckets report 0.0 (nothing completed in the window).
         """
-        _check_window(window_ms)
+        _check_window(window_ms, horizon_ms)
         buckets = self._window_buckets(window_ms, horizon_ms, exclude_tag)
 
         def bucket_pct(index: int, _start: float, _end: float) -> float:

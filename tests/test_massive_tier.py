@@ -216,12 +216,14 @@ def test_bulk_registration_is_lazy():
 
 
 def test_bulk_rejects_duplicate_cids():
+    """A population whose leaves are registered already is refused: by a
+    touched or an untouched leaf of another population."""
     testbed = make_testbed("aeon", 2, seed=0)
     build_massive(testbed.runtime, MassiveConfig(contexts=50), testbed.servers)
-    with pytest.raises(ValueError):
-        testbed.runtime.create_contexts_bulk(
-            type(testbed.runtime.instance_of("p-0")), ["p-0"], testbed.servers
-        )
+    leaf_cls = type(testbed.runtime.instance_of("p-0"))
+    for prefix, count in (("p-", 1), ("p-4", 1), ("p-", 60)):
+        with pytest.raises(ValueError):
+            testbed.runtime.create_contexts_bulk(leaf_cls, prefix, count, testbed.servers)
 
 
 def _registry_state(runtime, servers):
@@ -242,27 +244,29 @@ def test_bulk_rejects_a_bad_batch_untouched():
     before = _registry_state(runtime, testbed.servers)
     count_before = runtime.context_count()
     ghost = ContextRef("nobody", "Shard")
-    for cids, parents, error in (
-        (["a", "b", "a", "c"], [shard] * 4, ValueError),   # repeated in batch
-        (["a", "p-3", "b"], [shard] * 3, ValueError),       # already registered
-        (["a", "b"], [shard, ghost], UnknownContextError),  # unknown parent
-        (["a", "b", "c"], [shard], ValueError),             # misaligned parents
+    for prefix, count, parents, error in (
+        ("zone-", 1, None, ValueError),                       # overlaps an explicit cid
+        ("p-", 3, [shard] * 3, ValueError),                   # overlaps a registered prefix
+        ("a-", 2, [shard, ghost], UnknownContextError),       # unknown parent
+        ("a-", 3, [shard], ValueError),                       # misaligned parents
     ):
         with pytest.raises(error):
-            runtime.create_contexts_bulk(leaf_cls, cids, testbed.servers, parents=parents)
+            runtime.create_contexts_bulk(
+                leaf_cls, prefix, count, testbed.servers, parents=parents
+            )
         assert _registry_state(runtime, testbed.servers) == before
     # One contextclass per bulk population: a batch of another class is
     # refused before anything is written.
     for parents in ([shard, shard], None):
         with pytest.raises(AeonError):
-            runtime.create_contexts_bulk(_Other, ["a", "b"], testbed.servers, parents=parents)
+            runtime.create_contexts_bulk(_Other, "a-", 2, testbed.servers, parents=parents)
         assert _registry_state(runtime, testbed.servers) == before
     with pytest.raises(UnknownContextError):
-        runtime.instance_of("a")
-    runtime.create_contexts_bulk(leaf_cls, ["a", "b"], testbed.servers, parents=[shard, None])
+        runtime.instance_of("a-0")
+    runtime.create_contexts_bulk(leaf_cls, "a-", 2, testbed.servers, parents=[shard, None])
     assert runtime.context_count() == count_before + 2
-    assert runtime.instance_of("b").score == 0
-    assert runtime.ownership.parents("a") == {shard.cid}
+    assert runtime.instance_of("a-1").score == 0
+    assert runtime.ownership.parents("a-0") == {shard.cid}
 
 
 class _Other(ContextClass):
@@ -295,14 +299,14 @@ def test_context_count_on_a_partly_materialized_population():
     build_massive(testbed.runtime, MassiveConfig(contexts=300), testbed.servers)
     runtime = testbed.runtime
     leaf_cls = type(runtime.instance_of("p-0"))
-    runtime.create_contexts_bulk(leaf_cls, [f"q-{i}" for i in range(50)], testbed.servers)
+    runtime.create_contexts_bulk(leaf_cls, "q-", 50, testbed.servers)
     for cid in ("p-1", "p-1", "p-299", "q-0", "q-49", "q-7"):
         runtime.instance_of(cid)
-    # The definition: every instance plus every placed non-virtual cid
-    # that has none yet.
+    # The definition: every instance plus every registered non-virtual
+    # cid that has none yet (an untouched leaf has no placement entry).
     lazy = sum(
         1
-        for cid in runtime.placement
+        for cid in runtime.ownership.contexts()
         if cid not in runtime.instances and not runtime.ownership.is_virtual(cid)
     )
     assert lazy == 350 - 6
@@ -338,10 +342,9 @@ def test_bulk_parents_may_be_a_one_shot_iterator():
         app = build_massive(testbed.runtime, MassiveConfig(contexts=4), testbed.servers)
         runtime = testbed.runtime
         leaf_cls = type(runtime.instance_of("p-0"))
-        cids = [f"q-{i}" for i in range(7)]
         parents = [app.shards[i % 2] for i in range(7)]
         runtime.create_contexts_bulk(
-            leaf_cls, cids, testbed.servers,
+            leaf_cls, "q-", 7, testbed.servers,
             parents=iter(parents) if as_iterator else parents,
         )
         assert runtime.ownership.parents("q-5") == {app.shards[1].cid}
@@ -410,12 +413,13 @@ def test_ownership_bytes_per_bulk_leaf():
 
 
 def test_bytes_per_registered_untouched_leaf():
-    """What ``build_massive`` retains per leaf nobody has touched: the cid
-    string, a placement entry and the compact ownership leaf — 97.3 B
-    measured at 20 k leaves.  The bound is measured x 1.15, so a per-leaf
-    class map (118.0 B in all), a slot in the owner shard's child set
-    filled at registration (222.9 B with that map) or the region's and
-    shards' descendant sets built there (+210 B) fail here."""
+    """What ``build_massive`` retains per leaf nobody has touched: its slot
+    in the population's parent tuple — 8.3 B measured at 20 k leaves,
+    the rest being the root, the shards and the one record.  The bound
+    is measured x 1.15, so any per-leaf entry at registration fails
+    here: the cid string, a ``placement`` entry and a compact ownership
+    leaf were 97.3 B in all; a per-leaf class map made it 118.0 B, a
+    slot in the owner shard's child set 222.9 B."""
     count = 20_000
     testbed = make_testbed("aeon", 4, seed=0)
     tracemalloc.start()
@@ -426,7 +430,8 @@ def test_bytes_per_registered_untouched_leaf():
     finally:
         tracemalloc.stop()
     assert len(testbed.runtime.instances) == 5
-    assert retained / count <= 112
+    assert testbed.runtime.context_count() == count + 5
+    assert retained / count <= 9.6
 
 
 def _order_network():
@@ -501,10 +506,11 @@ def test_bytes_per_multi_owned_leaf_run_warmed():
 
 def test_bulk_build_traced_peak():
     """``build_massive``'s traced peak at 20 k leaves on 4 servers: what it
-    retains plus its population-sized temporaries (``cids`` and
-    ``parent_cids``) — 2.50 MB measured.  The bound is measured x 1.1, so
-    a round-robin server-name list and a ``parents`` list built before
-    the call (3.09 MB with a per-leaf class map too) fail here."""
+    retains plus the parent list it reads in one pass before it becomes
+    the population's tuple — 0.34 MB measured.  The bound is measured
+    x 1.1; a cid list and a ``parents`` list built for the call measured
+    2.50 MB, a round-robin server-name list and a per-leaf class map on
+    top 3.09 MB."""
     testbed = make_testbed("aeon", 4, seed=0)
     tracemalloc.start()
     try:
@@ -514,7 +520,7 @@ def test_bulk_build_traced_peak():
     finally:
         tracemalloc.stop()
     assert testbed.runtime.context_count() == 20_005
-    assert peak / 1e6 <= 2.75
+    assert peak / 1e6 <= 0.37
 
 
 @pytest.mark.parametrize("flavor, completed, checksum", [

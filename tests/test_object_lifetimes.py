@@ -273,22 +273,27 @@ def test_finished_process_drops_its_generator_and_callbacks():
 # (b) lean materialised context
 # ----------------------------------------------------------------------
 def test_bytes_per_materialised_bulk_leaf():
-    """What a bulk leaf retains after one acquire/release: the instance
-    alone, 125.1 B measured, since the release that leaves a lock idle
-    drops it.  449.6 B while every materialised leaf kept an idle lock
-    (1494 B when that lock carried a deque, two dicts, a name and a
-    private ready signal).  The bound is measured x 1.15.  Extends the
-    per-registered-leaf guard (``test_ownership_bytes_per_bulk_leaf``)."""
+    """What registering a population and touching every leaf of it once
+    (an acquire/release) retains per touched leaf: the cid string the
+    touch formats, its ``placement``, compact-leaf and ``instances``
+    entries, the instance and its parent slot in the population record
+    — 230.2 B measured, no lock, since the release that leaves a lock
+    idle drops it.  Eager registration retained 222.4 B for the same
+    (97.3 B registered, 125.1 B on touch, no parent slot); the touch
+    alone was 449.6 B while every materialised leaf kept an idle lock.
+    The bound is measured x 1.15.  Extends the per-registered-leaf guards
+    (``tests/test_massive_tier.py::test_bytes_per_registered_untouched_leaf``,
+    ``…::test_ownership_bytes_per_bulk_leaf``)."""
     count = 10_000
     testbed = make_testbed("aeon", 4, seed=0)
     runtime = testbed.runtime
-    build_massive(runtime, MassiveConfig(contexts=count), testbed.servers)
     event = Event(1, CallSpec("p-0", "noop"), AccessMode.EX, "client", 0.0, "")
-    cids = [f"p-{i}" for i in range(count)]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for cid in cids:
+        build_massive(runtime, MassiveConfig(contexts=count), testbed.servers)
+        for i in range(count):
+            cid = f"p-{i}"
             runtime.instance_of(cid)
             lock, _grant, owned = acquire(runtime.sim, runtime.locks, cid, event)
             assert owned
@@ -296,8 +301,9 @@ def test_bytes_per_materialised_bulk_leaf():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(runtime.instances) >= count and not runtime.locks
-    assert retained / count <= 144
+    assert len(runtime.instances) == count + 5 and not runtime.locks
+    assert len(runtime.placement) == count + 5
+    assert retained / count <= 265
 
 
 def test_drained_runs_hold_no_lock(monkeypatch):

@@ -148,6 +148,29 @@ def test_windowed_series_reject_a_window_that_cannot_step(query, window_ms, samp
         query(rec, window_ms)
 
 
+@pytest.mark.parametrize("horizon_ms", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda rec, h: rec.windowed_rate(10.0, h),
+        lambda rec, h: rec.windowed_count(10.0, h),
+        lambda rec, h: rec.windowed_percentile(99.0, 10.0, h),
+        lambda rec, h: rec.windowed_mean(10.0, h),
+    ],
+    ids=["rate", "count", "percentile", "mean"],
+)
+@pytest.mark.parametrize("samples", [0, 3])
+def test_windowed_series_reject_a_horizon_they_cannot_reach(query, horizon_ms, samples):
+    # A series steps while start < horizon: an infinite horizon is never
+    # reached (the point list grows forever), and a NaN one yields an
+    # empty series that reads as "nothing completed".
+    rec = LatencyRecorder()
+    for i in range(samples):
+        rec.record(float(i), float(i) + 1.0)
+    with pytest.raises(ValueError, match="horizon"):
+        query(rec, horizon_ms)
+
+
 # ----------------------------------------------------------------------
 # LatencyRecorder vs a reference model
 # ----------------------------------------------------------------------
