@@ -5,13 +5,14 @@ per server by default) and a huge population of single-parent leaf
 contexts — sized so the interesting cost is per-context *bookkeeping*,
 not per-context behaviour.  Leaves are registered through
 :meth:`~repro.core.runtime.RuntimeBase.create_contexts_bulk`: the whole
-population is one record (a cid prefix, a count, the servers and each
-leaf's parent shard), and a leaf gets its placement entry, its ownership
-entry and its Python instance only on first touch, its lock only while
-an event holds or waits for it.  A run that samples a few hundred
-thousand ops over a million registered players therefore builds a few
-hundred thousand object graphs, never a million, and an untouched leaf
-costs its parent slot alone.
+population is one record (a cid prefix, a count, the servers and the
+shards, each cycled round-robin over the leaves), and a leaf gets its
+placement entry and its Python instance only on first touch, its lock
+only while an event holds or waits for it; its ownership answers come
+from the record throughout.  A run that samples a few hundred thousand
+ops over a million registered players therefore builds a few hundred
+thousand object graphs, never a million, and an untouched leaf costs
+nothing.
 
 Two flavors share the builder so the game- and TPC-C-shaped scenarios
 (``massive_game`` / ``massive_tpcc``, docs/SCENARIOS.md) stay honest
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import cycle, islice
 from random import Random
 from typing import List, Sequence, Tuple
 
@@ -254,9 +254,11 @@ def build_massive(
                 args=(i,),
             )
         )
+    # The shards are the population's owner cycle; one that outnumbers
+    # the leaves would own no leaf with its tail.
     runtime.create_contexts_bulk(
         flavor.leaf_cls, f"{flavor.leaf_prefix}-", config.contexts, servers,
-        parents=islice(cycle(app.shards), config.contexts),
+        parents=app.shards[: config.contexts],
     )
     return app
 

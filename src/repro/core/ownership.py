@@ -74,20 +74,24 @@ only owner is a full node, so the first read adds exactly the edges the
 leaf map records, and string-set iteration order already varies with
 ``PYTHONHASHSEED``, so nothing byte-pinned can depend on the order in
 which a set was filled.  A run that only asks for dominators (the
-massive tier) never reads a child set, so a leaf there stays one entry.
+massive tier) never reads a child set, so a leaf there stays one entry,
+and a bulk leaf none (below).
 
 Bulk populations
 ----------------
 A bulk-registered population (:meth:`OwnershipNetwork.add_population`)
-is one :class:`Population` record: a prefix, a count and the aligned
-owners.  Leaf ``i`` is ``f"{prefix}{i}"``, and a cid is a member when it
-is the prefix followed by the canonical ASCII decimal of an ``i`` below
-the count.  A member has no map entry until its first *touch*: the
-runtime's first ``instance_of``, or any mutation that names it (an edge,
-a promotion, a removal).  The touch enters it in the compact-leaf map,
-and from then on it answers from the maps like any other context.  An
-untouched member answers every query from the record instead: a map
-miss asks :meth:`OwnershipNetwork.member`.  Enumerations (``contexts``,
+is one :class:`Population` record: a prefix, a count and an owner
+cycle.  Leaf ``i`` is ``f"{prefix}{i}"``, owned by the cycle's slot
+``i % len(cycle)``, and a cid is a member when it is the prefix followed
+by the canonical ASCII decimal of an ``i`` below the count.  A member
+is *untouched* while it has no map entry, and it answers every query
+from the record (a map miss asks :meth:`OwnershipNetwork.member`) until
+a mutation names it: an edge, a promotion or a removal.  That mutation
+*touches* it first, entering it in the compact-leaf map, and from then
+on it answers from the maps like any other context.  Nothing else
+touches a member: the runtime's first ``instance_of`` of a leaf reads
+the record and writes nothing here, so a leaf that events only run on
+stays untouched for the whole run.  Enumerations (``contexts``,
 ``roots``, ``snapshot``, ``len`` and the first child-set read) list the
 untouched members too.  A member removed after its touch is remembered
 in a set, so the record does not bring it back (its cid may be
@@ -115,10 +119,12 @@ class Population:
     """A bulk-registered population of compact leaves, as one record.
 
     Leaf ``i`` is ``f"{prefix}{i}"`` for ``0 <= i < count``, owned by
-    ``parents[i]`` (``None``: no owner; ``parents`` itself ``None``: no
-    leaf has one).  ``hosts`` is opaque to the ownership network: the
-    runtime's server names, used round-robin.  ``untouched`` counts the
-    members without a map entry of their own (module docstring).
+    ``parents[i % len(parents)]``: ``parents`` is an owner cycle
+    (``None`` in a slot: no owner; ``parents`` itself ``None``: no leaf
+    has one).  A cycle as long as ``count`` aligns one owner with each
+    leaf.  ``hosts`` is opaque to the ownership network: the runtime's
+    server names, used round-robin the same way.  ``untouched`` counts
+    the members without a map entry of their own (module docstring).
     """
 
     __slots__ = ("prefix", "count", "hosts", "parents", "untouched", "width")
@@ -132,8 +138,15 @@ class Population:
     ) -> None:
         if count < 0:
             raise ValueError(f"a population needs a count >= 0, got {count}")
-        if parents is not None and len(parents) != count:
-            raise ValueError(f"{count} contexts but {len(parents)} parents")
+        if parents is not None:
+            if not parents:
+                raise ValueError("an owner cycle needs at least one slot")
+            if len(parents) > count:
+                # The tail would be promoted without a child.
+                raise ValueError(
+                    f"an owner cycle of {len(parents)} slots is longer than "
+                    f"its {count} contexts"
+                )
         self.prefix = prefix
         self.count = count
         self.hosts = hosts
@@ -158,7 +171,8 @@ class Population:
 
     def owner(self, i: int) -> Optional[str]:
         """The only owner of leaf ``i``, or ``None``."""
-        return None if self.parents is None else self.parents[i]
+        parents = self.parents
+        return None if parents is None else parents[i % len(parents)]
 
 
 class FencingTable:
@@ -421,7 +435,8 @@ class OwnershipNetwork:
             self._promote(owner)
         if self._mirrored and parents is not None:
             children = self._children
-            for i, parent in enumerate(parents):
+            for i in range(population.count):
+                parent = population.owner(i)
                 if parent is not None:
                     children.setdefault(parent, set()).add(f"{prefix}{i}")
 
@@ -432,12 +447,12 @@ class OwnershipNetwork:
         ``None`` (a member removed after its touch is none).
 
         The answer comes from the record, touched or not.  With ``touch``
-        a member without a map entry gets its compact-leaf entry: its
-        first touch (module docstring).
+        an untouched member gets its compact-leaf entry: a mutation that
+        names it calls this first (module docstring).
         """
         for population in self._populations:
             # Population.index, open-coded: the runtime's first touch of a
-            # leaf makes this one call.
+            # leaf and a dominator query on it make this one call each.
             prefix = population.prefix
             if cid.startswith(prefix):
                 digits = cid[len(prefix):]
@@ -449,8 +464,7 @@ class OwnershipNetwork:
                     i = int(digits)
                     if i < population.count and cid not in self._removed:
                         if touch and cid not in self._leaf and cid not in self._parents:
-                            parents = population.parents
-                            self._leaf[cid] = None if parents is None else parents[i]
+                            self._leaf[cid] = population.owner(i)
                             population.untouched -= 1
                         return population, i
         return None
@@ -812,8 +826,10 @@ class OwnershipNetwork:
             return cached
         if cid in self._leaf:
             return cid
-        self._require(cid)
-        if cid not in self._parents:  # an untouched bulk member
+        if cid not in self._parents:
+            # An untouched bulk member, materialised or not: one parse.
+            if self.member(cid) is None:
+                raise UnknownContextError(f"unknown context {cid!r}")
             return cid
         group = self.share(cid) | {cid}
         dominator = self._lub(group)

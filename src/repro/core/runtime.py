@@ -94,8 +94,13 @@ class ClientHandle:
         cached = self._cache.get(cid)
         if cached is not None:
             return cached
-        actual = self.runtime.placement[cid]
-        self._cache[cid] = actual
+        runtime = self.runtime
+        actual = runtime.placement[cid]
+        # Key the entry with the instance's own cid string, so clients
+        # that reach one context through separately formatted cids
+        # (``MassiveApp.sample_op``) share it rather than keep a copy each.
+        instance = runtime.instances.get(cid)
+        self._cache[cid if instance is None else instance._aeon_cid] = actual
         return actual
 
     def learn(self, cid: str, server_name: str) -> None:
@@ -369,17 +374,17 @@ class RuntimeBase:
 
         A bulk leaf without an instance gets it here, on its first touch,
         with its ``placement`` entry (its population's round-robin
-        server) and, unless an ownership mutation touched it already, its
-        compact ownership leaf; ``__init__`` runs with no arguments.  From
-        then on nothing distinguishes it from any other context.  Any
-        other cid without an instance (unknown, or a virtual join) is
-        refused.
+        server); ``__init__`` runs with no arguments.  The ownership
+        network learns nothing: the leaf keeps answering ownership
+        queries from its population's record until a mutation names it
+        (``repro.core.ownership`` § Bulk populations).  Any other cid
+        without an instance (unknown, or a virtual join) is refused.
         """
         cid = ref_or_cid.cid if isinstance(ref_or_cid, ContextRef) else ref_or_cid
         instance = self.instances.get(cid)
         if instance is not None:
             return instance
-        found = self.ownership.member(cid, touch=True)
+        found = self.ownership.member(cid)
         if found is None:
             raise UnknownContextError(f"unknown context {cid!r}")
         population, i = found
@@ -402,18 +407,21 @@ class RuntimeBase:
 
         The massive-tier fast path: the population is one record in the
         ownership network (:class:`~repro.core.ownership.Population`) —
-        the prefix, the count, the servers' names and the aligned parent
-        cids — and nothing per leaf is written until its first touch
-        (``instance_of``, which ``submit`` calls before routing).  Leaf
-        ``i`` is hosted on ``servers[i % len(servers)]``, and a lock
-        exists only while an event holds or waits for it, so a million
-        registered players cost one parent slot each, not a million
-        object graphs.  Requirements: ``cls.__init__`` must be callable
-        with no arguments, every population of a runtime has the same
-        ``cls``, and ``parents`` (if given, a sequence or a one-shot
-        iterator, read in one pass) is aligned with the leaves.
-        Instance creation order — hence the trace — is driven entirely
-        by deterministic event order.
+        the prefix, the count, the servers' names and the owner cycle —
+        and nothing per leaf is written at registration.  Leaf ``i`` is
+        hosted on ``servers[i % len(servers)]`` and owned by
+        ``parents[i % len(parents)]``; a ``parents`` as long as the
+        population aligns one owner with each leaf.  Its first touch
+        (``instance_of``, which ``submit`` calls before routing) writes
+        its ``placement`` entry and its instance, and a lock exists only
+        while an event holds or waits for it, so a million registered
+        players cost one record, not a million object graphs.
+        Requirements: ``cls.__init__`` must be callable with no
+        arguments, every population of a runtime has the same ``cls``,
+        and ``parents`` (if given, a sequence or a one-shot iterator,
+        read in one pass) holds 1 to ``count`` owners.  Instance
+        creation order — hence the trace — is driven entirely by
+        deterministic event order.
 
         Every query answers an untouched leaf as it answers a touched
         one: ``server_of`` and ``host_of`` from the record, the
@@ -422,8 +430,8 @@ class RuntimeBase:
 
         All or nothing: a second contextclass, a leaf that is already
         registered (an explicit cid or another population's), an
-        unknown parent or a ``parents`` of the wrong length raises
-        before anything is registered.
+        unknown parent or an empty ``parents`` or one longer than
+        ``count`` raises before anything is registered.
         """
         if self._closed:
             raise AeonError(f"{self.system_name} runtime is closed")

@@ -1,10 +1,12 @@
 """A bulk population answers like the eager registry it replaces.
 
 ``create_contexts_bulk`` registers a population as one record
-(``repro.core.ownership.Population``) and gives a leaf its map entries
-only on its first touch.  These tests hold it against a reference built
-the eager way — every cid expanded, ``OwnershipNetwork.add_leaves`` over
-the list and a plain placement map — on every query, touched or not:
+(``repro.core.ownership.Population``, whose owners are a cycle) and
+gives a leaf its placement entry and instance on its first touch, an
+ownership map entry only when a mutation names it.  These tests hold it
+against a reference built the eager way — every cid and owner expanded,
+``OwnershipNetwork.add_leaves`` over the list and a plain placement map
+— on every query, touched or not:
 
 * the runtime and ownership queries, with touches interleaved and a
   second population added part-way (hypothesis);
@@ -51,21 +53,34 @@ def _outcome(call):
         return type(exc)
 
 
-def _from_the_maps(network, reference, cid):
-    """A touched leaf answers as the reference does without its record:
-    after the first touch the event path reads the maps alone."""
+def _expand(count, cycle):
+    """The owner of each of ``count`` leaves, as an eager registry lists it."""
+    if cycle is None:
+        return [None] * count
+    return [cycle[i % len(cycle)] for i in range(count)]
 
-    def no_record(*_args, **_kwargs):
-        raise AssertionError(f"{cid!r} was answered from its population record")
 
-    network.member = no_record
-    try:
-        for query in ("parents", "ancestors", "dominator", "descendants"):
-            assert getattr(network, query)(cid) == getattr(reference, query)(cid)
-        for owner in ("region", *SHARDS):
-            assert network.owns(owner, cid) == reference.owns(owner, cid)
-    finally:
-        del network.member
+def _owner_cycles(count):
+    """``None`` or an owner cycle of 1 to ``count`` slots."""
+    return st.none() | st.lists(
+        st.sampled_from((None, *SHARDS)), min_size=1, max_size=count
+    )
+
+
+def _touch(runtime, reference, cid):
+    """The runtime's first touch of a leaf gives it an instance and a
+    placement entry, but no ownership map entry: the leaf still answers
+    from its population's record, as the reference does."""
+    network = runtime.ownership
+    before = len(network), len(network._leaf), len(network._parents)
+    assert runtime.instance_of(cid).hits == 0
+    assert (len(network), len(network._leaf), len(network._parents)) == before
+    population, i = network.member(cid)
+    assert f"{population.prefix}{i}" == cid
+    for query in ("parents", "ancestors", "dominator", "descendants"):
+        assert getattr(network, query)(cid) == getattr(reference, query)(cid)
+    for owner in ("region", *SHARDS):
+        assert network.owns(owner, cid) == reference.owns(owner, cid)
 
 
 @st.composite
@@ -74,13 +89,7 @@ def _layouts(draw):
     populations = []
     for prefix in ("p-", draw(st.sampled_from(("q-", "p-x")))):
         count = draw(st.integers(1, 60))
-        parents = draw(
-            st.none()
-            | st.lists(
-                st.sampled_from((None, *SHARDS)), min_size=count, max_size=count
-            )
-        )
-        populations.append((prefix, count, parents))
+        populations.append((prefix, count, draw(_owner_cycles(count))))
     steps = draw(
         st.lists(
             st.tuples(st.sampled_from(("touch", "query")), st.integers(0, 200)),
@@ -153,7 +162,7 @@ def test_population_answers_like_the_eager_registry(layout):
                 ],
             )
             cids = [f"{prefix}{i}" for i in range(count)]
-            reference.add_leaves(cids, parents or [None] * count)
+            reference.add_leaves(cids, _expand(count, parents))
             placement.update(
                 (cid, servers[i % n_servers].name) for i, cid in enumerate(cids)
             )
@@ -181,9 +190,8 @@ def test_population_answers_like_the_eager_registry(layout):
                 register(*populations[1])
             if kind == "touch":
                 cid = registered[pick % len(registered)]
-                assert runtime.instance_of(cid).hits == 0
+                _touch(runtime, reference, cid)
                 assert runtime.placement[cid] == placement[cid]
-                _from_the_maps(runtime.ownership, reference, cid)
             else:
                 compare()
         if join_at >= len(steps):
@@ -204,7 +212,7 @@ def test_population_answers_like_the_eager_registry(layout):
 def _mutations(draw):
     count = draw(st.integers(1, 30))
     parents = draw(
-        st.lists(st.sampled_from((None, *SHARDS)), min_size=count, max_size=count)
+        st.lists(st.sampled_from((None, *SHARDS)), min_size=1, max_size=count)
     )
     # n-0 and n-1 exist once the first two steps created them.
     names = st.sampled_from(("region", *SHARDS, "n-0", "n-1", "p-07")) | st.builds(
@@ -238,7 +246,7 @@ def test_a_mutation_naming_an_untouched_member_touches_it_first(case):
         for shard in SHARDS:
             network.add_context(shard, parents=["region"])
         if eager:
-            network.add_leaves(cids, parents)
+            network.add_leaves(cids, _expand(count, parents))
         else:
             network.add_population(Population("p-", count, (), tuple(parents)))
         networks.append(network)
@@ -279,8 +287,14 @@ def test_prefixes_overlap_only_where_a_cid_is_shared():
         network.add_population(Population("p-1", 1))
     with pytest.raises(ValueError, match="virtual"):
         network.add_population(Population("~vroot:", 2))
-    with pytest.raises(ValueError):
-        Population("p-", 3, parents=("s-0",))
+    # An owner cycle has 1 to ``count`` slots: a longer one's tail would
+    # own no leaf.
+    with pytest.raises(ValueError, match="at least one slot"):
+        Population("p-", 3, parents=())
+    with pytest.raises(ValueError, match="longer than its 3 contexts"):
+        Population("p-", 3, parents=("s-0",) * 4)
+    with pytest.raises(ValueError, match="longer than its 0 contexts"):
+        Population("p-", 0, parents=("s-0",))
     assert len(network) == 5 + 10 + 3 and len(other) == 5
 
 

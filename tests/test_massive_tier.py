@@ -244,13 +244,14 @@ def test_bulk_rejects_a_bad_batch_untouched():
     before = _registry_state(runtime, testbed.servers)
     count_before = runtime.context_count()
     ghost = ContextRef("nobody", "Shard")
-    for prefix, count, parents, error in (
-        ("zone-", 1, None, ValueError),                       # overlaps an explicit cid
-        ("p-", 3, [shard] * 3, ValueError),                   # overlaps a registered prefix
-        ("a-", 2, [shard, ghost], UnknownContextError),       # unknown parent
-        ("a-", 3, [shard], ValueError),                       # misaligned parents
+    for prefix, count, parents, error, match in (
+        ("zone-", 1, None, ValueError, "'zone-0'"),            # overlaps an explicit cid
+        ("p-", 3, [shard] * 3, ValueError, "'p-0'"),            # overlaps a registered prefix
+        ("a-", 2, [shard, ghost], UnknownContextError, "'nobody'"),  # unknown parent
+        ("a-", 3, [], ValueError, "at least one slot"),         # an empty owner cycle
+        ("a-", 2, [shard] * 3, ValueError, "longer than"),      # a cycle longer than count
     ):
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             runtime.create_contexts_bulk(
                 leaf_cls, prefix, count, testbed.servers, parents=parents
             )
@@ -352,6 +353,29 @@ def test_bulk_parents_may_be_a_one_shot_iterator():
     assert states[0] == states[1]
 
 
+def test_client_caches_share_the_instance_cid_strings():
+    """``MassiveApp.sample_op`` formats a fresh cid string per op, so a
+    client cache keyed with the op's string kept one copy per client
+    that touched a leaf.  Each key is the materialised instance's own
+    cid string."""
+    testbed = make_testbed("aeon", 4, seed=0)
+    app = build_massive(testbed.runtime, MassiveConfig(contexts=300), testbed.servers)
+    runtime = testbed.runtime
+    clients = ClosedLoopClients(
+        runtime, app.sample_op, n_clients=32, think_ms=2.0,
+        rng=testbed.rng, stop_at_ms=100.0,
+    )
+    clients.start()
+    testbed.sim.run(until=600.0)
+    assert clients.errors == []
+    own = {cid: cid for cid in runtime.instances}
+    keys = [key for client in runtime._clients.values() for key in client._cache]
+    # Most leaves are cached by several clients.
+    assert len(keys) > 2 * len(set(keys)) > 400
+    assert all(key is own[key] for key in keys)
+    testbed.close()
+
+
 def test_bulk_registration_caches_no_descendant_sets(monkeypatch):
     """Registering leaves and running a massive pass make no downward
     walk; a descendant query makes one per call and keeps nothing, so
@@ -413,13 +437,14 @@ def test_ownership_bytes_per_bulk_leaf():
 
 
 def test_bytes_per_registered_untouched_leaf():
-    """What ``build_massive`` retains per leaf nobody has touched: its slot
-    in the population's parent tuple — 8.3 B measured at 20 k leaves,
-    the rest being the root, the shards and the one record.  The bound
-    is measured x 1.15, so any per-leaf entry at registration fails
-    here: the cid string, a ``placement`` entry and a compact ownership
-    leaf were 97.3 B in all; a per-leaf class map made it 118.0 B, a
-    slot in the owner shard's child set 222.9 B."""
+    """What ``build_massive`` retains per leaf nobody has touched: nothing
+    — 0.23 to 0.38 B measured at 20 k leaves, all of it the root, the
+    shards and the one record (≈5–7.5 kB, depending on what the process
+    ran before).  The bound is the highest measured x 1.15, so any
+    per-leaf entry at registration fails here: an aligned parent tuple,
+    one slot per leaf, was 8.3 B; the cid string, a ``placement`` entry
+    and a compact ownership leaf 97.3 B in all; a per-leaf class map
+    made it 118.0 B, a slot in the owner shard's child set 222.9 B."""
     count = 20_000
     testbed = make_testbed("aeon", 4, seed=0)
     tracemalloc.start()
@@ -431,7 +456,7 @@ def test_bytes_per_registered_untouched_leaf():
         tracemalloc.stop()
     assert len(testbed.runtime.instances) == 5
     assert testbed.runtime.context_count() == count + 5
-    assert retained / count <= 9.6
+    assert retained / count <= 0.43
 
 
 def _order_network():
@@ -505,12 +530,13 @@ def test_bytes_per_multi_owned_leaf_run_warmed():
 
 
 def test_bulk_build_traced_peak():
-    """``build_massive``'s traced peak at 20 k leaves on 4 servers: what it
-    retains plus the parent list it reads in one pass before it becomes
-    the population's tuple — 0.34 MB measured.  The bound is measured
-    x 1.1; a cid list and a ``parents`` list built for the call measured
-    2.50 MB, a round-robin server-name list and a per-leaf class map on
-    top 3.09 MB."""
+    """``build_massive``'s traced peak at 20 k leaves on 4 servers: the
+    root, the shards and the one record — 5.6 to 8.4 kB measured,
+    depending on what the process ran before.  The bound is the highest
+    measured x 1.15; a parent list read in one pass into an aligned
+    tuple measured 0.34 MB, a cid list and a ``parents`` list built for
+    the call 2.50 MB, a round-robin server-name list and a per-leaf
+    class map on top 3.09 MB."""
     testbed = make_testbed("aeon", 4, seed=0)
     tracemalloc.start()
     try:
@@ -520,7 +546,7 @@ def test_bulk_build_traced_peak():
     finally:
         tracemalloc.stop()
     assert testbed.runtime.context_count() == 20_005
-    assert peak / 1e6 <= 0.37
+    assert peak / 1e3 <= 9.7
 
 
 @pytest.mark.parametrize("flavor, completed, checksum", [
