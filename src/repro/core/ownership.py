@@ -808,7 +808,7 @@ class OwnershipNetwork:
                     sharing.add(owner)
         return sharing
 
-    def dominator(self, cid: str) -> str:
+    def dominator(self, cid: str, registered: bool = False) -> str:
         """``dom(G, C)``: the sequencing context for events targeting C.
 
         Computed as the least upper bound of ``share(C) ∪ {C}``.  If the
@@ -820,6 +820,12 @@ class OwnershipNetwork:
         descendants to share (clause 1), and whoever has it as a
         descendant is its ancestor, hence comparable (clause 2), so
         ``share`` is empty and ``lub({C}) = C``.
+
+        A cid in neither map is an unmutated bulk member, or unknown
+        (``UnknownContextError``), which parsing it tells apart.  A
+        caller that already knows ``cid`` is registered — the runtime
+        has built its instance — passes ``registered=True`` to skip
+        that parse.
         """
         cached = self._dom_cache.get(cid)
         if cached is not None and cached in self._parents:
@@ -827,8 +833,9 @@ class OwnershipNetwork:
         if cid in self._leaf:
             return cid
         if cid not in self._parents:
-            # An untouched bulk member, materialised or not: one parse.
-            if self.member(cid) is None:
+            # An unmutated bulk member, materialised or not: one parse,
+            # unless the caller vouches for the cid.
+            if not registered and self.member(cid) is None:
                 raise UnknownContextError(f"unknown context {cid!r}")
             return cid
         group = self.share(cid) | {cid}

@@ -55,8 +55,9 @@ class AeonRuntime(RuntimeBase):
         target_server = yield from self._ingress(event, client)
         yield self._charge(target_server, costs.route_cpu_ms)
 
-        # Lines 1-4: locate the dominator and send ACT to it.
-        dominator = self.ownership.dominator(spec.target)
+        # Lines 1-4: locate the dominator and send ACT to it.  submit
+        # built the target's instance, so the target is registered.
+        dominator = self.ownership.dominator(spec.target, registered=True)
         event.dom = dominator
         branch: List[str] = []
         if dominator != spec.target:

@@ -968,7 +968,7 @@ class RuntimeBase:
         now = sim.now
         for delay, group in groups.items():
             if len(group) == 1:
-                sim._schedule_at(now + delay, group[0].release, (event,))
+                sim._schedule_at(now + delay, group[0].release, event)
             else:
                 sim._schedule_at(now + delay, _release_lock_batch, (group, event))
 
@@ -1042,12 +1042,14 @@ class _EventProcess(Process):
         self._runtime = self._event = None
 
 
-def _release_lock_batch(locks: List[ContextLock], event: Event) -> None:
-    """Dispatch-loop callback running a batch of same-timestamp releases.
+def _release_lock_batch(batch: Tuple[List[ContextLock], Event]) -> None:
+    """Dispatch-loop callback running a batch of same-timestamp releases:
+    ``batch`` is ``(locks, event)``, a queued callback's one argument.
 
     The batch replaces what would have been one queue entry per lock
     with consecutive sequence numbers — nothing could have interleaved
     between them, so running them back to back here is order-identical.
     """
+    locks, event = batch
     for lock in locks:
         lock.release(event)

@@ -7,9 +7,12 @@ so instead every runtime (AEON, EventWave, Orleans) executes on this
 deterministic simulator.  The kernel is deliberately small and SimPy-like:
 
 * :class:`Simulator` owns the virtual clock and the two event queues: a
-  plain FIFO deque of ``(callback, args)`` for callbacks due now and one
+  plain FIFO deque of ``(callback, arg)`` for callbacks due now and one
   binary heap (``heapq`` on a plain list) of timers keyed ``(fire_at,
-  seq)``; timers due now run first, then the FIFO drains.
+  seq)``; timers due now run first, then the FIFO drains.  Every queued
+  callback takes exactly one argument, so the dispatch loop packs and
+  unpacks no argument tuple (:meth:`Simulator.schedule` adapts the
+  public ``*args`` form).
 * :class:`Signal` is a one-shot occurrence that processes can wait on.
 * :class:`Timeout` is a signal that fires after a virtual delay.
 * :class:`Process` drives a generator; each ``yield`` suspends the process
@@ -22,6 +25,7 @@ the paper's numbers (latencies of a few ms, SLA of 10 ms) read naturally.
 from __future__ import annotations
 
 import gc
+import math
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
@@ -52,9 +56,10 @@ class Signal:
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
-        # Lazily created: most signals complete with zero or one waiter,
-        # and a list allocation per signal is measurable.
-        self.callbacks: Optional[List[Callable[["Signal"], None]]] = None
+        # ``None``, a lone waiter itself, or a list of two or more in
+        # registration order: most signals complete with zero or one
+        # waiter, and a list per signal is measurable.
+        self.callbacks: Any = None
         self._triggered = False
         self.value: Any = None
         self.exc: Optional[BaseException] = None
@@ -79,12 +84,14 @@ class Signal:
         self._triggered = True
         self.value = value
         callbacks = self.callbacks
-        if callbacks:
+        if callbacks is not None:
             self.callbacks = None
-            immediate = self.sim._immediate
-            arg = (self,)
-            for callback in callbacks:
-                immediate.append((callback, arg))
+            if type(callbacks) is list:
+                immediate = self.sim._immediate
+                for callback in callbacks:
+                    immediate.append((callback, self))
+            else:
+                self.sim._immediate.append((callbacks, self))
         return self
 
     def fail(self, exc: BaseException) -> "Signal":
@@ -105,14 +112,16 @@ class Signal:
         self.value = value
         self.exc = exc
         callbacks = self.callbacks
-        if callbacks:
+        if callbacks is not None:
             self.callbacks = None
             # Waiters run via the immediate queue: same scheduling order
             # as schedule(0.0, ...) without touching the heap.
-            immediate = self.sim._immediate
-            arg = (self,)
-            for callback in callbacks:
-                immediate.append((callback, arg))
+            if type(callbacks) is list:
+                immediate = self.sim._immediate
+                for callback in callbacks:
+                    immediate.append((callback, self))
+            else:
+                self.sim._immediate.append((callbacks, self))
 
     def add_callback(self, callback: Callable[["Signal"], None]) -> None:
         """Invoke *callback(signal)* when the signal completes.
@@ -122,10 +131,14 @@ class Signal:
         """
         if self._triggered:
             self.sim.call_soon(callback, self)
-        elif self.callbacks is None:
-            self.callbacks = [callback]
+            return
+        callbacks = self.callbacks
+        if callbacks is None:
+            self.callbacks = callback
+        elif type(callbacks) is list:
+            callbacks.append(callback)
         else:
-            self.callbacks.append(callback)
+            self.callbacks = [callbacks, callback]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._triggered else "pending"
@@ -154,10 +167,10 @@ class Timeout(Signal):
         now = sim.now
         fire_at = now + delay
         if fire_at == now:
-            sim._immediate.append((self._fire, (value,)))
+            sim._immediate.append((self._fire, value))
         else:
             sim._sequence += 1
-            heappush(sim._timers, (fire_at, sim._sequence, self._fire, (value,)))
+            heappush(sim._timers, (fire_at, sim._sequence, self._fire, value))
 
     def _fire(self, value: Any) -> None:
         # Open-coded succeed() — timer completion is the second most
@@ -173,20 +186,19 @@ class Timeout(Signal):
         self._triggered = True
         self.value = value
         callbacks = self.callbacks
-        if callbacks:
+        if callbacks is not None:
             self.callbacks = None
             sim = self.sim
             immediate = sim._immediate
-            if (
-                len(callbacks) == 1
-                and not immediate
-                and (not (timers := sim._timers) or timers[0][0] > sim.now)
+            if type(callbacks) is list:
+                for callback in callbacks:
+                    immediate.append((callback, self))
+            elif not immediate and (
+                not (timers := sim._timers) or timers[0][0] > sim.now
             ):
-                callbacks[0](self)
-                return
-            arg = (self,)
-            for callback in callbacks:
-                immediate.append((callback, arg))
+                callbacks(self)
+            else:
+                immediate.append((callbacks, self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self._triggered else "pending"
@@ -214,7 +226,7 @@ class CpuCharge:
 
 class _ClosedQueue:
     """The immediate queue of a closed :class:`Simulator`: always empty,
-    and an append (a ``(callback, args)`` pair) is dropped.
+    and an append (a ``(callback, arg)`` pair) is dropped.
 
     The one thing that still schedules on a closed simulator is the
     ``finally`` block of a generator dying with the run (a held CPU unit
@@ -228,7 +240,7 @@ class _ClosedQueue:
     def __len__(self) -> int:
         return 0
 
-    def append(self, entry: Tuple[Callable, tuple]) -> None:
+    def append(self, entry: Tuple[Callable, Any]) -> None:
         """Drop ``entry``."""
 
 
@@ -305,9 +317,9 @@ class Process(Signal):
         sim._processes[self] = None
         # The first step is always queued (never run inline): callers may
         # continue setting up state between process() and run().
-        sim._immediate.append((self._step, (None, None)))
+        sim._immediate.append((self._step, None))
 
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
+    def _step(self, value: Any, exc: Optional[BaseException] = None) -> None:
         # Trampoline: consume already-triggered waitables in a loop
         # instead of round-tripping through the scheduler.  Inlining is
         # only legal while the simulator is *idle at the current
@@ -371,10 +383,10 @@ class Process(Signal):
                         value = exc = None
                         continue
                 if fire_at == now:
-                    immediate.append((self._timer_cb, ()))
+                    immediate.append((self._timer_cb, None))
                 else:
                     sim._sequence += 1
-                    heappush(timers, (fire_at, sim._sequence, self._timer_cb, ()))
+                    heappush(timers, (fire_at, sim._sequence, self._timer_cb, None))
                 return
             if type(target) is CpuCharge:
                 resource = target.resource
@@ -391,7 +403,7 @@ class Process(Signal):
                         # queue one resume behind the pending callbacks;
                         # replicate it, then start the service timer.
                         self._charge_delay = delay
-                        immediate.append((self._charge_start_cb, ()))
+                        immediate.append((self._charge_start_cb, None))
                         return
                     # Service timer, mirroring the raw-delay branch
                     # (fast-forward included); release on fire.
@@ -408,7 +420,7 @@ class Process(Signal):
                     # Idle at now, so a delay the clock absorbs took the
                     # fast-forward: this timer is later than now.
                     sim._sequence += 1
-                    heappush(timers, (fire_at, sim._sequence, self._charge_timer_cb, ()))
+                    heappush(timers, (fire_at, sim._sequence, self._charge_timer_cb, None))
                     return
                 # Contended: wait for a unit, then run the timer.  The
                 # releaser schedules the callback exactly where a grant
@@ -423,21 +435,23 @@ class Process(Signal):
                     if not immediate and (not timers or timers[0][0] > sim.now):
                         value, exc = target.value, target.exc
                         continue
-                    immediate.append((self._wait_cb, (target,)))
+                    immediate.append((self._wait_cb, target))
                     return
                 # Open-coded target.add_callback(self._wait_cb): one
                 # registration per wait, worth skipping the call layer.
                 callbacks = target.callbacks
                 if callbacks is None:
-                    target.callbacks = [self._wait_cb]
-                else:
+                    target.callbacks = self._wait_cb
+                elif type(callbacks) is list:
                     callbacks.append(self._wait_cb)
+                else:
+                    target.callbacks = [callbacks, self._wait_cb]
                 return
             if target is None:
                 if not immediate and (not timers or timers[0][0] > sim.now):
                     value = exc = None
                     continue
-                immediate.append((self._step, (None, None)))
+                immediate.append((self._step, None))
                 return
             self._reject(f"non-waitable {target!r}")
             return
@@ -446,7 +460,10 @@ class Process(Signal):
         # A yield the trampoline refuses: the error is thrown in at the
         # yield site on the next step, queued like any resume.
         error = SimulationError(f"process {self.name!r} yielded {what}")
-        self.sim._immediate.append((self._step, (None, error)))
+        self.sim._immediate.append((self._throw, error))
+
+    def _throw(self, exc: BaseException) -> None:
+        self._step(None, exc)
 
     def _retire(self) -> None:
         # A finished process must die by reference count (run() pauses
@@ -467,7 +484,7 @@ class Process(Signal):
         self._retire()
         self._charge_res = None  # whose waiter queue may hold this process
 
-    def _charge_start(self) -> None:
+    def _charge_start(self, _: Any) -> None:
         # Holding the unit (taken synchronously, or handed over by a
         # releaser); start the service timer.  Mirrors the raw-delay
         # yield branch, fast-forward included.
@@ -483,15 +500,15 @@ class Process(Signal):
                 sim.now = fire_at
                 resource, self._charge_res = self._charge_res, None
                 resource.release_unit()
-                self._step(None, None)
+                self._step(None)
                 return
         if fire_at == now:
-            sim._immediate.append((self._charge_timer_cb, ()))
+            sim._immediate.append((self._charge_timer_cb, None))
         else:
             sim._sequence += 1
-            heappush(timers, (fire_at, sim._sequence, self._charge_timer_cb, ()))
+            heappush(timers, (fire_at, sim._sequence, self._charge_timer_cb, None))
 
-    def _charge_timer(self) -> None:
+    def _charge_timer(self, _: Any) -> None:
         # The service timer fired; the release runs at the (possibly
         # queued) resume, where a ``try: yield delay / finally: release``
         # would have run it.
@@ -500,16 +517,16 @@ class Process(Signal):
         if not sim._immediate and (not timers or timers[0][0] > sim.now):
             resource, self._charge_res = self._charge_res, None
             resource.release_unit()
-            self._step(None, None)
+            self._step(None)
         else:
-            sim._immediate.append((self._charge_resume_cb, ()))
+            sim._immediate.append((self._charge_resume_cb, None))
 
-    def _charge_resume(self) -> None:
+    def _charge_resume(self, _: Any) -> None:
         resource, self._charge_res = self._charge_res, None
         resource.release_unit()
-        self._step(None, None)
+        self._step(None)
 
-    def _timer_resume(self) -> None:
+    def _timer_resume(self, _: Any) -> None:
         # Fired from the heap when a yielded raw delay elapses.  The
         # signal-based path queued the resume behind whatever else is
         # pending at the fire time; replicate that unless idle (where
@@ -517,12 +534,20 @@ class Process(Signal):
         sim = self.sim
         timers = sim._timers
         if not sim._immediate and (not timers or timers[0][0] > sim.now):
-            self._step(None, None)
+            self._step(None)
         else:
-            sim._immediate.append((self._step, (None, None)))
+            sim._immediate.append((self._step, None))
 
     def _on_wait_done(self, signal: Signal) -> None:
         self._step(signal.value, signal.exc)
+
+
+def _apply(entry: Tuple[Callable, tuple]) -> None:
+    """Queued for a :meth:`Simulator.schedule` or :meth:`~Simulator.call_soon`
+    callback that does not take exactly one argument: ``entry`` is
+    ``(callback, args)``."""
+    callback, args = entry
+    callback(*args)
 
 
 class Simulator:
@@ -532,9 +557,14 @@ class Simulator:
     scheduling order, so a fixed program + fixed RNG seeds always
     produces identical traces.
 
+    Every queued callback takes exactly one argument, and an entry
+    carries it bare: the dispatch loop calls ``callback(arg)``, with no
+    argument tuple to build or unpack (a callback with nothing to take
+    ignores a ``None``).
+
     Zero-delay callbacks — the bulk of a protocol simulation (signal
     completions, process resumes, same-time hops) — bypass the timer
-    heap via an *immediate queue*, a FIFO deque of ``(callback, args)``
+    heap via an *immediate queue*, a FIFO deque of ``(callback, arg)``
     pairs: its order is its arming order, so its entries need no key.
     A positive delay the clock cannot represent (``now + delay ==
     now``) is queued there too, which is where its place in arming
@@ -543,7 +573,7 @@ class Simulator:
     scheduling costs O(1).
 
     Every other delay arms the *timer heap*, strictly later than
-    ``now``: a plain list of ``(fire_at, sequence, callback, args)``
+    ``now``: a plain list of ``(fire_at, sequence, callback, arg)``
     tuples, where a monotonically increasing sequence number (spent on
     timers only) breaks ties, that this module's hot sites drive with
     ``heappush``/``heappop``/``heap[0]`` directly — nothing outside
@@ -557,8 +587,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._timers: List[Tuple[float, int, Callable, tuple]] = []
-        self._immediate: Deque[Tuple[Callable, tuple]] = deque()
+        self._timers: List[Tuple[float, int, Callable, Any]] = []
+        self._immediate: Deque[Tuple[Callable, Any]] = deque()
         self._sequence = 0
         self._until: Optional[float] = None
         self._closed = False
@@ -599,40 +629,54 @@ class Simulator:
     # Scheduling primitives
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable, *args: Any) -> None:
-        """Run ``callback(*args)`` after ``delay`` virtual milliseconds."""
+        """Run ``callback(*args)`` after ``delay`` virtual milliseconds.
+
+        One argument is queued bare; any other count is queued as one
+        ``(callback, args)`` argument of :func:`_apply`.
+        """
         if not delay >= 0:  # NaN fails this test too
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         if self._closed:
             raise SimulationError("simulator is closed")
+        if len(args) == 1:
+            arg = args[0]
+        else:
+            callback, arg = _apply, (callback, args)
         now = self.now
         fire_at = now + delay
         if fire_at == now:
-            self._immediate.append((callback, args))
+            self._immediate.append((callback, arg))
         else:
             self._sequence += 1
-            heappush(self._timers, (fire_at, self._sequence, callback, args))
+            heappush(self._timers, (fire_at, self._sequence, callback, arg))
 
-    def _schedule_at(self, fire_at: float, callback: Callable, args: tuple) -> None:
-        """Arm a timer at absolute time ``fire_at`` (``now`` plus a delay).
+    def _schedule_at(self, fire_at: float, callback: Callable, arg: Any) -> None:
+        """Arm ``callback(arg)`` at absolute time ``fire_at`` (``now`` plus
+        a delay).
 
         :meth:`schedule` for this package's own per-event callers: no
         checks, and — unlike ``schedule`` — legal while the simulator
         closes, where the ``finally`` of a dying generator may still send
         a lock release (dropped by :meth:`close`).  ``fire_at == now`` (a
         zero delay, or one the clock absorbs) queues like :meth:`call_soon`.
+        Exactly one argument: a callback that needs more takes a tuple.
         """
         if fire_at == self.now:
-            self._immediate.append((callback, args))
+            self._immediate.append((callback, arg))
         else:
             self._sequence += 1
-            heappush(self._timers, (fire_at, self._sequence, callback, args))
+            heappush(self._timers, (fire_at, self._sequence, callback, arg))
 
     def call_soon(self, callback: Callable, *args: Any) -> None:
         """Run ``callback(*args)`` at the current time (after pending work).
 
-        Equivalent to ``schedule(0.0, ...)``, skipping the delay check.
+        Equivalent to ``schedule(0.0, ...)``, skipping the delay check;
+        the arguments are queued as :meth:`schedule` queues them.
         """
-        self._immediate.append((callback, args))
+        if len(args) == 1:
+            self._immediate.append((callback, args[0]))
+        else:
+            self._immediate.append((_apply, (callback, args)))
 
     def signal(self, name: str = "") -> Signal:
         """Create a fresh pending :class:`Signal`."""
@@ -663,8 +707,10 @@ class Simulator:
         """Run the simulation.
 
         ``until`` stops the clock at that virtual time (events scheduled
-        later stay queued); one before :attr:`now` is a ``ValueError``.
-        Returns the final clock value.
+        later stay queued); one before :attr:`now`, or one that is not
+        finite (NaN or infinite: the clock would stop there), is a
+        ``ValueError``, raised before anything runs.  Returns the final
+        clock value.
 
         Why draining the FIFO whenever ``not timers or timers[0][0] >
         now`` keeps the order of a heap-only kernel keyed ``(fire_at,
@@ -680,8 +726,11 @@ class Simulator:
         """
         if self._closed:
             raise SimulationError("simulator is closed")
-        if until is not None and until < self.now:
-            raise ValueError(f"cannot run back to {until} (now={self.now})")
+        if until is not None:
+            if not math.isfinite(until):
+                raise ValueError(f"run horizon must be finite: {until}")
+            if until < self.now:
+                raise ValueError(f"cannot run back to {until} (now={self.now})")
         timers = self._timers
         immediate = self._immediate
         self._until = until
@@ -701,19 +750,19 @@ class Simulator:
                 while True:
                     if immediate and (not timers or timers[0][0] > self.now):
                         while immediate:
-                            callback, args = immediate.popleft()
-                            callback(*args)
+                            callback, arg = immediate.popleft()
+                            callback(arg)
                     if not timers:
                         break
                     entry = heappop(timers)
                     self.now = entry[0]
-                    entry[2](*entry[3])
+                    entry[2](entry[3])
             else:
                 while True:
                     if immediate and (not timers or timers[0][0] > self.now):
                         while immediate:
-                            callback, args = immediate.popleft()
-                            callback(*args)
+                            callback, arg = immediate.popleft()
+                            callback(arg)
                     if not timers:
                         break
                     if timers[0][0] > until:
@@ -721,7 +770,7 @@ class Simulator:
                         return until
                     entry = heappop(timers)
                     self.now = entry[0]
-                    entry[2](*entry[3])
+                    entry[2](entry[3])
         finally:
             self._until = None
             if gc_was_enabled:

@@ -131,12 +131,14 @@ class Resource:
             return True
         return False
 
-    def enqueue_waiter(self, callback: Callable[[], None]) -> None:
+    def enqueue_waiter(self, callback: Callable[[Any], None]) -> None:
         """Queue ``callback`` to run (via ``call_soon``) when a unit frees.
 
         The signal-free counterpart of :meth:`request` used by the
         kernel's CpuCharge handling: the release schedules the callback
         at exactly the point the grant signal's completion would have.
+        It is called with one argument, ``None`` (a queued callback
+        takes exactly one), which it ignores.
         """
         self._waiters.append(callback)
 
@@ -149,8 +151,9 @@ class Resource:
         if waiters:
             waiter = waiters.popleft()
             if callable(waiter):
-                # Open-coded sim.call_soon(waiter): one per contended hold.
-                self.sim._immediate.append((waiter, ()))
+                # Open-coded sim.call_soon(waiter, None): one per
+                # contended hold.
+                self.sim._immediate.append((waiter, None))
             else:
                 waiter.succeed(None)
         else:

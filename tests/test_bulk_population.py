@@ -79,6 +79,7 @@ def _touch(runtime, reference, cid):
     assert f"{population.prefix}{i}" == cid
     for query in ("parents", "ancestors", "dominator", "descendants"):
         assert getattr(network, query)(cid) == getattr(reference, query)(cid)
+    assert network.dominator(cid, registered=True) == reference.dominator(cid)
     for owner in ("region", *SHARDS):
         assert network.owns(owner, cid) == reference.owns(owner, cid)
 
@@ -120,6 +121,8 @@ def _assert_same_network(network, reference, probes):
             assert _outcome(lambda: getattr(network, query)(cid)) == _outcome(
                 lambda: getattr(reference, query)(cid)
             ), (query, cid)
+        if cid in reference:
+            assert network.dominator(cid, registered=True) == reference.dominator(cid)
         for owner in owners:
             assert _outcome(lambda: network.owns(owner, cid)) == _outcome(
                 lambda: reference.owns(owner, cid)
@@ -324,6 +327,28 @@ def test_scale_in_drain_moves_untouched_members():
     for cid in on_drained:
         assert runtime.placement[cid] != drained and cid in runtime.instances
     assert runtime.context_count() == 12
+
+
+def test_a_registered_dominator_query_parses_no_cid(monkeypatch):
+    """The runtime's event path vouches for its target: a member in
+    neither map is its own dominator without a parse, and writes no map
+    entry.  Without the keyword an unknown cid still raises."""
+    bed, runtime, _manager = _bed_with_population()
+    network = runtime.ownership
+    runtime.instance_of("p-3")
+    sizes = len(network._leaf), len(network._parents)
+
+    def no_parse(*_args, **_kwargs):
+        raise AssertionError("member() was called")
+
+    monkeypatch.setattr(network, "member", no_parse)
+    assert [network.dominator(f"p-{i}", registered=True) for i in (3, 4)] == ["p-3", "p-4"]
+    assert (len(network._leaf), len(network._parents)) == sizes
+    monkeypatch.undo()
+    assert network.dominator("p-3") == "p-3"
+    for unknown in ("p-12", "p-03", "nobody"):
+        with pytest.raises(UnknownContextError):
+            network.dominator(unknown)
 
 
 def test_migrating_an_untouched_member_touches_it_first():

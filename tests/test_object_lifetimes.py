@@ -571,7 +571,7 @@ def test_timer_armed_while_closing_is_dropped(monkeypatch):
                 yield from cpu.use(100.0)
             finally:
                 sim.timeout(5.0)
-                sim._schedule_at(sim.now + 1.0, holder, (name,))
+                sim._schedule_at(sim.now + 1.0, holder, name)
 
         for name in "abc":
             sim.process(holder(name))

@@ -265,3 +265,100 @@ def test_determinism_same_seeded_program_identical_trace():
         return trace
 
     assert build() == build()
+
+
+@pytest.mark.parametrize("until", [float("nan"), float("inf"), float("-inf")])
+def test_run_rejects_a_horizon_that_is_not_finite(until):
+    # The clock would stop at the horizon: NaN fires every timer past it
+    # and leaves now = nan, inf leaves now = inf.  Nothing runs.
+    sim = Simulator()
+    fired = []
+    sim.schedule(5.0, fired.append, "timer")
+    sim.call_soon(fired.append, "soon")
+    timers, immediate = list(sim._timers), list(sim._immediate)
+    with pytest.raises(ValueError):
+        sim.run(until=until)
+    assert sim.now == 0.0 and fired == []
+    assert sim._timers == timers and list(sim._immediate) == immediate
+    assert sim.run() == 5.0 and fired == ["soon", "timer"]
+
+
+def _target(sim, completion, order):
+    """A pending signal and a function completing it at t = 1.0."""
+    if completion in ("succeed", "fail"):
+        signal = sim.signal("target")
+        if completion == "succeed":
+            return signal, lambda: sim.schedule(1.0, signal.succeed, "v")
+        return signal, lambda: sim.schedule(1.0, signal.fail, ValueError("bad"))
+    if completion == "process":
+        def body():
+            yield 1.0
+            return "v"
+
+        return sim.process(body()), lambda: None
+    timeout = sim.timeout(1.0, "v")
+    if completion == "timeout_idle":
+        return timeout, lambda: None
+    # A second timer due at the same instant, armed after the timeout:
+    # the timeout's waiters queue behind it, as on a heap-only kernel.
+    return timeout, lambda: sim.schedule(1.0, order.append, "other")
+
+
+@pytest.mark.parametrize("register", ["yield", "add_callback", "mixed"])
+@pytest.mark.parametrize(
+    "completion", ["succeed", "fail", "timeout_idle", "timeout_busy", "process"]
+)
+@pytest.mark.parametrize("waiters", [1, 2, 3])
+def test_waiters_run_in_registration_order(waiters, completion, register):
+    # A lone waiter is held bare; a second one makes a list, in
+    # registration order, which is the order the waiters run in.
+    sim = Simulator()
+    order = []
+    target, complete = _target(sim, completion, order)
+
+    def waiter(i):
+        try:
+            yield target
+        except ValueError:
+            pass
+        order.append(i)
+
+    for i in range(waiters):
+        if register == "yield" or (register == "mixed" and i % 2 == 0):
+            sim.process(waiter(i))
+            sim.run(until=0.0)  # runs the process up to its yield
+        else:
+            target.add_callback(lambda signal, i=i: order.append(i))
+        if i == 0:
+            assert callable(target.callbacks)
+            assert not isinstance(target.callbacks, list)
+        else:
+            assert isinstance(target.callbacks, list)
+            assert len(target.callbacks) == i + 1
+    assert not target.triggered and order == []
+    complete()
+    sim.run()
+    first = ["other"] if completion == "timeout_busy" else []
+    assert order == first + list(range(waiters))
+    assert target.triggered and target.callbacks is None
+    assert sim.now == 1.0
+
+
+@pytest.mark.parametrize("args", [(), ("a",), ("a", "b"), (("a", "b"),)])
+@pytest.mark.parametrize("via", ["schedule_now", "schedule_later", "call_soon"])
+def test_schedule_and_call_soon_pass_exactly_their_args(args, via):
+    # One queued argument each, however many the caller passed: a lone
+    # tuple argument arrives as one tuple, not unpacked.
+    sim = Simulator()
+    seen = []
+
+    def callback(*got):
+        seen.append(got)
+
+    if via == "call_soon":
+        sim.call_soon(callback, *args)
+    else:
+        sim.schedule(0.0 if via == "schedule_now" else 2.0, callback, *args)
+    assert sim.pending_events == 1
+    sim.run()
+    assert seen == [args]

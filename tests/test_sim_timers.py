@@ -1,6 +1,6 @@
 """Tests for the kernel's timer queue (sim/kernel.py).
 
-The queue is one binary heap of ``(fire_at, seq, callback, args)``
+The queue is one binary heap of ``(fire_at, seq, callback, arg)``
 tuples beside a keyless FIFO of callbacks due now, both touched only by
 ``sim/kernel.py``, so every test here goes through
 :meth:`Simulator.schedule` / :meth:`~Simulator.run`.  Together they must
@@ -288,7 +288,7 @@ def test_mutant_handover_timer_at_release_dies(monkeypatch):
         process = resource._waiters.popleft().__self__
         sim._sequence += 1
         fire_at = sim.now + process._charge_delay
-        heappush(sim._timers, (fire_at, sim._sequence, process._charge_timer_cb, ()))
+        heappush(sim._timers, (fire_at, sim._sequence, process._charge_timer_cb, None))
 
     monkeypatch.setattr(Resource, "release_unit", release_and_arm)
     _assert_mutant_dies()
@@ -343,7 +343,7 @@ def test_absorbed_release_queues_in_arming_order():
     fired = []
     sim.run(until=_COARSE)
     sim.call_soon(fired.append, "a")
-    sim._schedule_at(sim.now + 1.0, fired.append, ("b",))
+    sim._schedule_at(sim.now + 1.0, fired.append, "b")
     sim.call_soon(fired.append, "c")
     assert sim._timers == []
     sim.run()
@@ -354,11 +354,13 @@ def test_mutant_absorbed_delay_on_heap_dies(monkeypatch):
     # Arming an absorbed delay as a timer at now: it overtakes the
     # zero-delay callbacks armed before it.
     def schedule_on_heap(self, delay, callback, *args):
+        if len(args) != 1:
+            callback, args = kernel._apply, ((callback, args),)
         if delay == 0.0:
-            self._immediate.append((callback, args))
+            self._immediate.append((callback, args[0]))
         else:
             self._sequence += 1
-            heappush(self._timers, (self.now + delay, self._sequence, callback, args))
+            heappush(self._timers, (self.now + delay, self._sequence, callback, args[0]))
 
     monkeypatch.setattr(Simulator, "schedule", schedule_on_heap)
     with pytest.raises(AssertionError):
@@ -374,13 +376,13 @@ def test_mutant_drain_without_guard_dies(monkeypatch):
         try:
             while True:
                 while immediate:
-                    callback, args = immediate.popleft()
-                    callback(*args)
+                    callback, arg = immediate.popleft()
+                    callback(arg)
                 if not timers or (until is not None and timers[0][0] > until):
                     break
                 entry = heappop(timers)
                 self.now = entry[0]
-                entry[2](*entry[3])
+                entry[2](entry[3])
         finally:
             self._until = None
         if until is not None:
